@@ -11,7 +11,7 @@ Subpackages:
   cli           command-line front end
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .coords import Coord, coord, parse_coord
 from .cartan import CartanData, LieType, RootVector, Weight, build_cartan

@@ -16,7 +16,7 @@ suite, not assumed.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,7 +26,7 @@ from .monomials import (
     AVector, PsiMonomial, YMonomial,
     avector_to_psi, avector_to_y, expand_A_to_Psi, is_dominant, psi_to_y, y_to_psi,
 )
-from .textio import format_monomial, monomial_to_json
+from .textio import format_monomial
 
 __all__ = [
     "EngineConfig", "EngineError", "TruncatedCharacter", "CharacterReport",
@@ -364,11 +364,11 @@ def sl2_kr_char(k: int, x, bound: int | None = None) -> TruncatedCharacter:
     return TruncatedCharacter.make(top, terms, bound)
 
 
-def _strings(positions: dict, d: Fraction):
+def _strings(positions, d: Fraction):
     """Greedy decomposition of an exponent multiset into unlinked strings.
 
-    ``positions``: coord -> positive exponent for one node.  Returns a list
-    of (bottom, length) pairs; strings step by d.
+    ``positions``: (coord, positive exponent) pairs for one node.  Returns a
+    list of (bottom, length) pairs; strings step by d.
     """
     rem = dict(positions)
     out = []
@@ -390,11 +390,21 @@ def _strings(positions: dict, d: Fraction):
     return out
 
 
-def _sl2_node_expansion(i: int, positions: dict, d: Fraction, cap: int | None) -> dict:
+# Bound on the memoized node-sl2 expansions.  Keys carry absolute
+# coordinates, so reuse happens within one expansion and across expansions
+# at the same spectral point (the k-steps of ``stabilize``).  A complete KR
+# character such as B3 n3 k5 or B4 n4 k3 meets 90-150 distinct keys.
+_SL2_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_SL2_CACHE_SIZE)
+def _sl2_node_expansion(i: int, positions: tuple, d: Fraction, cap: int | None) -> tuple:
     """sl2 character of an i-dominant string content as ledger chains.
 
-    Returns {AVector in node-i A^-1 factors: multiplicity}; the unit chain
-    has multiplicity 1.  ``cap`` limits the chain height.
+    ``positions`` is a tuple of (coord, positive exponent) pairs for node i.
+    Returns a tuple of (AVector in node-i A^-1 factors, multiplicity); the
+    unit chain comes first with multiplicity 1.  ``cap`` limits the chain
+    height.
     """
     chains = {AVector.unit(): 1}
     for bottom, length in _strings(positions, d):
@@ -412,7 +422,7 @@ def _sl2_node_expansion(i: int, positions: dict, d: Fraction, cap: int | None) -
                 k = v * sc
                 nxt[k] = nxt.get(k, 0) + c
         chains = nxt
-    return chains
+    return tuple(chains.items())
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +442,11 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
 
 @lru_cache(maxsize=4096)
 def _fm_expand_cached(cartan, top, bound, config):
+    # Invariant: ymon[v] == top * avector_to_y(cartan, v) for every queued v.
+    # A new term v2 = v * chain is reached from a popped v, and avector_to_y
+    # is a homomorphism, so its Y-monomial is built from v's as
+    # m * avector_to_y(cartan, chain): the cost follows the new node-i chain,
+    # not the size of the whole monomial.
     if not is_dominant(top):
         raise ValueError(f"fm_expand requires a dominant top, got {format_monomial(top)}")
     top_psi = y_to_psi(cartan, top)
@@ -455,13 +470,13 @@ def _fm_expand_cached(cartan, top, bound, config):
                 continue
             if deficit < 0:
                 raise EngineError("engine fault: node coverage exceeds multiplicity")
-            positions = {x: e for (j, x), e in m.items() if j == i}
-            if any(e < 0 for e in positions.values()):
+            positions = tuple((x, e) for (j, x), e in m.items() if j == i)
+            if any(e < 0 for _, e in positions):
                 raise EngineError(
                     f"expansion blocked: monomial {format_monomial(m)} has unexplained "
                     f"multiplicity at node {i} but is not {i}-dominant")
             cap = None if bound is None else bound - h
-            for chain, c in _sl2_node_expansion(i, positions, cartan.di(i), cap).items():
+            for chain, c in _sl2_node_expansion(i, positions, cartan.di(i), cap):
                 v2 = v * chain
                 explained[i][v2] = explained[i].get(v2, 0) + c * deficit
                 if v2 != v and v2 not in seen:
@@ -469,7 +484,7 @@ def _fm_expand_cached(cartan, top, bound, config):
                     if len(seen) > config.term_budget:
                         raise EngineError(f"term budget {config.term_budget} exceeded "
                                           "during expansion")
-                    ymon[v2] = top * avector_to_y(cartan, v2)
+                    ymon[v2] = m * avector_to_y(cartan, chain)
                     seq += 1
                     heapq.heappush(heap, (v2.height(), seq, v2))
     return TruncatedCharacter.make(top_psi, result, bound)

@@ -6,6 +6,7 @@ failure; 2 usage error; 3 engine budget or stabilization failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -61,7 +62,10 @@ def _load_config(path: str | None, fmt: str | None) -> CliConfig:
     return cfg
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # Built on first use and reused: parse_args keeps no state between calls,
+    # and building the tree of subparsers costs more than most commands.
     top = argparse.ArgumentParser(prog="yqchar", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -33,18 +33,22 @@ class _ExpMap:
 
     __slots__ = ("exps", "_hash")
 
-    def __init__(self, exps=()):
-        items = {}
-        for (i, x), e in (exps.items() if isinstance(exps, dict) else exps):
-            k = (i, coord(x))
-            e = items.get(k, 0) + e
-            if e:
-                items[k] = e
-            elif k in items:
-                del items[k]
-        canon = tuple(sorted(items.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())))
-        object.__setattr__(self, "exps", canon)
-        object.__setattr__(self, "_hash", hash((type(self).__name__, canon)))
+    def __init__(self, exps=(), *, canonical=False):
+        """``canonical=True`` trusts ``exps`` to be a canonical tuple already
+        (as built by ``__mul__``) and skips coercion, sorting and checks."""
+        if not canonical:
+            items = {}
+            for (i, x), e in (exps.items() if isinstance(exps, dict) else exps):
+                k = (i, coord(x))
+                e = items.get(k, 0) + e
+                if e:
+                    items[k] = e
+                elif k in items:
+                    del items[k]
+            exps = tuple(sorted(items.items(),
+                                key=lambda kv: (kv[0][0], kv[0][1].sort_key())))
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "_hash", hash((type(self).__name__, exps)))
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -73,7 +77,11 @@ class _ExpMap:
     def __mul__(self, other):
         if type(other) is not type(self):
             raise TypeError(f"cannot multiply {type(self).__name__} by {type(other).__name__}")
-        return type(self)(self.exps + other.exps)
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
+        return type(self)(_merge(self.exps, other.exps), canonical=True)
 
     def __pow__(self, n: int):
         if n == 0:
@@ -99,6 +107,38 @@ class _ExpMap:
         return format_monomial(self)
 
 
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Product of two canonical exponent tuples, in canonical form.
+
+    One pass over both sorted tuples: equal keys add their exponents (and
+    vanish at zero), the rest interleave in (node, Coord.sort_key) order.
+    A product of two nonnegative maps stays nonnegative, so AVector needs
+    no sign re-check.
+    """
+    out = []
+    ia = ib = 0
+    na, nb = len(a), len(b)
+    while ia < na and ib < nb:
+        (i, x), e = a[ia]
+        (j, y), f = b[ib]
+        # Coord hashes are cached: comparing them first rejects unequal keys
+        # without Fraction arithmetic.
+        if i == j and hash(x) == hash(y) and x == y:
+            if e + f:
+                out.append(((i, x), e + f))
+            ia += 1
+            ib += 1
+        elif i < j or (i == j and x.sort_key() < y.sort_key()):
+            out.append(a[ia])
+            ia += 1
+        else:
+            out.append(b[ib])
+            ib += 1
+    out += a[ia:]
+    out += b[ib:]
+    return tuple(out)
+
+
 class PsiMonomial(_ExpMap):
     """Monomial in the prefundamental weights Psi_{i,x}."""
 
@@ -110,9 +150,9 @@ class YMonomial(_ExpMap):
 class AVector(_ExpMap):
     """Product of A_{i,x}^{-1} factors with positive exponents (the A-ledger)."""
 
-    def __init__(self, exps=()):
-        super().__init__(exps)
-        if any(e < 0 for _, e in self.exps):
+    def __init__(self, exps=(), *, canonical=False):
+        super().__init__(exps, canonical=canonical)
+        if not canonical and any(e < 0 for _, e in self.exps):
             raise ValueError("AVector exponents must be nonnegative")
 
     def height(self) -> int:
@@ -188,10 +228,24 @@ def avector_to_psi(cartan: CartanData, v: AVector) -> PsiMonomial:
     return out
 
 
+# Bound on the memoized per-generator A -> Y expansions.  A complete KR
+# character such as E6 n1 k2 or B4 n4 k3 meets under 30 distinct generators,
+# so the bound holds those of dozens of expansions while a process running
+# many unrelated ones keeps a flat footprint.
+_A_TO_Y_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_A_TO_Y_CACHE_SIZE)
+def _a_to_y_power(cartan: CartanData, i: int, x: Coord, e: int) -> YMonomial:
+    """A_{i,x}^-e as a Y-monomial."""
+    return expand_A_to_Y(cartan, i, x) ** (-e)
+
+
 def avector_to_y(cartan: CartanData, v: AVector) -> YMonomial:
+    """The Y-form of the Q_- element prod A_{i,x}^{-e} (a homomorphism)."""
     out = YMonomial.unit()
     for (i, x), e in v.items():
-        out = out * expand_A_to_Y(cartan, i, x) ** (-e)
+        out = out * _a_to_y_power(cartan, i, x, e)
     return out
 
 

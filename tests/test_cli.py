@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, determinism."""
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,16 @@ def test_help_exits_zero():
     assert run(["--help"])[0] == 0
 
 
+def test_reused_parser_keeps_no_state_between_calls():
+    argv = ["verify", "tq", "--type", "B2", "--node", "2", "--k", "6",
+            "--height", "2", "--format", "json"]
+    first = run(argv)
+    assert first[0] == 0
+    assert run(["verify", "tq", "--type", "B2", "--k", "6"])[0] == 2   # no --node
+    assert run(argv) == first
+    assert cli._parser() is cli._parser()
+
+
 # -- rep-check ---------------------------------------------------------------
 
 def test_rep_check_commands():
@@ -146,6 +157,13 @@ def test_translate_check_tq():
 
 
 # -- config ------------------------------------------------------------------
+
+def test_version_has_one_source():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert "version" not in meta["project"] and "version" in meta["project"]["dynamic"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "yqchar.__version__"}
+
 
 def test_cli_config_validation():
     with pytest.raises(ValueError):

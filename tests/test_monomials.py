@@ -201,3 +201,51 @@ def test_group_laws(a, b, c):
 @given(small_monomials)
 def test_format_parse_round_trip(m):
     assert parse_monomial(format_monomial(m), kind="Psi") == m
+
+
+# -- merge product and the A -> Y homomorphism (property) ---------------------
+
+# A small pool of rational and symbolic coordinates, so that products often
+# meet equal keys and cancel.
+coords = st.builds(
+    lambda r, c, name: Coord(r) + Coord.var(name, c),
+    st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    st.integers(min_value=0, max_value=1),
+    st.sampled_from(("x", "k")))
+
+
+def exp_maps(cls):
+    exps = st.integers(min_value=1, max_value=3) if cls is AVector \
+        else st.integers(min_value=-3, max_value=3)
+    return st.lists(st.tuples(st.integers(min_value=1, max_value=2), coords, exps),
+                    max_size=6).map(lambda fs: cls(tuple(((i, x), e) for i, x, e in fs)))
+
+
+def map_pairs(*classes):
+    return st.sampled_from(classes).flatmap(lambda cls: st.tuples(exp_maps(cls), exp_maps(cls)))
+
+
+@given(map_pairs(PsiMonomial, YMonomial, AVector))
+def test_merge_product_matches_canonical_constructor(pair):
+    a, b = pair
+    want = type(a)(a.exps + b.exps)
+    got = a * b
+    assert got.exps == want.exps and hash(got) == hash(want)
+
+
+@given(map_pairs(PsiMonomial, YMonomial))
+def test_merge_product_cancels(pair):
+    a, c = pair
+    unit = type(a).unit()
+    assert a * a.inverse() == unit and hash(a * a.inverse()) == hash(unit)
+    assert a * (a.inverse() * c) == c
+    assert a * unit is a and (unit * a is a or a.is_unit())
+
+
+@given(st.sampled_from(("A2", "B2", "C3", "G2", "D4")), exp_maps(AVector), exp_maps(AVector))
+def test_avector_to_y_is_a_homomorphism(name, v, w):
+    ct = build_cartan(LieType.parse(name))
+    assert avector_to_y(ct, v * w) == avector_to_y(ct, v) * avector_to_y(ct, w)
+    reference = YMonomial(tuple(kv for (i, x), e in v.items()
+                                for kv in (expand_A_to_Y(ct, i, x) ** -e).exps))
+    assert avector_to_y(ct, v) == reference
