@@ -6,6 +6,7 @@ failure; 2 usage error; 3 engine budget or stabilization failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -162,7 +163,8 @@ def _emit(obj, cfg: CliConfig, out):
 def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as ex:
         return 0 if ex.code == 0 else 2
     try:
@@ -223,12 +225,13 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
         if args.command == "rep-check":
             if args.what == "three-term":
                 report = verify_sl2_three_term(Fraction(args.x), Fraction(args.y),
-                                               args.M, args.height)
+                                               args.M, args.height, eng)
                 _emit(report, cfg, out)
                 return 0 if report.verdict else 1
             mod = build_module(args.kind, Fraction(args.k), Fraction(args.x),
                                n_max=args.modes,
-                               M=args.M if args.kind == "truncated" else None)
+                               M=args.M if args.kind == "truncated" else None,
+                               config=eng)
             if args.what == "relations":
                 report = check_relations(mod)
                 _emit(report, cfg, out)

@@ -1,4 +1,4 @@
-"""Exact matrix realizations of the rank-one modules.
+"""Exact rank-one matrix modules, stored by band.
 
 On the basis v_0, ..., v_{dim-1} the generator modes act by (hbar = 1):
 
@@ -7,10 +7,18 @@ On the basis v_0, ..., v_{dim-1} the generator modes act by (hbar = 1):
     xi(u) v_i = (u+x-1)(u+x+k) / ((u+x+i-1)(u+x+i)) v_i,
 
 with xi modes read off the exact u^{-1}-expansion of the eigenvalue
-series.  Finite modules (k a nonnegative integer) close on dim = k+1
-vectors; truncated modules keep the first M vectors of the infinite
-tower, on which the defining relations hold on a safe interior of the
-basis (the last two columns may leak past the truncation).
+series.  Each mode is one super-, sub- or main diagonal, so a module stores
+it as the tuple of its dim coefficients: ``xp[n][i]``, ``xm[n][i]`` and
+``xi[n][i]`` are the coefficients of xp_n v_i, xm_n v_i and xi_n v_i
+(``xp[n][0]`` and ``xm[n][dim-1]`` are 0, their targets lie outside the
+basis).  The relation checker multiplies these bands directly, in O(dim)
+per product; no dense matrix is ever formed except for the
+``matrices_json`` dump.
+
+Finite modules (k a nonnegative integer) close on dim = k+1 vectors;
+truncated modules keep the first M vectors of the infinite tower, on which
+the defining relations hold on a safe interior of the basis (the last two
+columns may leak past the truncation).
 
 Everything here is independent of the symbolic character engine; the
 extracted characters serve as its end-to-end cross-check.
@@ -24,7 +32,8 @@ from .cartan import LieType, build_cartan
 from .coords import coord
 from .monomials import AVector, PsiMonomial, avector_to_psi
 from .characters import (
-    CharacterReport, TruncatedCharacter, char_add, char_mul, compare_characters,
+    DEFAULT_CONFIG, CharacterReport, EngineConfig, EngineError, TruncatedCharacter,
+    char_add, char_mul, compare_characters,
 )
 
 __all__ = [
@@ -37,42 +46,27 @@ _SL2 = build_cartan(LieType.parse("A1"))
 
 
 # ---------------------------------------------------------------------------
-# Exact series helpers (lists of Fractions = 1 + c1/u + c2/u^2 + ...).
+# Eigenvalue series (lists of Fractions = 1 + c1/u + c2/u^2 + ...).
 # ---------------------------------------------------------------------------
-
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[:order + 1]):
-        for j, bj in enumerate(b[:order + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-def _series_inv(a, order):
-    if a[0] != 1:
-        raise ValueError("series inversion needs leading coefficient 1")
-    out = [Fraction(1)] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        out[n] = -sum(a[j] * out[n - j] for j in range(1, n + 1) if j < len(a))
-    return out
-
-def _linear(a, order):
-    """The series of (u+a)/u = 1 + a u^-1."""
-    return [Fraction(1), Fraction(a)] + [Fraction(0)] * (order - 1)
 
 def psi_ratio_series(m: PsiMonomial, order: int):
     """Exact u^{-1}-expansion of prod (u+a)^e over the factors of m.
 
     Only rational coordinates are allowed (matrix modules are numeric).
+    Each factor (u+a)/u = 1 + a/u is applied in place, in O(order).
     """
     out = [Fraction(1)] + [Fraction(0)] * order
     for (i, a), e in m.items():
         if i != 1 or not a.is_rational:
             raise ValueError(f"not a rank-one rational l-weight: {m!r}")
-        f = _linear(a.rat, order)
-        if e < 0:
-            f = _series_inv(f, order)
+        a = a.rat
         for _ in range(abs(e)):
-            out = _series_mul(out, f, order)
+            if e > 0:       # times (1 + a/u): descending, so out[n-1] is still old
+                for n in range(order, 0, -1):
+                    out[n] += a * out[n - 1]
+            else:           # divided by (1 + a/u): ascending, out[n-1] is already new
+                for n in range(1, order + 1):
+                    out[n] -= a * out[n - 1]
     return out
 
 
@@ -80,16 +74,18 @@ def psi_ratio_series(m: PsiMonomial, order: int):
 # Modules.
 # ---------------------------------------------------------------------------
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[r][m] * b[m][c] for m in range(n)) for c in range(n)]
-            for r in range(n)]
+# Row offset of each band: xp_n v_i lands on v_{i-1}, xm_n v_i on v_{i+1}.
+_XP, _XM, _XI = -1, 1, 0
+_ZERO = Fraction(0)
 
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-def _comm(a, b):
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
+def _dense(band, offset: int, dim: int):
+    """The dim x dim matrix whose entry [c+offset][c] is band[c]."""
+    rows = [[_ZERO] * dim for _ in range(dim)]
+    for c, e in enumerate(band):
+        if 0 <= c + offset < dim:
+            rows[c + offset][c] = e
+    return rows
 
 
 @dataclass(frozen=True)
@@ -99,9 +95,9 @@ class Sl2Module:
     x: Fraction
     dim: int
     mode_bound: int           # n_max
-    xp: tuple                 # raising modes 0..n_max+1
-    xm: tuple                 # lowering modes 0..n_max+1
-    xi: tuple                 # Cartan modes 0..max(2 n_max, n_max+1)
+    xp: tuple                 # raising modes 0..n_max+1; xp[n][i]: xp_n v_i on v_{i-1}
+    xm: tuple                 # lowering modes 0..n_max+1; xm[n][i]: xm_n v_i on v_{i+1}
+    xi: tuple                 # Cartan modes 0..max(2 n_max, n_max+1); xi[n][i]: on v_i
 
     @property
     def safe_columns(self) -> range:
@@ -111,14 +107,23 @@ class Sl2Module:
         return range(self.dim - SAFE_MARGIN)
 
     def matrices_json(self) -> dict:
-        dump = lambda ms: [[[str(e) for e in row] for row in m] for m in ms]
+        dump = lambda bands, offset: [[[str(e) for e in row]
+                                       for row in _dense(b, offset, self.dim)]
+                                      for b in bands]
         return {"kind": self.kind, "k": str(self.k), "x": str(self.x),
                 "dim": self.dim, "mode_bound": self.mode_bound,
-                "xp": dump(self.xp), "xm": dump(self.xm), "xi": dump(self.xi)}
+                "xp": dump(self.xp, _XP), "xm": dump(self.xm, _XM),
+                "xi": dump(self.xi, _XI)}
 
 
-def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None) -> Sl2Module:
-    """Exact matrices for the rank-one highest-weight module."""
+def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
+                 config: EngineConfig = DEFAULT_CONFIG) -> Sl2Module:
+    """Exact operator bands for the rank-one highest-weight module.
+
+    The stored entries, dim * (2 (n_max+2) + xi modes), must fit in
+    ``config.term_budget``; a larger module raises EngineError before any
+    allocation.
+    """
     k, x = Fraction(k), Fraction(x)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -134,21 +139,18 @@ def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None) -> Sl2Mo
         raise ValueError(f"unknown module kind {kind!r}")
     pm_modes = n_max + 2
     xi_modes = max(2 * n_max, n_max + 1) + 1
-    zero = lambda: [[Fraction(0)] * dim for _ in range(dim)]
-    xp = [zero() for _ in range(pm_modes)]
-    xm = [zero() for _ in range(pm_modes)]
-    xi = [zero() for _ in range(xi_modes)]
-    for i in range(dim):
-        for n in range(pm_modes):
-            if i >= 1:
-                xp[n][i - 1][i] = (-x + 1 - i) ** n
-            if i + 1 < dim:
-                xm[n][i + 1][i] = (-x - i) ** n * (i + 1) * (k - i)
-        eig = psi_ratio_series(_lweight_psi(k, x, i), xi_modes)
-        for n in range(xi_modes):
-            xi[n][i][i] = eig[n + 1]
-    freeze = lambda ms: tuple(tuple(tuple(row) for row in m) for m in ms)
-    return Sl2Module(kind, k, x, dim, n_max, freeze(xp), freeze(xm), freeze(xi))
+    if dim * (2 * pm_modes + xi_modes) > config.term_budget:
+        raise EngineError(f"term budget {config.term_budget} exceeded by a {kind} module "
+                          f"of dimension {dim} with {pm_modes} raising/lowering and "
+                          f"{xi_modes} Cartan modes")
+    xp = tuple(tuple(_ZERO if i == 0 else (-x + 1 - i) ** n for i in range(dim))
+               for n in range(pm_modes))
+    xm = tuple(tuple((-x - i) ** n * (i + 1) * (k - i) if i + 1 < dim else _ZERO
+                     for i in range(dim))
+               for n in range(pm_modes))
+    eigs = [psi_ratio_series(_lweight_psi(k, x, i), xi_modes) for i in range(dim)]
+    xi = tuple(tuple(eig[n + 1] for eig in eigs) for n in range(xi_modes))
+    return Sl2Module(kind, k, x, dim, n_max, xp, xm, xi)
 
 
 def _lweight_psi(k: Fraction, x: Fraction, i: int) -> PsiMonomial:
@@ -183,6 +185,35 @@ class RelationReport:
         return "\n".join(lines)
 
 
+def _times(a: dict, b: dict, dim: int) -> dict:
+    """Product of two band operators {offset: column}, entry c of the
+    offset-o column being the matrix entry [c+o][c].
+
+    (ab)[c+s][c] = sum over oa+ob = s of a[c+s][c+ob] b[c+ob][c], one term
+    per pair of bands, so each column costs O(1).  Entries whose row lies
+    outside the basis are neither read nor formed (they stay 0).
+    """
+    out = {}
+    for ob, cb in b.items():
+        for oa, ca in a.items():
+            s = oa + ob
+            lo, hi = max(0, -ob, -s), min(dim, dim - ob, dim - s)
+            col = [ca[c + ob] * cb[c] if lo <= c < hi else _ZERO for c in range(dim)]
+            out[s] = [p + q for p, q in zip(out[s], col)] if s in out else col
+    return out
+
+
+def _combine(*terms) -> dict:
+    """The linear combination sum coef * op over (coef, op) pairs."""
+    out = {}
+    for coef, op in terms:
+        for o, col in op.items():
+            if coef != 1:
+                col = [-e for e in col] if coef == -1 else [coef * e for e in col]
+            out[o] = [p + q for p, q in zip(out[o], col)] if o in out else col
+    return out
+
+
 def check_relations(mod: Sl2Module, n_max: int | None = None) -> RelationReport:
     """Verify the rank-one defining relations exactly on the safe columns.
 
@@ -193,47 +224,52 @@ def check_relations(mod: Sl2Module, n_max: int | None = None) -> RelationReport:
       (CD) [xi_{m+1}, xpm_n] - [xi_m, xpm_{n+1}] = +-(xi_m xpm_n + xpm_n xi_m)
       (DR) [xpm_{m+1}, xpm_n] - [xpm_m, xpm_{n+1}] = +-(xpm_m xpm_n + xpm_n xpm_m)
     The Serre relation is vacuous in rank one.
+
+    Each instance is compared column by column over the safe columns, rows
+    ascending within a column; the first disagreeing entry is reported.
     """
     n_max = mod.mode_bound if n_max is None else n_max
     if n_max > mod.mode_bound:
         raise ValueError("module built with smaller mode bound")
+    dim = mod.dim
     cols = mod.safe_columns
     failures = []
     checked = 0
+    xp = [{_XP: b} for b in mod.xp]
+    xm = [{_XM: b} for b in mod.xm]
+    xi = [{_XI: b} for b in mod.xi]
+    mul = lambda a, b: _times(a, b, dim)
+    comm = lambda a, b: _combine((1, mul(a, b)), (-1, mul(b, a)))
 
     def expect(rel, m, n, lhs, rhs):
         nonlocal checked
         checked += 1
+        offsets = sorted(lhs.keys() | rhs.keys())
         for c in cols:
-            for r in range(mod.dim):
-                if lhs[r][c] != rhs[r][c]:
-                    failures.append((rel, m, n, c, lhs[r][c], rhs[r][c]))
-                    return
+            for o in offsets:
+                if 0 <= c + o < dim:
+                    a = lhs[o][c] if o in lhs else _ZERO
+                    b = rhs[o][c] if o in rhs else _ZERO
+                    if a != b:
+                        failures.append((rel, m, n, c, a, b))
+                        return
 
-    zero = [[Fraction(0)] * mod.dim for _ in range(mod.dim)]
     for m in range(n_max + 1):
         for n in range(n_max + 1):
-            expect("commuting Cartan modes", m, n, _comm(mod.xi[m], mod.xi[n]), zero)
-            expect("raising/lowering bracket", m, n,
-                   _comm(mod.xp[m], mod.xm[n]), mod.xi[m + n])
+            expect("commuting Cartan modes", m, n, comm(xi[m], xi[n]), {})
+            expect("raising/lowering bracket", m, n, comm(xp[m], xm[n]), xi[m + n])
     for n in range(n_max + 1):
-        expect("weight grading (+)", 0, n, _comm(mod.xi[0], mod.xp[n]),
-               [[2 * e for e in row] for row in mod.xp[n]])
-        expect("weight grading (-)", 0, n, _comm(mod.xi[0], mod.xm[n]),
-               [[-2 * e for e in row] for row in mod.xm[n]])
-    for sign, xs in ((1, mod.xp), (-1, mod.xm)):
+        expect("weight grading (+)", 0, n, comm(xi[0], xp[n]), _combine((2, xp[n])))
+        expect("weight grading (-)", 0, n, comm(xi[0], xm[n]), _combine((-2, xm[n])))
+    for sign, xs in ((1, xp), (-1, xm)):
         tag = "+" if sign > 0 else "-"
         for m in range(n_max + 1):
             for n in range(n_max + 1):
-                lhs = _mat_sub(_comm(mod.xi[m + 1], xs[n]), _comm(mod.xi[m], xs[n + 1]))
-                anti = [[sign * e for e in row] for row in
-                        _mat_sub(_mat_mul(mod.xi[m], xs[n]),
-                                 [[-e for e in row] for row in _mat_mul(xs[n], mod.xi[m])])]
+                lhs = _combine((1, comm(xi[m + 1], xs[n])), (-1, comm(xi[m], xs[n + 1])))
+                anti = _combine((sign, mul(xi[m], xs[n])), (sign, mul(xs[n], xi[m])))
                 expect(f"Cartan-Drinfeld ({tag})", m, n, lhs, anti)
-                lhs = _mat_sub(_comm(xs[m + 1], xs[n]), _comm(xs[m], xs[n + 1]))
-                anti = [[sign * e for e in row] for row in
-                        _mat_sub(_mat_mul(xs[m], xs[n]),
-                                 [[-e for e in row] for row in _mat_mul(xs[n], xs[m])])]
+                lhs = _combine((1, comm(xs[m + 1], xs[n])), (-1, comm(xs[m], xs[n + 1])))
+                anti = _combine((sign, mul(xs[m], xs[n])), (sign, mul(xs[n], xs[m])))
                 expect(f"same-sign Drinfeld ({tag})", m, n, lhs, anti)
     return RelationReport(not failures, checked, tuple(failures),
                           note=f"{mod.kind} k={mod.k} x={mod.x} dim={mod.dim}")
@@ -258,7 +294,7 @@ def extract_qchar(mod: Sl2Module) -> TruncatedCharacter:
     for i in range(mod.dim):
         chain = AVector(tuple(((1, x + m), 1) for m in range(i)))
         predicted = psi_ratio_series(top * avector_to_psi(_SL2, chain), order)
-        stored = [Fraction(1)] + [mod.xi[n][i][i] for n in range(order)]
+        stored = [Fraction(1)] + [mod.xi[n][i] for n in range(order)]
         if predicted != stored:
             raise ValueError(f"eigenvalue series of v_{i} does not match its ledger chain")
         terms[chain] = 1
@@ -266,16 +302,17 @@ def extract_qchar(mod: Sl2Module) -> TruncatedCharacter:
     return TruncatedCharacter.make(top, terms, bound)
 
 
-def verify_sl2_three_term(x, y, M: int, bound: int) -> CharacterReport:
+def verify_sl2_three_term(x, y, M: int, bound: int,
+                          config: EngineConfig = DEFAULT_CONFIG) -> CharacterReport:
     """[C^2_x][S^x_y] = [S^{x+1}_y] + [S^{x-1}_y], all four characters
     extracted from explicit matrix modules (not the symbolic engine)."""
     x, y = Fraction(x), Fraction(y)
     if bound > M - 2:
         raise ValueError("need bound <= M - 2")
-    two = extract_qchar(build_module("finite", 1, x, n_max=0))
-    mid = extract_qchar(build_module("truncated", x - y, y, n_max=0, M=M))
-    up = extract_qchar(build_module("truncated", x + 1 - y, y, n_max=0, M=M))
-    dn = extract_qchar(build_module("truncated", x - 1 - y, y, n_max=0, M=M))
+    two = extract_qchar(build_module("finite", 1, x, n_max=0, config=config))
+    mid = extract_qchar(build_module("truncated", x - y, y, n_max=0, M=M, config=config))
+    up = extract_qchar(build_module("truncated", x + 1 - y, y, n_max=0, M=M, config=config))
+    dn = extract_qchar(build_module("truncated", x - 1 - y, y, n_max=0, M=M, config=config))
     lhs = char_mul(two.truncate(bound), mid.truncate(bound))
     rhs = char_add(_SL2, up.truncate(bound), dn.truncate(bound), AVector.gen(1, coord(x)))
     return compare_characters(lhs, rhs,

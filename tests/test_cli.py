@@ -118,6 +118,30 @@ def test_help_exits_zero():
     assert run(["--help"])[0] == 0
 
 
+def test_help_goes_to_out(capsys):
+    code, out, err = run(["--help"])
+    assert code == 0 and "usage: yqchar" in out and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_usage_error_goes_to_err(capsys):
+    code, out, err = run(["verify", "tq", "--type", "B2", "--k", "6"])
+    assert code == 2 and out == "" and "--node" in err
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep-check", "relations", "--k", "1e400"],
+    ["rep-check", "qchar", "--kind", "truncated", "--k", "1/3", "--M", "100000000000"],
+    ["rep-check", "relations", "--modes", "1000000000000"],
+    ["rep-check", "three-term", "--x", "2", "--M", "100000000000"],
+])
+def test_huge_matrix_modules_exit_three(argv):
+    code, out, err = run(argv)
+    assert code == 3 and out == ""
+    assert err.startswith("engine error: term budget") and err.count("\n") == 1
+
+
 def test_reused_parser_keeps_no_state_between_calls():
     argv = ["verify", "tq", "--type", "B2", "--node", "2", "--k", "6",
             "--height", "2", "--format", "json"]

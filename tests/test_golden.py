@@ -76,6 +76,14 @@ GOLDEN = [
       "--format", "json"), 0, "97173be6992b8685"),
     (("rep-check", "qchar", "--kind", "truncated", "--k", "5/2", "--M", "6",
       "--format", "json"), 0, "12bf3fc897db7d7e"),
+    (("rep-check", "relations", "--kind", "finite", "--k", "3", "--x", "1/2",
+      "--format", "json"), 0, "2126f2ad2db321d8"),
+    (("rep-check", "relations", "--kind", "truncated", "--k", "7/3", "--x", "1/3",
+      "--M", "8", "--format", "json"), 0, "76ac411486311274"),
+    (("rep-check", "relations", "--kind", "truncated", "--k=-5/2", "--x=-3/4",
+      "--M", "6", "--modes", "2"), 0, "8304ba2cd7640a47"),
+    (("rep-check", "three-term", "--x", "2", "--y", "0", "--format", "json"), 0,
+     "352e1528e4d6fc1f"),
     (("translate", "--to", "multiplicative", "--monomial",
       "Psi[1,1/2+x] /Psi[2,-1/2+x]", "--format", "json"), 0, "b9bec78044ff21bb"),
     (("translate", "--to", "multiplicative", "--check-tq", "--type", "B2",

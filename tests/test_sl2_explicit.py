@@ -3,16 +3,137 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yqchar.cartan import LieType, build_cartan
-from yqchar.characters import asymptotic_char, compare_characters, sl2_kr_char
+from yqchar.characters import (
+    EngineConfig, EngineError, asymptotic_char, compare_characters, sl2_kr_char,
+)
 from yqchar.monomials import PsiMonomial
 from yqchar.sl2_explicit import (
-    build_module, check_relations, extract_qchar, psi_ratio_series,
+    RelationReport, build_module, check_relations, extract_qchar, psi_ratio_series,
     verify_sl2_three_term,
 )
 
 A1 = build_cartan(LieType.parse("A1"))
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+# -- dense reference ---------------------------------------------------------
+# The relation check on dense matrices, as it was before the modules were
+# stored by band: every product is a full O(dim^3) matrix product.
+
+def _densify(mod):
+    """Dense xp, xm, xi matrices of a band-stored module."""
+    def dense(bands, offset):
+        mats = []
+        for band in bands:
+            rows = [[Fraction(0)] * mod.dim for _ in range(mod.dim)]
+            for c, e in enumerate(band):
+                if 0 <= c + offset < mod.dim:
+                    rows[c + offset][c] = e
+            mats.append(rows)
+        return mats
+    return dense(mod.xp, -1), dense(mod.xm, 1), dense(mod.xi, 0)
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return [[sum(a[r][m] * b[m][c] for m in range(n)) for c in range(n)]
+            for r in range(n)]
+
+
+def _mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _comm(a, b):
+    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
+
+
+def dense_check_relations(mod, n_max=None):
+    n_max = mod.mode_bound if n_max is None else n_max
+    xp_, xm_, xi_ = _densify(mod)
+    cols = mod.safe_columns
+    failures = []
+    checked = 0
+
+    def expect(rel, m, n, lhs, rhs):
+        nonlocal checked
+        checked += 1
+        for c in cols:
+            for r in range(mod.dim):
+                if lhs[r][c] != rhs[r][c]:
+                    failures.append((rel, m, n, c, lhs[r][c], rhs[r][c]))
+                    return
+
+    zero = [[Fraction(0)] * mod.dim for _ in range(mod.dim)]
+    for m in range(n_max + 1):
+        for n in range(n_max + 1):
+            expect("commuting Cartan modes", m, n, _comm(xi_[m], xi_[n]), zero)
+            expect("raising/lowering bracket", m, n, _comm(xp_[m], xm_[n]), xi_[m + n])
+    for n in range(n_max + 1):
+        expect("weight grading (+)", 0, n, _comm(xi_[0], xp_[n]),
+               [[2 * e for e in row] for row in xp_[n]])
+        expect("weight grading (-)", 0, n, _comm(xi_[0], xm_[n]),
+               [[-2 * e for e in row] for row in xm_[n]])
+    for sign, xs in ((1, xp_), (-1, xm_)):
+        tag = "+" if sign > 0 else "-"
+        for m in range(n_max + 1):
+            for n in range(n_max + 1):
+                lhs = _mat_sub(_comm(xi_[m + 1], xs[n]), _comm(xi_[m], xs[n + 1]))
+                anti = [[sign * e for e in row] for row in
+                        _mat_sub(_mat_mul(xi_[m], xs[n]),
+                                 [[-e for e in row] for row in _mat_mul(xs[n], xi_[m])])]
+                expect(f"Cartan-Drinfeld ({tag})", m, n, lhs, anti)
+                lhs = _mat_sub(_comm(xs[m + 1], xs[n]), _comm(xs[m], xs[n + 1]))
+                anti = [[sign * e for e in row] for row in
+                        _mat_sub(_mat_mul(xs[m], xs[n]),
+                                 [[-e for e in row] for row in _mat_mul(xs[n], xs[m])])]
+                expect(f"same-sign Drinfeld ({tag})", m, n, lhs, anti)
+    return RelationReport(not failures, checked, tuple(failures),
+                          note=f"{mod.kind} k={mod.k} x={mod.x} dim={mod.dim}")
+
+
+def _bump(mod, family, n, i, delta):
+    """The module with one band entry changed, so that relations fail."""
+    bands = [list(b) for b in getattr(mod, family)]
+    bands[n][i] += delta
+    return dataclasses.replace(mod, **{family: tuple(tuple(b) for b in bands)})
+
+
+@st.composite
+def modules(draw):
+    n_max = draw(st.integers(min_value=0, max_value=3))
+    x = draw(SMALL)
+    if draw(st.booleans()):
+        mod = build_module("finite", draw(st.integers(min_value=0, max_value=4)), x,
+                           n_max=n_max)
+    else:
+        mod = build_module("truncated", draw(SMALL), x, n_max=n_max,
+                           M=draw(st.integers(min_value=3, max_value=6)))
+    if draw(st.integers(min_value=0, max_value=2)):      # corrupt two in three
+        family = draw(st.sampled_from(("xp", "xm", "xi")))
+        n = draw(st.integers(min_value=0, max_value=len(getattr(mod, family)) - 1))
+        i = draw(st.integers(min_value=0, max_value=mod.dim - 1))
+        mod = _bump(mod, family, n, i, draw(st.sampled_from((1, -1, Fraction(1, 2)))))
+    return mod
+
+
+def _series_mul(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a[:order + 1]):
+        for j, bj in enumerate(b[:order + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def _series_inv(a, order):
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        out[n] = -sum(a[j] * out[n - j] for j in range(1, n + 1) if j < len(a))
+    return out
 
 
 # -- series helpers ----------------------------------------------------------
@@ -27,6 +148,21 @@ def test_psi_ratio_series_examples():
         psi_ratio_series(PsiMonomial.gen(1, "x"), 2)
     with pytest.raises(ValueError):
         psi_ratio_series(PsiMonomial.gen(2, 0), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(SMALL, st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=4),
+       st.integers(min_value=0, max_value=6))
+def test_psi_ratio_series_matches_convolution(factors, order):
+    m, want = PsiMonomial.unit(), [Fraction(1)] + [Fraction(0)] * order
+    for a, e in factors:
+        m = m * PsiMonomial.gen(1, a, e)
+        f = [Fraction(1), a] + [Fraction(0)] * order
+        if e < 0:
+            f = _series_inv(f, order)
+        for _ in range(abs(e)):
+            want = _series_mul(want, f, order)
+    assert psi_ratio_series(m, order) == want
 
 
 # -- construction ------------------------------------------------------------
@@ -47,13 +183,29 @@ def test_build_module_validation():
 def test_specific_matrix_entries():
     mod = build_module("finite", 1, 0, n_max=1)
     # raising: xp_0 v_1 = v_0, annihilates v_0; higher modes kill v_1 (x = 0)
-    assert mod.xp[0][0][1] == 1
-    assert all(mod.xp[0][r][0] == 0 for r in range(mod.dim))
-    assert mod.xp[1][0][1] == 0
+    assert mod.xp[0][1] == 1
+    assert mod.xp[0][0] == 0
+    assert all(row[0] == "0" for row in mod.matrices_json()["xp"][0])
+    assert mod.xp[1][1] == 0
     # lowering: xm_0 v_0 = (0+1)(1-0) v_1
-    assert mod.xm[0][1][0] == 1
+    assert mod.xm[0][0] == 1
     # Cartan eigenvalue on v_0: (u-1)(u+1)/((u-1)u) = 1 + u^-1
-    assert mod.xi[0][0][0] == 1 and mod.xi[1][0][0] == 0
+    assert mod.xi[0][0] == 1 and mod.xi[1][0] == 0
+
+
+def test_build_module_respects_term_budget():
+    # dim 2, 2 raising + 2 lowering + 2 Cartan modes: 12 stored entries
+    assert build_module("finite", 1, 0, n_max=0, config=EngineConfig(term_budget=12)).dim == 2
+    with pytest.raises(EngineError):
+        build_module("finite", 1, 0, n_max=0, config=EngineConfig(term_budget=11))
+    with pytest.raises(EngineError):
+        build_module("finite", Fraction(10) ** 400, 0)
+    with pytest.raises(EngineError):
+        build_module("truncated", Fraction(1, 3), 0, M=10 ** 11)
+    with pytest.raises(EngineError):
+        build_module("finite", 1, 0, n_max=10 ** 12)
+    with pytest.raises(EngineError):
+        verify_sl2_three_term(2, 0, 10 ** 11, 3)
 
 
 def test_safe_columns():
@@ -83,6 +235,32 @@ def test_relations_truncated(k):
     assert rep.verdict, rep.to_text()
 
 
+@settings(max_examples=80, deadline=None)
+@given(modules(), st.data())
+def test_relations_match_dense_reference(mod, data):
+    n_max = data.draw(st.integers(min_value=0, max_value=mod.mode_bound))
+    got = check_relations(mod, n_max)
+    want = dense_check_relations(mod, n_max)
+    assert got.to_json() == want.to_json()
+    assert got.to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("family, n, i", [("xp", 1, 2), ("xm", 0, 1), ("xm", 2, 3),
+                                          ("xi", 0, 0), ("xi", 3, 4)])
+def test_corrupted_module_fails_like_dense_reference(family, n, i):
+    mod = _bump(build_module("finite", 4, Fraction(1, 2), n_max=2), family, n, i, 1)
+    got = check_relations(mod)
+    assert not got.verdict
+    assert got.to_json() == dense_check_relations(mod).to_json()
+
+
+def test_matrices_json_matches_dense_reference():
+    mod = build_module("truncated", Fraction(7, 3), Fraction(-1, 2), n_max=1, M=5)
+    dump = mod.matrices_json()
+    for name, mats in zip(("xp", "xm", "xi"), _densify(mod)):
+        assert dump[name] == [[[str(e) for e in row] for row in m] for m in mats]
+
+
 def test_relations_mode_bound_guard():
     mod = build_module("finite", 1, 0, n_max=1)
     with pytest.raises(ValueError):
@@ -109,9 +287,9 @@ def test_truncated_extraction_matches_stabilized_engine():
 
 def test_extraction_detects_inconsistent_eigenvalues():
     mod = build_module("finite", 1, 0, n_max=0)
-    bad_xi = list(list(list(r) for r in m) for m in mod.xi)
-    bad_xi[0][1][1] += 1
-    broken = dataclasses.replace(mod, xi=tuple(tuple(tuple(r) for r in m) for m in bad_xi))
+    bad_xi = [list(band) for band in mod.xi]
+    bad_xi[0][1] += 1
+    broken = dataclasses.replace(mod, xi=tuple(tuple(band) for band in bad_xi))
     with pytest.raises(ValueError):
         extract_qchar(broken)
 
