@@ -119,15 +119,21 @@ class CartanData:
     def nodes(self):
         return range(1, self.rank + 1)
 
+    def check_node(self, i: int) -> int:
+        """The 0-based index of node i; ValueError outside 1..rank."""
+        if not 1 <= i <= len(self.d):
+            raise ValueError(f"node {i} out of range 1..{len(self.d)} for {self.lie_type}")
+        return i - 1
+
     def cij(self, i: int, j: int) -> int:
-        return self.c[i - 1][j - 1]
+        return self.c[self.check_node(i)][self.check_node(j)]
 
     def di(self, i: int) -> Fraction:
-        return Fraction(self.d[i - 1])
+        return Fraction(self.d[self.check_node(i)])
 
     def dij(self, i: int, j: int) -> Fraction:
         """Symmetric form d_ij = d_i * c_ij / 2, a half integer."""
-        return Fraction(self.d[i - 1] * self.c[i - 1][j - 1], 2)
+        return Fraction(self.cij(i, j) * self.d[i - 1], 2)
 
     def validate(self):
         r = self.rank

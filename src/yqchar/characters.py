@@ -16,6 +16,8 @@ suite, not assumed.
 from __future__ import annotations
 
 import heapq
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +25,7 @@ from functools import lru_cache
 from .cartan import CartanData
 from .coords import Coord, coord
 from .monomials import (
-    AVector, PsiMonomial, YMonomial,
+    AVector, PsiMonomial, YMonomial, _merge, _term_key, output_order,
     avector_to_psi, avector_to_y, expand_A_to_Psi, is_dominant, psi_to_y, y_to_psi,
 )
 from .textio import format_monomial
@@ -71,7 +73,7 @@ class TruncatedCharacter:
     no truncation applied).
     """
     top: PsiMonomial
-    terms: tuple                  # sorted tuple of (AVector, positive int)
+    terms: tuple                  # (AVector, positive int), in (height, exps) order
     height_bound: int | None
 
     @staticmethod
@@ -81,9 +83,8 @@ class TruncatedCharacter:
             raise ValueError("character must contain the unit ledger term with coefficient 1")
         if any(c <= 0 for c in items.values()):
             raise ValueError("character coefficients must be positive")
-        canon = tuple(sorted(((v, c) for v, c in items.items() if c),
-                             key=lambda vc: (vc[0].height(), vc[0].exps)))
-        return TruncatedCharacter(top, canon, height_bound)
+        return TruncatedCharacter(top, tuple(sorted(items.items(), key=_term_key)),
+                                  height_bound)
 
     def term_dict(self) -> dict:
         return dict(self.terms)
@@ -95,14 +96,14 @@ class TruncatedCharacter:
     def truncate(self, bound: int | None) -> "TruncatedCharacter":
         if bound is None or (self.height_bound is not None and self.height_bound <= bound):
             return self
-        kept = tuple((v, c) for v, c in self.terms if v.height() <= bound)
+        kept = tuple((v, c) for v, c in self.terms if v.height <= bound)
         return TruncatedCharacter(self.top, kept, bound)
 
     def shift(self, a) -> "TruncatedCharacter":
         a = coord(a)
         return TruncatedCharacter(
             self.top.shift(a),
-            tuple((v.shift(a), c) for v, c in self.terms),
+            tuple(sorted(((v.shift(a), c) for v, c in self.terms), key=_term_key)),
             self.height_bound)
 
     def normalized(self) -> "TruncatedCharacter":
@@ -117,12 +118,14 @@ class TruncatedCharacter:
         return {
             "top": format_monomial(self.top),
             "height_bound": self.height_bound,
-            "terms": [{"avector": format_monomial(v), "coeff": c} for v, c in self.terms],
+            "terms": [{"avector": format_monomial(v), "coeff": c}
+                      for v, c in output_order(self.terms)],
         }
 
     def to_table(self) -> str:
         rows = [("height", "coeff", "avector")]
-        rows += [(str(v.height()), str(c), format_monomial(v)) for v, c in self.terms]
+        rows += [(str(v.height), str(c), format_monomial(v))
+                 for v, c in output_order(self.terms)]
         widths = [max(len(r[k]) for r in rows) for k in range(3)]
         lines = [f"top: {format_monomial(self.top)}",
                  f"height_bound: {self.height_bound}"]
@@ -169,11 +172,8 @@ class CharacterReport:
 def compare_characters(lhs: TruncatedCharacter, rhs: TruncatedCharacter,
                        note: str = "") -> CharacterReport:
     la, rb = lhs.term_dict(), rhs.term_dict()
-    mism = []
-    for v in sorted(set(la) | set(rb), key=lambda v: (v.height(), v.exps)):
-        a, b = la.get(v, 0), rb.get(v, 0)
-        if a != b:
-            mism.append((v, a, b))
+    mism = output_order((v, la.get(v, 0), rb.get(v, 0)) for v in la.keys() | rb.keys()
+                        if la.get(v, 0) != rb.get(v, 0))
     verdict = not mism and lhs.top == rhs.top
     return CharacterReport(verdict, lhs, rhs, tuple(mism), note)
 
@@ -182,25 +182,35 @@ def compare_characters(lhs: TruncatedCharacter, rhs: TruncatedCharacter,
 # Ledger arithmetic.
 # ---------------------------------------------------------------------------
 
-def _convolve(a: dict, b: dict, bound, budget: int) -> dict:
-    out = {}
-    for va, ca in a.items():
-        ha = va.height()
-        for vb, cb in b.items():
-            if bound is not None and ha + vb.height() > bound:
-                continue
-            k = va * vb
-            out[k] = out.get(k, 0) + ca * cb
-            if len(out) > budget:
-                raise EngineError(f"term budget {budget} exceeded in character product")
-    return out
+def _ledger_mul(a, b, bound: int | None, budget: int) -> dict:
+    """Truncated product of two A-ledgers.
+
+    ``a`` and ``b`` are iterables of (AVector, coefficient) pairs; products
+    above height ``bound`` (None: no bound) are dropped.  Raises EngineError
+    when the product has more than ``budget`` terms.  Coefficients are
+    positive, so the term count only grows and one check per row of ``a``
+    decides the same as a check per term.
+    """
+    b = sorted(b, key=lambda vc: vc[0].height)
+    acc = {}
+    for va, ca in a:
+        room = None if bound is None else bound - va.height
+        ea = va.exps
+        for vb, cb in b:
+            if room is not None and vb.height > room:
+                break
+            k = _merge(ea, vb.exps)
+            acc[k] = acc.get(k, 0) + ca * cb
+        if len(acc) > budget:
+            raise EngineError(f"term budget {budget} exceeded in character product")
+    return {AVector(k, canonical=True): c for k, c in acc.items()}
 
 
 def char_mul(a: TruncatedCharacter, b: TruncatedCharacter,
              config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
     """Product of characters: tops multiply, ledgers convolve."""
     bound = _min_bound(a.height_bound, b.height_bound)
-    terms = _convolve(a.term_dict(), b.term_dict(), bound, config.term_budget)
+    terms = _ledger_mul(a.terms, b.terms, bound, config.term_budget)
     return TruncatedCharacter.make(a.top * b.top, terms, bound)
 
 
@@ -216,7 +226,7 @@ def char_add(cartan: CartanData, a: TruncatedCharacter, b: TruncatedCharacter,
     terms = a.truncate(bound).term_dict()
     for v, c in b.terms:
         k = offset * v
-        if bound is not None and k.height() > bound:
+        if bound is not None and k.height > bound:
             continue
         terms[k] = terms.get(k, 0) + c
     return TruncatedCharacter.make(a.top, terms, bound)
@@ -232,14 +242,14 @@ def divide_series(num: dict, den: dict, bound: int | None) -> dict:
         raise EngineError("divisor series must have leading coefficient 1")
     by_h_den = {}
     for v, c in den.items():
-        if v.height() > 0:
-            by_h_den.setdefault(v.height(), []).append((v, c))
-    heights = sorted({v.height() for v in num})
+        if v.height > 0:
+            by_h_den.setdefault(v.height, []).append((v, c))
+    heights = sorted({v.height for v in num})
     maxh = bound if bound is not None else (heights[-1] if heights else 0)
     out = {AVector.unit(): 1}
     by_h_out = {0: [(AVector.unit(), 1)]}
     for h in range(1, maxh + 1):
-        layer = {v: c for v, c in num.items() if v.height() == h}
+        layer = {v: c for v, c in num.items() if v.height == h}
         for g, den_layer in by_h_den.items():
             if g > h:
                 continue
@@ -249,7 +259,7 @@ def divide_series(num: dict, den: dict, bound: int | None) -> dict:
                     layer[k] = layer.get(k, 0) - cd * co
         layer = {v: c for v, c in layer.items() if c}
         if any(c < 0 for c in layer.values()):
-            bad = next((v, c) for v, c in layer.items() if c < 0)
+            bad = output_order((v, c) for v, c in layer.items() if c < 0)[0]
             raise EngineError(f"negative coefficient {bad[1]} at {format_monomial(bad[0])} "
                               "in series division")
         out.update(layer)
@@ -263,6 +273,7 @@ def divide_series(num: dict, den: dict, bound: int | None) -> dict:
 
 def kr_weight(cartan: CartanData, i: int, k: int, x) -> PsiMonomial:
     """Highest l-weight of the KR module W^(i)_{k,x}: Psi_{i,x+k d_i}/Psi_{i,x}."""
+    cartan.check_node(i)
     if k < 0:
         raise ValueError("KR index k must be >= 0")
     if k == 0:
@@ -364,29 +375,27 @@ def sl2_kr_char(k: int, x, bound: int | None = None) -> TruncatedCharacter:
     return TruncatedCharacter.make(top, terms, bound)
 
 
-def _strings(positions, d: Fraction):
+def _strings(positions, d: int):
     """Greedy decomposition of an exponent multiset into unlinked strings.
 
-    ``positions``: (coord, positive exponent) pairs for one node.  Returns a
-    list of (bottom, length) pairs; strings step by d.
+    ``positions``: (cid, off2, positive exponent) triples for one node.
+    Returns (cid, bottom off2, length) triples; strings step by d, which
+    is 2d in off2.  Strings never link across cosets, so the top of each
+    string may be taken in int order.
     """
-    rem = dict(positions)
+    rem = {(c, o): e for c, o, e in positions}
+    step = 2 * d
     out = []
     while rem:
-        top = max(rem, key=Coord.sort_key)
-        bottom, length = top, 1
-        while True:
-            nxt = bottom - d
-            if rem.get(nxt, 0) > 0:
-                bottom, length = nxt, length + 1
-            else:
-                break
-        for s in range(length):
-            p = bottom + d * s
-            rem[p] -= 1
-            if not rem[p]:
-                del rem[p]
-        out.append((bottom, length))
+        c, top = max(rem)
+        bottom = top
+        while rem.get((c, bottom - step), 0) > 0:
+            bottom -= step
+        for p in range(bottom, top + 1, step):
+            rem[c, p] -= 1
+            if not rem[c, p]:
+                del rem[c, p]
+        out.append((c, bottom, (top - bottom) // step + 1))
     return out
 
 
@@ -398,36 +407,72 @@ _SL2_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_SL2_CACHE_SIZE)
-def _sl2_node_expansion(i: int, positions: tuple, d: Fraction, cap: int | None) -> tuple:
+def _sl2_node_expansion(i: int, positions: tuple, d: int, cap: int | None,
+                        budget: int) -> tuple:
     """sl2 character of an i-dominant string content as ledger chains.
 
-    ``positions`` is a tuple of (coord, positive exponent) pairs for node i.
-    Returns a tuple of (AVector in node-i A^-1 factors, multiplicity); the
-    unit chain comes first with multiplicity 1.  ``cap`` limits the chain
-    height.
+    ``positions`` is a tuple of (cid, off2, positive exponent) triples for
+    node i, ``d`` is d_i.  Returns a tuple of (AVector in node-i A^-1
+    factors, multiplicity); the unit chain comes first with multiplicity 1.
+    ``cap`` limits the chain height, ``budget`` the number of chains.
     """
     chains = {AVector.unit(): 1}
-    for bottom, length in _strings(positions, d):
+    for c, bottom, length in _strings(positions, d):
         lmax = length if cap is None else min(length, cap)
-        string_chains = []
-        for l in range(lmax + 1):
-            string_chains.append(
-                AVector(tuple(((i, bottom - d / 2 + d * m), 1) for m in range(l))))
-        nxt = {}
-        for v, c in chains.items():
-            h = v.height()
-            for sc in string_chains:
-                if cap is not None and h + sc.height() > cap:
-                    break
-                k = v * sc
-                nxt[k] = nxt.get(k, 0) + c
-        chains = nxt
+        # chain l of the string at bottom b is A_{b-d/2} ... A_{b+(l-3/2)d}:
+        # in off2, bottom - d + 2dm for m < l
+        string_chains = [(AVector(tuple((i, c, bottom - d + 2 * d * m, 1) for m in range(l)),
+                                  canonical=True), 1) for l in range(lmax + 1)]
+        chains = _ledger_mul(chains.items(), string_chains, cap, budget)
     return tuple(chains.items())
 
 
 # ---------------------------------------------------------------------------
 # The expansion engine.
 # ---------------------------------------------------------------------------
+
+class _TermBoundedCache:
+    """LRU map of characters bounded by the total number of their terms.
+
+    A count bound would let a run of large distinct expansions hold that
+    many large characters; this bound keeps the footprint flat.
+    """
+
+    def __init__(self, max_terms: int):
+        self.max_terms = max_terms
+        self.terms = 0
+        self.hits = self.misses = 0
+        self._data = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            ch = self._data.get(key)
+            if ch is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self._data.move_to_end(key)
+            return ch
+
+    def put(self, key, ch: TruncatedCharacter):
+        with self._lock:
+            if key in self._data or len(ch.terms) > self.max_terms:
+                return
+            self._data[key] = ch
+            self.terms += len(ch.terms)
+            while self.terms > self.max_terms:
+                _, old = self._data.popitem(last=False)
+                self.terms -= len(old.terms)
+
+
+# Bound on the total terms of the memoized characters.  The 136 distinct
+# expansions of a pass over the identity_suite benchmark pool hold 2,434
+# terms and are reused about 30 times each; tests/test_acceptance.py meets 347
+# with 7,107 terms.  A complete KR character such as B3 n3 k5 has 1,400.
+_FM_CACHE_TERMS = 10_000
+_FM_CACHE = _TermBoundedCache(_FM_CACHE_TERMS)
+
 
 def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
               config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
@@ -437,11 +482,17 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     produced in increasing height, stopping at ``bound`` (None = expand the
     complete finite character).
     """
-    return _fm_expand_cached(cartan, top, bound, config)
+    key = (cartan, top, bound, config)
+    ch = _FM_CACHE.get(key)
+    if ch is None:
+        ch = _fm_expand(cartan, top, bound, config)
+        _FM_CACHE.put(key, ch)
+    return ch
 
 
-@lru_cache(maxsize=4096)
-def _fm_expand_cached(cartan, top, bound, config):
+def _fm_expand(cartan, top, bound, config):
+    # Terms are keyed by their exps tuples, so the work dicts hash and
+    # compare ints only; AVectors are built for the result alone.
     # Invariant: ymon[v] == top * avector_to_y(cartan, v) for every queued v.
     # A new term v2 = v * chain is reached from a popped v, and avector_to_y
     # is a homomorphism, so its Y-monomial is built from v's as
@@ -450,43 +501,44 @@ def _fm_expand_cached(cartan, top, bound, config):
     if not is_dominant(top):
         raise ValueError(f"fm_expand requires a dominant top, got {format_monomial(top)}")
     top_psi = y_to_psi(cartan, top)
-    unit = AVector.unit()
     explained = {i: {} for i in cartan.nodes}
     result = {}
     seq = 0
-    heap = [(0, 0, unit)]
-    seen = {unit}
-    ymon = {unit: top}
+    heap = [(0, 0, ())]
+    seen = {()}
+    ymon = {(): top}
     while heap:
         h, _, v = heapq.heappop(heap)
-        mult = 1 if v is unit else max(explained[i].get(v, 0) for i in cartan.nodes)
+        mult = max(explained[i].get(v, 0) for i in cartan.nodes) if v else 1
         if mult <= 0:
             raise EngineError("engine fault: discovered monomial with no multiplicity")
-        result[v] = mult
+        result[AVector(v, canonical=True)] = mult
         m = ymon.pop(v)
         for i in cartan.nodes:
-            deficit = mult - explained[i].get(v, 0)
+            ex = explained[i]
+            deficit = mult - ex.get(v, 0)
             if deficit == 0:
                 continue
             if deficit < 0:
                 raise EngineError("engine fault: node coverage exceeds multiplicity")
-            positions = tuple((x, e) for (j, x), e in m.items() if j == i)
-            if any(e < 0 for _, e in positions):
+            positions = tuple((c, o, e) for j, c, o, e in m.exps if j == i)
+            if any(t[2] < 0 for t in positions):
                 raise EngineError(
                     f"expansion blocked: monomial {format_monomial(m)} has unexplained "
                     f"multiplicity at node {i} but is not {i}-dominant")
             cap = None if bound is None else bound - h
-            for chain, c in _sl2_node_expansion(i, positions, cartan.di(i), cap):
-                v2 = v * chain
-                explained[i][v2] = explained[i].get(v2, 0) + c * deficit
-                if v2 != v and v2 not in seen:
+            for chain, c in _sl2_node_expansion(i, positions, cartan.d[i - 1], cap,
+                                                config.term_budget):
+                v2 = _merge(v, chain.exps)
+                ex[v2] = ex.get(v2, 0) + c * deficit
+                if v2 not in seen:
                     seen.add(v2)
                     if len(seen) > config.term_budget:
                         raise EngineError(f"term budget {config.term_budget} exceeded "
                                           "during expansion")
                     ymon[v2] = m * avector_to_y(cartan, chain)
                     seq += 1
-                    heapq.heappush(heap, (v2.height(), seq, v2))
+                    heapq.heappush(heap, (h + chain.height, seq, v2))
     return TruncatedCharacter.make(top_psi, result, bound)
 
 
@@ -528,6 +580,7 @@ def prefundamental_char(cartan: CartanData, i: int, x, sign: str, bound: int,
                         config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
     """Prefundamental characters: Psi_{i,x}^-1 with the stabilized ledger,
     or the one-dimensional Psi_{i,x}."""
+    cartan.check_node(i)
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     x = coord(x)

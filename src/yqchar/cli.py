@@ -10,7 +10,7 @@ import contextlib
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cartan import LieType, build_cartan
@@ -57,10 +57,15 @@ def _load_config(path: str | None, fmt: str | None) -> CliConfig:
         with open(path) as fh:
             fields = json.load(fh)
     cfg = CliConfig(**fields)
-    if fmt:
-        cfg = CliConfig(cfg.default_height_bound, cfg.term_budget,
-                        cfg.stabilization_k_ceiling, fmt)
-    return cfg
+    return replace(cfg, output_format=fmt) if fmt else cfg
+
+
+def _rational(text: str) -> Fraction:
+    """A rank-one module parameter; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in {text!r}") from None
 
 
 @functools.cache
@@ -224,16 +229,16 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             return 0 if report.verdict else 1
         if args.command == "rep-check":
             if args.what == "three-term":
-                report = verify_sl2_three_term(Fraction(args.x), Fraction(args.y),
+                report = verify_sl2_three_term(_rational(args.x), _rational(args.y),
                                                args.M, args.height, eng)
                 _emit(report, cfg, out)
                 return 0 if report.verdict else 1
-            mod = build_module(args.kind, Fraction(args.k), Fraction(args.x),
+            mod = build_module(args.kind, _rational(args.k), _rational(args.x),
                                n_max=args.modes,
                                M=args.M if args.kind == "truncated" else None,
                                config=eng)
             if args.what == "relations":
-                report = check_relations(mod)
+                report = check_relations(mod, config=eng)
                 _emit(report, cfg, out)
                 return 0 if report.verdict else 1
             _emit(extract_qchar(mod), cfg, out)

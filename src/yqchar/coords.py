@@ -2,14 +2,18 @@
 
 A coordinate is an element of Q + Q<x1, x2, ...> where the x's are named
 formal symbols.  This replaces complex spectral parameters so that equality,
-half-integrality and genericity tests are all decidable.
+half-integrality and genericity tests are all decidable.  Monomials store
+coordinates as integer keys (``encode``, below).
 """
 from __future__ import annotations
 
+import math
+import threading
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
-__all__ = ["Coord", "coord", "parse_coord"]
+__all__ = ["Coord", "coord", "parse_coord", "CoordSyntaxError",
+           "encode", "decode", "shift_coset"]
 
 
 def _as_fraction(v) -> Fraction:
@@ -161,11 +165,14 @@ def _parse_term(term: str, pos: int) -> Coord:
             tail = "/" + tail
         if not name.isidentifier():
             raise CoordSyntaxError(f"bad indeterminate {name!r} at position {pos}")
-        coeff = Fraction((num or "1") + tail)
+        try:
+            coeff = Fraction((num or "1") + tail)
+        except (ValueError, ZeroDivisionError):
+            raise CoordSyntaxError(f"bad coefficient in {term!r} at position {pos}") from None
         return Coord.var(name, sign * coeff)
     try:
         return Coord(sign * Fraction(num))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise CoordSyntaxError(f"bad rational {num!r} at position {pos}") from None
 
 
@@ -183,3 +190,50 @@ def parse_coord(text: str) -> Coord:
         total = total + _parse_term(term, pos)
         pos += len(term) + 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# Integer keys.  A coordinate is encoded as (cid, off2): cid interns its
+# coset (symbolic part, rational residue in [0, 1/2)) as a small int, and
+# off2 = 2 (rat - residue).  Within one coset, off2 order is Coord order;
+# cids are numbered in order of first use and carry no order, so output
+# code sorts decoded coordinates by ``Coord.sort_key``.  The intern table
+# grows by one entry per distinct coset a process meets.
+# ---------------------------------------------------------------------------
+
+_COSETS: list = []          # cid -> (sym, residue)
+_CIDS: dict = {}            # (sym, residue) -> cid
+_INTERN_LOCK = threading.Lock()
+# Bound on each memo below; their keys are single coordinates or cosets.
+_KEY_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def encode(x) -> tuple:
+    """The integer key (cid, off2) of a coordinate."""
+    x = coord(x)
+    off2 = math.floor(2 * x.rat)
+    coset = (x.sym, x.rat - Fraction(off2, 2))
+    cid = _CIDS.get(coset)
+    if cid is None:
+        with _INTERN_LOCK:
+            cid = _CIDS.setdefault(coset, len(_COSETS))
+            if cid == len(_COSETS):
+                _COSETS.append(coset)
+    return cid, off2
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def decode(cid: int, off2: int) -> Coord:
+    """The coordinate with key (cid, off2)."""
+    sym, residue = _COSETS[cid]
+    return Coord(residue + Fraction(off2, 2), sym)
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def shift_coset(cid: int, a: Coord) -> tuple:
+    """(cid2, delta) with decode(cid, o) + a == decode(cid2, o + delta) for all o.
+
+    A half-integer ``a`` keeps the coset; any other shift re-interns it once.
+    """
+    return encode(decode(cid, 0) + a)

@@ -11,13 +11,10 @@ from fractions import Fraction
 
 from .cartan import CartanData, LieType, build_cartan
 from .coords import Coord, coord
-from .monomials import (
-    AVector, PsiMonomial, YMonomial, _ExpMap,
-    avector_to_psi, psi_to_y,
-)
+from .monomials import AVector, PsiMonomial, _ExpMap, output_order, psi_to_y
 from .characters import (
     DEFAULT_CONFIG, CharacterReport, EngineConfig, EngineError,
-    TruncatedCharacter, asymptotic_char, char_mul, compare_characters,
+    TruncatedCharacter, _ledger_mul, asymptotic_char, char_mul, compare_characters,
     demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
     kr_top_y, kr_weight, m_weight, n_weight, stabilize,
 )
@@ -153,13 +150,7 @@ def tq_rhs(cartan: CartanData, i: int, k: int, x, bound: int,
         if cartan.cij(i, j) < 0:
             st, _ = stabilize(cartan, j, x + cartan.dij(i, j) - k * cartan.di(i),
                               bound, config)
-            nxt = {}
-            for v, c in terms.items():
-                for w, cc in st.terms:
-                    u = v * w
-                    if u.height() <= bound:
-                        nxt[u] = nxt.get(u, 0) + c * cc
-            terms = nxt
+            terms = _ledger_mul(terms.items(), st.terms, bound, config.term_budget)
     return TruncatedCharacter.make(m_weight(cartan, i, k, x), terms, bound)
 
 
@@ -190,13 +181,7 @@ def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
                 raise EngineError(f"k={k} does not realize a node-{j} KR factor")
             expected_n = expected_n * kr_weight(cartan, j, length, base)
             ch = fm_expand(cartan, kr_top_y(cartan, j, length, base), bound, config)
-            nxt = {}
-            for v, c in den.items():
-                for w, cc in ch.terms:
-                    u = v * w
-                    if u.height() <= bound:
-                        nxt[u] = nxt.get(u, 0) + c * cc
-            den = nxt
+            den = _ledger_mul(den.items(), ch.terms, bound, config.term_budget)
     if expected_n != n_weight(cartan, i, k, x):
         raise EngineError("KR factors do not assemble the expected n-weight")
     quot = divide_series(num.term_dict(), den, bound)
@@ -347,7 +332,7 @@ def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
             continue
         if not any(v.exp(ip, z) >= 1 for ip, zs in zsets.items() for z in zs):
             violations.append((v, "no allowed off-node A-factor"))
-    return SupportReport(not violations, len(char.terms), tuple(violations),
+    return SupportReport(not violations, len(char.terms), tuple(output_order(violations)),
                          note=f"KR skeleton {cartan.lie_type} i={i} k={k} x={x}")
 
 
@@ -372,7 +357,7 @@ def check_demazure_support(cartan: CartanData, i: int, k: int, x, bound: int,
             continue
         if not any(v.exp(ip, z) >= 1 for ip, z in allowed):
             violations.append((v, "no allowed far-cluster A-factor"))
-    return SupportReport(not violations, len(char.terms), tuple(violations),
+    return SupportReport(not violations, len(char.terms), tuple(output_order(violations)),
                          note=f"kernel support {cartan.lie_type} i={i} k={k} x={x}")
 
 
@@ -391,7 +376,7 @@ def check_m_support(cartan: CartanData, i: int, k: int, x, bound: int,
             continue
         if not any(v.exp(j, z) >= 1 for j, z in allowed):
             violations.append((v, "no allowed far-cluster A-factor"))
-    return SupportReport(not violations, len(char.terms), tuple(violations),
+    return SupportReport(not violations, len(char.terms), tuple(output_order(violations)),
                          note=f"m-weight support {cartan.lie_type} i={i} k={k} x={x}")
 
 
@@ -405,7 +390,7 @@ class MultiplicativeMonomial(_ExpMap):
 
 def to_multiplicative(m: PsiMonomial) -> MultiplicativeMonomial:
     """Exponent-preserving relabeling Psi_{i,a} -> Phi_{i,q^a}."""
-    return MultiplicativeMonomial(m.exps)
+    return MultiplicativeMonomial(m.exps, canonical=True)
 
 
 def _phi(i, a, e=1):

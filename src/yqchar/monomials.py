@@ -11,42 +11,43 @@ Three sparse Laurent-monomial types over the key set (node, coordinate):
 
 All types are immutable, canonical (no zero exponents, sorted keys) and
 hashable.  Spectral coordinates are exact (see coords.Coord).
+
+Storage: ``exps`` is a sorted tuple of int 4-tuples (node, cid, off2, e).
+(cid, off2) is the integer key of the coordinate (``coords.encode``: an
+interned coset of x mod 1/2 and the count of half steps from it) and e
+the nonzero exponent.  Products, hashing, equality and dict lookups so run
+on ints, and a half step in a hot path is off2 +- 1.  The tuple is in
+plain int order, not in Coord order: ``items()`` and ``exp()`` speak Coord
+and give the factors in (node, Coord) order, for printing and cold callers.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .cartan import CartanData, Weight
-from .coords import Coord, coord
+from .coords import Coord, coord, decode, encode, shift_coset
 
 __all__ = [
     "PsiMonomial", "YMonomial", "AVector",
     "expand_A_to_Psi", "expand_Y_to_Psi", "expand_A_to_Y",
     "weight_projection", "is_dominant", "is_right_negative",
-    "psi_to_y", "y_to_psi", "avector_to_psi",
+    "psi_to_y", "y_to_psi", "avector_to_psi", "output_order",
 ]
 
 
 class _ExpMap:
-    """Finitely supported map (node, Coord) -> nonzero int, canonical form."""
+    """Finitely supported map (node, coordinate) -> nonzero int, canonical form."""
 
     __slots__ = ("exps", "_hash")
 
     def __init__(self, exps=(), *, canonical=False):
-        """``canonical=True`` trusts ``exps`` to be a canonical tuple already
-        (as built by ``__mul__``) and skips coercion, sorting and checks."""
+        """``exps``: ((node, coordinate), exponent) pairs or a dict of them.
+        ``canonical=True`` takes a canonical tuple of (node, cid, off2, e)
+        instead (as built by ``_merge`` or ``_canon``) and skips all checks."""
         if not canonical:
-            items = {}
-            for (i, x), e in (exps.items() if isinstance(exps, dict) else exps):
-                k = (i, coord(x))
-                e = items.get(k, 0) + e
-                if e:
-                    items[k] = e
-                elif k in items:
-                    del items[k]
-            exps = tuple(sorted(items.items(),
-                                key=lambda kv: (kv[0][0], kv[0][1].sort_key())))
+            exps = _canon((i, *encode(x), e) for (i, x), e in
+                          (exps.items() if isinstance(exps, dict) else exps))
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "_hash", hash((type(self).__name__, exps)))
 
@@ -59,15 +60,22 @@ class _ExpMap:
 
     @classmethod
     def gen(cls, i, x, e=1):
-        return cls((((i, coord(x)), e),))
+        return cls((((i, x), e),))
 
-    def items(self):
-        return self.exps
+    def items(self) -> tuple:
+        """((node, Coord), exponent) pairs in (node, Coord.sort_key) order."""
+        ex = self.exps
+        out = [((i, decode(c, o)), e) for i, c, o, e in ex]
+        # Within one (node, coset) off2 order is Coord order; only a node
+        # that spans several cosets needs a sort.
+        if any(a[0] == b[0] and a[1] != b[1] for a, b in zip(ex, ex[1:])):
+            out.sort(key=lambda kv: (kv[0][0], kv[0][1].sort_key()))
+        return tuple(out)
 
     def exp(self, i, x) -> int:
-        x = coord(x)
-        for (j, y), e in self.exps:
-            if j == i and y == x:
+        c, o = encode(x)
+        for j, d, p, e in self.exps:
+            if j == i and d == c and p == o:
                 return e
         return 0
 
@@ -84,9 +92,7 @@ class _ExpMap:
         return type(self)(_merge(self.exps, other.exps), canonical=True)
 
     def __pow__(self, n: int):
-        if n == 0:
-            return type(self).unit()
-        return type(self)(tuple((k, e * n) for k, e in self.exps))
+        return type(self)(tuple((k, e * n) for k, e in self.items()))
 
     def inverse(self):
         return self ** -1
@@ -94,7 +100,13 @@ class _ExpMap:
     def shift(self, a):
         """Replace every coordinate x by x + a (a group homomorphism)."""
         a = coord(a)
-        return type(self)(tuple(((i, x + a), e) for (i, x), e in self.exps))
+        if a.is_half_integer():     # same cosets, same order
+            d = int(2 * a.rat)
+            return type(self)(tuple((i, c, o + d, e) for i, c, o, e in self.exps),
+                              canonical=True)
+        moved = {c: shift_coset(c, a) for _, c, _, _ in self.exps}
+        return type(self)(tuple(sorted((i, moved[c][0], o + moved[c][1], e)
+                                       for i, c, o, e in self.exps)), canonical=True)
 
     def __eq__(self, other):
         return type(self) is type(other) and self.exps == other.exps
@@ -107,36 +119,64 @@ class _ExpMap:
         return format_monomial(self)
 
 
+def _canon(quads) -> tuple:
+    """Canonical exps from (node, cid, off2, e) quads in any order, keys repeated."""
+    acc = {}
+    for i, c, o, e in quads:
+        k = (i, c, o)
+        acc[k] = acc.get(k, 0) + e
+    return tuple(sorted((i, c, o, e) for (i, c, o), e in acc.items() if e))
+
+
 def _merge(a: tuple, b: tuple) -> tuple:
     """Product of two canonical exponent tuples, in canonical form.
 
     One pass over both sorted tuples: equal keys add their exponents (and
-    vanish at zero), the rest interleave in (node, Coord.sort_key) order.
-    A product of two nonnegative maps stays nonnegative, so AVector needs
-    no sign re-check.
+    vanish at zero), the rest interleave in int order.  A product of two
+    nonnegative maps stays nonnegative, so AVector needs no sign re-check.
     """
     out = []
     ia = ib = 0
     na, nb = len(a), len(b)
     while ia < na and ib < nb:
-        (i, x), e = a[ia]
-        (j, y), f = b[ib]
-        # Coord hashes are cached: comparing them first rejects unequal keys
-        # without Fraction arithmetic.
-        if i == j and hash(x) == hash(y) and x == y:
-            if e + f:
-                out.append(((i, x), e + f))
+        x = a[ia]
+        y = b[ib]
+        if x[0] == y[0] and x[1] == y[1] and x[2] == y[2]:
+            e = x[3] + y[3]
+            if e:
+                out.append((x[0], x[1], x[2], e))
             ia += 1
             ib += 1
-        elif i < j or (i == j and x.sort_key() < y.sort_key()):
-            out.append(a[ia])
+        elif x < y:         # keys differ, so the exponents never decide
+            out.append(x)
             ia += 1
         else:
-            out.append(b[ib])
+            out.append(y)
             ib += 1
     out += a[ia:]
     out += b[ib:]
     return tuple(out)
+
+
+def _term_key(row):
+    return row[0].height, row[0].exps
+
+
+def output_order(rows) -> list:
+    """Rows whose first entry is an AVector, sorted as they are printed: by
+    height, then by factor lists compared in (node, Coord) order.
+
+    Storage order is int order, which agrees with Coord order inside one
+    coordinate coset.  Across cosets the distinct coordinates are ranked
+    once and the ranks compared.
+    """
+    rows = list(rows)
+    keys = {t[1:3] for r in rows for t in r[0].exps}
+    if len({c for c, _ in keys}) < 2:
+        return sorted(rows, key=_term_key)
+    rank = {k: n for n, k in enumerate(sorted(keys, key=lambda k: decode(*k).sort_key()))}
+    return sorted(rows, key=lambda r: (r[0].height, sorted(
+        (i, rank[c, o], e) for i, c, o, e in r[0].exps)))
 
 
 class PsiMonomial(_ExpMap):
@@ -148,149 +188,143 @@ class YMonomial(_ExpMap):
 
 
 class AVector(_ExpMap):
-    """Product of A_{i,x}^{-1} factors with positive exponents (the A-ledger)."""
+    """Product of A_{i,x}^{-1} factors with positive exponents (the A-ledger).
+
+    ``height`` is the total exponent, computed once.
+    """
+
+    __slots__ = ("height",)
 
     def __init__(self, exps=(), *, canonical=False):
         super().__init__(exps, canonical=canonical)
-        if not canonical and any(e < 0 for _, e in self.exps):
+        if not canonical and any(t[3] < 0 for t in self.exps):
             raise ValueError("AVector exponents must be nonnegative")
+        object.__setattr__(self, "height", sum(map(itemgetter(3), self.exps)))
 
-    def height(self) -> int:
-        return sum(e for _, e in self.exps)
+    def _quotient(self, other: "AVector") -> tuple:
+        return _merge(self.exps, tuple((i, c, o, -e) for i, c, o, e in other.exps))
 
     def contains(self, other: "AVector") -> bool:
-        return all(self.exp(i, x) >= e for (i, x), e in other.exps)
+        return all(t[3] > 0 for t in self._quotient(other))
 
     def divide(self, other: "AVector") -> "AVector":
-        if not self.contains(other):
+        q = self._quotient(other)
+        if any(t[3] < 0 for t in q):
             raise ValueError(f"{self!r} is not divisible by {other!r}")
-        return AVector(self.exps + tuple((k, -e) for k, e in other.exps))
+        return AVector(q, canonical=True)
+
 
 
 # ---------------------------------------------------------------------------
-# Expansions between the bases.
+# Expansions between the bases, on storage keys: a coordinate x is
+# (cid, o), and x + s/2 is (cid, o + s).
 # ---------------------------------------------------------------------------
+
+# Bound on the memoized offset tables below: one entry per Cartan type.
+_OFFSETS_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_OFFSETS_CACHE_SIZE)
+def _offsets(cartan: CartanData) -> tuple:
+    """Per node i (at index i - 1): A_{i,x} in the Psi basis, A_{i,x} in the
+    Y basis and Y_{i,x} in the Psi basis, each as (node, off2 offset from x,
+    exponent) triples.  With 2 d_ij = d_i c_ij,
+
+      A_{i,x} = prod_j Psi_{j,x+d_ij} / Psi_{j,x-d_ij}   (skip d_ij = 0)
+              = Y_{i,x-d_i/2} Y_{i,x+d_i/2}
+                * prod_{j: c_ji = -1} Y_{j,x}^-1
+                * prod_{j: c_ji = -2} Y_{j,x+1/2}^-1 Y_{j,x-1/2}^-1
+                * prod_{j: c_ji = -3} Y_{j,x+1}^-1 Y_{j,x}^-1 Y_{j,x-1}^-1,
+      Y_{i,x} = Psi_{i,x+d_i/2} / Psi_{i,x-d_i/2}.
+    """
+    out = []
+    for i in cartan.nodes:
+        di = cartan.d[i - 1]
+        a_psi = [(j, sign * di * cartan.cij(i, j), sign)
+                 for j in cartan.nodes if cartan.cij(i, j) for sign in (1, -1)]
+        # the -c_ji factors at node j are one coordinate unit apart, centred at x
+        a_y = [(i, -di, 1), (i, di, 1)] + [
+            (j, s, -1) for j in cartan.nodes
+            for s in range(cartan.cij(j, i) + 1, -cartan.cij(j, i), 2)]
+        out.append((tuple(a_psi), tuple(a_y), ((i, di, 1), (i, -di, -1))))
+    return tuple(out)
+
+
+def _expand(cartan: CartanData, exps: tuple, basis: int, sign: int) -> tuple:
+    """Canonical exps of the product over the factors (i, x)^e in ``exps``
+    of (expansion number ``basis`` of (i, x))^(sign e), see ``_offsets``."""
+    table = _offsets(cartan)
+    return _canon((j, c, o + s, sign * f * e) for i, c, o, e in exps
+                  for j, s, f in table[i - 1][basis])
+
+
+def _gen(cartan: CartanData, i: int, x) -> tuple:
+    cartan.check_node(i)
+    return ((i, *encode(x), 1),)
+
 
 def expand_A_to_Psi(cartan: CartanData, i: int, x) -> PsiMonomial:
-    """A_{i,x} = prod_j Psi_{j,x+d_ij} / Psi_{j,x-d_ij} (skip d_ij = 0)."""
-    x = coord(x)
-    factors = []
-    for j in cartan.nodes:
-        dij = cartan.dij(i, j)
-        if dij == 0:
-            continue
-        factors.append(((j, x + dij), 1))
-        factors.append(((j, x - dij), -1))
-    return PsiMonomial(tuple(factors))
+    """A_{i,x} as a Psi-monomial (see ``_offsets``)."""
+    return PsiMonomial(_expand(cartan, _gen(cartan, i, x), 0, 1), canonical=True)
 
 
 def expand_Y_to_Psi(cartan: CartanData, i: int, x) -> PsiMonomial:
     """Y_{i,x} = Psi_{i,x+d_i/2} / Psi_{i,x-d_i/2}."""
-    x = coord(x)
-    h = cartan.di(i) / 2
-    return PsiMonomial((((i, x + h), 1), ((i, x - h), -1)))
+    return PsiMonomial(_expand(cartan, _gen(cartan, i, x), 2, 1), canonical=True)
 
 
 def expand_A_to_Y(cartan: CartanData, i: int, x) -> YMonomial:
-    """A_{i,x} as a Y-monomial.
-
-    A_{i,x} = Y_{i,x-d_i/2} Y_{i,x+d_i/2}
-              * prod_{j: c_ji = -1} Y_{j,x}^-1
-              * prod_{j: c_ji = -2} Y_{j,x+1/2}^-1 Y_{j,x-1/2}^-1
-              * prod_{j: c_ji = -3} Y_{j,x+1}^-1 Y_{j,x}^-1 Y_{j,x-1}^-1.
-    """
-    x = coord(x)
-    h = cartan.di(i) / 2
-    factors = [((i, x - h), 1), ((i, x + h), 1)]
-    for j in cartan.nodes:
-        cji = cartan.cij(j, i)
-        if cji == -1:
-            factors.append(((j, x), -1))
-        elif cji == -2:
-            factors += [((j, x + Fraction(1, 2)), -1), ((j, x - Fraction(1, 2)), -1)]
-        elif cji == -3:
-            factors += [((j, x + 1), -1), ((j, x), -1), ((j, x - 1), -1)]
-    return YMonomial(tuple(factors))
+    """A_{i,x} as a Y-monomial (see ``_offsets``)."""
+    return YMonomial(_expand(cartan, _gen(cartan, i, x), 1, 1), canonical=True)
 
 
 def y_to_psi(cartan: CartanData, m: YMonomial) -> PsiMonomial:
-    out = PsiMonomial.unit()
-    for (i, x), e in m.items():
-        out = out * expand_Y_to_Psi(cartan, i, x) ** e
-    return out
+    return PsiMonomial(_expand(cartan, m.exps, 2, 1), canonical=True)
 
 
 def avector_to_psi(cartan: CartanData, v: AVector) -> PsiMonomial:
     """The Psi-form of the Q_- element prod A_{i,x}^{-e}."""
-    out = PsiMonomial.unit()
-    for (i, x), e in v.items():
-        out = out * expand_A_to_Psi(cartan, i, x) ** (-e)
-    return out
-
-
-# Bound on the memoized per-generator A -> Y expansions.  A complete KR
-# character such as E6 n1 k2 or B4 n4 k3 meets under 30 distinct generators,
-# so the bound holds those of dozens of expansions while a process running
-# many unrelated ones keeps a flat footprint.
-_A_TO_Y_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_A_TO_Y_CACHE_SIZE)
-def _a_to_y_power(cartan: CartanData, i: int, x: Coord, e: int) -> YMonomial:
-    """A_{i,x}^-e as a Y-monomial."""
-    return expand_A_to_Y(cartan, i, x) ** (-e)
+    return PsiMonomial(_expand(cartan, v.exps, 0, -1), canonical=True)
 
 
 def avector_to_y(cartan: CartanData, v: AVector) -> YMonomial:
     """The Y-form of the Q_- element prod A_{i,x}^{-e} (a homomorphism)."""
-    out = YMonomial.unit()
-    for (i, x), e in v.items():
-        out = out * _a_to_y_power(cartan, i, x, e)
-    return out
+    return YMonomial(_expand(cartan, v.exps, 1, -1), canonical=True)
 
 
 def psi_to_y(cartan: CartanData, m: PsiMonomial) -> YMonomial:
     """Factor a Psi-monomial in the lattice P into Y's.
 
-    Per node and per (1/2)Z-coset of coordinates, solve the telescoping
-    system e_{i,x} = c_{i,x-d_i/2} - c_{i,x+d_i/2} from the top down.
-    Raises ValueError if m is not a product of Y's.
+    Per node and per class of coordinates mod d_i (one coset, off2 mod
+    2 d_i), solve the telescoping system e_{i,x} = c_{i,x-d_i/2} -
+    c_{i,x+d_i/2} from the top down.  Raises ValueError if m is not a
+    product of Y's.
     """
+    classes = {}
+    for i, c, o, e in m.exps:
+        classes.setdefault((i, c, o % (2 * cartan.d[i - 1])), []).append((o, e))
     factors = []
-    per_node = {}
-    for (i, x), e in m.items():
-        per_node.setdefault(i, {})[x] = e
-    for i, exps in per_node.items():
-        h = cartan.di(i) / 2
-        # coset key: coordinate modulo d_i shifts (same symbolic part,
-        # rational parts differing by a multiple of d_i)
-        cosets = {}
-        for x in sorted(exps, key=Coord.sort_key, reverse=True):
-            for rep in cosets:
-                diff = x - rep
-                if diff.is_rational and (diff.rat / (2 * h)).denominator == 1:
-                    cosets[rep].append(x)
-                    break
-            else:
-                cosets[x] = [x]
-        for xs in cosets.values():
-            carry = 0          # c_{i, x + d_i/2} for the position above
-            prev = None
-            for x in xs:       # descending
-                if prev is not None:
-                    # positions strictly between prev and x have e = 0
-                    steps = int((prev - x).rat / (2 * h))
-                    if carry:
-                        for s in range(1, steps):
-                            factors.append(((i, prev - (2 * h) * s - h), carry))
-                prev = x
-                carry = exps[x] + carry
-                if carry:
-                    factors.append(((i, x - h), carry))
-            if carry != 0:
-                raise ValueError(
-                    f"monomial is not in the Y-lattice at node {i} (residual Psi_{{{i},{xs[-1]}}})")
-    return YMonomial(tuple(factors))
+    residual = []
+    for (i, c, _), xs in classes.items():
+        di = cartan.d[i - 1]
+        carry = 0          # c_{i, x + d_i/2} for the position above
+        prev = None
+        for o, e in reversed(xs):       # descending
+            if prev is not None and carry:
+                # positions strictly between prev and o have e = 0
+                factors += [(i, c, p - di, carry) for p in range(prev - 2 * di, o, -2 * di)]
+            prev = o
+            carry += e
+            if carry:
+                factors.append((i, c, o - di, carry))
+        if carry:
+            residual.append((i, decode(c, xs[-1][0]), decode(c, xs[0][0])))
+    if residual:
+        # Name the class met first in (node, descending Coord) order.
+        i = min(r[0] for r in residual)
+        _, _, x = max((r for r in residual if r[0] == i), key=lambda r: r[1].sort_key())
+        raise ValueError(f"monomial is not in the Y-lattice at node {i} (residual Psi_{{{i},{x}}})")
+    return YMonomial(_canon(factors), canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +350,7 @@ def weight_projection(cartan: CartanData, m) -> Weight:
 
 def is_dominant(m: YMonomial) -> bool:
     """All Y-exponents nonnegative (element of P_+)."""
-    return all(e >= 0 for _, e in m.items())
+    return all(t[3] >= 0 for t in m.exps)
 
 
 def is_right_negative(m: YMonomial) -> bool:

@@ -37,7 +37,7 @@ from .characters import (
 )
 
 __all__ = [
-    "Sl2Module", "build_module", "check_relations", "RelationReport",
+    "Sl2Module", "build_module", "check_relations", "relation_instances", "RelationReport",
     "extract_qchar", "verify_sl2_three_term",
 ]
 
@@ -214,7 +214,13 @@ def _combine(*terms) -> dict:
     return out
 
 
-def check_relations(mod: Sl2Module, n_max: int | None = None) -> RelationReport:
+def relation_instances(n_max: int) -> int:
+    """The number of relation instances ``check_relations`` runs up to n_max."""
+    return 6 * (n_max + 1) ** 2 + 2 * (n_max + 1)
+
+
+def check_relations(mod: Sl2Module, n_max: int | None = None,
+                    config: EngineConfig = DEFAULT_CONFIG) -> RelationReport:
     """Verify the rank-one defining relations exactly on the safe columns.
 
     With d_11 = 1 and hbar = 1:
@@ -227,11 +233,16 @@ def check_relations(mod: Sl2Module, n_max: int | None = None) -> RelationReport:
 
     Each instance is compared column by column over the safe columns, rows
     ascending within a column; the first disagreeing entry is reported.
+    The work, instances times dim, must fit in ``config.term_budget``; a
+    larger check raises EngineError before it starts.
     """
     n_max = mod.mode_bound if n_max is None else n_max
     if n_max > mod.mode_bound:
         raise ValueError("module built with smaller mode bound")
     dim = mod.dim
+    if relation_instances(n_max) * dim > config.term_budget:
+        raise EngineError(f"term budget {config.term_budget} exceeded by "
+                          f"{relation_instances(n_max)} relation instances on dimension {dim}")
     cols = mod.safe_columns
     failures = []
     checked = 0

@@ -114,14 +114,3 @@ def format_monomial(m) -> str:
         cs = f"q^{x}" if head == "Phi" else str(x)
         parts.append(f"{head}[{i},{cs}]{suffix}")
     return " ".join(parts)
-
-
-def monomial_to_json(m) -> dict:
-    from . import monomials as M
-
-    kind = {"PsiMonomial": "Psi", "YMonomial": "Y", "AVector": "A"}[type(m).__name__]
-    return {
-        "kind": kind,
-        "exps": [{"node": i, "coord": str(x), "exp": (-e if isinstance(m, M.AVector) else e)}
-                 for (i, x), e in m.items()],
-    }

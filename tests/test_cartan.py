@@ -21,6 +21,17 @@ def test_parse_and_legality():
         LieType("B", 1)
 
 
+def test_node_range_is_checked():
+    ct = build_cartan(LieType.parse("A2"))
+    assert [ct.check_node(i) for i in ct.nodes] == [0, 1]
+    for bad in (0, -1, 3):
+        with pytest.raises(ValueError, match="out of range 1..2 for A2"):
+            ct.check_node(bad)
+        for access in (lambda: ct.di(bad), lambda: ct.cij(1, bad), lambda: ct.dij(bad, 1)):
+            with pytest.raises(ValueError):
+                access()
+
+
 def test_d3_is_rejected_with_pointer_to_a3():
     with pytest.raises(ValueError, match="A3"):
         LieType("D", 3)

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import yqchar.characters as characters
 from yqchar.cartan import LieType, build_cartan
-from yqchar.coords import coord
-from yqchar.monomials import AVector, PsiMonomial, YMonomial, psi_to_y
+from yqchar.coords import Coord, coord
+from yqchar.monomials import AVector, PsiMonomial, YMonomial, output_order, psi_to_y
 from yqchar.characters import (
-    EngineConfig, EngineError, TruncatedCharacter,
+    EngineConfig, EngineError, TruncatedCharacter, _ledger_mul,
     asymptotic_char, char_add, char_mul, compare_characters,
     demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
     kr_top_y, kr_weight, m_weight, n_weight, prefundamental_char,
@@ -251,3 +253,91 @@ def test_ses_truncation_agrees_with_complete():
     full = demazure_char_via_ses(A2, 1, 1, 2, 0)
     cut = demazure_char_via_ses(A2, 1, 1, 2, 0, 2)
     assert compare_characters(full.truncate(2), cut).verdict
+
+
+# -- one truncated ledger product and the output order (property) -------------
+
+# A-ledgers over coordinates in several cosets mod 1/2.  Each ledger maps an
+# AVector to its coefficient and keeps the Coord-keyed reference form of
+# every key: its factors in (node, Coord) order.
+ledger_coords = st.builds(
+    lambda r, c: Coord(r) + Coord.var("x", c),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.sampled_from((0, 0, 1)))
+avector_factors = st.lists(st.tuples(st.integers(min_value=1, max_value=2), ledger_coords,
+                                     st.integers(min_value=1, max_value=2)), max_size=3)
+
+
+def coord_form(factors):
+    acc = {}
+    for i, x, e in factors:
+        acc[i, x] = acc.get((i, x), 0) + e
+    return tuple(sorted(((i, x), e) for (i, x), e in acc.items()))
+
+
+def build_ledger(rows):
+    ledger, forms = {}, {}
+    for factors, c in rows:
+        v = AVector(tuple(((i, x), e) for i, x, e in factors))
+        ledger[v] = ledger.get(v, 0) + c
+        forms[v] = coord_form(factors)
+    return ledger, forms
+
+
+ledgers = st.lists(st.tuples(avector_factors, st.integers(min_value=1, max_value=3)),
+                   max_size=5).map(build_ledger)
+
+
+@given(ledgers, ledgers, st.integers(min_value=0, max_value=4))
+def test_ledger_mul_matches_coord_reference_and_truncation(a, b, bound):
+    (la, fa), (lb, fb) = a, b
+    want = {}
+    for va, ca in la.items():
+        for vb, cb in lb.items():
+            k = coord_form([(i, x, e) for (i, x), e in fa[va] + fb[vb]])
+            want[k] = want.get(k, 0) + ca * cb
+    full = _ledger_mul(la.items(), lb.items(), None, 10 ** 6)
+    assert {coord_form([(i, x, e) for (i, x), e in v.items()]): c
+            for v, c in full.items()} == want
+    assert _ledger_mul(la.items(), lb.items(), bound, 10 ** 6) == \
+        {v: c for v, c in full.items() if v.height <= bound}
+
+
+@given(ledgers)
+def test_output_order_is_height_then_coord_order(a):
+    ledger, forms = a
+    rows = list(ledger.items())
+    assert output_order(rows) == sorted(rows, key=lambda r: (r[0].height, forms[r[0]]))
+
+
+def test_ledger_mul_budget_counts_distinct_terms():
+    ch = sl2_kr_char(3, 0)      # 4 terms; its square has 10 distinct terms
+    assert len(_ledger_mul(ch.terms, ch.terms, None, 10)) == 10
+    with pytest.raises(EngineError):
+        _ledger_mul(ch.terms, ch.terms, None, 9)
+
+
+# -- the expansion cache -----------------------------------------------------
+
+def test_expansion_cache_is_bounded_by_cached_terms(monkeypatch):
+    cache = characters._TermBoundedCache(1000)
+    monkeypatch.setattr(characters, "_FM_CACHE", cache)
+    b3 = build_cartan(LieType.parse("B3"))
+    tops = [kr_top_y(b3, 3, 3, Fraction(1, 3) + 10 * n) for n in range(8)]
+    for top in tops:                        # 160 terms each, all distinct
+        assert len(fm_expand(b3, top).terms) == 160
+        assert cache.terms <= 1000
+        assert cache.terms == sum(len(ch.terms) for ch in cache._data.values())
+    assert (cache.hits, cache.misses, len(cache._data)) == (0, 8, 6)
+    assert fm_expand(b3, tops[-1]) is fm_expand(b3, tops[-1])
+    assert cache.hits == 2
+    fm_expand(b3, tops[0])                  # evicted: expanded again
+    assert cache.misses == 9 and cache.terms == 960
+
+
+def test_expansion_cache_skips_a_character_above_its_bound(monkeypatch):
+    cache = characters._TermBoundedCache(100)
+    monkeypatch.setattr(characters, "_FM_CACHE", cache)
+    b3 = build_cartan(LieType.parse("B3"))
+    assert len(fm_expand(b3, kr_top_y(b3, 3, 3, 0)).terms) == 160
+    assert cache.terms == 0 and not cache._data

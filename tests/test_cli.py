@@ -135,11 +135,30 @@ def test_usage_error_goes_to_err(capsys):
     ["rep-check", "qchar", "--kind", "truncated", "--k", "1/3", "--M", "100000000000"],
     ["rep-check", "relations", "--modes", "1000000000000"],
     ["rep-check", "three-term", "--x", "2", "--M", "100000000000"],
+    ["rep-check", "relations", "--k", "8", "--modes", "1000"],
 ])
 def test_huge_matrix_modules_exit_three(argv):
     code, out, err = run(argv)
     assert code == 3 and out == ""
     assert err.startswith("engine error: term budget") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["qchar", "kr", "--type", "A2", "--node", "0"],
+    ["qchar", "kr", "--type", "B2", "--node=-1"],
+    ["qchar", "kr", "--type", "A2", "--node", "3"],
+    ["qchar", "kr", "--type", "A2", "--node", "3", "--k", "0"],
+    ["qchar", "prefundamental", "--type", "A2", "--node", "3", "--sign", "+"],
+    ["verify", "tq", "--type", "A2", "--node", "4", "--k", "2"],
+    ["qchar", "kr", "--type", "A2", "--node", "1", "--x", "1/0"],
+    ["qchar", "m", "--type", "A2", "--node", "1", "--k", "k/0"],
+    ["rep-check", "relations", "--x", "1/0"],
+    ["rep-check", "three-term", "--y", "2/0"],
+])
+def test_bad_node_or_zero_denominator_exits_two(argv):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_reused_parser_keeps_no_state_between_calls():

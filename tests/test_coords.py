@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from yqchar.coords import Coord, coord, parse_coord
+from yqchar.coords import (
+    Coord, CoordSyntaxError, coord, decode, encode, parse_coord, shift_coset,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -72,3 +74,46 @@ def test_symbolic_linear_arithmetic(a, b, c):
     lhs = (k * a + b) + (k * c)
     assert lhs == Coord(b, (("k", a + c),))
     assert hash(lhs) == hash(Coord(b, (("k", a + c),)))
+
+
+# -- integer keys --------------------------------------------------------------
+
+# Rational parts with denominators 1-6 fall in several cosets mod 1/2.
+key_coords = st.builds(
+    lambda r, c, name: Coord(r) + Coord.var(name, c),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from((0, 0, 1, Fraction(1, 2), -2)),
+    st.sampled_from(("x", "k")))
+
+
+@given(key_coords)
+def test_key_round_trip(x):
+    cid, off2 = encode(x)
+    assert decode(cid, off2) == x
+    assert encode(decode(cid, off2)) == (cid, off2)
+    assert decode(cid, off2 + 1) == x + Fraction(1, 2)
+
+
+@given(key_coords, key_coords)
+def test_keys_separate_coordinates_and_cosets(x, y):
+    (cx, ox), (cy, oy) = encode(x), encode(y)
+    assert ((cx, ox) == (cy, oy)) == (x == y)
+    assert (cx == cy) == (y - x).is_half_integer()
+    if cx == cy:
+        # inside one coset, off2 order is Coord order
+        assert (ox < oy) == (x < y)
+
+
+@given(key_coords, key_coords)
+def test_shift_coset_matches_coord_shift(x, a):
+    cid, off2 = encode(x)
+    moved, delta = shift_coset(cid, a)
+    assert decode(moved, off2 + delta) == x + a
+    if a.is_half_integer():
+        assert (moved, delta) == (cid, 2 * a.rat)
+
+
+def test_zero_denominators_are_syntax_errors():
+    for text in ("1/0", "k/0", "1+2k/0", "-3/0"):
+        with pytest.raises(CoordSyntaxError):
+            parse_coord(text)

@@ -89,6 +89,18 @@ GOLDEN = [
     (("translate", "--to", "multiplicative", "--check-tq", "--type", "B2",
       "--node", "2", "--format", "json"), 0, "6bf5c6df9144b7fc"),
     (_kr("D3", 1, 1), 2, "f4f8cd187ba8f8cb"),
+    # Several coordinate cosets (mod 1/2) at one node: factors and terms
+    # must come out in Coord order, not in the order of an internal key.
+    (("translate", "--to", "multiplicative", "--monomial",
+      "Psi[1,1/3] /Psi[1,1/2] Psi[1,-1/6] Psi[1,k]"), 0, "8a0cfbf2c36a4fb6"),
+    (("qchar", "asymptotic", "--type", "A2", "--node", "1", "--y", "1/3", "--x", "0",
+      "--height", "2"), 0, "3cbdb98f6ca6d647"),
+    (_kr("G2", 1, 2, "--x", "1/3", "--format", "json"), 0, "8a3bfc8a48cb7fc8"),
+    (("qchar", "m", "--type", "B2", "--node", "1", "--k", "k", "--x", "1/3"), 0,
+     "4a6ed1efdcb9b678"),
+    # A failing report with a mismatch list (the TQ case outside the
+    # generic regime, see ROADMAP item 3).
+    (_v("tq", "B2", 2, "--k", "6", "--height", "4"), 1, "a52759f7dd13d3ab"),
 ]
 
 

@@ -54,7 +54,7 @@ def test_avector_rejects_negative_exponents():
 
 def test_avector_height_contains_divide():
     v = AVector.gen(1, 0, 2) * AVector.gen(2, "1/2")
-    assert v.height() == 3
+    assert v.height == 3
     assert v.contains(AVector.gen(1, 0))
     assert not v.contains(AVector.gen(1, 1))
     assert v.divide(AVector.gen(1, 0)) == AVector.gen(1, 0) * AVector.gen(2, "1/2")
@@ -228,7 +228,7 @@ def map_pairs(*classes):
 @given(map_pairs(PsiMonomial, YMonomial, AVector))
 def test_merge_product_matches_canonical_constructor(pair):
     a, b = pair
-    want = type(a)(a.exps + b.exps)
+    want = type(a)(a.items() + b.items())
     got = a * b
     assert got.exps == want.exps and hash(got) == hash(want)
 
@@ -247,5 +247,70 @@ def test_avector_to_y_is_a_homomorphism(name, v, w):
     ct = build_cartan(LieType.parse(name))
     assert avector_to_y(ct, v * w) == avector_to_y(ct, v) * avector_to_y(ct, w)
     reference = YMonomial(tuple(kv for (i, x), e in v.items()
-                                for kv in (expand_A_to_Y(ct, i, x) ** -e).exps))
+                                for kv in (expand_A_to_Y(ct, i, x) ** -e).items()))
     assert avector_to_y(ct, v) == reference
+
+
+# -- integer keys against a Coord-keyed reference (property) ------------------
+
+# Coordinates in several cosets mod 1/2 at one node, rational and symbolic.
+mixed_coords = st.builds(
+    lambda r, c: Coord(r) + Coord.var("x", c),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.sampled_from((0, 0, 1, Fraction(1, 2))))
+factor_lists = st.lists(st.tuples(st.integers(min_value=1, max_value=2), mixed_coords,
+                                  st.integers(min_value=-3, max_value=3)), max_size=6)
+
+
+def coord_canonical(factors):
+    """Test-only reference: a product of (node, Coord, exponent) factors
+    on Coord keys, in (node, Coord) order."""
+    acc = {}
+    for i, x, e in factors:
+        acc[i, x] = acc.get((i, x), 0) + e
+    return tuple(sorted((((i, x), e) for (i, x), e in acc.items() if e),
+                        key=lambda kv: (kv[0][0], kv[0][1].sort_key())))
+
+
+def psi(factors):
+    return PsiMonomial(tuple(((i, x), e) for i, x, e in factors))
+
+
+@given(factor_lists, factor_lists)
+def test_int_key_product_matches_coord_reference(fa, fb):
+    a, b = psi(fa), psi(fb)
+    assert a.items() == coord_canonical(fa)
+    assert (a * b).items() == coord_canonical(fa + fb)
+    assert (a * b == psi(fa + fb)) and hash(a * b) == hash(psi(fa + fb))
+
+
+@given(factor_lists)
+def test_format_follows_coord_order(fa):
+    want = " ".join(f"Psi[{i},{x}]" + ("" if e == 1 else f"^{e}")
+                    for (i, x), e in coord_canonical(fa)) or "1"
+    assert format_monomial(psi(fa)) == want
+
+
+@given(factor_lists, st.builds(lambda r, c: Coord(r) + Coord.var("k", c),
+                               st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                               st.sampled_from((0, 1, Fraction(-1, 2)))))
+def test_shift_matches_coord_shift(fa, a):
+    m = psi(fa)
+    moved = [(i, x + a, e) for i, x, e in fa]
+    assert m.shift(a).items() == coord_canonical(moved)
+    assert m.shift(a) == psi(moved) and hash(m.shift(a)) == hash(psi(moved))
+    assert m.shift(a).shift(-a) == m
+
+
+def test_avector_rejects_negative_powers():
+    with pytest.raises(ValueError):
+        AVector.gen(1, 0) ** -1
+
+
+def test_psi_to_y_names_the_first_residual_class():
+    # three classes off the Y-lattice at node 1 (B2, d_1 = 2), in two
+    # cosets: the message names the class whose top coordinate is largest
+    # ({1/3, 7/3}), at its lowest point
+    m = parse_monomial("Psi[1,0] /Psi[1,1] Psi[1,1/3] Psi[1,7/3]")
+    with pytest.raises(ValueError, match=r"residual Psi_\{1,1/3\}"):
+        psi_to_y(B2, m)

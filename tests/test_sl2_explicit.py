@@ -12,7 +12,7 @@ from yqchar.characters import (
 from yqchar.monomials import PsiMonomial
 from yqchar.sl2_explicit import (
     RelationReport, build_module, check_relations, extract_qchar, psi_ratio_series,
-    verify_sl2_three_term,
+    relation_instances, verify_sl2_three_term,
 )
 
 A1 = build_cartan(LieType.parse("A1"))
@@ -306,3 +306,17 @@ def test_three_term_examples():
 def test_three_term_bound_guard():
     with pytest.raises(ValueError):
         verify_sl2_three_term(2, 0, 5, 4)
+
+
+def test_relation_instances_counts_the_checks():
+    for n in range(4):
+        mod = build_module("finite", 2, 0, n_max=n)
+        assert check_relations(mod).checked == relation_instances(n)
+
+
+def test_check_relations_respects_term_budget():
+    # dim 3, n_max 0: 8 relation instances, 24 units of work
+    mod = build_module("finite", 2, 0, n_max=0)
+    assert check_relations(mod, config=EngineConfig(term_budget=24)).verdict
+    with pytest.raises(EngineError, match="8 relation instances on dimension 3"):
+        check_relations(mod, config=EngineConfig(term_budget=23))
