@@ -101,6 +101,22 @@ GOLDEN = [
     # A failing report with a mismatch list (the TQ case outside the
     # generic regime, see ROADMAP item 3).
     (_v("tq", "B2", 2, "--k", "6", "--height", "4"), 1, "a52759f7dd13d3ab"),
+    # Monomial keys at their edges: offsets far beyond 64 bits (positive,
+    # negative, under a symbolic part) and a rank with many nodes.
+    (_kr("A1", 1, 3, "--x=1000000000000000000000/7", "--format", "json"), 0,
+     "b0c9f267ff7c4d05"),
+    (_kr("A1", 1, 3, "--x=-1000000000000000000001/2", "--format", "json"), 0,
+     "f1bac5ad3c14c3e2"),
+    (_kr("D12", 1, 1, "--format", "json"), 0, "6c2fdc015c534136"),
+    (_kr("A20", 10, 1, "--height", "3", "--format", "json"), 0, "6d4b6791c8a55903"),
+    (_v("tq", "B2", 2, "--k", "6", "--height", "3", "--x=1000000000000000000000/7",
+        "--format", "json"), 0, "f5658dca375cf254"),
+    (("qchar", "demazure", "--type", "C2", "--node", "1", "--k", "2", "--t", "1",
+      "--x=x-1000000000000000000001/2", "--height", "3", "--format", "json"), 0,
+     "84dab22c1000ca75"),
+    (("qchar", "demazure", "--type", "G2", "--node", "1", "--k", "2", "--t", "1",
+      "--x=1000000000000000000000/7", "--height", "3", "--format", "json"), 0,
+     "11e3b882c88693ab"),
 ]
 
 
