@@ -25,7 +25,7 @@ from functools import lru_cache
 from .cartan import CartanData
 from .coords import Coord, coord
 from .monomials import (
-    AVector, PsiMonomial, YMonomial, _merge, _term_key, output_order,
+    AVector, PsiMonomial, YMonomial, _at_node, _remove, _term_key, output_order,
     avector_to_psi, avector_to_y, expand_A_to_Psi, is_dominant, psi_to_y, y_to_psi,
 )
 from .textio import format_monomial
@@ -73,7 +73,7 @@ class TruncatedCharacter:
     no truncation applied).
     """
     top: PsiMonomial
-    terms: tuple                  # (AVector, positive int), in (height, exps) order
+    terms: tuple                  # (AVector, positive int), in (height, sites) order
     height_bound: int | None
 
     @staticmethod
@@ -182,28 +182,35 @@ def compare_characters(lhs: TruncatedCharacter, rhs: TruncatedCharacter,
 # Ledger arithmetic.
 # ---------------------------------------------------------------------------
 
-def _ledger_mul(a, b, bound: int | None, budget: int) -> dict:
-    """Truncated product of two A-ledgers.
+def _ledger_acc(a, b, bound: int | None, budget: int, acc=None, sign: int = 1) -> dict:
+    """Truncated product of two A-ledgers on site tuples, added into ``acc``.
 
     ``a`` and ``b`` are iterables of (AVector, coefficient) pairs; products
-    above height ``bound`` (None: no bound) are dropped.  Raises EngineError
-    when the product has more than ``budget`` terms.  Coefficients are
-    positive, so the term count only grows and one check per row of ``a``
-    decides the same as a check per term.
+    above height ``bound`` (None: no bound) are dropped, and ``sign`` times
+    each product is added into ``acc`` (a new dict when None), keyed by
+    sorted site tuples.  Raises EngineError when ``acc`` holds more than
+    ``budget`` keys.  Keys are never removed, so the count only grows and one
+    check per row of ``a`` decides the same as a check per term.
     """
-    b = sorted(b, key=lambda vc: vc[0].height)
-    acc = {}
+    b = sorted([(v.sites, c) for v, c in b], key=lambda sc: len(sc[0]))
+    acc = {} if acc is None else acc
     for va, ca in a:
-        room = None if bound is None else bound - va.height
-        ea = va.exps
-        for vb, cb in b:
-            if room is not None and vb.height > room:
+        sa = va.sites
+        room = None if bound is None else bound - len(sa)
+        ca *= sign
+        for sb, cb in b:
+            if room is not None and len(sb) > room:
                 break
-            k = _merge(ea, vb.exps)
+            k = tuple(sorted(sa + sb))
             acc[k] = acc.get(k, 0) + ca * cb
         if len(acc) > budget:
             raise EngineError(f"term budget {budget} exceeded in character product")
-    return {AVector(k, canonical=True): c for k, c in acc.items()}
+    return acc
+
+
+def _ledger_mul(a, b, bound: int | None, budget: int) -> dict:
+    """``_ledger_acc`` as a ledger {AVector: coefficient}."""
+    return {AVector(k, canonical=True): c for k, c in _ledger_acc(a, b, bound, budget).items()}
 
 
 def char_mul(a: TruncatedCharacter, b: TruncatedCharacter,
@@ -240,31 +247,33 @@ def divide_series(num: dict, den: dict, bound: int | None) -> dict:
     """
     if den.get(AVector.unit()) != 1:
         raise EngineError("divisor series must have leading coefficient 1")
-    by_h_den = {}
+    by_h_den, by_h_num = {}, {}
     for v, c in den.items():
-        if v.height > 0:
-            by_h_den.setdefault(v.height, []).append((v, c))
-    heights = sorted({v.height for v in num})
-    maxh = bound if bound is not None else (heights[-1] if heights else 0)
-    out = {AVector.unit(): 1}
-    by_h_out = {0: [(AVector.unit(), 1)]}
+        if v.sites:
+            by_h_den.setdefault(len(v.sites), []).append((v.sites, c))
+    for v, c in num.items():
+        by_h_num.setdefault(len(v.sites), {})[v.sites] = c
+    maxh = bound if bound is not None else max(by_h_num, default=0)
+    out = {(): 1}
+    by_h_out = {0: [((), 1)]}
     for h in range(1, maxh + 1):
-        layer = {v: c for v, c in num.items() if v.height == h}
+        layer = dict(by_h_num.get(h, ()))
         for g, den_layer in by_h_den.items():
             if g > h:
                 continue
-            for vd, cd in den_layer:
-                for vo, co in by_h_out.get(h - g, []):
-                    k = vd * vo
+            for sd, cd in den_layer:
+                for so, co in by_h_out.get(h - g, ()):
+                    k = tuple(sorted(sd + so))
                     layer[k] = layer.get(k, 0) - cd * co
         layer = {v: c for v, c in layer.items() if c}
         if any(c < 0 for c in layer.values()):
-            bad = output_order((v, c) for v, c in layer.items() if c < 0)[0]
+            bad = output_order((AVector(v, canonical=True), c)
+                               for v, c in layer.items() if c < 0)[0]
             raise EngineError(f"negative coefficient {bad[1]} at {format_monomial(bad[0])} "
                               "in series division")
         out.update(layer)
         by_h_out[h] = list(layer.items())
-    return out
+    return {AVector(v, canonical=True): c for v, c in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +291,13 @@ def kr_weight(cartan: CartanData, i: int, k: int, x) -> PsiMonomial:
     return PsiMonomial((((i, x + k * cartan.di(i)), 1), ((i, x), -1)))
 
 
-def kr_top_y(cartan: CartanData, i: int, k: int, x) -> YMonomial:
-    """The same weight as the Y-string Y_{i,x+d_i/2} ... Y_{i,x+(k-1/2)d_i}."""
+def kr_top_y(cartan: CartanData, i: int, k: int, x,
+             config: EngineConfig = DEFAULT_CONFIG) -> YMonomial:
+    """The same weight as the Y-string Y_{i,x+d_i/2} ... Y_{i,x+(k-1/2)d_i};
+    a string of more than ``term_budget`` factors is refused before it is built."""
+    if k > config.term_budget:
+        raise EngineError(f"term budget {config.term_budget} exceeded by a KR string "
+                          f"of {k} factors")
     return psi_to_y(cartan, kr_weight(cartan, i, k, x))
 
 
@@ -378,24 +392,24 @@ def sl2_kr_char(k: int, x, bound: int | None = None) -> TruncatedCharacter:
 def _strings(positions, d: int):
     """Greedy decomposition of an exponent multiset into unlinked strings.
 
-    ``positions``: (cid, off2, positive exponent) triples for one node.
-    Returns (cid, bottom off2, length) triples; strings step by d, which
-    is 2d in off2.  Strings never link across cosets, so the top of each
-    string may be taken in int order.
+    ``positions``: (site, positive exponent) pairs for one node.  Returns
+    (bottom site, length) pairs; strings step by d, which is 2d half steps.
+    Strings never link across lanes, so the top of each string may be
+    taken in int order.
     """
-    rem = {(c, o): e for c, o, e in positions}
-    step = 2 * d
+    rem = dict(positions)
+    step = 2 * d << 32
     out = []
     while rem:
-        c, top = max(rem)
+        top = max(rem)
         bottom = top
-        while rem.get((c, bottom - step), 0) > 0:
+        while rem.get(bottom - step, 0) > 0:
             bottom -= step
         for p in range(bottom, top + 1, step):
-            rem[c, p] -= 1
-            if not rem[c, p]:
-                del rem[c, p]
-        out.append((c, bottom, (top - bottom) // step + 1))
+            rem[p] -= 1
+            if not rem[p]:
+                del rem[p]
+        out.append((bottom, (top - bottom) // step + 1))
     return out
 
 
@@ -407,22 +421,26 @@ _SL2_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_SL2_CACHE_SIZE)
-def _sl2_node_expansion(i: int, positions: tuple, d: int, cap: int | None,
-                        budget: int) -> tuple:
+def _sl2_node_expansion(positions: tuple, d: int, cap: int | None, budget: int) -> tuple:
     """sl2 character of an i-dominant string content as ledger chains.
 
-    ``positions`` is a tuple of (cid, off2, positive exponent) triples for
-    node i, ``d`` is d_i.  Returns a tuple of (AVector in node-i A^-1
-    factors, multiplicity); the unit chain comes first with multiplicity 1.
-    ``cap`` limits the chain height, ``budget`` the number of chains.
+    ``positions`` is a tuple of (site, positive exponent) pairs for node i,
+    ``d`` is d_i.  Returns a tuple of (AVector in node-i A^-1 factors,
+    multiplicity); the unit chain comes first with multiplicity 1.  ``cap``
+    limits the chain height, ``budget`` the number of chains and the
+    factors of the chains of one string.
     """
     chains = {AVector.unit(): 1}
-    for c, bottom, length in _strings(positions, d):
+    step = 2 * d << 32
+    for bottom, length in _strings(positions, d):
         lmax = length if cap is None else min(length, cap)
-        # chain l of the string at bottom b is A_{b-d/2} ... A_{b+(l-3/2)d}:
-        # in off2, bottom - d + 2dm for m < l
-        string_chains = [(AVector(tuple((i, c, bottom - d + 2 * d * m, 1) for m in range(l)),
-                                  canonical=True), 1) for l in range(lmax + 1)]
+        if lmax * (lmax + 1) // 2 > budget:
+            raise EngineError(f"term budget {budget} exceeded by the chains of a "
+                              f"node-sl2 string of length {lmax}")
+        # chain l of the string at bottom b is A_{b-d/2} ... A_{b+(l-3/2)d}
+        base = bottom - (d << 32)
+        string_chains = [(AVector(tuple(range(base, base + l * step, step)), canonical=True), 1)
+                         for l in range(lmax + 1)]
         chains = _ledger_mul(chains.items(), string_chains, cap, budget)
     return tuple(chains.items())
 
@@ -491,8 +509,10 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
 
 
 def _fm_expand(cartan, top, bound, config):
-    # Terms are keyed by their exps tuples, so the work dicts hash and
-    # compare ints only; AVectors are built for the result alone.
+    # Terms are keyed by their sorted site tuples, so a new term is one C
+    # sort and the work dicts hash and compare ints only; AVectors are built
+    # for the result alone.  The budget bounds the terms and, separately,
+    # their stored factors.
     # Invariant: ymon[v] == top * avector_to_y(cartan, v) for every queued v.
     # A new term v2 = v * chain is reached from a popped v, and avector_to_y
     # is a homomorphism, so its Y-monomial is built from v's as
@@ -501,9 +521,10 @@ def _fm_expand(cartan, top, bound, config):
     if not is_dominant(top):
         raise ValueError(f"fm_expand requires a dominant top, got {format_monomial(top)}")
     top_psi = y_to_psi(cartan, top)
+    budget = config.term_budget
     explained = {i: {} for i in cartan.nodes}
     result = {}
-    seq = 0
+    seq = factors = 0
     heap = [(0, 0, ())]
     seen = {()}
     ymon = {(): top}
@@ -521,24 +542,24 @@ def _fm_expand(cartan, top, bound, config):
                 continue
             if deficit < 0:
                 raise EngineError("engine fault: node coverage exceeds multiplicity")
-            positions = tuple((c, o, e) for j, c, o, e in m.exps if j == i)
-            if any(t[2] < 0 for t in positions):
+            positions = _at_node(m.exps, i)
+            if any(e < 0 for _, e in positions):
                 raise EngineError(
                     f"expansion blocked: monomial {format_monomial(m)} has unexplained "
                     f"multiplicity at node {i} but is not {i}-dominant")
             cap = None if bound is None else bound - h
-            for chain, c in _sl2_node_expansion(i, positions, cartan.d[i - 1], cap,
-                                                config.term_budget):
-                v2 = _merge(v, chain.exps)
+            for chain, c in _sl2_node_expansion(positions, cartan.d[i - 1], cap, budget):
+                v2 = tuple(sorted(v + chain.sites))
                 ex[v2] = ex.get(v2, 0) + c * deficit
                 if v2 not in seen:
                     seen.add(v2)
-                    if len(seen) > config.term_budget:
-                        raise EngineError(f"term budget {config.term_budget} exceeded "
-                                          "during expansion")
+                    factors += len(v2)
+                    if len(seen) > budget or factors > budget:
+                        raise EngineError(f"term budget {budget} exceeded during expansion "
+                                          f"({len(seen)} terms, {factors} factors)")
                     ymon[v2] = m * avector_to_y(cartan, chain)
                     seq += 1
-                    heapq.heappush(heap, (h + chain.height, seq, v2))
+                    heapq.heappush(heap, (h + len(chain.sites), seq, v2))
     return TruncatedCharacter.make(top_psi, result, bound)
 
 
@@ -557,7 +578,7 @@ def stabilize(cartan: CartanData, i: int, x, bound: int,
         raise ValueError("height bound must be >= 0")
     prev = None
     for k in range(config.stabilization_k_ceiling + 2):
-        cur = fm_expand(cartan, kr_top_y(cartan, i, k, x), bound, config).terms
+        cur = fm_expand(cartan, kr_top_y(cartan, i, k, x, config), bound, config).terms
         if prev is not None and cur == prev:
             return (TruncatedCharacter(PsiMonomial.unit(), cur, bound), k - 1)
         prev = cur
@@ -608,32 +629,30 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
     x = coord(x)
     di = cartan.di(i)
     inner = None if bound is None else bound + k
-    a = fm_expand(cartan, kr_top_y(cartan, i, k, 0), inner, config)
-    b = fm_expand(cartan, kr_top_y(cartan, i, k + t, di), inner, config)
-    c = fm_expand(cartan, kr_top_y(cartan, i, k - 1, di), inner, config)
-    d = fm_expand(cartan, kr_top_y(cartan, i, k + t + 1, 0), inner, config)
-    big = char_mul(a, b, config)
-    small = char_mul(c, d, config)
-    if big.top != small.top:
+    a, b, c, d = (fm_expand(cartan, kr_top_y(cartan, i, kk, base, config), inner, config)
+                  for kk, base in ((k, 0), (k + t, di), (k - 1, di), (k + t + 1, 0)))
+    if a.top * b.top != c.top * d.top:
         raise EngineError("engine fault: SES tensor tops disagree")
-    diff = big.term_dict()
-    for v, cc in small.terms:
-        diff[v] = diff.get(v, 0) - cc
-    diff = {v: cc for v, cc in diff.items() if cc}
-    if any(cc < 0 for cc in diff.values()):
+    # One accumulator on site tuples: a*b added, c*d subtracted.  A key that
+    # c*d adds is already a negative coefficient, so the budget on the
+    # accumulator bounds each product exactly when the difference is valid.
+    budget = config.term_budget
+    diff = _ledger_acc(c.terms, d.terms, inner, budget,
+                       _ledger_acc(a.terms, b.terms, inner, budget), -1)
+    if min(diff.values()) < 0:
         raise EngineError("negative coefficient in SES difference: engine fault")
     # rebase: the kernel top is w * prod_{m=1..k} A_{i,m d_i}^-1
     v0 = AVector(tuple(((i, m * di), 1) for m in range(1, k + 1)))
-    if diff.get(v0) != 1:
+    if diff.get(v0.sites) != 1:
         raise EngineError("SES difference is missing its expected top term")
     rebased = {}
     for v, cc in diff.items():
-        if not v.contains(v0):
-            raise EngineError(f"SES difference term {format_monomial(v)} does not contain "
-                              "the kernel top ledger")
-        rebased[v.divide(v0)] = cc
-    top = big.top * avector_to_psi(cartan, v0)
-    out = TruncatedCharacter.make(top, rebased, bound)
-    out = out.truncate(bound)
+        if cc:
+            q = _remove(v, v0.sites)
+            if q is None:
+                raise EngineError(f"SES difference term {AVector(v, canonical=True)!r} "
+                                  "does not contain the kernel top ledger")
+            rebased[AVector(q, canonical=True)] = cc
+    top = a.top * b.top * avector_to_psi(cartan, v0)
     # place the top at x (the raw sequence realizes it at x0 = (k+1) d_i)
-    return out.shift(x - (k + 1) * di)
+    return TruncatedCharacter.make(top, rebased, bound).shift(x - (k + 1) * di)

@@ -17,7 +17,7 @@ from .cartan import LieType, build_cartan
 from .coords import coord
 from .characters import (
     EngineConfig, EngineError, asymptotic_char, demazure_char_via_ses,
-    demazure_weight, fm_expand, kr_top_y, m_weight, n_weight, prefundamental_char,
+    fm_expand, kr_top_y, m_weight, n_weight, prefundamental_char,
 )
 from .identities import (
     IdentitySpec, run_identity, to_multiplicative, verify_multiplicative_tq,
@@ -181,7 +181,7 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             cartan = build_cartan(LieType.parse(args.type))
             i = args.node
             if args.what == "kr":
-                ch = fm_expand(cartan, kr_top_y(cartan, i, int(args.k), coord(args.x)),
+                ch = fm_expand(cartan, kr_top_y(cartan, i, int(args.k), coord(args.x), eng),
                                height, eng)
             elif args.what == "demazure":
                 ch = demazure_char_via_ses(cartan, i, args.t, int(args.k),
@@ -252,7 +252,8 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             return 0 if report.verdict else 1
         if not args.monomial:
             raise UsageError("translate needs --monomial or --check-tq")
-        mono = parse_monomial(args.monomial, kind="Psi")
+        mono = parse_monomial(args.monomial, build_cartan(LieType.parse(args.type)),
+                              kind="Psi")
         if not isinstance(mono, PsiMonomial):
             raise UsageError("translation input must be a Psi monomial")
         text = format_monomial(to_multiplicative(mono))

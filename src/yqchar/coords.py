@@ -3,7 +3,8 @@
 A coordinate is an element of Q + Q<x1, x2, ...> where the x's are named
 formal symbols.  This replaces complex spectral parameters so that equality,
 half-integrality and genericity tests are all decidable.  Monomials store
-coordinates as integer keys (``encode``, below).
+coordinates as integer keys (``encode``, below), joined with the node into
+one int site (see ``monomials``).
 """
 from __future__ import annotations
 
@@ -195,10 +196,11 @@ def parse_coord(text: str) -> Coord:
 # ---------------------------------------------------------------------------
 # Integer keys.  A coordinate is encoded as (cid, off2): cid interns its
 # coset (symbolic part, rational residue in [0, 1/2)) as a small int, and
-# off2 = 2 (rat - residue).  Within one coset, off2 order is Coord order;
-# cids are numbered in order of first use and carry no order, so output
-# code sorts decoded coordinates by ``Coord.sort_key``.  The intern table
-# grows by one entry per distinct coset a process meets.
+# off2 = 2 (rat - residue), an int of any size.  Within one coset, off2
+# order is Coord order, and across cosets with one symbolic part Coord order
+# is (off2, residue) order; cids are numbered in order of first use and
+# carry no order.  The intern table grows by one entry per distinct coset a
+# process meets.
 # ---------------------------------------------------------------------------
 
 _COSETS: list = []          # cid -> (sym, residue)

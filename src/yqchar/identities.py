@@ -6,7 +6,7 @@ Also houses the additive-to-multiplicative convention translation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CartanData, LieType, build_cartan
@@ -180,7 +180,7 @@ def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
             if rem:
                 raise EngineError(f"k={k} does not realize a node-{j} KR factor")
             expected_n = expected_n * kr_weight(cartan, j, length, base)
-            ch = fm_expand(cartan, kr_top_y(cartan, j, length, base), bound, config)
+            ch = fm_expand(cartan, kr_top_y(cartan, j, length, base, config), bound, config)
             den = _ledger_mul(den.items(), ch.terms, bound, config.term_budget)
     if expected_n != n_weight(cartan, i, k, x):
         raise EngineError("KR factors do not assemble the expected n-weight")
@@ -314,7 +314,7 @@ def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
     other term divisible by A^-1_{i,x} times an allowed off-node factor."""
     x = coord(x)
     di = cartan.di(i)
-    char = fm_expand(cartan, kr_top_y(cartan, i, k, x), bound, config)
+    char = fm_expand(cartan, kr_top_y(cartan, i, k, x, config), bound, config)
     chains = {AVector(tuple(((i, x + m * di), 1) for m in range(l + 1)))
               for l in range(k)}
     zsets = {ip: _skeleton_zset(cartan, i, ip, k, x)

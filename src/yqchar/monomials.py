@@ -12,18 +12,21 @@ Three sparse Laurent-monomial types over the key set (node, coordinate):
 All types are immutable, canonical (no zero exponents, sorted keys) and
 hashable.  Spectral coordinates are exact (see coords.Coord).
 
-Storage: ``exps`` is a sorted tuple of int 4-tuples (node, cid, off2, e).
-(cid, off2) is the integer key of the coordinate (``coords.encode``: an
-interned coset of x mod 1/2 and the count of half steps from it) and e
-the nonzero exponent.  Products, hashing, equality and dict lookups so run
-on ints, and a half step in a hot path is off2 +- 1.  The tuple is in
-plain int order, not in Coord order: ``items()`` and ``exp()`` speak Coord
-and give the factors in (node, Coord) order, for printing and cold callers.
+Storage: each (node, x) is one int *site* ``off2 << 32 | lane``, where
+(cid, off2) = ``coords.encode(x)`` and the lane interns (node, cid) in order
+of first use; off2 and the node are exact at any size, and a half step is
++-(1 << 32).  Psi and Y monomials store ``exps``, (site, exponent) pairs
+sorted by site.  An AVector stores ``sites``, its sorted site multiset, so
+its height is ``len(sites)`` and a ledger product is ``tuple(sorted(a +
+b))``, one C merge.  Int order is not Coord order: ``items()`` and
+``ordered()`` give factors in (node, Coord) order, for printing.
 """
 from __future__ import annotations
 
+import threading
+from collections import Counter
 from functools import lru_cache
-from operator import itemgetter
+from itertools import groupby
 
 from .cartan import CartanData, Weight
 from .coords import Coord, coord, decode, encode, shift_coset
@@ -35,21 +38,80 @@ __all__ = [
     "psi_to_y", "y_to_psi", "avector_to_psi", "output_order",
 ]
 
+_LANE = (1 << 32) - 1       # mask of the lane bits of a site
+_LANES: list = []           # lane -> (node, cid)
+_LANE_IDS: dict = {}        # (node, cid) -> lane
+_LANE_LOCK = threading.Lock()
+# Bound on the memos of single sites below.
+_SITE_CACHE_SIZE = 4096
 
-class _ExpMap:
-    """Finitely supported map (node, coordinate) -> nonzero int, canonical form."""
 
-    __slots__ = ("exps", "_hash")
+def _lane(i: int, cid: int) -> int:
+    lane = _LANE_IDS.get((i, cid))
+    if lane is None:
+        with _LANE_LOCK:
+            if len(_LANES) > _LANE:
+                raise OverflowError("more than 2**32 (node, coset) lanes")
+            lane = _LANE_IDS.setdefault((i, cid), len(_LANES))
+            if lane == len(_LANES):
+                _LANES.append((i, cid))
+    return lane
 
-    def __init__(self, exps=(), *, canonical=False):
-        """``exps``: ((node, coordinate), exponent) pairs or a dict of them.
-        ``canonical=True`` takes a canonical tuple of (node, cid, off2, e)
-        instead (as built by ``_merge`` or ``_canon``) and skips all checks."""
-        if not canonical:
-            exps = _canon((i, *encode(x), e) for (i, x), e in
-                          (exps.items() if isinstance(exps, dict) else exps))
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "_hash", hash((type(self).__name__, exps)))
+
+def _site(i: int, x) -> int:
+    """The site of (node i, coordinate x)."""
+    cid, off2 = encode(x)
+    return off2 << 32 | _lane(i, cid)
+
+
+@lru_cache(maxsize=_SITE_CACHE_SIZE)
+def _unsite(s: int) -> tuple:
+    """(node, Coord) of a site."""
+    i, cid = _LANES[s & _LANE]
+    return i, decode(cid, s >> 32)
+
+
+@lru_cache(maxsize=_SITE_CACHE_SIZE)
+def _site_order(s: int) -> tuple:
+    """A key of sites in (node, Coord) order: within a coset rat is off2 / 2
+    plus a fixed residue in [0, 1/2), so rat is compared only at equal off2."""
+    i, x = _unsite(s)
+    return i, x.sym, s >> 32, x.rat
+
+
+def _at_node(exps, i: int) -> tuple:
+    """The (site, e) pairs of ``exps`` at node i."""
+    return tuple(p for p in exps if _LANES[p[0] & _LANE][0] == i)
+
+
+def _moved(sites, a) -> list:
+    """The sites with every coordinate x replaced by x + a, unsorted."""
+    a = coord(a)
+    delta = {}
+    for lane in {s & _LANE for s in sites}:
+        i, cid = _LANES[lane]
+        cid2, d = shift_coset(cid, a)
+        delta[lane] = (d << 32) + _lane(i, cid2) - lane
+    return [s + delta[s & _LANE] for s in sites]
+
+
+def _canon(pairs, base=()) -> tuple:
+    """Canonical exps of the product of canonical ``base`` and (site, e) pairs."""
+    acc = dict(base)
+    for s, e in pairs:
+        acc[s] = acc.get(s, 0) + e
+    return tuple(sorted([p for p in acc.items() if p[1]]))
+
+
+def _sited(exps):
+    """(site, e) pairs of ((node, coordinate), e) pairs or of a dict of them."""
+    return ((_site(i, x), e) for (i, x), e in (exps.items() if isinstance(exps, dict) else exps))
+
+
+class _Monomial:
+    """What the three monomial types share; storage is per type."""
+
+    __slots__ = ("_hash",)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -62,22 +124,44 @@ class _ExpMap:
     def gen(cls, i, x, e=1):
         return cls((((i, x), e),))
 
+    def ordered(self) -> list:
+        """(site, exponent) pairs in (node, Coord.sort_key) order."""
+        return sorted(self.exps, key=lambda p: _site_order(p[0]))
+
     def items(self) -> tuple:
         """((node, Coord), exponent) pairs in (node, Coord.sort_key) order."""
-        ex = self.exps
-        out = [((i, decode(c, o)), e) for i, c, o, e in ex]
-        # Within one (node, coset) off2 order is Coord order; only a node
-        # that spans several cosets needs a sort.
-        if any(a[0] == b[0] and a[1] != b[1] for a, b in zip(ex, ex[1:])):
-            out.sort(key=lambda kv: (kv[0][0], kv[0][1].sort_key()))
-        return tuple(out)
+        return tuple((_unsite(s), e) for s, e in self.ordered())
 
     def exp(self, i, x) -> int:
-        c, o = encode(x)
-        for j, d, p, e in self.exps:
-            if j == i and d == c and p == o:
-                return e
-        return 0
+        s = _site(i, x)
+        return next((e for t, e in self.exps if t == s), 0)
+
+    def __pow__(self, n: int):
+        return type(self)(tuple((k, e * n) for k, e in self.items()))
+
+    def inverse(self):
+        return self ** -1
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        from .textio import format_monomial
+        return format_monomial(self)
+
+
+class _ExpMap(_Monomial):
+    """Finitely supported map (node, coordinate) -> nonzero int, canonical form."""
+
+    __slots__ = ("exps",)
+
+    def __init__(self, exps=(), *, canonical=False):
+        """``exps``: ((node, coordinate), exponent) pairs or a dict of them;
+        ``canonical=True`` takes a tuple as built by ``_canon`` unchecked."""
+        if not canonical:
+            exps = _canon(_sited(exps))
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "_hash", hash(exps))
 
     def is_unit(self) -> bool:
         return not self.exps
@@ -89,94 +173,45 @@ class _ExpMap:
             return self
         if not self.exps:
             return other
-        return type(self)(_merge(self.exps, other.exps), canonical=True)
-
-    def __pow__(self, n: int):
-        return type(self)(tuple((k, e * n) for k, e in self.items()))
-
-    def inverse(self):
-        return self ** -1
+        return type(self)(_canon(other.exps, self.exps), canonical=True)
 
     def shift(self, a):
         """Replace every coordinate x by x + a (a group homomorphism)."""
-        a = coord(a)
-        if a.is_half_integer():     # same cosets, same order
-            d = int(2 * a.rat)
-            return type(self)(tuple((i, c, o + d, e) for i, c, o, e in self.exps),
-                              canonical=True)
-        moved = {c: shift_coset(c, a) for _, c, _, _ in self.exps}
-        return type(self)(tuple(sorted((i, moved[c][0], o + moved[c][1], e)
-                                       for i, c, o, e in self.exps)), canonical=True)
+        moved = _moved([s for s, _ in self.exps], a)
+        return type(self)(tuple(sorted(zip(moved, [e for _, e in self.exps]))),
+                          canonical=True)
 
     def __eq__(self, other):
         return type(self) is type(other) and self.exps == other.exps
 
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        from .textio import format_monomial
-        return format_monomial(self)
-
-
-def _canon(quads) -> tuple:
-    """Canonical exps from (node, cid, off2, e) quads in any order, keys repeated."""
-    acc = {}
-    for i, c, o, e in quads:
-        k = (i, c, o)
-        acc[k] = acc.get(k, 0) + e
-    return tuple(sorted((i, c, o, e) for (i, c, o), e in acc.items() if e))
-
-
-def _merge(a: tuple, b: tuple) -> tuple:
-    """Product of two canonical exponent tuples, in canonical form.
-
-    One pass over both sorted tuples: equal keys add their exponents (and
-    vanish at zero), the rest interleave in int order.  A product of two
-    nonnegative maps stays nonnegative, so AVector needs no sign re-check.
-    """
-    out = []
-    ia = ib = 0
-    na, nb = len(a), len(b)
-    while ia < na and ib < nb:
-        x = a[ia]
-        y = b[ib]
-        if x[0] == y[0] and x[1] == y[1] and x[2] == y[2]:
-            e = x[3] + y[3]
-            if e:
-                out.append((x[0], x[1], x[2], e))
-            ia += 1
-            ib += 1
-        elif x < y:         # keys differ, so the exponents never decide
-            out.append(x)
-            ia += 1
-        else:
-            out.append(y)
-            ib += 1
-    out += a[ia:]
-    out += b[ib:]
-    return tuple(out)
+    __hash__ = _Monomial.__hash__
 
 
 def _term_key(row):
-    return row[0].height, row[0].exps
+    return len(row[0].sites), row[0].sites
 
 
 def output_order(rows) -> list:
     """Rows whose first entry is an AVector, sorted as they are printed: by
-    height, then by factor lists compared in (node, Coord) order.
+    height, then by factor lists ((node, Coord), exponent) compared in
+    (node, Coord) order.
 
-    Storage order is int order, which agrees with Coord order inside one
-    coordinate coset.  Across cosets the distinct coordinates are ranked
-    once and the ranks compared.
+    Sites are ranked once, in that order, as multiples of a bound on the
+    exponents: a factor (rank r, exponent e) is the int r + e - 1, so a row
+    without repeated sites needs no run counting.
     """
     rows = list(rows)
-    keys = {t[1:3] for r in rows for t in r[0].exps}
-    if len({c for c, _ in keys}) < 2:
-        return sorted(rows, key=_term_key)
-    rank = {k: n for n, k in enumerate(sorted(keys, key=lambda k: decode(*k).sort_key()))}
-    return sorted(rows, key=lambda r: (r[0].height, sorted(
-        (i, rank[c, o], e) for i, c, o, e in r[0].exps)))
+    sites = sorted({s for r in rows for s in r[0].sites}, key=_site_order)
+    scale = 1 + max((len(r[0].sites) for r in rows), default=0)
+    rank = dict(zip(sites, range(0, scale * len(sites), scale)))
+
+    def key(row):
+        v = row[0].sites
+        ks = sorted(map(rank.__getitem__, v))
+        if len(set(v)) < len(v):
+            ks = [k + len(list(g)) - 1 for k, g in groupby(ks)]
+        return len(v), ks
+    return sorted(rows, key=key)
 
 
 class PsiMonomial(_ExpMap):
@@ -187,37 +222,72 @@ class YMonomial(_ExpMap):
     """Monomial in the fundamental loop weights Y_{i,x}."""
 
 
-class AVector(_ExpMap):
-    """Product of A_{i,x}^{-1} factors with positive exponents (the A-ledger).
+def _remove(a: tuple, b: tuple):
+    """The sorted site multiset ``a`` less ``b``, or None if ``b`` is not in ``a``."""
+    out = list(a)
+    try:
+        for s in b:
+            out.remove(s)
+    except ValueError:
+        return None
+    return tuple(out)
 
-    ``height`` is the total exponent, computed once.
-    """
 
-    __slots__ = ("height",)
+class AVector(_Monomial):
+    """Product of A_{i,x}^{-1} factors with positive exponents (the A-ledger),
+    stored as its sorted site multiset; ``height`` is the total exponent."""
+
+    __slots__ = ("sites",)
 
     def __init__(self, exps=(), *, canonical=False):
-        super().__init__(exps, canonical=canonical)
-        if not canonical and any(t[3] < 0 for t in self.exps):
-            raise ValueError("AVector exponents must be nonnegative")
-        object.__setattr__(self, "height", sum(map(itemgetter(3), self.exps)))
+        """As for the other types; ``canonical=True`` takes a sorted site tuple."""
+        if not canonical:
+            pairs = _canon(_sited(exps))
+            if any(e < 0 for _, e in pairs):
+                raise ValueError("AVector exponents must be nonnegative")
+            exps = tuple(s for s, e in pairs for _ in range(e))
+        object.__setattr__(self, "sites", exps)
+        object.__setattr__(self, "_hash", hash(exps))
 
-    def _quotient(self, other: "AVector") -> tuple:
-        return _merge(self.exps, tuple((i, c, o, -e) for i, c, o, e in other.exps))
+    @property
+    def height(self) -> int:
+        return len(self.sites)
+
+    @property
+    def exps(self) -> tuple:
+        """(site, exponent) pairs sorted by site."""
+        return tuple(Counter(self.sites).items())
+
+    def is_unit(self) -> bool:
+        return not self.sites
+
+    def __mul__(self, other):
+        if type(other) is not AVector:
+            raise TypeError(f"cannot multiply AVector by {type(other).__name__}")
+        return AVector(tuple(sorted(self.sites + other.sites)), canonical=True)
+
+    def shift(self, a):
+        """Replace every coordinate x by x + a."""
+        return AVector(tuple(sorted(_moved(self.sites, a))), canonical=True)
+
+    def __eq__(self, other):
+        return type(other) is AVector and self.sites == other.sites
+
+    __hash__ = _Monomial.__hash__
 
     def contains(self, other: "AVector") -> bool:
-        return all(t[3] > 0 for t in self._quotient(other))
+        return _remove(self.sites, other.sites) is not None
 
     def divide(self, other: "AVector") -> "AVector":
-        q = self._quotient(other)
-        if any(t[3] < 0 for t in q):
+        q = _remove(self.sites, other.sites)
+        if q is None:
             raise ValueError(f"{self!r} is not divisible by {other!r}")
         return AVector(q, canonical=True)
 
 
-
 # ---------------------------------------------------------------------------
-# Expansions between the bases, on storage keys: a coordinate x is
-# (cid, o), and x + s/2 is (cid, o + s).
+# Expansions between the bases, on sites: x + s/2 at node j is a site of
+# the lane (j, cid of x), s half steps up.
 # ---------------------------------------------------------------------------
 
 # Bound on the memoized offset tables below: one entry per Cartan type.
@@ -228,7 +298,8 @@ _OFFSETS_CACHE_SIZE = 64
 def _offsets(cartan: CartanData) -> tuple:
     """Per node i (at index i - 1): A_{i,x} in the Psi basis, A_{i,x} in the
     Y basis and Y_{i,x} in the Psi basis, each as (node, off2 offset from x,
-    exponent) triples.  With 2 d_ij = d_i c_ij,
+    exponent) triples; then the same per lane, as site deltas.  With
+    2 d_ij = d_i c_ij,
 
       A_{i,x} = prod_j Psi_{j,x+d_ij} / Psi_{j,x-d_ij}   (skip d_ij = 0)
               = Y_{i,x-d_i/2} Y_{i,x+d_i/2}
@@ -247,20 +318,31 @@ def _offsets(cartan: CartanData) -> tuple:
             (j, s, -1) for j in cartan.nodes
             for s in range(cartan.cij(j, i) + 1, -cartan.cij(j, i), 2)]
         out.append((tuple(a_psi), tuple(a_y), ((i, di, 1), (i, -di, -1))))
-    return tuple(out)
+    # per basis, {lane: ((site delta, exponent), ...)}, filled as lanes are met
+    return tuple(out), ({}, {}, {})
 
 
-def _expand(cartan: CartanData, exps: tuple, basis: int, sign: int) -> tuple:
-    """Canonical exps of the product over the factors (i, x)^e in ``exps``
-    of (expansion number ``basis`` of (i, x))^(sign e), see ``_offsets``."""
-    table = _offsets(cartan)
-    return _canon((j, c, o + s, sign * f * e) for i, c, o, e in exps
-                  for j, s, f in table[i - 1][basis])
+def _expand(cartan: CartanData, exps, basis: int, sign: int) -> tuple:
+    """Canonical exps of the product over the (site, e) factors in ``exps``
+    of (expansion number ``basis`` of the site)^(sign e), see ``_offsets``."""
+    by_node, by_lane = _offsets(cartan)
+    tables = by_lane[basis]
+    out = []
+    for s, e in exps:
+        lane = s & _LANE
+        table = tables.get(lane)
+        if table is None:
+            i, cid = _LANES[lane]
+            table = tables[lane] = tuple(((o << 32) + _lane(j, cid) - lane, f)
+                                         for j, o, f in by_node[i - 1][basis])
+        e *= sign
+        out += [(s + d, f * e) for d, f in table]
+    return _canon(out)
 
 
 def _gen(cartan: CartanData, i: int, x) -> tuple:
     cartan.check_node(i)
-    return ((i, *encode(x), 1),)
+    return ((_site(i, x), 1),)
 
 
 def expand_A_to_Psi(cartan: CartanData, i: int, x) -> PsiMonomial:
@@ -295,30 +377,33 @@ def avector_to_y(cartan: CartanData, v: AVector) -> YMonomial:
 def psi_to_y(cartan: CartanData, m: PsiMonomial) -> YMonomial:
     """Factor a Psi-monomial in the lattice P into Y's.
 
-    Per node and per class of coordinates mod d_i (one coset, off2 mod
+    Per node and per class of coordinates mod d_i (one lane, off2 mod
     2 d_i), solve the telescoping system e_{i,x} = c_{i,x-d_i/2} -
     c_{i,x+d_i/2} from the top down.  Raises ValueError if m is not a
     product of Y's.
     """
     classes = {}
-    for i, c, o, e in m.exps:
-        classes.setdefault((i, c, o % (2 * cartan.d[i - 1])), []).append((o, e))
+    for s, e in m.exps:
+        lane = s & _LANE
+        classes.setdefault((lane, (s >> 32) % (2 * cartan.d[_LANES[lane][0] - 1])),
+                           []).append((s, e))
     factors = []
     residual = []
-    for (i, c, _), xs in classes.items():
-        di = cartan.d[i - 1]
+    for (lane, _), xs in classes.items():
+        i = _LANES[lane][0]
+        h = cartan.d[i - 1] << 32       # d_i / 2
         carry = 0          # c_{i, x + d_i/2} for the position above
         prev = None
-        for o, e in reversed(xs):       # descending
+        for s, e in reversed(xs):       # descending
             if prev is not None and carry:
-                # positions strictly between prev and o have e = 0
-                factors += [(i, c, p - di, carry) for p in range(prev - 2 * di, o, -2 * di)]
-            prev = o
+                # positions strictly between prev and s have e = 0
+                factors += [(p - h, carry) for p in range(prev - 2 * h, s, -2 * h)]
+            prev = s
             carry += e
             if carry:
-                factors.append((i, c, o - di, carry))
+                factors.append((s - h, carry))
         if carry:
-            residual.append((i, decode(c, xs[-1][0]), decode(c, xs[0][0])))
+            residual.append((i, _unsite(xs[-1][0])[1], _unsite(xs[0][0])[1]))
     if residual:
         # Name the class met first in (node, descending Coord) order.
         i = min(r[0] for r in residual)
@@ -350,7 +435,7 @@ def weight_projection(cartan: CartanData, m) -> Weight:
 
 def is_dominant(m: YMonomial) -> bool:
     """All Y-exponents nonnegative (element of P_+)."""
-    return all(t[3] >= 0 for t in m.exps)
+    return all(e >= 0 for _, e in m.exps)
 
 
 def is_right_negative(m: YMonomial) -> bool:

@@ -15,8 +15,10 @@ A-ledger (AVector).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .cartan import CartanData
+from . import monomials as M
 from .coords import parse_coord
 
 _FACTOR = re.compile(
@@ -55,15 +57,16 @@ def parse_monomial(text: str, cartan: CartanData | None = None, kind: str | None
     """Parse a monomial string; returns PsiMonomial, YMonomial or AVector.
 
     ``cartan`` is required whenever a basis conversion is needed (mixed
-    products, or any A factor that must be expanded).  ``kind`` forces the
-    result basis ("Psi", "Y" or "A"); the empty product "1" needs it.
+    products, or any A factor that must be expanded); when given, every node
+    is checked against it.  ``kind`` forces the result basis ("Psi", "Y" or
+    "A"); the empty product "1" needs it.
     """
-    from . import monomials as M
-
     if text.strip() == "1":
         cls = {"Psi": M.PsiMonomial, "Y": M.YMonomial, "A": M.AVector, None: M.PsiMonomial}[kind]
         return cls.unit()
     factors = _scan(text)
+    for _, i, _, _ in factors if cartan is not None else ():
+        cartan.check_node(i)
     heads = {h for h, *_ in factors}
     if kind is not None:
         heads.add({"Psi": "Psi", "Y": "Y", "A": "_A"}[kind])
@@ -98,19 +101,22 @@ def parse_monomial(text: str, cartan: CartanData | None = None, kind: str | None
     return out
 
 
+# Bound on the memo of formatted factors.
+_TEXT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_TEXT_CACHE_SIZE)
+def _factor_text(head: str, site: int, e: int) -> str:
+    i, x = M._unsite(site)
+    cs = f"q^{x}" if head == "Phi" else str(x)
+    return f"{head}[{i},{cs}]" + ("" if e == 1 else f"^{e}")
+
+
 def format_monomial(m) -> str:
     """Canonical string form; inverse of parse_monomial on its output."""
-    from . import monomials as M
-
     head = {"PsiMonomial": "Psi", "YMonomial": "Y", "AVector": "A",
             "MultiplicativeMonomial": "Phi"}[type(m).__name__]
     if m.is_unit():
         return "1"
-    parts = []
-    for (i, x), e in m.items():
-        if isinstance(m, M.AVector):
-            e = -e
-        suffix = "" if e == 1 else f"^{e}"
-        cs = f"q^{x}" if head == "Phi" else str(x)
-        parts.append(f"{head}[{i},{cs}]{suffix}")
-    return " ".join(parts)
+    sign = -1 if head == "A" else 1
+    return " ".join([_factor_text(head, s, sign * e) for s, e in m.ordered()])

@@ -1,16 +1,19 @@
 """Character container, ledger arithmetic, and the expansion engine."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import yqchar.characters as characters
 from yqchar.cartan import LieType, build_cartan
 from yqchar.coords import Coord, coord
-from yqchar.monomials import AVector, PsiMonomial, YMonomial, output_order, psi_to_y
+from yqchar.monomials import (
+    AVector, PsiMonomial, YMonomial, avector_to_psi, output_order, psi_to_y,
+)
 from yqchar.characters import (
-    EngineConfig, EngineError, TruncatedCharacter, _ledger_mul,
+    EngineConfig, EngineError, TruncatedCharacter, _ledger_acc, _ledger_mul,
     asymptotic_char, char_add, char_mul, compare_characters,
     demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
     kr_top_y, kr_weight, m_weight, n_weight, prefundamental_char,
@@ -315,6 +318,126 @@ def test_ledger_mul_budget_counts_distinct_terms():
     assert len(_ledger_mul(ch.terms, ch.terms, None, 10)) == 10
     with pytest.raises(EngineError):
         _ledger_mul(ch.terms, ch.terms, None, 9)
+
+
+# -- factors against the term budget ------------------------------------------
+
+def test_fm_expand_budget_counts_stored_factors():
+    top = kr_top_y(A2, 1, 3, "1/5")     # 10 terms holding 30 factors
+    assert fm_expand(A2, top, None, EngineConfig(term_budget=30)).dimension() == 10
+    with pytest.raises(EngineError, match=r"\(10 terms, 30 factors\)"):
+        fm_expand(A2, top, None, EngineConfig(term_budget=29))
+
+
+def test_node_sl2_chains_count_their_factors():
+    # the chains of one string of length 5 hold 1 + 2 + ... + 5 factors
+    top = kr_top_y(A1, 1, 5, "1/7")
+    assert fm_expand(A1, top, None, EngineConfig(term_budget=15)).dimension() == 6
+    with pytest.raises(EngineError, match="node-sl2 string of length 5"):
+        fm_expand(A1, top, None, EngineConfig(term_budget=14))
+    assert fm_expand(A1, top, 2, EngineConfig(term_budget=14)).dimension() == 3
+
+
+def test_kr_top_y_refuses_a_string_above_the_budget():
+    assert kr_top_y(A1, 1, 10, 0, EngineConfig(term_budget=10)) == \
+        YMonomial(tuple(((1, Fraction(2 * m + 1, 2)), 1) for m in range(10)))
+    with pytest.raises(EngineError, match="KR string of 11 factors"):
+        kr_top_y(A1, 1, 11, 0, EngineConfig(term_budget=10))
+    with pytest.raises(EngineError):        # refused before it is built
+        kr_top_y(A1, 1, 10 ** 15, 0)
+
+
+# -- the fused SES difference (property) ---------------------------------------
+
+# Ledgers over coordinates far beyond 64 bits and nodes up to 20.
+huge_ledger_coords = st.builds(
+    lambda base, n, c: Coord(base + Fraction(n, 2)) + Coord.var("x", c),
+    st.sampled_from((Fraction(10 ** 30, 7), Fraction(-10 ** 30 - 1, 2), Fraction(0))),
+    st.integers(min_value=-2, max_value=2), st.sampled_from((0, 0, 1)))
+huge_ledgers = st.lists(st.tuples(
+    st.lists(st.tuples(st.integers(min_value=1, max_value=20), huge_ledger_coords,
+                       st.integers(min_value=1, max_value=2)), max_size=3),
+    st.integers(min_value=1, max_value=3)), max_size=4).map(lambda rows: build_ledger(rows)[0])
+
+
+def reference_product(la, lb, bound):
+    """Test-only reference: a truncated ledger product on Counter keys."""
+    out = {}
+    for va, ca in la.items():
+        for vb, cb in lb.items():
+            k = frozenset((Counter(dict(va.items())) + Counter(dict(vb.items()))).items())
+            if bound is None or sum(dict(k).values()) <= bound:
+                out[k] = out.get(k, 0) + ca * cb
+    return out
+
+
+@given(huge_ledgers, huge_ledgers, huge_ledgers, huge_ledgers,
+       st.one_of(st.none(), st.integers(min_value=0, max_value=4)))
+def test_fused_difference_is_the_difference_of_products(la, lb, lc, ld, bound):
+    fused = _ledger_acc(lc.items(), ld.items(), bound, 10 ** 6,
+                        _ledger_acc(la.items(), lb.items(), bound, 10 ** 6), -1)
+    want = reference_product(la, lb, bound)
+    for k, c in reference_product(lc, ld, bound).items():
+        want[k] = want.get(k, 0) - c
+    got = {frozenset(AVector(k, canonical=True).items()): c for k, c in fused.items()}
+    assert {k: c for k, c in got.items() if c} == {k: c for k, c in want.items() if c}
+
+
+def ses_reference(cartan, i, t, k, x, bound):
+    """The SES route before it was fused: two char_mul products, their
+    difference on AVector keys, then contains/divide by the kernel top."""
+    x, di = coord(x), cartan.di(i)
+    inner = None if bound is None else bound + k
+    a, b, c, d = (fm_expand(cartan, kr_top_y(cartan, i, kk, base), inner)
+                  for kk, base in ((k, 0), (k + t, di), (k - 1, di), (k + t + 1, 0)))
+    big, small = char_mul(a, b), char_mul(c, d)
+    assert big.top == small.top
+    diff = big.term_dict()
+    for v, cc in small.terms:
+        diff[v] = diff.get(v, 0) - cc
+    diff = {v: cc for v, cc in diff.items() if cc}
+    v0 = AVector(tuple(((i, m * di), 1) for m in range(1, k + 1)))
+    assert min(diff.values()) > 0 and diff[v0] == 1
+    assert all(v.contains(v0) for v in diff)
+    out = TruncatedCharacter.make(big.top * avector_to_psi(cartan, v0),
+                                  {v.divide(v0): cc for v, cc in diff.items()}, bound)
+    return out.truncate(bound).shift(x - (k + 1) * di)
+
+
+@pytest.mark.parametrize("extra", [AVector.gen(2, "1/3"), AVector.unit()])
+def test_ses_difference_rejects_a_negative_coefficient(monkeypatch, extra):
+    # a fault in the third factor, chi(W_{k-1,d_i}): a term that a*b lacks,
+    # or one coefficient too many on a term it has
+    real, calls = characters.fm_expand, []
+
+    def faulty(cartan, top, bound=None, config=characters.DEFAULT_CONFIG):
+        ch = real(cartan, top, bound, config)
+        calls.append(ch)
+        if len(calls) == 3:
+            terms = ch.term_dict()
+            terms[extra] = terms.get(extra, 0) + 1
+            ch = TruncatedCharacter(ch.top, tuple(terms.items()), ch.height_bound)
+        return ch
+    monkeypatch.setattr(characters, "fm_expand", faulty)
+    with pytest.raises(EngineError, match="negative coefficient in SES difference"):
+        demazure_char_via_ses(A2, 1, 1, 2, 0, 2)
+
+
+ses_coords = st.one_of(
+    st.fractions(min_value=-10 ** 30, max_value=10 ** 30, max_denominator=10 ** 30),
+    st.sampled_from(("x", "k-1/3", "1/2+y"))).map(coord)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(((A1, 1), (A2, 1), (A2, 2), (B2, 1), (B2, 2), (G2, 1), (G2, 2))),
+       st.integers(min_value=0, max_value=1), st.integers(min_value=1, max_value=2),
+       ses_coords, st.integers(min_value=1, max_value=3))
+def test_fused_ses_matches_the_char_mul_route(node, t, k, x, bound):
+    cartan, i = node
+    got = demazure_char_via_ses(cartan, i, t, k, x, bound)
+    want = ses_reference(cartan, i, t, k, x, bound)
+    assert (got.top, got.terms, got.height_bound) == (want.top, want.terms, want.height_bound)
+    assert got.to_json() == want.to_json()
 
 
 # -- the expansion cache -----------------------------------------------------

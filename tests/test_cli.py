@@ -114,6 +114,27 @@ def test_engine_exhaustion_exits_three(tmp_path):
     assert code == 3 and "engine error" in err
 
 
+def test_complete_kr_characters_are_bounded_by_stored_factors(tmp_path):
+    # W_k of A1 stores k (k + 1) / 2 factors in k + 1 terms: k = 10000 is
+    # refused before its first node-sl2 string is built, k beyond the
+    # budget before its Y-string is built
+    for k in ("10000", "2000000"):
+        code, out, err = run(["qchar", "kr", "--type", "A1", "--node", "1", "--k", k])
+        assert code == 3 and out == ""
+        assert err.startswith("engine error: term budget 1000000") and err.count("\n") == 1
+    # a truncated character of the same module stays cheap
+    code, out, _ = run(["qchar", "kr", "--type", "A1", "--node", "1", "--k", "10000",
+                        "--height", "2"])
+    assert code == 0 and out.count("A[1,") == 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"term_budget": 29}))
+    argv = ["qchar", "kr", "--type", "A2", "--node", "1", "--k", "3", "--config", str(cfg)]
+    code, _, err = run(argv)    # 10 terms, 30 factors
+    assert code == 3 and "(10 terms, 30 factors)" in err
+    cfg.write_text(json.dumps({"term_budget": 30}))
+    assert run(argv)[0] == 0
+
+
 def test_help_exits_zero():
     assert run(["--help"])[0] == 0
 
@@ -191,6 +212,24 @@ def test_translate_monomial():
                         "--monomial", "Psi[1,1/2+x] /Psi[1,-1/2+x]"])
     assert code == 0
     assert out.strip() == "Phi[1,q^-1/2+x]^-1 Phi[1,q^1/2+x]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--monomial", "Psi[0,1] /Psi[99,x]"],
+    ["--monomial", "Psi[1,x] /Psi[3,x]"],
+    ["--monomial", "Psi[4,x]", "--type", "A3"],
+    ["--monomial", "Psi[1,x]", "--type", "Q3"],
+])
+def test_translate_checks_nodes_against_the_type(argv):
+    code, out, err = run(["translate", "--to", "multiplicative", *argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_translate_reads_nodes_of_the_given_type():
+    code, out, _ = run(["translate", "--to", "multiplicative", "--monomial",
+                        "Psi[3,x] /Psi[1,0]", "--type", "A3"])
+    assert code == 0 and out == "Phi[1,q^0]^-1 Phi[3,q^x]\n"
 
 
 def test_translate_check_tq():

@@ -1,4 +1,5 @@
 """Monomial calculus: expansions, conversions, projections, predicates."""
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -314,3 +315,72 @@ def test_psi_to_y_names_the_first_residual_class():
     m = parse_monomial("Psi[1,0] /Psi[1,1] Psi[1,1/3] Psi[1,7/3]")
     with pytest.raises(ValueError, match=r"residual Psi_\{1,1/3\}"):
         psi_to_y(B2, m)
+
+
+# -- the site multiset at its edges (property) --------------------------------
+
+# Coordinates far beyond 64 bits, half steps apart around a few huge bases
+# (so that factors meet and cancel), plus unrelated huge rationals and a
+# symbolic part; nodes up to 20.
+huge_bases = st.sampled_from((Fraction(10 ** 30, 7), Fraction(-10 ** 30 - 1, 2),
+                              Fraction(0), Fraction(1, 3) - 10 ** 29))
+huge_coords = st.one_of(
+    st.builds(lambda base, n, c: Coord(base + Fraction(n, 2)) + Coord.var("x", c),
+              huge_bases, st.integers(min_value=-3, max_value=3),
+              st.sampled_from((0, 0, 1, Fraction(-1, 2)))),
+    st.fractions(min_value=-10 ** 30, max_value=10 ** 30, max_denominator=10 ** 6).map(Coord))
+site_factors = st.lists(st.tuples(st.integers(min_value=1, max_value=20), huge_coords,
+                                  st.integers(min_value=1, max_value=3)), max_size=6)
+
+
+def counter_of(factors) -> Counter:
+    out = Counter()
+    for i, x, e in factors:
+        out[i, x] += e
+    return out
+
+
+def in_coord_order(counts: Counter) -> tuple:
+    return tuple(sorted(((k, e) for k, e in counts.items() if e > 0),
+                        key=lambda kv: (kv[0][0], kv[0][1].sort_key())))
+
+
+def avector(factors):
+    return AVector(tuple(((i, x), e) for i, x, e in factors))
+
+
+@given(site_factors)
+def test_site_multiset_round_trips_through_items(fa):
+    v = avector(fa)
+    assert v.items() == in_coord_order(counter_of(fa))
+    assert list(v.sites) == sorted(v.sites) and v.height == len(v.sites)
+    assert v.height == sum(e for _, _, e in fa)
+    assert AVector(v.items()) == v and hash(AVector(v.items())) == hash(v)
+    assert PsiMonomial(v.items()).items() == v.items()
+    assert parse_monomial(format_monomial(v), kind="A") == v
+
+
+@given(site_factors, site_factors)
+def test_contains_and_divide_match_a_counter_reference(fa, fb):
+    a = avector(fa)
+    for b_factors in (fb, fa[::2], fa[1:] + fb[:1]):
+        b = avector(b_factors)
+        ca, cb = counter_of(fa), counter_of(b_factors)
+        assert a.contains(b) == (cb <= ca)
+        if cb <= ca:
+            assert a.divide(b).items() == in_coord_order(ca - cb)
+            assert a.divide(b) * b == a
+        else:
+            with pytest.raises(ValueError):
+                a.divide(b)
+    assert (a * avector(fb)).divide(avector(fb)) == a
+
+
+def test_print_order_does_not_follow_lane_order():
+    # two cosets at one node and one off2, their lanes interned in the
+    # opposite of Coord order (the symbol makes both cosets new)
+    hi, lo = Coord.var("lane_probe") + Fraction(3, 11), Coord.var("lane_probe") + Fraction(2, 11)
+    m = PsiMonomial.gen(1, hi) * PsiMonomial.gen(1, lo)
+    assert format_monomial(m) == "Psi[1,2/11+lane_probe] Psi[1,3/11+lane_probe]"
+    v = AVector.gen(1, hi) * AVector.gen(1, lo)
+    assert format_monomial(v) == "A[1,2/11+lane_probe]^-1 A[1,3/11+lane_probe]^-1"
