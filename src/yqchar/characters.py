@@ -25,7 +25,7 @@ from functools import lru_cache
 from .cartan import CartanData
 from .coords import Coord, coord
 from .monomials import (
-    AVector, PsiMonomial, YMonomial, _at_node, _remove, _term_key, output_order,
+    _HALF, AVector, PsiMonomial, YMonomial, _at_node, _remove, _term_key, output_order,
     avector_to_psi, avector_to_y, expand_A_to_Psi, is_dominant, psi_to_y, y_to_psi,
 )
 from .textio import format_monomial
@@ -398,7 +398,7 @@ def _strings(positions, d: int):
     taken in int order.
     """
     rem = dict(positions)
-    step = 2 * d << 32
+    step = 2 * d * _HALF
     out = []
     while rem:
         top = max(rem)
@@ -431,14 +431,14 @@ def _sl2_node_expansion(positions: tuple, d: int, cap: int | None, budget: int) 
     factors of the chains of one string.
     """
     chains = {AVector.unit(): 1}
-    step = 2 * d << 32
+    step = 2 * d * _HALF
     for bottom, length in _strings(positions, d):
         lmax = length if cap is None else min(length, cap)
         if lmax * (lmax + 1) // 2 > budget:
             raise EngineError(f"term budget {budget} exceeded by the chains of a "
                               f"node-sl2 string of length {lmax}")
         # chain l of the string at bottom b is A_{b-d/2} ... A_{b+(l-3/2)d}
-        base = bottom - (d << 32)
+        base = bottom - d * _HALF
         string_chains = [(AVector(tuple(range(base, base + l * step, step)), canonical=True), 1)
                          for l in range(lmax + 1)]
         chains = _ledger_mul(chains.items(), string_chains, cap, budget)

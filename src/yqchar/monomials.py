@@ -38,7 +38,8 @@ __all__ = [
     "psi_to_y", "y_to_psi", "avector_to_psi", "output_order",
 ]
 
-_LANE = (1 << 32) - 1       # mask of the lane bits of a site
+_HALF = 1 << 32             # a half step of the coordinate, added to a site
+_LANE = _HALF - 1           # mask of the lane bits of a site
 _LANES: list = []           # lane -> (node, cid)
 _LANE_IDS: dict = {}        # (node, cid) -> lane
 _LANE_LOCK = threading.Lock()
@@ -91,7 +92,7 @@ def _moved(sites, a) -> list:
     for lane in {s & _LANE for s in sites}:
         i, cid = _LANES[lane]
         cid2, d = shift_coset(cid, a)
-        delta[lane] = (d << 32) + _lane(i, cid2) - lane
+        delta[lane] = d * _HALF + _lane(i, cid2) - lane
     return [s + delta[s & _LANE] for s in sites]
 
 
@@ -333,7 +334,7 @@ def _expand(cartan: CartanData, exps, basis: int, sign: int) -> tuple:
         table = tables.get(lane)
         if table is None:
             i, cid = _LANES[lane]
-            table = tables[lane] = tuple(((o << 32) + _lane(j, cid) - lane, f)
+            table = tables[lane] = tuple((o * _HALF + _lane(j, cid) - lane, f)
                                          for j, o, f in by_node[i - 1][basis])
         e *= sign
         out += [(s + d, f * e) for d, f in table]
@@ -391,7 +392,7 @@ def psi_to_y(cartan: CartanData, m: PsiMonomial) -> YMonomial:
     residual = []
     for (lane, _), xs in classes.items():
         i = _LANES[lane][0]
-        h = cartan.d[i - 1] << 32       # d_i / 2
+        h = cartan.d[i - 1] * _HALF     # d_i / 2
         carry = 0          # c_{i, x + d_i/2} for the position above
         prev = None
         for s, e in reversed(xs):       # descending

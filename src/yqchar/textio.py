@@ -65,8 +65,9 @@ def parse_monomial(text: str, cartan: CartanData | None = None, kind: str | None
         cls = {"Psi": M.PsiMonomial, "Y": M.YMonomial, "A": M.AVector, None: M.PsiMonomial}[kind]
         return cls.unit()
     factors = _scan(text)
-    for _, i, _, _ in factors if cartan is not None else ():
-        cartan.check_node(i)
+    if cartan is not None:
+        for _, i, _, _ in factors:
+            cartan.check_node(i)
     heads = {h for h, *_ in factors}
     if kind is not None:
         heads.add({"Psi": "Psi", "Y": "Y", "A": "_A"}[kind])
