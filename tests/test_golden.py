@@ -117,6 +117,23 @@ GOLDEN = [
     (("qchar", "demazure", "--type", "G2", "--node", "1", "--k", "2", "--t", "1",
       "--x=1000000000000000000000/7", "--height", "3", "--format", "json"), 0,
      "11e3b882c88693ab"),
+    # Rank-one modules whose entries have large or coprime denominators, a
+    # huge coordinate, and many modes: the relation checker and the
+    # eigenvalue series must stay exact.
+    (("rep-check", "relations", "--kind", "truncated", "--k=7/1000000007",
+      "--x=1/999999937", "--M", "8", "--modes", "3", "--format", "json"), 0,
+     "bb5246d28e80df1c"),
+    (("rep-check", "relations", "--kind", "finite", "--k=7", "--x=1e300", "--modes", "3"),
+     0, "09637a5902470d13"),
+    (("rep-check", "relations", "--kind", "finite", "--k=7", "--x=1/1000000007",
+      "--modes", "6"), 0, "a66724f06236b770"),
+    (("rep-check", "relations", "--kind", "truncated", "--k=1/3",
+      "--x=-10000000000000000000001/7", "--M", "12", "--modes", "5"), 0,
+     "570a1f30f7926bf4"),
+    (("rep-check", "three-term", "--x=1/1000000007", "--y=3/999999937", "--M", "10",
+      "--height", "6"), 0, "c0126ca189206382"),
+    (("rep-check", "qchar", "--kind", "truncated", "--k=-5/2", "--x=1/3", "--M", "7",
+      "--format", "json"), 0, "7adea84f0093277f"),
 ]
 
 
