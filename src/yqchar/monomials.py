@@ -24,7 +24,6 @@ b))``, one C merge.  Int order is not Coord order: ``items()`` and
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from functools import lru_cache
 from itertools import groupby
 
@@ -257,7 +256,7 @@ class AVector(_Monomial):
     @property
     def exps(self) -> tuple:
         """(site, exponent) pairs sorted by site."""
-        return tuple(Counter(self.sites).items())
+        return tuple([(s, len(list(run))) for s, run in groupby(self.sites)])
 
     def is_unit(self) -> bool:
         return not self.sites

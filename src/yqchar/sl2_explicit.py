@@ -11,9 +11,9 @@ series.  Each mode is one super-, sub- or main diagonal, so a module stores
 it as the tuple of its dim coefficients: ``xp[n][i]``, ``xm[n][i]`` and
 ``xi[n][i]`` are the coefficients of xp_n v_i, xm_n v_i and xi_n v_i
 (``xp[n][0]`` and ``xm[n][dim-1]`` are 0, their targets lie outside the
-basis).  The relation checker multiplies these bands directly, in O(dim)
-per product; no dense matrix is ever formed except for the
-``matrices_json`` dump.
+basis).  The public fields hold ``Fraction``s; the relation checker lifts
+them to ints over one common denominator and multiplies bands directly,
+O(dim) per product.  Only ``matrices_json`` forms dense matrices.
 
 Finite modules (k a nonnegative integer) close on dim = k+1 vectors;
 truncated modules keep the first M vectors of the infinite tower, on which
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
 
 from .cartan import LieType, build_cartan
 from .coords import coord
@@ -49,25 +51,29 @@ _SL2 = build_cartan(LieType.parse("A1"))
 # Eigenvalue series (lists of Fractions = 1 + c1/u + c2/u^2 + ...).
 # ---------------------------------------------------------------------------
 
-def psi_ratio_series(m: PsiMonomial, order: int):
-    """Exact u^{-1}-expansion of prod (u+a)^e over the factors of m.
+def psi_ratio_series(m, order: int):
+    """Exact u^{-1}-expansion of prod (u+a)^e over the factors of m: a
+    rank-one PsiMonomial with rational coordinates, or (a, e) pairs.
 
-    Only rational coordinates are allowed (matrix modules are numeric).
-    Each factor (u+a)/u = 1 + a/u is applied in place, in O(order).
+    Each factor (u+a)/u = 1 + a/u is applied in place, in O(order), to the
+    ints S[n] = D^n c_n, D the lcm of the denominators of the a's.
     """
-    out = [Fraction(1)] + [Fraction(0)] * order
-    for (i, a), e in m.items():
-        if i != 1 or not a.is_rational:
+    if isinstance(m, PsiMonomial):
+        if any(i != 1 or not a.is_rational for (i, a), _ in m.items()):
             raise ValueError(f"not a rank-one rational l-weight: {m!r}")
-        a = a.rat
+        m = [(a.rat, e) for (_, a), e in m.items()]
+    D = lcm(*(a.denominator for a, _ in m))
+    out = [1] + [0] * order
+    for a, e in m:
+        p = a.numerator * (D // a.denominator)
         for _ in range(abs(e)):
             if e > 0:       # times (1 + a/u): descending, so out[n-1] is still old
                 for n in range(order, 0, -1):
-                    out[n] += a * out[n - 1]
+                    out[n] += p * out[n - 1]
             else:           # divided by (1 + a/u): ascending, out[n-1] is already new
                 for n in range(1, order + 1):
-                    out[n] -= a * out[n - 1]
-    return out
+                    out[n] -= p * out[n - 1]
+    return [Fraction(c, D ** n) for n, c in enumerate(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -143,20 +149,16 @@ def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
         raise EngineError(f"term budget {config.term_budget} exceeded by a {kind} module "
                           f"of dimension {dim} with {pm_modes} raising/lowering and "
                           f"{xi_modes} Cartan modes")
-    xp = tuple(tuple(_ZERO if i == 0 else (-x + 1 - i) ** n for i in range(dim))
+    xp = tuple(tuple(_ZERO if i == 0 else (1 - i - x) ** n for i in range(dim))
                for n in range(pm_modes))
-    xm = tuple(tuple((-x - i) ** n * (i + 1) * (k - i) if i + 1 < dim else _ZERO
-                     for i in range(dim))
+    xm0 = [(i + 1) * (k - i) for i in range(dim)]
+    xm = tuple(tuple((-i - x) ** n * xm0[i] if i + 1 < dim else _ZERO for i in range(dim))
                for n in range(pm_modes))
-    eigs = [psi_ratio_series(_lweight_psi(k, x, i), xi_modes) for i in range(dim)]
+    # The Psi-ratio acting on v_i: (u+x-1)(u+x+k)/((u+x+i-1)(u+x+i)).
+    eigs = [psi_ratio_series(((x - 1, 1), (x + k, 1), (x + i - 1, -1), (x + i, -1)), xi_modes)
+            for i in range(dim)]
     xi = tuple(tuple(eig[n + 1] for eig in eigs) for n in range(xi_modes))
     return Sl2Module(kind, k, x, dim, n_max, xp, xm, xi)
-
-
-def _lweight_psi(k: Fraction, x: Fraction, i: int) -> PsiMonomial:
-    """Psi-ratio acting on v_i: (u+x-1)(u+x+k)/((u+x+i-1)(u+x+i))."""
-    return PsiMonomial((((1, coord(x - 1)), 1), ((1, coord(x + k)), 1),
-                        ((1, coord(x + i - 1)), -1), ((1, coord(x + i)), -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,33 +187,40 @@ class RelationReport:
         return "\n".join(lines)
 
 
-def _times(a: dict, b: dict, dim: int) -> dict:
-    """Product of two band operators {offset: column}, entry c of the
-    offset-o column being the matrix entry [c+o][c].
+def _times(a: tuple, b: tuple, dim: int) -> tuple:
+    """Product of two lifted band operators (e, {offset: column}): D^e times
+    the operator has the integer entry [c+o][c] at entry c of the offset-o
+    column, so exponents add.
 
     (ab)[c+s][c] = sum over oa+ob = s of a[c+s][c+ob] b[c+ob][c], one term
     per pair of bands, so each column costs O(1).  Entries whose row lies
     outside the basis are neither read nor formed (they stay 0).
     """
+    (ea, a), (eb, b) = a, b
     out = {}
     for ob, cb in b.items():
         for oa, ca in a.items():
             s = oa + ob
-            lo, hi = max(0, -ob, -s), min(dim, dim - ob, dim - s)
-            col = [ca[c + ob] * cb[c] if lo <= c < hi else _ZERO for c in range(dim)]
-            out[s] = [p + q for p, q in zip(out[s], col)] if s in out else col
-    return out
+            lo = max(0, -ob, -s)
+            hi = max(lo, min(dim, dim - ob, dim - s))
+            col = [0] * lo + list(map(mul, ca[lo + ob:hi + ob], cb[lo:hi])) + [0] * (dim - hi)
+            out[s] = list(map(add, out[s], col)) if s in out else col
+    return ea + eb, out
 
 
-def _combine(*terms) -> dict:
-    """The linear combination sum coef * op over (coef, op) pairs."""
+def _combine(D: int, *terms) -> tuple:
+    """The linear combination sum coef * op over (coef, op) pairs of lifted
+    operators, at the largest exponent e: an op of exponent f is scaled by
+    D^(e-f)."""
+    e = max(f for _, (f, _) in terms)
     out = {}
-    for coef, op in terms:
+    for coef, (f, op) in terms:
+        coef *= D ** (e - f)
         for o, col in op.items():
             if coef != 1:
-                col = [-e for e in col] if coef == -1 else [coef * e for e in col]
-            out[o] = [p + q for p, q in zip(out[o], col)] if o in out else col
-    return out
+                col = [-v for v in col] if coef == -1 else [coef * v for v in col]
+            out[o] = list(map(add, out[o], col)) if o in out else col
+    return e, out
 
 
 def relation_instances(n_max: int) -> int:
@@ -233,6 +242,7 @@ def check_relations(mod: Sl2Module, n_max: int | None = None,
 
     Each instance is compared column by column over the safe columns, rows
     ascending within a column; the first disagreeing entry is reported.
+    Entries are ints over D, the lcm of all stored denominators.
     The work, instances times dim, must fit in ``config.term_budget``; a
     larger check raises EngineError before it starts.
     """
@@ -246,41 +256,41 @@ def check_relations(mod: Sl2Module, n_max: int | None = None,
     cols = mod.safe_columns
     failures = []
     checked = 0
-    xp = [{_XP: b} for b in mod.xp]
-    xm = [{_XM: b} for b in mod.xm]
-    xi = [{_XI: b} for b in mod.xi]
-    mul = lambda a, b: _times(a, b, dim)
-    comm = lambda a, b: _combine((1, mul(a, b)), (-1, mul(b, a)))
+    stored = (mod.xp, mod.xm, mod.xi)
+    D = lcm(*{v.denominator for bands in stored for band in bands for v in band})
+    xp, xm, xi = ([(1, {o: [v.numerator * (D // v.denominator) for v in band]})
+                   for band in bands] for o, bands in zip((_XP, _XM, _XI), stored))
+    times = lambda a, b: _times(a, b, dim)
+    combine = lambda *terms: _combine(D, *terms)
+    comm = lambda a, b: combine((1, times(a, b)), (-1, times(b, a)))
+    entry = lambda op, o, c: Fraction(op[1][o][c] if o in op[1] else 0, D ** op[0])
 
     def expect(rel, m, n, lhs, rhs):
         nonlocal checked
         checked += 1
-        offsets = sorted(lhs.keys() | rhs.keys())
-        for c in cols:
-            for o in offsets:
-                if 0 <= c + o < dim:
-                    a = lhs[o][c] if o in lhs else _ZERO
-                    b = rhs[o][c] if o in rhs else _ZERO
-                    if a != b:
-                        failures.append((rel, m, n, c, a, b))
-                        return
+        diff = combine((1, lhs), (-1, rhs))[1]
+        bad = [(c, o) for o, col in diff.items()
+               for c in range(max(cols.start, -o), min(cols.stop, dim - o)) if col[c]]
+        if bad:
+            c, o = min(bad)
+            failures.append((rel, m, n, c, entry(lhs, o, c), entry(rhs, o, c)))
 
     for m in range(n_max + 1):
         for n in range(n_max + 1):
-            expect("commuting Cartan modes", m, n, comm(xi[m], xi[n]), {})
+            expect("commuting Cartan modes", m, n, comm(xi[m], xi[n]), (0, {}))
             expect("raising/lowering bracket", m, n, comm(xp[m], xm[n]), xi[m + n])
     for n in range(n_max + 1):
-        expect("weight grading (+)", 0, n, comm(xi[0], xp[n]), _combine((2, xp[n])))
-        expect("weight grading (-)", 0, n, comm(xi[0], xm[n]), _combine((-2, xm[n])))
+        expect("weight grading (+)", 0, n, comm(xi[0], xp[n]), combine((2, xp[n])))
+        expect("weight grading (-)", 0, n, comm(xi[0], xm[n]), combine((-2, xm[n])))
     for sign, xs in ((1, xp), (-1, xm)):
         tag = "+" if sign > 0 else "-"
         for m in range(n_max + 1):
             for n in range(n_max + 1):
-                lhs = _combine((1, comm(xi[m + 1], xs[n])), (-1, comm(xi[m], xs[n + 1])))
-                anti = _combine((sign, mul(xi[m], xs[n])), (sign, mul(xs[n], xi[m])))
+                lhs = combine((1, comm(xi[m + 1], xs[n])), (-1, comm(xi[m], xs[n + 1])))
+                anti = combine((sign, times(xi[m], xs[n])), (sign, times(xs[n], xi[m])))
                 expect(f"Cartan-Drinfeld ({tag})", m, n, lhs, anti)
-                lhs = _combine((1, comm(xs[m + 1], xs[n])), (-1, comm(xs[m], xs[n + 1])))
-                anti = _combine((sign, mul(xs[m], xs[n])), (sign, mul(xs[n], xs[m])))
+                lhs = combine((1, comm(xs[m + 1], xs[n])), (-1, comm(xs[m], xs[n + 1])))
+                anti = combine((sign, times(xs[m], xs[n])), (sign, times(xs[n], xs[m])))
                 expect(f"same-sign Drinfeld ({tag})", m, n, lhs, anti)
     return RelationReport(not failures, checked, tuple(failures),
                           note=f"{mod.kind} k={mod.k} x={mod.x} dim={mod.dim}")
@@ -302,13 +312,14 @@ def extract_qchar(mod: Sl2Module) -> TruncatedCharacter:
         PsiMonomial.gen(1, x + mod.k) * PsiMonomial.gen(1, x, -1)
     order = len(mod.xi) - 1
     terms = {}
+    chain = AVector.unit()
     for i in range(mod.dim):
-        chain = AVector(tuple(((1, x + m), 1) for m in range(i)))
         predicted = psi_ratio_series(top * avector_to_psi(_SL2, chain), order)
         stored = [Fraction(1)] + [mod.xi[n][i] for n in range(order)]
         if predicted != stored:
             raise ValueError(f"eigenvalue series of v_{i} does not match its ledger chain")
         terms[chain] = 1
+        chain = chain * AVector.gen(1, x + i)
     bound = None if mod.kind == "finite" else mod.dim - 1
     return TruncatedCharacter.make(top, terms, bound)
 
@@ -318,8 +329,8 @@ def verify_sl2_three_term(x, y, M: int, bound: int,
     """[C^2_x][S^x_y] = [S^{x+1}_y] + [S^{x-1}_y], all four characters
     extracted from explicit matrix modules (not the symbolic engine)."""
     x, y = Fraction(x), Fraction(y)
-    if bound > M - 2:
-        raise ValueError("need bound <= M - 2")
+    if not 0 <= bound <= M - 2:
+        raise ValueError("need 0 <= bound <= M - 2")
     two = extract_qchar(build_module("finite", 1, x, n_max=0, config=config))
     mid = extract_qchar(build_module("truncated", x - y, y, n_max=0, M=M, config=config))
     up = extract_qchar(build_module("truncated", x + 1 - y, y, n_max=0, M=M, config=config))

@@ -100,6 +100,8 @@ def test_usage_errors_exit_two(tmp_path):
     assert run(["translate", "--to", "multiplicative"])[0] == 2
     assert run(["translate", "--to", "multiplicative", "--monomial", "Psi[1,"])[0] == 2
     assert run(["no-such-command"])[0] == 2
+    assert run(["rep-check", "three-term", "--height", "-1"]) == \
+        (2, "", "error: need 0 <= bound <= M - 2\n")
     bad = tmp_path / "cfg.json"
     bad.write_text(json.dumps({"output_format": "xml"}))
     assert run(["qchar", "kr", "--type", "A1", "--node", "1",

@@ -18,6 +18,13 @@ from yqchar.sl2_explicit import (
 A1 = build_cartan(LieType.parse("A1"))
 
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# Rationals of huge size or with large (prime) denominators, for the
+# integer arithmetic over a common denominator.
+WIDE = st.one_of(SMALL, st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                                  st.sampled_from((1, 7, 999999937, 1000000007))))
+# Corruptions of one entry, some with a denominator coprime to every
+# denominator the module has.
+BUMPS = (1, -1, Fraction(1, 2), Fraction(1, 7), Fraction(-3, 1000000007))
 
 
 # -- dense reference ---------------------------------------------------------
@@ -106,18 +113,18 @@ def _bump(mod, family, n, i, delta):
 @st.composite
 def modules(draw):
     n_max = draw(st.integers(min_value=0, max_value=3))
-    x = draw(SMALL)
+    x = draw(WIDE)
     if draw(st.booleans()):
         mod = build_module("finite", draw(st.integers(min_value=0, max_value=4)), x,
                            n_max=n_max)
     else:
-        mod = build_module("truncated", draw(SMALL), x, n_max=n_max,
+        mod = build_module("truncated", draw(WIDE), x, n_max=n_max,
                            M=draw(st.integers(min_value=3, max_value=6)))
     if draw(st.integers(min_value=0, max_value=2)):      # corrupt two in three
         family = draw(st.sampled_from(("xp", "xm", "xi")))
         n = draw(st.integers(min_value=0, max_value=len(getattr(mod, family)) - 1))
         i = draw(st.integers(min_value=0, max_value=mod.dim - 1))
-        mod = _bump(mod, family, n, i, draw(st.sampled_from((1, -1, Fraction(1, 2)))))
+        mod = _bump(mod, family, n, i, draw(st.sampled_from(BUMPS)))
     return mod
 
 
@@ -151,7 +158,7 @@ def test_psi_ratio_series_examples():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(SMALL, st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=4),
+@given(st.lists(st.tuples(WIDE, st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=4),
        st.integers(min_value=0, max_value=6))
 def test_psi_ratio_series_matches_convolution(factors, order):
     m, want = PsiMonomial.unit(), [Fraction(1)] + [Fraction(0)] * order
@@ -163,6 +170,7 @@ def test_psi_ratio_series_matches_convolution(factors, order):
         for _ in range(abs(e)):
             want = _series_mul(want, f, order)
     assert psi_ratio_series(m, order) == want
+    assert psi_ratio_series(factors, order) == want
 
 
 # -- construction ------------------------------------------------------------
@@ -304,8 +312,11 @@ def test_three_term_examples():
 
 
 def test_three_term_bound_guard():
-    with pytest.raises(ValueError):
-        verify_sl2_three_term(2, 0, 5, 4)
+    for bound in (4, -1, -5):
+        with pytest.raises(ValueError, match=r"need 0 <= bound <= M - 2"):
+            verify_sl2_three_term(2, 0, 5, bound)
+    assert verify_sl2_three_term(2, 0, 5, 0).verdict
+    assert verify_sl2_three_term(2, 0, 5, 3).verdict
 
 
 def test_relation_instances_counts_the_checks():
