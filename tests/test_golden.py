@@ -134,6 +134,22 @@ GOLDEN = [
       "--height", "6"), 0, "c0126ca189206382"),
     (("rep-check", "qchar", "--kind", "truncated", "--k=-5/2", "--x=1/3", "--M", "7",
       "--format", "json"), 0, "7adea84f0093277f"),
+    # Support scans and the SES route away from x = 0: symbolic, huge and
+    # off-lattice coordinates, t = 0 and t = 2, and a kernel identity in G2.
+    (_v("demazure-support", "B2", 2, "--k", "2", "--x", "x", "--height", "3",
+        "--format", "json"), 0, "6ef027c7dd897c30"),
+    (_v("demazure-support", "G2", 1, "--k", "2", "--x=1000000000000000000000/7",
+        "--height", "3", "--format", "json"), 0, "51fca53113ce377e"),
+    (_v("demazure-support", "C2", 1, "--k", "2", "--x", "1/3", "--height", "3"), 0,
+     "aa9b390ef78e761f"),
+    (_v("m-support", "B2", 1, "--k", "3", "--x", "x", "--height", "3", "--format", "json"),
+     0, "72b3d1d4289d01fd"),
+    (_v("kr-skeleton", "G2", 1, "--k", "3", "--x=-7/2"), 0, "9deec901b58ec2d5"),
+    (("qchar", "demazure", "--type", "B2", "--node", "1", "--k", "2", "--t", "0",
+      "--x", "k-1/3", "--height", "3", "--format", "json"), 0, "5032e52ec267493a"),
+    (("qchar", "demazure", "--type", "C2", "--node", "2", "--k", "1", "--t", "2",
+      "--x", "k-1/3", "--height", "3"), 0, "61f207dc324f2247"),
+    (_v("tsystem", "G2", 2, "--k", "2", "--t", "0"), 0, "c628f1e8b2c2c633"),
 ]
 
 

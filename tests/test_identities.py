@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import yqchar.identities as identities
 from yqchar.cartan import LieType, build_cartan
 from yqchar.coords import coord
 from yqchar.monomials import AVector, PsiMonomial, expand_Y_to_Psi
-from yqchar.characters import EngineError
+from yqchar.characters import EngineError, TruncatedCharacter
 from yqchar.identities import (
     IdentitySpec, MultiplicativeMonomial, check_demazure_support,
     check_kr_skeleton, check_m_support, run_identity, to_multiplicative,
@@ -140,6 +141,56 @@ def test_m_support():
     for ct, i in ((A1, 1), (A2, 1), (B2, 1), (B2, 2)):
         rep = check_m_support(ct, i, 6, 0, 3)
         assert rep.verdict, rep.to_text()
+
+
+def _av(*pairs):
+    return AVector(tuple(((j, coord(z)), 1) for j, z in pairs))
+
+
+# No real input makes a scan fail, so its violation output is reached by
+# laying faulty terms over the character the scan reads: terms with no
+# allowed factor, an i-chain term of multiplicity 2, terms without the lead
+# factor, and (passing) terms that carry an allowed factor.
+_FAULTS = [
+    ("fm_expand", check_kr_skeleton, (B2, 1, 2, "x"),
+     {_av((1, "x")): 2, _av((2, "x+5")): 1, _av((1, "x"), (2, "x+7")): 1,
+      _av((2, "x-9"), (1, "x+1/3")): 3, _av((1, "x"), (2, "x-1"), (2, "x+20")): 1},
+     "KR skeleton B2 i=1 k=2 x=x", 18,
+     [("A[1,x]^-1", "i-chain multiplicity 2 != 1"),
+      ("A[2,5+x]^-1", "missing leading A-factor at the KR node"),
+      ("A[1,x]^-1 A[2,7+x]^-1", "no allowed off-node A-factor"),
+      ("A[1,1/3+x]^-1 A[2,-9+x]^-1", "missing leading A-factor at the KR node")]),
+    ("demazure_char_via_ses", check_demazure_support, (B2, 2, 2, "x", 3),
+     {_av((1, "x+1")): 1, _av((2, "x"), (2, "x+4")): 1, _av((1, "x-9/2"), (2, "x-2")): 2,
+      _av((1, "x-2"), (2, "x+9")): 1},
+     "kernel support B2 i=2 k=2 x=x", 21,
+     [("A[1,1+x]^-1", "no allowed far-cluster A-factor"),
+      ("A[1,-9/2+x]^-1 A[2,-2+x]^-1", "no allowed far-cluster A-factor"),
+      ("A[2,x]^-1 A[2,4+x]^-1", "no allowed far-cluster A-factor")]),
+    ("tq_lhs_direct", check_m_support, (B2, 1, 3, "x", 3),
+     {_av((2, "x-3")): 1, _av((1, "x"), (1, "x+2")): 1, _av((2, "x-7"), (1, "x+11")): 1},
+     "m-weight support B2 i=1 k=3 x=x", 15,
+     [("A[2,-3+x]^-1", "no allowed far-cluster A-factor"),
+      ("A[1,x]^-1 A[1,2+x]^-1", "no allowed far-cluster A-factor")]),
+]
+
+
+@pytest.mark.parametrize("source,scan,args,extra,note,scanned,violations", _FAULTS)
+def test_support_scan_reports_injected_faults(monkeypatch, source, scan, args, extra,
+                                              note, scanned, violations):
+    real = getattr(identities, source)
+
+    def faulty(*a, **kw):
+        ch = real(*a, **kw)
+        return TruncatedCharacter.make(ch.top, {**ch.term_dict(), **extra}, ch.height_bound)
+    monkeypatch.setattr(identities, source, faulty)
+    rep = scan(*args)
+    assert rep.to_text() == "\n".join(
+        [f"verdict: fail ({scanned} terms scanned)", f"note: {note}"]
+        + [f"  {v}: {r}" for v, r in violations])
+    assert rep.to_json() == {
+        "verdict": "fail", "scanned": scanned, "note": note,
+        "violations": [{"avector": v, "reason": r} for v, r in violations]}
 
 
 # -- multiplicative translation ----------------------------------------------
