@@ -99,16 +99,6 @@ class TruncatedCharacter:
         kept = tuple((v, c) for v, c in self.terms if v.height <= bound)
         return TruncatedCharacter(self.top, kept, bound)
 
-    def shift(self, a) -> "TruncatedCharacter":
-        a = coord(a)
-        return TruncatedCharacter(
-            self.top.shift(a),
-            tuple(sorted(((v.shift(a), c) for v, c in self.terms), key=_term_key)),
-            self.height_bound)
-
-    def normalized(self) -> "TruncatedCharacter":
-        return TruncatedCharacter(PsiMonomial.unit(), self.terms, self.height_bound)
-
     def psi_terms(self, cartan: CartanData):
         """Yield (PsiMonomial, coefficient) for every term, top included."""
         for v, c in self.terms:
@@ -163,10 +153,6 @@ class CharacterReport:
         for v, a, b in self.mismatches:
             lines.append(f"  {format_monomial(v)}: lhs={a} rhs={b}")
         return "\n".join(lines)
-
-    def swapped(self) -> "CharacterReport":
-        return CharacterReport(self.verdict, self.rhs, self.lhs,
-                               tuple((v, b, a) for v, a, b in self.mismatches), self.note)
 
 
 def compare_characters(lhs: TruncatedCharacter, rhs: TruncatedCharacter,
@@ -620,17 +606,18 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
                           config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
     """chi(D^(i,t)_{k,x}) as the exact difference of KR tensor products.
 
-    chi(W_{k,0}) chi(W_{k+t,d_i}) - chi(W_{k-1,d_i}) chi(W_{k+t+1,0}),
-    rebased so the top sits at x.  Any negative coefficient is a hard
-    failure: exactness of the sequence forces positivity.
+    chi(W_{k,x0}) chi(W_{k+t,x0+d_i}) - chi(W_{k-1,x0+d_i}) chi(W_{k+t+1,x0})
+    at x0 = x - (k+1) d_i, so the kernel top sits at x.  Any negative
+    coefficient is a hard failure: exactness of the sequence forces positivity.
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
-    x = coord(x)
     di = cartan.di(i)
+    x0 = coord(x) - (k + 1) * di
     inner = None if bound is None else bound + k
     a, b, c, d = (fm_expand(cartan, kr_top_y(cartan, i, kk, base, config), inner, config)
-                  for kk, base in ((k, 0), (k + t, di), (k - 1, di), (k + t + 1, 0)))
+                  for kk, base in ((k, x0), (k + t, x0 + di), (k - 1, x0 + di),
+                                   (k + t + 1, x0)))
     if a.top * b.top != c.top * d.top:
         raise EngineError("engine fault: SES tensor tops disagree")
     # One accumulator on site tuples: a*b added, c*d subtracted.  A key that
@@ -641,8 +628,8 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
                        _ledger_acc(a.terms, b.terms, inner, budget), -1)
     if min(diff.values()) < 0:
         raise EngineError("negative coefficient in SES difference: engine fault")
-    # rebase: the kernel top is w * prod_{m=1..k} A_{i,m d_i}^-1
-    v0 = AVector(tuple(((i, m * di), 1) for m in range(1, k + 1)))
+    # the kernel top is w * prod_{m=1..k} A_{i,x0+m d_i}^-1
+    v0 = AVector(tuple(((i, x0 + m * di), 1) for m in range(1, k + 1)))
     if diff.get(v0.sites) != 1:
         raise EngineError("SES difference is missing its expected top term")
     rebased = {}
@@ -653,6 +640,4 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
                 raise EngineError(f"SES difference term {AVector(v, canonical=True)!r} "
                                   "does not contain the kernel top ledger")
             rebased[AVector(q, canonical=True)] = cc
-    top = a.top * b.top * avector_to_psi(cartan, v0)
-    # place the top at x (the raw sequence realizes it at x0 = (k+1) d_i)
-    return TruncatedCharacter.make(top, rebased, bound).shift(x - (k + 1) * di)
+    return TruncatedCharacter.make(a.top * b.top * avector_to_psi(cartan, v0), rebased, bound)

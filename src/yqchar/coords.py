@@ -4,7 +4,9 @@ A coordinate is an element of Q + Q<x1, x2, ...> where the x's are named
 formal symbols.  This replaces complex spectral parameters so that equality,
 half-integrality and genericity tests are all decidable.  Monomials store
 coordinates as integer keys (``encode``, below), joined with the node into
-one int site (see ``monomials``).
+one int site (see ``monomials``); ``decode`` goes back, and its one caller
+memoizes it per site.  A key is never moved: a character wanted at another
+point is computed there.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 
 __all__ = ["Coord", "coord", "parse_coord", "CoordSyntaxError",
-           "encode", "decode", "shift_coset"]
+           "encode", "decode"]
 
 
 def _as_fraction(v) -> Fraction:
@@ -206,7 +208,7 @@ def parse_coord(text: str) -> Coord:
 _COSETS: list = []          # cid -> (sym, residue)
 _CIDS: dict = {}            # (sym, residue) -> cid
 _INTERN_LOCK = threading.Lock()
-# Bound on each memo below; their keys are single coordinates or cosets.
+# Bound on the memo of ``encode``; its keys are single coordinates.
 _KEY_CACHE_SIZE = 4096
 
 
@@ -225,17 +227,7 @@ def encode(x) -> tuple:
     return cid, off2
 
 
-@lru_cache(maxsize=_KEY_CACHE_SIZE)
 def decode(cid: int, off2: int) -> Coord:
     """The coordinate with key (cid, off2)."""
     sym, residue = _COSETS[cid]
     return Coord(residue + Fraction(off2, 2), sym)
-
-
-@lru_cache(maxsize=_KEY_CACHE_SIZE)
-def shift_coset(cid: int, a: Coord) -> tuple:
-    """(cid2, delta) with decode(cid, o) + a == decode(cid2, o + delta) for all o.
-
-    A half-integer ``a`` keeps the coset; any other shift re-interns it once.
-    """
-    return encode(decode(cid, 0) + a)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .cartan import CartanData, LieType, build_cartan
 from .coords import Coord, coord
-from .monomials import AVector, PsiMonomial, _ExpMap, output_order, psi_to_y
+from .monomials import AVector, PsiMonomial, _ExpMap, _unsite, output_order, psi_to_y
 from .characters import (
     DEFAULT_CONFIG, CharacterReport, EngineConfig, EngineError,
     TruncatedCharacter, _ledger_mul, asymptotic_char, char_mul, compare_characters,
@@ -194,19 +194,25 @@ def _offset_pattern(cartan: CartanData, i: int, k: int, x: Coord, terms):
     The near cluster holds the single coordinate x (from the 1 + A^-1_{i,x}
     factor); every other coordinate is an offset from the far center
     x - k d_i, so the result is independent of k once the clusters are
-    separated.
+    separated.  Each distinct site is classified once per call.
     """
     far = x - k * cartan.di(i)
+    memo = {}
+
+    def cluster(s):
+        j, w = _unsite(s)
+        if w == x:
+            return j, "near", coord(0)
+        if (w - far).is_rational:
+            return j, "far", w - far
+        raise EngineError(f"coordinate {w} not in either cluster")
     out = []
     for v, c in terms:
         key = []
-        for (j, w), e in v.items():
-            if w == x:
-                key.append(((j, "near", coord(0)), e))
-            elif (w - far).is_rational:
-                key.append(((j, "far", w - far), e))
-            else:
-                raise EngineError(f"coordinate {w} not in either cluster")
+        for s, e in v.exps:
+            if s not in memo:
+                memo[s] = cluster(s)
+            key.append((memo[s], e))
         out.append((tuple(sorted(key)), c))
     return tuple(sorted(out))
 
@@ -307,6 +313,14 @@ def _skeleton_zset(cartan: CartanData, i: int, ip: int, k: int, x: Coord):
     return (x - Fraction(3, 2), x - Fraction(1, 2), x + Fraction(1, 2))
 
 
+def _unsupported(terms, allowed, reason: str, lead=None) -> list:
+    """(term, reason) for each term but the unit and ``lead`` that has no
+    factor A^-1_{j,z} with (j, z) in ``allowed``: a site-set intersection."""
+    sites = set(AVector(tuple((p, 1) for p in allowed)).sites)
+    return [(v, reason) for v, _ in terms
+            if v.sites and v != lead and sites.isdisjoint(v.sites)]
+
+
 def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
                       bound: int | None = None,
                       config: EngineConfig = DEFAULT_CONFIG) -> SupportReport:
@@ -317,22 +331,16 @@ def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
     char = fm_expand(cartan, kr_top_y(cartan, i, k, x, config), bound, config)
     chains = {AVector(tuple(((i, x + m * di), 1) for m in range(l + 1)))
               for l in range(k)}
-    zsets = {ip: _skeleton_zset(cartan, i, ip, k, x)
-             for ip in cartan.nodes if ip != i}
-    violations = []
-    for v, c in char.terms:
-        if v.is_unit():
-            continue
-        if v in chains:
-            if c != 1:
-                violations.append((v, f"i-chain multiplicity {c} != 1"))
-            continue
-        if v.exp(i, x) < 1:
-            violations.append((v, "missing leading A-factor at the KR node"))
-            continue
-        if not any(v.exp(ip, z) >= 1 for ip, zs in zsets.items() for z in zs):
-            violations.append((v, "no allowed off-node A-factor"))
-    return SupportReport(not violations, len(char.terms), tuple(output_order(violations)),
+    lead = AVector.gen(i, x).sites[0]
+    off = [(v, c) for v, c in char.terms if v not in chains]
+    found = [(v, f"i-chain multiplicity {c} != 1")
+             for v, c in char.terms if v in chains and c != 1]
+    found += _unsupported(off, [(i, x)], "missing leading A-factor at the KR node")
+    allowed = [(ip, z) for ip in cartan.nodes if ip != i
+               for z in _skeleton_zset(cartan, i, ip, k, x)]
+    found += _unsupported([t for t in off if lead in t[0].sites], allowed,
+                          "no allowed off-node A-factor")
+    return SupportReport(not found, len(char.terms), tuple(output_order(found)),
                          note=f"KR skeleton {cartan.lie_type} i={i} k={k} x={x}")
 
 
@@ -345,19 +353,11 @@ def check_demazure_support(cartan: CartanData, i: int, k: int, x, bound: int,
     di = cartan.di(i)
     char = demazure_char_via_ses(cartan, i, 1, k, x, bound, config)
     base = x - k * di
-    half = Fraction(1, 2)
-    allowed = [(i, base - di)]
-    allowed += [(ip, base + Fraction(n, 2))
-                for ip in cartan.nodes if cartan.cij(i, ip) < 0
-                for n in range(-3, 2)]
-    lead = AVector.gen(i, x)
-    violations = []
-    for v, _ in char.terms:
-        if v.is_unit() or v == lead:
-            continue
-        if not any(v.exp(ip, z) >= 1 for ip, z in allowed):
-            violations.append((v, "no allowed far-cluster A-factor"))
-    return SupportReport(not violations, len(char.terms), tuple(output_order(violations)),
+    allowed = [(i, base - di)] + [(ip, base + Fraction(n, 2)) for ip in cartan.nodes
+                                  if cartan.cij(i, ip) < 0 for n in range(-3, 2)]
+    found = _unsupported(char.terms, allowed, "no allowed far-cluster A-factor",
+                         AVector.gen(i, x))
+    return SupportReport(not found, len(char.terms), tuple(output_order(found)),
                          note=f"kernel support {cartan.lie_type} i={i} k={k} x={x}")
 
 
@@ -369,14 +369,9 @@ def check_m_support(cartan: CartanData, i: int, k: int, x, bound: int,
     char = tq_lhs_direct(cartan, i, k, x, bound, config)
     allowed = [(j, x + cartan.dij(i, j) - k * cartan.di(i))
                for j in cartan.nodes if cartan.cij(i, j) < 0]
-    lead = AVector.gen(i, x)
-    violations = []
-    for v, _ in char.terms:
-        if v.is_unit() or v == lead:
-            continue
-        if not any(v.exp(j, z) >= 1 for j, z in allowed):
-            violations.append((v, "no allowed far-cluster A-factor"))
-    return SupportReport(not violations, len(char.terms), tuple(output_order(violations)),
+    found = _unsupported(char.terms, allowed, "no allowed far-cluster A-factor",
+                         AVector.gen(i, x))
+    return SupportReport(not found, len(char.terms), tuple(output_order(found)),
                          note=f"m-weight support {cartan.lie_type} i={i} k={k} x={x}")
 
 

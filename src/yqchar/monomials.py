@@ -19,7 +19,8 @@ of first use; off2 and the node are exact at any size, and a half step is
 sorted by site.  An AVector stores ``sites``, its sorted site multiset, so
 its height is ``len(sites)`` and a ledger product is ``tuple(sorted(a +
 b))``, one C merge.  Int order is not Coord order: ``items()`` and
-``ordered()`` give factors in (node, Coord) order, for printing.
+``ordered()`` give factors in (node, Coord) order, for printing.  There is no
+change of coordinates on monomials: a site is made from its (node, x) once.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from functools import lru_cache
 from itertools import groupby
 
 from .cartan import CartanData, Weight
-from .coords import Coord, coord, decode, encode, shift_coset
+from .coords import Coord, decode, encode
 
 __all__ = [
     "PsiMonomial", "YMonomial", "AVector",
@@ -82,17 +83,6 @@ def _site_order(s: int) -> tuple:
 def _at_node(exps, i: int) -> tuple:
     """The (site, e) pairs of ``exps`` at node i."""
     return tuple(p for p in exps if _LANES[p[0] & _LANE][0] == i)
-
-
-def _moved(sites, a) -> list:
-    """The sites with every coordinate x replaced by x + a, unsorted."""
-    a = coord(a)
-    delta = {}
-    for lane in {s & _LANE for s in sites}:
-        i, cid = _LANES[lane]
-        cid2, d = shift_coset(cid, a)
-        delta[lane] = d * _HALF + _lane(i, cid2) - lane
-    return [s + delta[s & _LANE] for s in sites]
 
 
 def _canon(pairs, base=()) -> tuple:
@@ -174,12 +164,6 @@ class _ExpMap(_Monomial):
         if not self.exps:
             return other
         return type(self)(_canon(other.exps, self.exps), canonical=True)
-
-    def shift(self, a):
-        """Replace every coordinate x by x + a (a group homomorphism)."""
-        moved = _moved([s for s, _ in self.exps], a)
-        return type(self)(tuple(sorted(zip(moved, [e for _, e in self.exps]))),
-                          canonical=True)
 
     def __eq__(self, other):
         return type(self) is type(other) and self.exps == other.exps
@@ -265,10 +249,6 @@ class AVector(_Monomial):
         if type(other) is not AVector:
             raise TypeError(f"cannot multiply AVector by {type(other).__name__}")
         return AVector(tuple(sorted(self.sites + other.sites)), canonical=True)
-
-    def shift(self, a):
-        """Replace every coordinate x by x + a."""
-        return AVector(tuple(sorted(_moved(self.sites, a))), canonical=True)
 
     def __eq__(self, other):
         return type(other) is AVector and self.sites == other.sites

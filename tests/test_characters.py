@@ -41,17 +41,12 @@ def test_make_requires_unit_term_and_positive_coeffs():
                                 {AVector.unit(): 1, chain((1, 0)): -2}, None)
 
 
-def test_truncate_shift_normalize():
+def test_truncate():
     ch = sl2_kr_char(3, 0)
     assert ch.height_bound is None and ch.dimension() == 4
     t = ch.truncate(1)
     assert t.height_bound == 1 and t.dimension() == 2
     assert t.truncate(5) is t              # cannot un-truncate
-    s = ch.shift("1/2")
-    assert s.top == kr_weight(A1, 1, 3, "1/2")
-    assert chain((1, "1/2")) in s.term_dict()
-    assert ch.normalized().top == PsiMonomial.unit()
-    assert ch.normalized().terms == ch.terms
 
 
 def test_psi_terms_multiply_out_the_ledger():
@@ -67,7 +62,7 @@ def test_compare_characters_and_swapped():
     assert not rep.verdict and len(rep.mismatches) == 1
     v, la, rb = rep.mismatches[0]
     assert (la, rb) == (1, 0)
-    assert rep.swapped().mismatches[0][1:] == (0, 1)
+    assert compare_characters(b, a).mismatches[0][1:] == (0, 1)
     assert "fail" in rep.to_text() and rep.to_json()["verdict"] == "fail"
     assert compare_characters(a, a).verdict
 
@@ -384,24 +379,27 @@ def test_fused_difference_is_the_difference_of_products(la, lb, lc, ld, bound):
 
 
 def ses_reference(cartan, i, t, k, x, bound):
-    """The SES route before it was fused: two char_mul products, their
-    difference on AVector keys, then contains/divide by the kernel top."""
-    x, di = coord(x), cartan.di(i)
+    """The SES route before it was fused: two char_mul products at
+    x0 = x - (k+1) d_i, their difference on AVector keys, then contains/divide
+    by the kernel top."""
+    di = cartan.di(i)
+    x0 = coord(x) - (k + 1) * di
     inner = None if bound is None else bound + k
     a, b, c, d = (fm_expand(cartan, kr_top_y(cartan, i, kk, base), inner)
-                  for kk, base in ((k, 0), (k + t, di), (k - 1, di), (k + t + 1, 0)))
+                  for kk, base in ((k, x0), (k + t, x0 + di), (k - 1, x0 + di),
+                                   (k + t + 1, x0)))
     big, small = char_mul(a, b), char_mul(c, d)
     assert big.top == small.top
     diff = big.term_dict()
     for v, cc in small.terms:
         diff[v] = diff.get(v, 0) - cc
     diff = {v: cc for v, cc in diff.items() if cc}
-    v0 = AVector(tuple(((i, m * di), 1) for m in range(1, k + 1)))
+    v0 = AVector(tuple(((i, x0 + m * di), 1) for m in range(1, k + 1)))
     assert min(diff.values()) > 0 and diff[v0] == 1
     assert all(v.contains(v0) for v in diff)
     out = TruncatedCharacter.make(big.top * avector_to_psi(cartan, v0),
                                   {v.divide(v0): cc for v, cc in diff.items()}, bound)
-    return out.truncate(bound).shift(x - (k + 1) * di)
+    return out.truncate(bound)
 
 
 @pytest.mark.parametrize("extra", [AVector.gen(2, "1/3"), AVector.unit()])
@@ -438,6 +436,17 @@ def test_fused_ses_matches_the_char_mul_route(node, t, k, x, bound):
     want = ses_reference(cartan, i, t, k, x, bound)
     assert (got.top, got.terms, got.height_bound) == (want.top, want.terms, want.height_bound)
     assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(((A1, 1), (A2, 1), (A2, 2), (B2, 1), (B2, 2), (G2, 1), (G2, 2))),
+       st.integers(min_value=0, max_value=2), st.integers(min_value=1, max_value=2),
+       ses_coords, st.integers(min_value=1, max_value=3))
+def test_kernel_identity_at_any_point(node, t, k, x, bound):
+    # the kernel module expanded directly equals the SES difference at x
+    cartan, i = node
+    direct = fm_expand(cartan, psi_to_y(cartan, demazure_weight(cartan, i, t, k, x)), bound)
+    assert direct == demazure_char_via_ses(cartan, i, t, k, x, bound)
 
 
 # -- the expansion cache -----------------------------------------------------

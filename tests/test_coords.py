@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from yqchar.coords import (
-    Coord, CoordSyntaxError, coord, decode, encode, parse_coord, shift_coset,
+    Coord, CoordSyntaxError, coord, decode, encode, parse_coord,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
@@ -102,15 +102,6 @@ def test_keys_separate_coordinates_and_cosets(x, y):
     if cx == cy:
         # inside one coset, off2 order is Coord order
         assert (ox < oy) == (x < y)
-
-
-@given(key_coords, key_coords)
-def test_shift_coset_matches_coord_shift(x, a):
-    cid, off2 = encode(x)
-    moved, delta = shift_coset(cid, a)
-    assert decode(moved, off2 + delta) == x + a
-    if a.is_half_integer():
-        assert (moved, delta) == (cid, 2 * a.rat)
 
 
 def test_zero_denominators_are_syntax_errors():

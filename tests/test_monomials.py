@@ -61,13 +61,6 @@ def test_avector_height_contains_divide():
     assert v.divide(AVector.gen(1, 0)) == AVector.gen(1, 0) * AVector.gen(2, "1/2")
 
 
-def test_shift_is_a_homomorphism():
-    m = PsiMonomial.gen(1, 0) * PsiMonomial.gen(2, "k", -2)
-    s = m.shift("1/2")
-    assert s.exp(1, "1/2") == 1 and s.exp(2, "1/2+k") == -2
-    assert m.shift(0) == m
-
-
 # -- expansions against hand-checked displays --------------------------------
 
 def test_a_expansion_a2():
@@ -105,12 +98,6 @@ def test_expansion_triangle_commutes(name):
     for i in ct.nodes:
         v = AVector.gen(i, "x")
         assert avector_to_psi(ct, v) == y_to_psi(ct, avector_to_y(ct, v))
-
-
-def test_shift_commutes_with_expansion():
-    for i in G2.nodes:
-        assert expand_A_to_Psi(G2, i, "x").shift(2) == expand_A_to_Psi(G2, i, "2+x")
-        assert expand_Y_to_Psi(G2, i, 0).shift("k") == expand_Y_to_Psi(G2, i, "k")
 
 
 # -- Psi -> Y factorization --------------------------------------------------
@@ -290,17 +277,6 @@ def test_format_follows_coord_order(fa):
     want = " ".join(f"Psi[{i},{x}]" + ("" if e == 1 else f"^{e}")
                     for (i, x), e in coord_canonical(fa)) or "1"
     assert format_monomial(psi(fa)) == want
-
-
-@given(factor_lists, st.builds(lambda r, c: Coord(r) + Coord.var("k", c),
-                               st.fractions(min_value=-3, max_value=3, max_denominator=5),
-                               st.sampled_from((0, 1, Fraction(-1, 2)))))
-def test_shift_matches_coord_shift(fa, a):
-    m = psi(fa)
-    moved = [(i, x + a, e) for i, x, e in fa]
-    assert m.shift(a).items() == coord_canonical(moved)
-    assert m.shift(a) == psi(moved) and hash(m.shift(a)) == hash(psi(moved))
-    assert m.shift(a).shift(-a) == m
 
 
 def test_avector_rejects_negative_powers():
