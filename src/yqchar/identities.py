@@ -197,7 +197,6 @@ def _offset_pattern(cartan: CartanData, i: int, k: int, x: Coord, terms):
     separated.  Each distinct site is classified once per call.
     """
     far = x - k * cartan.di(i)
-    memo = {}
 
     def cluster(s):
         j, w = _unsite(s)
@@ -206,15 +205,8 @@ def _offset_pattern(cartan: CartanData, i: int, k: int, x: Coord, terms):
         if (w - far).is_rational:
             return j, "far", w - far
         raise EngineError(f"coordinate {w} not in either cluster")
-    out = []
-    for v, c in terms:
-        key = []
-        for s, e in v.exps:
-            if s not in memo:
-                memo[s] = cluster(s)
-            key.append((memo[s], e))
-        out.append((tuple(sorted(key)), c))
-    return tuple(sorted(out))
+    key = {s: cluster(s) for s in {s for v, _ in terms for s in v.sites}}
+    return tuple(sorted((tuple(sorted((key[s], e) for s, e in v.exps)), c) for v, c in terms))
 
 
 def verify_tq(cartan: CartanData, i: int, k: int, x, bound: int,
