@@ -175,7 +175,8 @@ _FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("source,scan,args,extra,note,scanned,violations", _FAULTS)
+@pytest.mark.parametrize("source,scan,args,extra,note,scanned,violations", _FAULTS,
+                         ids=["kr_skeleton", "demazure_support", "m_support"])
 def test_support_scan_reports_injected_faults(monkeypatch, source, scan, args, extra,
                                               note, scanned, violations):
     real = getattr(identities, source)
