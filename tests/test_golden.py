@@ -150,6 +150,28 @@ GOLDEN = [
     (("qchar", "demazure", "--type", "C2", "--node", "2", "--k", "1", "--t", "2",
       "--x", "k-1/3", "--height", "3"), 0, "61f207dc324f2247"),
     (_v("tsystem", "G2", 2, "--k", "2", "--t", "0"), 0, "c628f1e8b2c2c633"),
+    # Jobs that meet one memoized kernel or stabilized character from
+    # another side: the same arguments in B2 then C2, one kernel at two
+    # heights, a TQ check and a support scan sharing their SES kernel, and
+    # two asymptotic tops and a prefundamental over one stabilized ledger.
+    (("qchar", "demazure", "--type", "B2", "--node", "1", "--k", "2", "--t", "1",
+      "--x", "1/3", "--height", "3", "--format", "json"), 0, "948230d9123a1e7a"),
+    (("qchar", "demazure", "--type", "C2", "--node", "1", "--k", "2", "--t", "1",
+      "--x", "1/3", "--height", "3", "--format", "json"), 0, "ecdb2bfafc18cb06"),
+    (("qchar", "demazure", "--type", "A2", "--node", "1", "--k", "2", "--t", "1",
+      "--x", "y", "--height", "2", "--format", "json"), 0, "2e4353a7617a1bee"),
+    (("qchar", "demazure", "--type", "A2", "--node", "1", "--k", "2", "--t", "1",
+      "--x", "y", "--height", "4", "--format", "json"), 0, "a398c4f7fe82197a"),
+    (_v("tq", "B2", 1, "--k", "4", "--x", "x", "--height", "3", "--format", "json"), 0,
+     "3a5819a4acadb29f"),
+    (_v("demazure-support", "B2", 1, "--k", "4", "--x", "x", "--height", "3",
+        "--format", "json"), 0, "8da92849162b87ab"),
+    (("qchar", "asymptotic", "--type", "C2", "--node", "1", "--y", "y", "--x", "1/5",
+      "--height", "3", "--format", "json"), 0, "70e4b2b14761d47f"),
+    (("qchar", "asymptotic", "--type", "C2", "--node", "1", "--y", "1/5+k", "--x", "1/5",
+      "--height", "3", "--format", "json"), 0, "7146dde1495e0ee9"),
+    (("qchar", "prefundamental", "--type", "C2", "--node", "1", "--sign", "-",
+      "--x", "1/5", "--height", "3", "--format", "json"), 0, "9c5dd3e4519e349d"),
 ]
 
 
