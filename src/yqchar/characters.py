@@ -436,7 +436,8 @@ def _sl2_node_expansion(positions: tuple, d: int, cap: int | None, budget: int) 
 # ---------------------------------------------------------------------------
 
 class _TermBoundedCache:
-    """LRU map of characters bounded by the total number of their terms.
+    """LRU map of characters, or (character, index) pairs, bounded by the
+    total number of their terms.
 
     A count bound would let a run of large distinct expansions hold that
     many large characters; this bound keeps the footprint flat.
@@ -449,31 +450,36 @@ class _TermBoundedCache:
         self._data = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key):
+    @staticmethod
+    def size(value) -> int:
+        return len((value[0] if isinstance(value, tuple) else value).terms)
+
+    def memo(self, key, compute):
+        """The value under ``key``, or ``compute()`` stored there; the first
+        item of a key names its kind.  An exception is never stored."""
         with self._lock:
-            ch = self._data.get(key)
-            if ch is None:
-                self.misses += 1
-            else:
+            value = self._data.get(key)
+            if value is not None:
                 self.hits += 1
                 self._data.move_to_end(key)
-            return ch
-
-    def put(self, key, ch: TruncatedCharacter):
+                return value
+            self.misses += 1
+        value = compute()
+        n = self.size(value)
         with self._lock:
-            if key in self._data or len(ch.terms) > self.max_terms:
-                return
-            self._data[key] = ch
-            self.terms += len(ch.terms)
-            while self.terms > self.max_terms:
-                _, old = self._data.popitem(last=False)
-                self.terms -= len(old.terms)
+            if key not in self._data and n <= self.max_terms:
+                self._data[key] = value
+                self.terms += n
+                while self.terms > self.max_terms:
+                    self.terms -= self.size(self._data.popitem(last=False)[1])
+        return value
 
 
-# Bound on the total terms of the memoized characters.  The 136 distinct
-# expansions of a pass over the identity_suite benchmark pool hold 2,434
-# terms and are reused about 30 times each; tests/test_acceptance.py meets 347
-# with 7,107 terms.  A complete KR character such as B3 n3 k5 has 1,400.
+# Bound on the total terms of the memoized engine characters: expansions,
+# SES kernel characters and stabilized characters share it.  One cycle of the
+# identity_suite benchmark leaves 165 entries with 3,073 terms (136 expansions
+# 2,434, 15 kernels 545, 14 stabilized ledgers 94) after 1,241 hits;
+# tests/test_acceptance.py meets 347 expansions with 7,107 terms.
 _FM_CACHE_TERMS = 10_000
 _FM_CACHE = _TermBoundedCache(_FM_CACHE_TERMS)
 
@@ -486,12 +492,8 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     produced in increasing height, stopping at ``bound`` (None = expand the
     complete finite character).
     """
-    key = (cartan, top, bound, config)
-    ch = _FM_CACHE.get(key)
-    if ch is None:
-        ch = _fm_expand(cartan, top, bound, config)
-        _FM_CACHE.put(key, ch)
-    return ch
+    return _FM_CACHE.memo(("fm", cartan, top, bound, config),
+                          lambda: _fm_expand(cartan, top, bound, config))
 
 
 def _fm_expand(cartan, top, bound, config):
@@ -562,6 +564,12 @@ def stabilize(cartan: CartanData, i: int, x, bound: int,
     """
     if bound < 0:
         raise ValueError("height bound must be >= 0")
+    x = coord(x)
+    return _FM_CACHE.memo(("stabilize", cartan, i, x, bound, config),
+                          lambda: _stabilize(cartan, i, x, bound, config))
+
+
+def _stabilize(cartan, i, x, bound, config):
     prev = None
     for k in range(config.stabilization_k_ceiling + 2):
         cur = fm_expand(cartan, kr_top_y(cartan, i, k, x, config), bound, config).terms
@@ -570,7 +578,7 @@ def stabilize(cartan: CartanData, i: int, x, bound: int,
         prev = cur
     raise EngineError(
         f"normalized KR characters did not stabilize at height {bound} before "
-        f"k = {config.stabilization_k_ceiling} (node {i}, x = {coord(x)})")
+        f"k = {config.stabilization_k_ceiling} (node {i}, x = {x})")
 
 
 def asymptotic_char(cartan: CartanData, i: int, y, x, bound: int,
@@ -612,8 +620,14 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
+    x = coord(x)
+    return _FM_CACHE.memo(("ses", cartan, i, t, k, x, bound, config),
+                          lambda: _demazure_char_via_ses(cartan, i, t, k, x, bound, config))
+
+
+def _demazure_char_via_ses(cartan, i, t, k, x, bound, config):
     di = cartan.di(i)
-    x0 = coord(x) - (k + 1) * di
+    x0 = x - (k + 1) * di
     inner = None if bound is None else bound + k
     a, b, c, d = (fm_expand(cartan, kr_top_y(cartan, i, kk, base, config), inner, config)
                   for kk, base in ((k, x0), (k + t, x0 + di), (k - 1, x0 + di),

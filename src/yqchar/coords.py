@@ -39,11 +39,14 @@ class Coord:
 
     __slots__ = ("rat", "sym", "_hash")
 
-    def __init__(self, rat=0, sym=()):
-        object.__setattr__(self, "rat", _as_fraction(rat))
-        cleaned = tuple(sorted((n, c) for n, c in dict(sym).items() if c != 0))
-        object.__setattr__(self, "sym", cleaned)
-        object.__setattr__(self, "_hash", hash((self.rat, cleaned)))
+    def __init__(self, rat=0, sym=(), canonical=False):
+        # canonical: rat is a Fraction and sym already in canonical form
+        if not canonical:
+            rat = _as_fraction(rat)
+            sym = tuple(sorted((n, c) for n, c in dict(sym).items() if c != 0))
+        object.__setattr__(self, "rat", rat)
+        object.__setattr__(self, "sym", sym)
+        object.__setattr__(self, "_hash", hash((rat, sym)))
 
     def __setattr__(self, *a):
         raise AttributeError("Coord is immutable")
@@ -54,6 +57,9 @@ class Coord:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other) -> "Coord":
+        # a rational shift keeps the symbolic part as it is
+        if isinstance(other, (int, Fraction)):
+            return Coord(self.rat + other, self.sym, canonical=True)
         other = coord(other)
         sym = dict(self.sym)
         for n, c in other.sym:
@@ -63,13 +69,15 @@ class Coord:
     __radd__ = __add__
 
     def __neg__(self) -> "Coord":
-        return Coord(-self.rat, tuple((n, -c) for n, c in self.sym))
+        return Coord(-self.rat, tuple((n, -c) for n, c in self.sym), canonical=True)
 
     def __sub__(self, other) -> "Coord":
+        if isinstance(other, (int, Fraction)):
+            return Coord(self.rat - other, self.sym, canonical=True)
         return self + (-coord(other))
 
     def __rsub__(self, other) -> "Coord":
-        return coord(other) + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "Coord":
         k = _as_fraction(other)

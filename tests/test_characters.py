@@ -405,7 +405,9 @@ def ses_reference(cartan, i, t, k, x, bound):
 @pytest.mark.parametrize("extra", [AVector.gen(2, "1/3"), AVector.unit()])
 def test_ses_difference_rejects_a_negative_coefficient(monkeypatch, extra):
     # a fault in the third factor, chi(W_{k-1,d_i}): a term that a*b lacks,
-    # or one coefficient too many on a term it has
+    # or one coefficient too many on a term it has; a fresh memo, so that no
+    # kernel memoized by an earlier test skips the faulty expansion
+    monkeypatch.setattr(characters, "_FM_CACHE", characters._TermBoundedCache(10_000))
     real, calls = characters.fm_expand, []
 
     def faulty(cartan, top, bound=None, config=characters.DEFAULT_CONFIG):
@@ -473,3 +475,121 @@ def test_expansion_cache_skips_a_character_above_its_bound(monkeypatch):
     b3 = build_cartan(LieType.parse("B3"))
     assert len(fm_expand(b3, kr_top_y(b3, 3, 3, 0)).terms) == 160
     assert cache.terms == 0 and not cache._data
+
+
+# -- one memo for expansions, kernels and stabilized characters --------------
+
+def _small_cache(monkeypatch, max_terms=10_000):
+    cache = characters._TermBoundedCache(max_terms)
+    monkeypatch.setattr(characters, "_FM_CACHE", cache)
+    return cache
+
+
+def _count_calls(monkeypatch, *names):
+    counts = Counter()
+    for name in names:
+        real = getattr(characters, name)
+
+        def counted(*a, _real=real, _name=name, **kw):
+            counts[_name] += 1
+            return _real(*a, **kw)
+        monkeypatch.setattr(characters, name, counted)
+    return counts
+
+
+def _kinds(cache):
+    return Counter(key[0] for key in cache._data)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fm_expand(B2, kr_top_y(B2, 1, 3, "x"), 3),
+    lambda: demazure_char_via_ses(B2, 2, 1, 2, "x", 3),
+    lambda: stabilize(G2, 1, "1/3", 3),
+], ids=["fm", "ses", "stabilize"])
+def test_memo_hit_is_the_stored_object_and_computes_nothing(monkeypatch, call):
+    _small_cache(monkeypatch)
+    counts = _count_calls(monkeypatch, "_fm_expand", "_ledger_acc")
+    first = call()
+    assert counts["_fm_expand"] > 0
+    before = dict(counts)
+    assert call() is first
+    assert dict(counts) == before
+
+
+def test_memo_key_takes_x_as_int_fraction_or_coord(monkeypatch):
+    cache = _small_cache(monkeypatch)
+    ses = [demazure_char_via_ses(A2, 1, 1, 2, x, 3) for x in (2, Fraction(2), coord(2))]
+    st_ = [stabilize(A2, 2, x, 3) for x in (-1, Fraction(-1), coord("-1"))]
+    assert ses[0] is ses[1] is ses[2] and st_[0] is st_[1] is st_[2]
+    assert (_kinds(cache)["ses"], _kinds(cache)["stabilize"]) == (1, 1)
+
+
+def test_memo_key_separates_every_argument_and_the_config(monkeypatch):
+    cache = _small_cache(monkeypatch)
+    other = EngineConfig(term_budget=999_999)
+    ses_args = [(B2, 2, 1, 2, "x", 3), (G2, 2, 1, 2, "x", 3), (B2, 1, 1, 2, "x", 3),
+                (B2, 2, 0, 2, "x", 3), (B2, 2, 1, 1, "x", 3), (B2, 2, 1, 2, "y", 3),
+                (B2, 2, 1, 2, "x", 2), (B2, 2, 1, 2, "x", None)]
+    for n, args in enumerate(ses_args, 1):
+        demazure_char_via_ses(*args)
+        assert _kinds(cache)["ses"] == n
+    demazure_char_via_ses(*ses_args[0], other)
+    assert _kinds(cache)["ses"] == len(ses_args) + 1
+    st_args = [(B2, 1, "x", 3), (G2, 1, "x", 3), (B2, 2, "x", 3), (B2, 1, "y", 3),
+               (B2, 1, "x", 2)]
+    for n, args in enumerate(st_args, 1):
+        stabilize(*args)
+        assert _kinds(cache)["stabilize"] == n
+    stabilize(*st_args[0], other)
+    assert _kinds(cache)["stabilize"] == len(st_args) + 1
+    # the kinds never share a key, also where their arguments coincide
+    top = kr_top_y(B2, 1, 2, "x")
+    fm_expand(B2, top, 3)
+    fm_expand(B2, top, 3, other)
+    assert set(_kinds(cache)) == {"fm", "ses", "stabilize"}
+    assert len(cache._data) == sum(_kinds(cache).values())
+    assert all(key[-1] in (characters.DEFAULT_CONFIG, other) for key in cache._data)
+
+
+def test_memo_never_stores_an_engine_error(monkeypatch):
+    cache = _small_cache(monkeypatch)
+    counts = _count_calls(monkeypatch, "_demazure_char_via_ses", "_stabilize")
+    tight = EngineConfig(term_budget=20)
+    low = EngineConfig(stabilization_k_ceiling=1)
+    for n in (1, 2):                        # raised again, computed again
+        with pytest.raises(EngineError, match="term budget 20 exceeded"):
+            demazure_char_via_ses(B2, 2, 1, 2, "x", 3, tight)
+        with pytest.raises(EngineError, match="did not stabilize"):
+            stabilize(A1, 1, "x", 3, low)
+        assert counts == {"_demazure_char_via_ses": n, "_stabilize": n}
+    assert not _kinds(cache)["ses"] and not _kinds(cache)["stabilize"]
+    assert demazure_char_via_ses(B2, 2, 1, 2, "x", 3).height_bound == 3
+    assert stabilize(A1, 1, "x", 3)[1] == 3
+    assert (_kinds(cache)["ses"], _kinds(cache)["stabilize"]) == (1, 1)
+
+
+def test_memo_bound_counts_the_terms_of_every_kind(monkeypatch):
+    cache = _small_cache(monkeypatch, 120)
+    for x in range(0, 40, 8):
+        demazure_char_via_ses(B2, 2, 1, 2, x, 3)
+        stabilize(G2, 1, x, 3)
+        fm_expand(B2, kr_top_y(B2, 1, 3, x), 3)
+        assert cache.terms == sum(cache.size(v) for v in cache._data.values())
+        assert cache.terms <= 120
+    assert cache.misses > len(cache._data)         # entries were evicted
+    pair = stabilize(G2, 1, 32, 3)
+    assert cache._data[("stabilize", G2, 1, coord(32), 3, characters.DEFAULT_CONFIG)] is pair
+    assert cache.size(pair) == len(pair[0].terms)
+
+
+def test_mutating_a_hit_does_not_change_the_next(monkeypatch):
+    _small_cache(monkeypatch)
+    for call in (lambda: demazure_char_via_ses(A2, 1, 1, 2, "x", 3),
+                 lambda: stabilize(A2, 1, "x", 3)[0],
+                 lambda: fm_expand(A2, kr_top_y(A2, 1, 2, "x"), 3)):
+        first = call()
+        want = first.to_json()
+        d = first.term_dict()
+        d[AVector.gen(1, "q")] = 5
+        d.pop(AVector.unit())
+        assert call().to_json() == want

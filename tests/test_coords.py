@@ -108,3 +108,33 @@ def test_zero_denominators_are_syntax_errors():
     for text in ("1/0", "k/0", "1+2k/0", "-3/0"):
         with pytest.raises(CoordSyntaxError):
             parse_coord(text)
+
+
+def _general_add(a: Coord, b) -> Coord:
+    """Coord addition through the full coercion, as for any operand."""
+    b = coord(b)
+    sym = dict(a.sym)
+    for n, c in b.sym:
+        sym[n] = sym.get(n, Fraction(0)) + c
+    return Coord(a.rat + b.rat, sym)
+
+
+def _same(got: Coord, want: Coord) -> bool:
+    return (got.rat, got.sym, hash(got), str(got)) == (want.rat, want.sym, hash(want), str(want))
+
+
+huge = st.fractions(min_value=-10 ** 21, max_value=10 ** 21, max_denominator=10 ** 21)
+shifts = st.one_of(st.integers(-10 ** 21, 10 ** 21), huge)
+coordinates = st.builds(
+    lambda r, s: Coord(r, s), huge,
+    st.lists(st.tuples(st.sampled_from("kxy"), rationals), max_size=3))
+
+
+@given(coordinates, shifts)
+def test_rational_shift_matches_the_general_path(a, b):
+    assert _same(a + b, _general_add(a, b))
+    assert _same(b + a, _general_add(a, b))
+    assert _same(a - b, _general_add(a, -b))
+    assert _same(b - a, _general_add(Coord(-a.rat, {n: -c for n, c in a.sym}), b))
+    assert isinstance(b - a, Coord) and isinstance(b + a, Coord)
+    assert (a + b) - b == a
