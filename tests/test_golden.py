@@ -172,6 +172,17 @@ GOLDEN = [
       "--height", "3", "--format", "json"), 0, "7146dde1495e0ee9"),
     (("qchar", "prefundamental", "--type", "C2", "--node", "1", "--sign", "-",
       "--x", "1/5", "--height", "3", "--format", "json"), 0, "9c5dd3e4519e349d"),
+    # Several cosets, nodes and indeterminates in one run: every site of a
+    # job is keyed by (node, coordinate), whatever its coset.
+    (_kr("G2", 1, 2, "--x", "x+k/2", "--format", "json"), 0, "1441ee506c22f788"),
+    (_kr("B2", 2, 2, "--x=-7/3"), 0, "0e7fa72b3269cc1a"),
+    (("qchar", "asymptotic", "--type", "C2", "--node", "1", "--y", "x+k", "--x", "x-1/3",
+      "--height", "3", "--format", "json"), 0, "feb94c7b4fa741de"),
+    (_v("kr-skeleton", "B2", 2, "--k", "3", "--x", "1/6+k"), 0, "3dccb2ac9b25000e"),
+    (_v("demazure-support", "G2", 2, "--k", "1", "--x=-2/5+x", "--height", "3",
+        "--format", "json"), 0, "0804cddbd8f8886f"),
+    (("translate", "--to", "multiplicative", "--type", "B2", "--monomial",
+      "Psi[2,1/6+k]^2 /Psi[1,-1/3]"), 0, "5619f2e6aafb57df"),
 ]
 
 
