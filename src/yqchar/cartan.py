@@ -16,7 +16,6 @@ d_i*c_ij = d_j*c_ji = 2*d_ij.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -145,14 +144,6 @@ class CartanData:
         for i in range(r):
             for j in range(r):
                 assert self.d[i] * self.c[i][j] == self.d[j] * self.c[j][i]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "type": str(self.lie_type),
-            "c": [list(row) for row in self.c],
-            "d": list(self.d),
-            "dsym": [[str(self.dij(i, j)) for j in self.nodes] for i in self.nodes],
-        })
 
 
 @lru_cache(maxsize=None)

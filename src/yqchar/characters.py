@@ -492,6 +492,8 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     produced in increasing height, stopping at ``bound`` (None = expand the
     complete finite character).
     """
+    if bound is not None and bound < 0:
+        raise ValueError("height bound must be >= 0")
     return _FM_CACHE.memo(("fm", cartan, top, bound, config),
                           lambda: _fm_expand(cartan, top, bound, config))
 
@@ -620,6 +622,8 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
+    if bound is not None and bound < 0:
+        raise ValueError("height bound must be >= 0")
     x = coord(x)
     return _FM_CACHE.memo(("ses", cartan, i, t, k, x, bound, config),
                           lambda: _demazure_char_via_ses(cartan, i, t, k, x, bound, config))

@@ -156,8 +156,6 @@ def _parser() -> argparse.ArgumentParser:
 def _emit(obj, cfg: CliConfig, out):
     if cfg.output_format == "json":
         payload = obj.to_json() if hasattr(obj, "to_json") else obj
-        if isinstance(payload, str):
-            payload = json.loads(payload)
         print(json.dumps({"schema": "yqchar/1", "result": payload},
                          sort_keys=True), file=out)
     else:

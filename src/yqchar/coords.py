@@ -1,22 +1,17 @@
 """Exact spectral coordinates: rationals plus formal indeterminates.
 
 A coordinate is an element of Q + Q<x1, x2, ...> where the x's are named
-formal symbols.  This replaces complex spectral parameters so that equality,
-half-integrality and genericity tests are all decidable.  Monomials store
-coordinates as integer keys (``encode``, below), joined with the node into
-one int site (see ``monomials``); ``decode`` goes back, and its one caller
-memoizes it per site.  A key is never moved: a character wanted at another
-point is computed there.
+formal symbols.  This replaces complex spectral parameters so that equality
+and half-integrality tests are decidable.  This module does exact arithmetic,
+comparison, formatting and parsing only; monomials key each (node,
+coordinate) pair by one int of their own (see ``monomials``).
 """
 from __future__ import annotations
 
-import math
-import threading
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 
-__all__ = ["Coord", "coord", "parse_coord", "CoordSyntaxError",
-           "encode", "decode"]
+__all__ = ["Coord", "coord", "parse_coord", "CoordSyntaxError"]
 
 
 def _as_fraction(v) -> Fraction:
@@ -96,10 +91,6 @@ class Coord:
     def is_half_integer(self) -> bool:
         """In (1/2)Z: purely rational with 2*rat an integer."""
         return self.is_rational and (2 * self.rat).denominator == 1
-
-    def is_generic(self) -> bool:
-        """Not in (1/2)Z: symbolic, or a rational outside the half lattice."""
-        return not self.is_half_integer()
 
     # -- comparisons --------------------------------------------------------
     def __eq__(self, other):
@@ -201,41 +192,3 @@ def parse_coord(text: str) -> Coord:
         total = total + _parse_term(term, pos)
         pos += len(term) + 1
     return total
-
-
-# ---------------------------------------------------------------------------
-# Integer keys.  A coordinate is encoded as (cid, off2): cid interns its
-# coset (symbolic part, rational residue in [0, 1/2)) as a small int, and
-# off2 = 2 (rat - residue), an int of any size.  Within one coset, off2
-# order is Coord order, and across cosets with one symbolic part Coord order
-# is (off2, residue) order; cids are numbered in order of first use and
-# carry no order.  The intern table grows by one entry per distinct coset a
-# process meets.
-# ---------------------------------------------------------------------------
-
-_COSETS: list = []          # cid -> (sym, residue)
-_CIDS: dict = {}            # (sym, residue) -> cid
-_INTERN_LOCK = threading.Lock()
-# Bound on the memo of ``encode``; its keys are single coordinates.
-_KEY_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_KEY_CACHE_SIZE)
-def encode(x) -> tuple:
-    """The integer key (cid, off2) of a coordinate."""
-    x = coord(x)
-    off2 = math.floor(2 * x.rat)
-    coset = (x.sym, x.rat - Fraction(off2, 2))
-    cid = _CIDS.get(coset)
-    if cid is None:
-        with _INTERN_LOCK:
-            cid = _CIDS.setdefault(coset, len(_COSETS))
-            if cid == len(_COSETS):
-                _COSETS.append(coset)
-    return cid, off2
-
-
-def decode(cid: int, off2: int) -> Coord:
-    """The coordinate with key (cid, off2)."""
-    sym, residue = _COSETS[cid]
-    return Coord(residue + Fraction(off2, 2), sym)

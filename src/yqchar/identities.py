@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .cartan import CartanData, LieType, build_cartan
 from .coords import Coord, coord
-from .monomials import AVector, PsiMonomial, _ExpMap, _unsite, output_order, psi_to_y
+from .monomials import AVector, PsiMonomial, _ExpMap, _site, _unsite, output_order, psi_to_y
 from .characters import (
     DEFAULT_CONFIG, CharacterReport, EngineConfig, EngineError,
     TruncatedCharacter, _ledger_mul, asymptotic_char, char_mul, compare_characters,
@@ -59,9 +59,10 @@ class IdentitySpec:
 
     @staticmethod
     def from_json(obj: dict) -> "IdentitySpec":
-        return IdentitySpec(**{k: obj[k] for k in
-                               ("kind", "lie_type", "i", "k", "t", "x", "y", "a", "b", "N")
-                               if k in obj})
+        unknown = sorted(set(obj) - set(IdentitySpec.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown identity field(s): {', '.join(unknown)}")
+        return IdentitySpec(**obj)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "lie_type": self.lie_type, "i": self.i,
@@ -308,7 +309,7 @@ def _skeleton_zset(cartan: CartanData, i: int, ip: int, k: int, x: Coord):
 def _unsupported(terms, allowed, reason: str, lead=None) -> list:
     """(term, reason) for each term but the unit and ``lead`` that has no
     factor A^-1_{j,z} with (j, z) in ``allowed``: a site-set intersection."""
-    sites = set(AVector(tuple((p, 1) for p in allowed)).sites)
+    sites = {_site(j, z) for j, z in allowed}
     return [(v, reason) for v, _ in terms
             if v.sites and v != lead and sites.isdisjoint(v.sites)]
 
@@ -321,12 +322,12 @@ def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
     x = coord(x)
     di = cartan.di(i)
     char = fm_expand(cartan, kr_top_y(cartan, i, k, x, config), bound, config)
-    chains = {AVector(tuple(((i, x + m * di), 1) for m in range(l + 1)))
-              for l in range(k)}
-    lead = AVector.gen(i, x).sites[0]
-    off = [(v, c) for v, c in char.terms if v not in chains]
+    chain = [_site(i, x + m * di) for m in range(k)]
+    chains = {tuple(chain[:l + 1]) for l in range(k)}
+    lead = _site(i, x)
+    off = [(v, c) for v, c in char.terms if v.sites not in chains]
     found = [(v, f"i-chain multiplicity {c} != 1")
-             for v, c in char.terms if v in chains and c != 1]
+             for v, c in char.terms if v.sites in chains and c != 1]
     found += _unsupported(off, [(i, x)], "missing leading A-factor at the KR node")
     allowed = [(ip, z) for ip in cartan.nodes if ip != i
                for z in _skeleton_zset(cartan, i, ip, k, x)]

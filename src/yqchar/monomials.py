@@ -12,24 +12,28 @@ Three sparse Laurent-monomial types over the key set (node, coordinate):
 All types are immutable, canonical (no zero exponents, sorted keys) and
 hashable.  Spectral coordinates are exact (see coords.Coord).
 
-Storage: each (node, x) is one int *site* ``off2 << 32 | lane``, where
-(cid, off2) = ``coords.encode(x)`` and the lane interns (node, cid) in order
-of first use; off2 and the node are exact at any size, and a half step is
-+-(1 << 32).  Psi and Y monomials store ``exps``, (site, exponent) pairs
-sorted by site.  An AVector stores ``sites``, its sorted site multiset, so
-its height is ``len(sites)`` and a ledger product is ``tuple(sorted(a +
-b))``, one C merge.  Int order is not Coord order: ``items()`` and
-``ordered()`` give factors in (node, Coord) order, for printing.  There is no
-change of coordinates on monomials: a site is made from its (node, x) once.
+Storage: each (node, x) is one int *site* ``off2 << 32 | lane``: off2 =
+floor(2 x.rat) counts half steps, and the lane interns (node, symbolic part,
+rational residue x.rat - off2/2 in [0, 1/2)) in order of first use.  This
+module owns the key: ``_site`` makes it, ``_unsite`` reads it back, and off2
+and the node are exact at any size; a half step is +-(1 << 32).  Psi and Y
+monomials store ``exps``, (site, exponent) pairs sorted by site.  An AVector
+stores ``sites``, its sorted site multiset, so its height is ``len(sites)``
+and a ledger product is ``tuple(sorted(a + b))``, one C merge.  Int order is
+not Coord order: ``items()`` and ``ordered()`` give factors in (node, Coord)
+order, for printing.  There is no change of coordinates on monomials: a site
+is made from its (node, x) once.
 """
 from __future__ import annotations
 
+import math
 import threading
+from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
 from .cartan import CartanData, Weight
-from .coords import Coord, decode, encode
+from .coords import Coord, coord
 
 __all__ = [
     "PsiMonomial", "YMonomial", "AVector",
@@ -40,44 +44,47 @@ __all__ = [
 
 _HALF = 1 << 32             # a half step of the coordinate, added to a site
 _LANE = _HALF - 1           # mask of the lane bits of a site
-_LANES: list = []           # lane -> (node, cid)
-_LANE_IDS: dict = {}        # (node, cid) -> lane
+_LANES: list = []           # lane -> (node, sym, residue)
+_LANE_IDS: dict = {}        # (node, sym, residue) -> lane
 _LANE_LOCK = threading.Lock()
 # Bound on the memos of single sites below.
 _SITE_CACHE_SIZE = 4096
 
 
-def _lane(i: int, cid: int) -> int:
-    lane = _LANE_IDS.get((i, cid))
+def _lane(i: int, sym: tuple, residue) -> int:
+    key = (i, sym, residue)
+    lane = _LANE_IDS.get(key)
     if lane is None:
         with _LANE_LOCK:
             if len(_LANES) > _LANE:
                 raise OverflowError("more than 2**32 (node, coset) lanes")
-            lane = _LANE_IDS.setdefault((i, cid), len(_LANES))
+            lane = _LANE_IDS.setdefault(key, len(_LANES))
             if lane == len(_LANES):
-                _LANES.append((i, cid))
+                _LANES.append(key)
     return lane
 
 
+@lru_cache(maxsize=_SITE_CACHE_SIZE)
 def _site(i: int, x) -> int:
     """The site of (node i, coordinate x)."""
-    cid, off2 = encode(x)
-    return off2 << 32 | _lane(i, cid)
+    x = coord(x)
+    off2 = math.floor(2 * x.rat)
+    return off2 << 32 | _lane(i, x.sym, x.rat - Fraction(off2, 2))
 
 
 @lru_cache(maxsize=_SITE_CACHE_SIZE)
 def _unsite(s: int) -> tuple:
     """(node, Coord) of a site."""
-    i, cid = _LANES[s & _LANE]
-    return i, decode(cid, s >> 32)
+    i, sym, residue = _LANES[s & _LANE]
+    return i, Coord(residue + Fraction(s >> 32, 2), sym, canonical=True)
 
 
 @lru_cache(maxsize=_SITE_CACHE_SIZE)
 def _site_order(s: int) -> tuple:
     """A key of sites in (node, Coord) order: within a coset rat is off2 / 2
-    plus a fixed residue in [0, 1/2), so rat is compared only at equal off2."""
-    i, x = _unsite(s)
-    return i, x.sym, s >> 32, x.rat
+    plus the residue in [0, 1/2), so the residue is compared only at equal off2."""
+    i, sym, residue = _LANES[s & _LANE]
+    return i, sym, s >> 32, residue
 
 
 def _at_node(exps, i: int) -> tuple:
@@ -94,8 +101,8 @@ def _canon(pairs, base=()) -> tuple:
 
 
 def _sited(exps):
-    """(site, e) pairs of ((node, coordinate), e) pairs or of a dict of them."""
-    return ((_site(i, x), e) for (i, x), e in (exps.items() if isinstance(exps, dict) else exps))
+    """(site, e) pairs of ((node, coordinate), e) pairs."""
+    return ((_site(i, x), e) for (i, x), e in exps)
 
 
 class _Monomial:
@@ -146,8 +153,7 @@ class _ExpMap(_Monomial):
     __slots__ = ("exps",)
 
     def __init__(self, exps=(), *, canonical=False):
-        """``exps``: ((node, coordinate), exponent) pairs or a dict of them;
-        ``canonical=True`` takes a tuple as built by ``_canon`` unchecked."""
+        """``exps``: ((node, coordinate), exponent) pairs; ``canonical=True`` takes a tuple as built by ``_canon`` unchecked."""
         if not canonical:
             exps = _canon(_sited(exps))
         object.__setattr__(self, "exps", exps)
@@ -267,7 +273,7 @@ class AVector(_Monomial):
 
 # ---------------------------------------------------------------------------
 # Expansions between the bases, on sites: x + s/2 at node j is a site of
-# the lane (j, cid of x), s half steps up.
+# the lane (j, coset of x), s half steps up.
 # ---------------------------------------------------------------------------
 
 # Bound on the memoized offset tables below: one entry per Cartan type.
@@ -312,8 +318,8 @@ def _expand(cartan: CartanData, exps, basis: int, sign: int) -> tuple:
         lane = s & _LANE
         table = tables.get(lane)
         if table is None:
-            i, cid = _LANES[lane]
-            table = tables[lane] = tuple((o * _HALF + _lane(j, cid) - lane, f)
+            i, sym, residue = _LANES[lane]
+            table = tables[lane] = tuple((o * _HALF + _lane(j, sym, residue) - lane, f)
                                          for j, o, f in by_node[i - 1][basis])
         e *= sign
         out += [(s + d, f * e) for d, f in table]

@@ -13,7 +13,7 @@ it as the tuple of its dim coefficients: ``xp[n][i]``, ``xm[n][i]`` and
 (``xp[n][0]`` and ``xm[n][dim-1]`` are 0, their targets lie outside the
 basis).  The public fields hold ``Fraction``s; the relation checker lifts
 them to ints over one common denominator and multiplies bands directly,
-O(dim) per product.  Only ``matrices_json`` forms dense matrices.
+O(dim) per product; no dense matrix is formed.
 
 Finite modules (k a nonnegative integer) close on dim = k+1 vectors;
 truncated modules keep the first M vectors of the infinite tower, on which
@@ -85,15 +85,6 @@ _XP, _XM, _XI = -1, 1, 0
 _ZERO = Fraction(0)
 
 
-def _dense(band, offset: int, dim: int):
-    """The dim x dim matrix whose entry [c+offset][c] is band[c]."""
-    rows = [[_ZERO] * dim for _ in range(dim)]
-    for c, e in enumerate(band):
-        if 0 <= c + offset < dim:
-            rows[c + offset][c] = e
-    return rows
-
-
 @dataclass(frozen=True)
 class Sl2Module:
     kind: str                 # "finite" | "truncated"
@@ -111,15 +102,6 @@ class Sl2Module:
         if self.kind == "finite":
             return range(self.dim)
         return range(self.dim - SAFE_MARGIN)
-
-    def matrices_json(self) -> dict:
-        dump = lambda bands, offset: [[[str(e) for e in row]
-                                       for row in _dense(b, offset, self.dim)]
-                                      for b in bands]
-        return {"kind": self.kind, "k": str(self.k), "x": str(self.x),
-                "dim": self.dim, "mode_bound": self.mode_bound,
-                "xp": dump(self.xp, _XP), "xm": dump(self.xm, _XM),
-                "xi": dump(self.xi, _XI)}
 
 
 def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,

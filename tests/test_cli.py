@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import yqchar.cli as cli
-from yqchar.characters import CharacterReport, TruncatedCharacter
+from yqchar.characters import _FM_CACHE, CharacterReport, TruncatedCharacter
 from yqchar.monomials import AVector, PsiMonomial
 
 
@@ -106,6 +106,24 @@ def test_usage_errors_exit_two(tmp_path):
     bad.write_text(json.dumps({"output_format": "xml"}))
     assert run(["qchar", "kr", "--type", "A1", "--node", "1",
                 "--config", str(bad)])[0] == 2
+
+
+def test_negative_height_is_a_usage_error_on_engine_paths():
+    before = set(_FM_CACHE._data), _FM_CACHE.misses
+    for argv in (["qchar", "kr", "--type", "A2", "--node", "1", "--k", "2", "--height", "-1"],
+                 ["qchar", "demazure", "--type", "A2", "--node", "1", "--k", "2", "--t", "1",
+                  "--height", "-1"]):
+        assert run(argv) == (2, "", "error: height bound must be >= 0\n")
+    # refused before the memo is consulted: nothing looked up, nothing stored
+    assert (set(_FM_CACHE._data), _FM_CACHE.misses) == before
+
+
+def test_suite_entry_with_unknown_field_is_a_usage_error(tmp_path):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"kind": "tq", "lie_type": "B2", "i": 2, "k": 6,
+                                  "height": 4}]))
+    assert run(["verify", "suite", str(suite)]) == \
+        (2, "", "error: unknown identity field(s): height\n")
 
 
 def test_engine_exhaustion_exits_three(tmp_path):

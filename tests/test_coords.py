@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from yqchar.coords import (
-    Coord, CoordSyntaxError, coord, decode, encode, parse_coord,
+    Coord, CoordSyntaxError, coord, parse_coord,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
@@ -38,9 +38,8 @@ def test_half_integer_and_genericity():
     assert coord("3/2").is_half_integer()
     assert coord(-2).is_half_integer()
     assert not coord("1/3").is_half_integer()
-    assert coord("1/3").is_generic()
-    assert coord("k").is_generic()
-    assert not (coord("k") - coord("k")).is_generic()
+    assert not coord("k").is_half_integer()
+    assert (coord("k") - coord("k") + Fraction(1, 2)).is_half_integer()
 
 
 @pytest.mark.parametrize("text", ["-3/2", "k", "2k", "k/3", "1/2+k", "-1+k/2", "x-k", "0"])
@@ -74,34 +73,6 @@ def test_symbolic_linear_arithmetic(a, b, c):
     lhs = (k * a + b) + (k * c)
     assert lhs == Coord(b, (("k", a + c),))
     assert hash(lhs) == hash(Coord(b, (("k", a + c),)))
-
-
-# -- integer keys --------------------------------------------------------------
-
-# Rational parts with denominators 1-6 fall in several cosets mod 1/2.
-key_coords = st.builds(
-    lambda r, c, name: Coord(r) + Coord.var(name, c),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
-    st.sampled_from((0, 0, 1, Fraction(1, 2), -2)),
-    st.sampled_from(("x", "k")))
-
-
-@given(key_coords)
-def test_key_round_trip(x):
-    cid, off2 = encode(x)
-    assert decode(cid, off2) == x
-    assert encode(decode(cid, off2)) == (cid, off2)
-    assert decode(cid, off2 + 1) == x + Fraction(1, 2)
-
-
-@given(key_coords, key_coords)
-def test_keys_separate_coordinates_and_cosets(x, y):
-    (cx, ox), (cy, oy) = encode(x), encode(y)
-    assert ((cx, ox) == (cy, oy)) == (x == y)
-    assert (cx == cy) == (y - x).is_half_integer()
-    if cx == cy:
-        # inside one coset, off2 order is Coord order
-        assert (ox < oy) == (x < y)
 
 
 def test_zero_denominators_are_syntax_errors():

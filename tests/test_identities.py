@@ -30,6 +30,11 @@ def test_identity_spec_json_round_trip():
     assert IdentitySpec.from_json({"kind": "tsystem", "lie_type": "A1"}).k == 1
 
 
+def test_identity_spec_rejects_unknown_fields():
+    with pytest.raises(ValueError, match=r"unknown identity field\(s\): hieght, n$"):
+        IdentitySpec.from_json({"kind": "tq", "lie_type": "A1", "n": 3, "hieght": 4})
+
+
 def test_identity_spec_validation():
     with pytest.raises(ValueError):
         IdentitySpec(kind="nonsense", lie_type="A1")

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from yqchar.cartan import LieType, Weight, build_cartan
 from yqchar.coords import Coord, coord
 from yqchar.monomials import (
-    AVector, PsiMonomial, YMonomial,
+    _HALF, _LANE, AVector, PsiMonomial, YMonomial, _site, _site_order, _unsite,
     avector_to_psi, avector_to_y, expand_A_to_Psi, expand_A_to_Y,
     expand_Y_to_Psi, is_dominant, is_right_negative, psi_to_y,
     weight_projection, y_to_psi,
@@ -237,6 +237,45 @@ def test_avector_to_y_is_a_homomorphism(name, v, w):
     reference = YMonomial(tuple(kv for (i, x), e in v.items()
                                 for kv in (expand_A_to_Y(ct, i, x) ** -e).items()))
     assert avector_to_y(ct, v) == reference
+
+
+# -- the site key (property) ----------------------------------------------------
+
+# Rational parts with denominators 1-6 fall in several cosets mod 1/2.
+key_coords = st.builds(
+    lambda r, c, name: Coord(r) + Coord.var(name, c),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from((0, 0, 1, Fraction(1, 2), -2)),
+    st.sampled_from(("x", "k")))
+key_nodes = st.integers(min_value=1, max_value=3)
+
+
+@given(key_nodes, key_coords)
+def test_site_round_trip(i, x):
+    s = _site(i, x)
+    assert _unsite(s) == (i, x)
+    assert _site(*_unsite(s)) == s
+    assert _unsite(s + _HALF) == (i, x + Fraction(1, 2))
+    # one coordinate at two nodes: two lanes, one off2
+    t = _site(i + 1, x)
+    assert t & _LANE != s & _LANE and t >> 32 == s >> 32
+
+
+@given(key_nodes, key_coords, key_nodes, key_coords)
+def test_sites_separate_coordinates_and_cosets(i, x, j, y):
+    s, t = _site(i, x), _site(j, y)
+    assert (s == t) == ((i, x) == (j, y))
+    same_lane = s & _LANE == t & _LANE
+    assert same_lane == (i == j and (y - x).is_half_integer())
+    if same_lane:
+        # within a lane, int order is Coord order
+        assert (s < t) == (x < y)
+
+
+@given(st.lists(st.tuples(key_nodes, key_coords), max_size=8))
+def test_site_order_is_node_coord_order(pairs):
+    got = [_unsite(s) for s in sorted({_site(i, x) for i, x in pairs}, key=_site_order)]
+    assert got == sorted(set(pairs), key=lambda p: (p[0], p[1].sort_key()))
 
 
 # -- integer keys against a Coord-keyed reference (property) ------------------

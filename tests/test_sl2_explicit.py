@@ -193,7 +193,6 @@ def test_specific_matrix_entries():
     # raising: xp_0 v_1 = v_0, annihilates v_0; higher modes kill v_1 (x = 0)
     assert mod.xp[0][1] == 1
     assert mod.xp[0][0] == 0
-    assert all(row[0] == "0" for row in mod.matrices_json()["xp"][0])
     assert mod.xp[1][1] == 0
     # lowering: xm_0 v_0 = (0+1)(1-0) v_1
     assert mod.xm[0][0] == 1
@@ -219,12 +218,6 @@ def test_build_module_respects_term_budget():
 def test_safe_columns():
     assert list(build_module("finite", 2, 0).safe_columns) == [0, 1, 2]
     assert list(build_module("truncated", Fraction(7, 3), 0, M=5).safe_columns) == [0, 1, 2]
-
-
-def test_matrices_json_is_exact_strings():
-    dump = build_module("finite", 1, Fraction(1, 2), n_max=0).matrices_json()
-    assert dump["kind"] == "finite" and dump["x"] == "1/2"
-    assert dump["xm"][0][1][0] == "1"
 
 
 # -- defining relations ------------------------------------------------------
@@ -260,13 +253,6 @@ def test_corrupted_module_fails_like_dense_reference(family, n, i):
     got = check_relations(mod)
     assert not got.verdict
     assert got.to_json() == dense_check_relations(mod).to_json()
-
-
-def test_matrices_json_matches_dense_reference():
-    mod = build_module("truncated", Fraction(7, 3), Fraction(-1, 2), n_max=1, M=5)
-    dump = mod.matrices_json()
-    for name, mats in zip(("xp", "xm", "xi"), _densify(mod)):
-        assert dump[name] == [[[str(e) for e in row] for row in m] for m in mats]
 
 
 def test_relations_mode_bound_guard():
