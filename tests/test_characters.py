@@ -67,6 +67,22 @@ def test_compare_characters_and_swapped():
     assert compare_characters(a, a).verdict
 
 
+def test_compare_characters_report_literal():
+    # different tops and one coefficient off: every line of a failing report
+    a = sl2_kr_char(2, 0)
+    b = TruncatedCharacter.make(PsiMonomial.gen(1, 3) * PsiMonomial.gen(1, 0, -1),
+                                {v: 2 if v.height == 1 else c for v, c in a.terms}, None)
+    rep = compare_characters(a, b, note="bumped")
+    assert rep.to_text() == "\n".join([
+        "verdict: fail", "note: bumped",
+        "top mismatch: Psi[1,0]^-1 Psi[1,2] != Psi[1,0]^-1 Psi[1,3]",
+        "  A[1,0]^-1: lhs=1 rhs=2"])
+    assert rep.to_json() == {
+        "verdict": "fail", "note": "bumped",
+        "lhs_top": "Psi[1,0]^-1 Psi[1,2]", "rhs_top": "Psi[1,0]^-1 Psi[1,3]",
+        "mismatches": [{"avector": "A[1,0]^-1", "lhs": 1, "rhs": 2}]}
+
+
 # -- ledger arithmetic -------------------------------------------------------
 
 def test_char_mul_example():

@@ -85,6 +85,39 @@ def test_verify_suite(tmp_path):
     assert code == 0 and doc["verdict"] == "pass" and len(doc["results"]) == 2
 
 
+def test_verify_suite_with_a_failing_entry(tmp_path):
+    # A2 i=1 at k=1, N=2 lies below the TQ regime (ROADMAP item 1): one
+    # failing entry fails the whole suite, in both formats
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([
+        {"kind": "tq", "lie_type": "A2", "i": 1, "k": 1, "N": 2},
+        {"kind": "factorization", "lie_type": "A2", "i": 1, "k": 2},
+    ]))
+    top = "Psi[1,0]^-1 Psi[1,1] Psi[2,-3/2]^-1 Psi[2,-1/2]"
+    row = "A[2,-3/2]^-1 A[2,-1/2]^-1"
+    assert run(["verify", "suite", str(suite)]) == (1, "\n".join([
+        "--- tq A2 i=1 k=1", "verdict: fail", "note: A2 i=1 k=1 x=0 N=2",
+        "[R1 vs RHS]", "  verdict: fail", f"    {row}: lhs=0 rhs=1",
+        "[R2 vs RHS]", "  verdict: fail", f"    {row}: lhs=0 rhs=1",
+        "[R1 vs R2]", "  verdict: pass",
+        "offset-renaming proxy (k vs 2k): pass",
+        "--- factorization A2 i=1 k=2", "verdict: pass",
+        "note: m*n vs Demazure weight, k=2", ""]), "")
+
+    def sub(mismatches):
+        return {"verdict": "fail" if mismatches else "pass", "note": "",
+                "lhs_top": top, "rhs_top": top, "mismatches": mismatches}
+    bad = [{"avector": row, "lhs": 0, "rhs": 1}]
+    fact = "Psi[1,0]^-1 Psi[1,1] Psi[2,-5/2]^-1 Psi[2,-1/2]"
+    doc = {"schema": "yqchar/1", "verdict": "fail", "results": [
+        {"verdict": "fail", "proxy_ok": True, "note": "A2 i=1 k=1 x=0 N=2",
+         "reports": {"R1 vs RHS": sub(bad), "R2 vs RHS": sub(bad), "R1 vs R2": sub([])}},
+        {"verdict": "pass", "note": "m*n vs Demazure weight, k=2",
+         "lhs_top": fact, "rhs_top": fact, "mismatches": []}]}
+    assert run(["verify", "suite", str(suite), "--format", "json"]) == \
+        (1, json.dumps(doc, sort_keys=True) + "\n", "")
+
+
 def test_verification_failure_exits_one(monkeypatch):
     unit = TruncatedCharacter.make(PsiMonomial.unit(), {AVector.unit(): 1}, 0)
     failing = CharacterReport(False, unit, unit, (), "forced failure")

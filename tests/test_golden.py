@@ -101,6 +101,8 @@ GOLDEN = [
     # A failing report with a mismatch list (the TQ case outside the
     # generic regime, see ROADMAP item 3).
     (_v("tq", "B2", 2, "--k", "6", "--height", "4"), 1, "a52759f7dd13d3ab"),
+    (_v("tq", "B2", 2, "--k", "6", "--height", "4", "--format", "json"), 1,
+     "080aaa56d203e406"),
     # Monomial keys at their edges: offsets far beyond 64 bits (positive,
     # negative, under a symbolic part) and a rank with many nodes.
     (_kr("A1", 1, 3, "--x=1000000000000000000000/7", "--format", "json"), 0,

@@ -222,3 +222,23 @@ def test_translation_of_y_expansion():
 def test_multiplicative_tq_structural_match(ct, i):
     rep = verify_multiplicative_tq(ct, i, "x", "y", "k")
     assert rep.verdict, rep.to_text()
+
+
+def test_multiplicative_tq_reports_a_moved_exponent(monkeypatch):
+    real = identities.to_multiplicative
+    x1 = coord("x") - 1
+
+    def moved(m):
+        # of the four monomials, only the minus term carries Psi_{1,x-1}
+        out = real(m)
+        return out * MultiplicativeMonomial.gen(1, x1) if m.exp(1, x1) else out
+    monkeypatch.setattr(identities, "to_multiplicative", moved)
+    rep = verify_multiplicative_tq(A2, 1, "x", "y", "k")
+    lhs = "Psi[1,-1+x] Psi[1,y]^-1 Psi[2,-1/2-k+x]^-1 Psi[2,1/2+x]"
+    rhs = "Phi[1,q^-1+x] Phi[1,q^y]^-1 Phi[2,q^-1/2-k+x]^-1 Phi[2,q^1/2+x]"
+    assert rep.to_text() == ("verdict: fail\nnote: multiplicative translation A2 i=1\n"
+                             f"  1: lhs={lhs} rhs={rhs}")
+    assert rep.to_json() == {
+        "verdict": "fail", "note": "multiplicative translation A2 i=1",
+        "lhs_top": "1", "rhs_top": "1",
+        "mismatches": [{"avector": "1", "lhs": lhs, "rhs": rhs}]}

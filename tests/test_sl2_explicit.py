@@ -255,6 +255,17 @@ def test_corrupted_module_fails_like_dense_reference(family, n, i):
     assert got.to_json() == dense_check_relations(mod).to_json()
 
 
+def test_corrupted_module_report_literal():
+    mod = _bump(build_module("finite", 1, 0, n_max=0), "xp", 0, 1, 1)
+    rep = check_relations(mod)
+    assert rep.to_text() == ("verdict: fail (8 relation instances)\n"
+                             "  raising/lowering bracket m=0 n=0 col=0: 2 != 1")
+    assert rep.to_json() == {
+        "verdict": "fail", "checked": 8, "note": "finite k=1 x=0 dim=2",
+        "failures": [{"relation": "raising/lowering bracket", "m": 0, "n": 0,
+                      "column": 0, "lhs": "2", "rhs": "1"}]}
+
+
 def test_relations_mode_bound_guard():
     mod = build_module("finite", 1, 0, n_max=1)
     with pytest.raises(ValueError):
