@@ -31,7 +31,7 @@ from .monomials import (
 from .textio import format_monomial
 
 __all__ = [
-    "EngineConfig", "EngineError", "TruncatedCharacter", "CharacterReport",
+    "EngineConfig", "EngineError", "TruncatedCharacter", "Report",
     "char_mul", "char_add", "compare_characters",
     "kr_weight", "kr_top_y", "sl2_kr_char", "fm_expand",
     "stabilize", "asymptotic_char", "prefundamental_char",
@@ -112,7 +112,7 @@ class TruncatedCharacter:
                       for v, c in output_order(self.terms)],
         }
 
-    def to_table(self) -> str:
+    def to_text(self) -> str:
         rows = [("height", "coeff", "avector")]
         rows += [(str(v.height), str(c), format_monomial(v))
                  for v, c in output_order(self.terms)]
@@ -124,44 +124,45 @@ class TruncatedCharacter:
 
 
 @dataclass(frozen=True)
-class CharacterReport:
-    """Outcome of comparing two characters term by term."""
+class Report:
+    """Outcome of a check: its verdict, JSON members and text lines; the
+    first text line is ``verdict: pass|fail`` followed by ``tally``."""
     verdict: bool
-    lhs: TruncatedCharacter
-    rhs: TruncatedCharacter
-    mismatches: tuple = ()
-    note: str = ""
+    fields: dict
+    lines: tuple = ()
+    tally: str = ""
+
+    @property
+    def checked(self) -> int:
+        """Instances a relation check ran; the benchmark's tracer reads it."""
+        return self.fields["checked"]
 
     def to_json(self) -> dict:
-        return {
-            "verdict": "pass" if self.verdict else "fail",
-            "note": self.note,
-            "lhs_top": format_monomial(self.lhs.top),
-            "rhs_top": format_monomial(self.rhs.top),
-            "mismatches": [
-                {"avector": format_monomial(v), "lhs": a, "rhs": b}
-                for v, a, b in self.mismatches],
-        }
+        return {"verdict": "pass" if self.verdict else "fail", **self.fields}
 
     def to_text(self) -> str:
-        lines = [f"verdict: {'pass' if self.verdict else 'fail'}"]
-        if self.note:
-            lines.append(f"note: {self.note}")
-        if self.lhs.top != self.rhs.top:
-            lines.append(f"top mismatch: {format_monomial(self.lhs.top)} "
-                         f"!= {format_monomial(self.rhs.top)}")
-        for v, a, b in self.mismatches:
-            lines.append(f"  {format_monomial(v)}: lhs={a} rhs={b}")
-        return "\n".join(lines)
+        return "\n".join((f"verdict: {'pass' if self.verdict else 'fail'}{self.tally}",
+                          *self.lines))
 
 
 def compare_characters(lhs: TruncatedCharacter, rhs: TruncatedCharacter,
-                       note: str = "") -> CharacterReport:
+                       note: str = "") -> Report:
+    """Term-by-term comparison: the tops and every mismatched coefficient."""
     la, rb = lhs.term_dict(), rhs.term_dict()
-    mism = output_order((v, la.get(v, 0), rb.get(v, 0)) for v in la.keys() | rb.keys()
-                        if la.get(v, 0) != rb.get(v, 0))
-    verdict = not mism and lhs.top == rhs.top
-    return CharacterReport(verdict, lhs, rhs, tuple(mism), note)
+    mism = [(format_monomial(v), a, b) for v, a, b in output_order(
+        (v, la.get(v, 0), rb.get(v, 0)) for v in la.keys() | rb.keys()
+        if la.get(v, 0) != rb.get(v, 0))]
+    same = lhs.top == rhs.top
+    lt = format_monomial(lhs.top)
+    rt = lt if same else format_monomial(rhs.top)
+    lines = [f"note: {note}"] if note else []
+    if not same:
+        lines.append(f"top mismatch: {lt} != {rt}")
+    lines += [f"  {v}: lhs={a} rhs={b}" for v, a, b in mism]
+    return Report(same and not mism,
+                  {"note": note, "lhs_top": lt, "rhs_top": rt,
+                   "mismatches": [{"avector": v, "lhs": a, "rhs": b} for v, a, b in mism]},
+                  tuple(lines))
 
 
 # ---------------------------------------------------------------------------

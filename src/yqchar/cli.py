@@ -16,7 +16,7 @@ from fractions import Fraction
 from .cartan import LieType, build_cartan
 from .coords import coord
 from .characters import (
-    EngineConfig, EngineError, asymptotic_char, demazure_char_via_ses,
+    EngineConfig, EngineError, Report, asymptotic_char, demazure_char_via_ses,
     fm_expand, kr_top_y, m_weight, n_weight, prefundamental_char,
 )
 from .identities import (
@@ -153,14 +153,15 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(obj, cfg: CliConfig, out):
+def _emit(obj, cfg: CliConfig, out) -> int:
+    """Print ``obj`` in the configured format; exit 1 for a failing report, else 0."""
     if cfg.output_format == "json":
         payload = obj.to_json() if hasattr(obj, "to_json") else obj
         print(json.dumps({"schema": "yqchar/1", "result": payload},
                          sort_keys=True), file=out)
     else:
-        print(obj.to_text() if hasattr(obj, "to_text")
-              else obj.to_table() if hasattr(obj, "to_table") else obj, file=out)
+        print(obj.to_text() if hasattr(obj, "to_text") else obj, file=out)
+    return 1 if isinstance(obj, Report) and not obj.verdict else 0
 
 
 def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
@@ -193,11 +194,9 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             else:
                 ch = n_weight(cartan, i, coord(args.k), coord(args.x))
             if isinstance(ch, PsiMonomial):
-                _emit({"monomial": format_monomial(ch)} if cfg.output_format == "json"
-                      else format_monomial(ch), cfg, out)
-            else:
-                _emit(ch, cfg, out)
-            return 0
+                ch = {"monomial": format_monomial(ch)} if cfg.output_format == "json" \
+                    else format_monomial(ch)
+            return _emit(ch, cfg, out)
         if args.command == "verify":
             if args.what == "suite":
                 with open(args.suite_file) as fh:
@@ -222,32 +221,22 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
                 t=getattr(args, "t", 0), x=getattr(args, "x", "0"),
                 y=getattr(args, "y", "0"), a=getattr(args, "a", "0"),
                 b=getattr(args, "b", "0"), N=N)
-            report = run_identity(spec, eng)
-            _emit(report, cfg, out)
-            return 0 if report.verdict else 1
+            return _emit(run_identity(spec, eng), cfg, out)
         if args.command == "rep-check":
             if args.what == "three-term":
-                report = verify_sl2_three_term(_rational(args.x), _rational(args.y),
-                                               args.M, args.height, eng)
-                _emit(report, cfg, out)
-                return 0 if report.verdict else 1
+                return _emit(verify_sl2_three_term(_rational(args.x), _rational(args.y),
+                                                   args.M, args.height, eng), cfg, out)
             mod = build_module(args.kind, _rational(args.k), _rational(args.x),
                                n_max=args.modes,
                                M=args.M if args.kind == "truncated" else None,
                                config=eng)
-            if args.what == "relations":
-                report = check_relations(mod, config=eng)
-                _emit(report, cfg, out)
-                return 0 if report.verdict else 1
-            _emit(extract_qchar(mod), cfg, out)
-            return 0
+            return _emit(check_relations(mod, config=eng) if args.what == "relations"
+                         else extract_qchar(mod), cfg, out)
         # translate
         if args.check_tq:
             cartan = build_cartan(LieType.parse(args.type))
-            report = verify_multiplicative_tq(cartan, args.node,
-                                              coord("x"), coord("y"), coord("k"))
-            _emit(report, cfg, out)
-            return 0 if report.verdict else 1
+            return _emit(verify_multiplicative_tq(cartan, args.node, coord("x"), coord("y"),
+                                                  coord("k")), cfg, out)
         if not args.monomial:
             raise UsageError("translate needs --monomial or --check-tq")
         mono = parse_monomial(args.monomial, build_cartan(LieType.parse(args.type)),
@@ -255,8 +244,7 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
         if not isinstance(mono, PsiMonomial):
             raise UsageError("translation input must be a Psi monomial")
         text = format_monomial(to_multiplicative(mono))
-        _emit({"monomial": text} if cfg.output_format == "json" else text, cfg, out)
-        return 0
+        return _emit({"monomial": text} if cfg.output_format == "json" else text, cfg, out)
     except (UsageError, MonomialSyntaxError) as ex:
         print(f"error: {ex}", file=err)
         return 2

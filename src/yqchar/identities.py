@@ -13,7 +13,7 @@ from .cartan import CartanData, LieType, build_cartan
 from .coords import Coord, coord
 from .monomials import AVector, PsiMonomial, _ExpMap, _site, _unsite, output_order, psi_to_y
 from .characters import (
-    DEFAULT_CONFIG, CharacterReport, EngineConfig, EngineError,
+    DEFAULT_CONFIG, EngineConfig, EngineError, Report,
     TruncatedCharacter, _ledger_mul, asymptotic_char, char_mul, compare_characters,
     demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
     kr_top_y, kr_weight, m_weight, n_weight, stabilize,
@@ -25,7 +25,6 @@ __all__ = [
     "verify_tsystem", "verify_tq", "verify_two_term", "verify_factorization",
     "check_kr_skeleton", "check_demazure_support", "check_m_support",
     "MultiplicativeMonomial", "to_multiplicative", "verify_multiplicative_tq",
-    "SupportReport", "TqReport",
 ]
 
 
@@ -96,7 +95,7 @@ def run_identity(spec: IdentitySpec, config: EngineConfig = DEFAULT_CONFIG):
 
 def verify_tsystem(cartan: CartanData, i: int, k: int, t: int,
                    bound: int | None = None,
-                   config: EngineConfig = DEFAULT_CONFIG) -> CharacterReport:
+                   config: EngineConfig = DEFAULT_CONFIG) -> Report:
     """Kernel character two ways: SES difference vs direct expansion.
 
     chi(W_{k,0}) chi(W_{k+t,d_i}) - chi(W_{k-1,d_i}) chi(W_{k+t+1,0}) must
@@ -115,31 +114,6 @@ def verify_tsystem(cartan: CartanData, i: int, k: int, t: int,
 # ---------------------------------------------------------------------------
 # The three-term (TQ) identity via its normalized character formula.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TqReport:
-    verdict: bool
-    reports: tuple        # (name, CharacterReport) pairs
-    proxy_ok: bool | None = None
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return {"verdict": "pass" if self.verdict else "fail",
-                "proxy_ok": self.proxy_ok, "note": self.note,
-                "reports": {name: r.to_json() for name, r in self.reports}}
-
-    def to_text(self) -> str:
-        lines = [f"verdict: {'pass' if self.verdict else 'fail'}"]
-        if self.note:
-            lines.append(f"note: {self.note}")
-        for name, r in self.reports:
-            lines.append(f"[{name}]")
-            lines.append("  " + r.to_text().replace("\n", "\n  "))
-        if self.proxy_ok is not None:
-            lines.append(f"offset-renaming proxy (k vs 2k): "
-                         f"{'pass' if self.proxy_ok else 'fail'}")
-        return "\n".join(lines)
-
 
 def tq_rhs(cartan: CartanData, i: int, k: int, x, bound: int,
            config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
@@ -210,8 +184,18 @@ def _offset_pattern(cartan: CartanData, i: int, k: int, x: Coord, terms):
     return tuple(sorted((tuple(sorted((key[s], e) for s, e in v.exps)), c) for v, c in terms))
 
 
+def _check_realizable(cartan: CartanData, i: int, k: int):
+    """Refuse a k with no m-weight module: Psi_{j,x+d_ij}/Psi_{j,x+d_ij-k d_i}
+    (c_ij < 0) is a string of Y_j's, which step by d_j, only if d_j | k d_i."""
+    kd = k * int(cartan.di(i))
+    for j in cartan.nodes:
+        if cartan.cij(i, j) < 0 and kd % cartan.d[j - 1]:
+            raise ValueError(f"k={k} is not realizable at node {i}: d_{j}={cartan.d[j - 1]} "
+                             f"does not divide k*d_{i}={kd}")
+
+
 def verify_tq(cartan: CartanData, i: int, k: int, x, bound: int,
-              config: EngineConfig = DEFAULT_CONFIG) -> TqReport:
+              config: EngineConfig = DEFAULT_CONFIG) -> Report:
     """Three-term identity via the normalized character formula.
 
     Compares routes R1 (direct expansion of the m-weight) and R2 (SES
@@ -220,20 +204,25 @@ def verify_tq(cartan: CartanData, i: int, k: int, x, bound: int,
     ledger pattern after offset-cluster renaming (large-k genericity proxy).
     """
     x = coord(x)
+    _check_realizable(cartan, i, k)
     rhs = tq_rhs(cartan, i, k, x, bound, config)
     r1 = tq_lhs_direct(cartan, i, k, x, bound, config)
     r2 = tq_lhs_division(cartan, i, k, x, bound, config)
-    reports = (
-        ("R1 vs RHS", compare_characters(r1, rhs)),
-        ("R2 vs RHS", compare_characters(r2, rhs)),
-        ("R1 vs R2", compare_characters(r1, r2)),
-    )
+    reports = {"R1 vs RHS": compare_characters(r1, rhs),
+               "R2 vs RHS": compare_characters(r2, rhs),
+               "R1 vs R2": compare_characters(r1, r2)}
     rhs2 = tq_rhs(cartan, i, 2 * k, x, bound, config)
     proxy_ok = (_offset_pattern(cartan, i, k, x, rhs.terms)
                 == _offset_pattern(cartan, i, 2 * k, x, rhs2.terms))
-    verdict = all(r.verdict for _, r in reports) and proxy_ok
-    return TqReport(verdict, reports, proxy_ok,
-                    note=f"{cartan.lie_type} i={i} k={k} x={x} N={bound}")
+    note = f"{cartan.lie_type} i={i} k={k} x={x} N={bound}"
+    lines = [f"note: {note}"]
+    for name, r in reports.items():
+        lines += [f"[{name}]", "  " + r.to_text().replace("\n", "\n  ")]
+    lines.append(f"offset-renaming proxy (k vs 2k): {'pass' if proxy_ok else 'fail'}")
+    return Report(all(r.verdict for r in reports.values()) and proxy_ok,
+                  {"proxy_ok": proxy_ok, "note": note,
+                   "reports": {name: r.to_json() for name, r in reports.items()}},
+                  tuple(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +230,7 @@ def verify_tq(cartan: CartanData, i: int, k: int, x, bound: int,
 # ---------------------------------------------------------------------------
 
 def verify_two_term(cartan: CartanData, i: int, a, b, x, y, bound: int,
-                    config: EngineConfig = DEFAULT_CONFIG) -> CharacterReport:
+                    config: EngineConfig = DEFAULT_CONFIG) -> Report:
     """[S(b/a)][S(y/x)] = [S(y/a)][S(b/x)] at truncation ``bound``."""
     a, b, x, y = coord(a), coord(b), coord(x), coord(y)
     lhs = char_mul(asymptotic_char(cartan, i, b, a, bound, config),
@@ -256,7 +245,7 @@ def verify_two_term(cartan: CartanData, i: int, a, b, x, y, bound: int,
 # Monomial-level factorization m * n = d.
 # ---------------------------------------------------------------------------
 
-def verify_factorization(cartan: CartanData, i: int, k, x) -> CharacterReport:
+def verify_factorization(cartan: CartanData, i: int, k, x) -> Report:
     """m-weight times n-weight equals the t=1 Demazure weight (concrete k)."""
     x = coord(x)
     prod = m_weight(cartan, i, k, x) * n_weight(cartan, i, k, x)
@@ -270,26 +259,13 @@ def verify_factorization(cartan: CartanData, i: int, k, x) -> CharacterReport:
 # Support scans.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SupportReport:
-    verdict: bool
-    scanned: int
-    violations: tuple     # (AVector, reason)
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return {"verdict": "pass" if self.verdict else "fail",
-                "scanned": self.scanned, "note": self.note,
-                "violations": [{"avector": format_monomial(v), "reason": r}
-                               for v, r in self.violations]}
-
-    def to_text(self) -> str:
-        lines = [f"verdict: {'pass' if self.verdict else 'fail'} "
-                 f"({self.scanned} terms scanned)"]
-        if self.note:
-            lines.append(f"note: {self.note}")
-        lines += [f"  {format_monomial(v)}: {r}" for v, r in self.violations]
-        return "\n".join(lines)
+def _support_report(scanned: int, found, note: str) -> Report:
+    """Verdict of a scan of ``scanned`` terms with (term, reason) violations."""
+    rows = [(format_monomial(v), r) for v, r in output_order(found)]
+    return Report(not rows, {"scanned": scanned, "note": note,
+                             "violations": [{"avector": v, "reason": r} for v, r in rows]},
+                  (f"note: {note}", *(f"  {v}: {r}" for v, r in rows)),
+                  f" ({scanned} terms scanned)")
 
 
 def _skeleton_zset(cartan: CartanData, i: int, ip: int, k: int, x: Coord):
@@ -316,7 +292,7 @@ def _unsupported(terms, allowed, reason: str, lead=None) -> list:
 
 def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
                       bound: int | None = None,
-                      config: EngineConfig = DEFAULT_CONFIG) -> SupportReport:
+                      config: EngineConfig = DEFAULT_CONFIG) -> Report:
     """Structure of KR l-weights: the multiplicity-one i-chain, and every
     other term divisible by A^-1_{i,x} times an allowed off-node factor."""
     x = coord(x)
@@ -333,12 +309,12 @@ def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
                for z in _skeleton_zset(cartan, i, ip, k, x)]
     found += _unsupported([t for t in off if lead in t[0].sites], allowed,
                           "no allowed off-node A-factor")
-    return SupportReport(not found, len(char.terms), tuple(output_order(found)),
-                         note=f"KR skeleton {cartan.lie_type} i={i} k={k} x={x}")
+    return _support_report(len(char.terms), found,
+                           f"KR skeleton {cartan.lie_type} i={i} k={k} x={x}")
 
 
 def check_demazure_support(cartan: CartanData, i: int, k: int, x, bound: int,
-                           config: EngineConfig = DEFAULT_CONFIG) -> SupportReport:
+                           config: EngineConfig = DEFAULT_CONFIG) -> Report:
     """t=1 kernel-module support: every non-top ledger is A^-1_{i,x} or is
     divisible by some A^-1_{i',x-k d_i+z} with (i'=i, z=-d_i) or
     (c_ii'<0, z a half integer in [-3/2, 1/2])."""
@@ -350,22 +326,23 @@ def check_demazure_support(cartan: CartanData, i: int, k: int, x, bound: int,
                                   if cartan.cij(i, ip) < 0 for n in range(-3, 2)]
     found = _unsupported(char.terms, allowed, "no allowed far-cluster A-factor",
                          AVector.gen(i, x))
-    return SupportReport(not found, len(char.terms), tuple(output_order(found)),
-                         note=f"kernel support {cartan.lie_type} i={i} k={k} x={x}")
+    return _support_report(len(char.terms), found,
+                           f"kernel support {cartan.lie_type} i={i} k={k} x={x}")
 
 
 def check_m_support(cartan: CartanData, i: int, k: int, x, bound: int,
-                    config: EngineConfig = DEFAULT_CONFIG) -> SupportReport:
+                    config: EngineConfig = DEFAULT_CONFIG) -> Report:
     """m-weight module support: every non-top ledger is A^-1_{i,x} or is
     divisible by some A^-1_{j,x+d_ij-k d_i} with c_ij<0."""
     x = coord(x)
+    _check_realizable(cartan, i, k)
     char = tq_lhs_direct(cartan, i, k, x, bound, config)
     allowed = [(j, x + cartan.dij(i, j) - k * cartan.di(i))
                for j in cartan.nodes if cartan.cij(i, j) < 0]
     found = _unsupported(char.terms, allowed, "no allowed far-cluster A-factor",
                          AVector.gen(i, x))
-    return SupportReport(not found, len(char.terms), tuple(output_order(found)),
-                         note=f"m-weight support {cartan.lie_type} i={i} k={k} x={x}")
+    return _support_report(len(char.terms), found,
+                           f"m-weight support {cartan.lie_type} i={i} k={k} x={x}")
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +362,7 @@ def _phi(i, a, e=1):
     return MultiplicativeMonomial.gen(i, a, e)
 
 
-def verify_multiplicative_tq(cartan: CartanData, i: int, x, y, k) -> CharacterReport:
+def verify_multiplicative_tq(cartan: CartanData, i: int, x, y, k) -> Report:
     """Translated additive three-term instance vs the quantum display.
 
     The quantum side is built independently from its own exponent algebra
@@ -422,11 +399,11 @@ def verify_multiplicative_tq(cartan: CartanData, i: int, x, y, k) -> CharacterRe
             return out
         return [m, cl, s(1), s(-1)]
 
-    mismatches = []
-    names = ("finite factor", "denominator factor", "plus term", "minus term")
-    for name, add, qm in zip(names, additive(), quantum()):
-        if to_multiplicative(add).exps != qm.exps:
-            mismatches.append((AVector.unit(), format_monomial(add), format_monomial(qm)))
-    unit = TruncatedCharacter.make(PsiMonomial.unit(), {AVector.unit(): 1}, 0)
-    return CharacterReport(not mismatches, unit, unit, tuple(mismatches),
-                           note=f"multiplicative translation {cartan.lie_type} i={i}")
+    # rows read as a character comparison's, with the unit "1" as term and tops
+    rows = [(format_monomial(add), format_monomial(qm))
+            for add, qm in zip(additive(), quantum()) if to_multiplicative(add).exps != qm.exps]
+    note = f"multiplicative translation {cartan.lie_type} i={i}"
+    return Report(not rows, {"note": note, "lhs_top": "1", "rhs_top": "1",
+                             "mismatches": [{"avector": "1", "lhs": a, "rhs": q}
+                                            for a, q in rows]},
+                  (f"note: {note}", *(f"  1: lhs={a} rhs={q}" for a, q in rows)))

@@ -34,13 +34,13 @@ from .cartan import LieType, build_cartan
 from .coords import coord
 from .monomials import AVector, PsiMonomial, avector_to_psi
 from .characters import (
-    DEFAULT_CONFIG, CharacterReport, EngineConfig, EngineError, TruncatedCharacter,
+    DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter,
     char_add, char_mul, compare_characters,
 )
 
 __all__ = [
-    "Sl2Module", "build_module", "check_relations", "relation_instances", "RelationReport",
-    "extract_qchar", "verify_sl2_three_term",
+    "Sl2Module", "build_module", "check_relations", "relation_instances", "relation_report",
+    "extract_qchar", "three_term_sides", "verify_sl2_three_term",
 ]
 
 SAFE_MARGIN = 2
@@ -147,26 +147,14 @@ def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
 # Relation checker.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationReport:
-    verdict: bool
-    checked: int
-    failures: tuple     # (relation, m, n, column, lhs-entry, rhs-entry)
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return {"verdict": "pass" if self.verdict else "fail",
-                "checked": self.checked, "note": self.note,
-                "failures": [{"relation": r, "m": m, "n": n, "column": c,
-                              "lhs": str(a), "rhs": str(b)}
-                             for r, m, n, c, a, b in self.failures]}
-
-    def to_text(self) -> str:
-        lines = [f"verdict: {'pass' if self.verdict else 'fail'} "
-                 f"({self.checked} relation instances)"]
-        lines += [f"  {r} m={m} n={n} col={c}: {a} != {b}"
-                  for r, m, n, c, a, b in self.failures]
-        return "\n".join(lines)
+def relation_report(checked: int, failures, note: str) -> Report:
+    """Verdict of ``checked`` instances; failures: (relation, m, n, column, lhs, rhs)."""
+    return Report(not failures, {
+        "checked": checked, "note": note,
+        "failures": [{"relation": r, "m": m, "n": n, "column": c, "lhs": str(a), "rhs": str(b)}
+                     for r, m, n, c, a, b in failures]},
+        tuple(f"  {r} m={m} n={n} col={c}: {a} != {b}" for r, m, n, c, a, b in failures),
+        f" ({checked} relation instances)")
 
 
 def _times(a: tuple, b: tuple, dim: int) -> tuple:
@@ -211,7 +199,7 @@ def relation_instances(n_max: int) -> int:
 
 
 def check_relations(mod: Sl2Module, n_max: int | None = None,
-                    config: EngineConfig = DEFAULT_CONFIG) -> RelationReport:
+                    config: EngineConfig = DEFAULT_CONFIG) -> Report:
     """Verify the rank-one defining relations exactly on the safe columns.
 
     With d_11 = 1 and hbar = 1:
@@ -274,8 +262,7 @@ def check_relations(mod: Sl2Module, n_max: int | None = None,
                 lhs = combine((1, comm(xs[m + 1], xs[n])), (-1, comm(xs[m], xs[n + 1])))
                 anti = combine((sign, times(xs[m], xs[n])), (sign, times(xs[n], xs[m])))
                 expect(f"same-sign Drinfeld ({tag})", m, n, lhs, anti)
-    return RelationReport(not failures, checked, tuple(failures),
-                          note=f"{mod.kind} k={mod.k} x={mod.x} dim={mod.dim}")
+    return relation_report(checked, failures, f"{mod.kind} k={mod.k} x={mod.x} dim={mod.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +293,10 @@ def extract_qchar(mod: Sl2Module) -> TruncatedCharacter:
     return TruncatedCharacter.make(top, terms, bound)
 
 
-def verify_sl2_three_term(x, y, M: int, bound: int,
-                          config: EngineConfig = DEFAULT_CONFIG) -> CharacterReport:
-    """[C^2_x][S^x_y] = [S^{x+1}_y] + [S^{x-1}_y], all four characters
-    extracted from explicit matrix modules (not the symbolic engine)."""
+def three_term_sides(x, y, M: int, bound: int,
+                     config: EngineConfig = DEFAULT_CONFIG) -> tuple:
+    """[C^2_x][S^x_y] and [S^{x+1}_y] + [S^{x-1}_y] at height ``bound``, the four
+    characters extracted from explicit matrix modules (not the symbolic engine)."""
     x, y = Fraction(x), Fraction(y)
     if not 0 <= bound <= M - 2:
         raise ValueError("need 0 <= bound <= M - 2")
@@ -319,5 +306,12 @@ def verify_sl2_three_term(x, y, M: int, bound: int,
     dn = extract_qchar(build_module("truncated", x - 1 - y, y, n_max=0, M=M, config=config))
     lhs = char_mul(two.truncate(bound), mid.truncate(bound))
     rhs = char_add(_SL2, up.truncate(bound), dn.truncate(bound), AVector.gen(1, coord(x)))
-    return compare_characters(lhs, rhs,
+    return lhs, rhs
+
+
+def verify_sl2_three_term(x, y, M: int, bound: int,
+                          config: EngineConfig = DEFAULT_CONFIG) -> Report:
+    """[C^2_x][S^x_y] = [S^{x+1}_y] + [S^{x-1}_y] on ``three_term_sides``."""
+    x, y = Fraction(x), Fraction(y)
+    return compare_characters(*three_term_sides(x, y, M, bound, config),
                               note=f"explicit three-term x={x} y={y} N={bound}")

@@ -59,10 +59,11 @@ def test_psi_terms_multiply_out_the_ledger():
 def test_compare_characters_and_swapped():
     a, b = sl2_kr_char(2, 0), sl2_kr_char(2, 0).truncate(1)
     rep = compare_characters(a, b)
-    assert not rep.verdict and len(rep.mismatches) == 1
-    v, la, rb = rep.mismatches[0]
-    assert (la, rb) == (1, 0)
-    assert compare_characters(b, a).mismatches[0][1:] == (0, 1)
+    assert not rep.verdict and len(rep.to_json()["mismatches"]) == 1
+    row = rep.to_json()["mismatches"][0]
+    assert (row["lhs"], row["rhs"]) == (1, 0)
+    swapped = compare_characters(b, a).to_json()["mismatches"][0]
+    assert (swapped["lhs"], swapped["rhs"]) == (0, 1)
     assert "fail" in rep.to_text() and rep.to_json()["verdict"] == "fail"
     assert compare_characters(a, a).verdict
 

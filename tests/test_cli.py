@@ -4,10 +4,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import yqchar.cli as cli
-from yqchar.characters import _FM_CACHE, CharacterReport, TruncatedCharacter
-from yqchar.monomials import AVector, PsiMonomial
+from yqchar.characters import _FM_CACHE, Report
 
 
 def run(argv):
@@ -119,8 +119,7 @@ def test_verify_suite_with_a_failing_entry(tmp_path):
 
 
 def test_verification_failure_exits_one(monkeypatch):
-    unit = TruncatedCharacter.make(PsiMonomial.unit(), {AVector.unit(): 1}, 0)
-    failing = CharacterReport(False, unit, unit, (), "forced failure")
+    failing = Report(False, {"note": "forced failure"}, ("note: forced failure",))
     monkeypatch.setattr(cli, "run_identity", lambda spec, cfg: failing)
     code, out, _ = run(["verify", "tsystem", "--type", "A1", "--node", "1", "--k", "1"])
     assert code == 1 and "fail" in out
@@ -139,6 +138,21 @@ def test_usage_errors_exit_two(tmp_path):
     bad.write_text(json.dumps({"output_format": "xml"}))
     assert run(["qchar", "kr", "--type", "A1", "--node", "1",
                 "--config", str(bad)])[0] == 2
+
+
+def test_unrealizable_k_is_a_usage_error():
+    # the m-weight factor at a neighbour j is a string of Y_j's only when
+    # d_j divides k d_i; the check names k, i, j and d_j before any expansion
+    for argv, msg in (
+        (["verify", "tq", "--type", "G2", "--node", "1", "--k", "4", "--x=1/2",
+          "--height", "3"], "k=4 is not realizable at node 1: d_2=3 does not divide k*d_1=4"),
+        (["verify", "m-support", "--type", "C2", "--node", "1", "--k", "3",
+          "--x=x-1000000000000000000001/2", "--height", "1"],
+         "k=3 is not realizable at node 1: d_2=2 does not divide k*d_1=3"),
+        (["verify", "tq", "--type", "B2", "--node", "2", "--k", "3", "--height", "2"],
+         "k=3 is not realizable at node 2: d_1=2 does not divide k*d_2=3"),
+    ):
+        assert run(argv) == (2, "", f"error: {msg}\n"), argv
 
 
 def test_negative_height_is_a_usage_error_on_engine_paths():
@@ -289,6 +303,113 @@ def test_translate_check_tq():
     code, out, _ = run(["translate", "--to", "multiplicative", "--check-tq",
                         "--type", "G2", "--node", "2"])
     assert code == 0 and "pass" in out
+
+
+# -- argv fuzz ---------------------------------------------------------------
+# Every verb with every flag it takes, at small values and malformed ones,
+# sometimes with a flag it does not take: whatever the argv, dispatch returns
+# a documented exit code and raises nothing (an exception it does not map,
+# such as AttributeError, escapes and fails the test).
+
+_COORDS = ("0", "1/2", "-3/2", "x", "k", "x-1")
+_BAD_COORDS = ("1/0", "nan", "")
+_TYPES = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4")
+# (well-formed values, malformed or out-of-range values) of each flag
+_VALUES = {
+    "--type": (_TYPES, ("D3", "Z9", "")),
+    "--node": (("1", "2"), ("-1", "0", "3", "4")),
+    "--k": (("0", "1", "2", "3", "4"), ("-1", "x", "1/2") + _BAD_COORDS),
+    "--t": (("0", "1", "2", "3", "4"), ("-1",)),
+    "--height": (("0", "1", "2", "3", "4"), ("-1",)),
+    "--x": (_COORDS, _BAD_COORDS), "--y": (_COORDS, _BAD_COORDS),
+    "--a": (_COORDS, _BAD_COORDS), "--b": (_COORDS, _BAD_COORDS),
+    "--M": (("3", "4"), ("-1", "0", "1", "2")),
+    "--modes": (("0", "1", "2", "3", "4"), ("-1",)),
+    "--format": (("text", "json"), ("xml",)),
+    "--sign": (("+", "-"), ("0",)),
+    "--kind": (("finite", "truncated"), ("dense",)),
+    "--to": (("multiplicative",), ("additive",)),
+    "--monomial": (("Psi[1,x]", "Psi[1,1/2] /Psi[2,k]^2"),
+                   ("Y[1,0]", "A[1,0]^-1", "Psi[1,", "Psi[3,1/0]", "")),
+    "--config": ((), ("missing.json",)),
+}
+_REQUIRED = ("--type", "--node", "--to")
+_MOSTLY = st.sampled_from((True,) * 9 + (False,))
+_NODE = ("--type", "--node", "--format")
+_REP = ("--kind", "--k", "--x", "--M", "--modes", "--format")
+_VERBS = {
+    ("qchar", "kr"): _NODE + ("--k", "--x", "--height"),
+    ("qchar", "demazure"): _NODE + ("--k", "--t", "--x", "--height"),
+    ("qchar", "asymptotic"): _NODE + ("--x", "--y", "--height"),
+    ("qchar", "prefundamental"): _NODE + ("--x", "--height", "--sign"),
+    ("qchar", "m"): _NODE + ("--k", "--x"),
+    ("qchar", "n"): _NODE + ("--k", "--x"),
+    ("verify", "tsystem"): _NODE + ("--k", "--t"),
+    ("verify", "tq"): _NODE + ("--k", "--x", "--height"),
+    ("verify", "two-term"): _NODE + ("--x", "--y", "--height", "--a", "--b"),
+    ("verify", "factorization"): _NODE + ("--k", "--x"),
+    ("verify", "kr-skeleton"): _NODE + ("--k", "--x"),
+    ("verify", "demazure-support"): _NODE + ("--k", "--x", "--height"),
+    ("verify", "m-support"): _NODE + ("--k", "--x", "--height"),
+    ("verify", "suite"): ("--format",),
+    ("rep-check", "relations"): _REP,
+    ("rep-check", "qchar"): _REP,
+    ("rep-check", "three-term"): ("--x", "--y", "--M", "--height", "--format"),
+    ("translate",): ("--to", "--monomial", "--check-tq", "--type", "--node", "--format"),
+    ("qchar",): (),
+    ("no-such-command",): (),
+}
+_SPEC_VALUES = {
+    "kind": st.sampled_from(("tsystem", "tq", "two_term", "factorization", "kr_skeleton",
+                             "demazure_support", "m_support", "bogus")),
+    "lie_type": st.sampled_from(_TYPES + _VALUES["--type"][1]),
+    "i": st.integers(-1, 4), "k": st.integers(-1, 4) | st.sampled_from(_COORDS),
+    "t": st.integers(-1, 4), "N": st.integers(-1, 4),
+    "x": st.sampled_from(_COORDS + _BAD_COORDS),
+    "height": st.integers(0, 4),
+}
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(sorted(_VERBS)))
+    flags = list(_VERBS[verb])
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(_VALUES) + ["--check-tq"])))
+    argv = []
+    for flag in flags:
+        if draw(_MOSTLY if flag in _REQUIRED else st.booleans()):
+            if flag == "--check-tq":
+                argv.append(flag)
+                continue
+            good, bad = _VALUES[flag]
+            pool = good if good and draw(_MOSTLY) else bad
+            argv.append(f"{flag}={draw(st.sampled_from(pool))}")
+    suite = draw(st.lists(st.fixed_dictionaries({}, optional=_SPEC_VALUES), max_size=2)) \
+        if verb == ("verify", "suite") else None
+    return verb, argv, suite
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # a small term budget keeps the complete (unbounded) characters a few
+    # flags can ask for, such as a G2 kernel at k = t = 4, to a few ms
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "budget.json").write_text(json.dumps({"term_budget": 20_000}))
+    return path
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_argv())
+def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, drawn):
+    verb, flags, suite = drawn
+    argv = [*verb, "--config", str(fuzz_dir / "budget.json"), *flags]
+    if suite is not None:
+        (fuzz_dir / "suite.json").write_text(json.dumps(suite))
+        argv.insert(2, str(fuzz_dir / "suite.json"))
+    code, out, err = run(argv)
+    assert code in (0, 1, 2, 3), (argv, suite)
+    assert (err == "") == (code in (0, 1)), (argv, suite, err)
 
 
 # -- config ------------------------------------------------------------------

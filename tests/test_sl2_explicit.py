@@ -11,8 +11,8 @@ from yqchar.characters import (
 )
 from yqchar.monomials import PsiMonomial
 from yqchar.sl2_explicit import (
-    RelationReport, build_module, check_relations, extract_qchar, psi_ratio_series,
-    relation_instances, verify_sl2_three_term,
+    build_module, check_relations, extract_qchar, psi_ratio_series,
+    relation_instances, relation_report, verify_sl2_three_term,
 )
 
 A1 = build_cartan(LieType.parse("A1"))
@@ -99,8 +99,7 @@ def dense_check_relations(mod, n_max=None):
                         _mat_sub(_mat_mul(xs[m], xs[n]),
                                  [[-e for e in row] for row in _mat_mul(xs[n], xs[m])])]
                 expect(f"same-sign Drinfeld ({tag})", m, n, lhs, anti)
-    return RelationReport(not failures, checked, tuple(failures),
-                          note=f"{mod.kind} k={mod.k} x={mod.x} dim={mod.dim}")
+    return relation_report(checked, failures, f"{mod.kind} k={mod.k} x={mod.x} dim={mod.dim}")
 
 
 def _bump(mod, family, n, i, delta):
