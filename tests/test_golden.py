@@ -185,6 +185,22 @@ GOLDEN = [
         "--format", "json"), 0, "0804cddbd8f8886f"),
     (("translate", "--to", "multiplicative", "--type", "B2", "--monomial",
       "Psi[2,1/6+k]^2 /Psi[1,-1/3]"), 0, "5619f2e6aafb57df"),
+    # Stabilized characters above height 3, in every family that has a
+    # node with a stabilized ledger: the stable length grows with N.
+    (("qchar", "asymptotic", "--type", "D4", "--node", "2", "--y", "y", "--x", "x",
+      "--height", "5", "--format", "json"), 0, "c0e7f5e4852e000e"),
+    (("qchar", "prefundamental", "--type", "G2", "--node", "1", "--sign", "-",
+      "--x", "x", "--height", "6", "--format", "json"), 0, "8044e9f5266286c2"),
+    (("qchar", "asymptotic", "--type", "B3", "--node", "3", "--y", "x+k", "--x", "x",
+      "--height", "5"), 0, "f9faea44b00ac46a"),
+    (("qchar", "prefundamental", "--type", "F4", "--node", "4", "--sign", "-",
+      "--x", "1/3", "--height", "4", "--format", "json"), 0, "f03b81ccbf987450"),
+    (("qchar", "prefundamental", "--type", "E6", "--node", "1", "--sign", "-",
+      "--x", "0", "--height", "4", "--format", "json"), 0, "79c067ba6b1f6fef"),
+    (_v("two-term", "C3", 3, "--a", "a", "--b", "b", "--x", "x", "--y", "y",
+        "--height", "5", "--format", "json"), 0, "174269d06bb67bfb"),
+    (_v("tq", "B2", 2, "--k", "8", "--height", "4", "--format", "json"), 0,
+     "51422fff2ce71ab6"),
 ]
 
 
