@@ -43,14 +43,13 @@ __all__ = [
 @dataclass(frozen=True)
 class EngineConfig:
     term_budget: int = 1_000_000
-    stabilization_k_ceiling: int = 16
 
 
 DEFAULT_CONFIG = EngineConfig()
 
 
 class EngineError(RuntimeError):
-    """Budget exhaustion, stabilization failure, or an internal engine fault."""
+    """Budget exhaustion or an internal engine fault."""
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +401,8 @@ def _strings(positions, d: int):
 
 # Bound on the memoized node-sl2 expansions.  Keys carry absolute
 # coordinates, so reuse happens within one expansion and across expansions
-# at the same spectral point (the k-steps of ``stabilize``).  A complete KR
+# that meet the same string content under the same cap: one cycle of the
+# identity_suite benchmark hits 541 of 1,188 lookups.  A complete KR
 # character such as B3 n3 k5 or B4 n4 k3 meets 90-150 distinct keys.
 _SL2_CACHE_SIZE = 1024
 
@@ -437,8 +437,7 @@ def _sl2_node_expansion(positions: tuple, d: int, cap: int | None, budget: int) 
 # ---------------------------------------------------------------------------
 
 class _TermBoundedCache:
-    """LRU map of characters, or (character, index) pairs, bounded by the
-    total number of their terms.
+    """LRU map of characters, bounded by the total number of their terms.
 
     A count bound would let a run of large distinct expansions hold that
     many large characters; this bound keeps the footprint flat.
@@ -451,10 +450,6 @@ class _TermBoundedCache:
         self._data = OrderedDict()
         self._lock = threading.Lock()
 
-    @staticmethod
-    def size(value) -> int:
-        return len((value[0] if isinstance(value, tuple) else value).terms)
-
     def memo(self, key, compute):
         """The value under ``key``, or ``compute()`` stored there; the first
         item of a key names its kind.  An exception is never stored."""
@@ -466,21 +461,21 @@ class _TermBoundedCache:
                 return value
             self.misses += 1
         value = compute()
-        n = self.size(value)
+        n = len(value.terms)
         with self._lock:
             if key not in self._data and n <= self.max_terms:
                 self._data[key] = value
                 self.terms += n
                 while self.terms > self.max_terms:
-                    self.terms -= self.size(self._data.popitem(last=False)[1])
+                    self.terms -= len(self._data.popitem(last=False)[1].terms)
         return value
 
 
-# Bound on the total terms of the memoized engine characters: expansions,
-# SES kernel characters and stabilized characters share it.  One cycle of the
-# identity_suite benchmark leaves 165 entries with 3,073 terms (136 expansions
-# 2,434, 15 kernels 545, 14 stabilized ledgers 94) after 1,241 hits;
-# tests/test_acceptance.py meets 347 expansions with 7,107 terms.
+# Bound on the total terms of the memoized engine characters: expansions and
+# SES kernel characters share it.  One cycle of the identity_suite benchmark
+# leaves 105 entries with 2,753 terms (90 expansions 2,208, 15 kernels 545)
+# after 1,231 hits; tests/test_acceptance.py meets 295 expansions with 6,853
+# terms.
 _FM_CACHE_TERMS = 10_000
 _FM_CACHE = _TermBoundedCache(_FM_CACHE_TERMS)
 
@@ -559,36 +554,29 @@ def _fm_expand(cartan, top, bound, config):
 # ---------------------------------------------------------------------------
 
 def stabilize(cartan: CartanData, i: int, x, bound: int,
-              config: EngineConfig = DEFAULT_CONFIG):
-    """Stable truncated normalized KR character lim_k nqc(W^(i)_{k,x}).
+              config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
+    """Stable truncated normalized KR character lim_k nqc(W^(i)_{k,x}), with unit top.
 
-    Increases k until two consecutive truncations agree; returns
-    (normalized TruncatedCharacter, stabilization index).
+    The limit converges (Hernandez--Jimbo, arXiv:1104.1891), and its
+    truncation at height N is that of nqc(W^(i)_{N,x}): one expansion at
+    k = N.  No shorter string gives it, since the i-chain
+    A^-1_{i,x} ... A^-1_{i,x+(N-1)d_i} of height N is a term of nqc(W_k)
+    only for k >= N.  That the truncation is the same for every k >= N is
+    not proved here; tests/test_characters.py checks it against a search
+    for two equal consecutive truncations, over types A to D and G and
+    heights up to 8.
     """
     if bound < 0:
         raise ValueError("height bound must be >= 0")
-    x = coord(x)
-    return _FM_CACHE.memo(("stabilize", cartan, i, x, bound, config),
-                          lambda: _stabilize(cartan, i, x, bound, config))
-
-
-def _stabilize(cartan, i, x, bound, config):
-    prev = None
-    for k in range(config.stabilization_k_ceiling + 2):
-        cur = fm_expand(cartan, kr_top_y(cartan, i, k, x, config), bound, config).terms
-        if prev is not None and cur == prev:
-            return (TruncatedCharacter(PsiMonomial.unit(), cur, bound), k - 1)
-        prev = cur
-    raise EngineError(
-        f"normalized KR characters did not stabilize at height {bound} before "
-        f"k = {config.stabilization_k_ceiling} (node {i}, x = {x})")
+    kr = fm_expand(cartan, kr_top_y(cartan, i, bound, x, config), bound, config)
+    return TruncatedCharacter(PsiMonomial.unit(), kr.terms, bound)
 
 
 def asymptotic_char(cartan: CartanData, i: int, y, x, bound: int,
                     config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
     """Character of the asymptotic module with top Psi_{i,y}/Psi_{i,x}."""
     y, x = coord(y), coord(x)
-    stable, _ = stabilize(cartan, i, x, bound, config)
+    stable = stabilize(cartan, i, x, bound, config)
     top = PsiMonomial.unit() if y == x else \
         PsiMonomial.gen(i, y) * PsiMonomial.gen(i, x, -1)
     return TruncatedCharacter(top, stable.terms, bound)
@@ -604,7 +592,7 @@ def prefundamental_char(cartan: CartanData, i: int, x, sign: str, bound: int,
     x = coord(x)
     if sign == "+":
         return TruncatedCharacter.make(PsiMonomial.gen(i, x), {AVector.unit(): 1}, bound)
-    stable, _ = stabilize(cartan, i, x, bound, config)
+    stable = stabilize(cartan, i, x, bound, config)
     return TruncatedCharacter(PsiMonomial.gen(i, x, -1), stable.terms, bound)
 
 

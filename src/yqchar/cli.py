@@ -1,7 +1,7 @@
 """Command-line front end: characters, identity suites, matrix checks.
 
 Exit codes: 0 all requested checks pass / output produced; 1 verification
-failure; 2 usage error; 3 engine budget or stabilization failure.
+failure; 2 usage error; 3 term budget exceeded or internal engine fault.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .characters import (
     fm_expand, kr_top_y, m_weight, n_weight, prefundamental_char,
 )
 from .identities import (
-    IdentitySpec, run_identity, to_multiplicative, verify_multiplicative_tq,
+    IdentitySpec, _integer_k, run_identity, to_multiplicative, verify_multiplicative_tq,
 )
 from .monomials import PsiMonomial
 from .sl2_explicit import build_module, check_relations, extract_qchar, verify_sl2_three_term
@@ -33,18 +33,16 @@ __all__ = ["main", "dispatch", "CliConfig"]
 class CliConfig:
     default_height_bound: int = 3
     term_budget: int = 1_000_000
-    stabilization_k_ceiling: int = 16
     output_format: str = "text"
 
     def __post_init__(self):
-        if self.default_height_bound < 1 or self.term_budget < 1 \
-                or self.stabilization_k_ceiling < 1:
+        if self.default_height_bound < 1 or self.term_budget < 1:
             raise ValueError("config bounds must be positive")
         if self.output_format not in ("text", "json"):
             raise ValueError("output_format must be 'text' or 'json'")
 
     def engine(self) -> EngineConfig:
-        return EngineConfig(self.term_budget, self.stabilization_k_ceiling)
+        return EngineConfig(self.term_budget)
 
 
 class UsageError(ValueError):
@@ -56,6 +54,9 @@ def _load_config(path: str | None, fmt: str | None) -> CliConfig:
     if path:
         with open(path) as fh:
             fields = json.load(fh)
+    unknown = sorted(set(fields) - set(CliConfig.__dataclass_fields__))
+    if unknown:
+        raise UsageError(f"unknown config field(s): {', '.join(unknown)}")
     cfg = CliConfig(**fields)
     return replace(cfg, output_format=fmt) if fmt else cfg
 
@@ -180,10 +181,10 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             cartan = build_cartan(LieType.parse(args.type))
             i = args.node
             if args.what == "kr":
-                ch = fm_expand(cartan, kr_top_y(cartan, i, int(args.k), coord(args.x), eng),
-                               height, eng)
+                top = kr_top_y(cartan, i, _integer_k(args.k), coord(args.x), eng)
+                ch = fm_expand(cartan, top, height, eng)
             elif args.what == "demazure":
-                ch = demazure_char_via_ses(cartan, i, args.t, int(args.k),
+                ch = demazure_char_via_ses(cartan, i, args.t, _integer_k(args.k),
                                            coord(args.x), height, eng)
             elif args.what == "asymptotic":
                 ch = asymptotic_char(cartan, i, coord(args.y), coord(args.x), N, eng)
@@ -213,11 +214,9 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
                         print(f"--- {s.kind} {s.lie_type} i={s.i} k={s.k}", file=out)
                         _emit(r, cfg, out)
                 return 0 if ok else 1
-            kind = args.what.replace("-", "_")
-            kval = str(getattr(args, "k", "1"))
             spec = IdentitySpec(
-                kind=kind, lie_type=args.type, i=getattr(args, "node", 1),
-                k=int(kval) if kval.lstrip("-").isdigit() else kval,
+                kind=args.what.replace("-", "_"), lie_type=args.type,
+                i=getattr(args, "node", 1), k=getattr(args, "k", "1"),
                 t=getattr(args, "t", 0), x=getattr(args, "x", "0"),
                 y=getattr(args, "y", "0"), a=getattr(args, "a", "0"),
                 b=getattr(args, "b", "0"), N=N)

@@ -61,6 +61,9 @@ class IdentitySpec:
         unknown = sorted(set(obj) - set(IdentitySpec.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown identity field(s): {', '.join(unknown)}")
+        missing = [f for f in ("kind", "lie_type") if f not in obj]
+        if missing:
+            raise ValueError(f"missing identity field(s): {', '.join(missing)}")
         return IdentitySpec(**obj)
 
     def to_json(self) -> dict:
@@ -69,24 +72,33 @@ class IdentitySpec:
                 "a": self.a, "b": self.b, "N": self.N}
 
 
+def _integer_k(value) -> int:
+    """``value`` as an int; anything else is a ValueError that names k."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"k must be an integer, got {value!r}") from None
+
+
 def run_identity(spec: IdentitySpec, config: EngineConfig = DEFAULT_CONFIG):
     cartan = build_cartan(LieType.parse(spec.lie_type))
     x, y = coord(spec.x), coord(spec.y)
-    k = spec.k if isinstance(spec.k, int) else coord(spec.k)
-    if spec.kind == "tsystem":
-        return verify_tsystem(cartan, spec.i, int(spec.k), spec.t, config=config)
-    if spec.kind == "tq":
-        return verify_tq(cartan, spec.i, int(spec.k), x, spec.N, config=config)
+    coord(spec.k)           # every kind refuses a k that is not a coordinate
     if spec.kind == "two_term":
         return verify_two_term(cartan, spec.i, coord(spec.a), coord(spec.b),
                                x, y, spec.N, config=config)
+    k = _integer_k(spec.k)
+    if spec.kind == "tsystem":
+        return verify_tsystem(cartan, spec.i, k, spec.t, config=config)
+    if spec.kind == "tq":
+        return verify_tq(cartan, spec.i, k, x, spec.N, config=config)
     if spec.kind == "factorization":
         return verify_factorization(cartan, spec.i, k, x)
     if spec.kind == "kr_skeleton":
-        return check_kr_skeleton(cartan, spec.i, int(spec.k), x, config=config)
+        return check_kr_skeleton(cartan, spec.i, k, x, config=config)
     if spec.kind == "demazure_support":
-        return check_demazure_support(cartan, spec.i, int(spec.k), x, spec.N, config=config)
-    return check_m_support(cartan, spec.i, int(spec.k), x, spec.N, config=config)
+        return check_demazure_support(cartan, spec.i, k, x, spec.N, config=config)
+    return check_m_support(cartan, spec.i, k, x, spec.N, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +135,7 @@ def tq_rhs(cartan: CartanData, i: int, k: int, x, bound: int,
     terms = {AVector.unit(): 1, AVector.gen(i, x): 1}
     for j in cartan.nodes:
         if cartan.cij(i, j) < 0:
-            st, _ = stabilize(cartan, j, x + cartan.dij(i, j) - k * cartan.di(i),
-                              bound, config)
+            st = stabilize(cartan, j, x + cartan.dij(i, j) - k * cartan.di(i), bound, config)
             terms = _ledger_mul(terms.items(), st.terms, bound, config.term_budget)
     return TruncatedCharacter.make(m_weight(cartan, i, k, x), terms, bound)
 

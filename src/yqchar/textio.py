@@ -43,8 +43,8 @@ def _scan(text: str):
             raise MonomialSyntaxError(f"cannot parse factor starting at {text[pos:pos+12]!r}", pos)
         try:
             x = parse_coord(m.group("coord"))
-        except ValueError as err:
-            raise MonomialSyntaxError(str(err), pos) from None
+        except ValueError:
+            raise MonomialSyntaxError(f"bad coordinate {m.group('coord')!r}", pos) from None
         e = int(m.group("exp") or 1)
         if m.group("inv"):
             e = -e

@@ -27,6 +27,8 @@ from yqchar.sl2_explicit import (
 )
 from yqchar.textio import format_monomial
 
+from test_characters import _stabilize_by_search
+
 A1 = build_cartan(LieType.parse("A1"))
 A2 = build_cartan(LieType.parse("A2"))
 B2 = build_cartan(LieType.parse("B2"))
@@ -110,16 +112,16 @@ def test_criterion_05_weight_projection():
 
 
 def test_criterion_06_stabilization():
-    with criterion(6, "normalized truncations stabilize with index <= N (N <= 4)", 120):
+    with criterion(6, "normalized truncations stabilize with index N (N <= 4)", 120):
         for name in ("A1", "A2", "B2"):
             ct = build_cartan(LieType.parse(name))
             for i in ct.nodes:
                 for N in range(5):
                     at_n = fm_expand(ct, kr_top_y(ct, i, N, 0), N).terms
                     at_n1 = fm_expand(ct, kr_top_y(ct, i, N + 1, 0), N).terms
-                    assert at_n == at_n1, (name, i, N)
-                    _, idx = stabilize(ct, i, 0, N)
-                    assert idx <= N, (name, i, N, idx)
+                    assert at_n == at_n1 == stabilize(ct, i, 0, N).terms, (name, i, N)
+                    _, idx = _stabilize_by_search(ct, i, 0, N)
+                    assert idx == N, (name, i, N, idx)
 
 
 def test_criterion_07_kr_skeleton():

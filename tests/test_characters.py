@@ -210,30 +210,60 @@ def test_tensor_square_multiplicity():
 
 # -- stabilization and asymptotic characters ---------------------------------
 
+def _stabilize_by_search(cartan, i, x, bound):
+    """Reference for ``stabilize``: the least k at which nqc(W^(i)_{k,x}) and
+    nqc(W^(i)_{k+1,x}) agree to height ``bound``; returns (that ledger, k)."""
+    prev = None
+    for k in range(2 * bound + 3):
+        cur = fm_expand(cartan, kr_top_y(cartan, i, k, x), bound).terms
+        if cur == prev:
+            return cur, k - 1
+        prev = cur
+    raise AssertionError(f"no two equal truncations at height {bound} up to k = {k}")
+
+
 def test_stabilize_sl2():
-    st, idx = stabilize(A1, 1, 0, 3)
-    assert idx == 3
+    st = stabilize(A1, 1, 0, 3)
+    assert st.top.is_unit() and st.height_bound == 3
     assert st.term_dict() == {AVector.unit(): 1, chain((1, 0)): 1,
                               chain((1, 0), (1, 1)): 1,
                               chain((1, 0), (1, 1), (1, 2)): 1}
 
 
 def test_stabilize_height_zero_is_immediate():
-    st, idx = stabilize(A1, 1, "x", 0)
-    assert idx == 0 and st.term_dict() == {AVector.unit(): 1}
+    assert stabilize(A1, 1, "x", 0).term_dict() == {AVector.unit(): 1}
 
 
 def test_stabilize_a2_contents():
-    st, idx = stabilize(A2, 1, 0, 2)
-    assert idx == 2
-    assert st.term_dict() == {AVector.unit(): 1, chain((1, 0)): 1,
-                              chain((1, 0), (1, 1)): 1,
-                              chain((1, 0), (2, "-1/2")): 1}
+    assert stabilize(A2, 1, 0, 2).term_dict() == {AVector.unit(): 1, chain((1, 0)): 1,
+                                                  chain((1, 0), (1, 1)): 1,
+                                                  chain((1, 0), (2, "-1/2")): 1}
 
 
-def test_stabilize_ceiling():
-    with pytest.raises(EngineError):
-        stabilize(A1, 1, 0, 4, EngineConfig(stabilization_k_ceiling=2))
+_SWEEP = [("A1", 8)] + [(t, 6) for t in ("A2", "B2", "C2", "G2")] \
+    + [(t, 5) for t in ("A3", "B3", "C3", "D4")]
+
+
+def test_stabilize_is_the_search_and_its_index_is_the_height():
+    # the truncation at height N is that of W_N, and W_{N-1} differs from it
+    rows = 0
+    for name, top_height in _SWEEP:
+        ct = build_cartan(LieType.parse(name))
+        for i in ct.nodes:
+            for x in (0, "x", "-7/3"):
+                for N in range(top_height + 1):
+                    want, idx = _stabilize_by_search(ct, i, x, N)
+                    assert (stabilize(ct, i, x, N).terms, idx) == (want, N), (name, i, x, N)
+                    rows += 1
+    assert rows == 429
+
+
+def test_stabilize_expands_once(monkeypatch):
+    _small_cache(monkeypatch)
+    counts = _count_calls(monkeypatch, "_fm_expand")
+    b3 = build_cartan(LieType.parse("B3"))
+    stabilize(b3, 2, "x", 8)
+    assert counts["_fm_expand"] == 1
 
 
 def test_asymptotic_and_prefundamental():
@@ -494,7 +524,7 @@ def test_expansion_cache_skips_a_character_above_its_bound(monkeypatch):
     assert cache.terms == 0 and not cache._data
 
 
-# -- one memo for expansions, kernels and stabilized characters --------------
+# -- one memo for expansions and kernels ------------------------------------
 
 def _small_cache(monkeypatch, max_terms=10_000):
     cache = characters._TermBoundedCache(max_terms)
@@ -521,7 +551,7 @@ def _kinds(cache):
 @pytest.mark.parametrize("call", [
     lambda: fm_expand(B2, kr_top_y(B2, 1, 3, "x"), 3),
     lambda: demazure_char_via_ses(B2, 2, 1, 2, "x", 3),
-    lambda: stabilize(G2, 1, "1/3", 3),
+    lambda: stabilize(G2, 1, "1/3", 3).terms,
 ], ids=["fm", "ses", "stabilize"])
 def test_memo_hit_is_the_stored_object_and_computes_nothing(monkeypatch, call):
     _small_cache(monkeypatch)
@@ -536,9 +566,9 @@ def test_memo_hit_is_the_stored_object_and_computes_nothing(monkeypatch, call):
 def test_memo_key_takes_x_as_int_fraction_or_coord(monkeypatch):
     cache = _small_cache(monkeypatch)
     ses = [demazure_char_via_ses(A2, 1, 1, 2, x, 3) for x in (2, Fraction(2), coord(2))]
-    st_ = [stabilize(A2, 2, x, 3) for x in (-1, Fraction(-1), coord("-1"))]
+    st_ = [stabilize(A2, 2, x, 3).terms for x in (-1, Fraction(-1), coord("-1"))]
     assert ses[0] is ses[1] is ses[2] and st_[0] is st_[1] is st_[2]
-    assert (_kinds(cache)["ses"], _kinds(cache)["stabilize"]) == (1, 1)
+    assert _kinds(cache)["ses"] == 1
 
 
 def test_memo_key_separates_every_argument_and_the_config(monkeypatch):
@@ -552,37 +582,26 @@ def test_memo_key_separates_every_argument_and_the_config(monkeypatch):
         assert _kinds(cache)["ses"] == n
     demazure_char_via_ses(*ses_args[0], other)
     assert _kinds(cache)["ses"] == len(ses_args) + 1
-    st_args = [(B2, 1, "x", 3), (G2, 1, "x", 3), (B2, 2, "x", 3), (B2, 1, "y", 3),
-               (B2, 1, "x", 2)]
-    for n, args in enumerate(st_args, 1):
-        stabilize(*args)
-        assert _kinds(cache)["stabilize"] == n
-    stabilize(*st_args[0], other)
-    assert _kinds(cache)["stabilize"] == len(st_args) + 1
     # the kinds never share a key, also where their arguments coincide
     top = kr_top_y(B2, 1, 2, "x")
     fm_expand(B2, top, 3)
     fm_expand(B2, top, 3, other)
-    assert set(_kinds(cache)) == {"fm", "ses", "stabilize"}
+    assert set(_kinds(cache)) == {"fm", "ses"}
     assert len(cache._data) == sum(_kinds(cache).values())
     assert all(key[-1] in (characters.DEFAULT_CONFIG, other) for key in cache._data)
 
 
 def test_memo_never_stores_an_engine_error(monkeypatch):
     cache = _small_cache(monkeypatch)
-    counts = _count_calls(monkeypatch, "_demazure_char_via_ses", "_stabilize")
+    counts = _count_calls(monkeypatch, "_demazure_char_via_ses")
     tight = EngineConfig(term_budget=20)
-    low = EngineConfig(stabilization_k_ceiling=1)
     for n in (1, 2):                        # raised again, computed again
         with pytest.raises(EngineError, match="term budget 20 exceeded"):
             demazure_char_via_ses(B2, 2, 1, 2, "x", 3, tight)
-        with pytest.raises(EngineError, match="did not stabilize"):
-            stabilize(A1, 1, "x", 3, low)
-        assert counts == {"_demazure_char_via_ses": n, "_stabilize": n}
-    assert not _kinds(cache)["ses"] and not _kinds(cache)["stabilize"]
+        assert counts == {"_demazure_char_via_ses": n}
+    assert not _kinds(cache)["ses"]
     assert demazure_char_via_ses(B2, 2, 1, 2, "x", 3).height_bound == 3
-    assert stabilize(A1, 1, "x", 3)[1] == 3
-    assert (_kinds(cache)["ses"], _kinds(cache)["stabilize"]) == (1, 1)
+    assert _kinds(cache)["ses"] == 1
 
 
 def test_memo_bound_counts_the_terms_of_every_kind(monkeypatch):
@@ -591,18 +610,15 @@ def test_memo_bound_counts_the_terms_of_every_kind(monkeypatch):
         demazure_char_via_ses(B2, 2, 1, 2, x, 3)
         stabilize(G2, 1, x, 3)
         fm_expand(B2, kr_top_y(B2, 1, 3, x), 3)
-        assert cache.terms == sum(cache.size(v) for v in cache._data.values())
+        assert cache.terms == sum(len(v.terms) for v in cache._data.values())
         assert cache.terms <= 120
     assert cache.misses > len(cache._data)         # entries were evicted
-    pair = stabilize(G2, 1, 32, 3)
-    assert cache._data[("stabilize", G2, 1, coord(32), 3, characters.DEFAULT_CONFIG)] is pair
-    assert cache.size(pair) == len(pair[0].terms)
 
 
 def test_mutating_a_hit_does_not_change_the_next(monkeypatch):
     _small_cache(monkeypatch)
     for call in (lambda: demazure_char_via_ses(A2, 1, 1, 2, "x", 3),
-                 lambda: stabilize(A2, 1, "x", 3)[0],
+                 lambda: stabilize(A2, 1, "x", 3),
                  lambda: fm_expand(A2, kr_top_y(A2, 1, 2, "x"), 3)):
         first = call()
         want = first.to_json()

@@ -173,6 +173,56 @@ def test_suite_entry_with_unknown_field_is_a_usage_error(tmp_path):
         (2, "", "error: unknown identity field(s): height\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "tq", "--type", "A2", "--node", "1", "--k=nan"],
+     "error: k must be an integer, got 'nan'\n"),
+    (["qchar", "demazure", "--type", "A2", "--node", "1", "--k", "1/2"],
+     "error: k must be an integer, got '1/2'\n"),
+    (["translate", "--to", "multiplicative", "--monomial", "Psi[3,1/0]"],
+     "error: bad coordinate '1/0' (at position 0)\n"),
+    (["translate", "--to", "multiplicative", "--monomial", "Psi[1,x] Psi[1,x-y/0]"],
+     "error: bad coordinate 'x-y/0' (at position 9)\n"),
+])
+def test_usage_errors_name_the_input_once(argv, err):
+    assert run(argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("config, err", [
+    ({"stabilization_k_ceiling": 16}, "unknown config field(s): stabilization_k_ceiling"),
+    ({"term_budget": 5, "zeta": 1, "alpha": 2}, "unknown config field(s): alpha, zeta"),
+])
+def test_config_with_unknown_field_is_a_usage_error(tmp_path, config, err):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["qchar", "kr", "--type", "A1", "--node", "1", "--config", str(cfg)]) == \
+        (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("entry, err", [
+    ({"lie_type": "B2", "i": 2}, "missing identity field(s): kind"),
+    ({"kind": "tq"}, "missing identity field(s): lie_type"),
+    ({"k": 3}, "missing identity field(s): kind, lie_type"),
+])
+def test_suite_entry_without_kind_or_type_is_a_usage_error(tmp_path, entry, err):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([entry]))
+    assert run(["verify", "suite", str(suite)]) == (2, "", f"error: {err}\n")
+
+
+def test_stabilized_characters_are_bounded_by_the_term_budget():
+    # the stable length is the height, so any height answers up to the budget
+    code, out, _ = run(["qchar", "asymptotic", "--type", "A1", "--node", "1", "--y", "y",
+                        "--x", "0", "--height", "17"])
+    assert code == 0 and len(out.splitlines()) == 3 + 18
+    for argv, msg in (
+        (["qchar", "asymptotic", "--type", "A1", "--node", "1", "--height", "100000"],
+         "the chains of a node-sl2 string of length 100000"),
+        (["qchar", "prefundamental", "--type", "B2", "--node", "2", "--height", "2000000"],
+         "a KR string of 2000000 factors"),
+    ):
+        assert run(argv) == (3, "", f"engine error: term budget 1000000 exceeded by {msg}\n")
+
+
 def test_engine_exhaustion_exits_three(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"term_budget": 2}))
@@ -331,7 +381,7 @@ _VALUES = {
     "--to": (("multiplicative",), ("additive",)),
     "--monomial": (("Psi[1,x]", "Psi[1,1/2] /Psi[2,k]^2"),
                    ("Y[1,0]", "A[1,0]^-1", "Psi[1,", "Psi[3,1/0]", "")),
-    "--config": ((), ("missing.json",)),
+    "--config": ((), ("missing.json", "unknown.json")),
 }
 _REQUIRED = ("--type", "--node", "--to")
 _MOSTLY = st.sampled_from((True,) * 9 + (False,))
@@ -396,6 +446,7 @@ def fuzz_dir(tmp_path_factory):
     # flags can ask for, such as a G2 kernel at k = t = 4, to a few ms
     path = tmp_path_factory.mktemp("fuzz")
     (path / "budget.json").write_text(json.dumps({"term_budget": 20_000}))
+    (path / "unknown.json").write_text(json.dumps({"stabilization_k_ceiling": 16}))
     return path
 
 
@@ -403,6 +454,7 @@ def fuzz_dir(tmp_path_factory):
 @given(_argv())
 def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, drawn):
     verb, flags, suite = drawn
+    flags = [f.replace("=unknown.json", f"={fuzz_dir / 'unknown.json'}") for f in flags]
     argv = [*verb, "--config", str(fuzz_dir / "budget.json"), *flags]
     if suite is not None:
         (fuzz_dir / "suite.json").write_text(json.dumps(suite))
@@ -410,6 +462,9 @@ def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, drawn):
     code, out, err = run(argv)
     assert code in (0, 1, 2, 3), (argv, suite)
     assert (err == "") == (code in (0, 1)), (argv, suite, err)
+    # a usage error is told in the tool's own words, not Python's
+    assert "__init__()" not in err and "invalid literal" not in err, (argv, suite, err)
+    assert err.count("at position") <= 1, (argv, suite, err)
 
 
 # -- config ------------------------------------------------------------------

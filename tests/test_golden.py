@@ -185,8 +185,9 @@ GOLDEN = [
         "--format", "json"), 0, "0804cddbd8f8886f"),
     (("translate", "--to", "multiplicative", "--type", "B2", "--monomial",
       "Psi[2,1/6+k]^2 /Psi[1,-1/3]"), 0, "5619f2e6aafb57df"),
-    # Stabilized characters above height 3, in every family that has a
-    # node with a stabilized ledger: the stable length grows with N.
+    # Stabilized characters above height 3, in types B to G and in the
+    # two-term and TQ checks built on them: each expands a KR string whose
+    # length is the height.
     (("qchar", "asymptotic", "--type", "D4", "--node", "2", "--y", "y", "--x", "x",
       "--height", "5", "--format", "json"), 0, "c0e7f5e4852e000e"),
     (("qchar", "prefundamental", "--type", "G2", "--node", "1", "--sign", "-",
