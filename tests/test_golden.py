@@ -202,6 +202,14 @@ GOLDEN = [
         "--height", "5", "--format", "json"), 0, "174269d06bb67bfb"),
     (_v("tq", "B2", 2, "--k", "8", "--height", "4", "--format", "json"), 0,
      "51422fff2ce71ab6"),
+    # TQ checks at the default k and on both sides of the regime bound
+    # k*d_i >= N*max d_j (G2 node 1 at height 2: the bound is k = 6).
+    (_v("tq", "A2", 1), 1, "300e990d883bed6f"),
+    (_v("tq", "B2", 2, "--height", "4", "--format", "json"), 2, "686657d6e5a16f40"),
+    (_v("tq", "G2", 1, "--k", "3", "--height", "2", "--format", "json"), 1,
+     "42b82bd8e308a1b8"),
+    (_v("tq", "G2", 1, "--k", "6", "--height", "2", "--format", "json"), 0,
+     "3671e715caae861b"),
 ]
 
 
