@@ -108,7 +108,9 @@ def _parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify an identity").add_subparsers(
         dest="what", required=True)
     common(v.add_parser("tsystem"), k=True, t=True, x=False, height=False)
-    common(v.add_parser("tq"), k=True)
+    p = v.add_parser("tq")
+    common(p, k=True)
+    p.set_defaults(k=None)      # the least k of the TQ regime (identities.tq_regime)
     p = v.add_parser("two-term")
     common(p, y=True)
     p.add_argument("--a", default="0")

@@ -148,6 +148,9 @@ class CoordSyntaxError(ValueError):
 
 
 def _parse_term(term: str, pos: int) -> Coord:
+    """One term of a coordinate; ``pos`` is where it starts in the text as
+    typed, and an error names the position there of the fragment it quotes."""
+    pos += len(term) - len(term.lstrip())
     term = term.strip()
     if not term:
         raise CoordSyntaxError(f"empty coordinate term at position {pos}")
@@ -155,6 +158,7 @@ def _parse_term(term: str, pos: int) -> Coord:
     if term.startswith("-"):
         sign = -1
         term = term[1:]
+        pos += 1
     # split off a symbol name: digits and '/' belong to the coefficient
     i = 0
     while i < len(term) and (term[i].isdigit() or term[i] == "/"):
@@ -166,7 +170,7 @@ def _parse_term(term: str, pos: int) -> Coord:
             name, tail = name.split("/", 1)
             tail = "/" + tail
         if not name.isidentifier():
-            raise CoordSyntaxError(f"bad indeterminate {name!r} at position {pos}")
+            raise CoordSyntaxError(f"bad indeterminate {name!r} at position {pos + i}")
         try:
             coeff = Fraction((num or "1") + tail)
         except (ValueError, ZeroDivisionError):
@@ -181,14 +185,14 @@ def _parse_term(term: str, pos: int) -> Coord:
 def parse_coord(text: str) -> Coord:
     """Parse a coordinate: rational and/or '+'-joined symbol terms.
 
-    Examples: "-3/2", "k", "2k", "k/3", "1/2+k", "-1+k/2".
+    Examples: "-3/2", "k", "2k", "k/3", "1/2+k", "-1+k/2".  A term ends at
+    each '+', which is dropped, and at each '-' but a leading one, which
+    starts the next term.
     """
-    # normalize a-b into a+-b so we can split on '+'
-    s = text.strip()
-    norm = s[0] + s[1:].replace("-", "+-") if s else s
-    total = Coord(0)
-    pos = 0
-    for term in norm.split("+"):
-        total = total + _parse_term(term, pos)
-        pos += len(term) + 1
-    return total
+    lead = len(text) - len(text.lstrip())
+    total, start = Coord(0), 0
+    for n, ch in enumerate(text):
+        if ch == "+" or (ch == "-" and n > lead):
+            total = total + _parse_term(text[start:n], start)
+            start = n + (ch == "+")
+    return total + _parse_term(text[start:], start)

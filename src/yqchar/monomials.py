@@ -129,10 +129,6 @@ class _Monomial:
         """((node, Coord), exponent) pairs in (node, Coord.sort_key) order."""
         return tuple((_unsite(s), e) for s, e in self.ordered())
 
-    def exp(self, i, x) -> int:
-        s = _site(i, x)
-        return next((e for t, e in self.exps if t == s), 0)
-
     def __pow__(self, n: int):
         return type(self)(tuple((k, e * n) for k, e in self.items()))
 

@@ -85,37 +85,65 @@ def test_verify_suite(tmp_path):
     assert code == 0 and doc["verdict"] == "pass" and len(doc["results"]) == 2
 
 
-def test_verify_suite_with_a_failing_entry(tmp_path):
-    # A2 i=1 at k=1, N=2 lies below the TQ regime (ROADMAP item 1): one
-    # failing entry fails the whole suite, in both formats
+def test_verify_suite_with_a_failing_entry(tmp_path, monkeypatch):
+    # one failing entry fails the whole suite, in both formats
+    failing = Report(False, {"note": "forced failure"}, ("note: forced failure",))
+    real = cli.run_identity
+    monkeypatch.setattr(cli, "run_identity",
+                        lambda spec, cfg: failing if spec.kind == "tq" else real(spec, cfg))
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps([
-        {"kind": "tq", "lie_type": "A2", "i": 1, "k": 1, "N": 2},
+        {"kind": "tq", "lie_type": "A2", "i": 1, "k": 3, "N": 2},
         {"kind": "factorization", "lie_type": "A2", "i": 1, "k": 2},
     ]))
-    top = "Psi[1,0]^-1 Psi[1,1] Psi[2,-3/2]^-1 Psi[2,-1/2]"
-    row = "A[2,-3/2]^-1 A[2,-1/2]^-1"
     assert run(["verify", "suite", str(suite)]) == (1, "\n".join([
-        "--- tq A2 i=1 k=1", "verdict: fail", "note: A2 i=1 k=1 x=0 N=2",
-        "[R1 vs RHS]", "  verdict: fail", f"    {row}: lhs=0 rhs=1",
-        "[R2 vs RHS]", "  verdict: fail", f"    {row}: lhs=0 rhs=1",
-        "[R1 vs R2]", "  verdict: pass",
-        "offset-renaming proxy (k vs 2k): pass",
+        "--- tq A2 i=1 k=3", "verdict: fail", "note: forced failure",
         "--- factorization A2 i=1 k=2", "verdict: pass",
         "note: m*n vs Demazure weight, k=2", ""]), "")
-
-    def sub(mismatches):
-        return {"verdict": "fail" if mismatches else "pass", "note": "",
-                "lhs_top": top, "rhs_top": top, "mismatches": mismatches}
-    bad = [{"avector": row, "lhs": 0, "rhs": 1}]
     fact = "Psi[1,0]^-1 Psi[1,1] Psi[2,-5/2]^-1 Psi[2,-1/2]"
     doc = {"schema": "yqchar/1", "verdict": "fail", "results": [
-        {"verdict": "fail", "proxy_ok": True, "note": "A2 i=1 k=1 x=0 N=2",
-         "reports": {"R1 vs RHS": sub(bad), "R2 vs RHS": sub(bad), "R1 vs R2": sub([])}},
+        {"verdict": "fail", "note": "forced failure"},
         {"verdict": "pass", "note": "m*n vs Demazure weight, k=2",
          "lhs_top": fact, "rhs_top": fact, "mismatches": []}]}
     assert run(["verify", "suite", str(suite), "--format", "json"]) == \
         (1, json.dumps(doc, sort_keys=True) + "\n", "")
+
+
+def test_suite_entry_below_the_tq_regime_is_a_usage_error(tmp_path):
+    # A2 i=1 at k=1, N=2 lies below the TQ regime k >= N: refused, not failed
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([
+        {"kind": "factorization", "lie_type": "A2", "i": 1, "k": 2},
+        {"kind": "tq", "lie_type": "A2", "i": 1, "k": 1, "N": 2},
+    ]))
+    err = ("error: k=1 is outside the TQ regime at node 1 for height 2: "
+           "need k*d_1 >= 2*d_2 = 2; the least k is 2\n")
+    for fmt in ("text", "json"):
+        assert run(["verify", "suite", str(suite), "--format", fmt]) == (2, "", err)
+
+
+def test_suite_tq_entry_without_k_runs_at_the_regime(tmp_path):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"kind": "tq", "lie_type": "B2", "i": 2, "N": 3}]))
+    code, out, err = run(["verify", "suite", str(suite)])
+    assert (code, err) == (0, "")
+    assert out.startswith("--- tq B2 i=2 k=6\nverdict: pass\nnote: B2 i=2 k=6 x=0 N=3\n")
+
+
+def test_verify_tq_regime_from_the_command_line():
+    tq = ["verify", "tq", "--type", "B2", "--node", "2", "--height", "4"]
+    assert run([*tq, "--k", "6"]) == (2, "", "error: k=6 is outside the TQ regime at node 2 "
+                                             "for height 4: need k*d_2 >= 4*d_1 = 8; "
+                                             "the least k is 8\n")
+    code, out, err = run([*tq, "--k", "8"])
+    assert (code, err) == (0, "") and out.startswith("verdict: pass\n")
+    # without --k, verify tq runs at the least k of the regime
+    code, out, err = run(["verify", "tq", "--type", "A2", "--node", "1"])
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: pass\nnote: A2 i=1 k=3 x=0 N=3\n")
+    # every other verb keeps k = 1
+    code, out, _ = run(["verify", "m-support", "--type", "A2", "--node", "1"])
+    assert code == 0 and "k=1 " in out
 
 
 def test_verification_failure_exits_one(monkeypatch):
@@ -182,6 +210,8 @@ def test_suite_entry_with_unknown_field_is_a_usage_error(tmp_path):
      "error: bad coordinate '1/0' (at position 0)\n"),
     (["translate", "--to", "multiplicative", "--monomial", "Psi[1,x] Psi[1,x-y/0]"],
      "error: bad coordinate 'x-y/0' (at position 9)\n"),
+    (["qchar", "kr", "--type", "A1", "--node", "1", "--x=x-y-1/0"],
+     "error: bad rational '1/0' at position 4\n"),
 ])
 def test_usage_errors_name_the_input_once(argv, err):
     assert run(argv) == (2, "", err)

@@ -75,6 +75,22 @@ def test_symbolic_linear_arithmetic(a, b, c):
     assert hash(lhs) == hash(Coord(b, (("k", a + c),)))
 
 
+@pytest.mark.parametrize("text, msg", [
+    ("x-y-1/0", "bad rational '1/0' at position 4"),
+    (" x-1/0", "bad rational '1/0' at position 3"),
+    ("2-1/0", "bad rational '1/0' at position 2"),
+    ("x-y/0", "bad coefficient in 'y/0' at position 2"),
+    ("1+k/0", "bad coefficient in 'k/0' at position 2"),
+    ("1 + k/0", "bad coefficient in 'k/0' at position 4"),
+    ("2k$", "bad indeterminate 'k$' at position 1"),
+    ("k+", "empty coordinate term at position 2"),
+])
+def test_parse_errors_name_the_position_in_the_text_as_typed(text, msg):
+    with pytest.raises(CoordSyntaxError) as ex:
+        parse_coord(text)
+    assert str(ex.value) == msg
+
+
 def test_zero_denominators_are_syntax_errors():
     for text in ("1/0", "k/0", "1+2k/0", "-3/0"):
         with pytest.raises(CoordSyntaxError):

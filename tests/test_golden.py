@@ -63,10 +63,10 @@ GOLDEN = [
      "aba19c1e82ad668b"),
     (_v("tsystem", "G2", 1, "--k", "1", "--t", "1"), 0, "79fbb4bccf3a21e2"),
     (_v("tq", "B2", 2, "--k", "6", "--height", "3", "--format", "json"), 0,
-     "11871ccfb6ea30b7"),
+     "1fd5c3d80030f11b"),
     (_v("tq", "C2", 2, "--k", "6", "--height", "3", "--format", "json"), 0,
-     "9df5032148bad3c2"),
-    (_v("tq", "A2", 1, "--k", "6", "--height", "3", "--x", "1/2"), 0, "d2b9881ab449d42c"),
+     "979b7a7c09587b36"),
+    (_v("tq", "A2", 1, "--k", "6", "--height", "3", "--x", "1/2"), 0, "b8d7b92a5c257cdf"),
     (_v("two-term", "A1", 1, "--a", "a", "--b", "b", "--x", "x", "--y", "y",
         "--height", "3", "--format", "json"), 0, "30dd4294600e7cae"),
     (_v("two-term", "B2", 2, "--a", "a", "--b", "b", "--x", "x", "--y", "y",
@@ -98,11 +98,11 @@ GOLDEN = [
     (_kr("G2", 1, 2, "--x", "1/3", "--format", "json"), 0, "8a3bfc8a48cb7fc8"),
     (("qchar", "m", "--type", "B2", "--node", "1", "--k", "k", "--x", "1/3"), 0,
      "4a6ed1efdcb9b678"),
-    # A failing report with a mismatch list (the TQ case outside the
-    # generic regime, see ROADMAP item 3).
-    (_v("tq", "B2", 2, "--k", "6", "--height", "4"), 1, "a52759f7dd13d3ab"),
-    (_v("tq", "B2", 2, "--k", "6", "--height", "4", "--format", "json"), 1,
-     "080aaa56d203e406"),
+    # A k below the TQ regime (k*d_2 >= 4*d_1 = 8): a usage error in both
+    # formats, that names the least k.
+    (_v("tq", "B2", 2, "--k", "6", "--height", "4"), 2, "8a22a8f7ab7d3e3f"),
+    (_v("tq", "B2", 2, "--k", "6", "--height", "4", "--format", "json"), 2,
+     "8a22a8f7ab7d3e3f"),
     # Monomial keys at their edges: offsets far beyond 64 bits (positive,
     # negative, under a symbolic part) and a rank with many nodes.
     (_kr("A1", 1, 3, "--x=1000000000000000000000/7", "--format", "json"), 0,
@@ -112,7 +112,7 @@ GOLDEN = [
     (_kr("D12", 1, 1, "--format", "json"), 0, "6c2fdc015c534136"),
     (_kr("A20", 10, 1, "--height", "3", "--format", "json"), 0, "6d4b6791c8a55903"),
     (_v("tq", "B2", 2, "--k", "6", "--height", "3", "--x=1000000000000000000000/7",
-        "--format", "json"), 0, "f5658dca375cf254"),
+        "--format", "json"), 0, "9fba0d8060a330fb"),
     (("qchar", "demazure", "--type", "C2", "--node", "1", "--k", "2", "--t", "1",
       "--x=x-1000000000000000000001/2", "--height", "3", "--format", "json"), 0,
      "84dab22c1000ca75"),
@@ -165,7 +165,7 @@ GOLDEN = [
     (("qchar", "demazure", "--type", "A2", "--node", "1", "--k", "2", "--t", "1",
       "--x", "y", "--height", "4", "--format", "json"), 0, "a398c4f7fe82197a"),
     (_v("tq", "B2", 1, "--k", "4", "--x", "x", "--height", "3", "--format", "json"), 0,
-     "3a5819a4acadb29f"),
+     "b8c3d2297be23438"),
     (_v("demazure-support", "B2", 1, "--k", "4", "--x", "x", "--height", "3",
         "--format", "json"), 0, "8da92849162b87ab"),
     (("qchar", "asymptotic", "--type", "C2", "--node", "1", "--y", "y", "--x", "1/5",
@@ -201,15 +201,16 @@ GOLDEN = [
     (_v("two-term", "C3", 3, "--a", "a", "--b", "b", "--x", "x", "--y", "y",
         "--height", "5", "--format", "json"), 0, "174269d06bb67bfb"),
     (_v("tq", "B2", 2, "--k", "8", "--height", "4", "--format", "json"), 0,
-     "51422fff2ce71ab6"),
-    # TQ checks at the default k and on both sides of the regime bound
-    # k*d_i >= N*max d_j (G2 node 1 at height 2: the bound is k = 6).
-    (_v("tq", "A2", 1), 1, "300e990d883bed6f"),
-    (_v("tq", "B2", 2, "--height", "4", "--format", "json"), 2, "686657d6e5a16f40"),
-    (_v("tq", "G2", 1, "--k", "3", "--height", "2", "--format", "json"), 1,
-     "42b82bd8e308a1b8"),
+     "e14cf30172556498"),
+    # TQ checks at the default k (the least k of the regime) and on both
+    # sides of the regime bound k*d_i >= N*max d_j (G2 node 1 at height 2:
+    # the bound is k = 6).
+    (_v("tq", "A2", 1), 0, "05a6c687372cc49a"),
+    (_v("tq", "B2", 2, "--height", "4", "--format", "json"), 0, "e14cf30172556498"),
+    (_v("tq", "G2", 1, "--k", "3", "--height", "2", "--format", "json"), 2,
+     "02d956792d0949f5"),
     (_v("tq", "G2", 1, "--k", "6", "--height", "2", "--format", "json"), 0,
-     "3671e715caae861b"),
+     "324df06890f733fa"),
 ]
 
 

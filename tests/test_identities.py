@@ -7,11 +7,11 @@ import yqchar.identities as identities
 from yqchar.cartan import LieType, build_cartan
 from yqchar.coords import coord
 from yqchar.monomials import AVector, PsiMonomial, expand_Y_to_Psi
-from yqchar.characters import EngineError, TruncatedCharacter
+from yqchar.characters import EngineError, TruncatedCharacter, compare_characters
 from yqchar.identities import (
     IdentitySpec, MultiplicativeMonomial, check_demazure_support,
     check_kr_skeleton, check_m_support, run_identity, to_multiplicative,
-    tq_lhs_direct, tq_lhs_division, tq_rhs, verify_factorization,
+    tq_lhs_direct, tq_lhs_division, tq_regime, tq_rhs, verify_factorization,
     verify_multiplicative_tq, verify_tq, verify_tsystem, verify_two_term,
 )
 from yqchar.textio import format_monomial
@@ -72,8 +72,9 @@ def test_tsystem_truncated():
 # -- three-term identity -----------------------------------------------------
 
 def test_tq_routes_sl2():
+    assert 6 >= tq_regime(A1, 1, 3)
     rep = verify_tq(A1, 1, 6, 0, 3)
-    assert rep.verdict and rep.to_json()["proxy_ok"] is True
+    assert rep.verdict
     assert rep.to_json()["reports"]["R1 vs RHS"]["verdict"] == "pass"
     assert "pass" in rep.to_text() and rep.to_json()["verdict"] == "pass"
 
@@ -95,6 +96,49 @@ def test_tq_division_needs_divisible_k():
     # node 2 of B2 needs k in 2Z to realize the long-node KR factor
     with pytest.raises(EngineError):
         tq_lhs_division(B2, 2, 3, 0, 2)
+
+
+def _realizable(ct, i, k):
+    return all(k * ct.d[i - 1] % ct.d[j - 1] == 0 for j in ct.nodes if ct.cij(i, j) < 0)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "E6",
+                                  "F4", "G2"])
+def test_tq_regime_boundary_is_tight(name):
+    """At height 2 the relation holds at tq_regime, and at the largest
+    realizable k below it the direct route already differs from the RHS;
+    verify_tq refuses that k and names the least one."""
+    ct, N = build_cartan(LieType.parse(name)), 2
+    for i in ct.nodes:
+        k0 = tq_regime(ct, i, N)
+        assert _realizable(ct, i, k0)
+        assert verify_tq(ct, i, k0, 0, N).verdict, (name, i, k0)
+        below = [k for k in range(1, k0) if _realizable(ct, i, k)]
+        if below:
+            k = below[-1]
+            assert not compare_characters(tq_lhs_direct(ct, i, k, 0, N),
+                                          tq_rhs(ct, i, k, 0, N)).verdict, (name, i, k)
+            with pytest.raises(ValueError, match=rf"^k={k} is outside the TQ regime .*"
+                                                 rf"; the least k is {k0}$"):
+                verify_tq(ct, i, k, 0, N)
+
+
+def test_tq_regime_values():
+    assert [tq_regime(A1, 1, N) for N in (1, 2, 5)] == [1, 1, 1]
+    assert [tq_regime(A2, 1, N) for N in (1, 2, 5)] == [1, 2, 5]
+    # B2: d = (2, 1).  Node 1 needs 2k >= N; node 2 needs k >= 2N and k even.
+    assert [tq_regime(B2, 1, N) for N in (1, 2, 3, 4)] == [1, 1, 2, 2]
+    assert [tq_regime(B2, 2, N) for N in (1, 3, 4)] == [2, 6, 8]
+    # G2: d = (1, 3).  Node 1 needs k >= 3N and 3 | k; node 2 needs 3k >= N.
+    assert [tq_regime(G2, 1, N) for N in (1, 2)] == [3, 6]
+    assert [tq_regime(G2, 2, N) for N in (1, 3, 4)] == [1, 1, 2]
+
+
+def test_tq_spec_defaults_k_to_the_regime():
+    assert IdentitySpec(kind="tq", lie_type="B2", i=2, N=4).k == 8
+    assert IdentitySpec(kind="tq", lie_type="A2", N=3).k == 3
+    assert IdentitySpec(kind="m_support", lie_type="B2", i=2, N=4).k == 1
+    assert IdentitySpec.from_json({"kind": "tq", "lie_type": "G2"}).k == 9
 
 
 # -- two-term exchange -------------------------------------------------------
@@ -232,7 +276,7 @@ def test_multiplicative_tq_reports_a_moved_exponent(monkeypatch):
     def moved(m):
         # of the four monomials, only the minus term carries Psi_{1,x-1}
         out = real(m)
-        return out * MultiplicativeMonomial.gen(1, x1) if m.exp(1, x1) else out
+        return out * MultiplicativeMonomial.gen(1, x1) if (1, x1) in dict(m.items()) else out
     monkeypatch.setattr(identities, "to_multiplicative", moved)
     rep = verify_multiplicative_tq(A2, 1, "x", "y", "k")
     lhs = "Psi[1,-1+x] Psi[1,y]^-1 Psi[2,-1/2-k+x]^-1 Psi[2,1/2+x]"
