@@ -211,6 +211,15 @@ GOLDEN = [
      "02d956792d0949f5"),
     (_v("tq", "G2", 1, "--k", "6", "--height", "2", "--format", "json"), 0,
      "324df06890f733fa"),
+    # Route R2's series division at the default k in the larger types, and
+    # the rank-one glued sum at the largest height that M = 6 allows.
+    (_v("tq", "D4", 2, "--height", "3", "--format", "json"), 0, "90d74b2cd445e47a"),
+    (_v("tq", "B3", 3, "--height", "3", "--format", "json"), 0, "7b522a3dc26224ba"),
+    (_v("tq", "C3", 2, "--height", "3", "--format", "json"), 0, "492e95ad8f8e1617"),
+    (_v("tq", "G2", 2, "--height", "3", "--format", "json"), 0, "90735b876f63828c"),
+    (_v("tq", "F4", 2, "--height", "2", "--format", "json"), 0, "ba7325f2a8df2160"),
+    (("rep-check", "three-term", "--x=-5/2", "--y", "1/3", "--M", "6", "--height", "4"),
+     0, "3d2e70a387793f6f"),
 ]
 
 
