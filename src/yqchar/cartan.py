@@ -21,10 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-__all__ = [
-    "LieType", "CartanData", "RootVector", "Weight",
-    "build_cartan", "height", "weight_to_root", "root_to_weight",
-]
+__all__ = ["LieType", "CartanData", "Weight", "build_cartan"]
 
 _RANK_RANGE = {
     "A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None),
@@ -159,43 +156,11 @@ def build_cartan(lt: LieType) -> CartanData:
     return data
 
 
-# ---------------------------------------------------------------------------
-# Lattice vectors.  Coordinates are exact rationals or Coord values; both
-# support +, -, * by Fraction, so the classes are generic over the field.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RootVector:
-    """Vector in the simple-root basis (alpha-basis)."""
-    coords: tuple
-
-    def __add__(self, other):
-        return RootVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return RootVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return RootVector(tuple(-a for a in self.coords))
-
-    def in_root_lattice(self) -> bool:
-        return all(isinstance(a, (int, Fraction)) and Fraction(a).denominator == 1
-                   for a in self.coords)
-
-    def in_negative_cone(self) -> bool:
-        return self.in_root_lattice() and all(a <= 0 for a in self.coords)
-
-
 @dataclass(frozen=True)
 class Weight:
-    """Vector in the fundamental-weight basis (varpi-basis)."""
+    """Vector in the fundamental-weight basis (varpi-basis); coordinates are
+    exact rationals or Coord values."""
     coords: tuple
-
-    def __add__(self, other):
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
         return Weight(tuple(-a for a in self.coords))
@@ -208,55 +173,3 @@ class Weight:
     def simple_root(cartan: CartanData, i: int) -> "Weight":
         """alpha_i expressed in the varpi-basis: alpha_j = sum_i c_ij varpi_i."""
         return Weight(tuple(Fraction(cartan.cij(j, i)) for j in cartan.nodes))
-
-
-def height(v: RootVector):
-    """Sum of alpha-basis coordinates (each alpha_i has height 1)."""
-    total = Fraction(0)
-    for a in v.coords:
-        total = total + a
-    return total
-
-
-@lru_cache(maxsize=None)
-def _cartan_inverse(lt: LieType):
-    """Exact inverse of the Cartan matrix over Q (Gauss-Jordan)."""
-    c = build_cartan(lt).c
-    r = len(c)
-    aug = [[Fraction(c[i][j]) for j in range(r)] + [Fraction(int(i == j)) for j in range(r)]
-           for i in range(r)]
-    for col in range(r):
-        piv = next(row for row in range(col, r) if aug[row][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [a / f for a in aug[col]]
-        for row in range(r):
-            if row != col and aug[row][col] != 0:
-                g = aug[row][col]
-                aug[row] = [a - g * b for a, b in zip(aug[row], aug[col])]
-    return tuple(tuple(row[r:]) for row in aug)
-
-
-def weight_to_root(cartan: CartanData, w: Weight) -> RootVector:
-    """Change of basis varpi -> alpha: solve C r = w exactly."""
-    inv = _cartan_inverse(cartan.lie_type)
-    r = cartan.rank
-    coords = []
-    for i in range(r):
-        acc = Fraction(0)
-        for j in range(r):
-            acc = acc + inv[i][j] * w.coords[j]
-        coords.append(acc)
-    return RootVector(tuple(coords))
-
-
-def root_to_weight(cartan: CartanData, v: RootVector) -> Weight:
-    """Change of basis alpha -> varpi: w_i = sum_j c_ij v_j."""
-    r = cartan.rank
-    coords = []
-    for i in range(r):
-        acc = Fraction(0)
-        for j in range(r):
-            acc = acc + Fraction(cartan.c[i][j]) * v.coords[j]
-        coords.append(acc)
-    return Weight(tuple(coords))

@@ -194,9 +194,10 @@ def _ledger_acc(a, b, bound: int | None, budget: int, acc=None, sign: int = 1) -
     return acc
 
 
-def _ledger_mul(a, b, bound: int | None, budget: int) -> dict:
+def _ledger_mul(a, b, bound: int | None, budget: int, acc=None) -> dict:
     """``_ledger_acc`` as a ledger {AVector: coefficient}."""
-    return {AVector(k, canonical=True): c for k, c in _ledger_acc(a, b, bound, budget).items()}
+    return {AVector(k, canonical=True): c
+            for k, c in _ledger_acc(a, b, bound, budget, acc).items()}
 
 
 def char_mul(a: TruncatedCharacter, b: TruncatedCharacter,
@@ -208,58 +209,49 @@ def char_mul(a: TruncatedCharacter, b: TruncatedCharacter,
 
 
 def char_add(cartan: CartanData, a: TruncatedCharacter, b: TruncatedCharacter,
-             offset: AVector) -> TruncatedCharacter:
+             offset: AVector, config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
     """Sum of characters with top(b) = top(a) * Psi(offset)^-1.
 
-    The result keeps a's top; b's ledger is folded in shifted by ``offset``.
+    The result keeps a's top; b's ledger times ``offset`` is added to a's.
     """
     if a.top * avector_to_psi(cartan, offset) != b.top:
         raise ValueError("offset does not relate the two tops")
     bound = _min_bound(a.height_bound, b.height_bound)
-    terms = a.truncate(bound).term_dict()
-    for v, c in b.terms:
-        k = offset * v
-        if bound is not None and k.height > bound:
-            continue
-        terms[k] = terms.get(k, 0) + c
+    terms = _ledger_mul(((offset, 1),), b.terms, bound, config.term_budget,
+                        {v.sites: c for v, c in a.truncate(bound).terms})
     return TruncatedCharacter.make(a.top, terms, bound)
 
 
-def divide_series(num: dict, den: dict, bound: int | None) -> dict:
-    """Exact division of A-ledger series with unit leading terms.
+def divide_series(num: dict, den: dict, bound: int | None,
+                  config: EngineConfig = DEFAULT_CONFIG) -> dict:
+    """Exact division of A-ledger series, the divisor with unit leading term.
 
-    Degree-by-degree in height; a negative intermediate coefficient means
-    the quotient is not a character and raises EngineError.
+    Height by height, q_h = num_h - sum_{g>=1} den_g q_{h-g}: a remainder
+    starts at num, its height-h part is final once the lower heights are
+    done and is q_h, and q_h times the rest of den is subtracted from it.
+    A negative coefficient of the quotient means it is not a character, and
+    without a bound a remainder left above the heights of num means the
+    division is inexact; both raise EngineError.
     """
     if den.get(AVector.unit()) != 1:
         raise EngineError("divisor series must have leading coefficient 1")
-    by_h_den, by_h_num = {}, {}
-    for v, c in den.items():
-        if v.sites:
-            by_h_den.setdefault(len(v.sites), []).append((v.sites, c))
-    for v, c in num.items():
-        by_h_num.setdefault(len(v.sites), {})[v.sites] = c
-    maxh = bound if bound is not None else max(by_h_num, default=0)
-    out = {(): 1}
-    by_h_out = {0: [((), 1)]}
-    for h in range(1, maxh + 1):
-        layer = dict(by_h_num.get(h, ()))
-        for g, den_layer in by_h_den.items():
-            if g > h:
-                continue
-            for sd, cd in den_layer:
-                for so, co in by_h_out.get(h - g, ()):
-                    k = tuple(sorted(sd + so))
-                    layer[k] = layer.get(k, 0) - cd * co
-        layer = {v: c for v, c in layer.items() if c}
-        if any(c < 0 for c in layer.values()):
-            bad = output_order((AVector(v, canonical=True), c)
-                               for v, c in layer.items() if c < 0)[0]
-            raise EngineError(f"negative coefficient {bad[1]} at {format_monomial(bad[0])} "
+    rest = [(v, c) for v, c in den.items() if v.sites]
+    rem = {v.sites: c for v, c in num.items()}
+    top = bound if bound is not None else max(map(len, rem), default=0)
+    out = {}
+    for h in range(top + 1):
+        layer = [(AVector(k, canonical=True), c) for k, c in rem.items() if c and len(k) == h]
+        bad = [(v, c) for v, c in layer if c < 0]
+        if bad:
+            v, c = output_order(bad)[0]
+            raise EngineError(f"negative coefficient {c} at {format_monomial(v)} "
                               "in series division")
         out.update(layer)
-        by_h_out[h] = list(layer.items())
-    return {AVector(v, canonical=True): c for v, c in out.items()}
+        _ledger_acc(layer, rest, bound, config.term_budget, rem, -1)
+    if bound is None and any(c for k, c in rem.items() if len(k) > top):
+        raise EngineError("series division is inexact: a remainder is left above "
+                          f"height {top}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,7 @@ def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
     """Route R2: SES kernel character divided by the KR characters that
     realize the complementary n-weight (exact series division)."""
     x = coord(x)
+    _check_realizable(cartan, i, k)
     num = demazure_char_via_ses(cartan, i, 1, k, x, bound, config)
     den = {AVector.unit(): 1}
     expected_n = PsiMonomial.unit()
@@ -164,16 +165,14 @@ def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
             bases = [x - k]
         elif cij == -3:
             bases = [x + Fraction(1, 2) - k, x - Fraction(1, 2) - k]
+        length = k * cartan.d[i - 1] // cartan.d[j - 1]
         for base in bases:
-            length, rem = divmod(k, int(cartan.d[j - 1]))
-            if rem:
-                raise EngineError(f"k={k} does not realize a node-{j} KR factor")
             expected_n = expected_n * kr_weight(cartan, j, length, base)
             ch = fm_expand(cartan, kr_top_y(cartan, j, length, base, config), bound, config)
             den = _ledger_mul(den.items(), ch.terms, bound, config.term_budget)
     if expected_n != n_weight(cartan, i, k, x):
         raise EngineError("KR factors do not assemble the expected n-weight")
-    quot = divide_series(num.term_dict(), den, bound)
+    quot = divide_series(num.term_dict(), den, bound, config)
     return TruncatedCharacter.make(m_weight(cartan, i, k, x), quot, bound)
 
 

@@ -38,7 +38,7 @@ from .coords import Coord, coord
 __all__ = [
     "PsiMonomial", "YMonomial", "AVector",
     "expand_A_to_Psi", "expand_Y_to_Psi", "expand_A_to_Y",
-    "weight_projection", "is_dominant", "is_right_negative",
+    "weight_projection", "is_dominant",
     "psi_to_y", "y_to_psi", "avector_to_psi", "output_order",
 ]
 
@@ -395,7 +395,7 @@ def psi_to_y(cartan: CartanData, m: PsiMonomial) -> YMonomial:
 
 
 # ---------------------------------------------------------------------------
-# Weight projection, dominance, right-negativity.
+# Weight projection and dominance.
 # ---------------------------------------------------------------------------
 
 def weight_projection(cartan: CartanData, m) -> Weight:
@@ -418,21 +418,3 @@ def weight_projection(cartan: CartanData, m) -> Weight:
 def is_dominant(m: YMonomial) -> bool:
     """All Y-exponents nonnegative (element of P_+)."""
     return all(e >= 0 for _, e in m.exps)
-
-
-def is_right_negative(m: YMonomial) -> bool:
-    """Condition (RN): m != 1 and every positive Y-exponent at (i,x) is
-    matched by a negative one at some (j,y) with y - x in (1/2)Z_{<0}.
-
-    Differences with a symbolic part never qualify as half integers.
-    """
-    if m.is_unit():
-        return False
-    negatives = [y for (_, y), e in m.items() if e < 0]
-    for (_, x), e in m.items():
-        if e <= 0:
-            continue
-        ok = any((y - x).is_half_integer() and (y - x).rat < 0 for y in negatives)
-        if not ok:
-            return False
-    return True

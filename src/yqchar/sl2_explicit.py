@@ -304,8 +304,9 @@ def three_term_sides(x, y, M: int, bound: int,
     mid = extract_qchar(build_module("truncated", x - y, y, n_max=0, M=M, config=config))
     up = extract_qchar(build_module("truncated", x + 1 - y, y, n_max=0, M=M, config=config))
     dn = extract_qchar(build_module("truncated", x - 1 - y, y, n_max=0, M=M, config=config))
-    lhs = char_mul(two.truncate(bound), mid.truncate(bound))
-    rhs = char_add(_SL2, up.truncate(bound), dn.truncate(bound), AVector.gen(1, coord(x)))
+    lhs = char_mul(two.truncate(bound), mid.truncate(bound), config)
+    rhs = char_add(_SL2, up.truncate(bound), dn.truncate(bound), AVector.gen(1, coord(x)),
+                   config)
     return lhs, rhs
 
 

@@ -1,11 +1,9 @@
-"""Cartan data, symmetrizers, and lattice conversions."""
+"""Cartan data and symmetrizers."""
 from fractions import Fraction
 
 import pytest
 
-from yqchar.cartan import (
-    LieType, RootVector, Weight, build_cartan, height, root_to_weight, weight_to_root,
-)
+from yqchar.cartan import LieType, build_cartan
 
 ALL_RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
                  "C2", "C3", "C4", "D4", "F4", "G2"]
@@ -63,24 +61,3 @@ def test_b2_c2_f4_data():
     f4 = build_cartan(LieType.parse("F4"))
     assert f4.d == (2, 2, 1, 1)
     assert f4.cij(2, 3) == -1 and f4.cij(3, 2) == -2
-
-
-@pytest.mark.parametrize("name", ALL_RANK_LE_4)
-def test_weight_root_round_trip(name):
-    ct = build_cartan(LieType.parse(name))
-    for i in ct.nodes:
-        alpha = Weight.simple_root(ct, i)
-        v = weight_to_root(ct, alpha)
-        assert v.coords == tuple(Fraction(int(j == i)) for j in ct.nodes)
-        assert height(v) == 1
-        assert root_to_weight(ct, v) == alpha
-        w = Weight.fundamental(ct, i)
-        assert root_to_weight(ct, weight_to_root(ct, w)) == w
-
-
-def test_negative_cone_membership():
-    ct = build_cartan(LieType.parse("A2"))
-    v = weight_to_root(ct, -Weight.simple_root(ct, 1) - Weight.simple_root(ct, 2))
-    assert v.in_negative_cone()
-    w = weight_to_root(ct, Weight.fundamental(ct, 1))
-    assert not w.in_root_lattice()

@@ -126,6 +126,36 @@ def test_divide_series():
         divide_series({AVector.unit(): 1}, den, 2)   # 1/(1+a) is not a character
     with pytest.raises(EngineError):
         divide_series(num, {chain((1, 0)): 1}, 1)    # no unit leading term
+    # Unbounded, an inexact division is an error, and the unit coefficient
+    # of the numerator is read.
+    with pytest.raises(EngineError, match="inexact"):
+        divide_series({AVector.unit(): 1}, den, None)
+    with pytest.raises(EngineError, match="inexact"):
+        divide_series({AVector.unit(): 1, chain((1, 0)): 1, chain((1, 1)): 1}, den, None)
+    five = {AVector.unit(): 5, chain((1, 0)): 1}
+    assert divide_series(five, {AVector.unit(): 1}, None) == five
+
+
+def _ledger_product(a, b):
+    out = Counter()
+    for va, ca in a.items():
+        for vb, cb in b.items():
+            out[va * vb] += ca * cb
+    return dict(out)
+
+
+ledgers = st.dictionaries(
+    st.lists(st.tuples(st.integers(min_value=1, max_value=2),
+                       st.integers(min_value=0, max_value=3)),
+             min_size=1, max_size=3).map(lambda fs: chain(*fs)),
+    st.integers(min_value=1, max_value=3), max_size=4,
+).map(lambda d: {AVector.unit(): 1, **d})
+
+
+@given(ledgers, ledgers, st.sampled_from([None, 0, 1, 2, 3, 4]))
+def test_divide_series_inverts_the_product(a, b, bound):
+    kept = {v: c for v, c in a.items() if bound is None or v.height <= bound}
+    assert divide_series(_ledger_product(a, b), b, bound) == kept
 
 
 # -- named weights -----------------------------------------------------------

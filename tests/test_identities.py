@@ -94,7 +94,7 @@ def test_tq_routes_agree_individually():
 
 def test_tq_division_needs_divisible_k():
     # node 2 of B2 needs k in 2Z to realize the long-node KR factor
-    with pytest.raises(EngineError):
+    with pytest.raises(ValueError, match="d_1=2 does not divide"):
         tq_lhs_division(B2, 2, 3, 0, 2)
 
 

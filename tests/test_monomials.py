@@ -10,7 +10,7 @@ from yqchar.coords import Coord, coord
 from yqchar.monomials import (
     _HALF, _LANE, AVector, PsiMonomial, YMonomial, _site, _site_order, _unsite,
     avector_to_psi, avector_to_y, expand_A_to_Psi, expand_A_to_Y,
-    expand_Y_to_Psi, is_dominant, is_right_negative, psi_to_y,
+    expand_Y_to_Psi, is_dominant, psi_to_y,
     weight_projection, y_to_psi,
 )
 from yqchar.textio import format_monomial, parse_monomial
@@ -143,29 +143,12 @@ def test_projection_is_additive_and_sees_coordinates():
     assert w1 == coord("x") + 6
 
 
-# -- dominance and right-negativity -----------------------------------------
+# -- dominance ---------------------------------------------------------------
 
 def test_dominance():
     assert is_dominant(YMonomial.unit())
     assert is_dominant(YMonomial.gen(1, "x") * YMonomial.gen(2, 0, 3))
     assert not is_dominant(YMonomial.gen(1, 0, -1))
-
-
-def test_right_negativity_examples():
-    assert not is_right_negative(YMonomial.unit())
-    assert is_right_negative(YMonomial.gen(1, 1) * YMonomial.gen(1, 0, -1))
-    assert not is_right_negative(YMonomial.gen(1, 0) * YMonomial.gen(1, 1, -1))
-    assert is_right_negative(YMonomial.gen(1, 0, -1))  # no positive factors
-
-
-def test_right_negativity_symbolic_difference_never_qualifies():
-    assert not is_right_negative(YMonomial.gen(1, "k") * YMonomial.gen(1, 0, -1))
-
-
-def test_right_negative_closed_under_products():
-    a = YMonomial.gen(1, 1) * YMonomial.gen(1, 0, -1)
-    b = YMonomial.gen(2, "1/2") * YMonomial.gen(2, 0, -1)
-    assert is_right_negative(a * b)
 
 
 # -- group laws (property) ---------------------------------------------------
