@@ -220,6 +220,19 @@ GOLDEN = [
     (_v("tq", "F4", 2, "--height", "2", "--format", "json"), 0, "ba7325f2a8df2160"),
     (("rep-check", "three-term", "--x=-5/2", "--y", "1/3", "--M", "6", "--height", "4"),
      0, "3d2e70a387793f6f"),
+    # The relation checker at its edges: mode bounds 0 and 1, a module of
+    # dimension 1, one safe column (products leave the basis), and a
+    # coprime denominator at mode bound 4.
+    (("rep-check", "relations", "--kind", "finite", "--k", "2", "--x", "1/3",
+      "--modes", "0"), 0, "e365201068aefeda"),
+    (("rep-check", "relations", "--kind", "finite", "--k", "2", "--x", "1/3",
+      "--modes", "1"), 0, "a9e89396a8901b5c"),
+    (("rep-check", "relations", "--kind", "finite", "--k", "0", "--x", "5/2",
+      "--format", "json"), 0, "3c9b8cd6dee4f4bc"),
+    (("rep-check", "relations", "--kind", "truncated", "--k=7/3", "--x=-1/2", "--M", "3",
+      "--format", "json"), 0, "eb1d83083ae5abbc"),
+    (("rep-check", "relations", "--kind", "truncated", "--k=1/1000000007", "--x", "2/3",
+      "--M", "4", "--modes", "4", "--format", "json"), 0, "3a7e3c4aa03eebb8"),
 ]
 
 
