@@ -75,8 +75,10 @@ def _parser() -> argparse.ArgumentParser:
     # and building the tree of subparsers costs more than most commands.
     top = argparse.ArgumentParser(prog="yqchar", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    config_height = "truncation height (default from config)"
+    complete = "truncation height (default: the complete character)"
 
-    def common(p, *, node=True, k=False, t=False, x=True, y=False, height=True):
+    def common(p, *, node=True, k=False, t=False, x=True, y=False, height=config_height):
         p.add_argument("--type", required=True, help="Lie type, e.g. A2, G2")
         if node:
             p.add_argument("--node", type=int, required=True)
@@ -89,15 +91,14 @@ def _parser() -> argparse.ArgumentParser:
         if y:
             p.add_argument("--y", default="0")
         if height:
-            p.add_argument("--height", type=int, default=None,
-                           help="truncation height (default from config)")
+            p.add_argument("--height", type=int, default=None, help=height)
         p.add_argument("--format", choices=("text", "json"), default=None)
         p.add_argument("--config", default=None, help="JSON CliConfig file")
 
     q = sub.add_parser("qchar", help="compute a character").add_subparsers(
         dest="what", required=True)
-    common(q.add_parser("kr"), k=True)
-    common(q.add_parser("demazure"), k=True, t=True)
+    common(q.add_parser("kr"), k=True, height=complete)
+    common(q.add_parser("demazure"), k=True, t=True, height=complete)
     common(q.add_parser("asymptotic"), y=True)
     p = q.add_parser("prefundamental")
     common(p)
@@ -139,7 +140,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default="0")
     p.add_argument("--y", default="0")
     p.add_argument("--M", type=int, default=8)
-    p.add_argument("--height", type=int, default=3)
+    p.add_argument("--height", type=int, default=None, help=config_height)
     p.add_argument("--format", choices=("text", "json"), default=None)
     p.add_argument("--config", default=None)
 
@@ -203,7 +204,9 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
         if args.command == "verify":
             if args.what == "suite":
                 with open(args.suite_file) as fh:
-                    specs = [IdentitySpec.from_json(o) for o in json.load(fh)]
+                    if not isinstance(entries := json.load(fh), list):
+                        raise UsageError("a suite file must hold a JSON list of identity specs")
+                specs = [IdentitySpec.from_json(o) for o in entries]
                 reports = [run_identity(s, eng) for s in specs]
                 ok = all(r.verdict for r in reports)
                 if cfg.output_format == "json":
@@ -226,7 +229,7 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
         if args.command == "rep-check":
             if args.what == "three-term":
                 return _emit(verify_sl2_three_term(_rational(args.x), _rational(args.y),
-                                                   args.M, args.height, eng), cfg, out)
+                                                   args.M, N, eng), cfg, out)
             mod = build_module(args.kind, _rational(args.k), _rational(args.x),
                                n_max=args.modes,
                                M=args.M if args.kind == "truncated" else None,

@@ -6,6 +6,7 @@ Also houses the additive-to-multiplicative convention translation.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,19 +61,26 @@ class IdentitySpec:
                 build_cartan(LieType.parse(self.lie_type)), self.i, self.N))
 
     @staticmethod
-    def from_json(obj: dict) -> "IdentitySpec":
+    def from_json(obj) -> "IdentitySpec":
+        if not isinstance(obj, dict):
+            raise ValueError(f"an identity spec must be a JSON object, got {json.dumps(obj)}")
         unknown = sorted(set(obj) - set(IdentitySpec.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown identity field(s): {', '.join(unknown)}")
         missing = [f for f in ("kind", "lie_type") if f not in obj]
         if missing:
             raise ValueError(f"missing identity field(s): {', '.join(missing)}")
+        for name, value in obj.items():
+            types, what = _FIELD_TYPES[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"identity field {name} must be {what}, got {json.dumps(value)}")
         return IdentitySpec(**obj)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "lie_type": self.lie_type, "i": self.i,
-                "k": self.k, "t": self.t, "x": self.x, "y": self.y,
-                "a": self.a, "b": self.b, "N": self.N}
+
+# The JSON types a suite entry may give each field; booleans are refused.
+_FIELD_TYPES = {"kind": (str, "a string"), "lie_type": (str, "a string"),
+                **dict.fromkeys("itN", (int, "an integer")),
+                **dict.fromkeys("kxyab", ((int, str), "an integer or a string"))}
 
 
 def _integer_k(value) -> int:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import add, mul
 
@@ -158,39 +159,29 @@ def relation_report(checked: int, failures, note: str) -> Report:
 
 
 def _times(a: tuple, b: tuple, dim: int) -> tuple:
-    """Product of two lifted band operators (e, {offset: column}): D^e times
-    the operator has the integer entry [c+o][c] at entry c of the offset-o
-    column, so exponents add.
-
-    (ab)[c+s][c] = sum over oa+ob = s of a[c+s][c+ob] b[c+ob][c], one term
-    per pair of bands, so each column costs O(1).  Entries whose row lies
-    outside the basis are neither read nor formed (they stay 0).
-    """
-    (ea, a), (eb, b) = a, b
-    out = {}
-    for ob, cb in b.items():
-        for oa, ca in a.items():
-            s = oa + ob
-            lo = max(0, -ob, -s)
-            hi = max(lo, min(dim, dim - ob, dim - s))
-            col = [0] * lo + list(map(mul, ca[lo + ob:hi + ob], cb[lo:hi])) + [0] * (dim - hi)
-            out[s] = list(map(add, out[s], col)) if s in out else col
-    return ea + eb, out
+    """Product of two lifted bands (e, o, col), col[c] the integer D^e [c+o][c]:
+    (ab)[c+s][c] = a[c+s][c+ob] b[c+ob][c] with s = oa+ob, O(1) per column.
+    Entries whose row lies outside the basis are neither read nor formed."""
+    (ea, oa, ca), (eb, ob, cb) = a, b
+    s = oa + ob
+    lo = max(0, -ob, -s)
+    hi = max(lo, min(dim, dim - ob, dim - s))
+    col = list(map(mul, ca[lo + ob:hi + ob], cb[lo:hi]))
+    return ea + eb, s, [0] * lo + col + [0] * (dim - hi)
 
 
 def _combine(D: int, *terms) -> tuple:
     """The linear combination sum coef * op over (coef, op) pairs of lifted
-    operators, at the largest exponent e: an op of exponent f is scaled by
-    D^(e-f)."""
-    e = max(f for _, (f, _) in terms)
-    out = {}
-    for coef, (f, op) in terms:
+    bands of one offset, at the largest exponent e: an op of exponent f is
+    scaled by D^(e-f)."""
+    e = max(f for _, (f, _, _) in terms)
+    out = None
+    for coef, (f, o, col) in terms:
         coef *= D ** (e - f)
-        for o, col in op.items():
-            if coef != 1:
-                col = [-v for v in col] if coef == -1 else [coef * v for v in col]
-            out[o] = list(map(add, out[o], col)) if o in out else col
-    return e, out
+        if coef != 1:
+            col = [-v for v in col] if coef == -1 else [coef * v for v in col]
+        out = col if out is None else list(map(add, out, col))
+    return e, o, out
 
 
 def relation_instances(n_max: int) -> int:
@@ -198,9 +189,9 @@ def relation_instances(n_max: int) -> int:
     return 6 * (n_max + 1) ** 2 + 2 * (n_max + 1)
 
 
-def check_relations(mod: Sl2Module, n_max: int | None = None,
-                    config: EngineConfig = DEFAULT_CONFIG) -> Report:
-    """Verify the rank-one defining relations exactly on the safe columns.
+def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Report:
+    """Verify the rank-one defining relations exactly on the safe columns, up
+    to the module's mode bound (a smaller bound needs a module built with it).
 
     With d_11 = 1 and hbar = 1:
       (C1) [xi_m, xi_n] = 0
@@ -210,48 +201,46 @@ def check_relations(mod: Sl2Module, n_max: int | None = None,
       (DR) [xpm_{m+1}, xpm_n] - [xpm_m, xpm_{n+1}] = +-(xpm_m xpm_n + xpm_n xpm_m)
     The Serre relation is vacuous in rank one.
 
-    Each instance is compared column by column over the safe columns, rows
-    ascending within a column; the first disagreeing entry is reported.
+    Every relation is homogeneous, so each side of each instance is one band,
+    compared over the safe columns; the first disagreeing entry is reported.
     Entries are ints over D, the lcm of all stored denominators.
     The work, instances times dim, must fit in ``config.term_budget``; a
     larger check raises EngineError before it starts.
     """
-    n_max = mod.mode_bound if n_max is None else n_max
-    if n_max > mod.mode_bound:
-        raise ValueError("module built with smaller mode bound")
-    dim = mod.dim
+    n_max, dim = mod.mode_bound, mod.dim
     if relation_instances(n_max) * dim > config.term_budget:
         raise EngineError(f"term budget {config.term_budget} exceeded by "
                           f"{relation_instances(n_max)} relation instances on dimension {dim}")
     cols = mod.safe_columns
     failures = []
     checked = 0
-    stored = (mod.xp, mod.xm, mod.xi)
-    D = lcm(*{v.denominator for bands in stored for band in bands for v in band})
-    xp, xm, xi = ([(1, {o: [v.numerator * (D // v.denominator) for v in band]})
-                   for band in bands] for o, bands in zip((_XP, _XM, _XI), stored))
-    times = lambda a, b: _times(a, b, dim)
+    stored = ((_XP, mod.xp), (_XM, mod.xm), (_XI, mod.xi))
+    D = lcm(*{v.denominator for _, bands in stored for band in bands for v in band})
+    # Each stored mode is named by its key (offset, mode) and lifted to one band.
+    band = {(o, n): (1, o, [v.numerator * (D // v.denominator) for v in b])
+            for o, bands in stored for n, b in enumerate(bands)}
+    xp, xm, xi = ([(o, n) for n in range(len(bands))] for o, bands in stored)
+    # Each product of two stored modes is formed once; the cache lives for this call.
+    times = cache(lambda a, b: _times(band[a], band[b], dim))
     combine = lambda *terms: _combine(D, *terms)
     comm = lambda a, b: combine((1, times(a, b)), (-1, times(b, a)))
-    entry = lambda op, o, c: Fraction(op[1][o][c] if o in op[1] else 0, D ** op[0])
+    entry = lambda op, c: Fraction(op[2][c], D ** op[0])
 
     def expect(rel, m, n, lhs, rhs):
         nonlocal checked
         checked += 1
-        diff = combine((1, lhs), (-1, rhs))[1]
-        bad = [(c, o) for o, col in diff.items()
-               for c in range(max(cols.start, -o), min(cols.stop, dim - o)) if col[c]]
+        _, o, diff = combine((1, lhs), (-1, rhs))
+        bad = [c for c in range(max(cols.start, -o), min(cols.stop, dim - o)) if diff[c]]
         if bad:
-            c, o = min(bad)
-            failures.append((rel, m, n, c, entry(lhs, o, c), entry(rhs, o, c)))
+            failures.append((rel, m, n, bad[0], entry(lhs, bad[0]), entry(rhs, bad[0])))
 
     for m in range(n_max + 1):
         for n in range(n_max + 1):
-            expect("commuting Cartan modes", m, n, comm(xi[m], xi[n]), (0, {}))
-            expect("raising/lowering bracket", m, n, comm(xp[m], xm[n]), xi[m + n])
+            expect("commuting Cartan modes", m, n, comm(xi[m], xi[n]), (0, _XI, [0] * dim))
+            expect("raising/lowering bracket", m, n, comm(xp[m], xm[n]), band[xi[m + n]])
     for n in range(n_max + 1):
-        expect("weight grading (+)", 0, n, comm(xi[0], xp[n]), combine((2, xp[n])))
-        expect("weight grading (-)", 0, n, comm(xi[0], xm[n]), combine((-2, xm[n])))
+        expect("weight grading (+)", 0, n, comm(xi[0], xp[n]), combine((2, band[xp[n]])))
+        expect("weight grading (-)", 0, n, comm(xi[0], xm[n]), combine((-2, band[xm[n]])))
     for sign, xs in ((1, xp), (-1, xm)):
         tag = "+" if sign > 0 else "-"
         for m in range(n_max + 1):

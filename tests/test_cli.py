@@ -239,6 +239,28 @@ def test_suite_entry_without_kind_or_type_is_a_usage_error(tmp_path, entry, err)
     assert run(["verify", "suite", str(suite)]) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("suite, err", [
+    ([{"kind": "tq", "lie_type": 5}], "identity field lie_type must be a string, got 5"),
+    ({"kind": "tq", "lie_type": "A2"}, "a suite file must hold a JSON list of identity specs"),
+    ([5], "an identity spec must be a JSON object, got 5"),
+    ([{"kind": "tq", "lie_type": "A2", "i": "1"}],
+     'identity field i must be an integer, got "1"'),
+    ([{"kind": "tsystem", "lie_type": "A2", "t": "1"}],
+     'identity field t must be an integer, got "1"'),
+    ([{"kind": "tq", "lie_type": "A2", "N": "3"}],
+     'identity field N must be an integer, got "3"'),
+    ([{"kind": "tsystem", "lie_type": "A1", "k": True}],
+     "identity field k must be an integer or a string, got true"),
+    ([{"kind": "two_term", "lie_type": "A1", "x": None}],
+     "identity field x must be an integer or a string, got null"),
+])
+def test_suite_of_the_wrong_shape_is_a_usage_error(tmp_path, suite, err):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    for fmt in ("text", "json"):
+        assert run(["verify", "suite", str(path), "--format", fmt]) == (2, "", f"error: {err}\n")
+
+
 def test_stabilized_characters_are_bounded_by_the_term_budget():
     # the stable length is the height, so any height answers up to the budget
     code, out, _ = run(["qchar", "asymptotic", "--type", "A1", "--node", "1", "--y", "y",
@@ -352,6 +374,14 @@ def test_rep_check_commands():
     assert code == 0 and json.loads(out)["result"]["verdict"] == "pass"
 
 
+def test_rep_check_three_term_reads_the_config_height(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"default_height_bound": 2}))
+    three = ["rep-check", "three-term", "--x", "2", "--config", str(cfg)]
+    assert run(three) == (0, "verdict: pass\nnote: explicit three-term x=2 y=0 N=2\n", "")
+    assert run([*three, "--height", "4"])[1].endswith(" N=4\n")
+
+
 # -- translate ---------------------------------------------------------------
 
 def test_translate_monomial():
@@ -439,15 +469,26 @@ _VERBS = {
     ("qchar",): (),
     ("no-such-command",): (),
 }
+# JSON values of the wrong type for any field
+_JUNK = st.sampled_from((True, False, None, 1.5, [], {}))
 _SPEC_VALUES = {
     "kind": st.sampled_from(("tsystem", "tq", "two_term", "factorization", "kr_skeleton",
-                             "demazure_support", "m_support", "bogus")),
-    "lie_type": st.sampled_from(_TYPES + _VALUES["--type"][1]),
-    "i": st.integers(-1, 4), "k": st.integers(-1, 4) | st.sampled_from(_COORDS),
-    "t": st.integers(-1, 4), "N": st.integers(-1, 4),
-    "x": st.sampled_from(_COORDS + _BAD_COORDS),
+                             "demazure_support", "m_support", "bogus")) | _JUNK,
+    "lie_type": st.sampled_from(_TYPES + _VALUES["--type"][1]) | st.integers(0, 5) | _JUNK,
+    "i": st.integers(-1, 4) | st.sampled_from(("1", "2")) | _JUNK,
+    "k": st.integers(-1, 4) | st.sampled_from(_COORDS) | _JUNK,
+    "t": st.integers(-1, 4) | st.sampled_from(("0", "1")) | _JUNK,
+    "N": st.integers(-1, 4) | st.sampled_from(("2", "3")) | _JUNK,
+    "x": st.sampled_from(_COORDS + _BAD_COORDS) | st.integers(-1, 2) | _JUNK,
     "height": st.integers(0, 4),
 }
+_SPEC = st.fixed_dictionaries({}, optional=_SPEC_VALUES)
+# a suite file: mostly a list of objects, sometimes with other items in
+# the list, sometimes a top-level object or scalar
+_SUITE = st.one_of(
+    st.lists(_SPEC, max_size=2), st.lists(_SPEC, max_size=2),
+    st.lists(_SPEC | st.integers(0, 5) | st.text(max_size=2) | _JUNK, max_size=2),
+    _SPEC, st.integers(0, 5), _JUNK)
 
 
 @st.composite
@@ -465,8 +506,7 @@ def _argv(draw):
             good, bad = _VALUES[flag]
             pool = good if good and draw(_MOSTLY) else bad
             argv.append(f"{flag}={draw(st.sampled_from(pool))}")
-    suite = draw(st.lists(st.fixed_dictionaries({}, optional=_SPEC_VALUES), max_size=2)) \
-        if verb == ("verify", "suite") else None
+    suite = draw(_SUITE) if verb == ("verify", "suite") else None
     return verb, argv, suite
 
 
@@ -493,7 +533,9 @@ def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, drawn):
     assert code in (0, 1, 2, 3), (argv, suite)
     assert (err == "") == (code in (0, 1)), (argv, suite, err)
     # a usage error is told in the tool's own words, not Python's
-    assert "__init__()" not in err and "invalid literal" not in err, (argv, suite, err)
+    for python in ("__init__()", "invalid literal", "not supported between instances",
+                   "is not iterable"):
+        assert python not in err, (argv, suite, err)
     assert err.count("at position") <= 1, (argv, suite, err)
 
 

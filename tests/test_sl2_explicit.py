@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import yqchar.sl2_explicit as sl2_explicit
 from yqchar.cartan import LieType, build_cartan
 from yqchar.characters import (
     EngineConfig, EngineError, asymptotic_char, compare_characters, sl2_kr_char,
@@ -59,8 +60,8 @@ def _comm(a, b):
     return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
 
 
-def dense_check_relations(mod, n_max=None):
-    n_max = mod.mode_bound if n_max is None else n_max
+def dense_check_relations(mod):
+    n_max = mod.mode_bound
     xp_, xm_, xi_ = _densify(mod)
     cols = mod.safe_columns
     failures = []
@@ -236,11 +237,10 @@ def test_relations_truncated(k):
 
 
 @settings(max_examples=80, deadline=None)
-@given(modules(), st.data())
-def test_relations_match_dense_reference(mod, data):
-    n_max = data.draw(st.integers(min_value=0, max_value=mod.mode_bound))
-    got = check_relations(mod, n_max)
-    want = dense_check_relations(mod, n_max)
+@given(modules())
+def test_relations_match_dense_reference(mod):
+    got = check_relations(mod)
+    want = dense_check_relations(mod)
     assert got.to_json() == want.to_json()
     assert got.to_text() == want.to_text()
 
@@ -265,11 +265,15 @@ def test_corrupted_module_report_literal():
                       "column": 0, "lhs": "2", "rhs": "1"}]}
 
 
-def test_relations_mode_bound_guard():
-    mod = build_module("finite", 1, 0, n_max=1)
-    with pytest.raises(ValueError):
-        check_relations(mod, n_max=5)
-    assert check_relations(mod, n_max=0).verdict
+def test_each_band_product_is_formed_once(monkeypatch):
+    # At mode bound 3 the relations read 192 distinct products of two
+    # stored modes; forming each per use would take 464.
+    calls = []
+    times = sl2_explicit._times
+    monkeypatch.setattr(sl2_explicit, "_times", lambda *a: calls.append(a) or times(*a))
+    rep = check_relations(build_module("finite", 4, Fraction(1, 2), n_max=3))
+    assert rep.verdict and rep.checked == relation_instances(3)
+    assert len(calls) == 192
 
 
 # -- character extraction ----------------------------------------------------
