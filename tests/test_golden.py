@@ -233,6 +233,13 @@ GOLDEN = [
       "--format", "json"), 0, "eb1d83083ae5abbc"),
     (("rep-check", "relations", "--kind", "truncated", "--k=1/1000000007", "--x", "2/3",
       "--M", "4", "--modes", "4", "--format", "json"), 0, "3a7e3c4aa03eebb8"),
+    # Complete KR characters whose rows repeat a site (^-2 factors): G2
+    # with coefficients above 1, negative and third-step points, and a
+    # symbolic lane.
+    (_kr("G2", 1, 3), 0, "5f6ca376c15cdf59"),
+    (_kr("C3", 3, 2, "--x=-1/2"), 0, "7a85ec0b8c5720c5"),
+    (_kr("F4", 1, 1, "--x", "1/3"), 0, "ba4bd3d13aef0375"),
+    (_kr("B3", 3, 3, "--x", "k+1/3", "--format", "json"), 0, "75336822fa5ab8c5"),
 ]
 
 
