@@ -25,8 +25,9 @@ from functools import lru_cache
 from .cartan import CartanData
 from .coords import Coord, coord
 from .monomials import (
-    _HALF, AVector, PsiMonomial, YMonomial, _at_node, _remove, _term_key, output_order,
-    avector_to_psi, avector_to_y, expand_A_to_Psi, is_dominant, psi_to_y, y_to_psi,
+    _HALF, AVector, PsiMonomial, YMonomial, _by_node, _canon, _remove, _term_key,
+    avector_to_psi, avector_to_y, expand_A_to_Psi, is_dominant, output_order, psi_to_y,
+    y_to_psi,
 )
 from .textio import format_monomial
 
@@ -107,14 +108,12 @@ class TruncatedCharacter:
         return {
             "top": format_monomial(self.top),
             "height_bound": self.height_bound,
-            "terms": [{"avector": format_monomial(v), "coeff": c}
-                      for v, c in output_order(self.terms)],
+            "terms": [{"avector": t, "coeff": c} for (_, c), t in output_order(self.terms)],
         }
 
     def to_text(self) -> str:
         rows = [("height", "coeff", "avector")]
-        rows += [(str(v.height), str(c), format_monomial(v))
-                 for v, c in output_order(self.terms)]
+        rows += [(str(v.height), str(c), t) for (v, c), t in output_order(self.terms)]
         widths = [max(len(r[k]) for r in rows) for k in range(3)]
         lines = [f"top: {format_monomial(self.top)}",
                  f"height_bound: {self.height_bound}"]
@@ -148,7 +147,7 @@ def compare_characters(lhs: TruncatedCharacter, rhs: TruncatedCharacter,
                        note: str = "") -> Report:
     """Term-by-term comparison: the tops and every mismatched coefficient."""
     la, rb = lhs.term_dict(), rhs.term_dict()
-    mism = [(format_monomial(v), a, b) for v, a, b in output_order(
+    mism = [(t, a, b) for (_, a, b), t in output_order(
         (v, la.get(v, 0), rb.get(v, 0)) for v in la.keys() | rb.keys()
         if la.get(v, 0) != rb.get(v, 0))]
     same = lhs.top == rhs.top
@@ -243,9 +242,8 @@ def divide_series(num: dict, den: dict, bound: int | None,
         layer = [(AVector(k, canonical=True), c) for k, c in rem.items() if c and len(k) == h]
         bad = [(v, c) for v, c in layer if c < 0]
         if bad:
-            v, c = output_order(bad)[0]
-            raise EngineError(f"negative coefficient {c} at {format_monomial(v)} "
-                              "in series division")
+            (_, c), t = output_order(bad)[0]
+            raise EngineError(f"negative coefficient {c} at {t} in series division")
         out.update(layer)
         _ledger_acc(layer, rest, bound, config.term_budget, rem, -1)
     if bound is None and any(c for k, c in rem.items() if len(k) > top):
@@ -491,11 +489,11 @@ def _fm_expand(cartan, top, bound, config):
     # sort and the work dicts hash and compare ints only; AVectors are built
     # for the result alone.  The budget bounds the terms and, separately,
     # their stored factors.
-    # Invariant: ymon[v] == top * avector_to_y(cartan, v) for every queued v.
-    # A new term v2 = v * chain is reached from a popped v, and avector_to_y
-    # is a homomorphism, so its Y-monomial is built from v's as
-    # m * avector_to_y(cartan, chain): the cost follows the new node-i chain,
-    # not the size of the whole monomial.
+    # Invariant: ymon[v] == (top * avector_to_y(cartan, v)).exps for every
+    # queued v.  A new term v2 = v * chain is reached from a popped v, and
+    # avector_to_y is a homomorphism, so v2's Y-form is one merge of v's
+    # with the chain's: the cost follows the new node-i chain, not the size
+    # of the whole monomial.  Each chain is converted once per call (chain_y).
     if not is_dominant(top):
         raise ValueError(f"fm_expand requires a dominant top, got {format_monomial(top)}")
     top_psi = y_to_psi(cartan, top)
@@ -505,7 +503,8 @@ def _fm_expand(cartan, top, bound, config):
     seq = factors = 0
     heap = [(0, 0, ())]
     seen = {()}
-    ymon = {(): top}
+    ymon = {(): top.exps}
+    chain_y = {}
     while heap:
         h, _, v = heapq.heappop(heap)
         mult = max(explained[i].get(v, 0) for i in cartan.nodes) if v else 1
@@ -513,6 +512,7 @@ def _fm_expand(cartan, top, bound, config):
             raise EngineError("engine fault: discovered monomial with no multiplicity")
         result[AVector(v, canonical=True)] = mult
         m = ymon.pop(v)
+        at = _by_node(m)
         for i in cartan.nodes:
             ex = explained[i]
             deficit = mult - ex.get(v, 0)
@@ -520,11 +520,11 @@ def _fm_expand(cartan, top, bound, config):
                 continue
             if deficit < 0:
                 raise EngineError("engine fault: node coverage exceeds multiplicity")
-            positions = _at_node(m.exps, i)
+            positions = tuple(at.get(i, ()))
             if any(e < 0 for _, e in positions):
-                raise EngineError(
-                    f"expansion blocked: monomial {format_monomial(m)} has unexplained "
-                    f"multiplicity at node {i} but is not {i}-dominant")
+                text = format_monomial(YMonomial(m, canonical=True))
+                raise EngineError(f"expansion blocked: monomial {text} has unexplained "
+                                  f"multiplicity at node {i} but is not {i}-dominant")
             cap = None if bound is None else bound - h
             for chain, c in _sl2_node_expansion(positions, cartan.d[i - 1], cap, budget):
                 v2 = tuple(sorted(v + chain.sites))
@@ -535,7 +535,10 @@ def _fm_expand(cartan, top, bound, config):
                     if len(seen) > budget or factors > budget:
                         raise EngineError(f"term budget {budget} exceeded during expansion "
                                           f"({len(seen)} terms, {factors} factors)")
-                    ymon[v2] = m * avector_to_y(cartan, chain)
+                    dy = chain_y.get(chain.sites)
+                    if dy is None:
+                        dy = chain_y[chain.sites] = avector_to_y(cartan, chain).exps
+                    ymon[v2] = _canon(dy, m)
                     seq += 1
                     heapq.heappush(heap, (h + len(chain.sites), seq, v2))
     return TruncatedCharacter.make(top_psi, result, bound)

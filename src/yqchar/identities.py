@@ -274,7 +274,7 @@ def verify_factorization(cartan: CartanData, i: int, k, x) -> Report:
 
 def _support_report(scanned: int, found, note: str) -> Report:
     """Verdict of a scan of ``scanned`` terms with (term, reason) violations."""
-    rows = [(format_monomial(v), r) for v, r in output_order(found)]
+    rows = [(t, r) for (_, r), t in output_order(found)]
     return Report(not rows, {"scanned": scanned, "note": note,
                              "violations": [{"avector": v, "reason": r} for v, r in rows]},
                   (f"note: {note}", *(f"  {v}: {r}" for v, r in rows)),

@@ -87,9 +87,12 @@ def _site_order(s: int) -> tuple:
     return i, sym, s >> 32, residue
 
 
-def _at_node(exps, i: int) -> tuple:
-    """The (site, e) pairs of ``exps`` at node i."""
-    return tuple(p for p in exps if _LANES[p[0] & _LANE][0] == i)
+def _by_node(exps) -> dict:
+    """The (site, e) pairs of ``exps`` grouped by node: {node: [pairs]}."""
+    out = {}
+    for p in exps:
+        out.setdefault(_LANES[p[0] & _LANE][0], []).append(p)
+    return out
 
 
 def _canon(pairs, base=()) -> tuple:
@@ -178,26 +181,33 @@ def _term_key(row):
 
 
 def output_order(rows) -> list:
-    """Rows whose first entry is an AVector, sorted as they are printed: by
-    height, then by factor lists ((node, Coord), exponent) compared in
-    (node, Coord) order.
+    """Rows whose first entry is an AVector, each with its text, as
+    (row, text) pairs in print order: by height, then by factor lists
+    ((node, Coord), exponent) compared in (node, Coord) order.
 
     Sites are ranked once, in that order, as multiples of a bound on the
     exponents: a factor (rank r, exponent e) is the int r + e - 1, so a row
-    without repeated sites needs no run counting.
+    without repeated sites needs no run counting, and each distinct int is
+    formatted once per call.
     """
     rows = list(rows)
+    if not rows:        # a passing comparison or scan: nothing to rank
+        return []
+    from .textio import _factor_text
     sites = sorted({s for r in rows for s in r[0].sites}, key=_site_order)
-    scale = 1 + max((len(r[0].sites) for r in rows), default=0)
+    scale = 1 + max(len(r[0].sites) for r in rows)
     rank = dict(zip(sites, range(0, scale * len(sites), scale)))
-
-    def key(row):
+    keyed = []
+    for row in rows:
         v = row[0].sites
         ks = sorted(map(rank.__getitem__, v))
         if len(set(v)) < len(v):
             ks = [k + len(list(g)) - 1 for k, g in groupby(ks)]
-        return len(v), ks
-    return sorted(rows, key=key)
+        keyed.append((len(v), ks, row))
+    keyed.sort(key=lambda t: t[:2])
+    text = {k: _factor_text("A", sites[k // scale], -(k % scale + 1))
+            for k in {k for _, ks, _ in keyed for k in ks}}
+    return [(row, " ".join(map(text.__getitem__, ks)) or "1") for _, ks, row in keyed]
 
 
 class PsiMonomial(_ExpMap):

@@ -220,10 +220,11 @@ def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Re
     band = {(o, n): (1, o, [v.numerator * (D // v.denominator) for v in b])
             for o, bands in stored for n, b in enumerate(bands)}
     xp, xm, xi = ([(o, n) for n in range(len(bands))] for o, bands in stored)
-    # Each product of two stored modes is formed once; the cache lives for this call.
+    # Each product and each commutator of two stored modes is formed once;
+    # the caches live for this call.
     times = cache(lambda a, b: _times(band[a], band[b], dim))
     combine = lambda *terms: _combine(D, *terms)
-    comm = lambda a, b: combine((1, times(a, b)), (-1, times(b, a)))
+    comm = cache(lambda a, b: combine((1, times(a, b)), (-1, times(b, a))))
     entry = lambda op, c: Fraction(op[2][c], D ** op[0])
 
     def expect(rel, m, n, lhs, rhs):

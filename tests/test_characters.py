@@ -136,6 +136,18 @@ def test_divide_series():
     assert divide_series(five, {AVector.unit(): 1}, None) == five
 
 
+def test_divide_series_names_the_first_negative_term():
+    # two negative terms at height 2: the first in print order is named
+    mixed = chain((1, 0), (2, "1/2"))
+    den = {AVector.unit(): 1, AVector.gen(1, 0, 2): 3, mixed: 1}
+    with pytest.raises(EngineError) as err:
+        divide_series({AVector.unit(): 1}, den, 2)
+    assert str(err.value) == "negative coefficient -1 at A[1,0]^-1 A[2,1/2]^-1 in series division"
+    with pytest.raises(EngineError) as err:
+        divide_series({AVector.unit(): 1, mixed: 1}, den, 2)
+    assert str(err.value) == "negative coefficient -3 at A[1,0]^-2 in series division"
+
+
 def _ledger_product(a, b):
     out = Counter()
     for va, ca in a.items():
@@ -381,8 +393,25 @@ def test_ledger_mul_matches_coord_reference_and_truncation(a, b, bound):
 @given(ledgers)
 def test_output_order_is_height_then_coord_order(a):
     ledger, forms = a
+    # the unit row and a row with a repeated site are always among the rows
+    for factors in ((), ((2, coord("x-1/3"), 2),)):
+        v = AVector(tuple(((i, x), e) for i, x, e in factors))
+        ledger.setdefault(v, 1)
+        forms[v] = coord_form(factors)
     rows = list(ledger.items())
-    assert output_order(rows) == sorted(rows, key=lambda r: (r[0].height, forms[r[0]]))
+    printed = output_order(rows)
+    assert [row for row, _ in printed] == sorted(rows, key=lambda r: (r[0].height, forms[r[0]]))
+    for (v, _), text in printed:
+        assert text == format_monomial(v)
+        assert parse_monomial(text, kind="A") == v
+
+
+def test_output_order_texts():
+    rows = [(AVector.gen(1, 0, 2) * AVector.gen(2, "1/2"), 3), (AVector.unit(), 1),
+            (AVector.gen(1, 0), 2)]
+    assert output_order(rows) == [(rows[1], "1"), (rows[2], "A[1,0]^-1"),
+                                  (rows[0], "A[1,0]^-2 A[2,1/2]^-1")]
+    assert output_order([]) == []
 
 
 def test_ledger_mul_budget_counts_distinct_terms():
@@ -417,6 +446,38 @@ def test_kr_top_y_refuses_a_string_above_the_budget():
         kr_top_y(A1, 1, 11, 0, EngineConfig(term_budget=10))
     with pytest.raises(EngineError):        # refused before it is built
         kr_top_y(A1, 1, 10 ** 15, 0)
+
+
+# -- the expansion loop: its messages and its Y-form conversions ---------------
+
+def test_expansion_messages_literal(monkeypatch):
+    with pytest.raises(ValueError) as err:
+        fm_expand(A2, parse_monomial("Y[1,0] /Y[2,1/2]"))
+    assert str(err.value) == "fm_expand requires a dominant top, got Y[1,0] Y[2,1/2]^-1"
+    # a wrong node-1 chain for the top leads to a term with multiplicity left
+    # to explain at node 1 that is not 1-dominant
+    _small_cache(monkeypatch)
+    top, wrong = parse_monomial("Y[1,0]"), parse_monomial("A[1,3/2]^-1")
+    real = characters._sl2_node_expansion
+
+    def faulty(positions, d, cap, budget):
+        chains = real(positions, d, cap, budget)
+        return ((chains[0][0], 1), (wrong, 1)) if positions == top.exps else chains
+    monkeypatch.setattr(characters, "_sl2_node_expansion", faulty)
+    with pytest.raises(EngineError) as err:
+        fm_expand(A2, top)
+    assert str(err.value) == ("expansion blocked: monomial Y[1,0] Y[1,2]^-1 Y[2,1/2]^-1 has "
+                              "unexplained multiplicity at node 1 but is not 1-dominant")
+
+
+def test_each_chain_is_converted_to_y_once(monkeypatch):
+    # the 1,399 new terms of B3 n3 k5 are reached by 228 distinct node chains
+    _small_cache(monkeypatch)
+    counts = _count_calls(monkeypatch, "avector_to_y")
+    b3 = build_cartan(LieType.parse("B3"))
+    ch = fm_expand(b3, kr_top_y(b3, 3, 5, 0))
+    assert (len(ch.terms), ch.dimension()) == (1400, 1400)
+    assert counts["avector_to_y"] == 228
 
 
 # -- the fused SES difference (property) ---------------------------------------

@@ -276,6 +276,17 @@ def test_each_band_product_is_formed_once(monkeypatch):
     assert len(calls) == 192
 
 
+def test_each_commutator_is_formed_once(monkeypatch):
+    # at mode bound 3, forming each commutator per use would take 408
+    # combinations, 42 of them on commutators already formed
+    calls = []
+    combine = sl2_explicit._combine
+    monkeypatch.setattr(sl2_explicit, "_combine", lambda *a: calls.append(a) or combine(*a))
+    rep = check_relations(build_module("finite", 4, Fraction(1, 3), n_max=3))
+    assert rep.verdict and rep.checked == relation_instances(3)
+    assert len(calls) == 366
+
+
 # -- character extraction ----------------------------------------------------
 
 @pytest.mark.parametrize("k", range(5))
