@@ -240,6 +240,33 @@ GOLDEN = [
     (_kr("C3", 3, 2, "--x=-1/2"), 0, "7a85ec0b8c5720c5"),
     (_kr("F4", 1, 1, "--x", "1/3"), 0, "ba4bd3d13aef0375"),
     (_kr("B3", 3, 3, "--x", "k+1/3", "--format", "json"), 0, "75336822fa5ab8c5"),
+    # Memoized weights and coordinates: one m-weight argv in B2 and C2 in
+    # turn, a symbolic k then an int k at one x, one KR module at three
+    # spellings of x = 0, and a TQ and a kernel check run twice each, whose
+    # warm output must equal the cold one.
+    (("qchar", "m", "--type", "B2", "--node", "1", "--k", "6", "--x", "1/2"), 0,
+     "2eb9f5039a750ec9"),
+    (("qchar", "m", "--type", "C2", "--node", "1", "--k", "6", "--x", "1/2"), 0,
+     "84d78d6328116412"),
+    (("qchar", "m", "--type", "B2", "--node", "1", "--k", "6", "--x", "1/2",
+      "--format", "json"), 0, "fd119c7d3021e258"),
+    (("qchar", "m", "--type", "C2", "--node", "1", "--k", "6", "--x", "1/2",
+      "--format", "json"), 0, "d8c94d56f589ef43"),
+    (("qchar", "m", "--type", "C2", "--node", "2", "--k", "k", "--x", "1/3"), 0,
+     "59c8408b7782195e"),
+    (("qchar", "m", "--type", "C2", "--node", "2", "--k", "6", "--x", "1/3"), 0,
+     "308d59f2d4bfe13c"),
+    (_kr("B2", 1, 2, "--x", "0"), 0, "d1da84ba94ead71a"),
+    (_kr("B2", 1, 2, "--x", "0/1"), 0, "d1da84ba94ead71a"),
+    (_kr("B2", 1, 2, "--x=-0"), 0, "d1da84ba94ead71a"),
+    (_v("tq", "B2", 1, "--k", "6", "--height", "3", "--format", "json"), 0,
+     "1054efbf42b6644e"),
+    (_v("tsystem", "C2", 2, "--k", "2", "--t", "1", "--format", "json"), 0,
+     "27618ade56679f0e"),
+    (_v("tq", "B2", 1, "--k", "6", "--height", "3", "--format", "json"), 0,
+     "1054efbf42b6644e"),
+    (_v("tsystem", "C2", 2, "--k", "2", "--t", "1", "--format", "json"), 0,
+     "27618ade56679f0e"),
 ]
 
 
