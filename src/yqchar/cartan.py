@@ -162,9 +162,6 @@ class Weight:
     exact rationals or Coord values."""
     coords: tuple
 
-    def __neg__(self):
-        return Weight(tuple(-a for a in self.coords))
-
     @staticmethod
     def fundamental(cartan: CartanData, i: int) -> "Weight":
         return Weight(tuple(Fraction(1) if j == i else Fraction(0) for j in cartan.nodes))

@@ -221,6 +221,14 @@ def char_add(cartan: CartanData, a: TruncatedCharacter, b: TruncatedCharacter,
     return TruncatedCharacter.make(a.top, terms, bound)
 
 
+def _nonnegative(terms: dict) -> dict:
+    bad = [(v, c) for v, c in terms.items() if c < 0]
+    if bad:
+        (_, c), t = output_order(bad)[0]
+        raise EngineError(f"negative coefficient {c} at {t} in series division")
+    return terms
+
+
 def divide_series(num: dict, den: dict, bound: int | None,
                   config: EngineConfig = DEFAULT_CONFIG) -> dict:
     """Exact division of A-ledger series, the divisor with unit leading term.
@@ -235,17 +243,17 @@ def divide_series(num: dict, den: dict, bound: int | None,
     if den.get(AVector.unit()) != 1:
         raise EngineError("divisor series must have leading coefficient 1")
     rest = [(v, c) for v, c in den.items() if v.sites]
+    if not rest:        # the unit series: the quotient is num truncated at bound
+        return _nonnegative({v: c for v, c in num.items()
+                             if c and (bound is None or v.height <= bound)})
     rem = {v.sites: c for v, c in num.items()}
     top = bound if bound is not None else max(map(len, rem), default=0)
     out = {}
     for h in range(top + 1):
-        layer = [(AVector(k, canonical=True), c) for k, c in rem.items() if c and len(k) == h]
-        bad = [(v, c) for v, c in layer if c < 0]
-        if bad:
-            (_, c), t = output_order(bad)[0]
-            raise EngineError(f"negative coefficient {c} at {t} in series division")
+        layer = _nonnegative({AVector(k, canonical=True): c
+                              for k, c in rem.items() if c and len(k) == h})
         out.update(layer)
-        _ledger_acc(layer, rest, bound, config.term_budget, rem, -1)
+        _ledger_acc(layer.items(), rest, bound, config.term_budget, rem, -1)
     if bound is None and any(c for k, c in rem.items() if len(k) > top):
         raise EngineError("series division is inexact: a remainder is left above "
                           f"height {top}")
@@ -256,6 +264,17 @@ def divide_series(num: dict, den: dict, bound: int | None,
 # Named highest l-weights.
 # ---------------------------------------------------------------------------
 
+# Bound on the memoized node-sl2 expansions.  Keys carry absolute
+# coordinates, so reuse happens within one expansion and across expansions
+# that meet the same string content under the same cap: one cycle of the
+# identity_suite benchmark hits 541 of 1,188 lookups.  A complete KR
+# character such as B3 n3 k5 or B4 n4 k3 meets 90-150 distinct keys.
+_SL2_CACHE_SIZE = 1024
+# Bound on each weight memo below: one identity_suite cycle meets 75 KR weights.
+_WEIGHT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
 def kr_weight(cartan: CartanData, i: int, k: int, x) -> PsiMonomial:
     """Highest l-weight of the KR module W^(i)_{k,x}: Psi_{i,x+k d_i}/Psi_{i,x}."""
     cartan.check_node(i)
@@ -277,6 +296,7 @@ def kr_top_y(cartan: CartanData, i: int, k: int, x,
     return psi_to_y(cartan, kr_weight(cartan, i, k, x))
 
 
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
 def demazure_weight(cartan: CartanData, i: int, t: int, k: int, x) -> PsiMonomial:
     """Highest l-weight of the Demazure-type module D^(i,t)_{k,x}.
 
@@ -315,6 +335,7 @@ def _demazure_weight_display(cartan: CartanData, i: int, t: int, k: int, x: Coor
     return out
 
 
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
 def m_weight(cartan: CartanData, i: int, k, x) -> PsiMonomial:
     """(Psi_{i,x+d_i}/Psi_{i,x}) * prod_{j: c_ij<0} Psi_{j,x+d_ij}/Psi_{j,x+d_ij-k d_i}.
 
@@ -329,6 +350,7 @@ def m_weight(cartan: CartanData, i: int, k, x) -> PsiMonomial:
     return out
 
 
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
 def n_weight(cartan: CartanData, i: int, k, x) -> PsiMonomial:
     """The complementary tensor factor of the Demazure weight (t = 1)."""
     x, k = coord(x), coord(k)
@@ -387,14 +409,6 @@ def _strings(positions, d: int):
                 del rem[p]
         out.append((bottom, (top - bottom) // step + 1))
     return out
-
-
-# Bound on the memoized node-sl2 expansions.  Keys carry absolute
-# coordinates, so reuse happens within one expansion and across expansions
-# that meet the same string content under the same cap: one cycle of the
-# identity_suite benchmark hits 541 of 1,188 lookups.  A complete KR
-# character such as B3 n3 k5 or B4 n4 k3 meets 90-150 distinct keys.
-_SL2_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_SL2_CACHE_SIZE)

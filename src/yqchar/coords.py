@@ -9,9 +9,11 @@ coordinate) pair by one int of their own (see ``monomials``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 __all__ = ["Coord", "coord", "parse_coord", "CoordSyntaxError"]
+
+_COORD_CACHE_SIZE = 1024    # bound on the memo of parsed coordinate texts
 
 
 def _as_fraction(v) -> Fraction:
@@ -87,10 +89,6 @@ class Coord:
     @property
     def is_rational(self) -> bool:
         return not self.sym
-
-    def is_half_integer(self) -> bool:
-        """In (1/2)Z: purely rational with 2*rat an integer."""
-        return self.is_rational and (2 * self.rat).denominator == 1
 
     # -- comparisons --------------------------------------------------------
     def __eq__(self, other):
@@ -182,6 +180,7 @@ def _parse_term(term: str, pos: int) -> Coord:
         raise CoordSyntaxError(f"bad rational {num!r} at position {pos}") from None
 
 
+@lru_cache(maxsize=_COORD_CACHE_SIZE)
 def parse_coord(text: str) -> Coord:
     """Parse a coordinate: rational and/or '+'-joined symbol terms.
 

@@ -190,6 +190,8 @@ def _check_realizable(cartan: CartanData, i: int, k: int, N: int | None = None):
     Psi_{j,x+d_ij}/Psi_{j,x+d_ij-k d_i}, a string of k d_i / d_j Y_j's, so
     d_j | k d_i.  The relation holds for the asymptotic module, the large-k
     limit, which height N sees only if each string is N long: k d_i >= N d_j."""
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an integer, got {k}")
     kd = k * int(cartan.di(i))
     d = {j: cartan.d[j - 1] for j in cartan.nodes if cartan.cij(i, j) < 0}
     for j, dj in d.items():

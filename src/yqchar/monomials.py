@@ -64,9 +64,9 @@ def _lane(i: int, sym: tuple, residue) -> int:
     return lane
 
 
-@lru_cache(maxsize=_SITE_CACHE_SIZE)
+@lru_cache(maxsize=_SITE_CACHE_SIZE, typed=True)
 def _site(i: int, x) -> int:
-    """The site of (node i, coordinate x)."""
+    """The site of (node i, coordinate x); a typed memo, so a float x is refused."""
     x = coord(x)
     off2 = math.floor(2 * x.rat)
     return off2 << 32 | _lane(i, x.sym, x.rat - Fraction(off2, 2))
@@ -134,9 +134,6 @@ class _Monomial:
 
     def __pow__(self, n: int):
         return type(self)(tuple((k, e * n) for k, e in self.items()))
-
-    def inverse(self):
-        return self ** -1
 
     def __hash__(self):
         return self._hash
@@ -266,15 +263,6 @@ class AVector(_Monomial):
         return type(other) is AVector and self.sites == other.sites
 
     __hash__ = _Monomial.__hash__
-
-    def contains(self, other: "AVector") -> bool:
-        return _remove(self.sites, other.sites) is not None
-
-    def divide(self, other: "AVector") -> "AVector":
-        q = _remove(self.sites, other.sites)
-        if q is None:
-            raise ValueError(f"{self!r} is not divisible by {other!r}")
-        return AVector(q, canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import yqchar.characters as characters
 from yqchar.cartan import LieType, build_cartan
 from yqchar.coords import Coord, coord
 from yqchar.monomials import (
-    AVector, PsiMonomial, YMonomial, avector_to_psi, output_order, psi_to_y,
+    AVector, PsiMonomial, YMonomial, _remove, avector_to_psi, output_order, psi_to_y,
 )
 from yqchar.characters import (
     EngineConfig, EngineError, TruncatedCharacter, _ledger_acc, _ledger_mul,
@@ -134,6 +134,31 @@ def test_divide_series():
         divide_series({AVector.unit(): 1, chain((1, 0)): 1, chain((1, 1)): 1}, den, None)
     five = {AVector.unit(): 5, chain((1, 0)): 1}
     assert divide_series(five, {AVector.unit(): 1}, None) == five
+
+
+def test_divide_series_by_the_unit_series(monkeypatch):
+    # the quotient is the numerator truncated at the bound, with no ledger
+    # product and no scan per height
+    def no_product(*args):
+        raise AssertionError("a division by 1 formed a ledger product")
+    monkeypatch.setattr(characters, "_ledger_acc", no_product)
+    unit = {AVector.unit(): 1}
+    num = {AVector.unit(): 2, chain((1, 0)): 1, chain((1, 1)): 0,
+           chain((1, 0), (2, "1/2")): 3, AVector.gen(1, 0, 3): 1}
+    assert divide_series(num, unit, 2) == {AVector.unit(): 2, chain((1, 0)): 1,
+                                           chain((1, 0), (2, "1/2")): 3}
+    assert divide_series(num, unit, 0) == {AVector.unit(): 2}
+    assert divide_series(num, unit, None) == {v: c for v, c in num.items() if c}
+    assert divide_series({}, unit, None) == {}
+    # a negative coefficient is refused, the first in print order named;
+    # one above the bound is not part of the quotient
+    num[AVector.gen(1, 0, 2)] = -4
+    num[chain((1, 0), (1, 1))] = -1
+    with pytest.raises(EngineError) as err:
+        divide_series(num, unit, None)
+    assert str(err.value) == ("negative coefficient -1 at A[1,0]^-1 A[1,1]^-1 "
+                              "in series division")
+    assert divide_series(num, unit, 1) == {AVector.unit(): 2, chain((1, 0)): 1}
 
 
 def test_divide_series_names_the_first_negative_term():
@@ -518,8 +543,8 @@ def test_fused_difference_is_the_difference_of_products(la, lb, lc, ld, bound):
 
 def ses_reference(cartan, i, t, k, x, bound):
     """The SES route before it was fused: two char_mul products at
-    x0 = x - (k+1) d_i, their difference on AVector keys, then contains/divide
-    by the kernel top."""
+    x0 = x - (k+1) d_i, their difference on AVector keys, then each key less
+    the kernel top."""
     di = cartan.di(i)
     x0 = coord(x) - (k + 1) * di
     inner = None if bound is None else bound + k
@@ -534,9 +559,11 @@ def ses_reference(cartan, i, t, k, x, bound):
     diff = {v: cc for v, cc in diff.items() if cc}
     v0 = AVector(tuple(((i, x0 + m * di), 1) for m in range(1, k + 1)))
     assert min(diff.values()) > 0 and diff[v0] == 1
-    assert all(v.contains(v0) for v in diff)
+    rebased = {_remove(v.sites, v0.sites): cc for v, cc in diff.items()}
+    assert None not in rebased
     out = TruncatedCharacter.make(big.top * avector_to_psi(cartan, v0),
-                                  {v.divide(v0): cc for v, cc in diff.items()}, bound)
+                                  {AVector(q, canonical=True): cc for q, cc in rebased.items()},
+                                  bound)
     return out.truncate(bound)
 
 

@@ -1,5 +1,6 @@
 """Identity verifiers, support scans, and the multiplicative translation."""
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,15 @@ def test_tq_division_needs_divisible_k():
     # node 2 of B2 needs k in 2Z to realize the long-node KR factor
     with pytest.raises(ValueError, match="d_1=2 does not divide"):
         tq_lhs_division(B2, 2, 3, 0, 2)
+
+
+@pytest.mark.parametrize("route", [tq_lhs_division, verify_tq, check_m_support])
+@pytest.mark.parametrize("k", [coord("k"), coord("2+k"), Fraction(5, 2)])
+def test_a_k_that_is_not_an_int_is_a_value_error(route, k):
+    # the m-weight module exists for integer k only; a symbolic k used to
+    # crash with a TypeError on k*d_i % d_j
+    with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k}")):
+        route(B2, 2, k, 0, 2)
 
 
 def _realizable(ct, i, k):

@@ -1,0 +1,158 @@
+"""The process-wide memos of ``src/``: each is bounded, a hit returns the
+stored value, no exception is stored, and a float coordinate is refused
+whatever a memo holds."""
+import ast
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+import yqchar
+import yqchar.characters as characters
+from yqchar.cartan import LieType, build_cartan
+from yqchar.characters import (
+    EngineError, demazure_weight, kr_weight, m_weight, n_weight,
+)
+from yqchar.coords import coord, parse_coord
+from yqchar.monomials import AVector, PsiMonomial, _site
+
+SRC = pathlib.Path(yqchar.__file__).parent
+B2 = build_cartan(LieType.parse("B2"))
+G2 = build_cartan(LieType.parse("G2"))
+
+# Module-level memos without a size bound, each with its reason.
+UNBOUNDED = {
+    # it takes no argument, so it holds one parser
+    ("cli", "_parser"),
+    # one entry per Lie type asked for, each a dense rank x rank matrix; a
+    # bound on the rank, not on the entries, is what it lacks
+    ("cartan", "build_cartan"),
+}
+
+
+def _memo_kind(call):
+    """"bounded" or "unbounded" for the memo that ``call`` (a decorator or a
+    call, as ``ast`` nodes) makes of a function; None if it makes none."""
+    f = call.func if isinstance(call, ast.Call) else call
+    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+    if name == "cache":
+        return "unbounded"
+    if name != "lru_cache":
+        return None
+    sizes = [kw.value for kw in getattr(call, "keywords", ()) if kw.arg == "maxsize"]
+    sizes += getattr(call, "args", [])[:1]
+    # a bare @lru_cache, or one without maxsize, holds 128 entries
+    unbounded = sizes and isinstance(sizes[0], ast.Constant) and sizes[0].value is None
+    return "unbounded" if unbounded else "bounded"
+
+
+def _memos_in(code: str) -> dict:
+    """{name: kind} of every memo made at the top level of ``code``: a
+    decorated function, or a name bound to a memo."""
+    out = {}
+    for node in ast.parse(code).body:
+        if isinstance(node, ast.FunctionDef):
+            calls = [(node.name, d) for d in node.decorator_list]
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            v = node.value
+            calls = [(t.id, v.func if isinstance(v.func, ast.Call) else v)
+                     for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name, call in calls:
+            if kind := _memo_kind(call):
+                out[name] = kind
+    return out
+
+
+def test_every_memo_in_src_is_bounded():
+    memos = {(path.stem, name): kind for path in sorted(SRC.glob("*.py"))
+             for name, kind in _memos_in(path.read_text()).items()}
+    assert {key for key, kind in memos.items() if kind == "unbounded"} == UNBOUNDED
+    assert {("characters", "kr_weight"), ("characters", "m_weight"),
+            ("characters", "n_weight"), ("characters", "demazure_weight"),
+            ("coords", "parse_coord"), ("monomials", "_site")} <= set(memos)
+
+
+def test_the_memo_scan_reads_every_form():
+    code = ("@lru_cache(maxsize=8)\ndef a(x): pass\n"
+            "@functools.lru_cache(maxsize=None)\ndef b(x): pass\n"
+            "@cache\ndef c(x): pass\n"
+            "@lru_cache\ndef d(x): pass\n"
+            "@lru_cache(None, typed=True)\ndef e(x): pass\n"
+            "@lru_cache(typed=True)\ndef f(x): pass\n"
+            "g = functools.cache(len)\n"
+            "h = lru_cache(maxsize=4)(len)\n"
+            "@dataclass\nclass I: pass\n"
+            "@property\ndef j(x): pass\n"
+            "k = dict(a=1)\n")
+    assert _memos_in(code) == {"a": "bounded", "b": "unbounded", "c": "unbounded",
+                               "d": "bounded", "e": "unbounded", "f": "bounded",
+                               "g": "unbounded", "h": "bounded"}
+
+
+# (weight builder, its arguments before k, an int k)
+WEIGHTS = [
+    (kr_weight, (B2, 1), 2),
+    (m_weight, (B2, 1), 6),
+    (n_weight, (G2, 1), 3),
+    (demazure_weight, (G2, 1, 1), 2),
+]
+IDS = ["kr_weight", "m_weight", "n_weight", "demazure_weight"]
+
+
+@pytest.mark.parametrize("build, head, k", WEIGHTS, ids=IDS)
+def test_a_hit_returns_the_stored_weight(build, head, k):
+    x = coord("1/3+x")
+    first = build(*head, k, x)
+    assert build(*head, k, x) is first
+    assert build(*head, k, coord("1/3+x")) is first        # an equal key
+    assert first == build.__wrapped__(*head, k, x)
+    assert parse_coord("1/3+x") is parse_coord("1/3+x")
+
+
+@pytest.mark.parametrize("build, head, k", WEIGHTS, ids=IDS)
+def test_a_float_is_refused_whatever_a_weight_memo_holds(build, head, k):
+    build.cache_clear()
+    for _ in range(2):          # before and after the exact keys are stored
+        with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+            build(*head, k, 0.5)
+        with pytest.raises(TypeError):
+            build(*head, float(k), Fraction(1, 2))
+        build(*head, k, Fraction(1, 2))
+        build(*head, k, coord("1/2"))
+
+
+def test_a_float_coordinate_is_refused_whatever_the_site_memo_holds():
+    _site.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+            PsiMonomial.gen(1, 0.5)
+        assert str(PsiMonomial.gen(1, Fraction(1, 2))) == "Psi[1,1/2]"
+        with pytest.raises(TypeError, match="not an exact rational: 3.0"):
+            AVector.gen(2, 3.0)
+        assert str(AVector.gen(2, 3)) == "A[2,3]^-1"
+    parse_coord.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            parse_coord(0.5)
+        assert parse_coord("1/2") == Fraction(1, 2)
+
+
+def test_no_exception_is_stored(monkeypatch):
+    # the self-check of demazure_weight runs on the first computation of
+    # every key, and a failure is not remembered
+    demazure_weight.cache_clear()
+    monkeypatch.setattr(characters, "_demazure_weight_display",
+                        lambda *args: PsiMonomial.unit())
+    x = coord("2/7+y")
+    for _ in range(2):
+        with pytest.raises(EngineError, match="Demazure weight display disagrees"):
+            demazure_weight(B2, 2, 1, 3, x)
+    monkeypatch.undo()
+    assert demazure_weight(B2, 2, 1, 3, x) == demazure_weight.__wrapped__(B2, 2, 1, 3, x)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="KR index k must be >= 0"):
+            kr_weight(B2, 1, -1, 0)
+    with pytest.raises(ValueError, match="node 3 out of range"):
+        kr_weight(B2, 3, 1, 0)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from yqchar.cartan import LieType, Weight, build_cartan
 from yqchar.coords import Coord, coord
 from yqchar.monomials import (
-    _HALF, _LANE, AVector, PsiMonomial, YMonomial, _site, _site_order, _unsite,
+    _HALF, _LANE, AVector, PsiMonomial, YMonomial, _remove, _site, _site_order, _unsite,
     avector_to_psi, avector_to_y, expand_A_to_Psi, expand_A_to_Y,
     expand_Y_to_Psi, is_dominant, psi_to_y,
     weight_projection, y_to_psi,
@@ -49,16 +49,16 @@ def test_immutability():
 def test_avector_rejects_negative_exponents():
     with pytest.raises(ValueError):
         AVector.gen(1, 0, -1)
-    with pytest.raises(ValueError):
-        AVector.gen(1, 0).divide(AVector.gen(1, 1))
+    assert _remove(AVector.gen(1, 0).sites, AVector.gen(1, 1).sites) is None
 
 
 def test_avector_height_contains_divide():
     v = AVector.gen(1, 0, 2) * AVector.gen(2, "1/2")
     assert v.height == 3
-    assert v.contains(AVector.gen(1, 0))
-    assert not v.contains(AVector.gen(1, 1))
-    assert v.divide(AVector.gen(1, 0)) == AVector.gen(1, 0) * AVector.gen(2, "1/2")
+    assert _remove(v.sites, AVector.gen(1, 0).sites) is not None
+    assert _remove(v.sites, AVector.gen(1, 1).sites) is None
+    assert (AVector(_remove(v.sites, AVector.gen(1, 0).sites), canonical=True)
+            == AVector.gen(1, 0) * AVector.gen(2, "1/2"))
 
 
 # -- expansions against hand-checked displays --------------------------------
@@ -134,7 +134,8 @@ def test_projection_sends_generators_to_lattice_generators(name):
     for i in ct.nodes:
         assert weight_projection(ct, expand_A_to_Psi(ct, i, "x")) == Weight.simple_root(ct, i)
         assert weight_projection(ct, expand_Y_to_Psi(ct, i, "x")) == Weight.fundamental(ct, i)
-        assert weight_projection(ct, AVector.gen(i, "x")) == -Weight.simple_root(ct, i)
+        neg = Weight(tuple(-a for a in Weight.simple_root(ct, i).coords))
+        assert weight_projection(ct, AVector.gen(i, "x")) == neg
 
 
 def test_projection_is_additive_and_sees_coordinates():
@@ -164,7 +165,7 @@ small_monomials = st.lists(
 def test_group_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
-    assert a * a.inverse() == PsiMonomial.unit()
+    assert a * a ** -1 == PsiMonomial.unit()
     assert a ** 2 == a * a
     assert a ** 0 == PsiMonomial.unit()
 
@@ -208,8 +209,8 @@ def test_merge_product_matches_canonical_constructor(pair):
 def test_merge_product_cancels(pair):
     a, c = pair
     unit = type(a).unit()
-    assert a * a.inverse() == unit and hash(a * a.inverse()) == hash(unit)
-    assert a * (a.inverse() * c) == c
+    assert a * a ** -1 == unit and hash(a * a ** -1) == hash(unit)
+    assert a * (a ** -1 * c) == c
     assert a * unit is a and (unit * a is a or a.is_unit())
 
 
@@ -249,7 +250,8 @@ def test_sites_separate_coordinates_and_cosets(i, x, j, y):
     s, t = _site(i, x), _site(j, y)
     assert (s == t) == ((i, x) == (j, y))
     same_lane = s & _LANE == t & _LANE
-    assert same_lane == (i == j and (y - x).is_half_integer())
+    d = y - x
+    assert same_lane == (i == j and d.is_rational and (2 * d.rat).denominator == 1)
     if same_lane:
         # within a lane, int order is Coord order
         assert (s < t) == (x < y)
@@ -364,14 +366,14 @@ def test_contains_and_divide_match_a_counter_reference(fa, fb):
     for b_factors in (fb, fa[::2], fa[1:] + fb[:1]):
         b = avector(b_factors)
         ca, cb = counter_of(fa), counter_of(b_factors)
-        assert a.contains(b) == (cb <= ca)
+        q = _remove(a.sites, b.sites)
+        assert (q is not None) == (cb <= ca)
         if cb <= ca:
-            assert a.divide(b).items() == in_coord_order(ca - cb)
-            assert a.divide(b) * b == a
+            assert AVector(q, canonical=True).items() == in_coord_order(ca - cb)
+            assert AVector(q, canonical=True) * b == a
         else:
-            with pytest.raises(ValueError):
-                a.divide(b)
-    assert (a * avector(fb)).divide(avector(fb)) == a
+            assert q is None
+    assert _remove((a * avector(fb)).sites, avector(fb).sites) == a.sites
 
 
 def test_print_order_does_not_follow_lane_order():
