@@ -267,6 +267,26 @@ GOLDEN = [
      "1054efbf42b6644e"),
     (_v("tsystem", "C2", 2, "--k", "2", "--t", "1", "--format", "json"), 0,
      "27618ade56679f0e"),
+    # Spectral translates of one KR module: the expansion memo may share
+    # work between them, but each must print at its own point: integer,
+    # third, negative, fifth, symbolic and far-out x; a G2 pair half a step
+    # apart; and a kernel check whose SES expands W_{k,x0} and W_{k,x0+d_i}.
+    (_kr("B3", 3, 3, "--x", "0"), 0, "ef5f15bb1a643df3"),
+    (_kr("B3", 3, 3, "--x", "0", "--format", "json"), 0, "f1bc37fe6e69a418"),
+    (_kr("B3", 3, 3, "--x", "1/3"), 0, "3fd4647007d07e01"),
+    (_kr("B3", 3, 3, "--x", "1/3", "--format", "json"), 0, "00c98d426cd5d7ae"),
+    (_kr("B3", 3, 3, "--x=-3/4"), 0, "83e4d02fe827688c"),
+    (_kr("B3", 3, 3, "--x=-3/4", "--format", "json"), 0, "fdee78c8b997a508"),
+    (_kr("B3", 3, 3, "--x", "2/5"), 0, "05df7d9ac921204b"),
+    (_kr("B3", 3, 3, "--x", "2/5", "--format", "json"), 0, "ea60b95116adeaa6"),
+    (_kr("B3", 3, 3, "--x", "x+1/3"), 0, "1d2d7c83e2acd84f"),
+    (_kr("B3", 3, 3, "--x", "x+1/3", "--format", "json"), 0, "7383c99df01e3106"),
+    (_kr("B3", 3, 3, "--x=1000000000000000000001/7"), 0, "84ceb1fff616fe39"),
+    (_kr("B3", 3, 3, "--x=1000000000000000000001/7", "--format", "json"), 0,
+     "ee06168c60826dfb"),
+    (_kr("G2", 1, 2, "--x", "x"), 0, "3845e4a68da71cc9"),
+    (_kr("G2", 1, 2, "--x", "x+1/2"), 0, "a24a6b6ee928186b"),
+    (_v("tsystem", "G2", 2, "--k", "2", "--t", "0"), 0, "c628f1e8b2c2c633"),
 ]
 
 
