@@ -23,10 +23,15 @@ from math import gcd
 
 __all__ = ["LieType", "CartanData", "Weight", "build_cartan"]
 
+# The largest rank of the series A-D: the Cartan matrix is dense, and a
+# rank in the thousands costs a second and tens of MiB per type.
+_MAX_RANK = 32
 _RANK_RANGE = {
-    "A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None),
+    "A": (1, _MAX_RANK), "B": (2, _MAX_RANK), "C": (2, _MAX_RANK), "D": (4, _MAX_RANK),
     "E": (6, 8), "F": (4, 4), "G": (2, 2),
 }
+# Bound on the memo of Cartan data: one entry per Lie type asked for.
+_CARTAN_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -39,11 +44,11 @@ class LieType:
         if s not in _RANK_RANGE:
             raise ValueError(f"unknown series {s!r} (expected one of A-G)")
         lo, hi = _RANK_RANGE[s]
-        if self.rank < lo or (hi is not None and self.rank > hi):
+        if not lo <= self.rank <= hi:
             if s == "D" and self.rank == 3:
                 raise ValueError("D3 is rejected; use the isomorphic A3")
-            legal = f">= {lo}" if hi is None else f"in [{lo},{hi}]"
-            raise ValueError(f"illegal rank {self.rank} for series {s} (need rank {legal})")
+            raise ValueError(f"illegal rank {self.rank} for series {s} "
+                             f"(need rank in [{lo},{hi}])")
 
     @staticmethod
     def parse(text: str) -> "LieType":
@@ -143,7 +148,7 @@ class CartanData:
                 assert self.d[i] * self.c[i][j] == self.d[j] * self.c[j][i]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CARTAN_CACHE_SIZE)
 def build_cartan(lt: LieType) -> CartanData:
     """Cartan matrix and symmetrizers of a legal LieType (Bourbaki numbering)."""
     r = lt.rank

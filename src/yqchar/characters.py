@@ -25,7 +25,7 @@ from functools import lru_cache
 from .cartan import CartanData
 from .coords import Coord, coord
 from .monomials import (
-    _HALF, AVector, PsiMonomial, YMonomial, _by_node, _canon, _remove, _term_key,
+    _HALF, AVector, PsiMonomial, YMonomial, _by_node, _canon, _remove, _term_key, _translate,
     avector_to_psi, avector_to_y, expand_A_to_Psi, is_dominant, output_order, psi_to_y,
     y_to_psi,
 )
@@ -51,6 +51,18 @@ DEFAULT_CONFIG = EngineConfig()
 
 class EngineError(RuntimeError):
     """Budget exhaustion or an internal engine fault."""
+
+
+class _Blocked(EngineError):
+    """An expansion met a term with multiplicity left to explain at a node
+    where it is not dominant; the term is kept so that a translate of the
+    expansion can name it at its own point."""
+
+    def __init__(self, monomial: YMonomial, node: int):
+        super().__init__(f"expansion blocked: monomial {format_monomial(monomial)} has "
+                         f"unexplained multiplicity at node {node} but is not "
+                         f"{node}-dominant")
+        self.monomial, self.node = monomial, node
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +182,16 @@ def compare_characters(lhs: TruncatedCharacter, rhs: TruncatedCharacter,
 def _ledger_acc(a, b, bound: int | None, budget: int, acc=None, sign: int = 1) -> dict:
     """Truncated product of two A-ledgers on site tuples, added into ``acc``.
 
-    ``a`` and ``b`` are iterables of (AVector, coefficient) pairs; products
-    above height ``bound`` (None: no bound) are dropped, and ``sign`` times
-    each product is added into ``acc`` (a new dict when None), keyed by
+    ``a`` and ``b`` are iterables of (sorted site tuple, coefficient) pairs;
+    products above height ``bound`` (None: no bound) are dropped, and ``sign``
+    times each product is added into ``acc`` (a new dict when None), keyed by
     sorted site tuples.  Raises EngineError when ``acc`` holds more than
     ``budget`` keys.  Keys are never removed, so the count only grows and one
     check per row of ``a`` decides the same as a check per term.
     """
-    b = sorted([(v.sites, c) for v, c in b], key=lambda sc: len(sc[0]))
+    b = sorted(b, key=lambda sc: len(sc[0]))
     acc = {} if acc is None else acc
-    for va, ca in a:
-        sa = va.sites
+    for sa, ca in a:
         room = None if bound is None else bound - len(sa)
         ca *= sign
         for sb, cb in b:
@@ -193,10 +204,15 @@ def _ledger_acc(a, b, bound: int | None, budget: int, acc=None, sign: int = 1) -
     return acc
 
 
+def _sites(rows) -> list:
+    """(site tuple, coefficient) pairs of (AVector, coefficient) rows."""
+    return [(v.sites, c) for v, c in rows]
+
+
 def _ledger_mul(a, b, bound: int | None, budget: int, acc=None) -> dict:
-    """``_ledger_acc`` as a ledger {AVector: coefficient}."""
+    """``_ledger_acc`` on (AVector, coefficient) rows, as a ledger {AVector: coefficient}."""
     return {AVector(k, canonical=True): c
-            for k, c in _ledger_acc(a, b, bound, budget, acc).items()}
+            for k, c in _ledger_acc(_sites(a), _sites(b), bound, budget, acc).items()}
 
 
 def char_mul(a: TruncatedCharacter, b: TruncatedCharacter,
@@ -242,7 +258,7 @@ def divide_series(num: dict, den: dict, bound: int | None,
     """
     if den.get(AVector.unit()) != 1:
         raise EngineError("divisor series must have leading coefficient 1")
-    rest = [(v, c) for v, c in den.items() if v.sites]
+    rest = [(v.sites, c) for v, c in den.items() if v.sites]
     if not rest:        # the unit series: the quotient is num truncated at bound
         return _nonnegative({v: c for v, c in num.items()
                              if c and (bound is None or v.height <= bound)})
@@ -250,10 +266,9 @@ def divide_series(num: dict, den: dict, bound: int | None,
     top = bound if bound is not None else max(map(len, rem), default=0)
     out = {}
     for h in range(top + 1):
-        layer = _nonnegative({AVector(k, canonical=True): c
-                              for k, c in rem.items() if c and len(k) == h})
-        out.update(layer)
-        _ledger_acc(layer.items(), rest, bound, config.term_budget, rem, -1)
+        rows = [(k, c) for k, c in rem.items() if c and len(k) == h]
+        out.update(_nonnegative({AVector(k, canonical=True): c for k, c in rows}))
+        _ledger_acc(rows, rest, bound, config.term_budget, rem, -1)
     if bound is None and any(c for k, c in rem.items() if len(k) > top):
         raise EngineError("series division is inexact: a remainder is left above "
                           f"height {top}")
@@ -264,10 +279,10 @@ def divide_series(num: dict, den: dict, bound: int | None,
 # Named highest l-weights.
 # ---------------------------------------------------------------------------
 
-# Bound on the memoized node-sl2 expansions.  Keys carry absolute
-# coordinates, so reuse happens within one expansion and across expansions
-# that meet the same string content under the same cap: one cycle of the
-# identity_suite benchmark hits 541 of 1,188 lookups.  A complete KR
+# Bound on the memoized node-sl2 expansions.  Keys carry the coordinates of
+# anchored expansions (see fm_expand), so reuse happens within one expansion
+# and across expansions that meet the same string content under the same
+# cap: one cycle of the identity_suite benchmark hits 472 of 1,011 lookups.  A complete KR
 # character such as B3 n3 k5 or B4 n4 k3 meets 90-150 distinct keys.
 _SL2_CACHE_SIZE = 1024
 # Bound on each weight memo below: one identity_suite cycle meets 75 KR weights.
@@ -286,6 +301,7 @@ def kr_weight(cartan: CartanData, i: int, k: int, x) -> PsiMonomial:
     return PsiMonomial((((i, x + k * cartan.di(i)), 1), ((i, x), -1)))
 
 
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
 def kr_top_y(cartan: CartanData, i: int, k: int, x,
              config: EngineConfig = DEFAULT_CONFIG) -> YMonomial:
     """The same weight as the Y-string Y_{i,x+d_i/2} ... Y_{i,x+(k-1/2)d_i};
@@ -416,12 +432,12 @@ def _sl2_node_expansion(positions: tuple, d: int, cap: int | None, budget: int) 
     """sl2 character of an i-dominant string content as ledger chains.
 
     ``positions`` is a tuple of (site, positive exponent) pairs for node i,
-    ``d`` is d_i.  Returns a tuple of (AVector in node-i A^-1 factors,
-    multiplicity); the unit chain comes first with multiplicity 1.  ``cap``
-    limits the chain height, ``budget`` the number of chains and the
+    ``d`` is d_i.  Returns a tuple of (sorted site tuple of node-i A^-1
+    factors, multiplicity); the unit chain comes first with multiplicity 1.
+    ``cap`` limits the chain height, ``budget`` the number of chains and the
     factors of the chains of one string.
     """
-    chains = {AVector.unit(): 1}
+    chains = {(): 1}
     step = 2 * d * _HALF
     for bottom, length in _strings(positions, d):
         lmax = length if cap is None else min(length, cap)
@@ -430,9 +446,9 @@ def _sl2_node_expansion(positions: tuple, d: int, cap: int | None, budget: int) 
                               f"node-sl2 string of length {lmax}")
         # chain l of the string at bottom b is A_{b-d/2} ... A_{b+(l-3/2)d}
         base = bottom - d * _HALF
-        string_chains = [(AVector(tuple(range(base, base + l * step, step)), canonical=True), 1)
+        string_chains = [(tuple(range(base, base + l * step, step)), 1)
                          for l in range(lmax + 1)]
-        chains = _ledger_mul(chains.items(), string_chains, cap, budget)
+        chains = _ledger_acc(chains.items(), string_chains, cap, budget)
     return tuple(chains.items())
 
 
@@ -454,32 +470,44 @@ class _TermBoundedCache:
         self._data = OrderedDict()
         self._lock = threading.Lock()
 
-    def memo(self, key, compute):
-        """The value under ``key``, or ``compute()`` stored there; the first
-        item of a key names its kind.  An exception is never stored."""
+    def get(self, key):
+        """The value under ``key``, warmed, or None; the first item of a key
+        names its kind."""
         with self._lock:
             value = self._data.get(key)
-            if value is not None:
+            if value is None:
+                self.misses += 1
+            else:
                 self.hits += 1
                 self._data.move_to_end(key)
-                return value
-            self.misses += 1
-        value = compute()
+            return value
+
+    def put(self, key, value, cold: bool = False):
+        """Store and return ``value``; ``cold`` puts it at the end evicted
+        first."""
         n = len(value.terms)
         with self._lock:
             if key not in self._data and n <= self.max_terms:
                 self._data[key] = value
+                if cold:
+                    self._data.move_to_end(key, last=False)
                 self.terms += n
                 while self.terms > self.max_terms:
                     self.terms -= len(self._data.popitem(last=False)[1].terms)
         return value
 
+    def memo(self, key, compute):
+        """The value under ``key``, or ``compute()`` stored there.  An
+        exception is never stored."""
+        value = self.get(key)
+        return self.put(key, compute()) if value is None else value
+
 
 # Bound on the total terms of the memoized engine characters: expansions and
 # SES kernel characters share it.  One cycle of the identity_suite benchmark
-# leaves 105 entries with 2,753 terms (90 expansions 2,208, 15 kernels 545)
-# after 1,231 hits; tests/test_acceptance.py meets 295 expansions with 6,853
-# terms.
+# leaves 147 entries with 4,049 terms (77 anchored and 55 translated
+# expansions 3,504, 15 kernels 545) after 1,134 hits; tests/test_acceptance.py
+# and two cycles of kr_complete each fill it.
 _FM_CACHE_TERMS = 10_000
 _FM_CACHE = _TermBoundedCache(_FM_CACHE_TERMS)
 
@@ -491,11 +519,38 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     Iterative completion by node-restricted sl2 characters; terms are
     produced in increasing height, stopping at ``bound`` (None = expand the
     complete finite character).
+
+    The completion sees only coordinate differences within a lane, so the
+    character of a top moved by a rational t is the character moved by t.
+    The memo is keyed on the top as given and looked up first.  On a miss
+    the top is moved by -t to its anchor, where the rational part of its
+    first factor in (node, Coord) order is d_i/2 (W_{k,x} anchors at x.rat),
+    expanded there through the same memo, and the result moved back by t;
+    that derived entry is stored at the cold end of the memo, so that
+    translates met once do not evict the anchored expansions.
     """
     if bound is not None and bound < 0:
         raise ValueError("height bound must be >= 0")
-    return _FM_CACHE.memo(("fm", cartan, top, bound, config),
-                          lambda: _fm_expand(cartan, top, bound, config))
+    key = ("fm", cartan, top, bound, config)
+    value = _FM_CACHE.get(key)
+    if value is not None:
+        return value
+    if not is_dominant(top):
+        raise ValueError(f"fm_expand requires a dominant top, got {format_monomial(top)}")
+    t = 0
+    if top.exps:
+        (i, x), _ = top.items()[0]
+        t = x.rat - Fraction(cartan.d[i - 1], 2)
+    if not t:
+        return _FM_CACHE.put(key, _fm_expand(cartan, top, bound, config))
+    anchored = _translate(-t, top)[0]
+    try:
+        ch = _FM_CACHE.memo(("fm", cartan, anchored, bound, config),
+                            lambda: _fm_expand(cartan, anchored, bound, config))
+    except _Blocked as ex:
+        raise _Blocked(_translate(t, ex.monomial)[0], ex.node) from None
+    return _FM_CACHE.put(key, TruncatedCharacter(*_translate(t, ch.top, ch.terms), bound),
+                         cold=True)
 
 
 def _fm_expand(cartan, top, bound, config):
@@ -508,8 +563,6 @@ def _fm_expand(cartan, top, bound, config):
     # avector_to_y is a homomorphism, so v2's Y-form is one merge of v's
     # with the chain's: the cost follows the new node-i chain, not the size
     # of the whole monomial.  Each chain is converted once per call (chain_y).
-    if not is_dominant(top):
-        raise ValueError(f"fm_expand requires a dominant top, got {format_monomial(top)}")
     top_psi = y_to_psi(cartan, top)
     budget = config.term_budget
     explained = {i: {} for i in cartan.nodes}
@@ -536,12 +589,10 @@ def _fm_expand(cartan, top, bound, config):
                 raise EngineError("engine fault: node coverage exceeds multiplicity")
             positions = tuple(at.get(i, ()))
             if any(e < 0 for _, e in positions):
-                text = format_monomial(YMonomial(m, canonical=True))
-                raise EngineError(f"expansion blocked: monomial {text} has unexplained "
-                                  f"multiplicity at node {i} but is not {i}-dominant")
+                raise _Blocked(YMonomial(m, canonical=True), i)
             cap = None if bound is None else bound - h
             for chain, c in _sl2_node_expansion(positions, cartan.d[i - 1], cap, budget):
-                v2 = tuple(sorted(v + chain.sites))
+                v2 = tuple(sorted(v + chain))
                 ex[v2] = ex.get(v2, 0) + c * deficit
                 if v2 not in seen:
                     seen.add(v2)
@@ -549,12 +600,13 @@ def _fm_expand(cartan, top, bound, config):
                     if len(seen) > budget or factors > budget:
                         raise EngineError(f"term budget {budget} exceeded during expansion "
                                           f"({len(seen)} terms, {factors} factors)")
-                    dy = chain_y.get(chain.sites)
+                    dy = chain_y.get(chain)
                     if dy is None:
-                        dy = chain_y[chain.sites] = avector_to_y(cartan, chain).exps
+                        dy = chain_y[chain] = avector_to_y(
+                            cartan, AVector(chain, canonical=True)).exps
                     ymon[v2] = _canon(dy, m)
                     seq += 1
-                    heapq.heappush(heap, (h + len(chain.sites), seq, v2))
+                    heapq.heappush(heap, (h + len(chain), seq, v2))
     return TruncatedCharacter.make(top_psi, result, bound)
 
 
@@ -640,8 +692,8 @@ def _demazure_char_via_ses(cartan, i, t, k, x, bound, config):
     # c*d adds is already a negative coefficient, so the budget on the
     # accumulator bounds each product exactly when the difference is valid.
     budget = config.term_budget
-    diff = _ledger_acc(c.terms, d.terms, inner, budget,
-                       _ledger_acc(a.terms, b.terms, inner, budget), -1)
+    diff = _ledger_acc(_sites(c.terms), _sites(d.terms), inner, budget,
+                       _ledger_acc(_sites(a.terms), _sites(b.terms), inner, budget), -1)
     if min(diff.values()) < 0:
         raise EngineError("negative coefficient in SES difference: engine fault")
     # the kernel top is w * prod_{m=1..k} A_{i,x0+m d_i}^-1

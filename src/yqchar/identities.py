@@ -84,11 +84,15 @@ _FIELD_TYPES = {"kind": (str, "a string"), "lie_type": (str, "a string"),
 
 
 def _integer_k(value) -> int:
-    """``value`` as an int; anything else is a ValueError that names k."""
+    """``value``, an integral number or the text of an int, as an int;
+    anything else, a Fraction 13/2 too, is a ValueError that names k."""
     try:
-        return int(value)
+        k = int(value)
     except (TypeError, ValueError):
-        raise ValueError(f"k must be an integer, got {value!r}") from None
+        k = None
+    if k is None or (not isinstance(value, str) and k != value):
+        raise ValueError(f"k must be an integer, got {value!r}")
+    return k
 
 
 def run_identity(spec: IdentitySpec, config: EngineConfig = DEFAULT_CONFIG):

@@ -21,8 +21,8 @@ monomials store ``exps``, (site, exponent) pairs sorted by site.  An AVector
 stores ``sites``, its sorted site multiset, so its height is ``len(sites)``
 and a ledger product is ``tuple(sorted(a + b))``, one C merge.  Int order is
 not Coord order: ``items()`` and ``ordered()`` give factors in (node, Coord)
-order, for printing.  There is no change of coordinates on monomials: a site
-is made from its (node, x) once.
+order, for printing.  The one change of coordinates is ``_translate``, a
+shift of every x by one rational, which moves each site by a delta of its lane.
 """
 from __future__ import annotations
 
@@ -213,6 +213,29 @@ class PsiMonomial(_ExpMap):
 
 class YMonomial(_ExpMap):
     """Monomial in the fundamental loop weights Y_{i,x}."""
+
+
+def _translate(t: Fraction, top, rows=()) -> tuple:
+    """``top``, a Psi- or Y-monomial, and the (AVector, coefficient) ``rows``
+    moved by the rational ``t``: each factor at (node, x) goes to (node, x + t).
+
+    A site moves by a delta of its lane alone, ``floor(2(res + t)) << 32``
+    plus the lane of (node, sym, residue of res + t) less its own, found once
+    per lane; each distinct site is mapped once, so equal sites stay one int.
+    The symbolic part is never touched.  Returns (top, rows), the rows in
+    (height, sites) order.
+    """
+    sites = {s for v, _ in rows for s in v.sites}.union(s for s, _ in top.exps)
+    deltas = {}
+    for lane in {s & _LANE for s in sites}:
+        i, sym, residue = _LANES[lane]
+        off2 = math.floor(2 * (residue + t))
+        deltas[lane] = (off2 << 32) + _lane(i, sym, residue + t - Fraction(off2, 2)) - lane
+    move = {s: s + deltas[s & _LANE] for s in sites}.__getitem__
+    top = type(top)(tuple(sorted([(move(s), e) for s, e in top.exps])), canonical=True)
+    rows = sorted([(AVector(tuple(sorted(map(move, v.sites))), canonical=True), c)
+                   for v, c in rows], key=_term_key)
+    return top, tuple(rows)
 
 
 def _remove(a: tuple, b: tuple):

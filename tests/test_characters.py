@@ -480,17 +480,23 @@ def test_expansion_messages_literal(monkeypatch):
         fm_expand(A2, parse_monomial("Y[1,0] /Y[2,1/2]"))
     assert str(err.value) == "fm_expand requires a dominant top, got Y[1,0] Y[2,1/2]^-1"
     # a wrong node-1 chain for the top leads to a term with multiplicity left
-    # to explain at node 1 that is not 1-dominant
+    # to explain at node 1 that is not 1-dominant.  Y[1,0] is expanded at its
+    # anchor Y[1,1/2], half a step up, so the fault fires there, and the
+    # term is named back at the caller's point.
     _small_cache(monkeypatch)
-    top, wrong = parse_monomial("Y[1,0]"), parse_monomial("A[1,3/2]^-1")
-    real = characters._sl2_node_expansion
+    anchored, wrong = parse_monomial("Y[1,1/2]"), parse_monomial("A[1,2]^-1")
+    real, fired = characters._sl2_node_expansion, []
 
     def faulty(positions, d, cap, budget):
         chains = real(positions, d, cap, budget)
-        return ((chains[0][0], 1), (wrong, 1)) if positions == top.exps else chains
+        if positions != anchored.exps:
+            return chains
+        fired.append(positions)
+        return (chains[0], (wrong.sites, 1))
     monkeypatch.setattr(characters, "_sl2_node_expansion", faulty)
     with pytest.raises(EngineError) as err:
-        fm_expand(A2, top)
+        fm_expand(A2, parse_monomial("Y[1,0]"))
+    assert fired
     assert str(err.value) == ("expansion blocked: monomial Y[1,0] Y[1,2]^-1 Y[2,1/2]^-1 has "
                               "unexplained multiplicity at node 1 but is not 1-dominant")
 
@@ -532,8 +538,8 @@ def reference_product(la, lb, bound):
 @given(huge_ledgers, huge_ledgers, huge_ledgers, huge_ledgers,
        st.one_of(st.none(), st.integers(min_value=0, max_value=4)))
 def test_fused_difference_is_the_difference_of_products(la, lb, lc, ld, bound):
-    fused = _ledger_acc(lc.items(), ld.items(), bound, 10 ** 6,
-                        _ledger_acc(la.items(), lb.items(), bound, 10 ** 6), -1)
+    sa, sb, sc, sd = ([(v.sites, c) for v, c in lx.items()] for lx in (la, lb, lc, ld))
+    fused = _ledger_acc(sc, sd, bound, 10 ** 6, _ledger_acc(sa, sb, bound, 10 ** 6), -1)
     want = reference_product(la, lb, bound)
     for k, c in reference_product(lc, ld, bound).items():
         want[k] = want.get(k, 0) - c
@@ -622,7 +628,8 @@ def test_expansion_cache_is_bounded_by_cached_terms(monkeypatch):
     cache = characters._TermBoundedCache(1000)
     monkeypatch.setattr(characters, "_FM_CACHE", cache)
     b3 = build_cartan(LieType.parse("B3"))
-    tops = [kr_top_y(b3, 3, 3, Fraction(1, 3) + 10 * n) for n in range(8)]
+    # a symbol of its own per top: no top is a translate of another
+    tops = [kr_top_y(b3, 3, 3, Coord.var(f"y{n}")) for n in range(8)]
     for top in tops:                        # 160 terms each, all distinct
         assert len(fm_expand(b3, top).terms) == 160
         assert cache.terms <= 1000
@@ -744,3 +751,88 @@ def test_mutating_a_hit_does_not_change_the_next(monkeypatch):
         d[AVector.gen(1, "q")] = 5
         d.pop(AVector.unit())
         assert call().to_json() == want
+
+
+# -- spectral translates: one expansion per anchor -----------------------------
+
+B3 = build_cartan(LieType.parse("B3"))
+TRANSLATED_KR = [(build_cartan(LieType.parse(name)), i, k) for name, i, k in (
+    ("A2", 1, 2), ("A2", 2, 1), ("B2", 1, 2), ("B2", 2, 2), ("C3", 3, 2), ("C3", 1, 1),
+    ("G2", 1, 2), ("G2", 2, 1), ("D4", 2, 1), ("D4", 4, 2), ("F4", 4, 1), ("F4", 1, 1))]
+shifts = st.one_of(
+    st.fractions(min_value=-10 ** 30, max_value=10 ** 30, max_denominator=10 ** 30),
+    st.sampled_from((Fraction(1, 2), Fraction(-3, 4), Fraction(2, 5), Fraction(10 ** 21 + 1, 7))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TRANSLATED_KR), st.sampled_from(("0", "1/3", "y", "y-5/2")), shifts,
+       st.sampled_from((None, 0, 3)), st.booleans())
+def test_the_expansion_of_a_translate_is_the_translated_expansion(kr, x, t, bound, pair):
+    # fm_expand of a top moved by t, whether or not its anchor is memoized,
+    # equals the engine run on that very top, with no memo and no relabel;
+    # a second factor at the last node, half a step up, makes a top that no
+    # single KR weight has
+    cartan, i, k = kr
+
+    def top_at(x):
+        top = kr_top_y(cartan, i, k, x)
+        return top * YMonomial.gen(cartan.rank, x + Fraction(1, 2)) if pair else top
+    fm_expand(cartan, top_at(coord(x)), bound)
+    moved = top_at(coord(x) + t)
+    got = fm_expand(cartan, moved, bound)
+    want = characters._fm_expand(cartan, moved, bound, characters.DEFAULT_CONFIG)
+    assert (got.top, got.terms, got.height_bound) == (want.top, want.terms, want.height_bound)
+    assert got.to_json() == want.to_json()
+
+
+def test_translates_of_one_top_expand_once(monkeypatch):
+    _small_cache(monkeypatch)
+    counts = _count_calls(monkeypatch, "_fm_expand")
+    xs = ("0", "1/3", "-3/4", "2/5", "7", "1000000000000000000001/7", "-1/2", "5/6")
+    chars = [fm_expand(B3, kr_top_y(B3, 3, 3, x)) for x in xs]
+    assert counts["_fm_expand"] == 1
+    assert [len(ch.terms) for ch in chars] == [160] * 8
+    assert len({ch.top for ch in chars}) == 8
+
+
+def test_a_translated_hit_is_the_stored_object(monkeypatch):
+    _small_cache(monkeypatch)
+    counts = _count_calls(monkeypatch, "_fm_expand", "_translate")
+    top = kr_top_y(B3, 3, 3, "1/3")
+    first = fm_expand(B3, top)
+    assert counts == {"_fm_expand": 1, "_translate": 2}
+    assert fm_expand(B3, top) is first
+    assert counts == {"_fm_expand": 1, "_translate": 2}
+
+
+def test_a_derived_expansion_enters_the_memo_at_its_cold_end(monkeypatch):
+    cache = _small_cache(monkeypatch, 400)          # room for two of 160 terms
+    tops = [kr_top_y(B3, 3, 3, x) for x in ("0", "1/3", "2/3")]
+    keys = [("fm", B3, top, None, characters.DEFAULT_CONFIG) for top in tops]
+    fm_expand(B3, tops[1])
+    assert list(cache._data) == [keys[1], keys[0]]  # the translate goes first
+    fm_expand(B3, tops[2])                          # no room: the anchor stays
+    assert list(cache._data) == [keys[1], keys[0]]
+    fm_expand(B3, tops[1])                          # a hit warms a derived entry
+    assert list(cache._data) == [keys[0], keys[1]]
+
+
+def test_errors_at_a_translate_name_the_callers_point(monkeypatch):
+    # the blocked message at a translate is pinned by
+    # test_expansion_messages_literal; a failure is expanded once per call
+    _small_cache(monkeypatch)
+    counts = _count_calls(monkeypatch, "_fm_expand")
+    with pytest.raises(ValueError) as err:
+        fm_expand(A2, parse_monomial("Y[1,1/3] /Y[2,5/6]"))
+    assert str(err.value) == "fm_expand requires a dominant top, got Y[1,1/3] Y[2,5/6]^-1"
+    assert not counts
+    for n in (1, 2):
+        with pytest.raises(EngineError) as err:
+            fm_expand(A2, kr_top_y(A2, 1, 3, "1/5"), None, EngineConfig(term_budget=29))
+        assert str(err.value) == "term budget 29 exceeded during expansion (10 terms, 30 factors)"
+        assert counts["_fm_expand"] == n
+    with pytest.raises(EngineError) as err:
+        fm_expand(A1, kr_top_y(A1, 1, 5, "x+1/7"), None, EngineConfig(term_budget=14))
+    assert str(err.value) == ("term budget 14 exceeded by the chains of a node-sl2 string "
+                              "of length 5")
+    assert counts["_fm_expand"] == 3

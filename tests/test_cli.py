@@ -212,6 +212,8 @@ def test_suite_entry_with_unknown_field_is_a_usage_error(tmp_path):
      "error: bad coordinate 'x-y/0' (at position 9)\n"),
     (["qchar", "kr", "--type", "A1", "--node", "1", "--x=x-y-1/0"],
      "error: bad rational '1/0' at position 4\n"),
+    (["qchar", "kr", "--type", "A2000", "--node", "1"],
+     "error: illegal rank 2000 for series A (need rank in [1,32])\n"),
 ])
 def test_usage_errors_name_the_input_once(argv, err):
     assert run(argv) == (2, "", err)

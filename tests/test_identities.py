@@ -109,6 +109,15 @@ def test_a_k_that_is_not_an_int_is_a_value_error(route, k):
         route(B2, 2, k, 0, 2)
 
 
+@pytest.mark.parametrize("k", [Fraction(13, 2), Fraction(-1, 3), "13/2"])
+def test_a_suite_k_that_is_not_integral_is_refused(k):
+    # int() would truncate 13/2 to 6 and check a k that was not asked for
+    with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+        run_identity(IdentitySpec(kind="tq", lie_type="A2", i=1, k=k, N=3))
+    assert run_identity(IdentitySpec(kind="tq", lie_type="A2", i=1, k=Fraction(6), N=3)) \
+        == run_identity(IdentitySpec(kind="tq", lie_type="A2", i=1, k="6", N=3))
+
+
 def _realizable(ct, i, k):
     return all(k * ct.d[i - 1] % ct.d[j - 1] == 0 for j in ct.nodes if ct.cij(i, j) < 0)
 

@@ -11,7 +11,7 @@ import yqchar
 import yqchar.characters as characters
 from yqchar.cartan import LieType, build_cartan
 from yqchar.characters import (
-    EngineError, demazure_weight, kr_weight, m_weight, n_weight,
+    EngineConfig, EngineError, demazure_weight, kr_top_y, kr_weight, m_weight, n_weight,
 )
 from yqchar.coords import coord, parse_coord
 from yqchar.monomials import AVector, PsiMonomial, _site
@@ -24,9 +24,6 @@ G2 = build_cartan(LieType.parse("G2"))
 UNBOUNDED = {
     # it takes no argument, so it holds one parser
     ("cli", "_parser"),
-    # one entry per Lie type asked for, each a dense rank x rank matrix; a
-    # bound on the rank, not on the entries, is what it lacks
-    ("cartan", "build_cartan"),
 }
 
 
@@ -71,6 +68,7 @@ def test_every_memo_in_src_is_bounded():
     assert {key for key, kind in memos.items() if kind == "unbounded"} == UNBOUNDED
     assert {("characters", "kr_weight"), ("characters", "m_weight"),
             ("characters", "n_weight"), ("characters", "demazure_weight"),
+            ("characters", "kr_top_y"), ("cartan", "build_cartan"),
             ("coords", "parse_coord"), ("monomials", "_site")} <= set(memos)
 
 
@@ -97,8 +95,9 @@ WEIGHTS = [
     (m_weight, (B2, 1), 6),
     (n_weight, (G2, 1), 3),
     (demazure_weight, (G2, 1, 1), 2),
+    (kr_top_y, (G2, 2), 3),
 ]
-IDS = ["kr_weight", "m_weight", "n_weight", "demazure_weight"]
+IDS = ["kr_weight", "m_weight", "n_weight", "demazure_weight", "kr_top_y"]
 
 
 @pytest.mark.parametrize("build, head, k", WEIGHTS, ids=IDS)
@@ -156,3 +155,18 @@ def test_no_exception_is_stored(monkeypatch):
             kr_weight(B2, 1, -1, 0)
     with pytest.raises(ValueError, match="node 3 out of range"):
         kr_weight(B2, 3, 1, 0)
+    tight = EngineConfig(term_budget=2)
+    for _ in range(2):
+        with pytest.raises(EngineError, match="KR string of 3 factors"):
+            kr_top_y(B2, 1, 3, 0, tight)
+    assert kr_top_y(B2, 1, 3, 0) == kr_top_y.__wrapped__(B2, 1, 3, 0)
+
+
+def test_cartan_memo_and_rank_bound():
+    assert build_cartan(LieType.parse("A32")) is build_cartan(LieType("A", 32))
+    assert build_cartan.cache_info().maxsize == 64
+    for name, lo in (("A33", 1), ("B33", 2), ("C2000", 2), ("D100000", 4)):
+        with pytest.raises(ValueError) as err:
+            LieType.parse(name)
+        assert str(err.value) == (f"illegal rank {name[1:]} for series {name[0]} "
+                                  f"(need rank in [{lo},32])")
