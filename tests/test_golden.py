@@ -287,6 +287,36 @@ GOLDEN = [
     (_kr("G2", 1, 2, "--x", "x"), 0, "3845e4a68da71cc9"),
     (_kr("G2", 1, 2, "--x", "x+1/2"), 0, "a24a6b6ee928186b"),
     (_v("tsystem", "G2", 2, "--k", "2", "--t", "0"), 0, "c628f1e8b2c2c633"),
+    # The neighbour data of the TQ relation at its corners: skeleton sites
+    # at c_ij = -1, -2 and -3 and k = 1 or 2, n-weights with one and two
+    # strings per neighbour, criterion 13 at every bond type, an m-weight
+    # support scan in G2 and a c_ij = -2 n-string outside rank two.
+    (_v("kr-skeleton", "G2", 1, "--k", "1", "--x", "x"), 0, "054a7fdb4d546a24"),
+    (_v("kr-skeleton", "G2", 1, "--k", "2", "--x", "1/3", "--format", "json"), 0,
+     "5bace772324fa00f"),
+    (_v("kr-skeleton", "B2", 2, "--k", "1", "--x", "x"), 0, "7673ec632ab8a438"),
+    (_v("kr-skeleton", "C3", 2, "--k", "2", "--x=-5/2"), 0, "fbf8ef7556d13f82"),
+    (_v("kr-skeleton", "C3", 2, "--k", "1", "--format", "json"), 0, "1e70b7a09e24bdd7"),
+    (_v("kr-skeleton", "B3", 3, "--k", "2", "--x", "x"), 0, "6bfc726d0a40ae0a"),
+    (_v("kr-skeleton", "G2", 2, "--k", "2", "--x", "x"), 0, "5410870b0796f93b"),
+    (("qchar", "n", "--type", "B2", "--node", "2", "--k", "4"), 0, "36df494aa6954a46"),
+    (("qchar", "n", "--type", "C3", "--node", "2", "--k", "k"), 0, "e1dcc8c08085c0a0"),
+    (("qchar", "n", "--type", "F4", "--node", "3", "--k", "2", "--x", "1/3"), 0,
+     "ed44cdfa42618b43"),
+    (("qchar", "n", "--type", "G2", "--node", "1", "--k", "6", "--format", "json"), 0,
+     "6bd853e4b0ace581"),
+    (("translate", "--to", "multiplicative", "--check-tq", "--type", "A2", "--node", "1"),
+     0, "1333e86cd0a10ffc"),
+    (("translate", "--to", "multiplicative", "--check-tq", "--type", "G2", "--node", "1"),
+     0, "467d540cbb26fc68"),
+    (("translate", "--to", "multiplicative", "--check-tq", "--type", "G2", "--node", "2",
+      "--format", "json"), 0, "8a843183d82d8cd5"),
+    (("translate", "--to", "multiplicative", "--check-tq", "--type", "C3", "--node", "3"),
+     0, "d0a0019ce403a874"),
+    (("translate", "--to", "multiplicative", "--check-tq", "--type", "F4", "--node", "2"),
+     0, "9aca78df16fc89dd"),
+    (_v("m-support", "G2", 1, "--k", "6", "--height", "3"), 0, "a7c51af7117a1a96"),
+    (_v("tq", "F4", 3, "--height", "2", "--format", "json"), 0, "48f00354c6ec83ac"),
 ]
 
 
