@@ -136,6 +136,12 @@ class CartanData:
         """Symmetric form d_ij = d_i * c_ij / 2, a half integer."""
         return Fraction(self.cij(i, j) * self.d[i - 1], 2)
 
+    def neighbours(self, i: int) -> tuple:
+        """(j, c_ij, d_ij) for each node j with c_ij < 0, in node order."""
+        row = self.c[self.check_node(i)]
+        return tuple((j, c, Fraction(c * self.d[i - 1], 2)) for j, c in enumerate(row, 1)
+                     if c < 0)
+
     def validate(self):
         r = self.rank
         assert all(self.c[i][i] == 2 for i in range(r))

@@ -53,18 +53,6 @@ class EngineError(RuntimeError):
     """Budget exhaustion or an internal engine fault."""
 
 
-class _Blocked(EngineError):
-    """An expansion met a term with multiplicity left to explain at a node
-    where it is not dominant; the term is kept so that a translate of the
-    expansion can name it at its own point."""
-
-    def __init__(self, monomial: YMonomial, node: int):
-        super().__init__(f"expansion blocked: monomial {format_monomial(monomial)} has "
-                         f"unexplained multiplicity at node {node} but is not "
-                         f"{node}-dominant")
-        self.monomial, self.node = monomial, node
-
-
 # ---------------------------------------------------------------------------
 # Character container.
 # ---------------------------------------------------------------------------
@@ -295,8 +283,6 @@ def kr_weight(cartan: CartanData, i: int, k: int, x) -> PsiMonomial:
     cartan.check_node(i)
     if k < 0:
         raise ValueError("KR index k must be >= 0")
-    if k == 0:
-        return PsiMonomial.unit()
     x = coord(x)
     return PsiMonomial((((i, x + k * cartan.di(i)), 1), ((i, x), -1)))
 
@@ -359,27 +345,29 @@ def m_weight(cartan: CartanData, i: int, k, x) -> PsiMonomial:
     x, k = coord(x), coord(k)
     di = cartan.di(i)
     out = PsiMonomial.gen(i, x + di) * PsiMonomial.gen(i, x, -1)
-    for j in cartan.nodes:
-        if cartan.cij(i, j) < 0:
-            dij = cartan.dij(i, j)
-            out = out * PsiMonomial.gen(j, x + dij) * PsiMonomial.gen(j, x + dij - k * di, -1)
+    for j, _, dij in cartan.neighbours(i):
+        out = out * PsiMonomial.gen(j, x + dij) * PsiMonomial.gen(j, x + dij - k * di, -1)
     return out
 
 
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
 def n_weight(cartan: CartanData, i: int, k, x) -> PsiMonomial:
-    """The complementary tensor factor of the Demazure weight (t = 1)."""
+    """The complementary tensor factor of the Demazure weight (t = 1): the
+    strings Psi_{j,b+k}/Psi_{j,b} at the bases b of ``_n_bases``."""
     x, k = coord(x), coord(k)
-    half = Fraction(1, 2)
     out = PsiMonomial.unit()
-    for j in cartan.nodes:
-        cij = cartan.cij(i, j)
-        if cij == -2:
-            out = out * PsiMonomial.gen(j, x) * PsiMonomial.gen(j, x - k, -1)
-        elif cij == -3:
-            out = (out * PsiMonomial.gen(j, x + half) * PsiMonomial.gen(j, x - half)
-                   * PsiMonomial.gen(j, x + half - k, -1) * PsiMonomial.gen(j, x - half - k, -1))
+    for j, base in _n_bases(cartan, i, k, x):
+        out = out * PsiMonomial.gen(j, base + k) * PsiMonomial.gen(j, base, -1)
     return out
+
+
+def _n_bases(cartan: CartanData, i: int, k, x) -> list:
+    """(j, b) for each string Psi_{j,b+k}/Psi_{j,b} of the n-weight: -c_ij - 1
+    of them at each neighbour j with c_ij <= -2, one unit apart and centred at
+    x - k, so b = x + s - k with s = (-c_ij - 2)/2 - m for m = 0 .. -c_ij - 2.
+    (Such an i is short, d_i = 1, so k is also k d_i.)"""
+    return [(j, x + Fraction(-cij - 2, 2) - m - k) for j, cij, _ in cartan.neighbours(i)
+            for m in range(-cij - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +532,13 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     if not t:
         return _FM_CACHE.put(key, _fm_expand(cartan, top, bound, config))
     anchored = _translate(-t, top)[0]
-    try:
-        ch = _FM_CACHE.memo(("fm", cartan, anchored, bound, config),
-                            lambda: _fm_expand(cartan, anchored, bound, config))
-    except _Blocked as ex:
-        raise _Blocked(_translate(t, ex.monomial)[0], ex.node) from None
+    ch = _FM_CACHE.memo(("fm", cartan, anchored, bound, config),
+                        lambda: _fm_expand(cartan, anchored, bound, config, t))
     return _FM_CACHE.put(key, TruncatedCharacter(*_translate(t, ch.top, ch.terms), bound),
                          cold=True)
 
 
-def _fm_expand(cartan, top, bound, config):
+def _fm_expand(cartan, top, bound, config, t=0):
     # Terms are keyed by their sorted site tuples, so a new term is one C
     # sort and the work dicts hash and compare ints only; AVectors are built
     # for the result alone.  The budget bounds the terms and, separately,
@@ -563,6 +548,7 @@ def _fm_expand(cartan, top, bound, config):
     # avector_to_y is a homomorphism, so v2's Y-form is one merge of v's
     # with the chain's: the cost follows the new node-i chain, not the size
     # of the whole monomial.  Each chain is converted once per call (chain_y).
+    # An error names its monomial moved by t, at the caller's point.
     top_psi = y_to_psi(cartan, top)
     budget = config.term_budget
     explained = {i: {} for i in cartan.nodes}
@@ -589,7 +575,10 @@ def _fm_expand(cartan, top, bound, config):
                 raise EngineError("engine fault: node coverage exceeds multiplicity")
             positions = tuple(at.get(i, ()))
             if any(e < 0 for _, e in positions):
-                raise _Blocked(YMonomial(m, canonical=True), i)
+                blocked = _translate(t, YMonomial(m, canonical=True))[0]
+                raise EngineError(f"expansion blocked: monomial {format_monomial(blocked)} "
+                                  f"has unexplained multiplicity at node {i} but is not "
+                                  f"{i}-dominant")
             cap = None if bound is None else bound - h
             for chain, c in _sl2_node_expansion(positions, cartan.d[i - 1], cap, budget):
                 v2 = tuple(sorted(v + chain))
@@ -638,9 +627,8 @@ def asymptotic_char(cartan: CartanData, i: int, y, x, bound: int,
     """Character of the asymptotic module with top Psi_{i,y}/Psi_{i,x}."""
     y, x = coord(y), coord(x)
     stable = stabilize(cartan, i, x, bound, config)
-    top = PsiMonomial.unit() if y == x else \
-        PsiMonomial.gen(i, y) * PsiMonomial.gen(i, x, -1)
-    return TruncatedCharacter(top, stable.terms, bound)
+    return TruncatedCharacter(PsiMonomial.gen(i, y) * PsiMonomial.gen(i, x, -1),
+                              stable.terms, bound)
 
 
 def prefundamental_char(cartan: CartanData, i: int, x, sign: str, bound: int,

@@ -24,7 +24,7 @@ from .identities import (
 )
 from .monomials import PsiMonomial
 from .sl2_explicit import build_module, check_relations, extract_qchar, verify_sl2_three_term
-from .textio import MonomialSyntaxError, format_monomial, parse_monomial
+from .textio import format_monomial, parse_monomial
 
 __all__ = ["main", "dispatch", "CliConfig"]
 
@@ -245,13 +245,8 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             raise UsageError("translate needs --monomial or --check-tq")
         mono = parse_monomial(args.monomial, build_cartan(LieType.parse(args.type)),
                               kind="Psi")
-        if not isinstance(mono, PsiMonomial):
-            raise UsageError("translation input must be a Psi monomial")
         text = format_monomial(to_multiplicative(mono))
         return _emit({"monomial": text} if cfg.output_format == "json" else text, cfg, out)
-    except (UsageError, MonomialSyntaxError) as ex:
-        print(f"error: {ex}", file=err)
-        return 2
     except EngineError as ex:
         print(f"engine error: {ex}", file=err)
         return 3

@@ -115,16 +115,8 @@ class Coord:
         if self.rat != 0 or not self.sym:
             parts.append(str(self.rat))
         for n, c in self.sym:
-            if c == 1:
-                parts.append(n)
-            elif c == -1:
-                parts.append(f"-{n}")
-            elif c.denominator == 1:
-                parts.append(f"{c.numerator}{n}")
-            elif c.numerator == 1:
-                parts.append(f"{n}/{c.denominator}")
-            else:
-                parts.append(f"{c.numerator}{n}/{c.denominator}")
+            num = "" if c.numerator == 1 else "-" if c.numerator == -1 else str(c.numerator)
+            parts.append(f"{num}{n}" + ("" if c.denominator == 1 else f"/{c.denominator}"))
         out = "+".join(parts)
         return out.replace("+-", "-")
 

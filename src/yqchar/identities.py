@@ -12,10 +12,12 @@ from fractions import Fraction
 
 from .cartan import CartanData, LieType, build_cartan
 from .coords import coord
-from .monomials import AVector, PsiMonomial, _ExpMap, _site, output_order, psi_to_y
+from .monomials import (
+    AVector, PsiMonomial, _ExpMap, _site, expand_A_to_Psi, output_order, psi_to_y,
+)
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, EngineError, Report,
-    TruncatedCharacter, _ledger_mul, asymptotic_char, char_mul, compare_characters,
+    TruncatedCharacter, _ledger_mul, _n_bases, asymptotic_char, char_mul, compare_characters,
     demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
     kr_top_y, kr_weight, m_weight, n_weight, stabilize,
 )
@@ -148,10 +150,9 @@ def tq_rhs(cartan: CartanData, i: int, k: int, x, bound: int,
     at base x + d_ij - k d_i, with top the m-weight."""
     x = coord(x)
     terms = {AVector.unit(): 1, AVector.gen(i, x): 1}
-    for j in cartan.nodes:
-        if cartan.cij(i, j) < 0:
-            st = stabilize(cartan, j, x + cartan.dij(i, j) - k * cartan.di(i), bound, config)
-            terms = _ledger_mul(terms.items(), st.terms, bound, config.term_budget)
+    for j, _, dij in cartan.neighbours(i):
+        st = stabilize(cartan, j, x + dij - k * cartan.di(i), bound, config)
+        terms = _ledger_mul(terms.items(), st.terms, bound, config.term_budget)
     return TruncatedCharacter.make(m_weight(cartan, i, k, x), terms, bound)
 
 
@@ -164,28 +165,22 @@ def tq_lhs_direct(cartan: CartanData, i: int, k: int, x, bound: int,
 def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
                     config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
     """Route R2: SES kernel character divided by the KR characters that
-    realize the complementary n-weight (exact series division)."""
+    realize the complementary n-weight (exact series division).  Their
+    weights times the m-weight must give the telescoped Demazure weight."""
     x = coord(x)
     _check_realizable(cartan, i, k)
     num = demazure_char_via_ses(cartan, i, 1, k, x, bound, config)
+    m = weight = m_weight(cartan, i, k, x)
     den = {AVector.unit(): 1}
-    expected_n = PsiMonomial.unit()
-    for j in cartan.nodes:
-        cij = cartan.cij(i, j)
-        bases = []
-        if cij == -2:
-            bases = [x - k]
-        elif cij == -3:
-            bases = [x + Fraction(1, 2) - k, x - Fraction(1, 2) - k]
+    for j, base in _n_bases(cartan, i, k, x):
         length = k * cartan.d[i - 1] // cartan.d[j - 1]
-        for base in bases:
-            expected_n = expected_n * kr_weight(cartan, j, length, base)
-            ch = fm_expand(cartan, kr_top_y(cartan, j, length, base, config), bound, config)
-            den = _ledger_mul(den.items(), ch.terms, bound, config.term_budget)
-    if expected_n != n_weight(cartan, i, k, x):
-        raise EngineError("KR factors do not assemble the expected n-weight")
+        weight = weight * kr_weight(cartan, j, length, base)
+        ch = fm_expand(cartan, kr_top_y(cartan, j, length, base, config), bound, config)
+        den = _ledger_mul(den.items(), ch.terms, bound, config.term_budget)
+    if weight != demazure_weight(cartan, i, 1, k, x):
+        raise EngineError("KR factors and the m-weight do not assemble the Demazure weight")
     quot = divide_series(num.term_dict(), den, bound, config)
-    return TruncatedCharacter.make(m_weight(cartan, i, k, x), quot, bound)
+    return TruncatedCharacter.make(m, quot, bound)
 
 
 def _check_realizable(cartan: CartanData, i: int, k: int, N: int | None = None):
@@ -196,8 +191,8 @@ def _check_realizable(cartan: CartanData, i: int, k: int, N: int | None = None):
     limit, which height N sees only if each string is N long: k d_i >= N d_j."""
     if not isinstance(k, int):
         raise ValueError(f"k must be an integer, got {k}")
-    kd = k * int(cartan.di(i))
-    d = {j: cartan.d[j - 1] for j in cartan.nodes if cartan.cij(i, j) < 0}
+    d = {j: cartan.d[j - 1] for j, _, _ in cartan.neighbours(i)}
+    kd = k * cartan.d[i - 1]
     for j, dj in d.items():
         if kd % dj:
             raise ValueError(f"k={k} is not realizable at node {i}: d_{j}={dj} "
@@ -213,7 +208,7 @@ def tq_regime(cartan: CartanData, i: int, N: int) -> int:
     """The least k >= 1 that ``_check_realizable`` accepts at height N: the
     least k with k d_i >= N max d_j.  It is realizable, since symmetrizers
     take two values, 1 and r: a d_j > d_i is r, and divides k d_i = N r."""
-    dmax = max((cartan.d[j - 1] for j in cartan.nodes if cartan.cij(i, j) < 0), default=0)
+    dmax = max((cartan.d[j - 1] for j, _, _ in cartan.neighbours(i)), default=0)
     return max(1, -(-N * dmax // cartan.d[i - 1]))
 
 
@@ -287,18 +282,11 @@ def _support_report(scanned: int, found, note: str) -> Report:
                   f" ({scanned} terms scanned)")
 
 
-def _skeleton_zset(cartan: CartanData, i: int, ip: int, k: int, x):
-    """Allowed second-factor coordinates for KR l-weights off the i-chain."""
-    c = cartan.cij(i, ip)
-    if c == 0:
-        return ()
-    if c == -1 or k == 1:
-        return (x + cartan.dij(i, ip),)
-    if c == -2:
-        return (x - 1, x)
-    if k == 2:
-        return (x - Fraction(3, 2), x - Fraction(1, 2))
-    return (x - Fraction(3, 2), x - Fraction(1, 2), x + Fraction(1, 2))
+def _skeleton_sites(cartan: CartanData, i: int, k: int, x) -> list:
+    """Allowed off-node factors of a KR l-weight: (j, x + d_ij + m) for each
+    neighbour j and 0 <= m < min(k, -c_ij)."""
+    return [(j, x + dij + m) for j, cij, dij in cartan.neighbours(i)
+            for m in range(min(k, -cij))]
 
 
 def _unsupported(terms, allowed, reason: str, lead=None) -> list:
@@ -324,10 +312,8 @@ def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
     found = [(v, f"i-chain multiplicity {c} != 1")
              for v, c in char.terms if v.sites in chains and c != 1]
     found += _unsupported(off, [(i, x)], "missing leading A-factor at the KR node")
-    allowed = [(ip, z) for ip in cartan.nodes if ip != i
-               for z in _skeleton_zset(cartan, i, ip, k, x)]
-    found += _unsupported([t for t in off if lead in t[0].sites], allowed,
-                          "no allowed off-node A-factor")
+    found += _unsupported([t for t in off if lead in t[0].sites],
+                          _skeleton_sites(cartan, i, k, x), "no allowed off-node A-factor")
     return _support_report(len(char.terms), found,
                            f"KR skeleton {cartan.lie_type} i={i} k={k} x={x}")
 
@@ -341,8 +327,8 @@ def check_demazure_support(cartan: CartanData, i: int, k: int, x, bound: int,
     di = cartan.di(i)
     char = demazure_char_via_ses(cartan, i, 1, k, x, bound, config)
     base = x - k * di
-    allowed = [(i, base - di)] + [(ip, base + Fraction(n, 2)) for ip in cartan.nodes
-                                  if cartan.cij(i, ip) < 0 for n in range(-3, 2)]
+    allowed = [(i, base - di)] + [(j, base + Fraction(n, 2))
+                                  for j, _, _ in cartan.neighbours(i) for n in range(-3, 2)]
     found = _unsupported(char.terms, allowed, "no allowed far-cluster A-factor",
                          AVector.gen(i, x))
     return _support_report(len(char.terms), found,
@@ -356,8 +342,7 @@ def check_m_support(cartan: CartanData, i: int, k: int, x, bound: int,
     x = coord(x)
     _check_realizable(cartan, i, k)
     char = tq_lhs_direct(cartan, i, k, x, bound, config)
-    allowed = [(j, x + cartan.dij(i, j) - k * cartan.di(i))
-               for j in cartan.nodes if cartan.cij(i, j) < 0]
+    allowed = [(j, x + dij - k * cartan.di(i)) for j, _, dij in cartan.neighbours(i)]
     found = _unsupported(char.terms, allowed, "no allowed far-cluster A-factor",
                          AVector.gen(i, x))
     return _support_report(len(char.terms), found,
@@ -384,43 +369,33 @@ def _phi(i, a, e=1):
 def verify_multiplicative_tq(cartan: CartanData, i: int, x, y, k) -> Report:
     """Translated additive three-term instance vs the quantum display.
 
-    The quantum side is built independently from its own exponent algebra
-    (a = q^x, c = q^y, q_i = q^{d_i}, q_ij = q^{d_ij}); both sides must be
-    identical monomial triples.
+    The additive side is read off the engine: the m-weight m, the class
+    cl = Psi_{i,x}/Psi_{i,y} and the relation's two summands s(+1) = m cl
+    and s(-1) = s(+1) A_{i,x}^-1.  The quantum side is built independently
+    from its own exponent algebra (a = q^x, c = q^y, q_i = q^{d_i},
+    q_ij = q^{d_ij}); the four monomials of both sides must be identical.
     """
     x, y, k = coord(x), coord(y), coord(k)
     di = cartan.di(i)
-    neigh = [j for j in cartan.nodes if cartan.cij(i, j) < 0]
-
-    def additive():
-        m = m_weight(cartan, i, k, x)
-        cl = PsiMonomial.gen(i, x) * PsiMonomial.gen(i, y, -1)
-        def s(sign):
-            out = PsiMonomial.gen(i, x + sign * di) * PsiMonomial.gen(i, y, -1)
-            for j in neigh:
-                dij = cartan.dij(i, j)
-                out = (out * PsiMonomial.gen(j, x + sign * dij)
-                       * PsiMonomial.gen(j, x + dij - k * di, -1))
-            return out
-        return [m, cl, s(1), s(-1)]
+    m = m_weight(cartan, i, k, x)
+    cl = PsiMonomial.gen(i, x) * PsiMonomial.gen(i, y, -1)
+    additive = [m, cl, m * cl, m * cl * expand_A_to_Psi(cartan, i, x) ** -1]
 
     def quantum():
         m = _phi(i, x + di) * _phi(i, x, -1)
-        for j in neigh:
-            m = m * _phi(j, x + cartan.dij(i, j)) \
-                  * _phi(j, x + cartan.dij(i, j) - k * di, -1)
+        for j, _, dij in cartan.neighbours(i):
+            m = m * _phi(j, x + dij) * _phi(j, x + dij - k * di, -1)
         cl = _phi(i, x) * _phi(i, y, -1)
         def s(sign):
             out = _phi(i, x + sign * di) * _phi(i, y, -1)
-            for j in neigh:
-                dij = cartan.dij(i, j)
+            for j, _, dij in cartan.neighbours(i):
                 out = out * _phi(j, x + sign * dij) * _phi(j, x + dij - k * di, -1)
             return out
         return [m, cl, s(1), s(-1)]
 
     # rows read as a character comparison's, with the unit "1" as term and tops
     rows = [(format_monomial(add), format_monomial(qm))
-            for add, qm in zip(additive(), quantum()) if to_multiplicative(add).exps != qm.exps]
+            for add, qm in zip(additive, quantum()) if to_multiplicative(add).exps != qm.exps]
     note = f"multiplicative translation {cartan.lie_type} i={i}"
     return Report(not rows, {"note": note, "lhs_top": "1", "rhs_top": "1",
                              "mismatches": [{"avector": "1", "lhs": a, "rhs": q}

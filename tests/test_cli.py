@@ -47,6 +47,12 @@ def test_qchar_demazure_asymptotic_prefundamental_m_n():
         assert code == 0 and out and err == "", argv
 
 
+def test_a_symbolic_k_over_n_prints_without_a_unit_coefficient():
+    code, out, _ = run(["qchar", "m", "--type", "G2", "--node", "1", "--k", "k/3", "--x", "x"])
+    assert code == 0
+    assert out == "Psi[1,x]^-1 Psi[1,1+x] Psi[2,-3/2-k/3+x]^-1 Psi[2,-3/2+x]\n"
+
+
 def test_output_is_deterministic():
     argv = ["qchar", "kr", "--type", "B2", "--node", "2", "--k", "3",
             "--format", "json"]
@@ -409,6 +415,12 @@ def test_translate_reads_nodes_of_the_given_type():
     code, out, _ = run(["translate", "--to", "multiplicative", "--monomial",
                         "Psi[3,x] /Psi[1,0]", "--type", "A3"])
     assert code == 0 and out == "Phi[1,q^0]^-1 Phi[3,q^x]\n"
+
+
+def test_translate_expands_a_mixed_product_into_psi():
+    code, out, _ = run(["translate", "--to", "multiplicative", "--monomial", "Y[1,0] A[2,1]"])
+    assert code == 0 and out == ("Phi[1,q^-1/2]^-1 Phi[1,q^1/2]^2 Phi[1,q^3/2]^-1 "
+                                 "Phi[2,q^0]^-1 Phi[2,q^2]\n")
 
 
 def test_translate_check_tq():

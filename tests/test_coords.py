@@ -50,6 +50,11 @@ def test_parse_format_round_trip(text):
     assert parse_coord(str(c)) == c
 
 
+@pytest.mark.parametrize("text", ["-x/2", "-k/3", "-3x/2", "x/2", "-x", "1/3-x/5"])
+def test_a_coefficient_prints_as_typed(text):
+    assert str(parse_coord(text)) == text
+
+
 def test_parse_errors():
     for bad in ["", "1//2", "k+", "2 3"]:
         with pytest.raises(ValueError):

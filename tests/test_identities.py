@@ -1,10 +1,12 @@
 """Identity verifiers, support scans, and the multiplicative translation."""
 import dataclasses
+import io
 import re
 from fractions import Fraction
 
 import pytest
 
+import yqchar.cli as cli
 import yqchar.identities as identities
 from yqchar.cartan import LieType, build_cartan
 from yqchar.coords import coord
@@ -264,6 +266,71 @@ def test_support_scan_reports_injected_faults(monkeypatch, source, scan, args, e
         "violations": [{"avector": v, "reason": r} for v, r in violations]}
 
 
+# -- closed forms of the neighbour data ---------------------------------------
+
+def _table_skeleton_zset(cartan, i, ip, k, x):
+    """Allowed off-node coordinates at node ip, as the case table that the
+    closed form of ``identities._skeleton_sites`` replaced."""
+    c = cartan.cij(i, ip)
+    if c == 0:
+        return ()
+    if c == -1 or k == 1:
+        return (x + cartan.dij(i, ip),)
+    if c == -2:
+        return (x - 1, x)
+    if k == 2:
+        return (x - Fraction(3, 2), x - Fraction(1, 2))
+    return (x - Fraction(3, 2), x - Fraction(1, 2), x + Fraction(1, 2))
+
+
+def _table_n_bases(cartan, i, k, x):
+    """(j, base) of the n-weight's strings, as the case table that
+    ``characters._n_bases`` replaced."""
+    out = []
+    for j in cartan.nodes:
+        cij = cartan.cij(i, j)
+        if cij == -2:
+            out += [(j, x - k)]
+        elif cij == -3:
+            out += [(j, x + Fraction(1, 2) - k), (j, x - Fraction(1, 2) - k)]
+    return out
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A5", "B2", "B3", "B4", "C2", "C3",
+                                  "C4", "D4", "D5", "E6", "E7", "E8", "F4", "G2"])
+def test_closed_forms_equal_the_case_tables(name):
+    ct = build_cartan(LieType.parse(name))
+    for i in ct.nodes:
+        assert ct.neighbours(i) == tuple((j, ct.cij(i, j), ct.dij(i, j)) for j in ct.nodes
+                                         if ct.cij(i, j) < 0)
+        for k in range(1, 8):
+            for x in (coord(0), coord("x"), coord("1/3"), coord(k - Fraction(7, 2))):
+                assert identities._skeleton_sites(ct, i, k, x) == [
+                    (ip, z) for ip in ct.nodes if ip != i
+                    for z in _table_skeleton_zset(ct, i, ip, k, x)]
+                bases = identities._n_bases(ct, i, k, x)
+                assert bases == _table_n_bases(ct, i, k, x)
+                n = PsiMonomial.unit()
+                for j, b in bases:
+                    n = n * PsiMonomial.gen(j, b + k) * PsiMonomial.gen(j, b, -1)
+                assert identities.n_weight(ct, i, k, x) == n
+                if all(k * ct.d[i - 1] % ct.d[j - 1] == 0 for j, _, _ in ct.neighbours(i)):
+                    # the self-check of route R2
+                    assert identities.m_weight(ct, i, k, x) * n == \
+                        identities.demazure_weight(ct, i, 1, k, x)
+
+
+def test_a_wrong_kr_weight_fails_the_demazure_self_check(monkeypatch):
+    real = identities.kr_weight
+    monkeypatch.setattr(identities, "kr_weight",
+                        lambda *a: real(*a) * PsiMonomial.gen(1, 0))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.dispatch(["verify", "tq", "--type", "B2", "--node", "2"], out, err)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        3, "", "engine error: KR factors and the m-weight do not assemble the Demazure "
+               "weight\n")
+
+
 # -- multiplicative translation ----------------------------------------------
 
 def test_translation_preserves_exponents():
@@ -307,3 +374,19 @@ def test_multiplicative_tq_reports_a_moved_exponent(monkeypatch):
         "verdict": "fail", "note": "multiplicative translation A2 i=1",
         "lhs_top": "1", "rhs_top": "1",
         "mismatches": [{"avector": "1", "lhs": lhs, "rhs": rhs}]}
+
+
+def test_multiplicative_tq_fails_when_the_A_expansion_drops_a_factor(monkeypatch):
+    real = identities.expand_A_to_Psi
+    monkeypatch.setattr(identities, "expand_A_to_Psi",
+                        lambda *a: PsiMonomial(real(*a).items()[1:]))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.dispatch(["translate", "--to", "multiplicative", "--check-tq",
+                         "--type", "A2", "--node", "1"], out, err)
+    # the one mismatched row is s(-1), the only one that reads A_{1,x}; its
+    # additive side has lost the factor Psi_{1,x-1}
+    lhs = "Psi[1,y]^-1 Psi[2,-1/2-k+x]^-1 Psi[2,1/2+x]"
+    rhs = "Phi[1,q^-1+x] Phi[1,q^y]^-1 Phi[2,q^-1/2-k+x]^-1 Phi[2,q^1/2+x]"
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, "verdict: fail\nnote: multiplicative translation A2 i=1\n"
+           f"  1: lhs={lhs} rhs={rhs}\n", "")

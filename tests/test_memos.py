@@ -92,12 +92,13 @@ def test_the_memo_scan_reads_every_form():
 # (weight builder, its arguments before k, an int k)
 WEIGHTS = [
     (kr_weight, (B2, 1), 2),
+    (kr_weight, (B2, 1), 0),        # the unit, built as at every other k
     (m_weight, (B2, 1), 6),
     (n_weight, (G2, 1), 3),
     (demazure_weight, (G2, 1, 1), 2),
     (kr_top_y, (G2, 2), 3),
 ]
-IDS = ["kr_weight", "m_weight", "n_weight", "demazure_weight", "kr_top_y"]
+IDS = ["kr_weight", "kr_weight_k0", "m_weight", "n_weight", "demazure_weight", "kr_top_y"]
 
 
 @pytest.mark.parametrize("build, head, k", WEIGHTS, ids=IDS)

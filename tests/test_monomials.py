@@ -13,7 +13,7 @@ from yqchar.monomials import (
     expand_Y_to_Psi, is_dominant, psi_to_y,
     weight_projection, y_to_psi,
 )
-from yqchar.textio import format_monomial, parse_monomial
+from yqchar.textio import MonomialSyntaxError, format_monomial, parse_monomial
 
 ALL_RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
                  "C2", "C3", "C4", "D4", "F4", "G2"]
@@ -384,3 +384,15 @@ def test_print_order_does_not_follow_lane_order():
     assert format_monomial(m) == "Psi[1,2/11+lane_probe] Psi[1,3/11+lane_probe]"
     v = AVector.gen(1, hi) * AVector.gen(1, lo)
     assert format_monomial(v) == "A[1,2/11+lane_probe]^-1 A[1,3/11+lane_probe]^-1"
+
+
+# -- cross-basis parsing -----------------------------------------------------
+
+def test_a_mixed_product_is_parsed_through_the_basis_changes():
+    assert parse_monomial("Y[1,0] A[2,1]", A2, kind="Psi") == \
+        expand_Y_to_Psi(A2, 1, 0) * expand_A_to_Psi(A2, 2, 1)
+    assert parse_monomial("Y[1,0] A[2,1]^-1", A2) == \
+        YMonomial.gen(1, 0) * expand_A_to_Y(A2, 2, 1) ** -1
+    with pytest.raises(MonomialSyntaxError) as err:
+        parse_monomial("Y[1,0] A[2,1]")
+    assert str(err.value) == "mixed product requires Cartan data for conversion (at position 0)"
