@@ -317,6 +317,15 @@ GOLDEN = [
      0, "9aca78df16fc89dd"),
     (_v("m-support", "G2", 1, "--k", "6", "--height", "3"), 0, "a7c51af7117a1a96"),
     (_v("tq", "F4", 3, "--height", "2", "--format", "json"), 0, "48f00354c6ec83ac"),
+    # A translate printed from its anchor's rows: repeated sites with
+    # coefficients above 1, a truncated translate, six lanes, and a translate
+    # met before its anchor, then the anchor, then the translate again.
+    (_kr("G2", 1, 3, "--x", "1/3"), 0, "e5d3ebc71c05c5fd"),
+    (_kr("C3", 3, 3, "--x=-3/4", "--height", "2", "--format", "json"), 0, "d92d60a4712ec8db"),
+    (_kr("E6", 1, 2, "--x", "2/5", "--format", "json"), 0, "76f9634cad613eb2"),
+    (_kr("D4", 1, 2, "--x", "7/2"), 0, "a0ea177b18eb77bb"),
+    (_kr("D4", 1, 2, "--format", "json"), 0, "b08c305e4837a05e"),
+    (_kr("D4", 1, 2, "--x", "7/2", "--format", "json"), 0, "d42ab4585b3c6250"),
 ]
 
 
