@@ -20,14 +20,14 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cartan import CartanData
 from .coords import Coord, coord
 from .monomials import (
-    _HALF, AVector, PsiMonomial, YMonomial, _by_node, _canon, _remove, _term_key, _translate,
-    avector_to_psi, avector_to_y, expand_A_to_Psi, is_dominant, output_order, psi_to_y,
-    y_to_psi,
+    _HALF, AVector, PsiMonomial, YMonomial, _by_node, _canon, _print_plan, _print_rows,
+    _remove, _term_key, _translate, avector_to_psi, avector_to_y, expand_A_to_Psi,
+    is_dominant, output_order, psi_to_y, y_to_psi,
 )
 from .textio import format_monomial
 
@@ -70,11 +70,20 @@ class TruncatedCharacter:
     """Normalized character: top l-weight and A-ledger, valid up to a height bound.
 
     ``height_bound`` None means the character is complete (finite module,
-    no truncation applied).
+    no truncation applied).  A translate (see ``fm_expand``) has no ``terms`` until read.
     """
     top: PsiMonomial
     terms: tuple                  # (AVector, positive int), in (height, sites) order
     height_bound: int | None
+    _anchor = None                # a translate's anchored character, moved by _t
+
+    def __getattr__(self, name):                # a translate's first read of terms
+        anchor = self._anchor
+        if name != "terms" or anchor is None:   # None: the rows have landed
+            return object.__getattribute__(self, name)
+        terms = self.__dict__["terms"] = _translate(self._t, anchor.top, anchor.terms)[1]
+        self.__dict__["_anchor"] = None
+        return terms
 
     @staticmethod
     def make(top: PsiMonomial, terms, height_bound) -> "TruncatedCharacter":
@@ -104,16 +113,24 @@ class TruncatedCharacter:
         for v, c in self.terms:
             yield self.top * avector_to_psi(cartan, v), c
 
+    @cached_property
+    def _plan(self) -> tuple:
+        return _print_plan(self.terms)
+
+    def _printed(self) -> list:         # (row, text) pairs in print order
+        anchor = self._anchor
+        return output_order(self.terms) if anchor is None else _print_rows(anchor._plan, self._t)
+
     def to_json(self) -> dict:
         return {
             "top": format_monomial(self.top),
             "height_bound": self.height_bound,
-            "terms": [{"avector": t, "coeff": c} for (_, c), t in output_order(self.terms)],
+            "terms": [{"avector": t, "coeff": c} for (_, c), t in self._printed()],
         }
 
     def to_text(self) -> str:
         rows = [("height", "coeff", "avector")]
-        rows += [(str(v.height), str(c), t) for (v, c), t in output_order(self.terms)]
+        rows += [(str(v.height), str(c), t) for (v, c), t in self._printed()]
         widths = [max(len(r[k]) for r in rows) for k in range(3)]
         lines = [f"top: {format_monomial(self.top)}",
                  f"height_bound: {self.height_bound}"]
@@ -323,11 +340,7 @@ def _demazure_weight_display(cartan: CartanData, i: int, t: int, k: int, x: Coor
     di = cartan.di(i)
     half = Fraction(1, 2)
     out = PsiMonomial.gen(i, x + t * di) * PsiMonomial.gen(i, x, -1)
-    for j in cartan.nodes:
-        cij = cartan.cij(i, j)
-        if cij >= 0:
-            continue
-        dij = cartan.dij(i, j)
+    for j, cij, dij in cartan.neighbours(i):
         out = out * PsiMonomial.gen(j, x + dij) * PsiMonomial.gen(j, x + dij - k * di, -1)
         if cij == -2:
             out = out * PsiMonomial.gen(j, x) * PsiMonomial.gen(j, x - k, -1)
@@ -448,8 +461,8 @@ class _TermBoundedCache:
     """LRU map of characters, bounded by the total number of their terms.
 
     A count bound would let a run of large distinct expansions hold that
-    many large characters; this bound keeps the footprint flat.
-    """
+    many large characters; this bound keeps the footprint flat.  A translate
+    counts as its anchor's rows, which neither put nor eviction moves."""
 
     def __init__(self, max_terms: int):
         self.max_terms = max_terms
@@ -473,7 +486,7 @@ class _TermBoundedCache:
     def put(self, key, value, cold: bool = False):
         """Store and return ``value``; ``cold`` puts it at the end evicted
         first."""
-        n = len(value.terms)
+        n = len((value._anchor or value).terms)
         with self._lock:
             if key not in self._data and n <= self.max_terms:
                 self._data[key] = value
@@ -481,7 +494,8 @@ class _TermBoundedCache:
                     self._data.move_to_end(key, last=False)
                 self.terms += n
                 while self.terms > self.max_terms:
-                    self.terms -= len(self._data.popitem(last=False)[1].terms)
+                    old = self._data.popitem(last=False)[1]
+                    self.terms -= len((old._anchor or old).terms)
         return value
 
     def memo(self, key, compute):
@@ -515,7 +529,10 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     first factor in (node, Coord) order is d_i/2 (W_{k,x} anchors at x.rat),
     expanded there through the same memo, and the result moved back by t;
     that derived entry is stored at the cold end of the memo, so that
-    translates met once do not evict the anchored expansions.
+    translates met once do not evict the anchored expansions.  A shift keeps
+    each node and symbolic part and adds t to every rational part, so it keeps
+    the order of sites and rows (see ``monomials``): that entry prints the
+    anchor's print plan at moved sites and moves no row until ``terms`` is read.
     """
     if bound is not None and bound < 0:
         raise ValueError("height bound must be >= 0")
@@ -534,8 +551,9 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     anchored = _translate(-t, top)[0]
     ch = _FM_CACHE.memo(("fm", cartan, anchored, bound, config),
                         lambda: _fm_expand(cartan, anchored, bound, config, t))
-    return _FM_CACHE.put(key, TruncatedCharacter(*_translate(t, ch.top, ch.terms), bound),
-                         cold=True)
+    moved = object.__new__(TruncatedCharacter)      # no terms yet: see __getattr__
+    moved.__dict__.update(top=_translate(t, ch.top)[0], height_bound=bound, _anchor=ch, _t=t)
+    return _FM_CACHE.put(key, moved, cold=True)
 
 
 def _fm_expand(cartan, top, bound, config, t=0):

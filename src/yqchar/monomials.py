@@ -22,7 +22,12 @@ stores ``sites``, its sorted site multiset, so its height is ``len(sites)``
 and a ledger product is ``tuple(sorted(a + b))``, one C merge.  Int order is
 not Coord order: ``items()`` and ``ordered()`` give factors in (node, Coord)
 order, for printing.  The one change of coordinates is ``_translate``, a
-shift of every x by one rational, which moves each site by a delta of its lane.
+shift of every x by one rational t, which moves each site by a delta of its lane.
+A shift keeps print order.  (node, Coord) order compares the node, the
+symbolic part, then the rational part; a shift keeps the first two and adds t
+to the third, and rat < rat' iff rat + t < rat' + t.  So it keeps the order of
+sites and, being one to one, each row's height, exponents and ordered factors,
+hence the order of rows: ``_print_rows`` prints a ``_print_plan`` at moved sites.
 """
 from __future__ import annotations
 
@@ -177,22 +182,14 @@ def _term_key(row):
     return len(row[0].sites), row[0].sites
 
 
-def output_order(rows) -> list:
-    """Rows whose first entry is an AVector, each with its text, as
-    (row, text) pairs in print order: by height, then by factor lists
-    ((node, Coord), exponent) compared in (node, Coord) order.
-
-    Sites are ranked once, in that order, as multiples of a bound on the
-    exponents: a factor (rank r, exponent e) is the int r + e - 1, so a row
-    without repeated sites needs no run counting, and each distinct int is
-    formatted once per call.
-    """
+def _print_plan(rows) -> tuple:
+    """(sites, scale, keys, keyed) of rows whose first entry is an AVector: the
+    distinct sites in (node, Coord) order, ranked as multiples of ``scale`` (a
+    factor is the key rank + exponent - 1), the distinct keys, and (height, key
+    list, row) per row in print order: by height, then by ordered factor lists."""
     rows = list(rows)
-    if not rows:        # a passing comparison or scan: nothing to rank
-        return []
-    from .textio import _factor_text
     sites = sorted({s for r in rows for s in r[0].sites}, key=_site_order)
-    scale = 1 + max(len(r[0].sites) for r in rows)
+    scale = 1 + max((len(r[0].sites) for r in rows), default=0)
     rank = dict(zip(sites, range(0, scale * len(sites), scale)))
     keyed = []
     for row in rows:
@@ -202,9 +199,23 @@ def output_order(rows) -> list:
             ks = [k + len(list(g)) - 1 for k, g in groupby(ks)]
         keyed.append((len(v), ks, row))
     keyed.sort(key=lambda t: t[:2])
-    text = {k: _factor_text("A", sites[k // scale], -(k % scale + 1))
-            for k in {k for _, ks, _ in keyed for k in ks}}
+    return sites, scale, {k for _, ks, _ in keyed for k in ks}, keyed
+
+
+def _print_rows(plan, t=0) -> list:
+    """(row, text) pairs of a ``_print_plan``, each distinct factor formatted
+    once at its site moved by the rational ``t`` (see the module docstring)."""
+    from .textio import _factor_text
+    sites, scale, keys, keyed = plan
+    sites = list(_mover(t, sites).values()) if t else sites    # in the order of sites
+    text = {k: _factor_text("A", sites[k // scale], -(k % scale + 1)) for k in keys}
     return [(row, " ".join(map(text.__getitem__, ks)) or "1") for _, ks, row in keyed]
+
+
+def output_order(rows) -> list:
+    """(row, text) pairs in print order (see ``_print_plan``)."""
+    rows = list(rows)       # none for a passing comparison or scan: nothing to rank
+    return _print_rows(_print_plan(rows)) if rows else []
 
 
 class PsiMonomial(_ExpMap):
@@ -215,23 +226,23 @@ class YMonomial(_ExpMap):
     """Monomial in the fundamental loop weights Y_{i,x}."""
 
 
-def _translate(t: Fraction, top, rows=()) -> tuple:
-    """``top``, a Psi- or Y-monomial, and the (AVector, coefficient) ``rows``
-    moved by the rational ``t``: each factor at (node, x) goes to (node, x + t).
-
-    A site moves by a delta of its lane alone, ``floor(2(res + t)) << 32``
-    plus the lane of (node, sym, residue of res + t) less its own, found once
-    per lane; each distinct site is mapped once, so equal sites stay one int.
-    The symbolic part is never touched.  Returns (top, rows), the rows in
-    (height, sites) order.
-    """
-    sites = {s for v, _ in rows for s in v.sites}.union(s for s, _ in top.exps)
+def _mover(t: Fraction, sites) -> dict:
+    """{site: site moved by the rational ``t``}, by a delta per lane found once:
+    ``floor(2(res + t)) << 32`` plus the lane of (node, sym, res + t mod 1/2) less its own."""
     deltas = {}
     for lane in {s & _LANE for s in sites}:
         i, sym, residue = _LANES[lane]
         off2 = math.floor(2 * (residue + t))
         deltas[lane] = (off2 << 32) + _lane(i, sym, residue + t - Fraction(off2, 2)) - lane
-    move = {s: s + deltas[s & _LANE] for s in sites}.__getitem__
+    return {s: s + deltas[s & _LANE] for s in sites}
+
+
+def _translate(t: Fraction, top, rows=()) -> tuple:
+    """``top``, a Psi- or Y-monomial, and the (AVector, coefficient) ``rows``
+    moved by the rational ``t``, each distinct site once: (node, x) goes to
+    (node, x + t).  Returns (top, rows), the rows in (height, sites) order."""
+    move = _mover(t, {s for v, _ in rows for s in v.sites}.union(
+        s for s, _ in top.exps)).__getitem__
     top = type(top)(tuple(sorted([(move(s), e) for s, e in top.exps])), canonical=True)
     rows = sorted([(AVector(tuple(sorted(map(move, v.sites))), canonical=True), c)
                    for v, c in rows], key=_term_key)

@@ -2,6 +2,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -766,23 +767,83 @@ shifts = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(TRANSLATED_KR), st.sampled_from(("0", "1/3", "y", "y-5/2")), shifts,
-       st.sampled_from((None, 0, 3)), st.booleans())
-def test_the_expansion_of_a_translate_is_the_translated_expansion(kr, x, t, bound, pair):
+       st.sampled_from((None, 0, 3)), st.booleans(), st.booleans())
+def test_the_expansion_of_a_translate_is_the_translated_expansion(kr, x, t, bound, pair, warm):
     # fm_expand of a top moved by t, whether or not its anchor is memoized,
     # equals the engine run on that very top, with no memo and no relabel;
     # a second factor at the last node, half a step up, makes a top that no
-    # single KR weight has
+    # single KR weight has.  A fresh memo, so that the rows of a translate
+    # are first read here: it prints before they are moved, and == and hash
+    # hold both before and after
     cartan, i, k = kr
 
     def top_at(x):
         top = kr_top_y(cartan, i, k, x)
         return top * YMonomial.gen(cartan.rank, x + Fraction(1, 2)) if pair else top
-    fm_expand(cartan, top_at(coord(x)), bound)
     moved = top_at(coord(x) + t)
-    got = fm_expand(cartan, moved, bound)
+    with patch.object(characters, "_FM_CACHE", characters._TermBoundedCache(10_000)):
+        if warm:
+            fm_expand(cartan, top_at(coord(x)), bound)
+        got = fm_expand(cartan, moved, bound)
     want = characters._fm_expand(cartan, moved, bound, characters.DEFAULT_CONFIG)
+    assert (got.to_json(), got.to_text()) == (want.to_json(), want.to_text())
+    assert ("terms" in vars(got)) == ("_t" not in vars(got))   # a translate is unmoved
+    for _ in range(2):
+        assert got == want and want == got and hash(got) == hash(want)
     assert (got.top, got.terms, got.height_bound) == (want.top, want.terms, want.height_bound)
-    assert got.to_json() == want.to_json()
+    assert (got.to_json(), got.to_text()) == (want.to_json(), want.to_text())
+
+
+def test_printing_a_translate_moves_no_rows(monkeypatch):
+    _small_cache(monkeypatch)
+    counts = _count_calls(monkeypatch, "_translate")
+    ch = fm_expand(B3, kr_top_y(B3, 3, 3, "1/3"))
+    assert counts["_translate"] == 2                # the top to its anchor and back
+    printed = ch.to_json(), ch.to_text()
+    assert counts["_translate"] == 2 and "terms" not in vars(ch)
+    terms = ch.terms                                # the one move of the rows
+    assert counts["_translate"] == 3 and ch.terms is terms and len(terms) == 160
+    assert (ch.to_json(), ch.to_text()) == printed
+    assert counts["_translate"] == 3
+
+
+def _live_rows(cache) -> dict:
+    """{id: length} of each row tuple that the memo's values keep alive."""
+    out = {}
+    for ch in cache._data.values():
+        for held in (ch, ch._anchor):
+            if held is not None and "terms" in vars(held):
+                out[id(held.terms)] = len(held.terms)
+    return out
+
+
+def test_the_memo_counts_a_translate_as_its_anchors_rows(monkeypatch):
+    cache = _small_cache(monkeypatch, 400)          # room for two of 160 rows
+    counts = _count_calls(monkeypatch, "_translate")
+
+    def expand(x):
+        fm_expand(B3, kr_top_y(B3, 3, 3, x))
+        assert cache.terms == sum(len((ch._anchor or ch).terms)
+                                  for ch in cache._data.values()) <= 400
+        assert sum(_live_rows(cache).values()) <= cache.terms
+    # an anchor and its translate; a hit warms the translate; a new anchor
+    # then evicts the old one, which the translate still holds
+    for x in ("1/3", "1/3", "y"):
+        expand(x)
+    translate = next(iter(cache._data.values()))
+    assert all(ch is not translate._anchor for ch in cache._data.values())
+    assert "terms" not in vars(translate) and counts["_translate"] == 2
+    # a read of its rows moves them once and lets the anchor go
+    assert len(translate.terms) == 160 and translate._anchor is None
+    assert counts["_translate"] == 3
+    assert _live_rows(cache) == {id(translate.terms): 160,
+                                 id(cache._data[next(reversed(cache._data))].terms): 160}
+    # the old anchor again evicts the translate; new translates are put and
+    # evicted at once, and neither moves a row: two moves of a top each
+    expand("2/3")
+    assert all(ch is not translate for ch in cache._data.values())
+    expand("y+1/5")
+    assert counts["_translate"] == 3 + 2 * 2
 
 
 def test_translates_of_one_top_expand_once(monkeypatch):

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from yqchar.cartan import LieType, Weight, build_cartan
 from yqchar.coords import Coord, coord
 from yqchar.monomials import (
-    _HALF, _LANE, AVector, PsiMonomial, YMonomial, _remove, _site, _site_order, _unsite,
-    avector_to_psi, avector_to_y, expand_A_to_Psi, expand_A_to_Y,
-    expand_Y_to_Psi, is_dominant, psi_to_y,
+    _HALF, _LANE, AVector, PsiMonomial, YMonomial, _print_plan, _print_rows, _remove, _site,
+    _site_order, _translate, _unsite, avector_to_psi, avector_to_y, expand_A_to_Psi, expand_A_to_Y,
+    expand_Y_to_Psi, is_dominant, output_order, psi_to_y,
     weight_projection, y_to_psi,
 )
 from yqchar.textio import MonomialSyntaxError, format_monomial, parse_monomial
@@ -374,6 +374,26 @@ def test_contains_and_divide_match_a_counter_reference(fa, fb):
         else:
             assert q is None
     assert _remove((a * avector(fb)).sites, avector(fb).sites) == a.sites
+
+
+# Shifts up to 10^30, and small ones that move a residue across a half step.
+shifts = st.one_of(
+    st.fractions(min_value=-10 ** 30, max_value=10 ** 30, max_denominator=10 ** 30),
+    st.sampled_from((Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-3, 4),
+                     Fraction(2, 5), Fraction(5, 6))))
+
+
+@given(st.lists(site_factors, max_size=6), shifts)
+def test_a_plan_printed_at_a_shift_is_the_order_of_the_moved_rows(factor_lists, t):
+    # many lanes, symbolic lanes and repeated sites (exponents up to 3, and
+    # factors that meet); the coefficient names the row
+    rows = list({avector(f): n for n, f in enumerate(factor_lists)}.items())
+    plan = _print_plan(rows)
+    moved = output_order(_translate(t, PsiMonomial.unit(), rows)[1])
+    assert [(v.height, c, text) for (v, c), text in _print_rows(plan, t)] == \
+        [(v.height, c, text) for (v, c), text in moved]
+    assert [text for _, text in moved] == [format_monomial(v) for (v, _), _ in moved]
+    assert _print_rows(plan) == output_order(rows)
 
 
 def test_print_order_does_not_follow_lane_order():
