@@ -326,6 +326,21 @@ GOLDEN = [
     (_kr("D4", 1, 2, "--x", "7/2"), 0, "a0ea177b18eb77bb"),
     (_kr("D4", 1, 2, "--format", "json"), 0, "b08c305e4837a05e"),
     (_kr("D4", 1, 2, "--x", "7/2", "--format", "json"), 0, "d42ab4585b3c6250"),
+    # One grammar for every numeric text: rank-one parameters with negative
+    # and large-denominator values, a k typed with a leading space, a
+    # rational x, a large TQ k, and two k that are not integers (exit 2).
+    (("rep-check", "qchar", "--kind", "truncated", "--k=37/6", "--x=-3/4", "--M", "6",
+      "--format", "json"), 0, "8ade72e576797f7c"),
+    (("rep-check", "relations", "--kind", "finite", "--k=3", "--x=-9/2", "--modes", "1",
+      "--format", "json"), 0, "9f7690a5d63e5f2e"),
+    (("rep-check", "three-term", "--x=7/2", "--y=-1/3", "--M", "8", "--height", "3"), 0,
+     "ed1ee770f4d845c6"),
+    (_kr("B2", 1, " 2", "--x=-1/2"), 0, "cc7382f28eebf20f"),
+    (("qchar", "demazure", "--type", "A2", "--node", "1", "--k", "2", "--t", "1", "--x", "1/3",
+      "--format", "json"), 0, "614256d161a6a6c4"),
+    (_v("tq", "A2", 1, "--k=12", "--height", "3", "--format", "json"), 0, "d9bae93838b47133"),
+    (_v("tq", "A2", 1, "--k=nan"), 2, "2350105db424bec7"),
+    (("qchar", "demazure", "--type", "A2", "--node", "1", "--k", "1/2"), 2, "a49f7c92b1dad37b"),
 ]
 
 
