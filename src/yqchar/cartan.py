@@ -132,10 +132,6 @@ class CartanData:
     def di(self, i: int) -> Fraction:
         return Fraction(self.d[self.check_node(i)])
 
-    def dij(self, i: int, j: int) -> Fraction:
-        """Symmetric form d_ij = d_i * c_ij / 2, a half integer."""
-        return Fraction(self.cij(i, j) * self.d[i - 1], 2)
-
     def neighbours(self, i: int) -> tuple:
         """(j, c_ij, d_ij) for each node j with c_ij < 0, in node order."""
         row = self.c[self.check_node(i)]

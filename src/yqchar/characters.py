@@ -656,6 +656,8 @@ def prefundamental_char(cartan: CartanData, i: int, x, sign: str, bound: int,
     cartan.check_node(i)
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
+    if bound < 0:
+        raise ValueError("height bound must be >= 0")
     x = coord(x)
     if sign == "+":
         return TruncatedCharacter.make(PsiMonomial.gen(i, x), {AVector.unit(): 1}, bound)

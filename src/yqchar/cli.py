@@ -11,16 +11,15 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .cartan import LieType, build_cartan
-from .coords import coord
+from .coords import coord, narrow
 from .characters import (
     EngineConfig, EngineError, Report, asymptotic_char, demazure_char_via_ses,
     fm_expand, kr_top_y, m_weight, n_weight, prefundamental_char,
 )
 from .identities import (
-    IdentitySpec, _integer_k, run_identity, to_multiplicative, verify_multiplicative_tq,
+    IdentitySpec, json_object, run_identity, to_multiplicative, verify_multiplicative_tq,
 )
 from .monomials import PsiMonomial
 from .sl2_explicit import build_module, check_relations, extract_qchar, verify_sl2_three_term
@@ -45,28 +44,18 @@ class CliConfig:
         return EngineConfig(self.term_budget)
 
 
-class UsageError(ValueError):
-    pass
+# The JSON type of each CliConfig field in a config file.
+_CONFIG_TYPES = {"default_height_bound": (int, "an integer"),
+                 "term_budget": (int, "an integer"), "output_format": (str, "a string")}
 
 
 def _load_config(path: str | None, fmt: str | None) -> CliConfig:
     fields = {}
     if path:
         with open(path) as fh:
-            fields = json.load(fh)
-    unknown = sorted(set(fields) - set(CliConfig.__dataclass_fields__))
-    if unknown:
-        raise UsageError(f"unknown config field(s): {', '.join(unknown)}")
+            fields = json_object(json.load(fh), "a config file", "config", _CONFIG_TYPES)
     cfg = CliConfig(**fields)
     return replace(cfg, output_format=fmt) if fmt else cfg
-
-
-def _rational(text: str) -> Fraction:
-    """A rank-one module parameter; a zero denominator is a usage error."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise UsageError(f"zero denominator in {text!r}") from None
 
 
 @functools.cache
@@ -184,10 +173,10 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             cartan = build_cartan(LieType.parse(args.type))
             i = args.node
             if args.what == "kr":
-                top = kr_top_y(cartan, i, _integer_k(args.k), coord(args.x), eng)
+                top = kr_top_y(cartan, i, narrow(args.k, "k", integer=True), coord(args.x), eng)
                 ch = fm_expand(cartan, top, height, eng)
             elif args.what == "demazure":
-                ch = demazure_char_via_ses(cartan, i, args.t, _integer_k(args.k),
+                ch = demazure_char_via_ses(cartan, i, args.t, narrow(args.k, "k", integer=True),
                                            coord(args.x), height, eng)
             elif args.what == "asymptotic":
                 ch = asymptotic_char(cartan, i, coord(args.y), coord(args.x), N, eng)
@@ -205,7 +194,7 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             if args.what == "suite":
                 with open(args.suite_file) as fh:
                     if not isinstance(entries := json.load(fh), list):
-                        raise UsageError("a suite file must hold a JSON list of identity specs")
+                        raise ValueError("a suite file must hold a JSON list of identity specs")
                 specs = [IdentitySpec.from_json(o) for o in entries]
                 reports = [run_identity(s, eng) for s in specs]
                 ok = all(r.verdict for r in reports)
@@ -228,9 +217,9 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             return _emit(run_identity(spec, eng), cfg, out)
         if args.command == "rep-check":
             if args.what == "three-term":
-                return _emit(verify_sl2_three_term(_rational(args.x), _rational(args.y),
+                return _emit(verify_sl2_three_term(narrow(args.x, "--x"), narrow(args.y, "--y"),
                                                    args.M, N, eng), cfg, out)
-            mod = build_module(args.kind, _rational(args.k), _rational(args.x),
+            mod = build_module(args.kind, narrow(args.k, "--k"), narrow(args.x, "--x"),
                                n_max=args.modes,
                                M=args.M if args.kind == "truncated" else None,
                                config=eng)
@@ -242,7 +231,7 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             return _emit(verify_multiplicative_tq(cartan, args.node, coord("x"), coord("y"),
                                                   coord("k")), cfg, out)
         if not args.monomial:
-            raise UsageError("translate needs --monomial or --check-tq")
+            raise ValueError("translate needs --monomial or --check-tq")
         mono = parse_monomial(args.monomial, build_cartan(LieType.parse(args.type)),
                               kind="Psi")
         text = format_monomial(to_multiplicative(mono))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-__all__ = ["Coord", "coord", "parse_coord", "CoordSyntaxError"]
+__all__ = ["Coord", "coord", "narrow", "parse_coord", "CoordSyntaxError"]
 
 _COORD_CACHE_SIZE = 1024    # bound on the memo of parsed coordinate texts
 
@@ -20,8 +20,6 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"not an exact rational: {v!r}")
 
@@ -125,12 +123,23 @@ class Coord:
 
 
 def coord(v) -> Coord:
-    """Coerce an int, Fraction, string or Coord into a Coord."""
+    """Coerce an int, Fraction, string or Coord into a Coord; a string is
+    read by ``parse_coord``, the one grammar of numeric text."""
     if isinstance(v, Coord):
         return v
     if isinstance(v, str):
         return parse_coord(v)
     return Coord(v)
+
+
+def narrow(v, name: str, integer: bool = False):
+    """``coord(v)`` as a Fraction, or as an int when ``integer``; a symbolic
+    value, or one that is not integral when ``integer``, is a ValueError
+    that names ``name``."""
+    c = coord(v)
+    if c.is_rational and (not integer or c.rat.denominator == 1):
+        return int(c.rat) if integer else c.rat
+    raise ValueError(f"{name} must be {'an integer' if integer else 'rational'}, got {v!r}")
 
 
 class CoordSyntaxError(ValueError):

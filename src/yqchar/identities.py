@@ -11,20 +11,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CartanData, LieType, build_cartan
-from .coords import coord
+from .coords import coord, narrow
 from .monomials import (
     AVector, PsiMonomial, _ExpMap, _site, expand_A_to_Psi, output_order, psi_to_y,
 )
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, EngineError, Report,
-    TruncatedCharacter, _ledger_mul, _n_bases, asymptotic_char, char_mul, compare_characters,
+    TruncatedCharacter, _n_bases, asymptotic_char, char_mul, compare_characters,
     demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
-    kr_top_y, kr_weight, m_weight, n_weight, stabilize,
+    kr_top_y, m_weight, n_weight, stabilize,
 )
 from .textio import format_monomial
 
 __all__ = [
-    "IdentitySpec", "run_identity",
+    "IdentitySpec", "json_object", "run_identity",
     "verify_tsystem", "tq_regime", "verify_tq", "verify_two_term", "verify_factorization",
     "check_kr_skeleton", "check_demazure_support", "check_m_support",
     "MultiplicativeMonomial", "to_multiplicative", "verify_multiplicative_tq",
@@ -64,37 +64,34 @@ class IdentitySpec:
 
     @staticmethod
     def from_json(obj) -> "IdentitySpec":
-        if not isinstance(obj, dict):
-            raise ValueError(f"an identity spec must be a JSON object, got {json.dumps(obj)}")
-        unknown = sorted(set(obj) - set(IdentitySpec.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown identity field(s): {', '.join(unknown)}")
-        missing = [f for f in ("kind", "lie_type") if f not in obj]
-        if missing:
-            raise ValueError(f"missing identity field(s): {', '.join(missing)}")
-        for name, value in obj.items():
-            types, what = _FIELD_TYPES[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"identity field {name} must be {what}, got {json.dumps(value)}")
-        return IdentitySpec(**obj)
+        return IdentitySpec(**json_object(obj, "an identity spec", "identity", _FIELD_TYPES,
+                                          required=("kind", "lie_type")))
 
 
-# The JSON types a suite entry may give each field; booleans are refused.
+# The JSON types a suite entry may give each field.
 _FIELD_TYPES = {"kind": (str, "a string"), "lie_type": (str, "a string"),
                 **dict.fromkeys("itN", (int, "an integer")),
                 **dict.fromkeys("kxyab", ((int, str), "an integer or a string"))}
 
 
-def _integer_k(value) -> int:
-    """``value``, an integral number or the text of an int, as an int;
-    anything else, a Fraction 13/2 too, is a ValueError that names k."""
-    try:
-        k = int(value)
-    except (TypeError, ValueError):
-        k = None
-    if k is None or (not isinstance(value, str) and k != value):
-        raise ValueError(f"k must be an integer, got {value!r}")
-    return k
+def json_object(obj, whole: str, noun: str, types: dict, required=()) -> dict:
+    """``obj``, checked to be a JSON object whose fields are known, present
+    when ``required`` and of their JSON types.  ``types`` maps each field to
+    (Python types, their name in a message); a boolean is never an integer.
+    ``whole`` names the object and ``noun`` its fields in a refusal."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{whole} must be a JSON object, got {json.dumps(obj)}")
+    unknown = sorted(set(obj) - set(types))
+    if unknown:
+        raise ValueError(f"unknown {noun} field(s): {', '.join(unknown)}")
+    missing = [f for f in required if f not in obj]
+    if missing:
+        raise ValueError(f"missing {noun} field(s): {', '.join(missing)}")
+    for name, value in obj.items():
+        kinds, what = types[name]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{noun} field {name} must be {what}, got {json.dumps(value)}")
+    return obj
 
 
 def run_identity(spec: IdentitySpec, config: EngineConfig = DEFAULT_CONFIG):
@@ -104,7 +101,7 @@ def run_identity(spec: IdentitySpec, config: EngineConfig = DEFAULT_CONFIG):
     if spec.kind == "two_term":
         return verify_two_term(cartan, spec.i, coord(spec.a), coord(spec.b),
                                x, y, spec.N, config=config)
-    k = _integer_k(spec.k)
+    k = narrow(spec.k, "k", integer=True)
     if spec.kind == "tsystem":
         return verify_tsystem(cartan, spec.i, k, spec.t, config=config)
     if spec.kind == "tq":
@@ -149,11 +146,12 @@ def tq_rhs(cartan: CartanData, i: int, k: int, x, bound: int,
     """(1 + A^-1_{i,x}) * prod_{j: c_ij<0} stabilized normalized KR char
     at base x + d_ij - k d_i, with top the m-weight."""
     x = coord(x)
-    terms = {AVector.unit(): 1, AVector.gen(i, x): 1}
+    rhs = TruncatedCharacter.make(m_weight(cartan, i, k, x),
+                                  {AVector.unit(): 1, AVector.gen(i, x): 1}, bound)
     for j, _, dij in cartan.neighbours(i):
-        st = stabilize(cartan, j, x + dij - k * cartan.di(i), bound, config)
-        terms = _ledger_mul(terms.items(), st.terms, bound, config.term_budget)
-    return TruncatedCharacter.make(m_weight(cartan, i, k, x), terms, bound)
+        rhs = char_mul(rhs, stabilize(cartan, j, x + dij - k * cartan.di(i), bound, config),
+                       config)
+    return rhs
 
 
 def tq_lhs_direct(cartan: CartanData, i: int, k: int, x, bound: int,
@@ -170,16 +168,15 @@ def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
     x = coord(x)
     _check_realizable(cartan, i, k)
     num = demazure_char_via_ses(cartan, i, 1, k, x, bound, config)
-    m = weight = m_weight(cartan, i, k, x)
-    den = {AVector.unit(): 1}
+    m = m_weight(cartan, i, k, x)
+    den = TruncatedCharacter.make(PsiMonomial.unit(), {AVector.unit(): 1}, bound)
     for j, base in _n_bases(cartan, i, k, x):
         length = k * cartan.d[i - 1] // cartan.d[j - 1]
-        weight = weight * kr_weight(cartan, j, length, base)
-        ch = fm_expand(cartan, kr_top_y(cartan, j, length, base, config), bound, config)
-        den = _ledger_mul(den.items(), ch.terms, bound, config.term_budget)
-    if weight != demazure_weight(cartan, i, 1, k, x):
+        den = char_mul(den, fm_expand(cartan, kr_top_y(cartan, j, length, base, config),
+                                      bound, config), config)
+    if m * den.top != demazure_weight(cartan, i, 1, k, x):
         raise EngineError("KR factors and the m-weight do not assemble the Demazure weight")
-    quot = divide_series(num.term_dict(), den, bound, config)
+    quot = divide_series(num.term_dict(), den.term_dict(), bound, config)
     return TruncatedCharacter.make(m, quot, bound)
 
 
@@ -259,11 +256,11 @@ def verify_two_term(cartan: CartanData, i: int, a, b, x, y, bound: int,
 # Monomial-level factorization m * n = d.
 # ---------------------------------------------------------------------------
 
-def verify_factorization(cartan: CartanData, i: int, k, x) -> Report:
+def verify_factorization(cartan: CartanData, i: int, k: int, x) -> Report:
     """m-weight times n-weight equals the t=1 Demazure weight (concrete k)."""
     x = coord(x)
     prod = m_weight(cartan, i, k, x) * n_weight(cartan, i, k, x)
-    dw = demazure_weight(cartan, i, 1, int(k), x)
+    dw = demazure_weight(cartan, i, 1, k, x)
     lhs = TruncatedCharacter.make(prod, {AVector.unit(): 1}, 0)
     rhs = TruncatedCharacter.make(dw, {AVector.unit(): 1}, 0)
     return compare_characters(lhs, rhs, note=f"m*n vs Demazure weight, k={k}")

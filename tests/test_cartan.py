@@ -25,7 +25,7 @@ def test_node_range_is_checked():
     for bad in (0, -1, 3):
         with pytest.raises(ValueError, match="out of range 1..2 for A2"):
             ct.check_node(bad)
-        for access in (lambda: ct.di(bad), lambda: ct.cij(1, bad), lambda: ct.dij(bad, 1)):
+        for access in (lambda: ct.di(bad), lambda: ct.cij(1, bad), lambda: ct.neighbours(bad)):
             with pytest.raises(ValueError):
                 access()
 
@@ -42,15 +42,20 @@ def test_symmetrization_identity(name):
     for i in ct.nodes:
         for j in ct.nodes:
             assert ct.di(i) * ct.cij(i, j) == ct.di(j) * ct.cij(j, i)
-            assert ct.di(i) * ct.cij(i, j) == 2 * ct.dij(i, j)
-            assert ct.dij(i, j) == ct.dij(j, i)
+    # d_ij = d_i c_ij / 2 at each neighbour, and the neighbour relation and
+    # d_ij are symmetric
+    dij = {(i, j): d for i in ct.nodes for j, _, d in ct.neighbours(i)}
+    assert dij == {(i, j): ct.di(i) * ct.cij(i, j) / 2 for i in ct.nodes for j in ct.nodes
+                   if i != j and ct.cij(i, j)}
+    assert all(dij[j, i] == d for (i, j), d in dij.items())
 
 
 def test_g2_data():
     ct = build_cartan(LieType.parse("G2"))
     assert ct.c == ((2, -3), (-1, 2))
     assert ct.d == (1, 3)
-    assert ct.dij(1, 2) == Fraction(-3, 2)
+    assert ct.neighbours(1) == ((2, -3, Fraction(-3, 2)),)
+    assert ct.neighbours(2) == ((1, -1, Fraction(-3, 2)),)
 
 
 def test_b2_c2_f4_data():

@@ -193,6 +193,10 @@ def test_negative_height_is_a_usage_error_on_engine_paths():
     before = set(_FM_CACHE._data), _FM_CACHE.misses
     for argv in (["qchar", "kr", "--type", "A2", "--node", "1", "--k", "2", "--height", "-1"],
                  ["qchar", "demazure", "--type", "A2", "--node", "1", "--k", "2", "--t", "1",
+                  "--height", "-1"],
+                 ["qchar", "prefundamental", "--type", "A2", "--node", "1", "--sign", "+",
+                  "--height", "-1"],
+                 ["qchar", "prefundamental", "--type", "A2", "--node", "1", "--sign", "-",
                   "--height", "-1"]):
         assert run(argv) == (2, "", "error: height bound must be >= 0\n")
     # refused before the memo is consulted: nothing looked up, nothing stored
@@ -234,6 +238,29 @@ def test_config_with_unknown_field_is_a_usage_error(tmp_path, config, err):
     cfg.write_text(json.dumps(config))
     assert run(["qchar", "kr", "--type", "A1", "--node", "1", "--config", str(cfg)]) == \
         (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("config, err", [
+    ([1], "a config file must be a JSON object, got [1]"),
+    (None, "a config file must be a JSON object, got null"),
+    ("x", 'a config file must be a JSON object, got "x"'),
+    ({"term_budget": "x"}, 'config field term_budget must be an integer, got "x"'),
+    ({"term_budget": True}, "config field term_budget must be an integer, got true"),
+    ({"term_budget": 1000.0}, "config field term_budget must be an integer, got 1000.0"),
+    ({"default_height_bound": True},
+     "config field default_height_bound must be an integer, got true"),
+    ({"default_height_bound": 2.5},
+     "config field default_height_bound must be an integer, got 2.5"),
+    ({"output_format": ["json"]}, 'config field output_format must be a string, got ["json"]'),
+])
+def test_config_of_the_wrong_shape_is_a_usage_error(tmp_path, config, err):
+    # a config file gets the typed field check of a suite entry, on every verb
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    for argv in (["qchar", "kr", "--type", "A1", "--node", "1"],
+                 ["qchar", "asymptotic", "--type", "A1", "--node", "1", "--y", "y"],
+                 ["rep-check", "three-term", "--x", "2"]):
+        assert run([*argv, "--config", str(cfg)]) == (2, "", f"error: {err}\n"), argv
 
 
 @pytest.mark.parametrize("entry, err", [
@@ -329,7 +356,7 @@ def test_usage_error_goes_to_err(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["rep-check", "relations", "--k", "1e400"],
+    ["rep-check", "relations", "--k", "1" + "0" * 400],
     ["rep-check", "qchar", "--kind", "truncated", "--k", "1/3", "--M", "100000000000"],
     ["rep-check", "relations", "--modes", "1000000000000"],
     ["rep-check", "three-term", "--x", "2", "--M", "100000000000"],
@@ -367,6 +394,46 @@ def test_reused_parser_keeps_no_state_between_calls():
     assert run(["verify", "tq", "--type", "B2", "--k", "6"])[0] == 2   # no --node
     assert run(argv) == first
     assert cli._parser() is cli._parser()
+
+
+# -- one text, one meaning ---------------------------------------------------
+# parse_coord reads every coordinate and module parameter; a verb that needs
+# an integer or a rational narrows that reading and refuses anything else.
+
+_A2 = ("--type", "A2", "--node", "1")
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["qchar", "kr", *_A2, "--k", "4/2"], ["qchar", "kr", *_A2, "--k", "2"]),
+    (["qchar", "m", *_A2, "--k", "4/2"], ["qchar", "m", *_A2, "--k", "2"]),
+    (["verify", "tq", *_A2, "--k", "4/2", "--height", "2"],
+     ["verify", "tq", *_A2, "--k", "2", "--height", "2"]),
+    (["qchar", "m", *_A2, "--k", "1_0"], ["qchar", "m", *_A2, "--k", "_0"]),
+    (["qchar", "kr", *_A2, "--x", "1e5"], ["qchar", "kr", *_A2, "--x", "e5"]),
+    (["rep-check", "qchar", "--k", "4/2", "--x", " 1/2"],
+     ["rep-check", "qchar", "--k", "2", "--x", "1/2"]),
+])
+def test_one_text_reads_alike_in_every_verb(argv, same_as):
+    got = run(argv)
+    assert got[0] == 0 and got == run(same_as)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["qchar", "kr", *_A2, "--k", "1_0"], "k must be an integer, got '1_0'"),
+    (["verify", "tq", *_A2, "--k", "1_0", "--height", "2"], "k must be an integer, got '1_0'"),
+    (["qchar", "kr", *_A2, "--k=+2"], "empty coordinate term at position 0"),
+    (["qchar", "m", *_A2, "--k=+2"], "empty coordinate term at position 0"),
+    (["verify", "tq", *_A2, "--k=+2"], "empty coordinate term at position 0"),
+    (["rep-check", "qchar", "--x", "1e5"], "--x must be rational, got '1e5'"),
+    (["rep-check", "relations", "--x=1e300"], "--x must be rational, got '1e300'"),
+    (["rep-check", "qchar", "--k", "x"], "--k must be rational, got 'x'"),
+    (["rep-check", "relations", "--kind", "truncated", "--k", "1_0"],
+     "--k must be rational, got '1_0'"),
+    (["rep-check", "three-term", "--x", "y"], "--x must be rational, got 'y'"),
+    (["rep-check", "three-term", "--y", "k/2"], "--y must be rational, got 'k/2'"),
+])
+def test_a_text_outside_a_verbs_domain_is_refused_in_its_words(argv, err):
+    assert run(argv) == (2, "", f"error: {err}\n")
 
 
 # -- rep-check ---------------------------------------------------------------
@@ -547,8 +614,8 @@ def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, drawn):
     assert code in (0, 1, 2, 3), (argv, suite)
     assert (err == "") == (code in (0, 1)), (argv, suite, err)
     # a usage error is told in the tool's own words, not Python's
-    for python in ("__init__()", "invalid literal", "not supported between instances",
-                   "is not iterable"):
+    for python in ("__init__()", "invalid literal", "Invalid literal",
+                   "not supported between instances", "is not iterable"):
         assert python not in err, (argv, suite, err)
     assert err.count("at position") <= 1, (argv, suite, err)
 

@@ -125,8 +125,8 @@ GOLDEN = [
     (("rep-check", "relations", "--kind", "truncated", "--k=7/1000000007",
       "--x=1/999999937", "--M", "8", "--modes", "3", "--format", "json"), 0,
      "bb5246d28e80df1c"),
-    (("rep-check", "relations", "--kind", "finite", "--k=7", "--x=1e300", "--modes", "3"),
-     0, "09637a5902470d13"),
+    (("rep-check", "relations", "--kind", "finite", "--k=7", "--x=1" + "0" * 300,
+      "--modes", "3"), 0, "09637a5902470d13"),
     (("rep-check", "relations", "--kind", "finite", "--k=7", "--x=1/1000000007",
       "--modes", "6"), 0, "a66724f06236b770"),
     (("rep-check", "relations", "--kind", "truncated", "--k=1/3",

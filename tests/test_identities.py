@@ -275,7 +275,7 @@ def _table_skeleton_zset(cartan, i, ip, k, x):
     if c == 0:
         return ()
     if c == -1 or k == 1:
-        return (x + cartan.dij(i, ip),)
+        return (x + Fraction(c * cartan.d[i - 1], 2),)
     if c == -2:
         return (x - 1, x)
     if k == 2:
@@ -301,8 +301,8 @@ def _table_n_bases(cartan, i, k, x):
 def test_closed_forms_equal_the_case_tables(name):
     ct = build_cartan(LieType.parse(name))
     for i in ct.nodes:
-        assert ct.neighbours(i) == tuple((j, ct.cij(i, j), ct.dij(i, j)) for j in ct.nodes
-                                         if ct.cij(i, j) < 0)
+        assert ct.neighbours(i) == tuple((j, ct.cij(i, j), ct.di(i) * ct.cij(i, j) / 2)
+                                         for j in ct.nodes if ct.cij(i, j) < 0)
         for k in range(1, 8):
             for x in (coord(0), coord("x"), coord("1/3"), coord(k - Fraction(7, 2))):
                 assert identities._skeleton_sites(ct, i, k, x) == [
@@ -321,9 +321,13 @@ def test_closed_forms_equal_the_case_tables(name):
 
 
 def test_a_wrong_kr_weight_fails_the_demazure_self_check(monkeypatch):
-    real = identities.kr_weight
-    monkeypatch.setattr(identities, "kr_weight",
-                        lambda *a: real(*a) * PsiMonomial.gen(1, 0))
+    # every KR character R2 divides by comes back with a wrong top, so the
+    # product of the denominator's tops misses the Demazure weight
+    def wrong_top(*a):
+        ch = real(*a)
+        return TruncatedCharacter(ch.top * PsiMonomial.gen(1, 0), ch.terms, ch.height_bound)
+    real = identities.fm_expand
+    monkeypatch.setattr(identities, "fm_expand", wrong_top)
     out, err = io.StringIO(), io.StringIO()
     code = cli.dispatch(["verify", "tq", "--type", "B2", "--node", "2"], out, err)
     assert (code, out.getvalue(), err.getvalue()) == (
