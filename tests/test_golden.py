@@ -341,6 +341,11 @@ GOLDEN = [
     (_v("tq", "A2", 1, "--k=12", "--height", "3", "--format", "json"), 0, "d9bae93838b47133"),
     (_v("tq", "A2", 1, "--k=nan"), 2, "2350105db424bec7"),
     (("qchar", "demazure", "--type", "A2", "--node", "1", "--k", "1/2"), 2, "a49f7c92b1dad37b"),
+    # The factorization check, the one verify kind no entry above runs.
+    (_v("factorization", "B2", 2, "--k", "3"), 0, "c08c5b7647e47ed9"),
+    (_v("factorization", "G2", 1, "--k", "2", "--x", "1/2", "--format", "json"), 0,
+     "6ec73cafd71b0804"),
+    (_v("factorization", "C3", 2, "--k", "2", "--x", "x"), 0, "0254ba5eaaa1f2c0"),
 ]
 
 
