@@ -1,7 +1,7 @@
 """Command-line front end: characters, identity suites, matrix checks.
 
 Exit codes: 0 all requested checks pass / output produced; 1 verification
-failure; 2 usage error; 3 term budget exceeded or internal engine fault.
+failure; 2 usage error; 3 term budget exceeded or an internal fault.
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ from .characters import (
     fm_expand, kr_top_y, m_weight, n_weight, prefundamental_char,
 )
 from .identities import (
-    IdentitySpec, json_object, run_identity, to_multiplicative, verify_multiplicative_tq,
+    KINDS, IdentitySpec, json_object, run_identity, to_multiplicative, verify_multiplicative_tq,
 )
-from .monomials import PsiMonomial
 from .sl2_explicit import build_module, check_relations, extract_qchar, verify_sl2_three_term
 from .textio import format_monomial, parse_monomial
 
@@ -30,13 +29,14 @@ __all__ = ["main", "dispatch", "CliConfig"]
 
 @dataclass(frozen=True)
 class CliConfig:
-    default_height_bound: int = 3
+    default_height_bound: int = IdentitySpec.N
     term_budget: int = 1_000_000
     output_format: str = "text"
 
     def __post_init__(self):
-        if self.default_height_bound < 1 or self.term_budget < 1:
-            raise ValueError("config bounds must be positive")
+        for name in ("default_height_bound", "term_budget"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"config field {name} must be at least 1, got {value}")
         if self.output_format not in ("text", "json"):
             raise ValueError("output_format must be 'text' or 'json'")
 
@@ -64,96 +64,76 @@ def _parser() -> argparse.ArgumentParser:
     # and building the tree of subparsers costs more than most commands.
     top = argparse.ArgumentParser(prog="yqchar", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-    config_height = "truncation height (default from config)"
-    complete = "truncation height (default: the complete character)"
+    plain, height = dict(default="0"), dict(type=int, default=None)
+    # The flags that several verbs share; N is --height, as in IdentitySpec.
+    shared = {"type": dict(required=True, help="Lie type, e.g. A2, G2"),
+              "node": dict(type=int, required=True),
+              "k": dict(default="1", help="integer or symbolic coordinate"),
+              "t": dict(type=int, default=0),
+              "x": dict(default="0", help="spectral coordinate, e.g. -3/2, k, 1/2+k"),
+              "y": plain, "a": plain, "b": plain,
+              "N": dict(height, help="truncation height (default from config)")}
 
-    def common(p, *, node=True, k=False, t=False, x=True, y=False, height=config_height):
-        p.add_argument("--type", required=True, help="Lie type, e.g. A2, G2")
-        if node:
-            p.add_argument("--node", type=int, required=True)
-        if k:
-            p.add_argument("--k", default="1", help="integer or symbolic coordinate")
-        if t:
-            p.add_argument("--t", type=int, default=0)
-        if x:
-            p.add_argument("--x", default="0", help="spectral coordinate, e.g. -3/2, k, 1/2+k")
-        if y:
-            p.add_argument("--y", default="0")
-        if height:
-            p.add_argument("--height", type=int, default=None, help=height)
+    def leaf(group, name, names="", table=shared, help=None, **own):
+        """Add subcommand ``name`` to ``group`` and return it.  Its flags are
+        those of ``table`` named in ``names`` (N is --height), each replaced
+        by ``own`` where it names one, then the rest of ``own``, then
+        --format and --config.  Every leaf's namespace holds a height."""
+        p, names = group.add_parser(name, help=help), names.split()
+        for f, kw in ({f: table[f] for f in names} | own).items():
+            p.add_argument("--height" if f == "N" else f"--{f}", **kw)
         p.add_argument("--format", choices=("text", "json"), default=None)
-        p.add_argument("--config", default=None, help="JSON CliConfig file")
+        # the verbs without a node keep --config without help, as pinned in tests
+        p.add_argument("--config", default=None,
+                       help="JSON CliConfig file" if "type" in names else None)
+        p.set_defaults(height=None)
+        return p
 
     q = sub.add_parser("qchar", help="compute a character").add_subparsers(
         dest="what", required=True)
-    common(q.add_parser("kr"), k=True, height=complete)
-    common(q.add_parser("demazure"), k=True, t=True, height=complete)
-    common(q.add_parser("asymptotic"), y=True)
-    p = q.add_parser("prefundamental")
-    common(p)
-    p.add_argument("--sign", choices=("+", "-"), default="-")
-    common(q.add_parser("m"), k=True, height=False)
-    common(q.add_parser("n"), k=True, height=False)
+    complete = dict(height, help="truncation height (default: the complete character)")
+    leaf(q, "kr", "type node k x N", N=complete)
+    leaf(q, "demazure", "type node k t x N", N=complete)
+    leaf(q, "asymptotic", "type node x y N")
+    leaf(q, "prefundamental", "type node x N", sign=dict(choices=("+", "-"), default="-"))
+    leaf(q, "m", "type node k x")
+    leaf(q, "n", "type node k x")
 
     v = sub.add_parser("verify", help="verify an identity").add_subparsers(
         dest="what", required=True)
-    common(v.add_parser("tsystem"), k=True, t=True, x=False, height=False)
-    p = v.add_parser("tq")
-    common(p, k=True)
-    p.set_defaults(k=None)      # the least k of the TQ regime (identities.tq_regime)
-    p = v.add_parser("two-term")
-    common(p, y=True)
-    p.add_argument("--a", default="0")
-    p.add_argument("--b", default="0")
-    common(v.add_parser("factorization"), k=True, height=False)
-    common(v.add_parser("kr-skeleton"), k=True, height=False)
-    common(v.add_parser("demazure-support"), k=True)
-    common(v.add_parser("m-support"), k=True)
-    p = v.add_parser("suite", help="run a JSON list of identity specs")
-    p.add_argument("suite_file")
-    p.add_argument("--format", choices=("text", "json"), default=None)
-    p.add_argument("--config", default=None)
+    # a missing --k is left to IdentitySpec: 1, or the least k of the TQ regime
+    lazy_k = shared | {"k": dict(shared["k"], default=None)}
+    for kind, fields in KINDS.items():
+        leaf(v, kind.replace("_", "-"), " ".join(("type", "node", *fields)), lazy_k)
+    leaf(v, "suite", help="run a JSON list of identity specs").add_argument("suite_file")
 
     r = sub.add_parser("rep-check", help="explicit rank-one matrix checks").add_subparsers(
         dest="what", required=True)
+    size = dict(type=int, default=8)
     for name in ("relations", "qchar"):
-        p = r.add_parser(name)
-        p.add_argument("--kind", choices=("finite", "truncated"), default="finite")
-        p.add_argument("--k", default="1")
-        p.add_argument("--x", default="0")
-        p.add_argument("--M", type=int, default=8)
-        p.add_argument("--modes", type=int, default=3)
-        p.add_argument("--format", choices=("text", "json"), default=None)
-        p.add_argument("--config", default=None)
-    p = r.add_parser("three-term")
-    p.add_argument("--x", default="0")
-    p.add_argument("--y", default="0")
-    p.add_argument("--M", type=int, default=8)
-    p.add_argument("--height", type=int, default=None, help=config_height)
-    p.add_argument("--format", choices=("text", "json"), default=None)
-    p.add_argument("--config", default=None)
+        leaf(r, name, kind=dict(choices=("finite", "truncated"), default="finite"),
+             k=dict(default="1"), x=plain, M=size, modes=dict(type=int, default=3))
+    leaf(r, "three-term", "y N", x=plain, M=size)
 
-    p = sub.add_parser("translate", help="additive to multiplicative relabeling")
-    p.add_argument("--to", choices=("multiplicative",), required=True)
-    p.add_argument("--monomial", default=None, help="Psi monomial string")
-    p.add_argument("--check-tq", action="store_true",
-                   help="compare the translated three-term instance with the "
-                        "independently built multiplicative display")
-    p.add_argument("--type", default="A2")
-    p.add_argument("--node", type=int, default=1)
-    p.add_argument("--format", choices=("text", "json"), default=None)
-    p.add_argument("--config", default=None)
+    leaf(sub, "translate", help="additive to multiplicative relabeling",
+         to=dict(choices=("multiplicative",), required=True),
+         monomial=dict(default=None, help="Psi monomial string"),
+         type=dict(default="A2"), node=dict(type=int, default=1)).add_argument(
+        "--check-tq", action="store_true",
+        help="compare the translated three-term instance with the "
+             "independently built multiplicative display")
     return top
 
 
 def _emit(obj, cfg: CliConfig, out) -> int:
-    """Print ``obj`` in the configured format; exit 1 for a failing report, else 0."""
+    """Print ``obj``, a character, a report or a monomial, in the configured
+    format; exit 1 for a failing report, else 0."""
     if cfg.output_format == "json":
-        payload = obj.to_json() if hasattr(obj, "to_json") else obj
+        payload = obj.to_json() if hasattr(obj, "to_json") else {"monomial": format_monomial(obj)}
         print(json.dumps({"schema": "yqchar/1", "result": payload},
                          sort_keys=True), file=out)
     else:
-        print(obj.to_text() if hasattr(obj, "to_text") else obj, file=out)
+        print(obj.to_text() if hasattr(obj, "to_text") else format_monomial(obj), file=out)
     return 1 if isinstance(obj, Report) and not obj.verdict else 0
 
 
@@ -165,19 +145,18 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
     except SystemExit as ex:
         return 0 if ex.code == 0 else 2
     try:
-        cfg = _load_config(getattr(args, "config", None), getattr(args, "format", None))
+        cfg = _load_config(args.config, args.format)
         eng = cfg.engine()
-        height = getattr(args, "height", None)
-        N = height if height is not None else cfg.default_height_bound
+        N = cfg.default_height_bound if args.height is None else args.height
         if args.command == "qchar":
             cartan = build_cartan(LieType.parse(args.type))
             i = args.node
             if args.what == "kr":
                 top = kr_top_y(cartan, i, narrow(args.k, "k", integer=True), coord(args.x), eng)
-                ch = fm_expand(cartan, top, height, eng)
+                ch = fm_expand(cartan, top, args.height, eng)
             elif args.what == "demazure":
                 ch = demazure_char_via_ses(cartan, i, args.t, narrow(args.k, "k", integer=True),
-                                           coord(args.x), height, eng)
+                                           coord(args.x), args.height, eng)
             elif args.what == "asymptotic":
                 ch = asymptotic_char(cartan, i, coord(args.y), coord(args.x), N, eng)
             elif args.what == "prefundamental":
@@ -186,16 +165,13 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
                 ch = m_weight(cartan, i, coord(args.k), coord(args.x))
             else:
                 ch = n_weight(cartan, i, coord(args.k), coord(args.x))
-            if isinstance(ch, PsiMonomial):
-                ch = {"monomial": format_monomial(ch)} if cfg.output_format == "json" \
-                    else format_monomial(ch)
             return _emit(ch, cfg, out)
         if args.command == "verify":
             if args.what == "suite":
                 with open(args.suite_file) as fh:
                     if not isinstance(entries := json.load(fh), list):
                         raise ValueError("a suite file must hold a JSON list of identity specs")
-                specs = [IdentitySpec.from_json(o) for o in entries]
+                specs = [IdentitySpec.from_json(o, N=cfg.default_height_bound) for o in entries]
                 reports = [run_identity(s, eng) for s in specs]
                 ok = all(r.verdict for r in reports)
                 if cfg.output_format == "json":
@@ -208,12 +184,9 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
                         print(f"--- {s.kind} {s.lie_type} i={s.i} k={s.k}", file=out)
                         _emit(r, cfg, out)
                 return 0 if ok else 1
-            spec = IdentitySpec(
-                kind=args.what.replace("-", "_"), lie_type=args.type,
-                i=getattr(args, "node", 1), k=getattr(args, "k", "1"),
-                t=getattr(args, "t", 0), x=getattr(args, "x", "0"),
-                y=getattr(args, "y", "0"), a=getattr(args, "a", "0"),
-                b=getattr(args, "b", "0"), N=N)
+            kind = args.what.replace("-", "_")
+            spec = IdentitySpec(kind, args.type, args.node, N=N,
+                                **{f: getattr(args, f) for f in KINDS[kind] if f != "N"})
             return _emit(run_identity(spec, eng), cfg, out)
         if args.command == "rep-check":
             if args.what == "three-term":
@@ -234,14 +207,17 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             raise ValueError("translate needs --monomial or --check-tq")
         mono = parse_monomial(args.monomial, build_cartan(LieType.parse(args.type)),
                               kind="Psi")
-        text = format_monomial(to_multiplicative(mono))
-        return _emit({"monomial": text} if cfg.output_format == "json" else text, cfg, out)
+        return _emit(to_multiplicative(mono), cfg, out)
+    # The exit code of each failure: a bad input 2, an engine limit or fault 3.
     except EngineError as ex:
         print(f"engine error: {ex}", file=err)
         return 3
-    except (ValueError, KeyError, OSError, TypeError) as ex:
+    except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=err)
         return 2
+    except Exception as ex:
+        print(f"internal error: {type(ex).__name__}: {ex}", file=err)
+        return 3
 
 
 def main() -> None:

@@ -24,7 +24,7 @@ from .characters import (
 from .textio import format_monomial
 
 __all__ = [
-    "IdentitySpec", "json_object", "run_identity",
+    "KINDS", "IdentitySpec", "json_object", "run_identity",
     "verify_tsystem", "tq_regime", "verify_tq", "verify_two_term", "verify_factorization",
     "check_kr_skeleton", "check_demazure_support", "check_m_support",
     "MultiplicativeMonomial", "to_multiplicative", "verify_multiplicative_tq",
@@ -35,8 +35,11 @@ __all__ = [
 # Identity instances (suite files).
 # ---------------------------------------------------------------------------
 
-_KINDS = ("tsystem", "tq", "two_term", "factorization",
-          "kr_skeleton", "demazure_support", "m_support")
+# The fields each identity kind reads besides lie_type and i; ``verify <kind>``
+# takes one flag for each (N is --height).
+KINDS = {"tsystem": ("k", "t"), "tq": ("k", "x", "N"), "two_term": ("x", "y", "a", "b", "N"),
+         "factorization": ("k", "x"), "kr_skeleton": ("k", "x"),
+         "demazure_support": ("k", "x", "N"), "m_support": ("k", "x", "N")}
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class IdentitySpec:
     N: int = 3
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown identity kind {self.kind!r}")
         if self.N < 1:
             raise ValueError("N must be >= 1")
@@ -63,9 +66,11 @@ class IdentitySpec:
                 build_cartan(LieType.parse(self.lie_type)), self.i, self.N))
 
     @staticmethod
-    def from_json(obj) -> "IdentitySpec":
-        return IdentitySpec(**json_object(obj, "an identity spec", "identity", _FIELD_TYPES,
-                                          required=("kind", "lie_type")))
+    def from_json(obj, **defaults) -> "IdentitySpec":
+        """The spec of a suite entry; ``defaults`` fills the fields it omits,
+        such as the caller's default N."""
+        return IdentitySpec(**(defaults | json_object(obj, "an identity spec", "identity",
+                                                      _FIELD_TYPES, required=("kind", "lie_type"))))
 
 
 # The JSON types a suite entry may give each field.

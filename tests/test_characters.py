@@ -100,6 +100,13 @@ def test_char_mul_example():
     assert sq.term_dict()[chain((1, 0))] == 2
 
 
+def test_a_truncated_times_a_complete_character_keeps_the_truncation():
+    # a complete character has no bound, so the product keeps the other's
+    truncated, complete = sl2_kr_char(3, 0, 1), sl2_kr_char(2, 5)
+    for prod in (char_mul(truncated, complete), char_mul(complete, truncated)):
+        assert prod.height_bound == 1 and len(prod.terms) == 3
+
+
 def test_char_mul_budget():
     ch = sl2_kr_char(6, 0)
     with pytest.raises(EngineError):

@@ -136,6 +136,19 @@ def test_suite_tq_entry_without_k_runs_at_the_regime(tmp_path):
     assert out.startswith("--- tq B2 i=2 k=6\nverdict: pass\nnote: B2 i=2 k=6 x=0 N=3\n")
 
 
+def test_suite_entry_without_n_takes_the_config_height(tmp_path):
+    # one default height: a suite entry reads the config's as the verb does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"default_height_bound": 5}))
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"kind": "tq", "lie_type": "A2", "i": 1}]))
+    code, out, err = run(["verify", "suite", str(suite), "--config", str(cfg)])
+    assert (code, err) == (0, "")
+    assert out.startswith("--- tq A2 i=1 k=5\nverdict: pass\nnote: A2 i=1 k=5 x=0 N=5\n")
+    code, out, _ = run(["verify", "tq", "--type", "A2", "--node", "1", "--config", str(cfg)])
+    assert code == 0 and out.startswith("verdict: pass\nnote: A2 i=1 k=5 x=0 N=5\n")
+
+
 def test_verify_tq_regime_from_the_command_line():
     tq = ["verify", "tq", "--type", "B2", "--node", "2", "--height", "4"]
     assert run([*tq, "--k", "6"]) == (2, "", "error: k=6 is outside the TQ regime at node 2 "
@@ -172,6 +185,21 @@ def test_usage_errors_exit_two(tmp_path):
     bad.write_text(json.dumps({"output_format": "xml"}))
     assert run(["qchar", "kr", "--type", "A1", "--node", "1",
                 "--config", str(bad)])[0] == 2
+
+
+@pytest.mark.parametrize("fault, err", [
+    (TypeError("engine bug"), "internal error: TypeError: engine bug\n"),
+    (KeyError("lane"), "internal error: KeyError: 'lane'\n"),
+    (ZeroDivisionError("division by zero"),
+     "internal error: ZeroDivisionError: division by zero\n"),
+])
+def test_a_fault_inside_the_engine_exits_three(monkeypatch, fault, err):
+    # an exception no input raises is an internal fault, never a usage error
+    # (exit 2) or a failed verification (exit 1)
+    def fm_expand(*args):
+        raise fault
+    monkeypatch.setattr(cli, "fm_expand", fm_expand)
+    assert run(["qchar", "kr", "--type", "A1", "--node", "1"]) == (3, "", err)
 
 
 def test_unrealizable_k_is_a_usage_error():
@@ -238,6 +266,18 @@ def test_config_with_unknown_field_is_a_usage_error(tmp_path, config, err):
     cfg.write_text(json.dumps(config))
     assert run(["qchar", "kr", "--type", "A1", "--node", "1", "--config", str(cfg)]) == \
         (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("config, err", [
+    ({"term_budget": 0}, "error: config field term_budget must be at least 1, got 0\n"),
+    ({"default_height_bound": 0},
+     "error: config field default_height_bound must be at least 1, got 0\n"),
+])
+def test_a_config_bound_below_one_is_refused_by_its_field(tmp_path, config, err):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["qchar", "kr", "--type", "A1", "--node", "1", "--config", str(cfg)]) == \
+        (2, "", err)
 
 
 @pytest.mark.parametrize("config, err", [
@@ -618,6 +658,8 @@ def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, drawn):
                    "not supported between instances", "is not iterable"):
         assert python not in err, (argv, suite, err)
     assert err.count("at position") <= 1, (argv, suite, err)
+    # no input reaches a fault inside the engine
+    assert "internal error" not in err, (argv, suite, err)
 
 
 # -- config ------------------------------------------------------------------

@@ -17,6 +17,8 @@ NODE = {"--type": _flag(required=True, help="Lie type, e.g. A2, G2"),
         "--node": _flag("int", required=True),
         "--format": FORMAT, "--config": _flag(help="JSON CliConfig file")}
 K = _flag(default="1", help="integer or symbolic coordinate")
+# verify leaves a missing k to IdentitySpec: 1, or the least k of the TQ regime
+LAZY_K = _flag(help=K[4])
 T = _flag("int", default=0)
 X = _flag(default="0", help=COORD_HELP)
 PLAIN = _flag(default="0")
@@ -36,14 +38,14 @@ PINNED = {
                              "--sign": _flag(default="-", choices=("+", "-"))},
     "qchar m": {**NODE, "--k": K, "--x": X},
     "qchar n": {**NODE, "--k": K, "--x": X},
-    "verify tsystem": {**NODE, "--k": K, "--t": T},
-    "verify tq": {**NODE, "--k": _flag(help=K[4]), "--x": X, "--height": HEIGHT},
+    "verify tsystem": {**NODE, "--k": LAZY_K, "--t": T},
+    "verify tq": {**NODE, "--k": LAZY_K, "--x": X, "--height": HEIGHT},
     "verify two-term": {**NODE, "--x": X, "--y": PLAIN, "--a": PLAIN, "--b": PLAIN,
                         "--height": HEIGHT},
-    "verify factorization": {**NODE, "--k": K, "--x": X},
-    "verify kr-skeleton": {**NODE, "--k": K, "--x": X},
-    "verify demazure-support": {**NODE, "--k": K, "--x": X, "--height": HEIGHT},
-    "verify m-support": {**NODE, "--k": K, "--x": X, "--height": HEIGHT},
+    "verify factorization": {**NODE, "--k": LAZY_K, "--x": X},
+    "verify kr-skeleton": {**NODE, "--k": LAZY_K, "--x": X},
+    "verify demazure-support": {**NODE, "--k": LAZY_K, "--x": X, "--height": HEIGHT},
+    "verify m-support": {**NODE, "--k": LAZY_K, "--x": X, "--height": HEIGHT},
     "verify suite": {**BARE, "suite_file": _flag(required=True)},
     "rep-check relations": REP,
     "rep-check qchar": REP,
