@@ -113,7 +113,7 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("relations", "qchar"):
         leaf(r, name, kind=dict(choices=("finite", "truncated"), default="finite"),
              k=dict(default="1"), x=plain, M=size, modes=dict(type=int, default=3))
-    leaf(r, "three-term", "y N", x=plain, M=size)
+    leaf(r, "three-term", x=plain, y=plain, M=size, N=shared["N"])
 
     leaf(sub, "translate", help="additive to multiplicative relabeling",
          to=dict(choices=("multiplicative",), required=True),
