@@ -1,0 +1,73 @@
+"""The monomial parser against a per-factor reference of its assembly."""
+from hypothesis import given, settings, strategies as st
+
+from yqchar.cartan import LieType, build_cartan
+from yqchar.monomials import AVector, PsiMonomial, YMonomial, avector_to_psi, avector_to_y, y_to_psi
+from yqchar.textio import MonomialSyntaxError, _scan, format_monomial, parse_monomial
+
+
+def reference_parse(text, cartan=None, kind=None):
+    """The parser built one factor at a time: each factor is converted to
+    the result basis as a whole monomial and multiplied in."""
+    if text.strip() == "1":
+        return {"Psi": PsiMonomial, "Y": YMonomial, "A": AVector, None: PsiMonomial}[kind].unit()
+    factors = _scan(text)
+    if cartan is not None:
+        for _, i, _, _ in factors:
+            cartan.check_node(i)
+    heads = {h for h, *_ in factors}
+    if kind is not None:
+        heads.add({"Psi": "Psi", "Y": "Y", "A": "_A"}[kind])
+
+    def need_cartan():
+        if cartan is None:
+            raise MonomialSyntaxError("mixed product requires Cartan data for conversion", 0)
+        return cartan
+
+    if "Psi" in heads:
+        out = PsiMonomial.unit()
+        for h, i, x, e in factors:
+            if h == "Psi":
+                out = out * PsiMonomial.gen(i, x, e)
+            elif h == "Y":
+                out = out * y_to_psi(need_cartan(), YMonomial.gen(i, x)) ** e
+            else:       # A_{i,x} is the inverse of the Q_- element A_{i,x}^-1
+                out = out * avector_to_psi(need_cartan(), AVector.gen(i, x)) ** -e
+        return out
+    if "Y" in heads:
+        out = YMonomial.unit()
+        for h, i, x, e in factors:
+            if h == "Y":
+                out = out * YMonomial.gen(i, x, e)
+            else:
+                out = out * avector_to_y(need_cartan(), AVector.gen(i, x)) ** -e
+        return out
+    out = AVector.unit()
+    for _, i, x, e in factors:
+        out = out * AVector.gen(i, x, -e)
+    return out
+
+
+CARTANS = [None] + [build_cartan(LieType.parse(name)) for name in ("A2", "G2", "B3")]
+factor_texts = st.builds(
+    "{}{}[{},{}]{}".format,
+    st.sampled_from(("", "/")), st.sampled_from(("Psi", "Y", "A")),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(("0", "1/2", "x", "-3/2", "x+1/3", "k")),
+    st.sampled_from(("", "^-1", "^0", "^2", "^3")))
+
+
+def _outcome(parse, text, cartan, kind):
+    try:
+        m = parse(text, cartan, kind)
+    except Exception as err:            # noqa: BLE001 -- compared below
+        return type(err), str(err)
+    return type(m), format_monomial(m)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(factor_texts, max_size=6).map(" ".join) | st.just("1"),
+       st.sampled_from(CARTANS), st.sampled_from((None, "Psi", "Y", "A")))
+def test_the_parser_matches_its_per_factor_reference(text, cartan, kind):
+    assert _outcome(parse_monomial, text, cartan, kind) \
+        == _outcome(reference_parse, text, cartan, kind)
