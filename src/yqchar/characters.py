@@ -81,9 +81,8 @@ class TruncatedCharacter:
         anchor = self._anchor
         if name != "terms" or anchor is None:   # None: the rows have landed
             return object.__getattribute__(self, name)
-        terms = self.__dict__["terms"] = _translate(self._t, anchor.top, anchor.terms)[1]
-        self.__dict__["_anchor"] = None
-        return terms
+        self.__dict__.update(terms=_translate(self._t, anchor.top, anchor.terms)[1], _anchor=None)
+        return self.terms
 
     @staticmethod
     def make(top: PsiMonomial, terms, height_bound) -> "TruncatedCharacter":
@@ -118,8 +117,8 @@ class TruncatedCharacter:
         return _print_plan(self.terms)
 
     def _printed(self) -> list:         # (row, text) pairs in print order
-        anchor = self._anchor
-        return output_order(self.terms) if anchor is None else _print_rows(anchor._plan, self._t)
+        anchor = self._anchor           # a translate prints its anchor's plan moved by _t
+        return _print_rows(anchor._plan, self._t) if anchor else _print_rows(self._plan)
 
     def to_json(self) -> dict:
         return {
@@ -462,7 +461,7 @@ class _TermBoundedCache:
 
     A count bound would let a run of large distinct expansions hold that
     many large characters; this bound keeps the footprint flat.  A translate
-    counts as its anchor's rows, which neither put nor eviction moves."""
+    counts as its anchor's rows, which neither storing nor eviction moves."""
 
     def __init__(self, max_terms: int):
         self.max_terms = max_terms
@@ -471,38 +470,30 @@ class _TermBoundedCache:
         self._data = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key):
-        """The value under ``key``, warmed, or None; the first item of a key
-        names its kind."""
+    def memo(self, key, compute):
+        """The value under ``key``, warmed, or ``compute()`` stored there (an
+        exception never is); a key's first item names its kind.  A translate
+        holds no rows of its own, so it enters at the cold end, evicted first."""
         with self._lock:
             value = self._data.get(key)
-            if value is None:
-                self.misses += 1
-            else:
+            if value is not None:
                 self.hits += 1
                 self._data.move_to_end(key)
-            return value
-
-    def put(self, key, value, cold: bool = False):
-        """Store and return ``value``; ``cold`` puts it at the end evicted
-        first."""
-        n = len((value._anchor or value).terms)
+                return value
+            self.misses += 1
+        value = compute()
+        held = value._anchor or value
+        n = len(held.terms)
         with self._lock:
             if key not in self._data and n <= self.max_terms:
                 self._data[key] = value
-                if cold:
+                if held is not value:
                     self._data.move_to_end(key, last=False)
                 self.terms += n
                 while self.terms > self.max_terms:
                     old = self._data.popitem(last=False)[1]
                     self.terms -= len((old._anchor or old).terms)
         return value
-
-    def memo(self, key, compute):
-        """The value under ``key``, or ``compute()`` stored there.  An
-        exception is never stored."""
-        value = self.get(key)
-        return self.put(key, compute()) if value is None else value
 
 
 # Bound on the total terms of the memoized engine characters: expansions and
@@ -524,36 +515,35 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
 
     The completion sees only coordinate differences within a lane, so the
     character of a top moved by a rational t is the character moved by t.
-    The memo is keyed on the top as given and looked up first.  On a miss
-    the top is moved by -t to its anchor, where the rational part of its
-    first factor in (node, Coord) order is d_i/2 (W_{k,x} anchors at x.rat),
-    expanded there through the same memo, and the result moved back by t;
-    that derived entry is stored at the cold end of the memo, so that
-    translates met once do not evict the anchored expansions.  A shift keeps
-    each node and symbolic part and adds t to every rational part, so it keeps
-    the order of sites and rows (see ``monomials``): that entry prints the
-    anchor's print plan at moved sites and moves no row until ``terms`` is read.
+    The memo is keyed on the top as given.  On a miss the top is moved by -t
+    to its anchor, where the rational part of its first factor in
+    (node, Coord) order is d_i/2 (W_{k,x} anchors at x.rat), expanded there
+    through the same memo, and the result moved back by t; that translate
+    enters the memo at its cold end, so that translates met once do not
+    evict the anchored expansions.  A shift keeps each node and symbolic
+    part and adds t to every rational part, so it keeps the order of sites
+    and rows (see ``monomials``): a translate prints the anchor's print plan
+    at moved sites and moves no row until ``terms`` is read.
     """
     if bound is not None and bound < 0:
         raise ValueError("height bound must be >= 0")
-    key = ("fm", cartan, top, bound, config)
-    value = _FM_CACHE.get(key)
-    if value is not None:
-        return value
-    if not is_dominant(top):
-        raise ValueError(f"fm_expand requires a dominant top, got {format_monomial(top)}")
-    t = 0
-    if top.exps:
-        (i, x), _ = top.items()[0]
-        t = x.rat - Fraction(cartan.d[i - 1], 2)
-    if not t:
-        return _FM_CACHE.put(key, _fm_expand(cartan, top, bound, config))
-    anchored = _translate(-t, top)[0]
-    ch = _FM_CACHE.memo(("fm", cartan, anchored, bound, config),
-                        lambda: _fm_expand(cartan, anchored, bound, config, t))
-    moved = object.__new__(TruncatedCharacter)      # no terms yet: see __getattr__
-    moved.__dict__.update(top=_translate(t, ch.top)[0], height_bound=bound, _anchor=ch, _t=t)
-    return _FM_CACHE.put(key, moved, cold=True)
+
+    def compute():
+        if not is_dominant(top):
+            raise ValueError(f"fm_expand requires a dominant top, got {format_monomial(top)}")
+        t = 0
+        if top.exps:
+            (i, x), _ = top.items()[0]
+            t = x.rat - Fraction(cartan.d[i - 1], 2)
+        if not t:
+            return _fm_expand(cartan, top, bound, config)
+        anchored = _translate(-t, top)[0]
+        ch = _FM_CACHE.memo(("fm", cartan, anchored, bound, config),
+                            lambda: _fm_expand(cartan, anchored, bound, config, t))
+        moved = object.__new__(TruncatedCharacter)      # no terms yet: see __getattr__
+        moved.__dict__.update(top=_translate(t, ch.top)[0], height_bound=bound, _anchor=ch, _t=t)
+        return moved
+    return _FM_CACHE.memo(("fm", cartan, top, bound, config), compute)
 
 
 def _fm_expand(cartan, top, bound, config, t=0):

@@ -83,9 +83,7 @@ def _parser() -> argparse.ArgumentParser:
         for f, kw in ({f: table[f] for f in names} | own).items():
             p.add_argument("--height" if f == "N" else f"--{f}", **kw)
         p.add_argument("--format", choices=("text", "json"), default=None)
-        # the verbs without a node keep --config without help, as pinned in tests
-        p.add_argument("--config", default=None,
-                       help="JSON CliConfig file" if "type" in names else None)
+        p.add_argument("--config", default=None, help="JSON CliConfig file")
         p.set_defaults(height=None)
         return p
 

@@ -8,12 +8,16 @@ coordinate) pair by one int of their own (see ``monomials``).
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
 __all__ = ["Coord", "coord", "narrow", "parse_coord", "CoordSyntaxError"]
 
 _COORD_CACHE_SIZE = 1024    # bound on the memo of parsed coordinate texts
+# A numeric coefficient that starts a term, then e or E, an optional sign and
+# a digit: exponent notation, such as "1e5" or "2E-3", which no term reads.
+_EXPONENT = re.compile(r"(?:^|(?<=[+-]))\s*(\d[\d/]*[eE][+-]?\d+)")
 
 
 def _as_fraction(v) -> Fraction:
@@ -187,8 +191,11 @@ def parse_coord(text: str) -> Coord:
 
     Examples: "-3/2", "k", "2k", "k/3", "1/2+k", "-1+k/2".  A term ends at
     each '+', which is dropped, and at each '-' but a leading one, which
-    starts the next term.
+    starts the next term.  Exponent notation ("1e5") is refused.
     """
+    if m := _EXPONENT.search(text):
+        raise CoordSyntaxError(f"exponent notation {m[1]!r} at position {m.start(1)} "
+                               "is not a coordinate")
     lead = len(text) - len(text.lstrip())
     total, start = Coord(0), 0
     for n, ch in enumerate(text):

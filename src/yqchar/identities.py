@@ -67,10 +67,14 @@ class IdentitySpec:
 
     @staticmethod
     def from_json(obj, **defaults) -> "IdentitySpec":
-        """The spec of a suite entry; ``defaults`` fills the fields it omits,
-        such as the caller's default N."""
-        return IdentitySpec(**(defaults | json_object(obj, "an identity spec", "identity",
-                                                      _FIELD_TYPES, required=("kind", "lie_type"))))
+        """The spec of a suite entry, which gives only fields its kind reads (an
+        unknown kind is the spec's to refuse); ``defaults`` fills the rest."""
+        fields = json_object(obj, "an identity spec", "identity", _FIELD_TYPES,
+                             required=("kind", "lie_type"))
+        kind = fields["kind"]
+        if unread := sorted(set(fields) - {"kind", "lie_type", "i", *KINDS.get(kind, fields)}):
+            raise ValueError(f"identity field(s) not read by kind {kind}: {', '.join(unread)}")
+        return IdentitySpec(**(defaults | fields))
 
 
 # The JSON types a suite entry may give each field.

@@ -42,7 +42,7 @@ from .coords import Coord, coord
 
 __all__ = [
     "PsiMonomial", "YMonomial", "AVector",
-    "expand_A_to_Psi", "expand_Y_to_Psi", "expand_A_to_Y",
+    "expand_A_to_Psi",
     "weight_projection", "is_dominant",
     "psi_to_y", "y_to_psi", "avector_to_psi", "output_order",
 ]
@@ -354,24 +354,10 @@ def _expand(cartan: CartanData, exps, basis: int, sign: int) -> tuple:
     return _canon(out)
 
 
-def _gen(cartan: CartanData, i: int, x) -> tuple:
-    cartan.check_node(i)
-    return ((_site(i, x), 1),)
-
-
 def expand_A_to_Psi(cartan: CartanData, i: int, x) -> PsiMonomial:
     """A_{i,x} as a Psi-monomial (see ``_offsets``)."""
-    return PsiMonomial(_expand(cartan, _gen(cartan, i, x), 0, 1), canonical=True)
-
-
-def expand_Y_to_Psi(cartan: CartanData, i: int, x) -> PsiMonomial:
-    """Y_{i,x} = Psi_{i,x+d_i/2} / Psi_{i,x-d_i/2}."""
-    return PsiMonomial(_expand(cartan, _gen(cartan, i, x), 2, 1), canonical=True)
-
-
-def expand_A_to_Y(cartan: CartanData, i: int, x) -> YMonomial:
-    """A_{i,x} as a Y-monomial (see ``_offsets``)."""
-    return YMonomial(_expand(cartan, _gen(cartan, i, x), 1, 1), canonical=True)
+    cartan.check_node(i)
+    return PsiMonomial(_expand(cartan, ((_site(i, x), 1),), 0, 1), canonical=True)
 
 
 def y_to_psi(cartan: CartanData, m: YMonomial) -> PsiMonomial:

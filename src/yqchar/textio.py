@@ -10,7 +10,9 @@ Grammar (whitespace-separated product of factors):
 A leading "/" inverts the factor.  Mixed products are normalized: any Psi
 factor forces the Psi basis; otherwise A factors are expanded into Y's
 when Y factors are present; a pure product of inverted A's parses as an
-A-ledger (AVector).
+A-ledger (AVector).  Factors of another head than the result basis go
+through the engine's expansion tables (``monomials._expand``), and the
+product is formed once.
 """
 from __future__ import annotations
 
@@ -53,6 +55,10 @@ def _scan(text: str):
     return factors
 
 
+# The row of ``monomials._offsets`` that expands a factor of a head into a basis.
+_ROW = {("A", "Psi"): 0, ("A", "Y"): 1, ("Y", "Psi"): 2}
+
+
 def parse_monomial(text: str, cartan: CartanData | None = None, kind: str | None = None):
     """Parse a monomial string; returns PsiMonomial, YMonomial or AVector.
 
@@ -68,38 +74,21 @@ def parse_monomial(text: str, cartan: CartanData | None = None, kind: str | None
     if cartan is not None:
         for _, i, _, _ in factors:
             cartan.check_node(i)
-    heads = {h for h, *_ in factors}
-    if kind is not None:
-        heads.add({"Psi": "Psi", "Y": "Y", "A": "_A"}[kind])
-
-    def need_cartan():
-        if cartan is None:
-            raise MonomialSyntaxError("mixed product requires Cartan data for conversion", 0)
-        return cartan
-
-    if "Psi" in heads:
-        out = M.PsiMonomial.unit()
-        for h, i, x, e in factors:
-            if h == "Psi":
-                out = out * M.PsiMonomial.gen(i, x, e)
-            elif h == "Y":
-                out = out * M.expand_Y_to_Psi(need_cartan(), i, x) ** e
-            else:
-                out = out * M.expand_A_to_Psi(need_cartan(), i, x) ** e
-        return out
-    if "Y" in heads:
-        out = M.YMonomial.unit()
-        for h, i, x, e in factors:
-            if h == "Y":
-                out = out * M.YMonomial.gen(i, x, e)
-            else:
-                out = out * M.expand_A_to_Y(need_cartan(), i, x) ** e
-        return out
-    # pure A product: the A-ledger convention stores exponents of A^{-1}
-    out = M.AVector.unit()
-    for _, i, x, e in factors:
-        out = out * M.AVector.gen(i, x, -e)
-    return out
+    heads = {h for h, *_ in factors} | {kind}
+    basis = "Psi" if "Psi" in heads else "Y" if "Y" in heads else "A"
+    if basis == "A":
+        # the A-ledger stores exponents of A^{-1}, each checked before any cancel
+        if any(e > 0 for *_, e in factors):
+            raise ValueError("AVector exponents must be nonnegative")
+        return M.AVector(tuple(((i, x), -e) for _, i, x, e in factors))
+    pairs, other = [], {}
+    for h, i, x, e in factors:
+        (pairs if h == basis else other.setdefault(_ROW[h, basis], [])).append((M._site(i, x), e))
+    if other and cartan is None:
+        raise MonomialSyntaxError("mixed product requires Cartan data for conversion", 0)
+    for row, exps in other.items():
+        pairs += M._expand(cartan, exps, row, 1)
+    return (M.PsiMonomial if basis == "Psi" else M.YMonomial)(M._canon(pairs), canonical=True)
 
 
 # Bound on the memo of formatted factors.

@@ -11,7 +11,7 @@ from time import perf_counter
 from yqchar.cartan import LieType, Weight, build_cartan
 from yqchar.coords import coord
 from yqchar.monomials import (
-    AVector, avector_to_psi, avector_to_y, expand_A_to_Psi, expand_Y_to_Psi,
+    AVector, YMonomial, avector_to_psi, avector_to_y, expand_A_to_Psi,
     weight_projection, y_to_psi,
 )
 from yqchar.characters import (
@@ -107,7 +107,7 @@ def test_criterion_05_weight_projection():
             for i in ct.nodes:
                 assert weight_projection(ct, expand_A_to_Psi(ct, i, "x")) \
                     == Weight.simple_root(ct, i)
-                assert weight_projection(ct, expand_Y_to_Psi(ct, i, "x")) \
+                assert weight_projection(ct, y_to_psi(ct, YMonomial.gen(i, "x"))) \
                     == Weight.fundamental(ct, i)
 
 

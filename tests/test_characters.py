@@ -1,4 +1,5 @@
 """Character container, ledger arithmetic, and the expansion engine."""
+import io
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import yqchar.characters as characters
+import yqchar.cli as cli
 from yqchar.cartan import LieType, build_cartan
 from yqchar.coords import Coord, coord
 from yqchar.monomials import (
@@ -602,6 +604,50 @@ def test_ses_difference_rejects_a_negative_coefficient(monkeypatch, extra):
         demazure_char_via_ses(A2, 1, 1, 2, 0, 2)
 
 
+def _fault_first_factor(monkeypatch, top=None, extra=None):
+    """Make the first factor of the SES, chi(W_{k,x0}), carry another ``top``
+    or one more ``extra`` term; a fresh memo, as above."""
+    monkeypatch.setattr(characters, "_FM_CACHE", characters._TermBoundedCache(10_000))
+    real, calls = characters.fm_expand, []
+
+    def faulty(cartan, top_y, bound=None, config=characters.DEFAULT_CONFIG):
+        ch = real(cartan, top_y, bound, config)
+        calls.append(ch)
+        if len(calls) == 1:
+            terms = ch.term_dict()
+            if extra is not None:
+                terms[extra] = terms.get(extra, 0) + 1
+            ch = TruncatedCharacter(top or ch.top, tuple(terms.items()), ch.height_bound)
+        return ch
+    monkeypatch.setattr(characters, "fm_expand", faulty)
+
+
+# A2, i=1, t=1, k=2 at x=0: x0 = -3, so the kernel top ledger is A[1,-2]^-1 A[1,-1]^-1
+SES_FAULTS = [
+    (dict(top=PsiMonomial.gen(1, "q")), "engine fault: SES tensor tops disagree"),
+    (dict(extra=chain((1, -2), (1, -1))), "SES difference is missing its expected top term"),
+    (dict(extra=AVector.gen(2, "1/3")),
+     "SES difference term A[2,1/3]^-1 does not contain the kernel top ledger"),
+]
+
+
+@pytest.mark.parametrize("fault, message", SES_FAULTS, ids=["tops", "top-term", "no-top"])
+def test_each_ses_check_names_its_fault(monkeypatch, fault, message):
+    _fault_first_factor(monkeypatch, **fault)
+    with pytest.raises(EngineError) as err:
+        demazure_char_via_ses(A2, 1, 1, 2, 0, 2)
+    assert str(err.value) == message
+
+
+def test_an_ses_fault_exits_three_from_the_cli(monkeypatch):
+    _fault_first_factor(monkeypatch, top=PsiMonomial.gen(1, "q"))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.dispatch(["qchar", "demazure", "--type", "A2", "--node", "1", "--k", "2",
+                         "--t", "1", "--x", "0", "--height", "2"], out, err)
+    assert (code, out.getvalue(), err.getvalue()) == \
+        (3, "", "engine error: engine fault: SES tensor tops disagree\n")
+
+
 ses_coords = st.one_of(
     st.fractions(min_value=-10 ** 30, max_value=10 ** 30, max_denominator=10 ** 30),
     st.sampled_from(("x", "k-1/3", "1/2+y"))).map(coord)
@@ -812,6 +858,20 @@ def test_printing_a_translate_moves_no_rows(monkeypatch):
     assert counts["_translate"] == 3 and ch.terms is terms and len(terms) == 160
     assert (ch.to_json(), ch.to_text()) == printed
     assert counts["_translate"] == 3
+
+
+def test_an_unknown_attribute_of_a_translate_moves_no_rows(monkeypatch):
+    _small_cache(monkeypatch)
+    counts = _count_calls(monkeypatch, "_translate")
+    ch = fm_expand(B3, kr_top_y(B3, 3, 3, "1/3"))
+    for _ in range(2):
+        with pytest.raises(AttributeError, match="'TruncatedCharacter' object has no "
+                                                 "attribute 'no_such_field'"):
+            ch.no_such_field
+        assert counts["_translate"] == 2 and "terms" not in vars(ch)
+    assert len(ch.terms) == 160             # landed: the same refusal
+    with pytest.raises(AttributeError, match="no_such_field"):
+        ch.no_such_field
 
 
 def _live_rows(cache) -> dict:

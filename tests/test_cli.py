@@ -239,6 +239,26 @@ def test_suite_entry_with_unknown_field_is_a_usage_error(tmp_path):
         (2, "", "error: unknown identity field(s): height\n")
 
 
+@pytest.mark.parametrize("entry, err", [
+    ({"kind": "tsystem", "lie_type": "A2", "i": 1, "k": 2, "t": 1, "N": 1},
+     "identity field(s) not read by kind tsystem: N"),
+    ({"kind": "factorization", "lie_type": "A2", "i": 1, "k": 2, "t": 5, "y": "zz", "N": 9},
+     "identity field(s) not read by kind factorization: N, t, y"),
+    ({"kind": "tsystem", "lie_type": "A2", "i": 1, "k": 2, "t": 1, "x": "1/0"},
+     "identity field(s) not read by kind tsystem: x"),
+])
+def test_a_suite_entry_gives_only_the_fields_its_kind_reads(tmp_path, entry, err):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([entry]))
+    for fmt in ("text", "json"):
+        assert run(["verify", "suite", str(suite), "--format", fmt]) == (2, "", f"error: {err}\n")
+    # without them it passes: the caller's default N is no field of the entry
+    unread = err.rsplit(": ", 1)[1].split(", ")
+    suite.write_text(json.dumps([{f: v for f, v in entry.items() if f not in unread}]))
+    code, out, _ = run(["verify", "suite", str(suite)])
+    assert code == 0 and "verdict: pass" in out
+
+
 @pytest.mark.parametrize("argv, err", [
     (["verify", "tq", "--type", "A2", "--node", "1", "--k=nan"],
      "error: k must be an integer, got 'nan'\n"),
@@ -449,7 +469,7 @@ _A2 = ("--type", "A2", "--node", "1")
     (["verify", "tq", *_A2, "--k", "4/2", "--height", "2"],
      ["verify", "tq", *_A2, "--k", "2", "--height", "2"]),
     (["qchar", "m", *_A2, "--k", "1_0"], ["qchar", "m", *_A2, "--k", "_0"]),
-    (["qchar", "kr", *_A2, "--x", "1e5"], ["qchar", "kr", *_A2, "--x", "e5"]),
+    (["qchar", "kr", *_A2, "--x", "2e-x"], ["qchar", "kr", *_A2, "--x=-x+2e"]),
     (["rep-check", "qchar", "--k", "4/2", "--x", " 1/2"],
      ["rep-check", "qchar", "--k", "2", "--x", "1/2"]),
 ])
@@ -464,13 +484,19 @@ def test_one_text_reads_alike_in_every_verb(argv, same_as):
     (["qchar", "kr", *_A2, "--k=+2"], "empty coordinate term at position 0"),
     (["qchar", "m", *_A2, "--k=+2"], "empty coordinate term at position 0"),
     (["verify", "tq", *_A2, "--k=+2"], "empty coordinate term at position 0"),
-    (["rep-check", "qchar", "--x", "1e5"], "--x must be rational, got '1e5'"),
-    (["rep-check", "relations", "--x=1e300"], "--x must be rational, got '1e300'"),
+    (["rep-check", "qchar", "--x", "1e5"],
+     "exponent notation '1e5' at position 0 is not a coordinate"),
+    (["rep-check", "relations", "--x=1e300"],
+     "exponent notation '1e300' at position 0 is not a coordinate"),
     (["rep-check", "qchar", "--k", "x"], "--k must be rational, got 'x'"),
     (["rep-check", "relations", "--kind", "truncated", "--k", "1_0"],
      "--k must be rational, got '1_0'"),
     (["rep-check", "three-term", "--x", "y"], "--x must be rational, got 'y'"),
     (["rep-check", "three-term", "--y", "k/2"], "--y must be rational, got 'k/2'"),
+    (["qchar", "kr", *_A2, "--x", "1e5"],
+     "exponent notation '1e5' at position 0 is not a coordinate"),
+    (["qchar", "kr", *_A2, "--x", "2E-3"],
+     "exponent notation '2E-3' at position 0 is not a coordinate"),
 ])
 def test_a_text_outside_a_verbs_domain_is_refused_in_its_words(argv, err):
     assert run(argv) == (2, "", f"error: {err}\n")

@@ -25,7 +25,7 @@ PLAIN = _flag(default="0")
 HEIGHT = _flag("int", help="truncation height (default from config)")
 COMPLETE = _flag("int", help="truncation height (default: the complete character)")
 # --format and --config of the verbs that do not act on a node
-BARE = {"--format": FORMAT, "--config": _flag()}
+BARE = {"--format": FORMAT, "--config": NODE["--config"]}
 REP = {**BARE, "--kind": _flag(default="finite", choices=("finite", "truncated")),
        "--k": _flag(default="1"), "--x": PLAIN, "--M": _flag("int", default=8),
        "--modes": _flag("int", default=3)}

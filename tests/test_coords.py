@@ -98,6 +98,25 @@ def test_parse_errors_name_the_position_in_the_text_as_typed(text, msg):
     assert str(ex.value) == msg
 
 
+@pytest.mark.parametrize("text, fragment, pos", [
+    ("1e5", "1e5", 0), ("2E10", "2E10", 0), ("1/2e3", "1/2e3", 0), ("2E-3", "2E-3", 0),
+    ("1e+5", "1e+5", 0), ("-3e2", "3e2", 1), ("x+1e5", "1e5", 2), ("x - 2e7", "2e7", 4),
+])
+def test_exponent_notation_is_refused_with_its_fragment(text, fragment, pos):
+    with pytest.raises(CoordSyntaxError) as ex:
+        parse_coord(text)
+    assert str(ex.value) == f"exponent notation {fragment!r} at position {pos} is not a coordinate"
+
+
+@pytest.mark.parametrize("text, want", [
+    ("e", Coord.var("e")), ("e5", Coord.var("e5")), ("2e", Coord.var("e", 2)),
+    ("2e+x", Coord.var("e", 2) + Coord.var("x")), ("2e-x", Coord.var("e", 2) - Coord.var("x")),
+    ("x1e5", Coord.var("x1e5")), ("2k", Coord.var("k", 2)), ("k-3", Coord.var("k") - 3),
+])
+def test_an_e_that_is_no_exponent_still_names_a_symbol(text, want):
+    assert parse_coord(text) == want
+
+
 def test_zero_denominators_are_syntax_errors():
     for text in ("1/0", "k/0", "1+2k/0", "-3/0"):
         with pytest.raises(CoordSyntaxError):

@@ -10,10 +10,10 @@ import yqchar.cli as cli
 import yqchar.identities as identities
 from yqchar.cartan import LieType, build_cartan
 from yqchar.coords import coord
-from yqchar.monomials import AVector, PsiMonomial, expand_Y_to_Psi
+from yqchar.monomials import AVector, PsiMonomial, YMonomial, y_to_psi
 from yqchar.characters import EngineError, TruncatedCharacter, compare_characters
 from yqchar.identities import (
-    IdentitySpec, MultiplicativeMonomial, check_demazure_support,
+    KINDS, IdentitySpec, MultiplicativeMonomial, check_demazure_support,
     check_kr_skeleton, check_m_support, run_identity, to_multiplicative,
     tq_lhs_direct, tq_lhs_division, tq_regime, tq_rhs, verify_factorization,
     verify_multiplicative_tq, verify_tq, verify_tsystem, verify_two_term,
@@ -29,8 +29,13 @@ G2 = build_cartan(LieType.parse("G2"))
 # -- spec objects ------------------------------------------------------------
 
 def test_identity_spec_json_round_trip():
+    # through the fields its kind reads; the others of the spec are refused
     spec = IdentitySpec(kind="tq", lie_type="B2", i=2, k=6, x="1/2", N=3)
-    assert IdentitySpec.from_json(dataclasses.asdict(spec)) == spec
+    fields = dataclasses.asdict(spec)
+    with pytest.raises(ValueError, match=r"^identity field\(s\) not read by kind tq: a, b, t, y$"):
+        IdentitySpec.from_json(fields)
+    assert IdentitySpec.from_json({f: fields[f] for f in ("kind", "lie_type", "i", *KINDS["tq"])}) \
+        == spec
     assert IdentitySpec.from_json({"kind": "tsystem", "lie_type": "A1"}).k == 1
 
 
@@ -348,7 +353,7 @@ def test_translation_preserves_exponents():
 def test_translation_of_y_expansion():
     for ct, i in ((A1, 1), (B2, 1), (G2, 2)):
         d = ct.di(i)
-        t = to_multiplicative(expand_Y_to_Psi(ct, i, "a"))
+        t = to_multiplicative(y_to_psi(ct, YMonomial.gen(i, "a")))
         want = MultiplicativeMonomial.gen(i, coord("a") + d / 2) \
             * MultiplicativeMonomial.gen(i, coord("a") - d / 2, -1)
         assert t == want

@@ -9,8 +9,8 @@ from yqchar.cartan import LieType, Weight, build_cartan
 from yqchar.coords import Coord, coord
 from yqchar.monomials import (
     _HALF, _LANE, AVector, PsiMonomial, YMonomial, _print_plan, _print_rows, _remove, _site,
-    _site_order, _translate, _unsite, avector_to_psi, avector_to_y, expand_A_to_Psi, expand_A_to_Y,
-    expand_Y_to_Psi, is_dominant, output_order, psi_to_y,
+    _site_order, _translate, _unsite, avector_to_psi, avector_to_y, expand_A_to_Psi,
+    is_dominant, output_order, psi_to_y,
     weight_projection, y_to_psi,
 )
 from yqchar.textio import MonomialSyntaxError, format_monomial, parse_monomial
@@ -77,16 +77,17 @@ def test_a_expansion_g2_both_nodes():
 
 
 def test_y_expansion_respects_node_length():
-    assert expand_Y_to_Psi(B2, 1, "x") == parse_monomial("Psi[1,1+x] /Psi[1,-1+x]")
-    assert expand_Y_to_Psi(B2, 2, "x") == parse_monomial("Psi[2,1/2+x] /Psi[2,-1/2+x]")
+    assert y_to_psi(B2, YMonomial.gen(1, "x")) == parse_monomial("Psi[1,1+x] /Psi[1,-1+x]")
+    assert y_to_psi(B2, YMonomial.gen(2, "x")) == parse_monomial("Psi[2,1/2+x] /Psi[2,-1/2+x]")
 
 
 def test_a_to_y_rank_one():
-    assert expand_A_to_Y(A1, 1, "x") == YMonomial.gen(1, "-1/2+x") * YMonomial.gen(1, "1/2+x")
+    assert avector_to_y(A1, AVector.gen(1, "x")) ** -1 \
+        == YMonomial.gen(1, "-1/2+x") * YMonomial.gen(1, "1/2+x")
 
 
 def test_a_to_y_g2_long_node_has_three_inverse_factors():
-    m = dict(expand_A_to_Y(G2, 2, 0).items())
+    m = dict((avector_to_y(G2, AVector.gen(2, 0)) ** -1).items())
     assert m[2, coord(Fraction(-3, 2))] == 1 and m[2, coord(Fraction(3, 2))] == 1
     assert [m[1, coord(z)] for z in (-1, 0, 1)] == [-1, -1, -1]
 
@@ -133,7 +134,8 @@ def test_projection_sends_generators_to_lattice_generators(name):
     ct = build_cartan(LieType.parse(name))
     for i in ct.nodes:
         assert weight_projection(ct, expand_A_to_Psi(ct, i, "x")) == Weight.simple_root(ct, i)
-        assert weight_projection(ct, expand_Y_to_Psi(ct, i, "x")) == Weight.fundamental(ct, i)
+        assert weight_projection(ct, y_to_psi(ct, YMonomial.gen(i, "x"))) \
+            == Weight.fundamental(ct, i)
         neg = Weight(tuple(-a for a in Weight.simple_root(ct, i).coords))
         assert weight_projection(ct, AVector.gen(i, "x")) == neg
 
@@ -219,7 +221,7 @@ def test_avector_to_y_is_a_homomorphism(name, v, w):
     ct = build_cartan(LieType.parse(name))
     assert avector_to_y(ct, v * w) == avector_to_y(ct, v) * avector_to_y(ct, w)
     reference = YMonomial(tuple(kv for (i, x), e in v.items()
-                                for kv in (expand_A_to_Y(ct, i, x) ** -e).items()))
+                                for kv in (avector_to_y(ct, AVector.gen(i, x)) ** e).items()))
     assert avector_to_y(ct, v) == reference
 
 
@@ -410,9 +412,9 @@ def test_print_order_does_not_follow_lane_order():
 
 def test_a_mixed_product_is_parsed_through_the_basis_changes():
     assert parse_monomial("Y[1,0] A[2,1]", A2, kind="Psi") == \
-        expand_Y_to_Psi(A2, 1, 0) * expand_A_to_Psi(A2, 2, 1)
+        y_to_psi(A2, YMonomial.gen(1, 0)) * expand_A_to_Psi(A2, 2, 1)
     assert parse_monomial("Y[1,0] A[2,1]^-1", A2) == \
-        YMonomial.gen(1, 0) * expand_A_to_Y(A2, 2, 1) ** -1
+        YMonomial.gen(1, 0) * avector_to_y(A2, AVector.gen(2, 1))
     with pytest.raises(MonomialSyntaxError) as err:
         parse_monomial("Y[1,0] A[2,1]")
     assert str(err.value) == "mixed product requires Cartan data for conversion (at position 0)"
