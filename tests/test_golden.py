@@ -346,6 +346,19 @@ GOLDEN = [
     (_v("factorization", "G2", 1, "--k", "2", "--x", "1/2", "--format", "json"), 0,
      "6ec73cafd71b0804"),
     (_v("factorization", "C3", 2, "--k", "2", "--x", "x"), 0, "0254ba5eaaa1f2c0"),
+    # Rank-one modules at the edges of their integer arithmetic: dimension 1
+    # with a unit top, seven Cartan modes over a large prime denominator, a
+    # huge k, and three-term checks at the smallest M and at height 0.
+    (("rep-check", "qchar", "--kind", "finite", "--k", "0", "--x", "5/2"), 0,
+     "43b6c5cb29cbcd60"),
+    (("rep-check", "qchar", "--kind", "finite", "--k", "7", "--x=1/1000000007", "--modes", "6"),
+     0, "4f4122dcdc43e929"),
+    (("rep-check", "qchar", "--kind", "truncated", "--k=-10000000000000000000001/7", "--x=2/3",
+      "--M", "12", "--format", "json"), 0, "d0b2daac3a6bf810"),
+    (("rep-check", "three-term", "--x=1/3", "--y=-2/5", "--M", "3", "--height", "1"), 0,
+     "ec9ce5d8f77baceb"),
+    (("rep-check", "three-term", "--x", "0", "--y", "0", "--M", "5", "--height", "0"), 0,
+     "8d06800a392b9770"),
 ]
 
 
