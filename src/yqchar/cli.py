@@ -107,11 +107,15 @@ def _parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("rep-check", help="explicit rank-one matrix checks").add_subparsers(
         dest="what", required=True)
+    rational = dict(plain, help="rational, e.g. -3/2")
     size = dict(type=int, default=8)
     for name in ("relations", "qchar"):
         leaf(r, name, kind=dict(choices=("finite", "truncated"), default="finite"),
-             k=dict(default="1"), x=plain, M=size, modes=dict(type=int, default=3))
-    leaf(r, "three-term", x=plain, y=plain, M=size, N=shared["N"])
+             k=dict(default="1", help="rational, e.g. -3/2; an integer >= 0 for --kind finite"),
+             x=rational, M=dict(size, help="basis size of a truncated module"),
+             modes=dict(type=int, default=3, help="mode bound n_max"))
+    leaf(r, "three-term", x=rational, y=rational,
+         M=dict(size, help="basis size of its three truncated towers"), N=shared["N"])
 
     leaf(sub, "translate", help="additive to multiplicative relabeling",
          to=dict(choices=("multiplicative",), required=True),
@@ -179,7 +183,8 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
                                      sort_keys=True), file=out)
                 else:
                     for s, r in zip(specs, reports):
-                        print(f"--- {s.kind} {s.lie_type} i={s.i} k={s.k}", file=out)
+                        k = f" k={s.k}" if "k" in KINDS[s.kind] else ""
+                        print(f"--- {s.kind} {s.lie_type} i={s.i}{k}", file=out)
                         _emit(r, cfg, out)
                 return 0 if ok else 1
             kind = args.what.replace("-", "_")

@@ -11,9 +11,12 @@ series.  Each mode is one super-, sub- or main diagonal, so a module stores
 it as the tuple of its dim coefficients: ``xp[n][i]``, ``xm[n][i]`` and
 ``xi[n][i]`` are the coefficients of xp_n v_i, xm_n v_i and xi_n v_i
 (``xp[n][0]`` and ``xm[n][dim-1]`` are 0, their targets lie outside the
-basis).  The public fields hold ``Fraction``s; the relation checker lifts
-them to ints over one common denominator and multiplies bands directly,
-O(dim) per product; no dense matrix is formed.
+basis).  The public fields hold ``Fraction``s, computed and compared on
+ints: a module is built over one denominator D = lcm(den x, den k), with one
+integer recurrence per basis vector for its eigenvalue series; extraction
+grows the predicted series over the same D and compares by
+cross-multiplication; the relation checker lifts the bands over the lcm of
+all stored denominators and multiplies them in O(dim), with no dense matrix.
 
 Finite modules (k a nonnegative integer) close on dim = k+1 vectors;
 truncated modules keep the first M vectors of the infinite tower, on which
@@ -49,24 +52,26 @@ _SL2 = build_cartan(LieType.parse("A1"))
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue series (lists of Fractions = 1 + c1/u + c2/u^2 + ...).
+# Eigenvalue series 1 + c1/u + c2/u^2 + ..., held as the ints S[n] = D^n c_n.
 # ---------------------------------------------------------------------------
 
-def psi_ratio_series(m, order: int):
-    """Exact u^{-1}-expansion of prod (u+a)^e over the factors of m: a
-    rank-one PsiMonomial with rational coordinates, or (a, e) pairs.
+def _series_times(out: list, D: int, factors) -> list:
+    """Multiply the series ``out`` in place by prod (1 + a/u)^e, i.e. by
+    prod (u+a)^e / u^e, and return it; O(len(out)) per unit of e.
 
-    Each factor (u+a)/u = 1 + a/u is applied in place, in O(order), to the
-    ints S[n] = D^n c_n, D the lcm of the denominators of the a's.
+    ``factors`` is a rank-one PsiMonomial with rational coordinates or
+    (a, e) pairs; D must be a multiple of every a's denominator.
     """
-    if isinstance(m, PsiMonomial):
-        if any(i != 1 or not a.is_rational for (i, a), _ in m.items()):
-            raise ValueError(f"not a rank-one rational l-weight: {m!r}")
-        m = [(a.rat, e) for (_, a), e in m.items()]
-    D = lcm(*(a.denominator for a, _ in m))
-    out = [1] + [0] * order
-    for a, e in m:
-        p = a.numerator * (D // a.denominator)
+    if isinstance(factors, PsiMonomial):
+        if any(i != 1 or not a.is_rational for (i, a), _ in factors.items()):
+            raise ValueError(f"not a rank-one rational l-weight: {factors!r}")
+        factors = [(a.rat, e) for (_, a), e in factors.items()]
+    order = len(out) - 1
+    for a, e in factors:
+        q, r = divmod(D, a.denominator)
+        if r:
+            raise ValueError(f"series denominator {D} is not a multiple of that of {a}")
+        p = a.numerator * q
         for _ in range(abs(e)):
             if e > 0:       # times (1 + a/u): descending, so out[n-1] is still old
                 for n in range(order, 0, -1):
@@ -74,7 +79,7 @@ def psi_ratio_series(m, order: int):
             else:           # divided by (1 + a/u): ascending, out[n-1] is already new
                 for n in range(1, order + 1):
                     out[n] -= p * out[n - 1]
-    return [Fraction(c, D ** n) for n, c in enumerate(out)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +137,24 @@ def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
         raise EngineError(f"term budget {config.term_budget} exceeded by a {kind} module "
                           f"of dimension {dim} with {pm_modes} raising/lowering and "
                           f"{xi_modes} Cartan modes")
-    xp = tuple(tuple(_ZERO if i == 0 else (1 - i - x) ** n for i in range(dim))
-               for n in range(pm_modes))
-    xm0 = [(i + 1) * (k - i) for i in range(dim)]
-    xm = tuple(tuple((-i - x) ** n * xm0[i] if i + 1 < dim else _ZERO for i in range(dim))
-               for n in range(pm_modes))
-    # The Psi-ratio acting on v_i: (u+x-1)(u+x+k)/((u+x+i-1)(u+x+i)).
-    eigs = [psi_ratio_series(((x - 1, 1), (x + k, 1), (x + i - 1, -1), (x + i, -1)), xi_modes)
-            for i in range(dim)]
-    xi = tuple(tuple(eig[n + 1] for eig in eigs) for n in range(xi_modes))
+    # With x = a/b and k = c/d: xp_n v_i = ((1-i)b - a)^n / b^n and
+    # xm_n v_i = (-ib - a)^n (i+1)(c - id) / (b^n d), from integer powers.
+    (a, b), (c, d) = x.as_integer_ratio(), k.as_integer_ratio()
+    modes = lambda p, s=1, t=1: [Fraction(p ** n * s, b ** n * t) for n in range(pm_modes)]
+    zeros = [_ZERO] * pm_modes
+    xp = tuple(zip(*(modes((1 - i) * b - a) if i else zeros for i in range(dim))))
+    xm = tuple(zip(*(modes(-i * b - a, (i + 1) * (c - i * d), d) if i + 1 < dim else zeros
+                     for i in range(dim))))
+    # The Psi-ratio acting on v_0 is (u+x+k)/(u+x); from v_i to v_{i+1} it
+    # gains (u+x+i-1)/(u+x+i+1).  Every denominator here divides D.
+    D = lcm(b, d)
+    Dn = [D ** n for n in range(1, xi_modes + 1)]
+    eig = _series_times([1] + [0] * xi_modes, D, ((x + k, 1), (x, -1)))
+    cols = []
+    for i in range(dim):
+        cols.append(list(map(Fraction, eig[1:], Dn)))
+        _series_times(eig, D, ((x + i - 1, 1), (x + i + 1, -1)))
+    xi = tuple(zip(*cols))
     return Sl2Module(kind, k, x, dim, n_max, xp, xm, xi)
 
 
@@ -228,12 +242,16 @@ def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Re
     entry = lambda op, c: Fraction(op[2][c], D ** op[0])
 
     def expect(rel, m, n, lhs, rhs):
+        # both sides at the larger exponent; a column is sought only on a mismatch
         nonlocal checked
         checked += 1
-        _, o, diff = combine((1, lhs), (-1, rhs))
-        bad = [c for c in range(max(cols.start, -o), min(cols.stop, dim - o)) if diff[c]]
-        if bad:
-            failures.append((rel, m, n, bad[0], entry(lhs, bad[0]), entry(rhs, bad[0])))
+        e, o = max(lhs[0], rhs[0]), lhs[1]
+        lo, hi = max(cols.start, -o), min(cols.stop, dim - o)
+        a, b = ([v * D ** (e - f) for v in col[lo:hi]] if f < e else col[lo:hi]
+                for f, _, col in (lhs, rhs))
+        if a != b:
+            c = next(c for c, u, v in zip(range(lo, hi), a, b) if u != v)
+            failures.append((rel, m, n, c, entry(lhs, c), entry(rhs, c)))
 
     for m in range(n_max + 1):
         for n in range(n_max + 1):
@@ -264,21 +282,26 @@ def extract_qchar(mod: Sl2Module) -> TruncatedCharacter:
 
     Each v_i carries the ledger chain A^-1_{1,x} ... A^-1_{1,x+i-1}; the
     Psi-form of top times the chain must reproduce the stored eigenvalue
-    series exactly, otherwise the module is inconsistent.
+    series exactly, otherwise the module is inconsistent.  The predicted
+    series grows along the chain as ints S[n] = D^n c_n over D = lcm(den x,
+    den k), and a stored entry v of xi_n passes when v D^(n+1) = S[n+1].
     """
     x = coord(mod.x)
     top = PsiMonomial.unit() if mod.k == 0 else \
         PsiMonomial.gen(1, x + mod.k) * PsiMonomial.gen(1, x, -1)
-    order = len(mod.xi) - 1
+    D = lcm(mod.x.denominator, mod.k.denominator)
+    Dn = [D ** n for n in range(1, len(mod.xi) + 1)]
+    S = _series_times([1] + [0] * len(mod.xi), D, top)
     terms = {}
     chain = AVector.unit()
     for i in range(mod.dim):
-        predicted = psi_ratio_series(top * avector_to_psi(_SL2, chain), order)
-        stored = [Fraction(1)] + [mod.xi[n][i] for n in range(order)]
-        if predicted != stored:
+        if any(band[i].numerator * w != s * band[i].denominator
+               for band, s, w in zip(mod.xi, S[1:], Dn)):
             raise ValueError(f"eigenvalue series of v_{i} does not match its ledger chain")
         terms[chain] = 1
-        chain = chain * AVector.gen(1, x + i)
+        step = AVector.gen(1, x + i)
+        chain = chain * step
+        _series_times(S, D, avector_to_psi(_SL2, step))
     bound = None if mod.kind == "finite" else mod.dim - 1
     return TruncatedCharacter.make(top, terms, bound)
 

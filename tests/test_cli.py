@@ -91,6 +91,18 @@ def test_verify_suite(tmp_path):
     assert code == 0 and doc["verdict"] == "pass" and len(doc["results"]) == 2
 
 
+def test_suite_header_names_k_only_for_kinds_that_read_it(tmp_path):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([
+        {"kind": "two_term", "lie_type": "A1", "x": "1/2", "N": 2},
+        {"kind": "tsystem", "lie_type": "A1", "k": 2, "t": 1},
+    ]))
+    assert run(["verify", "suite", str(suite)]) == (0, "\n".join([
+        "--- two_term A1 i=1", "verdict: pass", "note: two-term exchange A1 i=1",
+        "--- tsystem A1 i=1 k=2", "verdict: pass",
+        "note: kernel of A1 i=1 k=2 t=1: direct expansion vs SES difference", ""]), "")
+
+
 def test_verify_suite_with_a_failing_entry(tmp_path, monkeypatch):
     # one failing entry fails the whole suite, in both formats
     failing = Report(False, {"note": "forced failure"}, ("note: forced failure",))

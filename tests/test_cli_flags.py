@@ -26,9 +26,11 @@ HEIGHT = _flag("int", help="truncation height (default from config)")
 COMPLETE = _flag("int", help="truncation height (default: the complete character)")
 # --format and --config of the verbs that do not act on a node
 BARE = {"--format": FORMAT, "--config": NODE["--config"]}
+RATIONAL = _flag(default="0", help="rational, e.g. -3/2")
 REP = {**BARE, "--kind": _flag(default="finite", choices=("finite", "truncated")),
-       "--k": _flag(default="1"), "--x": PLAIN, "--M": _flag("int", default=8),
-       "--modes": _flag("int", default=3)}
+       "--k": _flag(default="1", help="rational, e.g. -3/2; an integer >= 0 for --kind finite"),
+       "--x": RATIONAL, "--M": _flag("int", default=8, help="basis size of a truncated module"),
+       "--modes": _flag("int", default=3, help="mode bound n_max")}
 
 PINNED = {
     "qchar kr": {**NODE, "--k": K, "--x": X, "--height": COMPLETE},
@@ -49,8 +51,10 @@ PINNED = {
     "verify suite": {**BARE, "suite_file": _flag(required=True)},
     "rep-check relations": REP,
     "rep-check qchar": REP,
-    "rep-check three-term": {**BARE, "--x": PLAIN, "--y": PLAIN,
-                             "--M": _flag("int", default=8), "--height": HEIGHT},
+    "rep-check three-term": {**BARE, "--x": RATIONAL, "--y": RATIONAL,
+                             "--M": _flag("int", default=8,
+                                          help="basis size of its three truncated towers"),
+                             "--height": HEIGHT},
     "translate": {
         **BARE, "--to": _flag(choices=("multiplicative",), required=True),
         "--monomial": _flag(help="Psi monomial string"),

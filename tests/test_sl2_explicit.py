@@ -1,6 +1,7 @@
 """Explicit rank-one matrix modules: relations, extraction, three-term sum."""
 import dataclasses
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,8 @@ from yqchar.characters import (
 )
 from yqchar.monomials import PsiMonomial
 from yqchar.sl2_explicit import (
-    build_module, check_relations, extract_qchar, psi_ratio_series,
-    relation_instances, relation_report, verify_sl2_three_term,
+    build_module, check_relations, extract_qchar, relation_instances, relation_report,
+    verify_sl2_three_term,
 )
 
 A1 = build_cartan(LieType.parse("A1"))
@@ -143,34 +144,63 @@ def _series_inv(a, order):
     return out
 
 
-# -- series helpers ----------------------------------------------------------
-
-def test_psi_ratio_series_examples():
-    # (u+1)/u = 1 + u^-1
-    m = PsiMonomial.gen(1, 1) * PsiMonomial.gen(1, 0, -1)
-    assert psi_ratio_series(m, 3) == [1, 1, 0, 0]
-    # u/(u+1) = 1 - u^-1 + u^-2 - ...
-    assert psi_ratio_series(m ** -1, 3) == [1, -1, 1, -1]
-    with pytest.raises(ValueError):
-        psi_ratio_series(PsiMonomial.gen(1, "x"), 2)
-    with pytest.raises(ValueError):
-        psi_ratio_series(PsiMonomial.gen(2, 0), 2)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(WIDE, st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=4),
-       st.integers(min_value=0, max_value=6))
-def test_psi_ratio_series_matches_convolution(factors, order):
-    m, want = PsiMonomial.unit(), [Fraction(1)] + [Fraction(0)] * order
+def reference_series(factors, order):
+    """prod (1 + a/u)^e over (a, e) pairs to order u^-order, by Fraction
+    convolution: the series are multiplied and inverted term by term."""
+    want = [Fraction(1)] + [Fraction(0)] * order
     for a, e in factors:
-        m = m * PsiMonomial.gen(1, a, e)
         f = [Fraction(1), a] + [Fraction(0)] * order
         if e < 0:
             f = _series_inv(f, order)
         for _ in range(abs(e)):
             want = _series_mul(want, f, order)
-    assert psi_ratio_series(m, order) == want
-    assert psi_ratio_series(factors, order) == want
+    return want
+
+
+def series_times(factors, order, D):
+    """The kernel's series from 1, read back as Fractions c_n = S[n] / D^n."""
+    S = sl2_explicit._series_times([1] + [0] * order, D, factors)
+    return [Fraction(v, D ** n) for n, v in enumerate(S)]
+
+
+# -- series helpers ----------------------------------------------------------
+
+def test_psi_ratio_series_examples():
+    # (u+1)/u = 1 + u^-1
+    m = PsiMonomial.gen(1, 1) * PsiMonomial.gen(1, 0, -1)
+    assert series_times(m, 3, 1) == [1, 1, 0, 0]
+    # u/(u+1) = 1 - u^-1 + u^-2 - ...
+    assert series_times(m ** -1, 3, 1) == [1, -1, 1, -1]
+    # (u+1/2)/u over D = 6, a multiple of 2
+    assert series_times([(Fraction(1, 2), 1)], 2, 6) == [1, Fraction(1, 2), 0]
+    # the kernel works in place
+    out = [1, 0, 0]
+    assert sl2_explicit._series_times(out, 1, m) is out
+    for bad in (PsiMonomial.gen(1, "x"), PsiMonomial.gen(2, 0)):
+        with pytest.raises(ValueError, match="not a rank-one rational l-weight"):
+            series_times(bad, 2, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(WIDE, st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=4),
+       st.integers(min_value=0, max_value=6), st.sampled_from((1, 2, 5)))
+def test_psi_ratio_series_matches_convolution(factors, order, scale):
+    m = PsiMonomial.unit()
+    for a, e in factors:
+        m = m * PsiMonomial.gen(1, a, e)
+    want = reference_series(factors, order)
+    # any multiple of the denominators will do
+    D = scale * lcm(*(a.denominator for a, _ in factors))
+    assert series_times(m, order, D) == want
+    assert series_times(factors, order, D) == want
+
+
+@pytest.mark.parametrize("D, a", [(1, Fraction(1, 2)), (2, Fraction(1, 3)),
+                                  (6, Fraction(-3, 4)), (10 ** 9, Fraction(1, 1000000007))])
+def test_series_times_refuses_a_denominator_it_does_not_carry(D, a):
+    # D // a.denominator would give a wrong series without a word
+    with pytest.raises(ValueError, match=f"is not a multiple of that of {a}"):
+        sl2_explicit._series_times([1, 0, 0], D, [(Fraction(1), 1), (a, -1)])
 
 
 # -- construction ------------------------------------------------------------
@@ -198,6 +228,30 @@ def test_specific_matrix_entries():
     assert mod.xm[0][0] == 1
     # Cartan eigenvalue on v_0: (u-1)(u+1)/((u-1)u) = 1 + u^-1
     assert mod.xi[0][0] == 1 and mod.xi[1][0] == 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), WIDE, st.integers(min_value=0, max_value=3))
+def test_build_module_matches_the_fraction_reference(data, x, n_max):
+    # the bands as they were built entry by entry in Fraction arithmetic
+    if data.draw(st.booleans()):
+        k = Fraction(data.draw(st.integers(min_value=0, max_value=4)))
+        mod = build_module("finite", k, x, n_max=n_max)
+    else:
+        k = data.draw(WIDE)
+        mod = build_module("truncated", k, x, n_max=n_max,
+                           M=data.draw(st.integers(min_value=3, max_value=6)))
+    dim, pm_modes, xi_modes = mod.dim, n_max + 2, max(2 * n_max, n_max + 1) + 1
+    zero = Fraction(0)
+    xp = tuple(tuple(zero if i == 0 else (1 - i - x) ** n for i in range(dim))
+               for n in range(pm_modes))
+    xm = tuple(tuple((-i - x) ** n * (i + 1) * (k - i) if i + 1 < dim else zero
+                     for i in range(dim)) for n in range(pm_modes))
+    eigs = [reference_series(((x - 1, 1), (x + k, 1), (x + i - 1, -1), (x + i, -1)), xi_modes)
+            for i in range(dim)]
+    xi = tuple(tuple(eig[n + 1] for eig in eigs) for n in range(xi_modes))
+    assert (mod.xp, mod.xm, mod.xi) == (xp, xm, xi)
+    assert {type(v) for bands in (mod.xp, mod.xm, mod.xi) for b in bands for v in b} == {Fraction}
 
 
 def test_build_module_respects_term_budget():
@@ -277,14 +331,16 @@ def test_each_band_product_is_formed_once(monkeypatch):
 
 
 def test_each_commutator_is_formed_once(monkeypatch):
-    # at mode bound 3, forming each commutator per use would take 408
-    # combinations, 42 of them on commutators already formed
+    # At mode bound 3 the relations read 126 distinct commutators, and the
+    # other 136 combinations are the 8 doubled bands of the weight grading
+    # and the 128 sides of the Drinfeld relations: 262.  Forming each
+    # commutator per use would take 42 more.
     calls = []
     combine = sl2_explicit._combine
     monkeypatch.setattr(sl2_explicit, "_combine", lambda *a: calls.append(a) or combine(*a))
     rep = check_relations(build_module("finite", 4, Fraction(1, 3), n_max=3))
     assert rep.verdict and rep.checked == relation_instances(3)
-    assert len(calls) == 366
+    assert len(calls) == 262
 
 
 # -- character extraction ----------------------------------------------------
@@ -305,12 +361,17 @@ def test_truncated_extraction_matches_stabilized_engine():
 
 
 def test_extraction_detects_inconsistent_eigenvalues():
-    mod = build_module("finite", 1, 0, n_max=0)
-    bad_xi = [list(band) for band in mod.xi]
-    bad_xi[0][1] += 1
-    broken = dataclasses.replace(mod, xi=tuple(tuple(band) for band in bad_xi))
-    with pytest.raises(ValueError):
-        extract_qchar(broken)
+    small = build_module("finite", 1, 0, n_max=0)
+    mod = build_module("finite", 4, Fraction(1, 3), n_max=2)
+    last, top = mod.dim - 1, len(mod.xi) - 1
+    # (module, Cartan mode, basis vector, bump): the last vector, the top
+    # mode, and a bump whose denominator the module does not have
+    for m, n, i, delta in ((small, 0, 1, 1), (mod, 0, last, 1), (mod, top, 0, 1),
+                           (mod, top, last, Fraction(1, 2)),
+                           (mod, 1, 2, Fraction(-3, 1000000007))):
+        with pytest.raises(ValueError,
+                           match=f"eigenvalue series of v_{i} does not match its ledger chain"):
+            extract_qchar(_bump(m, "xi", n, i, delta))
 
 
 # -- three-term sum of modules ----------------------------------------------
