@@ -12,8 +12,12 @@ output):
 """
 import hashlib
 import io
+from pathlib import Path
 
 import yqchar.cli as cli
+
+# One suite entry of every identity kind.
+SUITE = str(Path(__file__).with_name("golden_suite.json"))
 
 
 def _kr(t, i, k, *rest):
@@ -359,6 +363,12 @@ GOLDEN = [
      "ec9ce5d8f77baceb"),
     (("rep-check", "three-term", "--x", "0", "--y", "0", "--M", "5", "--height", "0"), 0,
      "8d06800a392b9770"),
+    # Every identity kind through one suite file, and the order in which a
+    # verify reads its fields: x before k, and x before a.
+    (("verify", "suite", SUITE), 0, "d6a1b0f206dc3741"),
+    (("verify", "suite", SUITE, "--format", "json"), 0, "9214745c6a19b3e6"),
+    (_v("tq", "A2", 1, "--k", "1/2", "--x", "1//2"), 2, "477f906f7321b5be"),
+    (_v("two-term", "A1", 1, "--a", "1//2", "--x", "2//3"), 2, "96026b5cc09242b0"),
 ]
 
 
