@@ -241,14 +241,6 @@ def char_add(cartan: CartanData, a: TruncatedCharacter, b: TruncatedCharacter,
     return TruncatedCharacter.make(a.top, terms, bound)
 
 
-def _nonnegative(terms: dict) -> dict:
-    bad = [(v, c) for v, c in terms.items() if c < 0]
-    if bad:
-        (_, c), t = output_order(bad)[0]
-        raise EngineError(f"negative coefficient {c} at {t} in series division")
-    return terms
-
-
 def divide_series(num: dict, den: dict, bound: int | None,
                   config: EngineConfig = DEFAULT_CONFIG) -> dict:
     """Exact division of A-ledger series, the divisor with unit leading term.
@@ -263,16 +255,17 @@ def divide_series(num: dict, den: dict, bound: int | None,
     if den.get(AVector.unit()) != 1:
         raise EngineError("divisor series must have leading coefficient 1")
     rest = [(v.sites, c) for v, c in den.items() if v.sites]
-    if not rest:        # the unit series: the quotient is num truncated at bound
-        return _nonnegative({v: c for v, c in num.items()
-                             if c and (bound is None or v.height <= bound)})
     rem = {v.sites: c for v, c in num.items()}
     top = bound if bound is not None else max(map(len, rem), default=0)
     out = {}
     for h in range(top + 1):
         rows = [(k, c) for k, c in rem.items() if c and len(k) == h]
-        out.update(_nonnegative({AVector(k, canonical=True): c for k, c in rows}))
-        _ledger_acc(rows, rest, bound, config.term_budget, rem, -1)
+        if bad := [(AVector(k, canonical=True), c) for k, c in rows if c < 0]:
+            (_, c), t = output_order(bad)[0]
+            raise EngineError(f"negative coefficient {c} at {t} in series division")
+        out.update((AVector(k, canonical=True), c) for k, c in rows)
+        if rest:        # dividing by 1 leaves the remainder as it is
+            _ledger_acc(rows, rest, bound, config.term_budget, rem, -1)
     if bound is None and any(c for k, c in rem.items() if len(k) > top):
         raise EngineError("series division is inexact: a remainder is left above "
                           f"height {top}")
@@ -311,7 +304,15 @@ def kr_top_y(cartan: CartanData, i: int, k: int, x,
     if k > config.term_budget:
         raise EngineError(f"term budget {config.term_budget} exceeded by a KR string "
                           f"of {k} factors")
-    return psi_to_y(cartan, kr_weight(cartan, i, k, x))
+    return _engine_y(cartan, kr_weight(cartan, i, k, x))
+
+
+def _engine_y(cartan: CartanData, weight: PsiMonomial) -> YMonomial:
+    """``psi_to_y`` of a weight the engine built: off the Y-lattice is an engine fault."""
+    try:
+        return psi_to_y(cartan, weight)
+    except ValueError as ex:
+        raise EngineError(f"{ex}, in a weight the engine built") from None
 
 
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)

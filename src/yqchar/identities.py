@@ -13,11 +13,11 @@ from fractions import Fraction
 from .cartan import CartanData, LieType, build_cartan
 from .coords import coord, narrow
 from .monomials import (
-    AVector, PsiMonomial, _ExpMap, _site, expand_A_to_Psi, output_order, psi_to_y,
+    AVector, PsiMonomial, _ExpMap, _site, expand_A_to_Psi, output_order,
 )
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, EngineError, Report,
-    TruncatedCharacter, _n_bases, asymptotic_char, char_mul, compare_characters,
+    TruncatedCharacter, _engine_y, _n_bases, asymptotic_char, char_mul, compare_characters,
     demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
     kr_top_y, m_weight, n_weight, stabilize,
 )
@@ -35,9 +35,9 @@ __all__ = [
 # Identity instances (suite files).
 # ---------------------------------------------------------------------------
 
-# The fields each identity kind reads besides lie_type and i; ``verify <kind>``
-# takes one flag for each (N is --height).
-KINDS = {"tsystem": ("k", "t"), "tq": ("k", "x", "N"), "two_term": ("x", "y", "a", "b", "N"),
+# The fields each identity kind reads besides lie_type and i, in the order its
+# verifier takes them; ``verify <kind>`` takes one flag for each (N is --height).
+KINDS = {"tsystem": ("k", "t"), "tq": ("k", "x", "N"), "two_term": ("a", "b", "x", "y", "N"),
          "factorization": ("k", "x"), "kr_skeleton": ("k", "x"),
          "demazure_support": ("k", "x", "N"), "m_support": ("k", "x", "N")}
 
@@ -104,24 +104,18 @@ def json_object(obj, whole: str, noun: str, types: dict, required=()) -> dict:
 
 
 def run_identity(spec: IdentitySpec, config: EngineConfig = DEFAULT_CONFIG):
+    """Run ``spec``'s verifier on the fields of its ``KINDS`` row, in row order:
+    x and y read first, then k as an integer; a field the row omits is never
+    read.  The verifier is looked up per call, so one rebound on the module runs."""
+    verify = {"tsystem": verify_tsystem, "tq": verify_tq, "two_term": verify_two_term,
+              "factorization": verify_factorization, "kr_skeleton": check_kr_skeleton,
+              "demazure_support": check_demazure_support, "m_support": check_m_support}
     cartan = build_cartan(LieType.parse(spec.lie_type))
-    x, y = coord(spec.x), coord(spec.y)
-    coord(spec.k)           # every kind refuses a k that is not a coordinate
-    if spec.kind == "two_term":
-        return verify_two_term(cartan, spec.i, coord(spec.a), coord(spec.b),
-                               x, y, spec.N, config=config)
-    k = narrow(spec.k, "k", integer=True)
-    if spec.kind == "tsystem":
-        return verify_tsystem(cartan, spec.i, k, spec.t, config=config)
-    if spec.kind == "tq":
-        return verify_tq(cartan, spec.i, k, x, spec.N, config=config)
-    if spec.kind == "factorization":
-        return verify_factorization(cartan, spec.i, k, x)
-    if spec.kind == "kr_skeleton":
-        return check_kr_skeleton(cartan, spec.i, k, x, config=config)
-    if spec.kind == "demazure_support":
-        return check_demazure_support(cartan, spec.i, k, x, spec.N, config=config)
-    return check_m_support(cartan, spec.i, k, x, spec.N, config=config)
+    row = {f: getattr(spec, f) for f in KINDS[spec.kind]}
+    for f, read in (("x", coord), ("y", coord), ("k", lambda k: narrow(k, "k", integer=True))):
+        if f in row:
+            row[f] = read(row[f])
+    return verify[spec.kind](cartan, spec.i, *row.values(), config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +133,7 @@ def verify_tsystem(cartan: CartanData, i: int, k: int, t: int,
     """
     x0 = (k + 1) * cartan.di(i)
     via_ses = demazure_char_via_ses(cartan, i, t, k, x0, bound, config)
-    top = psi_to_y(cartan, demazure_weight(cartan, i, t, k, x0))
+    top = _engine_y(cartan, demazure_weight(cartan, i, t, k, x0))
     direct = fm_expand(cartan, top, bound, config)
     return compare_characters(direct, via_ses,
                               note=f"kernel of {cartan.lie_type} i={i} k={k} t={t}: "
@@ -166,7 +160,8 @@ def tq_rhs(cartan: CartanData, i: int, k: int, x, bound: int,
 def tq_lhs_direct(cartan: CartanData, i: int, k: int, x, bound: int,
                   config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
     """Route R1: expand the m-weight directly (k must make it dominant)."""
-    return fm_expand(cartan, psi_to_y(cartan, m_weight(cartan, i, k, x)), bound, config)
+    _check_realizable(cartan, i, k)
+    return fm_expand(cartan, _engine_y(cartan, m_weight(cartan, i, k, x)), bound, config)
 
 
 def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
@@ -265,7 +260,8 @@ def verify_two_term(cartan: CartanData, i: int, a, b, x, y, bound: int,
 # Monomial-level factorization m * n = d.
 # ---------------------------------------------------------------------------
 
-def verify_factorization(cartan: CartanData, i: int, k: int, x) -> Report:
+def verify_factorization(cartan: CartanData, i: int, k: int, x,
+                         config: EngineConfig = DEFAULT_CONFIG) -> Report:
     """m-weight times n-weight equals the t=1 Demazure weight (concrete k)."""
     x = coord(x)
     prod = m_weight(cartan, i, k, x) * n_weight(cartan, i, k, x)
@@ -346,7 +342,6 @@ def check_m_support(cartan: CartanData, i: int, k: int, x, bound: int,
     """m-weight module support: every non-top ledger is A^-1_{i,x} or is
     divisible by some A^-1_{j,x+d_ij-k d_i} with c_ij<0."""
     x = coord(x)
-    _check_realizable(cartan, i, k)
     char = tq_lhs_direct(cartan, i, k, x, bound, config)
     allowed = [(j, x + dij - k * cartan.di(i)) for j, _, dij in cartan.neighbours(i)]
     found = _unsupported(char.terms, allowed, "no allowed far-cluster A-factor",

@@ -36,7 +36,7 @@ from operator import add, mul
 
 from .cartan import LieType, build_cartan
 from .coords import coord
-from .monomials import AVector, PsiMonomial, avector_to_psi
+from .monomials import AVector, PsiMonomial, _site, expand_A_to_Psi
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter,
     char_add, char_mul, compare_characters,
@@ -293,15 +293,16 @@ def extract_qchar(mod: Sl2Module) -> TruncatedCharacter:
     Dn = [D ** n for n in range(1, len(mod.xi) + 1)]
     S = _series_times([1] + [0] * len(mod.xi), D, top)
     terms = {}
-    chain = AVector.unit()
+    chain = []      # the sites of x, x+1, ...: one lane, rising, so always sorted
     for i in range(mod.dim):
         if any(band[i].numerator * w != s * band[i].denominator
                for band, s, w in zip(mod.xi, S[1:], Dn)):
             raise ValueError(f"eigenvalue series of v_{i} does not match its ledger chain")
-        terms[chain] = 1
-        step = AVector.gen(1, x + i)
-        chain = chain * step
-        _series_times(S, D, avector_to_psi(_SL2, step))
+        terms[AVector(tuple(chain), canonical=True)] = 1
+        z = x + i
+        chain.append(_site(1, z))
+        a = expand_A_to_Psi(_SL2, 1, z)     # A_{1,z}: the chain gains its inverse
+        _series_times(S, D, [(z.rat, -e) for (_, z), e in a.items()])
     bound = None if mod.kind == "finite" else mod.dim - 1
     return TruncatedCharacter.make(top, terms, bound)
 

@@ -171,6 +171,16 @@ def test_divide_series_by_the_unit_series(monkeypatch):
     assert divide_series(num, unit, 1) == {AVector.unit(): 2, chain((1, 0)): 1}
 
 
+@pytest.mark.parametrize("bound", [None, 2])
+def test_dividing_by_one_names_a_negative_numerator_coefficient(bound):
+    # the general height loop runs: the lowest height with a negative
+    # coefficient is named, before the one above it
+    num = {AVector.unit(): 1, chain((1, 0)): 3, chain((1, 1)): -2, chain((1, 0), (1, 1)): -1}
+    with pytest.raises(EngineError) as err:
+        divide_series(num, {AVector.unit(): 1}, bound)
+    assert str(err.value) == "negative coefficient -2 at A[1,1]^-1 in series division"
+
+
 def test_divide_series_names_the_first_negative_term():
     # two negative terms at height 2: the first in print order is named
     mixed = chain((1, 0), (2, "1/2"))

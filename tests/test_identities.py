@@ -65,6 +65,51 @@ def test_run_identity_dispatches_every_kind():
         assert run_identity(spec).verdict, spec.kind
 
 
+def test_a_field_its_kind_does_not_read_is_never_parsed():
+    # a two_term spec reads no k, and a tsystem spec no x
+    assert run_identity(IdentitySpec(kind="two_term", lie_type="A1", k="1//2", a="0", b="2",
+                                     x="5", y="3", N=2)).verdict
+    assert run_identity(IdentitySpec(kind="tsystem", lie_type="A1", k=2, t=1, x="1//2")).verdict
+
+
+def _off_lattice(monkeypatch, name):
+    """Rebind the weight ``name`` in ``identities`` to one times Psi_{i,x+1/3},
+    which no product of Y's at node i gives."""
+    real = getattr(identities, name)
+
+    def shifted(cartan, i, *rest):
+        return real(cartan, i, *rest) * PsiMonomial.gen(i, coord(rest[-1]) + Fraction(1, 3))
+    monkeypatch.setattr(identities, name, shifted)
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("m_weight", ["verify", "tq", "--type", "B2", "--node", "1", "--k", "2", "--height", "2"]),
+    ("m_weight", ["verify", "m-support", "--type", "A2", "--node", "1", "--k", "3",
+                  "--x", "x", "--height", "2"]),
+    ("demazure_weight", ["verify", "tsystem", "--type", "B2", "--node", "1", "--k", "1",
+                         "--t", "1"]),
+])
+def test_an_engine_weight_off_the_y_lattice_is_an_engine_error(monkeypatch, name, argv):
+    _off_lattice(monkeypatch, name)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.dispatch(argv, out, err) == 3, err.getvalue()
+    assert out.getvalue() == ""
+    assert re.fullmatch(r"engine error: monomial is not in the Y-lattice at node \d "
+                        r"\(residual Psi_\{\d,.*\}\), in a weight the engine built\n",
+                        err.getvalue())
+
+
+def test_an_unrealizable_k_is_refused_before_its_m_weight_is_built(monkeypatch):
+    _off_lattice(monkeypatch, "m_weight")
+    with pytest.raises(ValueError, match="d_1=2 does not divide"):
+        tq_lhs_direct(B2, 2, 3, 0, 2)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.dispatch(["verify", "m-support", "--type", "C2", "--node", "1", "--k", "3"],
+                        out, err) == 2
+    assert err.getvalue() == "error: k=3 is not realizable at node 1: d_2=2 does not divide " \
+                             "k*d_1=3\n"
+
+
 # -- kernel characters via two routes ----------------------------------------
 
 @pytest.mark.parametrize("ct,i,k,t", [
