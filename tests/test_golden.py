@@ -12,6 +12,7 @@ output):
 """
 import hashlib
 import io
+import os
 from pathlib import Path
 
 import yqchar.cli as cli
@@ -369,6 +370,23 @@ GOLDEN = [
     (("verify", "suite", SUITE, "--format", "json"), 0, "9214745c6a19b3e6"),
     (_v("tq", "A2", 1, "--k", "1/2", "--x", "1//2"), 2, "477f906f7321b5be"),
     (_v("two-term", "A1", 1, "--a", "1//2", "--x", "2//3"), 2, "96026b5cc09242b0"),
+    # Argv that argparse itself refuses or answers: unknown flags and extra
+    # words (the top parser's "unrecognized arguments"), "--" before a word
+    # or a leaf name, abbreviated flags, help before an unknown flag, the
+    # empty argv, a suite without its file, and a negative value written
+    # as a separate word (it reads as a flag).  Help and usage text wrap at
+    # COLUMNS, which the test pins to 80.
+    (("qchar", "kr", "--type", "A2", "--node", "1", "--bogus", "1"), 2, "0ccff3223a87eb43"),
+    (_v("tq", "A2", 1, "--height", "2", "extra"), 2, "c59f1d9708b5ee97"),
+    (("qchar", "kr", "--type=A2", "--node=1", "--", "extra"), 2, "e1feb16fab7e307b"),
+    (("qchar", "kr", "--ty", "A2", "--no", "1"), 0, "c5b392139c1de85f"),
+    (("verify", "tq", "--help"), 0, "37e5989ee4bdc838"),
+    (("qchar", "kr", "--type", "A2", "--node", "1", "-h", "--bogus"), 0, "44b1689eaa707787"),
+    (("verify", "--", "tq", "--type", "A2", "--node", "1", "--height", "2"), 2,
+     "2ab6f208e07bcfb7"),
+    ((), 2, "36a56c5f4608496b"),
+    (("verify", "suite"), 2, "bee29be75257829c"),
+    (("qchar", "kr", "--x", "-3/2", "--type", "A2", "--node", "1"), 2, "580dbdc95ec73b25"),
 ]
 
 
@@ -379,7 +397,8 @@ def run_digest(argv):
     return code, hashlib.sha256(blob).hexdigest()[:16]
 
 
-def test_golden_corpus():
+def test_golden_corpus(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     diff = []
     for argv, code, digest in GOLDEN:
         got = run_digest(argv)
@@ -389,6 +408,7 @@ def test_golden_corpus():
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
     for argv, _, _ in GOLDEN:
         code, dg = run_digest(argv)
         print(f"{code} {dg}  {' '.join(argv)}")
