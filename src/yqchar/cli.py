@@ -49,20 +49,27 @@ _CONFIG_TYPES = {"default_height_bound": (int, "an integer"),
                  "term_budget": (int, "an integer"), "output_format": (str, "a string")}
 
 
+def _read_json(path: str, what: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as ex:
+            raise ValueError(f"{what} {path} is not JSON: {ex}") from None
+
+
 def _load_config(path: str | None, fmt: str | None) -> CliConfig:
-    fields = {}
-    if path:
-        with open(path) as fh:
-            fields = json_object(json.load(fh), "a config file", "config", _CONFIG_TYPES)
+    fields = json_object(_read_json(path, "config file"), "a config file", "config",
+                         _CONFIG_TYPES) if path else {}
     cfg = CliConfig(**fields)
     return replace(cfg, output_format=fmt) if fmt else cfg
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on first use and reused: parse_args keeps no state between calls,
-    # and building the tree of subparsers costs more than most commands.
-    top = argparse.ArgumentParser(prog="yqchar", description=__doc__)
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    # The tree, and a table from each leaf's path, e.g. ("verify", "tq"), to
+    # the leaf's parser.  Built on first use and reused: a parser keeps no
+    # state between calls, and building the tree costs more than most commands.
+    top, leaves = argparse.ArgumentParser(prog="yqchar", description=__doc__), {}
     sub = top.add_subparsers(dest="command", required=True)
     plain, height = dict(default="0"), dict(type=int, default=None)
     # The flags that several verbs share; N is --height, as in IdentitySpec.
@@ -78,13 +85,15 @@ def _parser() -> argparse.ArgumentParser:
         """Add subcommand ``name`` to ``group`` and return it.  Its flags are
         those of ``table`` named in ``names`` (N is --height), each replaced
         by ``own`` where it names one, then the rest of ``own``, then
-        --format and --config.  Every leaf's namespace holds a height."""
+        --format and --config.  Its namespace holds a height and, as the
+        tree's does, the command and what of its path (its prog after yqchar)."""
         p, names = group.add_parser(name, help=help), names.split()
         for f, kw in ({f: table[f] for f in names} | own).items():
             p.add_argument("--height" if f == "N" else f"--{f}", **kw)
         p.add_argument("--format", choices=("text", "json"), default=None)
         p.add_argument("--config", default=None, help="JSON CliConfig file")
-        p.set_defaults(height=None)
+        leaves[path := tuple(p.prog.split()[1:])] = p
+        p.set_defaults(height=None, **dict(zip(("command", "what"), path)))
         return p
 
     q = sub.add_parser("qchar", help="compute a character").add_subparsers(
@@ -124,7 +133,7 @@ def _parser() -> argparse.ArgumentParser:
         "--check-tq", action="store_true",
         help="compare the translated three-term instance with the "
              "independently built multiplicative display")
-    return top
+    return top, leaves
 
 
 def _emit(obj, cfg: CliConfig, out) -> int:
@@ -139,11 +148,21 @@ def _emit(obj, cfg: CliConfig, out) -> int:
     return 1 if isinstance(obj, Report) and not obj.verdict else 0
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse with the leaf's own parser; with the tree if no leaf parses argv whole."""
+    tree, leaves = _parser()
+    path = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
+    if path in leaves:
+        args, extras = leaves[path].parse_known_args(argv[len(path):])
+        if not extras:
+            return args
+    return tree.parse_args(argv)
+
+
 def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
-    parser = _parser()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = _parse(argv)
     except SystemExit as ex:
         return 0 if ex.code == 0 else 2
     try:
@@ -170,9 +189,8 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
             return _emit(ch, cfg, out)
         if args.command == "verify":
             if args.what == "suite":
-                with open(args.suite_file) as fh:
-                    if not isinstance(entries := json.load(fh), list):
-                        raise ValueError("a suite file must hold a JSON list of identity specs")
+                if not isinstance(entries := _read_json(args.suite_file, "suite file"), list):
+                    raise ValueError("a suite file must hold a JSON list of identity specs")
                 specs = [IdentitySpec.from_json(o, N=cfg.default_height_bound) for o in entries]
                 reports = [run_identity(s, eng) for s in specs]
                 ok = all(r.verdict for r in reports)

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, formats, determinism."""
+import contextlib
 import io
 import json
 from pathlib import Path
@@ -368,6 +369,20 @@ def test_suite_of_the_wrong_shape_is_a_usage_error(tmp_path, suite, err):
         assert run(["verify", "suite", str(path), "--format", fmt]) == (2, "", f"error: {err}\n")
 
 
+def test_a_suite_file_that_is_not_json_is_named():
+    assert run(["verify", "suite", "/dev/null"]) == (
+        2, "", "error: suite file /dev/null is not JSON: "
+               "Expecting value: line 1 column 1 (char 0)\n")
+
+
+def test_a_config_file_that_is_not_json_is_named(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{term_budget: 5}")
+    assert run(["qchar", "kr", "--type", "A1", "--node", "1", "--config", str(cfg)]) == (
+        2, "", f"error: config file {cfg} is not JSON: Expecting property name "
+               "enclosed in double quotes: line 1 column 2 (char 1)\n")
+
+
 def test_stabilized_characters_are_bounded_by_the_term_budget():
     # the stable length is the height, so any height answers up to the budget
     code, out, _ = run(["qchar", "asymptotic", "--type", "A1", "--node", "1", "--y", "y",
@@ -698,6 +713,68 @@ def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, drawn):
     assert err.count("at position") <= 1, (argv, suite, err)
     # no input reaches a fault inside the engine
     assert "internal error" not in err, (argv, suite, err)
+
+
+# -- the leaf parsers ---------------------------------------------------------
+# dispatch parses with the leaf's own parser and falls back to the whole
+# tree; either way it must read, print and exit as the tree alone does.
+
+def _parsed(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = vars(parse(argv))
+        except SystemExit as ex:
+            got = ("exit", ex.code)
+    return got, out.getvalue(), err.getvalue()
+
+
+def _same_parse(argv):
+    tree = cli._parser()[0]
+    assert _parsed(cli._parse, argv) == _parsed(tree.parse_args, argv), argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_argv())
+def test_the_leaf_parses_a_fuzzed_argv_as_the_tree_does(drawn):
+    verb, flags, suite = drawn
+    argv = [*verb, "--config", "budget.json", *flags]
+    if suite is not None:
+        argv.insert(2, "suite.json")
+    _same_parse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["qchar", "kr", "--type", "A2", "--node", "1", "--bogus", "1"],
+    ["verify", "tq", "--type", "A2", "--node", "1", "--height", "2", "extra"],
+    ["qchar", "kr", "--type=A2", "--node=1", "--", "extra"],
+    ["qchar", "kr", "--ty", "A2", "--no", "1"],
+    ["verify", "tq", "--help"],
+    ["qchar", "kr", "--type", "A2", "--node", "1", "-h", "--bogus"],
+    ["verify", "--", "tq", "--type", "A2", "--node", "1", "--height", "2"],
+    [],
+    ["verify", "suite"],
+    ["qchar", "kr", "--x", "-3/2", "--type", "A2", "--node", "1"],
+    ["qchar", "kr", "--x=-3/2", "--type", "A2", "--node", "1"],
+    ["translate"],
+    ["translate", "--to", "multiplicative", "--check-tq", "--help"],
+    ["verify", "suite", "a.json", "b.json"],
+    ["verify", "suite", "--", "-a.json"],
+    ["qchar"],
+    ["--help", "qchar", "kr"],
+    ["qchar", "--help"],
+    ["qchar", "kr", "--help=x"],
+    ["qchar", "kr", "--type", "A2", "--node", "1", "--node", "2", "--format=yaml"],
+])
+def test_the_leaf_parses_an_edge_argv_as_the_tree_does(argv):
+    _same_parse(argv)
+
+
+def test_every_leaf_has_its_own_parser():
+    from test_cli_flags import _leaves
+    tree, leaves = cli._parser()
+    assert {" ".join(path): p for path, p in leaves.items()} == dict(_leaves(tree))
+    assert len(leaves) == 18
 
 
 # -- config ------------------------------------------------------------------
