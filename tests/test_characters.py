@@ -521,6 +521,34 @@ def test_expansion_messages_literal(monkeypatch):
                               "unexplained multiplicity at node 1 but is not 1-dominant")
 
 
+@pytest.mark.parametrize("cartan, top, anchored, wrong, blocked", [
+    (B2, "Y[1,4/3]", "Y[1,1]", "A[2,1]^-1", "Y[1,4/3]^2 Y[2,5/6]^-1 Y[2,11/6]^-1"),
+    (G2, "Y[2,11/6]", "Y[2,3/2]", "A[2,1]^-1",
+     "Y[1,-2/3]^-1 Y[1,4/3] Y[1,7/3] Y[2,11/6] Y[2,17/6]^-1"),
+])
+def test_expansion_blocked_at_node_2_of_a_translate(monkeypatch, cartan, top, anchored,
+                                                    wrong, blocked):
+    # a wrong chain at the anchored top leads to a term blocked at node 2; the
+    # message names the whole monomial, every node's factors, moved back by
+    # t = 1/3 to the caller's point
+    _small_cache(monkeypatch)
+    anchored, wrong = parse_monomial(anchored), parse_monomial(wrong)
+    real, fired = characters._sl2_node_expansion, []
+
+    def faulty(positions, d, cap, budget):
+        chains = real(positions, d, cap, budget)
+        if positions != anchored.exps:
+            return chains
+        fired.append(positions)
+        return (chains[0], (wrong.sites, 1))
+    monkeypatch.setattr(characters, "_sl2_node_expansion", faulty)
+    with pytest.raises(EngineError) as err:
+        fm_expand(cartan, parse_monomial(top))
+    assert fired
+    assert str(err.value) == (f"expansion blocked: monomial {blocked} has unexplained "
+                              "multiplicity at node 2 but is not 2-dominant")
+
+
 def test_each_chain_is_converted_to_y_once(monkeypatch):
     # the 1,399 new terms of B3 n3 k5 are reached by 228 distinct node chains
     _small_cache(monkeypatch)
