@@ -55,6 +55,8 @@ def _read_json(path: str, what: str):
             return json.load(fh)
         except ValueError as ex:
             raise ValueError(f"{what} {path} is not JSON: {ex}") from None
+        except RecursionError:
+            raise ValueError(f"{what} {path} is nested too deeply") from None
 
 
 def _load_config(path: str | None, fmt: str | None) -> CliConfig:

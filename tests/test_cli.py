@@ -383,6 +383,23 @@ def test_a_config_file_that_is_not_json_is_named(tmp_path):
                "enclosed in double quotes: line 1 column 2 (char 1)\n")
 
 
+def _deeply_nested(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+def test_a_suite_file_nested_too_deeply_is_named(tmp_path):
+    suite = _deeply_nested(tmp_path / "suite.json")
+    assert run(["verify", "suite", str(suite)]) == (
+        2, "", f"error: suite file {suite} is nested too deeply\n")
+
+
+def test_a_config_file_nested_too_deeply_is_named(tmp_path):
+    cfg = _deeply_nested(tmp_path / "cfg.json")
+    assert run(["qchar", "kr", "--type", "A1", "--node", "1", "--config", str(cfg)]) == (
+        2, "", f"error: config file {cfg} is nested too deeply\n")
+
+
 def test_stabilized_characters_are_bounded_by_the_term_budget():
     # the stable length is the height, so any height answers up to the budget
     code, out, _ = run(["qchar", "asymptotic", "--type", "A1", "--node", "1", "--y", "y",
