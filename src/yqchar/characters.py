@@ -15,7 +15,6 @@ suite, not assumed.
 """
 from __future__ import annotations
 
-import heapq
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -279,8 +278,8 @@ def divide_series(num: dict, den: dict, bound: int | None,
 # Bound on the memoized node-sl2 expansions.  Keys carry the coordinates of
 # anchored expansions (see fm_expand), so reuse happens within one expansion
 # and across expansions that meet the same string content under the same
-# cap: one cycle of the identity_suite benchmark hits 472 of 1,011 lookups.  A complete KR
-# character such as B3 n3 k5 or B4 n4 k3 meets 90-150 distinct keys.
+# cap: one cycle of the identity_suite benchmark hits 322 of 841 lookups.  The
+# complete KR characters B4 n4 k3 and B3 n3 k5 meet 87 and 151 distinct keys.
 _SL2_CACHE_SIZE = 1024
 # Bound on each weight memo below: one identity_suite cycle meets 75 KR weights.
 _WEIGHT_CACHE_SIZE = 1024
@@ -548,64 +547,64 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
 
 
 def _fm_expand(cartan, top, bound, config, t=0):
-    # Terms are keyed by their sorted site tuples, so a new term is one C
-    # sort and the work dicts hash and compare ints only; AVectors are built
-    # for the result alone.  The budget bounds the terms and, separately,
-    # their stored factors.
-    # Invariant: ymon[v] == (top * avector_to_y(cartan, v)).exps for every
-    # queued v.  A new term v2 = v * chain is reached from a popped v, and
-    # avector_to_y is a homomorphism, so v2's Y-form is one merge of v's
-    # with the chain's: the cost follows the new node-i chain, not the size
-    # of the whole monomial.  Each chain is converted once per call (chain_y).
+    # Terms are keyed by their sorted site tuples, so a new term is one C sort
+    # and the work dicts hash and compare ints only; AVectors are built for the
+    # result alone.  The budget bounds the terms and, separately, their factors.
+    # Invariant: pending[v] == (ys, counts) for every queued v: ys[j - 1] is the
+    # node-j part of (top * avector_to_y(cartan, v)).exps, and counts[j - 1] is
+    # v's multiplicity explained at node j.  avector_to_y is a homomorphism, so
+    # a new term v * chain copies v's ys and merges the chain's Y-form in at
+    # the nodes it touches, node i and its neighbours (chain_y: one conversion
+    # per chain).  A non-unit chain raises the height, so a term is new iff it
+    # is not pending, and the unit chain, which adds only to v's own count, is
+    # skipped.  Terms are popped by height, each height in the order found.
     # An error names its monomial moved by t, at the caller's point.
-    top_psi = y_to_psi(cartan, top)
-    budget = config.term_budget
-    explained = {i: {} for i in cartan.nodes}
-    result = {}
-    seq = factors = 0
-    heap = [(0, 0, ())]
-    seen = {()}
-    ymon = {(): top.exps}
-    chain_y = {}
-    while heap:
-        h, _, v = heapq.heappop(heap)
-        mult = max(explained[i].get(v, 0) for i in cartan.nodes) if v else 1
-        if mult <= 0:
-            raise EngineError("engine fault: discovered monomial with no multiplicity")
-        result[AVector(v, canonical=True)] = mult
-        m = ymon.pop(v)
-        at = _by_node(m)
-        for i in cartan.nodes:
-            ex = explained[i]
-            deficit = mult - ex.get(v, 0)
-            if deficit == 0:
-                continue
-            if deficit < 0:
-                raise EngineError("engine fault: node coverage exceeds multiplicity")
-            positions = tuple(at.get(i, ()))
-            if any(e < 0 for _, e in positions):
-                blocked = _translate(t, YMonomial(m, canonical=True))[0]
-                raise EngineError(f"expansion blocked: monomial {format_monomial(blocked)} "
-                                  f"has unexplained multiplicity at node {i} but is not "
-                                  f"{i}-dominant")
-            cap = None if bound is None else bound - h
-            for chain, c in _sl2_node_expansion(positions, cartan.d[i - 1], cap, budget):
-                v2 = tuple(sorted(v + chain))
-                ex[v2] = ex.get(v2, 0) + c * deficit
-                if v2 not in seen:
-                    seen.add(v2)
-                    factors += len(v2)
-                    if len(seen) > budget or factors > budget:
-                        raise EngineError(f"term budget {budget} exceeded during expansion "
-                                          f"({len(seen)} terms, {factors} factors)")
-                    dy = chain_y.get(chain)
-                    if dy is None:
-                        dy = chain_y[chain] = avector_to_y(
-                            cartan, AVector(chain, canonical=True)).exps
-                    ymon[v2] = _canon(dy, m)
-                    seq += 1
-                    heapq.heappush(heap, (h + len(chain), seq, v2))
-    return TruncatedCharacter.make(top_psi, result, bound)
+    budget, rank = config.term_budget, cartan.rank
+    at = _by_node(top.exps)
+    pending = {(): ([tuple(at.get(i, ())) for i in cartan.nodes], [0] * rank)}
+    levels = {0: [()]}          # height -> pending terms, in the order found
+    result, chain_y = {}, {}
+    h = factors = 0
+    while levels:
+        for v in levels.pop(h, ()):
+            ys, counts = pending.pop(v)
+            mult = max(counts) if v else 1
+            if mult <= 0:
+                raise EngineError("engine fault: discovered monomial with no multiplicity")
+            result[AVector(v, canonical=True)] = mult
+            for i, positions in enumerate(ys, 1):
+                deficit = mult - counts[i - 1]
+                if deficit < 0:
+                    raise EngineError("engine fault: node coverage exceeds multiplicity")
+                if not (deficit and positions):
+                    continue
+                if any(e < 0 for _, e in positions):
+                    blocked = _translate(t, YMonomial(tuple(sorted(sum(ys, ()))),
+                                                      canonical=True))[0]
+                    raise EngineError(f"expansion blocked: monomial {format_monomial(blocked)} "
+                                      f"has unexplained multiplicity at node {i} but is not "
+                                      f"{i}-dominant")
+                cap = None if bound is None else bound - h
+                for chain, c in _sl2_node_expansion(positions, cartan.d[i - 1], cap, budget)[1:]:
+                    v2 = tuple(sorted(v + chain))
+                    entry = pending.get(v2)
+                    if entry is None:
+                        dy = chain_y.get(chain)
+                        if dy is None:
+                            dy = chain_y[chain] = _by_node(avector_to_y(
+                                cartan, AVector(chain, canonical=True)).exps).items()
+                        ys2 = ys.copy()
+                        for j, pairs in dy:
+                            ys2[j - 1] = _canon(pairs, ys[j - 1])
+                        entry = pending[v2] = (ys2, [0] * rank)
+                        factors += len(v2)
+                        if (n := len(result) + len(pending)) > budget or factors > budget:
+                            raise EngineError(f"term budget {budget} exceeded during expansion "
+                                              f"({n} terms, {factors} factors)")
+                        levels.setdefault(h + len(chain), []).append(v2)
+                    entry[1][i - 1] += c * deficit
+        h += 1
+    return TruncatedCharacter.make(y_to_psi(cartan, top), result, bound)
 
 
 # ---------------------------------------------------------------------------
