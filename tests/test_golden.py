@@ -387,6 +387,13 @@ GOLDEN = [
     ((), 2, "36a56c5f4608496b"),
     (("verify", "suite"), 2, "bee29be75257829c"),
     (("qchar", "kr", "--x", "-3/2", "--type", "A2", "--node", "1"), 2, "580dbdc95ec73b25"),
+    # A truncated tower whose top is the unit (k = 0), a finite module at a
+    # negative rational x, and a Demazure weight of four roots at symbolic x.
+    (("rep-check", "qchar", "--kind", "truncated", "--k", "0", "--x=-1/2", "--M", "4",
+      "--format", "json"), 0, "df87880b722d0461"),
+    (("rep-check", "qchar", "--kind", "finite", "--k", "1", "--x=-7/3"), 0, "157255ac1e951280"),
+    (_v("factorization", "G2", 1, "--k", "4", "--x", "x", "--format", "json"), 0,
+     "a7c0ce45e708f270"),
 ]
 
 
