@@ -1,11 +1,13 @@
 """Explicit rank-one matrix modules: relations, extraction, three-term sum."""
 import dataclasses
+import io
 from fractions import Fraction
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import yqchar.cli as cli
 import yqchar.sl2_explicit as sl2_explicit
 from yqchar.cartan import LieType, build_cartan
 from yqchar.characters import (
@@ -372,6 +374,20 @@ def test_extraction_detects_inconsistent_eigenvalues():
         with pytest.raises(ValueError,
                            match=f"eigenvalue series of v_{i} does not match its ledger chain"):
             extract_qchar(_bump(m, "xi", n, i, delta))
+
+
+def test_extraction_checks_the_engine_row(monkeypatch):
+    # Extraction steps its predicted series by the engine's A_1 row, so a
+    # wrong row (here its inverse) is caught at v_1, in the API and the CLI.
+    real = sl2_explicit.expand_A_to_Psi
+    monkeypatch.setattr(sl2_explicit, "expand_A_to_Psi", lambda *a: real(*a) ** -1)
+    with pytest.raises(ValueError, match="eigenvalue series of v_1 does not match its ledger chain"):
+        extract_qchar(build_module("finite", 3, Fraction(1, 3)))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.dispatch(["rep-check", "qchar", "--kind", "finite", "--k", "3", "--x", "1/3"],
+                        out, err)
+    assert code == 2
+    assert "eigenvalue series of v_1 does not match its ledger chain" in err.getvalue()
 
 
 # -- three-term sum of modules ----------------------------------------------
