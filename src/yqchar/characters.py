@@ -25,8 +25,8 @@ from .cartan import CartanData
 from .coords import Coord, coord
 from .monomials import (
     _HALF, AVector, PsiMonomial, YMonomial, _by_node, _canon, _print_plan, _print_rows,
-    _remove, _term_key, _translate, avector_to_psi, avector_to_y, expand_A_to_Psi,
-    is_dominant, output_order, psi_to_y, y_to_psi,
+    _remove, _term_key, _translate, _unsite, avector_to_psi, avector_to_y, is_dominant,
+    output_order, psi_to_y, y_to_psi,
 )
 from .textio import format_monomial
 
@@ -327,8 +327,8 @@ def demazure_weight(cartan: CartanData, i: int, t: int, k: int, x) -> PsiMonomia
     x = coord(x)
     di = cartan.di(i)
     out = kr_weight(cartan, i, k, x - (k + 1) * di) * kr_weight(cartan, i, k + t, x - k * di)
-    for m in range(1, k + 1):
-        out = out * expand_A_to_Psi(cartan, i, x - m * di) ** -1
+    roots = AVector(tuple(((i, x - m * di), 1) for m in range(1, k + 1)))
+    out = out * avector_to_psi(cartan, roots)
     display = _demazure_weight_display(cartan, i, t, k, x)
     if display != out:
         raise EngineError("Demazure weight display disagrees with the telescoped product")
@@ -394,8 +394,7 @@ def sl2_kr_char(k: int, x, bound: int | None = None) -> TruncatedCharacter:
     if k < 0:
         raise ValueError("k must be >= 0")
     x = coord(x)
-    top = PsiMonomial.unit() if k == 0 else \
-        PsiMonomial.gen(1, x + k) * PsiMonomial.gen(1, x, -1)
+    top = PsiMonomial.gen(1, x + k) * PsiMonomial.gen(1, x, -1)
     terms = {}
     lmax = k if bound is None else min(k, bound)
     for l in range(lmax + 1):
@@ -533,7 +532,7 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
             raise ValueError(f"fm_expand requires a dominant top, got {format_monomial(top)}")
         t = 0
         if top.exps:
-            (i, x), _ = top.items()[0]
+            i, x = _unsite(top.ordered()[0][0])
             t = x.rat - Fraction(cartan.d[i - 1], 2)
         if not t:
             return _fm_expand(cartan, top, bound, config)

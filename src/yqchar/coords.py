@@ -104,8 +104,8 @@ class Coord:
         return self._hash
 
     def sort_key(self):
-        # Lexicographic on (symbolic part, rational part); used only for
-        # deterministic printing and iteration order, never for semantics.
+        # Lexicographic on (symbolic part, rational part), the order of `<`;
+        # read in src/ only by psi_to_y's refusal (printing uses _site_order).
         return (self.sym, self.rat)
 
     def __lt__(self, other):

@@ -23,8 +23,9 @@ truncated modules keep the first M vectors of the infinite tower, on which
 the defining relations hold on a safe interior of the basis (the last two
 columns may leak past the truncation).
 
-Everything here is independent of the symbolic character engine; the
-extracted characters serve as its end-to-end cross-check.
+Nothing here calls ``fm_expand``.  Extraction reads the engine's A_1 row once
+per module, and that row is what it cross-checks; ``three_term_sides``
+combines the four characters with ``char_mul`` and ``char_add``.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from math import lcm
 from operator import add, mul
 
 from .cartan import LieType, build_cartan
-from .coords import coord
 from .monomials import AVector, PsiMonomial, _site, expand_A_to_Psi
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter,
@@ -56,16 +56,9 @@ _SL2 = build_cartan(LieType.parse("A1"))
 # ---------------------------------------------------------------------------
 
 def _series_times(out: list, D: int, factors) -> list:
-    """Multiply the series ``out`` in place by prod (1 + a/u)^e, i.e. by
-    prod (u+a)^e / u^e, and return it; O(len(out)) per unit of e.
-
-    ``factors`` is a rank-one PsiMonomial with rational coordinates or
-    (a, e) pairs; D must be a multiple of every a's denominator.
-    """
-    if isinstance(factors, PsiMonomial):
-        if any(i != 1 or not a.is_rational for (i, a), _ in factors.items()):
-            raise ValueError(f"not a rank-one rational l-weight: {factors!r}")
-        factors = [(a.rat, e) for (_, a), e in factors.items()]
+    """Multiply the series ``out`` in place by prod (1 + a/u)^e = prod (u+a)^e / u^e
+    over the rational (a, e) pairs ``factors`` and return it; O(len(out)) per
+    unit of e.  D must be a multiple of every a's denominator."""
     order = len(out) - 1
     for a, e in factors:
         q, r = divmod(D, a.denominator)
@@ -286,12 +279,13 @@ def extract_qchar(mod: Sl2Module) -> TruncatedCharacter:
     series grows along the chain as ints S[n] = D^n c_n over D = lcm(den x,
     den k), and a stored entry v of xi_n passes when v D^(n+1) = S[n+1].
     """
-    x = coord(mod.x)
-    top = PsiMonomial.unit() if mod.k == 0 else \
-        PsiMonomial.gen(1, x + mod.k) * PsiMonomial.gen(1, x, -1)
-    D = lcm(mod.x.denominator, mod.k.denominator)
+    x, k = mod.x, mod.k
+    top = PsiMonomial.gen(1, x + k) * PsiMonomial.gen(1, x, -1)     # the unit at k = 0
+    D = lcm(x.denominator, k.denominator)
     Dn = [D ** n for n in range(1, len(mod.xi) + 1)]
-    S = _series_times([1] + [0] * len(mod.xi), D, top)
+    S = _series_times([1] + [0] * len(mod.xi), D, ((x + k, 1), (x, -1)))
+    # A_{1,x}^-1 as (offset, exponent): A_{1,x+i} is A_{1,x} moved by i in x's lane
+    step = [(z.rat - x, -e) for (_, z), e in expand_A_to_Psi(_SL2, 1, x).items()]
     terms = {}
     chain = []      # the sites of x, x+1, ...: one lane, rising, so always sorted
     for i in range(mod.dim):
@@ -299,10 +293,8 @@ def extract_qchar(mod: Sl2Module) -> TruncatedCharacter:
                for band, s, w in zip(mod.xi, S[1:], Dn)):
             raise ValueError(f"eigenvalue series of v_{i} does not match its ledger chain")
         terms[AVector(tuple(chain), canonical=True)] = 1
-        z = x + i
-        chain.append(_site(1, z))
-        a = expand_A_to_Psi(_SL2, 1, z)     # A_{1,z}: the chain gains its inverse
-        _series_times(S, D, [(z.rat, -e) for (_, z), e in a.items()])
+        chain.append(_site(1, x + i))
+        _series_times(S, D, [(x + i + o, e) for o, e in step])
     bound = None if mod.kind == "finite" else mod.dim - 1
     return TruncatedCharacter.make(top, terms, bound)
 
@@ -319,8 +311,7 @@ def three_term_sides(x, y, M: int, bound: int,
     up = extract_qchar(build_module("truncated", x + 1 - y, y, n_max=0, M=M, config=config))
     dn = extract_qchar(build_module("truncated", x - 1 - y, y, n_max=0, M=M, config=config))
     lhs = char_mul(two.truncate(bound), mid.truncate(bound), config)
-    rhs = char_add(_SL2, up.truncate(bound), dn.truncate(bound), AVector.gen(1, coord(x)),
-                   config)
+    rhs = char_add(_SL2, up.truncate(bound), dn.truncate(bound), AVector.gen(1, x), config)
     return lhs, rhs
 
 

@@ -13,7 +13,6 @@ from yqchar.cartan import LieType, build_cartan
 from yqchar.characters import (
     EngineConfig, EngineError, asymptotic_char, compare_characters, sl2_kr_char,
 )
-from yqchar.monomials import PsiMonomial
 from yqchar.sl2_explicit import (
     build_module, check_relations, extract_qchar, relation_instances, relation_report,
     verify_sl2_three_term,
@@ -168,32 +167,25 @@ def series_times(factors, order, D):
 # -- series helpers ----------------------------------------------------------
 
 def test_psi_ratio_series_examples():
-    # (u+1)/u = 1 + u^-1
-    m = PsiMonomial.gen(1, 1) * PsiMonomial.gen(1, 0, -1)
+    # (u+1)/u = 1 + u^-1, as Psi_{1,1} / Psi_{1,0}
+    m = [(Fraction(1), 1), (Fraction(0), -1)]
     assert series_times(m, 3, 1) == [1, 1, 0, 0]
     # u/(u+1) = 1 - u^-1 + u^-2 - ...
-    assert series_times(m ** -1, 3, 1) == [1, -1, 1, -1]
+    assert series_times([(a, -e) for a, e in m], 3, 1) == [1, -1, 1, -1]
     # (u+1/2)/u over D = 6, a multiple of 2
     assert series_times([(Fraction(1, 2), 1)], 2, 6) == [1, Fraction(1, 2), 0]
     # the kernel works in place
     out = [1, 0, 0]
     assert sl2_explicit._series_times(out, 1, m) is out
-    for bad in (PsiMonomial.gen(1, "x"), PsiMonomial.gen(2, 0)):
-        with pytest.raises(ValueError, match="not a rank-one rational l-weight"):
-            series_times(bad, 2, 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(WIDE, st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=4),
        st.integers(min_value=0, max_value=6), st.sampled_from((1, 2, 5)))
 def test_psi_ratio_series_matches_convolution(factors, order, scale):
-    m = PsiMonomial.unit()
-    for a, e in factors:
-        m = m * PsiMonomial.gen(1, a, e)
     want = reference_series(factors, order)
     # any multiple of the denominators will do
     D = scale * lcm(*(a.denominator for a, _ in factors))
-    assert series_times(m, order, D) == want
     assert series_times(factors, order, D) == want
 
 
@@ -388,6 +380,18 @@ def test_extraction_checks_the_engine_row(monkeypatch):
                         out, err)
     assert code == 2
     assert "eigenvalue series of v_1 does not match its ledger chain" in err.getvalue()
+
+
+def test_extraction_reads_the_engine_row_once(monkeypatch):
+    # one A_1 row per module, however many vectors it has
+    calls = []
+    real = sl2_explicit.expand_A_to_Psi
+    monkeypatch.setattr(sl2_explicit, "expand_A_to_Psi", lambda *a: calls.append(a) or real(*a))
+    mod = build_module("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=8)
+    assert mod.dim == 8
+    want = asymptotic_char(A1, 1, mod.x + mod.k, mod.x, 7)
+    assert compare_characters(extract_qchar(mod), want).verdict
+    assert len(calls) == 1
 
 
 # -- three-term sum of modules ----------------------------------------------
