@@ -387,10 +387,7 @@ def test_extraction_reads_the_engine_row_once(monkeypatch):
     calls = []
     real = sl2_explicit.expand_A_to_Psi
     monkeypatch.setattr(sl2_explicit, "expand_A_to_Psi", lambda *a: calls.append(a) or real(*a))
-    mod = build_module("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=8)
-    assert mod.dim == 8
-    want = asymptotic_char(A1, 1, mod.x + mod.k, mod.x, 7)
-    assert compare_characters(extract_qchar(mod), want).verdict
+    extract_qchar(build_module("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=8))
     assert len(calls) == 1
 
 
