@@ -394,6 +394,26 @@ GOLDEN = [
     (("rep-check", "qchar", "--kind", "finite", "--k", "1", "--x=-7/3"), 0, "157255ac1e951280"),
     (_v("factorization", "G2", 1, "--k", "4", "--x", "x", "--format", "json"), 0,
      "a7c0ce45e708f270"),
+    # Two bad fields in each leaf that had no usage error pinned, so the
+    # message names the field read first: --type before any coordinate, k
+    # and y before x (x before y in rep-check three-term), k before the M
+    # check, and a missing --monomial before --type.
+    (("qchar", "asymptotic", "--type", "A2", "--node", "1", "--y", "1//2", "--x", "1//3"), 2,
+     "477f906f7321b5be"),
+    (("qchar", "demazure", "--type", "A2", "--node", "1", "--k", "1//2", "--x", "1//3"), 2,
+     "477f906f7321b5be"),
+    (("qchar", "m", "--type", "A2", "--node", "1", "--k", "1//2", "--x", "1//3"), 2,
+     "477f906f7321b5be"),
+    (("qchar", "prefundamental", "--type", "Z9", "--node", "1", "--x", "1//3"), 2,
+     "24e715aa1cbd4a12"),
+    (("qchar", "n", "--type", "Z9", "--node", "1", "--k", "1//2"), 2, "24e715aa1cbd4a12"),
+    (("rep-check", "qchar", "--k", "1//2", "--x", "1//3"), 2, "477f906f7321b5be"),
+    (("rep-check", "relations", "--kind", "truncated", "--k", "1//2", "--x", "1//3",
+      "--M", "2"), 2, "477f906f7321b5be"),
+    (("rep-check", "three-term", "--x", "1//2", "--y", "1//3"), 2, "477f906f7321b5be"),
+    (("translate", "--to", "multiplicative", "--type", "Z9"), 2, "b1fcbc59123ada38"),
+    (("translate", "--to", "multiplicative", "--type", "Z9", "--monomial", "Psi[1,0]"), 2,
+     "24e715aa1cbd4a12"),
 ]
 
 
