@@ -45,7 +45,8 @@ class Coord:
             sym = tuple(sorted((n, c) for n, c in dict(sym).items() if c != 0))
         object.__setattr__(self, "rat", rat)
         object.__setattr__(self, "sym", sym)
-        object.__setattr__(self, "_hash", hash((rat, sym)))
+        # a rational coordinate equals its Fraction, so it hashes as one
+        object.__setattr__(self, "_hash", hash((rat, sym)) if sym else hash(rat))
 
     def __setattr__(self, *a):
         raise AttributeError("Coord is immutable")
@@ -104,8 +105,8 @@ class Coord:
         return self._hash
 
     def sort_key(self):
-        # Lexicographic on (symbolic part, rational part), the order of `<`;
-        # read in src/ only by psi_to_y's refusal (printing uses _site_order).
+        # (symbolic part, rational part), the order of `<`: in src/ only psi_to_y's
+        # refusal reads it; tests check _site_order and site storage against it.
         return (self.sym, self.rat)
 
     def __lt__(self, other):

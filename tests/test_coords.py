@@ -19,6 +19,13 @@ def test_construction_and_equality():
     assert Coord.var("k", 0) == Coord(0)
 
 
+@given(st.fractions(max_denominator=10**6))
+def test_a_rational_coordinate_hashes_as_its_rational(q):
+    assert hash(Coord(q)) == hash(q)
+    assert q in {Coord(q)}
+    assert {Coord(q): 1}[q] == 1
+
+
 def test_arithmetic():
     k = Coord.var("k")
     assert (k + 1) - 1 == k
