@@ -83,52 +83,82 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
               "y": plain, "a": plain, "b": plain,
               "N": dict(height, help="truncation height (default from config)")}
 
-    def leaf(group, name, names="", table=shared, help=None, **own):
+    def leaf(group, name, run=None, names="", table=shared, help=None, **own):
         """Add subcommand ``name`` to ``group`` and return it.  Its flags are
         those of ``table`` named in ``names`` (N is --height), each replaced
         by ``own`` where it names one, then the rest of ``own``, then
-        --format and --config.  Its namespace holds a height and, as the
-        tree's does, the command and what of its path (its prog after yqchar)."""
+        --format and --config.  Its namespace holds ``run``, the handler that
+        dispatch calls as run(args, engine config, N) for the object to print,
+        a height and, as the tree's does, the command and what of its path
+        (its prog after yqchar)."""
         p, names = group.add_parser(name, help=help), names.split()
         for f, kw in ({f: table[f] for f in names} | own).items():
             p.add_argument("--height" if f == "N" else f"--{f}", **kw)
         p.add_argument("--format", choices=("text", "json"), default=None)
         p.add_argument("--config", default=None, help="JSON CliConfig file")
         leaves[path := tuple(p.prog.split()[1:])] = p
-        p.set_defaults(height=None, **dict(zip(("command", "what"), path)))
+        p.set_defaults(run=run, height=None, **dict(zip(("command", "what"), path)))
         return p
 
+    # A handler looks up engine names in this module when it runs, so a rebound
+    # name is the one called; it reads --type before any coordinate, k or y before x.
+    cartan = lambda a: build_cartan(LieType.parse(a.type))
+    int_k = lambda a: narrow(a.k, "k", integer=True)
     q = sub.add_parser("qchar", help="compute a character").add_subparsers(
         dest="what", required=True)
     complete = dict(height, help="truncation height (default: the complete character)")
-    leaf(q, "kr", "type node k x N", N=complete)
-    leaf(q, "demazure", "type node k t x N", N=complete)
-    leaf(q, "asymptotic", "type node x y N")
-    leaf(q, "prefundamental", "type node x N", sign=dict(choices=("+", "-"), default="-"))
-    leaf(q, "m", "type node k x")
-    leaf(q, "n", "type node k x")
+    leaf(q, "kr", lambda a, eng, N: fm_expand(
+        c := cartan(a), kr_top_y(c, a.node, int_k(a), coord(a.x), eng), a.height, eng),
+        "type node k x N", N=complete)
+    leaf(q, "demazure", lambda a, eng, N: demazure_char_via_ses(
+        cartan(a), a.node, a.t, int_k(a), coord(a.x), a.height, eng),
+        "type node k t x N", N=complete)
+    leaf(q, "asymptotic", lambda a, eng, N: asymptotic_char(
+        cartan(a), a.node, coord(a.y), coord(a.x), N, eng), "type node x y N")
+    leaf(q, "prefundamental", lambda a, eng, N: prefundamental_char(
+        cartan(a), a.node, coord(a.x), a.sign, N, eng),
+        "type node x N", sign=dict(choices=("+", "-"), default="-"))
+    leaf(q, "m", lambda a, eng, N: m_weight(cartan(a), a.node, coord(a.k), coord(a.x)),
+         "type node k x")
+    leaf(q, "n", lambda a, eng, N: n_weight(cartan(a), a.node, coord(a.k), coord(a.x)),
+         "type node k x")
 
     v = sub.add_parser("verify", help="verify an identity").add_subparsers(
         dest="what", required=True)
     # a missing --k is left to IdentitySpec: 1, or the least k of the TQ regime
     lazy_k = shared | {"k": dict(shared["k"], default=None)}
     for kind, fields in KINDS.items():
-        leaf(v, kind.replace("_", "-"), " ".join(("type", "node", *fields)), lazy_k)
+        leaf(v, kind.replace("_", "-"), lambda a, eng, N, kind=kind: run_identity(IdentitySpec(
+            kind, a.type, a.node, N=N, **{f: getattr(a, f) for f in KINDS[kind] if f != "N"}),
+            eng), " ".join(("type", "node", *fields)), lazy_k)
     leaf(v, "suite", help="run a JSON list of identity specs").add_argument("suite_file")
 
     r = sub.add_parser("rep-check", help="explicit rank-one matrix checks").add_subparsers(
         dest="what", required=True)
     rational = dict(plain, help="rational, e.g. -3/2")
     size = dict(type=int, default=8)
-    for name in ("relations", "qchar"):
-        leaf(r, name, kind=dict(choices=("finite", "truncated"), default="finite"),
+    # --k, then --x, then the module's own checks
+    module = lambda a, eng: build_module(
+        a.kind, narrow(a.k, "--k"), narrow(a.x, "--x"), n_max=a.modes,
+        M=a.M if a.kind == "truncated" else None, config=eng)
+    for name, run in (("relations", lambda a, eng, N: check_relations(module(a, eng), config=eng)),
+                      ("qchar", lambda a, eng, N: extract_qchar(module(a, eng)))):
+        leaf(r, name, run, kind=dict(choices=("finite", "truncated"), default="finite"),
              k=dict(default="1", help="rational, e.g. -3/2; an integer >= 0 for --kind finite"),
              x=rational, M=dict(size, help="basis size of a truncated module"),
              modes=dict(type=int, default=3, help="mode bound n_max"))
-    leaf(r, "three-term", x=rational, y=rational,
-         M=dict(size, help="basis size of its three truncated towers"), N=shared["N"])
+    leaf(r, "three-term", lambda a, eng, N: verify_sl2_three_term(
+        narrow(a.x, "--x"), narrow(a.y, "--y"), a.M, N, eng),
+        x=rational, y=rational, M=dict(size, help="basis size of its three truncated towers"),
+        N=shared["N"])
 
-    leaf(sub, "translate", help="additive to multiplicative relabeling",
+    def relabel(a, eng, N):
+        if a.check_tq:
+            return verify_multiplicative_tq(cartan(a), a.node, *map(coord, "xyk"))
+        if not a.monomial:
+            raise ValueError("translate needs --monomial or --check-tq")
+        return to_multiplicative(parse_monomial(a.monomial, cartan(a), kind="Psi"))
+    leaf(sub, "translate", relabel, help="additive to multiplicative relabeling",
          to=dict(choices=("multiplicative",), required=True),
          monomial=dict(default=None, help="Psi monomial string"),
          type=dict(default="A2"), node=dict(type=int, default=1)).add_argument(
@@ -171,66 +201,22 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
         cfg = _load_config(args.config, args.format)
         eng = cfg.engine()
         N = cfg.default_height_bound if args.height is None else args.height
-        if args.command == "qchar":
-            cartan = build_cartan(LieType.parse(args.type))
-            i = args.node
-            if args.what == "kr":
-                top = kr_top_y(cartan, i, narrow(args.k, "k", integer=True), coord(args.x), eng)
-                ch = fm_expand(cartan, top, args.height, eng)
-            elif args.what == "demazure":
-                ch = demazure_char_via_ses(cartan, i, args.t, narrow(args.k, "k", integer=True),
-                                           coord(args.x), args.height, eng)
-            elif args.what == "asymptotic":
-                ch = asymptotic_char(cartan, i, coord(args.y), coord(args.x), N, eng)
-            elif args.what == "prefundamental":
-                ch = prefundamental_char(cartan, i, coord(args.x), args.sign, N, eng)
-            elif args.what == "m":
-                ch = m_weight(cartan, i, coord(args.k), coord(args.x))
-            else:
-                ch = n_weight(cartan, i, coord(args.k), coord(args.x))
-            return _emit(ch, cfg, out)
-        if args.command == "verify":
-            if args.what == "suite":
-                if not isinstance(entries := _read_json(args.suite_file, "suite file"), list):
-                    raise ValueError("a suite file must hold a JSON list of identity specs")
-                specs = [IdentitySpec.from_json(o, N=cfg.default_height_bound) for o in entries]
-                reports = [run_identity(s, eng) for s in specs]
-                ok = all(r.verdict for r in reports)
-                if cfg.output_format == "json":
-                    print(json.dumps({"schema": "yqchar/1",
-                                      "results": [r.to_json() for r in reports],
-                                      "verdict": "pass" if ok else "fail"},
-                                     sort_keys=True), file=out)
-                else:
-                    for s, r in zip(specs, reports):
-                        k = f" k={s.k}" if "k" in KINDS[s.kind] else ""
-                        print(f"--- {s.kind} {s.lie_type} i={s.i}{k}", file=out)
-                        _emit(r, cfg, out)
-                return 0 if ok else 1
-            kind = args.what.replace("-", "_")
-            spec = IdentitySpec(kind, args.type, args.node, N=N,
-                                **{f: getattr(args, f) for f in KINDS[kind] if f != "N"})
-            return _emit(run_identity(spec, eng), cfg, out)
-        if args.command == "rep-check":
-            if args.what == "three-term":
-                return _emit(verify_sl2_three_term(narrow(args.x, "--x"), narrow(args.y, "--y"),
-                                                   args.M, N, eng), cfg, out)
-            mod = build_module(args.kind, narrow(args.k, "--k"), narrow(args.x, "--x"),
-                               n_max=args.modes,
-                               M=args.M if args.kind == "truncated" else None,
-                               config=eng)
-            return _emit(check_relations(mod, config=eng) if args.what == "relations"
-                         else extract_qchar(mod), cfg, out)
-        # translate
-        if args.check_tq:
-            cartan = build_cartan(LieType.parse(args.type))
-            return _emit(verify_multiplicative_tq(cartan, args.node, coord("x"), coord("y"),
-                                                  coord("k")), cfg, out)
-        if not args.monomial:
-            raise ValueError("translate needs --monomial or --check-tq")
-        mono = parse_monomial(args.monomial, build_cartan(LieType.parse(args.type)),
-                              kind="Psi")
-        return _emit(to_multiplicative(mono), cfg, out)
+        if args.run:  # every leaf but verify suite, which prints its own document
+            return _emit(args.run(args, eng, N), cfg, out)
+        if not isinstance(entries := _read_json(args.suite_file, "suite file"), list):
+            raise ValueError("a suite file must hold a JSON list of identity specs")
+        specs = [IdentitySpec.from_json(o, N=cfg.default_height_bound) for o in entries]
+        reports = [run_identity(s, eng) for s in specs]
+        ok = all(r.verdict for r in reports)
+        if cfg.output_format == "json":
+            print(json.dumps({"schema": "yqchar/1", "results": [r.to_json() for r in reports],
+                              "verdict": "pass" if ok else "fail"}, sort_keys=True), file=out)
+        else:
+            for s, r in zip(specs, reports):
+                k = f" k={s.k}" if "k" in KINDS[s.kind] else ""
+                print(f"--- {s.kind} {s.lie_type} i={s.i}{k}", file=out)
+                _emit(r, cfg, out)
+        return 0 if ok else 1
     # The exit code of each failure: a bad input 2, an engine limit or fault 3.
     except EngineError as ex:
         print(f"engine error: {ex}", file=err)

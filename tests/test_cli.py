@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import yqchar.cli as cli
 from yqchar.characters import _FM_CACHE, Report
+from yqchar.coords import coord
+from yqchar.monomials import PsiMonomial
 
 
 def run(argv):
@@ -792,6 +794,27 @@ def test_every_leaf_has_its_own_parser():
     tree, leaves = cli._parser()
     assert {" ".join(path): p for path, p in leaves.items()} == dict(_leaves(tree))
     assert len(leaves) == 18
+
+
+# The values of the required flags, for a leaf's minimal argv.
+REQUIRED = {"--type": "A2", "--node": "1", "--to": "multiplicative"}
+
+
+def test_dispatch_prints_what_the_leaf_handler_returns():
+    mono = PsiMonomial.gen(1, coord("1/2")) * PsiMonomial.gen(2, coord("x"), -1)
+    _, leaves = cli._parser()
+    assert leaves["verify", "suite"].get_default("run") is None
+    for path, p in leaves.items():
+        if path == ("verify", "suite"):
+            continue
+        assert callable(handler := p.get_default("run")), path
+        flags = [w for a in p._actions if a.required and a.option_strings
+                 for w in (a.option_strings[0], REQUIRED[a.option_strings[0]])]
+        p.set_defaults(run=lambda args, eng, N: mono)
+        try:
+            assert run([*path, *flags]) == (0, "Psi[1,1/2] Psi[2,x]^-1\n", ""), path
+        finally:
+            p.set_defaults(run=handler)
 
 
 # -- config ------------------------------------------------------------------
