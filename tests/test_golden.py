@@ -29,6 +29,11 @@ def _v(what, t, i, *rest):
     return ("verify", what, "--type", t, "--node", str(i), *rest)
 
 
+def _dz(t, i, k, tt, height, *rest):
+    return ("qchar", "demazure", "--type", t, "--node", str(i), "--k", str(k), "--t", str(tt),
+            "--height", str(height), *rest)
+
+
 GOLDEN = [
     (_kr("A2", 1, 2, "--format", "json"), 0, "909d75dcb897b50e"),
     (_kr("A3", 2, 2), 0, "9832eb6404adc371"),
@@ -414,6 +419,21 @@ GOLDEN = [
     (("translate", "--to", "multiplicative", "--type", "Z9"), 2, "b1fcbc59123ada38"),
     (("translate", "--to", "multiplicative", "--type", "Z9", "--monomial", "Psi[1,0]"), 2,
      "24e715aa1cbd4a12"),
+    # The SES kernel at depth: route R2 of verify tq at N = 5-6 in G2, F4 and
+    # E6, and bounded Demazure characters at t = 0-2, one at symbolic x.
+    (_v("tq", "G2", 1, "--height", "5", "--format", "json"), 0, "ade0e1e501d5c30d"),
+    (_v("tq", "F4", 2, "--height", "6", "--format", "json"), 0, "531abbdcb6ca34bf"),
+    (_v("tq", "E6", 4, "--height", "6", "--format", "json"), 0, "f64395408127c4e6"),
+    (_v("tq", "A2", 1, "--k", "12", "--height", "3", "--x=0"), 0, "a6fccae285296b52"),
+    (_dz("B2", 1, 2, 0, 3, "--format", "json"), 0, "6c333f51a60f13ec"),
+    (_dz("B2", 2, 3, 1, 2, "--format", "json"), 0, "15441ff1a99fdb97"),
+    (_dz("B2", 1, 2, 2, 3, "--x", "x", "--format", "json"), 0, "32c77e48a1976b25"),
+    (_dz("G2", 1, 2, 0, 2, "--format", "json"), 0, "212b38bcb0d953e3"),
+    (_dz("G2", 2, 2, 1, 3, "--format", "json"), 0, "848d98c75e359190"),
+    (_dz("G2", 1, 3, 2, 3, "--x", "1/3", "--format", "json"), 0, "736da479e9290e0e"),
+    (_dz("C3", 2, 2, 0, 3, "--format", "json"), 0, "5266c174acc7dce5"),
+    (_dz("C3", 3, 1, 1, 3, "--format", "json"), 0, "e533a7a5a325d93c"),
+    (_dz("C3", 1, 3, 2, 2, "--x=-1/2", "--format", "json"), 0, "eab48a6543ba658d"),
 ]
 
 
