@@ -160,11 +160,15 @@ class Report:
 
 def compare_characters(lhs: TruncatedCharacter, rhs: TruncatedCharacter,
                        note: str = "") -> Report:
-    """Term-by-term comparison: the tops and every mismatched coefficient."""
-    la, rb = lhs.term_dict(), rhs.term_dict()
-    mism = [(t, a, b) for (_, a, b), t in output_order(
-        (v, la.get(v, 0), rb.get(v, 0)) for v in la.keys() | rb.keys()
-        if la.get(v, 0) != rb.get(v, 0))]
+    """Term-by-term comparison: the tops and every mismatched coefficient.
+    ``terms`` is canonical, in (height, sites) order, so equal ledgers are
+    equal tuples and have no mismatch to look for."""
+    mism = []
+    if lhs.terms != rhs.terms:
+        la, rb = lhs.term_dict(), rhs.term_dict()
+        mism = [(t, a, b) for (_, a, b), t in output_order(
+            (v, la.get(v, 0), rb.get(v, 0)) for v in la.keys() | rb.keys()
+            if la.get(v, 0) != rb.get(v, 0))]
     same = lhs.top == rhs.top
     lt = format_monomial(lhs.top)
     rt = lt if same else format_monomial(rhs.top)
@@ -182,7 +186,8 @@ def compare_characters(lhs: TruncatedCharacter, rhs: TruncatedCharacter,
 # Ledger arithmetic.
 # ---------------------------------------------------------------------------
 
-def _ledger_acc(a, b, bound: int | None, budget: int, acc=None, sign: int = 1) -> dict:
+def _ledger_acc(a, b, bound: int | None, budget: int, acc=None, sign: int = 1,
+                base: tuple = ()) -> dict:
     """Truncated product of two A-ledgers on site tuples, added into ``acc``.
 
     ``a`` and ``b`` are iterables of (sorted site tuple, coefficient) pairs;
@@ -191,17 +196,33 @@ def _ledger_acc(a, b, bound: int | None, budget: int, acc=None, sign: int = 1) -
     sorted site tuples.  Raises EngineError when ``acc`` holds more than
     ``budget`` keys.  Keys are never removed, so the count only grows and one
     check per row of ``a`` decides the same as a check per term.
+
+    With a bound, the height is counted outside ``base``, a tuple of distinct
+    sites: |v - base| is len(v) less the number of base sites v holds, each
+    once.  Each row's base sites are a bitmask, and the rows of ``b`` are
+    grouped by bitmask, each group ranked by height; a pair of rows whose
+    bitmasks join to u is kept iff len(sa) + len(sb) - popcount(u) <= bound.
     """
+    bit = {s: 1 << n for n, s in enumerate(base)} if base and bound is not None else None
     b = sorted(b, key=lambda sc: len(sc[0]))
+    groups = ((0, b),)
+    if bit:
+        groups = {}
+        for row in b:
+            groups.setdefault(sum({bit.get(s, 0) for s in row[0]}), []).append(row)
+        groups = groups.items()
     acc = {} if acc is None else acc
     for sa, ca in a:
+        ma = sum({bit.get(s, 0) for s in sa}) if bit else 0     # a set: each site once
         room = None if bound is None else bound - len(sa)
         ca *= sign
-        for sb, cb in b:
-            if room is not None and len(sb) > room:
-                break
-            k = tuple(sorted(sa + sb))
-            acc[k] = acc.get(k, 0) + ca * cb
+        for mb, rows in groups:
+            cut = room + (ma | mb).bit_count() if ma | mb else room
+            for sb, cb in rows:
+                if cut is not None and len(sb) > cut:
+                    break
+                k = tuple(sorted(sa + sb))
+                acc[k] = acc.get(k, 0) + ca * cb
         if len(acc) > budget:
             raise EngineError(f"term budget {budget} exceeded in character product")
     return acc
@@ -278,7 +299,7 @@ def divide_series(num: dict, den: dict, bound: int | None,
 # Bound on the memoized node-sl2 expansions.  Keys carry the coordinates of
 # anchored expansions (see fm_expand), so reuse happens within one expansion
 # and across expansions that meet the same string content under the same
-# cap: one cycle of the identity_suite benchmark hits 322 of 841 lookups.  The
+# cap: one cycle of the identity_suite benchmark hits 283 of 760 lookups.  The
 # complete KR characters B4 n4 k3 and B3 n3 k5 meet 87 and 151 distinct keys.
 _SL2_CACHE_SIZE = 1024
 # Bound on each weight memo below: one identity_suite cycle meets 75 KR weights.
@@ -497,25 +518,35 @@ class _TermBoundedCache:
 
 # Bound on the total terms of the memoized engine characters: expansions and
 # SES kernel characters share it.  One cycle of the identity_suite benchmark
-# leaves 147 entries with 4,049 terms (77 anchored and 55 translated
-# expansions 3,504, 15 kernels 545) after 1,134 hits; tests/test_acceptance.py
+# leaves 147 entries with 3,413 terms (77 anchored and 55 translated
+# expansions 2,868, 15 kernels 545) after 1,134 hits; tests/test_acceptance.py
 # and two cycles of kr_complete each fill it.
 _FM_CACHE_TERMS = 10_000
 _FM_CACHE = _TermBoundedCache(_FM_CACHE_TERMS)
 
 
 def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
-              config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
+              config: EngineConfig = DEFAULT_CONFIG,
+              base: AVector | None = None) -> TruncatedCharacter:
     """Expand the character of L(top) for a dominant Y-monomial.
 
     Iterative completion by node-restricted sl2 characters; terms are
     produced in increasing height, stopping at ``bound`` (None = expand the
     complete finite character).
 
+    With a bound, a ``base`` of distinct sites truncates by height outside
+    it: the expansion holds exactly the terms v with |v - base| <= bound, a
+    base site counted inside once however often v holds it, and its
+    ``height_bound`` is ``bound``.  Those terms are an order ideal under
+    division, so each parent of a kept term is kept and the multiplicities
+    are those of the complete character.  Only the SES route reads such an
+    expansion (see ``demazure_char_via_ses``); without a bound the base is
+    not read.
+
     The completion sees only coordinate differences within a lane, so the
     character of a top moved by a rational t is the character moved by t.
-    The memo is keyed on the top as given.  On a miss the top is moved by -t
-    to its anchor, where the rational part of its first factor in
+    The memo is keyed on the top and base as given.  On a miss both are moved
+    by -t to the top's anchor, where the rational part of its first factor in
     (node, Coord) order is d_i/2 (W_{k,x} anchors at x.rat), expanded there
     through the same memo, and the result moved back by t; that translate
     enters the memo at its cold end, so that translates met once do not
@@ -526,6 +557,11 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     """
     if bound is not None and bound < 0:
         raise ValueError("height bound must be >= 0")
+    if bound is None or base is None or base.is_unit():
+        base = None
+
+    def key(top, base):
+        return ("fm", cartan, top, bound if base is None else (bound, base), config)
 
     def compute():
         if not is_dominant(top):
@@ -535,17 +571,18 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
             i, x = _unsite(top.ordered()[0][0])
             t = x.rat - Fraction(cartan.d[i - 1], 2)
         if not t:
-            return _fm_expand(cartan, top, bound, config)
-        anchored = _translate(-t, top)[0]
-        ch = _FM_CACHE.memo(("fm", cartan, anchored, bound, config),
-                            lambda: _fm_expand(cartan, anchored, bound, config, t))
+            return _fm_expand(cartan, top, bound, config, 0, base)
+        anchored, rows = _translate(-t, top, () if base is None else ((base, 1),))
+        at = rows[0][0] if rows else None
+        ch = _FM_CACHE.memo(key(anchored, at),
+                            lambda: _fm_expand(cartan, anchored, bound, config, t, at))
         moved = object.__new__(TruncatedCharacter)      # no terms yet: see __getattr__
         moved.__dict__.update(top=_translate(t, ch.top)[0], height_bound=bound, _anchor=ch, _t=t)
         return moved
-    return _FM_CACHE.memo(("fm", cartan, top, bound, config), compute)
+    return _FM_CACHE.memo(key(top, base), compute)
 
 
-def _fm_expand(cartan, top, bound, config, t=0):
+def _fm_expand(cartan, top, bound, config, t=0, base=None):
     # Terms are keyed by their sorted site tuples, so a new term is one C sort
     # and the work dicts hash and compare ints only; AVectors are built for the
     # result alone.  The budget bounds the terms and, separately, their factors.
@@ -557,8 +594,16 @@ def _fm_expand(cartan, top, bound, config, t=0):
     # per chain).  A non-unit chain raises the height, so a term is new iff it
     # is not pending, and the unit chain, which adds only to v's own count, is
     # skipped.  Terms are popped by height, each height in the order found.
-    # An error names its monomial moved by t, at the caller's point.
+    # An error names its monomial moved by t, at the caller's point.  With a
+    # base, heights are counted outside it (see fm_expand), and a new term
+    # outside the bound is never queued: its children are outside too.  A
+    # node-i chain adds at least its length less the base sites at node i
+    # that v lacks, which caps it.
     budget, rank = config.term_budget, cartan.rank
+    inside, base_at = frozenset(), {}
+    if base is not None:
+        inside = frozenset(base.sites)
+        base_at = {j: frozenset(s for s, _ in p) for j, p in _by_node(base.exps).items()}
     at = _by_node(top.exps)
     pending = {(): ([tuple(at.get(i, ())) for i in cartan.nodes], [0] * rank)}
     levels = {0: [()]}          # height -> pending terms, in the order found
@@ -571,6 +616,8 @@ def _fm_expand(cartan, top, bound, config, t=0):
             if mult <= 0:
                 raise EngineError("engine fault: discovered monomial with no multiplicity")
             result[AVector(v, canonical=True)] = mult
+            if bound is not None:       # bound less v's height outside the base
+                room = bound - len(v) + len(inside.intersection(v))
             for i, positions in enumerate(ys, 1):
                 deficit = mult - counts[i - 1]
                 if deficit < 0:
@@ -583,11 +630,14 @@ def _fm_expand(cartan, top, bound, config, t=0):
                     raise EngineError(f"expansion blocked: monomial {format_monomial(blocked)} "
                                       f"has unexplained multiplicity at node {i} but is not "
                                       f"{i}-dominant")
-                cap = None if bound is None else bound - h
+                cap = None if bound is None else room + (
+                    len(base_at[i].difference(v)) if i in base_at else 0)
                 for chain, c in _sl2_node_expansion(positions, cartan.d[i - 1], cap, budget)[1:]:
                     v2 = tuple(sorted(v + chain))
                     entry = pending.get(v2)
                     if entry is None:
+                        if inside and len(v2) - len(inside.intersection(v2)) > bound:
+                            continue
                         dy = chain_y.get(chain)
                         if dy is None:
                             dy = chain_y[chain] = _by_node(avector_to_y(
@@ -666,6 +716,17 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
     chi(W_{k,x0}) chi(W_{k+t,x0+d_i}) - chi(W_{k-1,x0+d_i}) chi(W_{k+t+1,x0})
     at x0 = x - (k+1) d_i, so the kernel top sits at x.  Any negative
     coefficient is a hard failure: exactness of the sequence forces positivity.
+
+    Every term of the difference holds the kernel top ledger
+    v0 = prod_{m=1..k} A^-1_{i,x0+m d_i}, so a term v of the kernel at height
+    <= N is v0 v with |v0 v - v0| <= N.  With a bound N, the four factors, the
+    two products and the difference are all kept only on the set I of ledgers
+    u with |u - v0| <= N, v0's k distinct sites each counted inside once.  I
+    is an order ideal: a ledger outside I has every multiple outside I.  So
+    the parents of a kept expansion term are kept (see ``fm_expand``), both
+    factors of a kept product term are kept, and the difference on I is exact.
+    The checks below run on I: tops agree, no coefficient is negative, v0 has
+    coefficient 1 and every term holds v0.
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
@@ -679,8 +740,10 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
 def _demazure_char_via_ses(cartan, i, t, k, x, bound, config):
     di = cartan.di(i)
     x0 = x - (k + 1) * di
-    inner = None if bound is None else bound + k
-    a, b, c, d = (fm_expand(cartan, kr_top_y(cartan, i, kk, base, config), inner, config)
+    # the kernel top is w * prod_{m=1..k} A_{i,x0+m d_i}^-1
+    v0 = AVector(tuple(((i, x0 + m * di), 1) for m in range(1, k + 1)))
+    a, b, c, d = (fm_expand(cartan, kr_top_y(cartan, i, kk, base, config), bound, config,
+                            base=v0)
                   for kk, base in ((k, x0), (k + t, x0 + di), (k - 1, x0 + di),
                                    (k + t + 1, x0)))
     if a.top * b.top != c.top * d.top:
@@ -689,12 +752,11 @@ def _demazure_char_via_ses(cartan, i, t, k, x, bound, config):
     # c*d adds is already a negative coefficient, so the budget on the
     # accumulator bounds each product exactly when the difference is valid.
     budget = config.term_budget
-    diff = _ledger_acc(_sites(c.terms), _sites(d.terms), inner, budget,
-                       _ledger_acc(_sites(a.terms), _sites(b.terms), inner, budget), -1)
+    diff = _ledger_acc(_sites(c.terms), _sites(d.terms), bound, budget,
+                       _ledger_acc(_sites(a.terms), _sites(b.terms), bound, budget,
+                                   base=v0.sites), -1, v0.sites)
     if min(diff.values()) < 0:
         raise EngineError("negative coefficient in SES difference: engine fault")
-    # the kernel top is w * prod_{m=1..k} A_{i,x0+m d_i}^-1
-    v0 = AVector(tuple(((i, x0 + m * di), 1) for m in range(1, k + 1)))
     if diff.get(v0.sites) != 1:
         raise EngineError("SES difference is missing its expected top term")
     rebased = {}

@@ -420,6 +420,48 @@ ledgers = st.lists(st.tuples(avector_factors, st.integers(min_value=1, max_value
                    max_size=5).map(build_ledger)
 
 
+def full_scan(lhs, rhs, note=""):
+    """``compare_characters`` with no equal-ledger shortcut: every key of
+    either side is looked up on both."""
+    la, rb = lhs.term_dict(), rhs.term_dict()
+    mism = [(t, a, b) for (_, a, b), t in output_order(
+        (v, la.get(v, 0), rb.get(v, 0)) for v in la.keys() | rb.keys()
+        if la.get(v, 0) != rb.get(v, 0))]
+    same = lhs.top == rhs.top
+    lt = format_monomial(lhs.top)
+    rt = lt if same else format_monomial(rhs.top)
+    lines = [f"note: {note}"] if note else []
+    if not same:
+        lines.append(f"top mismatch: {lt} != {rt}")
+    lines += [f"  {v}: lhs={a} rhs={b}" for v, a, b in mism]
+    return characters.Report(
+        same and not mism,
+        {"note": note, "lhs_top": lt, "rhs_top": rt,
+         "mismatches": [{"avector": v, "lhs": a, "rhs": b} for v, a, b in mism]},
+        tuple(lines))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ledgers, ledgers, st.sampled_from(("equal", "other", "bumped")), st.booleans(),
+       st.sampled_from(("", "a note")))
+def test_an_equal_ledger_is_reported_as_the_full_scan_reports_it(a, b, pair, same_top, note):
+    # equal ledgers are separate but equal tuples; "bumped" moves one
+    # coefficient of an equal copy, or adds a term to a ledger of 1 alone
+    la = {**a[0], AVector.unit(): 1}
+    lb = dict(la) if pair != "other" else {**b[0], AVector.unit(): 1}
+    if pair == "bumped":
+        v = max(la, key=lambda v: v.sites) if len(la) > 1 else chain((1, 0))
+        lb[v] = lb.get(v, 0) + 1
+    top = PsiMonomial.gen(1, 0)
+    lhs = TruncatedCharacter.make(top, la, 3)
+    rhs = TruncatedCharacter.make(top if same_top else PsiMonomial.gen(2, "1/2"), lb, 3)
+    assert (lhs.terms == rhs.terms) == (la == lb)
+    got, want = compare_characters(lhs, rhs, note), full_scan(lhs, rhs, note)
+    assert (got.verdict, got.to_json(), got.to_text()) == \
+        (want.verdict, want.to_json(), want.to_text())
+    assert got.verdict == (same_top and la == lb)
+
+
 @given(ledgers, ledgers, st.integers(min_value=0, max_value=4))
 def test_ledger_mul_matches_coord_reference_and_truncation(a, b, bound):
     (la, fa), (lb, fb) = a, b
@@ -595,6 +637,35 @@ def test_fused_difference_is_the_difference_of_products(la, lb, lc, ld, bound):
     assert {k: c for k, c in got.items() if c} == {k: c for k, c in want.items() if c}
 
 
+# Few sites, so that rows repeat sites and share them with the base.
+near_sites = st.tuples(st.integers(min_value=1, max_value=2), st.sampled_from(("0", "1/2", "1", "x")))
+near_ledgers = st.dictionaries(
+    st.lists(st.tuples(near_sites, st.integers(min_value=1, max_value=2)), max_size=3).map(
+        lambda pairs: AVector(tuple(((i, coord(x)), e) for (i, x), e in pairs))),
+    st.integers(min_value=1, max_value=3), max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_ledgers, near_ledgers, near_ledgers, near_ledgers, st.sets(near_sites),
+       st.integers(min_value=0, max_value=4))
+def test_a_product_outside_a_base_is_the_product_cut_by_its_height_outside(
+        la, lb, lc, ld, base, bound):
+    # a product is kept iff its height less the distinct base sites it holds
+    # is at most the bound: a repeated base site counts once as inside
+    inside = {AVector.gen(i, x).sites[0] for i, x in base}
+    sa, sb, sc, sd = ([(v.sites, c) for v, c in lx.items()] for lx in (la, lb, lc, ld))
+    got = _ledger_acc(sc, sd, bound, 10 ** 6,
+                      _ledger_acc(sa, sb, bound, 10 ** 6, base=tuple(inside)), -1, tuple(inside))
+    want = {}
+    for (l1, l2), sign in (((la, lb), 1), ((lc, ld), -1)):
+        for v1, c1 in l1.items():
+            for v2, c2 in l2.items():
+                v = (v1 * v2).sites
+                if len(v) - len(inside.intersection(v)) <= bound:
+                    want[v] = want.get(v, 0) + sign * c1 * c2
+    assert {k: c for k, c in got.items() if c} == {k: c for k, c in want.items() if c}
+
+
 def ses_reference(cartan, i, t, k, x, bound):
     """The SES route before it was fused: two char_mul products at
     x0 = x - (k+1) d_i, their difference on AVector keys, then each key less
@@ -629,8 +700,8 @@ def test_ses_difference_rejects_a_negative_coefficient(monkeypatch, extra):
     monkeypatch.setattr(characters, "_FM_CACHE", characters._TermBoundedCache(10_000))
     real, calls = characters.fm_expand, []
 
-    def faulty(cartan, top, bound=None, config=characters.DEFAULT_CONFIG):
-        ch = real(cartan, top, bound, config)
+    def faulty(cartan, top, bound=None, config=characters.DEFAULT_CONFIG, **kw):
+        ch = real(cartan, top, bound, config, **kw)
         calls.append(ch)
         if len(calls) == 3:
             terms = ch.term_dict()
@@ -648,8 +719,8 @@ def _fault_first_factor(monkeypatch, top=None, extra=None):
     monkeypatch.setattr(characters, "_FM_CACHE", characters._TermBoundedCache(10_000))
     real, calls = characters.fm_expand, []
 
-    def faulty(cartan, top_y, bound=None, config=characters.DEFAULT_CONFIG):
-        ch = real(cartan, top_y, bound, config)
+    def faulty(cartan, top_y, bound=None, config=characters.DEFAULT_CONFIG, **kw):
+        ch = real(cartan, top_y, bound, config, **kw)
         calls.append(ch)
         if len(calls) == 1:
             terms = ch.term_dict()

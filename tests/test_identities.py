@@ -146,6 +146,15 @@ def test_tq_routes_agree_individually():
     assert r1.terms == r2.terms == rhs.terms
 
 
+def test_tq_reaches_height_seven_in_g2():
+    # route R2's SES kernel keeps only the ledgers within N of its top; the
+    # full products at height N + k = 28 exceed the default term budget
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.dispatch(["verify", "tq", "--type", "G2", "--node", "1", "--height", "7"], out, err)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue().startswith("verdict: pass\nnote: G2 i=1 k=21 x=0 N=7\n")
+
+
 def test_tq_division_needs_divisible_k():
     # node 2 of B2 needs k in 2Z to realize the long-node KR factor
     with pytest.raises(ValueError, match="d_1=2 does not divide"):
