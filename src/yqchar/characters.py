@@ -161,8 +161,7 @@ class Report:
 def compare_characters(lhs: TruncatedCharacter, rhs: TruncatedCharacter,
                        note: str = "") -> Report:
     """Term-by-term comparison: the tops and every mismatched coefficient.
-    ``terms`` is canonical, in (height, sites) order, so equal ledgers are
-    equal tuples and have no mismatch to look for."""
+    ``terms`` is in canonical order, so equal ledgers are equal tuples."""
     mism = []
     if lhs.terms != rhs.terms:
         la, rb = lhs.term_dict(), rhs.term_dict()
@@ -197,32 +196,34 @@ def _ledger_acc(a, b, bound: int | None, budget: int, acc=None, sign: int = 1,
     ``budget`` keys.  Keys are never removed, so the count only grows and one
     check per row of ``a`` decides the same as a check per term.
 
-    With a bound, the height is counted outside ``base``, a tuple of distinct
-    sites: |v - base| is len(v) less the number of base sites v holds, each
-    once.  Each row's base sites are a bitmask, and the rows of ``b`` are
-    grouped by bitmask, each group ranked by height; a pair of rows whose
-    bitmasks join to u is kept iff len(sa) + len(sb) - popcount(u) <= bound.
+    With a bound, heights are counted outside ``base``, distinct sites each
+    counted inside once: the rows of ``a`` and ``b`` are grouped by the
+    bitmask of their base sites, and each pair of groups, with bitmasks
+    joined to u, is multiplied under the bound plus popcount(u).
     """
-    bit = {s: 1 << n for n, s in enumerate(base)} if base and bound is not None else None
-    b = sorted(b, key=lambda sc: len(sc[0]))
-    groups = ((0, b),)
-    if bit:
-        groups = {}
-        for row in b:
-            groups.setdefault(sum({bit.get(s, 0) for s in row[0]}), []).append(row)
-        groups = groups.items()
     acc = {} if acc is None else acc
+    if base and bound is not None:
+        bit = {s: 1 << n for n, s in enumerate(base)}
+
+        def by_mask(rows):          # a set: each base site once
+            groups = {}
+            for row in rows:
+                groups.setdefault(sum({bit.get(s, 0) for s in row[0]}), []).append(row)
+            return groups.items()
+        gb = by_mask(b)
+        for ma, ra in by_mask(a):
+            for mb, rb in gb:
+                _ledger_acc(ra, rb, bound + (ma | mb).bit_count(), budget, acc, sign)
+        return acc
+    b = sorted(b, key=lambda sc: len(sc[0]))
     for sa, ca in a:
-        ma = sum({bit.get(s, 0) for s in sa}) if bit else 0     # a set: each site once
         room = None if bound is None else bound - len(sa)
         ca *= sign
-        for mb, rows in groups:
-            cut = room + (ma | mb).bit_count() if ma | mb else room
-            for sb, cb in rows:
-                if cut is not None and len(sb) > cut:
-                    break
-                k = tuple(sorted(sa + sb))
-                acc[k] = acc.get(k, 0) + ca * cb
+        for sb, cb in b:
+            if room is not None and len(sb) > room:
+                break
+            k = tuple(sorted(sa + sb))
+            acc[k] = acc.get(k, 0) + ca * cb
         if len(acc) > budget:
             raise EngineError(f"term budget {budget} exceeded in character product")
     return acc
@@ -534,14 +535,11 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     produced in increasing height, stopping at ``bound`` (None = expand the
     complete finite character).
 
-    With a bound, a ``base`` of distinct sites truncates by height outside
-    it: the expansion holds exactly the terms v with |v - base| <= bound, a
-    base site counted inside once however often v holds it, and its
-    ``height_bound`` is ``bound``.  Those terms are an order ideal under
-    division, so each parent of a kept term is kept and the multiplicities
-    are those of the complete character.  Only the SES route reads such an
-    expansion (see ``demazure_char_via_ses``); without a bound the base is
-    not read.
+    With a bound, an AVector ``base`` of distinct sites truncates by height
+    outside it: the result holds exactly the terms v with |v - base| <= bound,
+    each base site counted inside once, with their full multiplicities, since
+    those terms are an order ideal (each parent of a kept term is kept).  Only
+    the SES route reads such an expansion (see ``demazure_char_via_ses``).
 
     The completion sees only coordinate differences within a lane, so the
     character of a top moved by a rational t is the character moved by t.
@@ -557,7 +555,7 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     """
     if bound is not None and bound < 0:
         raise ValueError("height bound must be >= 0")
-    if bound is None or base is None or base.is_unit():
+    if bound is None:
         base = None
 
     def key(top, base):
@@ -595,15 +593,12 @@ def _fm_expand(cartan, top, bound, config, t=0, base=None):
     # is not pending, and the unit chain, which adds only to v's own count, is
     # skipped.  Terms are popped by height, each height in the order found.
     # An error names its monomial moved by t, at the caller's point.  With a
-    # base, heights are counted outside it (see fm_expand), and a new term
-    # outside the bound is never queued: its children are outside too.  A
-    # node-i chain adds at least its length less the base sites at node i
-    # that v lacks, which caps it.
+    # base, a term beyond the bound is never queued (see fm_expand); a node-i
+    # chain takes v beyond it by its length less the base sites at i v lacks.
     budget, rank = config.term_budget, cartan.rank
-    inside, base_at = frozenset(), {}
-    if base is not None:
-        inside = frozenset(base.sites)
-        base_at = {j: frozenset(s for s, _ in p) for j, p in _by_node(base.exps).items()}
+    inside = frozenset(() if base is None else base.sites)
+    at_node = _by_node((s, 1) for s in inside)
+    base_at = [frozenset(s for s, _ in at_node.get(j, ())) for j in cartan.nodes]
     at = _by_node(top.exps)
     pending = {(): ([tuple(at.get(i, ())) for i in cartan.nodes], [0] * rank)}
     levels = {0: [()]}          # height -> pending terms, in the order found
@@ -616,8 +611,6 @@ def _fm_expand(cartan, top, bound, config, t=0, base=None):
             if mult <= 0:
                 raise EngineError("engine fault: discovered monomial with no multiplicity")
             result[AVector(v, canonical=True)] = mult
-            if bound is not None:       # bound less v's height outside the base
-                room = bound - len(v) + len(inside.intersection(v))
             for i, positions in enumerate(ys, 1):
                 deficit = mult - counts[i - 1]
                 if deficit < 0:
@@ -630,8 +623,8 @@ def _fm_expand(cartan, top, bound, config, t=0, base=None):
                     raise EngineError(f"expansion blocked: monomial {format_monomial(blocked)} "
                                       f"has unexplained multiplicity at node {i} but is not "
                                       f"{i}-dominant")
-                cap = None if bound is None else room + (
-                    len(base_at[i].difference(v)) if i in base_at else 0)
+                cap = None if bound is None else (bound - len(v) + len(inside.intersection(v))
+                                                  + len(base_at[i - 1].difference(v)))
                 for chain, c in _sl2_node_expansion(positions, cartan.d[i - 1], cap, budget)[1:]:
                     v2 = tuple(sorted(v + chain))
                     entry = pending.get(v2)
@@ -717,16 +710,13 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
     at x0 = x - (k+1) d_i, so the kernel top sits at x.  Any negative
     coefficient is a hard failure: exactness of the sequence forces positivity.
 
-    Every term of the difference holds the kernel top ledger
-    v0 = prod_{m=1..k} A^-1_{i,x0+m d_i}, so a term v of the kernel at height
-    <= N is v0 v with |v0 v - v0| <= N.  With a bound N, the four factors, the
-    two products and the difference are all kept only on the set I of ledgers
-    u with |u - v0| <= N, v0's k distinct sites each counted inside once.  I
-    is an order ideal: a ledger outside I has every multiple outside I.  So
-    the parents of a kept expansion term are kept (see ``fm_expand``), both
-    factors of a kept product term are kept, and the difference on I is exact.
-    The checks below run on I: tops agree, no coefficient is negative, v0 has
-    coefficient 1 and every term holds v0.
+    Each term of the difference is v0 v, v0 = prod_{m=1..k} A^-1_{i,x0+m d_i}
+    the kernel top, so at a bound N only the set I of ledgers u with
+    |u - v0| <= N is needed, each of v0's k distinct sites counted inside
+    once.  I is an order ideal: every multiple of a ledger outside I is
+    outside.  So the factors of a kept product term and the parents of a kept
+    expansion term are kept, and the expansions, products and difference are
+    exact on I, where the checks below run.
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
