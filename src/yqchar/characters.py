@@ -197,22 +197,17 @@ def _ledger_acc(a, b, bound: int | None, budget: int, acc=None, sign: int = 1,
     check per row of ``a`` decides the same as a check per term.
 
     With a bound, heights are counted outside ``base``, distinct sites each
-    counted inside once: the rows of ``a`` and ``b`` are grouped by the
-    bitmask of their base sites, and each pair of groups, with bitmasks
-    joined to u, is multiplied under the bound plus popcount(u).
+    counted inside once: rows are grouped by the bitmask of their base sites,
+    and two groups whose bitmasks join to u multiply under bound + popcount(u).
     """
     acc = {} if acc is None else acc
     if base and bound is not None:
-        bit = {s: 1 << n for n, s in enumerate(base)}
-
-        def by_mask(rows):          # a set: each base site once
-            groups = {}
-            for row in rows:
+        bit, ga, gb = {s: 1 << n for n, s in enumerate(base)}, {}, {}
+        for groups, rows in ((ga, a), (gb, b)):
+            for row in rows:            # a set: each base site once
                 groups.setdefault(sum({bit.get(s, 0) for s in row[0]}), []).append(row)
-            return groups.items()
-        gb = by_mask(b)
-        for ma, ra in by_mask(a):
-            for mb, rb in gb:
+        for ma, ra in ga.items():
+            for mb, rb in gb.items():
                 _ledger_acc(ra, rb, bound + (ma | mb).bit_count(), budget, acc, sign)
         return acc
     b = sorted(b, key=lambda sc: len(sc[0]))
@@ -535,11 +530,10 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     produced in increasing height, stopping at ``bound`` (None = expand the
     complete finite character).
 
-    With a bound, an AVector ``base`` of distinct sites truncates by height
-    outside it: the result holds exactly the terms v with |v - base| <= bound,
-    each base site counted inside once, with their full multiplicities, since
-    those terms are an order ideal (each parent of a kept term is kept).  Only
-    the SES route reads such an expansion (see ``demazure_char_via_ses``).
+    With a bound, an AVector ``base`` of distinct sites keeps exactly the terms
+    v with |v - base| <= bound, each base site counted inside once; they are
+    an order ideal (a parent of a kept term is kept), so their multiplicities
+    are exact.  Only the SES route reads such an expansion.
 
     The completion sees only coordinate differences within a lane, so the
     character of a top moved by a rational t is the character moved by t.
@@ -711,12 +705,10 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
     coefficient is a hard failure: exactness of the sequence forces positivity.
 
     Each term of the difference is v0 v, v0 = prod_{m=1..k} A^-1_{i,x0+m d_i}
-    the kernel top, so at a bound N only the set I of ledgers u with
-    |u - v0| <= N is needed, each of v0's k distinct sites counted inside
-    once.  I is an order ideal: every multiple of a ledger outside I is
-    outside.  So the factors of a kept product term and the parents of a kept
-    expansion term are kept, and the expansions, products and difference are
-    exact on I, where the checks below run.
+    the kernel top, so at a bound N it needs only the ledgers u with
+    |u - v0| <= N, v0's k distinct sites each counted inside once.  They are
+    an order ideal (a multiple of a ledger outside is outside), so the
+    expansions, products and difference are exact on it, and the checks run.
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
