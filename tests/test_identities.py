@@ -147,8 +147,8 @@ def test_tq_routes_agree_individually():
 
 
 def test_tq_reaches_height_seven_in_g2():
-    # route R2's SES kernel keeps only the ledgers within N of its top; the
-    # full products at height N + k = 28 exceed the default term budget
+    # route R2's SES kernel keeps only the ledgers within N of its top; its
+    # KR expansions at the full height N + k = 28 exceed the default budget
     out, err = io.StringIO(), io.StringIO()
     code = cli.dispatch(["verify", "tq", "--type", "G2", "--node", "1", "--height", "7"], out, err)
     assert (code, err.getvalue()) == (0, "")

@@ -11,10 +11,10 @@ import pytest
 import yqchar.characters as characters
 from yqchar.cartan import LieType, build_cartan
 from yqchar.characters import (
-    AVector, EngineError, TruncatedCharacter, _ledger_acc, _remove, _sites, avector_to_psi,
-    fm_expand, kr_top_y,
+    EngineError, TruncatedCharacter, _ledger_acc, _sites, fm_expand, kr_top_y,
 )
 from yqchar.coords import coord
+from yqchar.monomials import AVector, _remove, avector_to_psi
 
 
 def reference_ses(cartan, i, t, k, x, bound, config):
