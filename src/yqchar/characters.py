@@ -514,31 +514,25 @@ class _TermBoundedCache:
 
 # Bound on the total terms of the memoized engine characters: expansions and
 # SES kernel characters share it.  One cycle of the identity_suite benchmark
-# leaves 147 entries with 3,413 terms (77 anchored and 55 translated
-# expansions 2,868, 15 kernels 545) after 1,134 hits; tests/test_acceptance.py
-# and two cycles of kr_complete each fill it.
+# (seed 1) leaves 54 entries with 1,631 terms (26 anchored and 13 translated
+# expansions 1,086, 15 kernels 545) after 1,125 hits; tests/test_acceptance.py
+# leaves 6,272 terms, and one cycle of kr_complete fills it.
 _FM_CACHE_TERMS = 10_000
 _FM_CACHE = _TermBoundedCache(_FM_CACHE_TERMS)
 
 
 def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
-              config: EngineConfig = DEFAULT_CONFIG,
-              base: AVector | None = None) -> TruncatedCharacter:
+              config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
     """Expand the character of L(top) for a dominant Y-monomial.
 
     Iterative completion by node-restricted sl2 characters; terms are
     produced in increasing height, stopping at ``bound`` (None = expand the
     complete finite character).
 
-    With a bound, an AVector ``base`` of distinct sites keeps exactly the terms
-    v with |v - base| <= bound, each base site counted inside once; they are
-    an order ideal (a parent of a kept term is kept), so their multiplicities
-    are exact.  Only the SES route reads such an expansion.
-
     The completion sees only coordinate differences within a lane, so the
     character of a top moved by a rational t is the character moved by t.
-    The memo is keyed on the top and base as given.  On a miss both are moved
-    by -t to the top's anchor, where the rational part of its first factor in
+    The memo is keyed on the top as given.  On a miss the top is moved by -t
+    to its anchor, where the rational part of its first factor in
     (node, Coord) order is d_i/2 (W_{k,x} anchors at x.rat), expanded there
     through the same memo, and the result moved back by t; that translate
     enters the memo at its cold end, so that translates met once do not
@@ -549,11 +543,6 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     """
     if bound is not None and bound < 0:
         raise ValueError("height bound must be >= 0")
-    if bound is None:
-        base = None
-
-    def key(top, base):
-        return ("fm", cartan, top, bound if base is None else (bound, base), config)
 
     def compute():
         if not is_dominant(top):
@@ -563,15 +552,14 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
             i, x = _unsite(top.ordered()[0][0])
             t = x.rat - Fraction(cartan.d[i - 1], 2)
         if not t:
-            return _fm_expand(cartan, top, bound, config, 0, base)
-        anchored, rows = _translate(-t, top, () if base is None else ((base, 1),))
-        at = rows[0][0] if rows else None
-        ch = _FM_CACHE.memo(key(anchored, at),
-                            lambda: _fm_expand(cartan, anchored, bound, config, t, at))
+            return _fm_expand(cartan, top, bound, config)
+        anchored = _translate(-t, top)[0]
+        ch = _FM_CACHE.memo(("fm", cartan, anchored, bound, config),
+                            lambda: _fm_expand(cartan, anchored, bound, config, t))
         moved = object.__new__(TruncatedCharacter)      # no terms yet: see __getattr__
         moved.__dict__.update(top=_translate(t, ch.top)[0], height_bound=bound, _anchor=ch, _t=t)
         return moved
-    return _FM_CACHE.memo(key(top, base), compute)
+    return _FM_CACHE.memo(("fm", cartan, top, bound, config), compute)
 
 
 def _fm_expand(cartan, top, bound, config, t=0, base=None):
@@ -587,8 +575,8 @@ def _fm_expand(cartan, top, bound, config, t=0, base=None):
     # is not pending, and the unit chain, which adds only to v's own count, is
     # skipped.  Terms are popped by height, each height in the order found.
     # An error names its monomial moved by t, at the caller's point.  With a
-    # base, a term beyond the bound is never queued (see fm_expand); a node-i
-    # chain takes v beyond it by its length less the base sites at i v lacks.
+    # base (see demazure_char_via_ses), no term beyond the bound is queued; a
+    # node-i chain takes v beyond it by its length less the base sites at i v lacks.
     budget, rank = config.term_budget, cartan.rank
     inside = frozenset(() if base is None else base.sites)
     at_node = _by_node((s, 1) for s in inside)
@@ -709,6 +697,8 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
     |u - v0| <= N, v0's k distinct sites each counted inside once.  They are
     an order ideal (a multiple of a ledger outside is outside), so the
     expansions, products and difference are exact on it, and the checks run.
+    The four KR factors are expanded at their own coordinates and are not
+    memoized; the kernel is.
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
@@ -724,8 +714,8 @@ def _demazure_char_via_ses(cartan, i, t, k, x, bound, config):
     x0 = x - (k + 1) * di
     # the kernel top is w * prod_{m=1..k} A_{i,x0+m d_i}^-1
     v0 = AVector(tuple(((i, x0 + m * di), 1) for m in range(1, k + 1)))
-    a, b, c, d = (fm_expand(cartan, kr_top_y(cartan, i, kk, base, config), bound, config,
-                            base=v0)
+    a, b, c, d = (_fm_expand(cartan, kr_top_y(cartan, i, kk, base, config), bound, config, 0,
+                             None if bound is None else v0)
                   for kk, base in ((k, x0), (k + t, x0 + di), (k - 1, x0 + di),
                                    (k + t + 1, x0)))
     if a.top * b.top != c.top * d.top:

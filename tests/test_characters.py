@@ -698,17 +698,17 @@ def test_ses_difference_rejects_a_negative_coefficient(monkeypatch, extra):
     # or one coefficient too many on a term it has; a fresh memo, so that no
     # kernel memoized by an earlier test skips the faulty expansion
     monkeypatch.setattr(characters, "_FM_CACHE", characters._TermBoundedCache(10_000))
-    real, calls = characters.fm_expand, []
+    real, calls = characters._fm_expand, []
 
-    def faulty(cartan, top, bound=None, config=characters.DEFAULT_CONFIG, **kw):
-        ch = real(cartan, top, bound, config, **kw)
+    def faulty(*args):
+        ch = real(*args)
         calls.append(ch)
         if len(calls) == 3:
             terms = ch.term_dict()
             terms[extra] = terms.get(extra, 0) + 1
             ch = TruncatedCharacter(ch.top, tuple(terms.items()), ch.height_bound)
         return ch
-    monkeypatch.setattr(characters, "fm_expand", faulty)
+    monkeypatch.setattr(characters, "_fm_expand", faulty)
     with pytest.raises(EngineError, match="negative coefficient in SES difference"):
         demazure_char_via_ses(A2, 1, 1, 2, 0, 2)
 
@@ -717,10 +717,10 @@ def _fault_first_factor(monkeypatch, top=None, extra=None):
     """Make the first factor of the SES, chi(W_{k,x0}), carry another ``top``
     or one more ``extra`` term; a fresh memo, as above."""
     monkeypatch.setattr(characters, "_FM_CACHE", characters._TermBoundedCache(10_000))
-    real, calls = characters.fm_expand, []
+    real, calls = characters._fm_expand, []
 
-    def faulty(cartan, top_y, bound=None, config=characters.DEFAULT_CONFIG, **kw):
-        ch = real(cartan, top_y, bound, config, **kw)
+    def faulty(*args):
+        ch = real(*args)
         calls.append(ch)
         if len(calls) == 1:
             terms = ch.term_dict()
@@ -728,7 +728,7 @@ def _fault_first_factor(monkeypatch, top=None, extra=None):
                 terms[extra] = terms.get(extra, 0) + 1
             ch = TruncatedCharacter(top or ch.top, tuple(terms.items()), ch.height_bound)
         return ch
-    monkeypatch.setattr(characters, "fm_expand", faulty)
+    monkeypatch.setattr(characters, "_fm_expand", faulty)
 
 
 # A2, i=1, t=1, k=2 at x=0: x0 = -3, so the kernel top ledger is A[1,-2]^-1 A[1,-1]^-1
@@ -890,6 +890,16 @@ def test_memo_never_stores_an_engine_error(monkeypatch):
     assert not _kinds(cache)["ses"]
     assert demazure_char_via_ses(B2, 2, 1, 2, "x", 3).height_bound == 3
     assert _kinds(cache)["ses"] == 1
+
+
+def test_the_memo_holds_the_kernel_and_no_factor_of_it(monkeypatch):
+    # the four KR factors are expanded where they stand: none is memoized,
+    # and none is moved to an anchor and back
+    cache = _small_cache(monkeypatch)
+    counts = _count_calls(monkeypatch, "_translate")
+    for x in (0, "1/3", "x"):
+        demazure_char_via_ses(A2, 1, 1, 2, x, 2)
+    assert (_kinds(cache), counts["_translate"]) == (Counter(ses=3), 0)
 
 
 def test_memo_bound_counts_the_terms_of_every_kind(monkeypatch):
