@@ -185,13 +185,15 @@ def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
 
 
 def _check_realizable(cartan: CartanData, i: int, k: int, N: int | None = None):
-    """Refuse a k with no m-weight module and, given a height N, a k below
-    the TQ regime.  At each neighbour j (c_ij < 0) the m-weight carries
+    """Refuse a k < 1 or one with no m-weight module and, given a height N, a
+    k below the TQ regime.  At each neighbour j (c_ij < 0) the m-weight carries
     Psi_{j,x+d_ij}/Psi_{j,x+d_ij-k d_i}, a string of k d_i / d_j Y_j's, so
     d_j | k d_i.  The relation holds for the asymptotic module, the large-k
     limit, which height N sees only if each string is N long: k d_i >= N d_j."""
     if not isinstance(k, int):
         raise ValueError(f"k must be an integer, got {k}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     d = {j: cartan.d[j - 1] for j, _, _ in cartan.neighbours(i)}
     kd = k * cartan.d[i - 1]
     for j, dj in d.items():

@@ -232,6 +232,16 @@ def test_unrealizable_k_is_a_usage_error():
         assert run(argv) == (2, "", f"error: {msg}\n"), argv
 
 
+@pytest.mark.parametrize("argv, k", [
+    (["verify", "m-support", "--type", "A1", "--node", "1", "--k", "-5", "--height", "2"], -5),
+    (["verify", "m-support", "--type", "A2", "--node", "1", "--k", "-2", "--height", "2"], -2),
+    (["verify", "tq", "--type", "A1", "--node", "1", "--k", "0", "--height", "1"], 0),
+])
+def test_a_k_below_one_is_refused_by_the_m_weight_verifiers(argv, k):
+    # A1's m-weight does not read k, and A2's at k < 1 is no dominant top
+    assert run(argv) == (2, "", f"error: k must be >= 1, got {k}\n")
+
+
 def test_negative_height_is_a_usage_error_on_engine_paths():
     before = set(_FM_CACHE._data), _FM_CACHE.misses
     for argv in (["qchar", "kr", "--type", "A2", "--node", "1", "--k", "2", "--height", "-1"],
