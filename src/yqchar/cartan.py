@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 __all__ = ["LieType", "CartanData", "Weight", "build_cartan"]
 
@@ -93,19 +93,6 @@ def _edges(lt: LieType):
     raise AssertionError(s)
 
 
-def _symmetrizers(lt: LieType):
-    s, r = lt.series, lt.rank
-    if s == "B":
-        return [2] * (r - 1) + [1]
-    if s == "C":
-        return [1] * (r - 1) + [2]
-    if s == "F":
-        return [2, 2, 1, 1]
-    if s == "G":
-        return [1, 3]
-    return [1] * r
-
-
 @dataclass(frozen=True)
 class CartanData:
     lie_type: LieType
@@ -152,13 +139,18 @@ class CartanData:
 
 @lru_cache(maxsize=_CARTAN_CACHE_SIZE)
 def build_cartan(lt: LieType) -> CartanData:
-    """Cartan matrix and symmetrizers of a legal LieType (Bourbaki numbering)."""
+    """Cartan matrix and symmetrizers of a legal LieType (Bourbaki numbering).
+    d is solved from the edge table, d_j = d_i*c_ij/c_ji in edge order, and
+    scaled to least integers; validate() rejects an order that breaks this."""
     r = lt.rank
     c = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    d = [Fraction(1)] * r
     for i, j, cij, cji in _edges(lt):
         c[i - 1][j - 1] = cij
         c[j - 1][i - 1] = cji
-    data = CartanData(lt, tuple(tuple(row) for row in c), tuple(_symmetrizers(lt)))
+        d[j - 1] = d[i - 1] * cij / cji
+    scale = lcm(*(di.denominator for di in d))
+    data = CartanData(lt, tuple(tuple(row) for row in c), tuple(int(di * scale) for di in d))
     data.validate()
     return data
 

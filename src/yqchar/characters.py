@@ -295,8 +295,8 @@ def divide_series(num: dict, den: dict, bound: int | None,
 # Bound on the memoized node-sl2 expansions.  Keys carry the coordinates of
 # anchored expansions (see fm_expand), so reuse happens within one expansion
 # and across expansions that meet the same string content under the same
-# cap: one cycle of the identity_suite benchmark hits 283 of 760 lookups.  The
-# complete KR characters B4 n4 k3 and B3 n3 k5 meet 87 and 151 distinct keys.
+# cap: one identity_suite benchmark cycle (seed 1) hits 348 of 868 lookups on
+# 520 keys.  The complete KR characters B4 n4 k3 and B3 n3 k5 meet 87 and 151.
 _SL2_CACHE_SIZE = 1024
 # Bound on each weight memo below: one identity_suite cycle meets 75 KR weights.
 _WEIGHT_CACHE_SIZE = 1024

@@ -30,7 +30,7 @@ __all__ = ["main", "dispatch", "CliConfig"]
 @dataclass(frozen=True)
 class CliConfig:
     default_height_bound: int = IdentitySpec.N
-    term_budget: int = 1_000_000
+    term_budget: int = EngineConfig.term_budget
     output_format: str = "text"
 
     def __post_init__(self):

@@ -184,16 +184,21 @@ def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
     return TruncatedCharacter.make(m, quot, bound)
 
 
+def _check_k(k: int):
+    """Refuse a k that is not an integer >= 1."""
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an integer, got {k}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def _check_realizable(cartan: CartanData, i: int, k: int, N: int | None = None):
     """Refuse a k < 1 or one with no m-weight module and, given a height N, a
     k below the TQ regime.  At each neighbour j (c_ij < 0) the m-weight carries
     Psi_{j,x+d_ij}/Psi_{j,x+d_ij-k d_i}, a string of k d_i / d_j Y_j's, so
     d_j | k d_i.  The relation holds for the asymptotic module, the large-k
     limit, which height N sees only if each string is N long: k d_i >= N d_j."""
-    if not isinstance(k, int):
-        raise ValueError(f"k must be an integer, got {k}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     d = {j: cartan.d[j - 1] for j, _, _ in cartan.neighbours(i)}
     kd = k * cartan.d[i - 1]
     for j, dj in d.items():
@@ -265,6 +270,7 @@ def verify_two_term(cartan: CartanData, i: int, a, b, x, y, bound: int,
 def verify_factorization(cartan: CartanData, i: int, k: int, x,
                          config: EngineConfig = DEFAULT_CONFIG) -> Report:
     """m-weight times n-weight equals the t=1 Demazure weight (concrete k)."""
+    _check_k(k)
     x = coord(x)
     prod = m_weight(cartan, i, k, x) * n_weight(cartan, i, k, x)
     dw = demazure_weight(cartan, i, 1, k, x)
@@ -327,6 +333,7 @@ def check_demazure_support(cartan: CartanData, i: int, k: int, x, bound: int,
     """t=1 kernel-module support: every non-top ledger is A^-1_{i,x} or is
     divisible by some A^-1_{i',x-k d_i+z} with (i'=i, z=-d_i) or
     (c_ii'<0, z a half integer in [-3/2, 1/2])."""
+    _check_k(k)
     x = coord(x)
     di = cartan.di(i)
     char = demazure_char_via_ses(cartan, i, 1, k, x, bound, config)

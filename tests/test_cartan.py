@@ -66,3 +66,36 @@ def test_b2_c2_f4_data():
     f4 = build_cartan(LieType.parse("F4"))
     assert f4.d == (2, 2, 1, 1)
     assert f4.cij(2, 3) == -1 and f4.cij(3, 2) == -2
+
+
+# Every legal type: A1-A32, B2-B32, C2-C32, D4-D32, E6-E8, F4 and G2.
+LEGAL = ([("A", r) for r in range(1, 33)] + [(s, r) for s in "BC" for r in range(2, 33)]
+         + [("D", r) for r in range(4, 33)] + [("E", r) for r in (6, 7, 8)]
+         + [("F", 4), ("G", 2)])
+
+
+def _bourbaki(s, r):
+    """C and d of a type, written out per series: the bonds (i, j, c_ij, c_ji)
+    of its Dynkin diagram and the symmetrizers, node r last."""
+    path = [(i, i + 1, -1, -1) for i in range(1, r - 1)]
+    bonds, d = {
+        "A": (path + [(r - 1, r, -1, -1)] * (r > 1), [1] * r),
+        "B": (path + [(r - 1, r, -1, -2)], [2] * (r - 1) + [1]),
+        "C": (path + [(r - 1, r, -2, -1)], [1] * (r - 1) + [2]),
+        "D": (path[:-1] + [(r - 2, r - 1, -1, -1), (r - 2, r, -1, -1)], [1] * r),
+        "E": ([(1, 3, -1, -1), (2, 4, -1, -1)] + path[2:] + [(r - 1, r, -1, -1)], [1] * r),
+        "F": ([(1, 2, -1, -1), (2, 3, -1, -2), (3, 4, -1, -1)], [2, 2, 1, 1]),
+        "G": ([(1, 2, -3, -1)], [1, 3]),
+    }[s]
+    c = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    for i, j, cij, cji in bonds:
+        c[i - 1][j - 1], c[j - 1][i - 1] = cij, cji
+    return tuple(map(tuple, c)), tuple(d)
+
+
+def test_every_legal_type_solves_the_bourbaki_symmetrizers():
+    assert len(LEGAL) == 128
+    for s, r in LEGAL:
+        ct = build_cartan(LieType(s, r))
+        assert (ct.c, ct.d) == _bourbaki(s, r), f"{s}{r}"
+        assert all(type(di) is int for di in ct.d), f"{s}{r}"

@@ -236,9 +236,13 @@ def test_unrealizable_k_is_a_usage_error():
     (["verify", "m-support", "--type", "A1", "--node", "1", "--k", "-5", "--height", "2"], -5),
     (["verify", "m-support", "--type", "A2", "--node", "1", "--k", "-2", "--height", "2"], -2),
     (["verify", "tq", "--type", "A1", "--node", "1", "--k", "0", "--height", "1"], 0),
+    (["verify", "demazure-support", "--type", "A2", "--node", "1", "--k", "0", "--height", "2"],
+     0),
+    (["verify", "factorization", "--type", "A2", "--node", "1", "--k", "-2"], -2),
 ])
 def test_a_k_below_one_is_refused_by_the_m_weight_verifiers(argv, k):
-    # A1's m-weight does not read k, and A2's at k < 1 is no dominant top
+    # A1's m-weight does not read k, and A2's at k < 1 is no dominant top; the
+    # kernel and factorization verifiers take no t, so their refusal names k only
     assert run(argv) == (2, "", f"error: k must be >= 1, got {k}\n")
 
 
