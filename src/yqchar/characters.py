@@ -533,13 +533,12 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
     character of a top moved by a rational t is the character moved by t.
     The memo is keyed on the top as given.  On a miss the top is moved by -t
     to its anchor, where the rational part of its first factor in
-    (node, Coord) order is d_i/2 (W_{k,x} anchors at x.rat), expanded there
-    through the same memo, and the result moved back by t; that translate
-    enters the memo at its cold end, so that translates met once do not
-    evict the anchored expansions.  A shift keeps each node and symbolic
-    part and adds t to every rational part, so it keeps the order of sites
-    and rows (see ``monomials``): a translate prints the anchor's print plan
-    at moved sites and moves no row until ``terms`` is read.
+    (node, Coord) order is d_i/2 (W_{k,x} anchors at x.rat), and expanded
+    there through the same memo.  The translate holds the top as given, in
+    Psi-form, and the anchored character, and enters the memo at its cold end,
+    so that translates met once do not evict the anchored expansions.  A shift
+    keeps the order of sites and rows (see ``monomials``): a translate formats
+    its anchor's print plan at x + t, and moves its rows when ``terms`` is first read.
     """
     if bound is not None and bound < 0:
         raise ValueError("height bound must be >= 0")
@@ -557,7 +556,7 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
         ch = _FM_CACHE.memo(("fm", cartan, anchored, bound, config),
                             lambda: _fm_expand(cartan, anchored, bound, config, t))
         moved = object.__new__(TruncatedCharacter)      # no terms yet: see __getattr__
-        moved.__dict__.update(top=_translate(t, ch.top)[0], height_bound=bound, _anchor=ch, _t=t)
+        moved.__dict__.update(top=y_to_psi(cartan, top), height_bound=bound, _anchor=ch, _t=t)
         return moved
     return _FM_CACHE.memo(("fm", cartan, top, bound, config), compute)
 
@@ -574,7 +573,7 @@ def _fm_expand(cartan, top, bound, config, t=0, base=None):
     # per chain).  A non-unit chain raises the height, so a term is new iff it
     # is not pending, and the unit chain, which adds only to v's own count, is
     # skipped.  Terms are popped by height, each height in the order found.
-    # An error names its monomial moved by t, at the caller's point.  With a
+    # An error formats its monomial at x + t, the caller's point.  With a
     # base (see demazure_char_via_ses), no term beyond the bound is queued; a
     # node-i chain takes v beyond it by its length less the base sites at i v lacks.
     budget, rank = config.term_budget, cartan.rank
@@ -600,9 +599,8 @@ def _fm_expand(cartan, top, bound, config, t=0, base=None):
                 if not (deficit and positions):
                     continue
                 if any(e < 0 for _, e in positions):
-                    blocked = _translate(t, YMonomial(tuple(sorted(sum(ys, ()))),
-                                                      canonical=True))[0]
-                    raise EngineError(f"expansion blocked: monomial {format_monomial(blocked)} "
+                    blocked = YMonomial(tuple(sorted(sum(ys, ()))), canonical=True)
+                    raise EngineError(f"expansion blocked: monomial {format_monomial(blocked, t)} "
                                       f"has unexplained multiplicity at node {i} but is not "
                                       f"{i}-dominant")
                 cap = None if bound is None else (bound - len(v) + len(inside.intersection(v))

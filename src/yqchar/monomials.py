@@ -27,7 +27,8 @@ A shift keeps print order.  (node, Coord) order compares the node, the
 symbolic part, then the rational part; a shift keeps the first two and adds t
 to the third, and rat < rat' iff rat + t < rat' + t.  So it keeps the order of
 sites and, being one to one, each row's height, exponents and ordered factors,
-hence the order of rows: ``_print_rows`` prints a ``_print_plan`` at moved sites.
+hence the order of rows: ``_print_rows`` formats a ``_print_plan`` at x + t,
+as ``textio.format_monomial(m, t)`` does a monomial, and moves no site.
 """
 from __future__ import annotations
 
@@ -204,11 +205,10 @@ def _print_plan(rows) -> tuple:
 
 def _print_rows(plan, t=0) -> list:
     """(row, text) pairs of a ``_print_plan``, each distinct factor formatted
-    once at its site moved by the rational ``t`` (see the module docstring)."""
+    once at x + t for a rational ``t``: the rows moved by t, no site moved."""
     from .textio import _factor_text
     sites, scale, keys, keyed = plan
-    sites = list(_mover(t, sites).values()) if t else sites    # in the order of sites
-    text = {k: _factor_text("A", sites[k // scale], -(k % scale + 1)) for k in keys}
+    text = {k: _factor_text("A", sites[k // scale], -(k % scale + 1), t) for k in keys}
     return [(row, " ".join(map(text.__getitem__, ks)) or "1") for _, ks, row in keyed]
 
 
@@ -226,23 +226,19 @@ class YMonomial(_ExpMap):
     """Monomial in the fundamental loop weights Y_{i,x}."""
 
 
-def _mover(t: Fraction, sites) -> dict:
-    """{site: site moved by the rational ``t``}, by a delta per lane found once:
-    ``floor(2(res + t)) << 32`` plus the lane of (node, sym, res + t mod 1/2) less its own."""
+def _translate(t: Fraction, top, rows=()) -> tuple:
+    """``top``, a Psi- or Y-monomial, and the (AVector, coefficient) ``rows``
+    moved by the rational ``t``: (node, x) goes to (node, x + t), each distinct
+    site once by its lane's delta, ``floor(2(res + t)) << 32`` plus the lane of
+    (node, sym, res + t mod 1/2) less its own.  Returns (top, rows), the rows in
+    (height, sites) order."""
+    sites = {s for v, _ in rows for s in v.sites}.union(s for s, _ in top.exps)
     deltas = {}
     for lane in {s & _LANE for s in sites}:
         i, sym, residue = _LANES[lane]
         off2 = math.floor(2 * (residue + t))
         deltas[lane] = (off2 << 32) + _lane(i, sym, residue + t - Fraction(off2, 2)) - lane
-    return {s: s + deltas[s & _LANE] for s in sites}
-
-
-def _translate(t: Fraction, top, rows=()) -> tuple:
-    """``top``, a Psi- or Y-monomial, and the (AVector, coefficient) ``rows``
-    moved by the rational ``t``, each distinct site once: (node, x) goes to
-    (node, x + t).  Returns (top, rows), the rows in (height, sites) order."""
-    move = _mover(t, {s for v, _ in rows for s in v.sites}.union(
-        s for s, _ in top.exps)).__getitem__
+    move = {s: s + deltas[s & _LANE] for s in sites}.__getitem__
     top = type(top)(tuple(sorted([(move(s), e) for s, e in top.exps])), canonical=True)
     rows = sorted([(AVector(tuple(sorted(map(move, v.sites))), canonical=True), c)
                    for v, c in rows], key=_term_key)

@@ -96,17 +96,19 @@ _TEXT_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_TEXT_CACHE_SIZE)
-def _factor_text(head: str, site: int, e: int) -> str:
+def _factor_text(head: str, site: int, e: int, t=0) -> str:
+    """The factor at the site's coordinate x printed at x + t, for a rational ``t``."""
     i, x = M._unsite(site)
-    cs = f"q^{x}" if head == "Phi" else str(x)
+    cs = f"q^{x + t}" if head == "Phi" else str(x + t)
     return f"{head}[{i},{cs}]" + ("" if e == 1 else f"^{e}")
 
 
-def format_monomial(m) -> str:
-    """Canonical string form; inverse of parse_monomial on its output."""
+def format_monomial(m, t=0) -> str:
+    """Canonical string form of m moved by the rational ``t``, each factor at
+    x + t (see ``monomials``); at t = 0 the inverse of parse_monomial on its output."""
     head = {"PsiMonomial": "Psi", "YMonomial": "Y", "AVector": "A",
             "MultiplicativeMonomial": "Phi"}[type(m).__name__]
     if m.is_unit():
         return "1"
     sign = -1 if head == "A" else 1
-    return " ".join([_factor_text(head, s, sign * e) for s, e in m.ordered()])
+    return " ".join([_factor_text(head, s, sign * e, t) for s, e in m.ordered()])

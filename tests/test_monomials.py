@@ -396,6 +396,14 @@ def test_a_plan_printed_at_a_shift_is_the_order_of_the_moved_rows(factor_lists, 
         [(v.height, c, text) for (v, c), text in moved]
     assert [text for _, text in moved] == [format_monomial(v) for (v, _), _ in moved]
     assert _print_rows(plan) == output_order(rows)
+    # format_monomial at t is the text of the moved monomial, for each row
+    # and for a Psi- and a Y-monomial (some factors inverted) of one list
+    unmoved = {c: v for v, c in rows}
+    assert [text for _, text in moved] == [format_monomial(unmoved[c], t) for (_, c), _ in moved]
+    for f in factor_lists[:1]:
+        for m in (PsiMonomial(tuple(((i, x), e) for i, x, e in f)),
+                  YMonomial(tuple(((i, x), e * (-1) ** n) for n, (i, x, e) in enumerate(f)))):
+            assert format_monomial(m, t) == format_monomial(_translate(t, m)[0])
 
 
 def test_print_order_does_not_follow_lane_order():
