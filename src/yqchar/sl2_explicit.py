@@ -11,12 +11,12 @@ series.  Each mode is one super-, sub- or main diagonal, so a module stores
 it as the tuple of its dim coefficients: ``xp[n][i]``, ``xm[n][i]`` and
 ``xi[n][i]`` are the coefficients of xp_n v_i, xm_n v_i and xi_n v_i
 (``xp[n][0]`` and ``xm[n][dim-1]`` are 0, their targets lie outside the
-basis).  The public fields hold ``Fraction``s, computed and compared on
-ints: a module is built over one denominator D = lcm(den x, den k), with one
-integer recurrence per basis vector for its eigenvalue series; extraction
-grows the predicted series over the same D and compares by
-cross-multiplication; the relation checker lifts the bands over the lcm of
-all stored denominators and multiplies them in O(dim), with no dense matrix.
+basis).  The public fields hold ``Fraction``s, computed and compared on ints
+over one denominator D = lcm(den x, den k): x, k and the engine's A_1 row are
+lifted to D once per module, so each basis vector's eigenvalue series, built or
+predicted, is one int recurrence; extraction steps the chain inside x's lane and
+compares by cross-multiplication; the relation checker lifts the bands over the
+lcm of all stored denominators and multiplies them in O(dim), with no dense matrix.
 
 Finite modules (k a nonnegative integer) close on dim = k+1 vectors;
 truncated modules keep the first M vectors of the infinite tower, on which
@@ -36,7 +36,7 @@ from math import lcm
 from operator import add, mul
 
 from .cartan import LieType, build_cartan
-from .monomials import AVector, PsiMonomial, _site, expand_A_to_Psi
+from .monomials import _HALF, AVector, PsiMonomial, _site, expand_A_to_Psi
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter,
     char_add, char_mul, compare_characters,
@@ -55,16 +55,19 @@ _SL2 = build_cartan(LieType.parse("A1"))
 # Eigenvalue series 1 + c1/u + c2/u^2 + ..., held as the ints S[n] = D^n c_n.
 # ---------------------------------------------------------------------------
 
-def _series_times(out: list, D: int, factors) -> list:
-    """Multiply the series ``out`` in place by prod (1 + a/u)^e = prod (u+a)^e / u^e
-    over the rational (a, e) pairs ``factors`` and return it; O(len(out)) per
-    unit of e.  D must be a multiple of every a's denominator."""
+def _lift(a, D: int) -> int:
+    """D a as an int; D must be a multiple of a's denominator."""
+    q, r = divmod(D, a.denominator)
+    if r:
+        raise ValueError(f"series denominator {D} is not a multiple of that of {a}")
+    return a.numerator * q
+
+
+def _series_times(out: list, factors) -> list:
+    """Multiply ``out`` (S[n] = D^n c_n) in place by prod (1 + a/u)^e = prod (u+a)^e / u^e
+    over the int pairs (p, e) ``factors``, p = D a, and return it; O(len(out)) per e."""
     order = len(out) - 1
-    for a, e in factors:
-        q, r = divmod(D, a.denominator)
-        if r:
-            raise ValueError(f"series denominator {D} is not a multiple of that of {a}")
-        p = a.numerator * q
+    for p, e in factors:
         for _ in range(abs(e)):
             if e > 0:       # times (1 + a/u): descending, so out[n-1] is still old
                 for n in range(order, 0, -1):
@@ -107,9 +110,10 @@ def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
                  config: EngineConfig = DEFAULT_CONFIG) -> Sl2Module:
     """Exact operator bands for the rank-one highest-weight module.
 
-    The stored entries, dim * (2 (n_max+2) + xi modes), must fit in
-    ``config.term_budget``; a larger module raises EngineError before any
-    allocation.
+    The stored entries, dim * (2 (n_max+2) + xi modes), must fit in ``config.term_budget``;
+    a larger module raises EngineError before any allocation.  At fixed x, M and n_max
+    each entry is affine in k (xm_n v_i carries k - i, xi(u) the one factor u+x+k), so
+    each relation instance ``check_relations`` tests is a polynomial of degree <= 2 in k.
     """
     k, x = Fraction(k), Fraction(x)
     if n_max < 0:
@@ -139,14 +143,15 @@ def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
     xm = tuple(zip(*(modes(-i * b - a, (i + 1) * (c - i * d), d) if i + 1 < dim else zeros
                      for i in range(dim))))
     # The Psi-ratio acting on v_0 is (u+x+k)/(u+x); from v_i to v_{i+1} it
-    # gains (u+x+i-1)/(u+x+i+1).  Every denominator here divides D.
+    # gains (u+x+i-1)/(u+x+i+1).  Over D, x + j is X + jD.
     D = lcm(b, d)
+    X, K = _lift(x, D), _lift(k, D)
     Dn = [D ** n for n in range(1, xi_modes + 1)]
-    eig = _series_times([1] + [0] * xi_modes, D, ((x + k, 1), (x, -1)))
+    eig = _series_times([1] + [0] * xi_modes, ((X + K, 1), (X, -1)))
     cols = []
     for i in range(dim):
         cols.append(list(map(Fraction, eig[1:], Dn)))
-        _series_times(eig, D, ((x + i - 1, 1), (x + i + 1, -1)))
+        _series_times(eig, ((X + (i - 1) * D, 1), (X + (i + 1) * D, -1)))
     xi = tuple(zip(*cols))
     return Sl2Module(kind, k, x, dim, n_max, xp, xm, xi)
 
@@ -283,18 +288,19 @@ def extract_qchar(mod: Sl2Module) -> TruncatedCharacter:
     top = PsiMonomial.gen(1, x + k) * PsiMonomial.gen(1, x, -1)     # the unit at k = 0
     D = lcm(x.denominator, k.denominator)
     Dn = [D ** n for n in range(1, len(mod.xi) + 1)]
-    S = _series_times([1] + [0] * len(mod.xi), D, ((x + k, 1), (x, -1)))
-    # A_{1,x}^-1 as (offset, exponent): A_{1,x+i} is A_{1,x} moved by i in x's lane
-    step = [(z.rat - x, -e) for (_, z), e in expand_A_to_Psi(_SL2, 1, x).items()]
+    S = _series_times([1] + [0] * len(mod.xi), ((_lift(x + k, D), 1), (_lift(x, D), -1)))
+    # A_{1,x}^-1 as lifted pairs (D (x + o), -e); A_{1,x+i} is A_{1,x} moved by i
+    step = [(_lift(z.rat, D), -e) for (_, z), e in expand_A_to_Psi(_SL2, 1, x).items()]
+    # the sites of x, x+1, ...: x + i is 2i half steps up x's lane, so always sorted
+    s0 = _site(1, x)
+    chain = range(s0, s0 + 2 * _HALF * mod.dim, 2 * _HALF)
     terms = {}
-    chain = []      # the sites of x, x+1, ...: one lane, rising, so always sorted
     for i in range(mod.dim):
         if any(band[i].numerator * w != s * band[i].denominator
                for band, s, w in zip(mod.xi, S[1:], Dn)):
             raise ValueError(f"eigenvalue series of v_{i} does not match its ledger chain")
-        terms[AVector(tuple(chain), canonical=True)] = 1
-        chain.append(_site(1, x + i))
-        _series_times(S, D, [(x + i + o, e) for o, e in step])
+        terms[AVector(tuple(chain[:i]), canonical=True)] = 1
+        _series_times(S, [(p + i * D, e) for p, e in step])
     bound = None if mod.kind == "finite" else mod.dim - 1
     return TruncatedCharacter.make(top, terms, bound)
 

@@ -1,18 +1,21 @@
 """Explicit rank-one matrix modules: relations, extraction, three-term sum."""
 import dataclasses
 import io
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import yqchar.cli as cli
 import yqchar.sl2_explicit as sl2_explicit
 from yqchar.cartan import LieType, build_cartan
 from yqchar.characters import (
-    EngineConfig, EngineError, asymptotic_char, compare_characters, sl2_kr_char,
+    EngineConfig, EngineError, TruncatedCharacter, asymptotic_char, compare_characters,
+    sl2_kr_char,
 )
+from yqchar.monomials import AVector, PsiMonomial, _site, expand_A_to_Psi
 from yqchar.sl2_explicit import (
     build_module, check_relations, extract_qchar, relation_instances, relation_report,
     verify_sl2_three_term,
@@ -159,8 +162,10 @@ def reference_series(factors, order):
 
 
 def series_times(factors, order, D):
-    """The kernel's series from 1, read back as Fractions c_n = S[n] / D^n."""
-    S = sl2_explicit._series_times([1] + [0] * order, D, factors)
+    """The kernel's series from 1 over the rational factors lifted to D, read
+    back as Fractions c_n = S[n] / D^n."""
+    lifted = [(sl2_explicit._lift(a, D), e) for a, e in factors]
+    S = sl2_explicit._series_times([1] + [0] * order, lifted)
     return [Fraction(v, D ** n) for n, v in enumerate(S)]
 
 
@@ -174,9 +179,10 @@ def test_psi_ratio_series_examples():
     assert series_times([(a, -e) for a, e in m], 3, 1) == [1, -1, 1, -1]
     # (u+1/2)/u over D = 6, a multiple of 2
     assert series_times([(Fraction(1, 2), 1)], 2, 6) == [1, Fraction(1, 2), 0]
-    # the kernel works in place
+    # the kernel works in place, on int pairs (D a, e)
     out = [1, 0, 0]
-    assert sl2_explicit._series_times(out, 1, m) is out
+    assert sl2_explicit._series_times(out, [(1, 1), (0, -1)]) is out
+    assert out == [1, 1, 0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,7 +200,9 @@ def test_psi_ratio_series_matches_convolution(factors, order, scale):
 def test_series_times_refuses_a_denominator_it_does_not_carry(D, a):
     # D // a.denominator would give a wrong series without a word
     with pytest.raises(ValueError, match=f"is not a multiple of that of {a}"):
-        sl2_explicit._series_times([1, 0, 0], D, [(Fraction(1), 1), (a, -1)])
+        sl2_explicit._lift(a, D)
+    with pytest.raises(ValueError, match=f"is not a multiple of that of {a}"):
+        series_times([(Fraction(1), 1), (a, -1)], 2, D)
 
 
 # -- construction ------------------------------------------------------------
@@ -246,6 +254,20 @@ def test_build_module_matches_the_fraction_reference(data, x, n_max):
     xi = tuple(tuple(eig[n + 1] for eig in eigs) for n in range(xi_modes))
     assert (mod.xp, mod.xm, mod.xi) == (xp, xm, xi)
     assert {type(v) for bands in (mod.xp, mod.xm, mod.xi) for b in bands for v in b} == {Fraction}
+
+
+@settings(max_examples=200, deadline=None)
+@given(WIDE, WIDE, WIDE.filter(bool), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=3, max_value=6))
+def test_stored_entries_are_affine_in_k(x, k0, h, n_max, M):
+    # the degree bound of the build_module docstring: at k0, k0 + h and
+    # k0 + 2h every entry of xp, xm and xi has a zero second difference
+    mods = [build_module("truncated", k0 + j * h, x, n_max=n_max, M=M) for j in range(3)]
+    for family in ("xp", "xm", "xi"):
+        for a, b, c in zip(*(getattr(mod, family) for mod in mods)):
+            assert [u - 2 * v + w for u, v, w in zip(a, b, c)] == [0] * M
+    # and not all constant: xm_0 v_0 = k
+    assert mods[1].xm[0][0] - mods[0].xm[0][0] == h
 
 
 def test_build_module_respects_term_budget():
@@ -391,6 +413,60 @@ def test_extraction_reads_the_engine_row_once(monkeypatch):
     assert len(calls) == 1
 
 
+def reference_extract(mod):
+    """The character of ``mod`` with no lifted ints and no lane step: the
+    chain of v_i is the sites _site(1, x + j), j < i, and its predicted
+    eigenvalue series reads the engine's A_1 row at each x + j, in Fraction
+    arithmetic."""
+    x, k, order = mod.x, mod.k, len(mod.xi)
+    factors = [(x + k, 1), (x, -1)]
+    terms = {}
+    for i in range(mod.dim):
+        want = reference_series(factors, order)
+        assert [band[i] for band in mod.xi] == want[1:], f"v_{i}"
+        terms[AVector(tuple(_site(1, x + j) for j in range(i)), canonical=True)] = 1
+        factors += [(z.rat, -e) for (_, z), e in expand_A_to_Psi(A1, 1, x + i).items()]
+    top = PsiMonomial.gen(1, x + k) * PsiMonomial.gen(1, x, -1)
+    return TruncatedCharacter.make(top, terms, None if mod.kind == "finite" else mod.dim - 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(WIDE, WIDE, st.booleans(), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=1), st.integers(min_value=3, max_value=8))
+@example(Fraction(-10 ** 30 + 1, 1000000007), Fraction(10 ** 30 - 7, 999999937), False, 0, 1, 8)
+@example(Fraction(-10 ** 30 - 3, 7), Fraction(0), True, 4, 1, 3)
+@example(Fraction(-999999936, 999999937), Fraction(5, 1000000007), False, 0, 0, 5)
+def test_extraction_matches_the_site_reference(x, k, finite, k_int, n_max, M):
+    if finite:
+        mod = build_module("finite", k_int, x, n_max=n_max)
+    else:
+        mod = build_module("truncated", k, x, n_max=n_max, M=M)
+    got, want = extract_qchar(mod), reference_extract(mod)
+    assert (got.top, got.terms, got.height_bound) == (want.top, want.terms, want.height_bound)
+
+
+def test_per_module_work_does_not_grow_with_dim(monkeypatch):
+    # x, k and the A_1 row are lifted once per module and x's site is read
+    # once: no _lift or _site call per basis vector
+    counts = Counter()
+    for name in ("_site", "_lift"):
+        real = getattr(sl2_explicit, name)
+        monkeypatch.setattr(sl2_explicit, name,
+                            lambda *a, real=real, name=name: counts.update((name,)) or real(*a))
+    seen = []
+    for M in (8, 20):
+        counts.clear()
+        mod = build_module("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=M)
+        built = dict(counts)
+        counts.clear()
+        extract_qchar(mod)
+        seen.append((built, dict(counts)))
+    assert seen[0] == seen[1]
+    built, extracted = seen[0]
+    assert built == {"_lift": 2}
+    assert extracted["_site"] == 1
+
+
 # -- three-term sum of modules ----------------------------------------------
 
 def test_three_term_examples():
@@ -398,6 +474,14 @@ def test_three_term_examples():
                  (Fraction(0), Fraction(0))):
         rep = verify_sl2_three_term(x, y, 8, 3)
         assert rep.verdict, rep.to_text()
+
+
+@settings(max_examples=40, deadline=None)
+@given(WIDE, WIDE)
+@example(Fraction(-10 ** 30 + 1, 1000000007), Fraction(10 ** 30 - 7, 999999937))
+def test_three_term_at_wide_coordinates(x, y):
+    rep = verify_sl2_three_term(x, y, 8, 3)
+    assert rep.verdict, rep.to_text()
 
 
 def test_three_term_bound_guard():
