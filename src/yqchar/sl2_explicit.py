@@ -14,9 +14,9 @@ it as the tuple of its dim coefficients: ``xp[n][i]``, ``xm[n][i]`` and
 basis).  The public fields hold ``Fraction``s, computed and compared on ints
 over one denominator D = lcm(den x, den k): x, k and the engine's A_1 row are
 lifted to D once per module, so each basis vector's eigenvalue series, built or
-predicted, is one int recurrence; extraction steps the chain inside x's lane and
-compares by cross-multiplication; the relation checker lifts the bands over the
-lcm of all stored denominators and multiplies them in O(dim), with no dense matrix.
+predicted, is one int recurrence of exactly dim steps, each before its vector.
+The relation checker lifts the bands once over the lcm D of all stored denominators,
+multiplies them in O(dim) with no dense matrix, and compares every side over D^2.
 
 Finite modules (k a nonnegative integer) close on dim = k+1 vectors;
 truncated modules keep the first M vectors of the infinite tower, on which
@@ -143,15 +143,15 @@ def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
     xm = tuple(zip(*(modes(-i * b - a, (i + 1) * (c - i * d), d) if i + 1 < dim else zeros
                      for i in range(dim))))
     # The Psi-ratio acting on v_0 is (u+x+k)/(u+x); from v_i to v_{i+1} it
-    # gains (u+x+i-1)/(u+x+i+1).  Over D, x + j is X + jD.
+    # gains (u+x+i-1)/(u+x+i+1).  Over D, x + j is X + jD; each step precedes its vector.
     D = lcm(b, d)
     X, K = _lift(x, D), _lift(k, D)
     Dn = [D ** n for n in range(1, xi_modes + 1)]
-    eig = _series_times([1] + [0] * xi_modes, ((X + K, 1), (X, -1)))
+    eig = [1] + [0] * xi_modes
     cols = []
     for i in range(dim):
+        _series_times(eig, ((X + (i - 2) * D if i else X + K, 1), (X + i * D, -1)))
         cols.append(list(map(Fraction, eig[1:], Dn)))
-        _series_times(eig, ((X + (i - 1) * D, 1), (X + (i + 1) * D, -1)))
     xi = tuple(zip(*cols))
     return Sl2Module(kind, k, x, dim, n_max, xp, xm, xi)
 
@@ -171,29 +171,26 @@ def relation_report(checked: int, failures, note: str) -> Report:
 
 
 def _times(a: tuple, b: tuple, dim: int) -> tuple:
-    """Product of two lifted bands (e, o, col), col[c] the integer D^e [c+o][c]:
+    """Product (s, col) over D^2 of two bands (o, col) over D, col[c] the integer D [c+o][c]:
     (ab)[c+s][c] = a[c+s][c+ob] b[c+ob][c] with s = oa+ob, O(1) per column.
     Entries whose row lies outside the basis are neither read nor formed."""
-    (ea, oa, ca), (eb, ob, cb) = a, b
+    (oa, ca), (ob, cb) = a, b
     s = oa + ob
     lo = max(0, -ob, -s)
     hi = max(lo, min(dim, dim - ob, dim - s))
     col = list(map(mul, ca[lo + ob:hi + ob], cb[lo:hi]))
-    return ea + eb, s, [0] * lo + col + [0] * (dim - hi)
+    return s, [0] * lo + col + [0] * (dim - hi)
 
 
-def _combine(D: int, *terms) -> tuple:
-    """The linear combination sum coef * op over (coef, op) pairs of lifted
-    bands of one offset, at the largest exponent e: an op of exponent f is
-    scaled by D^(e-f)."""
-    e = max(f for _, (f, _, _) in terms)
+def _combine(*terms) -> tuple:
+    """The linear combination sum coef * op over (coef, op) pairs of bands
+    (o, col) of one offset, all over D^2."""
     out = None
-    for coef, (f, o, col) in terms:
-        coef *= D ** (e - f)
+    for coef, (o, col) in terms:
         if coef != 1:
             col = [-v for v in col] if coef == -1 else [coef * v for v in col]
         out = col if out is None else list(map(add, out, col))
-    return e, o, out
+    return o, out
 
 
 def relation_instances(n_max: int) -> int:
@@ -215,7 +212,7 @@ def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Re
 
     Every relation is homogeneous, so each side of each instance is one band,
     compared over the safe columns; the first disagreeing entry is reported.
-    Entries are ints over D, the lcm of all stored denominators.
+    Bands are ints over D, the lcm of all stored denominators; each side is over D^2.
     The work, instances times dim, must fit in ``config.term_budget``; a
     larger check raises EngineError before it starts.
     """
@@ -224,49 +221,45 @@ def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Re
         raise EngineError(f"term budget {config.term_budget} exceeded by "
                           f"{relation_instances(n_max)} relation instances on dimension {dim}")
     cols = mod.safe_columns
-    failures = []
-    checked = 0
+    failures, checked = [], 0
     stored = ((_XP, mod.xp), (_XM, mod.xm), (_XI, mod.xi))
     D = lcm(*{v.denominator for _, bands in stored for band in bands for v in band})
-    # Each stored mode is named by its key (offset, mode) and lifted to one band.
-    band = {(o, n): (1, o, [v.numerator * (D // v.denominator) for v in b])
+    # Each stored mode is named by its key (offset, mode) and lifted once to a band over D.
+    band = {(o, n): (o, [_lift(v, D) for v in b])
             for o, bands in stored for n, b in enumerate(bands)}
     xp, xm, xi = ([(o, n) for n in range(len(bands))] for o, bands in stored)
     # Each product and each commutator of two stored modes is formed once;
     # the caches live for this call.
     times = cache(lambda a, b: _times(band[a], band[b], dim))
-    combine = lambda *terms: _combine(D, *terms)
-    comm = cache(lambda a, b: combine((1, times(a, b)), (-1, times(b, a))))
-    entry = lambda op, c: Fraction(op[2][c], D ** op[0])
+    comm = cache(lambda a, b: _combine((1, times(a, b)), (-1, times(b, a))))
 
     def expect(rel, m, n, lhs, rhs):
-        # both sides at the larger exponent; a column is sought only on a mismatch
+        # both sides over D^2; a column is sought only on a mismatch
         nonlocal checked
         checked += 1
-        e, o = max(lhs[0], rhs[0]), lhs[1]
+        (o, a), (_, b) = lhs, rhs
         lo, hi = max(cols.start, -o), min(cols.stop, dim - o)
-        a, b = ([v * D ** (e - f) for v in col[lo:hi]] if f < e else col[lo:hi]
-                for f, _, col in (lhs, rhs))
-        if a != b:
-            c = next(c for c, u, v in zip(range(lo, hi), a, b) if u != v)
-            failures.append((rel, m, n, c, entry(lhs, c), entry(rhs, c)))
+        if a[lo:hi] != b[lo:hi]:
+            c = next(c for c in range(lo, hi) if a[c] != b[c])
+            failures.append((rel, m, n, c, Fraction(a[c], D * D), Fraction(b[c], D * D)))
 
     for m in range(n_max + 1):
         for n in range(n_max + 1):
-            expect("commuting Cartan modes", m, n, comm(xi[m], xi[n]), (0, _XI, [0] * dim))
-            expect("raising/lowering bracket", m, n, comm(xp[m], xm[n]), band[xi[m + n]])
+            expect("commuting Cartan modes", m, n, comm(xi[m], xi[n]), (_XI, [0] * dim))
+            expect("raising/lowering bracket", m, n, comm(xp[m], xm[n]),
+                   (_XI, [D * v for v in band[xi[m + n]][1]]))
     for n in range(n_max + 1):
-        expect("weight grading (+)", 0, n, comm(xi[0], xp[n]), combine((2, band[xp[n]])))
-        expect("weight grading (-)", 0, n, comm(xi[0], xm[n]), combine((-2, band[xm[n]])))
+        expect("weight grading (+)", 0, n, comm(xi[0], xp[n]), _combine((2 * D, band[xp[n]])))
+        expect("weight grading (-)", 0, n, comm(xi[0], xm[n]), _combine((-2 * D, band[xm[n]])))
     for sign, xs in ((1, xp), (-1, xm)):
         tag = "+" if sign > 0 else "-"
         for m in range(n_max + 1):
             for n in range(n_max + 1):
-                lhs = combine((1, comm(xi[m + 1], xs[n])), (-1, comm(xi[m], xs[n + 1])))
-                anti = combine((sign, times(xi[m], xs[n])), (sign, times(xs[n], xi[m])))
+                lhs = _combine((1, comm(xi[m + 1], xs[n])), (-1, comm(xi[m], xs[n + 1])))
+                anti = _combine((sign, times(xi[m], xs[n])), (sign, times(xs[n], xi[m])))
                 expect(f"Cartan-Drinfeld ({tag})", m, n, lhs, anti)
-                lhs = combine((1, comm(xs[m + 1], xs[n])), (-1, comm(xs[m], xs[n + 1])))
-                anti = combine((sign, times(xs[m], xs[n])), (sign, times(xs[n], xs[m])))
+                lhs = _combine((1, comm(xs[m + 1], xs[n])), (-1, comm(xs[m], xs[n + 1])))
+                anti = _combine((sign, times(xs[m], xs[n])), (sign, times(xs[n], xs[m])))
                 expect(f"same-sign Drinfeld ({tag})", m, n, lhs, anti)
     return relation_report(checked, failures, f"{mod.kind} k={mod.k} x={mod.x} dim={mod.dim}")
 
@@ -288,19 +281,20 @@ def extract_qchar(mod: Sl2Module) -> TruncatedCharacter:
     top = PsiMonomial.gen(1, x + k) * PsiMonomial.gen(1, x, -1)     # the unit at k = 0
     D = lcm(x.denominator, k.denominator)
     Dn = [D ** n for n in range(1, len(mod.xi) + 1)]
-    S = _series_times([1] + [0] * len(mod.xi), ((_lift(x + k, D), 1), (_lift(x, D), -1)))
+    S = [1] + [0] * len(mod.xi)
     # A_{1,x}^-1 as lifted pairs (D (x + o), -e); A_{1,x+i} is A_{1,x} moved by i
     step = [(_lift(z.rat, D), -e) for (_, z), e in expand_A_to_Psi(_SL2, 1, x).items()]
     # the sites of x, x+1, ...: x + i is 2i half steps up x's lane, so always sorted
     s0 = _site(1, x)
     chain = range(s0, s0 + 2 * _HALF * mod.dim, 2 * _HALF)
     terms = {}
-    for i in range(mod.dim):
+    for i in range(mod.dim):    # S steps to v_i's series: the top's, then A_{1,x+i-1}^-1
+        _series_times(S, [(p + (i - 1) * D, e) for p, e in step] if i else
+                      ((_lift(x + k, D), 1), (_lift(x, D), -1)))
         if any(band[i].numerator * w != s * band[i].denominator
                for band, s, w in zip(mod.xi, S[1:], Dn)):
             raise ValueError(f"eigenvalue series of v_{i} does not match its ledger chain")
         terms[AVector(tuple(chain[:i]), canonical=True)] = 1
-        _series_times(S, [(p + i * D, e) for p, e in step])
     bound = None if mod.kind == "finite" else mod.dim - 1
     return TruncatedCharacter.make(top, terms, bound)
 

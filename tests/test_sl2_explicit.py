@@ -467,6 +467,21 @@ def test_per_module_work_does_not_grow_with_dim(monkeypatch):
     assert extracted["_site"] == 1
 
 
+def test_each_series_runs_exactly_dim_steps(monkeypatch):
+    # one _series_times step before each basis vector, none past the last
+    calls = []
+    real = sl2_explicit._series_times
+    monkeypatch.setattr(sl2_explicit, "_series_times",
+                        lambda *a: calls.append(a) or real(*a))
+    for M in (8, 20):
+        calls.clear()
+        mod = build_module("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=M)
+        assert len(calls) == mod.dim == M
+        calls.clear()
+        extract_qchar(mod)
+        assert len(calls) == M
+
+
 # -- three-term sum of modules ----------------------------------------------
 
 def test_three_term_examples():

@@ -1,12 +1,14 @@
-"""Every complete KR character is a g-character: its weight multiplicities
-are invariant under the Weyl group."""
+"""Every complete character is a g-character: its weight multiplicities are
+invariant under the Weyl group.  Swept over KR characters, m-weight
+characters and SES kernels."""
 from collections import Counter
 
 import pytest
 
 from yqchar.cartan import LieType, build_cartan
-from yqchar.characters import fm_expand, kr_top_y
-from yqchar.monomials import _unsite
+from yqchar.characters import demazure_char_via_ses, fm_expand, kr_top_y
+from yqchar.identities import _check_realizable, tq_lhs_direct
+from yqchar.monomials import _unsite, weight_projection
 
 # (type, largest k): every node, every k from 1 up, at x = 0 and at x = 1/3.
 # At 1/3 the character is a translate of the one at 0 (see fm_expand), so
@@ -20,13 +22,19 @@ CASES = [(name, i, k, x) for name, kmax in SWEEP for i in CARTAN[name].nodes
 
 def weight_multiplicities(cartan, i, k, terms) -> Counter:
     """{weight: multiplicity}, a weight as integer varpi-coordinates: k varpi_i
-    less alpha_j for each site at node j.  alpha_j is column j of the Cartan
-    matrix, alpha_j = sum_r c_rj varpi_r (as in ``Weight.simple_root``)."""
+    less alpha_j for each site at node j."""
+    return multiplicities(cartan, [k if r == i - 1 else 0 for r in range(cartan.rank)], terms)
+
+
+def multiplicities(cartan, top, terms) -> Counter:
+    """{weight: multiplicity} of the (AVector, coefficient) ``terms`` under the
+    top weight ``top`` (integer varpi-coordinates).  alpha_j is column j of the
+    Cartan matrix, alpha_j = sum_r c_rj varpi_r (as in ``Weight.simple_root``)."""
     rank = cartan.rank
     alpha = [[cartan.c[r][j] for r in range(rank)] for j in range(rank)]
     out = Counter()
     for v, c in terms:
-        mu = [k if r == i - 1 else 0 for r in range(rank)]
+        mu = list(top)
         for s in v.sites:
             a = alpha[_unsite(s)[0] - 1]
             mu = [m - n for m, n in zip(mu, a)]
@@ -45,3 +53,61 @@ def test_a_complete_kr_character_is_weyl_invariant(name, i, k, x):
         for mu, c in mult.items():
             image = tuple(m - mu[j] * a for m, a in zip(mu, alpha))
             assert mult.get(image, 0) == c, (j + 1, mu)
+
+
+def assert_weyl_invariant(cartan, mult):
+    for j in range(cartan.rank):            # s_j(mu) = mu - mu_j alpha_j
+        alpha = [cartan.c[r][j] for r in range(cartan.rank)]
+        for mu, c in mult.items():
+            image = tuple(m - mu[j] * a for m, a in zip(mu, alpha))
+            assert mult.get(image, 0) == c, (j + 1, mu)
+
+
+def top_weight(cartan, top) -> list:
+    """The integer varpi-coordinates of the l-weight ``top``."""
+    coords = weight_projection(cartan, top).coords
+    assert all(c.is_rational and c.rat.denominator == 1 for c in coords)
+    return [int(c.rat) for c in coords]
+
+
+# (type, largest k): every node, every k from 1 up, at x = 0.  An m-weight
+# character is swept at each k that route R1 of the TQ relation accepts, an
+# SES kernel at t = 0 and 1.  Neither top is k varpi_i, so the top weight is
+# read off the top l-weight.
+MODULE_SWEEP = [("A2", 3), ("A3", 2), ("B2", 3), ("C2", 3), ("G2", 1), ("B3", 1), ("C3", 1),
+                ("D4", 1)]
+CARTAN.update((name, build_cartan(LieType.parse(name))) for name, _ in MODULE_SWEEP)
+
+
+def realizable(cartan, i, k) -> bool:
+    try:
+        _check_realizable(cartan, i, k)
+    except ValueError:
+        return False
+    return True
+
+
+MODULE_CASES = [(name, i, k) for name, kmax in MODULE_SWEEP for i in CARTAN[name].nodes
+                for k in range(1, kmax + 1)]
+M_CASES = [case for case in MODULE_CASES if realizable(CARTAN[case[0]], *case[1:])]
+
+
+def test_the_module_sweeps_have_their_sizes():
+    assert (len(M_CASES), 2 * len(MODULE_CASES)) == (29, 72)
+
+
+@pytest.mark.parametrize("name, i, k", M_CASES)
+def test_a_complete_m_weight_character_is_weyl_invariant(name, i, k):
+    cartan = CARTAN[name]
+    ch = tq_lhs_direct(cartan, i, k, 0, None)
+    assert ch.height_bound is None
+    assert_weyl_invariant(cartan, multiplicities(cartan, top_weight(cartan, ch.top), ch.terms))
+
+
+@pytest.mark.parametrize("name, i, k", MODULE_CASES)
+@pytest.mark.parametrize("t", (0, 1))
+def test_a_complete_ses_kernel_is_weyl_invariant(name, i, k, t):
+    cartan = CARTAN[name]
+    ch = demazure_char_via_ses(cartan, i, t, k, 0, None)
+    assert ch.height_bound is None
+    assert_weyl_invariant(cartan, multiplicities(cartan, top_weight(cartan, ch.top), ch.terms))
