@@ -11,10 +11,10 @@ series.  Each mode is one super-, sub- or main diagonal, so a module stores
 it as the tuple of its dim coefficients: ``xp[n][i]``, ``xm[n][i]`` and
 ``xi[n][i]`` are the coefficients of xp_n v_i, xm_n v_i and xi_n v_i
 (``xp[n][0]`` and ``xm[n][dim-1]`` are 0, their targets lie outside the
-basis).  The public fields hold ``Fraction``s, computed and compared on ints
-over one denominator D = lcm(den x, den k): x, k and the engine's A_1 row are
-lifted to D once per module, so each basis vector's eigenvalue series, built or
-predicted, is one int recurrence of exactly dim steps, each before its vector.
+basis).  The public fields hold ``Fraction``s; every band is built in one pass over
+the basis from ints over one denominator D = lcm(den x, den k), X = Dx and K = Dk.
+The engine's A_1 row is lifted to D once per module, and each eigenvalue series, built
+or predicted, is one int recurrence of exactly dim steps, each before its vector.
 The relation checker lifts the bands once over the lcm D of all stored denominators,
 multiplies them in O(dim) with no dense matrix, and compares every side over D^2.
 
@@ -134,25 +134,22 @@ def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
         raise EngineError(f"term budget {config.term_budget} exceeded by a {kind} module "
                           f"of dimension {dim} with {pm_modes} raising/lowering and "
                           f"{xi_modes} Cartan modes")
-    # With x = a/b and k = c/d: xp_n v_i = ((1-i)b - a)^n / b^n and
-    # xm_n v_i = (-ib - a)^n (i+1)(c - id) / (b^n d), from integer powers.
-    (a, b), (c, d) = x.as_integer_ratio(), k.as_integer_ratio()
-    modes = lambda p, s=1, t=1: [Fraction(p ** n * s, b ** n * t) for n in range(pm_modes)]
-    zeros = [_ZERO] * pm_modes
-    xp = tuple(zip(*(modes((1 - i) * b - a) if i else zeros for i in range(dim))))
-    xm = tuple(zip(*(modes(-i * b - a, (i + 1) * (c - i * d), d) if i + 1 < dim else zeros
-                     for i in range(dim))))
-    # The Psi-ratio acting on v_0 is (u+x+k)/(u+x); from v_i to v_{i+1} it
-    # gains (u+x+i-1)/(u+x+i+1).  Over D, x + j is X + jD; each step precedes its vector.
-    D = lcm(b, d)
+    # Over D, x + j is (X + jD)/D and k - i is (K - iD)/D: xp_n v_i = (-X - (i-1)D)^n / D^n and
+    # xm_n v_i = (-X - iD)^n (i+1)(K - iD) / D^(n+1).  The Psi-ratio on v_0 is (u+x+k)/(u+x);
+    # from v_i to v_{i+1} it gains (u+x+i-1)/(u+x+i+1), each step before its vector.
+    D = lcm(x.denominator, k.denominator)
     X, K = _lift(x, D), _lift(k, D)
-    Dn = [D ** n for n in range(1, xi_modes + 1)]
+    Dn = [D ** n for n in range(xi_modes + 1)]
+    zeros = [_ZERO] * pm_modes
     eig = [1] + [0] * xi_modes
     cols = []
     for i in range(dim):
         _series_times(eig, ((X + (i - 2) * D if i else X + K, 1), (X + i * D, -1)))
-        cols.append(list(map(Fraction, eig[1:], Dn)))
-    xi = tuple(zip(*cols))
+        p, q, s = -X - (i - 1) * D, -X - i * D, (i + 1) * (K - i * D)
+        up = [Fraction(p ** n, Dn[n]) for n in range(pm_modes)] if i else zeros
+        down = [Fraction(q ** n * s, Dn[n + 1]) for n in range(pm_modes)] if i + 1 < dim else zeros
+        cols.append((up, down, list(map(Fraction, eig[1:], Dn[1:]))))
+    xp, xm, xi = (tuple(zip(*family)) for family in zip(*cols))
     return Sl2Module(kind, k, x, dim, n_max, xp, xm, xi)
 
 
