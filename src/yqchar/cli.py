@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -173,10 +174,10 @@ def _emit(obj, cfg: CliConfig, out) -> int:
     format; exit 1 for a failing report, else 0."""
     if cfg.output_format == "json":
         payload = obj.to_json() if hasattr(obj, "to_json") else {"monomial": format_monomial(obj)}
-        print(json.dumps({"schema": "yqchar/1", "result": payload},
-                         sort_keys=True), file=out)
+        text = json.dumps({"schema": "yqchar/1", "result": payload}, sort_keys=True)
     else:
-        print(obj.to_text() if hasattr(obj, "to_text") else format_monomial(obj), file=out)
+        text = obj.to_text() if hasattr(obj, "to_text") else format_monomial(obj)
+    print(text, file=out, flush=True)
     return 1 if isinstance(obj, Report) and not obj.verdict else 0
 
 
@@ -210,7 +211,8 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
         ok = all(r.verdict for r in reports)
         if cfg.output_format == "json":
             print(json.dumps({"schema": "yqchar/1", "results": [r.to_json() for r in reports],
-                              "verdict": "pass" if ok else "fail"}, sort_keys=True), file=out)
+                              "verdict": "pass" if ok else "fail"}, sort_keys=True),
+                  file=out, flush=True)
         else:
             for s, r in zip(specs, reports):
                 k = f" k={s.k}" if "k" in KINDS[s.kind] else ""
@@ -218,6 +220,9 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
                 _emit(r, cfg, out)
         return 0 if ok else 1
     # The exit code of each failure: a bad input 2, an engine limit or fault 3.
+    except BrokenPipeError as ex:   # a closed output pipe: a fault, not a usage error
+        print(f"internal error: {type(ex).__name__}: {ex}", file=err)
+        return 3
     except EngineError as ex:
         print(f"engine error: {ex}", file=err)
         return 3
@@ -230,7 +235,13 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:   # a closed pipe: exit 3 at once, not 1 (a traceback) or 120 (exit's flush)
+        os._exit(3)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-__all__ = ["Coord", "coord", "narrow", "parse_coord", "CoordSyntaxError"]
+__all__ = ["Coord", "coord", "format_coord", "narrow", "parse_coord", "CoordSyntaxError"]
 
 _COORD_CACHE_SIZE = 1024    # bound on the memo of parsed coordinate texts
 # A numeric coefficient that starts a term, then e or E, an optional sign and
@@ -114,17 +114,19 @@ class Coord:
 
     # -- formatting ---------------------------------------------------------
     def __str__(self):
-        parts = []
-        if self.rat != 0 or not self.sym:
-            parts.append(str(self.rat))
-        for n, c in self.sym:
-            num = "" if c.numerator == 1 else "-" if c.numerator == -1 else str(c.numerator)
-            parts.append(f"{num}{n}" + ("" if c.denominator == 1 else f"/{c.denominator}"))
-        out = "+".join(parts)
-        return out.replace("+-", "-")
+        return format_coord(self.rat.numerator, self.rat.denominator, self.sym)
 
     def __repr__(self):
         return f"Coord({self})"
+
+
+def format_coord(num: int, den: int, sym=()) -> str:
+    """The text of num/den + sym, both canonical: no rational 0 beside sym; "-" for "+-"."""
+    parts = [str(num) if den == 1 else f"{num}/{den}"] if num or not sym else []
+    for n, c in sym:
+        coeff = "" if c.numerator == 1 else "-" if c.numerator == -1 else str(c.numerator)
+        parts.append(f"{coeff}{n}" + ("" if c.denominator == 1 else f"/{c.denominator}"))
+    return "+".join(parts).replace("+-", "-")
 
 
 def coord(v) -> Coord:

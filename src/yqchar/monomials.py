@@ -23,12 +23,11 @@ and a ledger product is ``tuple(sorted(a + b))``, one C merge.  Int order is
 not Coord order: ``items()`` and ``ordered()`` give factors in (node, Coord)
 order, for printing.  The one change of coordinates is ``_translate``, a
 shift of every x by one rational t, which moves each site by a delta of its lane.
-A shift keeps print order.  (node, Coord) order compares the node, the
-symbolic part, then the rational part; a shift keeps the first two and adds t
-to the third, and rat < rat' iff rat + t < rat' + t.  So it keeps the order of
-sites and, being one to one, each row's height, exponents and ordered factors,
-hence the order of rows: ``_print_rows`` formats a ``_print_plan`` at x + t,
-as ``textio.format_monomial(m, t)`` does a monomial, and moves no site.
+A shift keeps print order: (node, Coord) order compares the node, the
+symbolic part, then the rational part, and a shift adds t to the last alone,
+one to one; so rows keep their heights, exponents, ordered factors and order.
+``_print_rows`` prints a ``_print_plan`` at x + t, as ``format_monomial(m, t)``
+prints a monomial: each factor from its lane's text at t, no site moved.
 """
 from __future__ import annotations
 
@@ -204,11 +203,12 @@ def _print_plan(rows) -> tuple:
 
 
 def _print_rows(plan, t=0) -> list:
-    """(row, text) pairs of a ``_print_plan``, each distinct factor formatted
-    once at x + t for a rational ``t``: the rows moved by t, no site moved."""
+    """(row, text) pairs of a ``_print_plan``, each distinct factor printed once
+    at x + t (``textio._factor_text``): the rows moved by the rational t, no site moved."""
     from .textio import _factor_text
     sites, scale, keys, keyed = plan
-    text = {k: _factor_text("A", sites[k // scale], -(k % scale + 1), t) for k in keys}
+    tn, td = t.numerator, t.denominator
+    text = {k: _factor_text("A", sites[k // scale], -(k % scale + 1), tn, td) for k in keys}
     return [(row, " ".join(map(text.__getitem__, ks)) or "1") for _, ks, row in keyed]
 
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import gcd
 
 from .cartan import CartanData
 from . import monomials as M
-from .coords import parse_coord
+from .coords import format_coord, parse_coord
 
 _FACTOR = re.compile(
     r"(?P<inv>/)?(?P<head>Psi|Y|A)\[(?P<node>\d+),(?P<coord>[^\]]+)\](\^(?P<exp>-?\d+))?")
@@ -91,16 +92,26 @@ def parse_monomial(text: str, cartan: CartanData | None = None, kind: str | None
     return (M.PsiMonomial if basis == "Psi" else M.YMonomial)(M._canon(pairs), canonical=True)
 
 
-# Bound on the memo of formatted factors.
+# Bound on the memos of factor texts and of lane texts (hits and misses: ROADMAP item 19).
 _TEXT_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_TEXT_CACHE_SIZE)
-def _factor_text(head: str, site: int, e: int, t=0) -> str:
-    """The factor at the site's coordinate x printed at x + t, for a rational ``t``."""
-    i, x = M._unsite(site)
-    cs = f"q^{x + t}" if head == "Phi" else str(x + t)
-    return f"{head}[{i},{cs}]" + ("" if e == 1 else f"^{e}")
+def _lane_text(head: str, lane: int, tn: int, td: int) -> tuple:
+    """(``head[i,`` or ``Phi[i,q^``, 2 num, den, symbolic tail): residue + tn/td = num/den."""
+    i, sym, r = M._LANES[lane]
+    return (f"{head}[{i}," + "q^" * (head == "Phi"), 2 * (r.numerator * td + tn * r.denominator),
+            r.denominator * td, format_coord(1, 1, sym)[1:])
+
+
+@lru_cache(maxsize=_TEXT_CACHE_SIZE)
+def _factor_text(head: str, site: int, e: int, tn: int = 0, td: int = 1) -> str:
+    """The factor at the site's x printed at x + tn/td = (2 num + off2 den) / (2 den)."""
+    pre, n2, den, tail = _lane_text(head, site & M._LANE, tn, td)
+    g = gcd(n := n2 + (site >> 32) * den, d := 2 * den)
+    cs = f"{n // g}{tail}" if g == d else f"{n // g}/{d // g}{tail}"
+    cs = cs if n or not tail else format_coord(0, 1, M._LANES[site & M._LANE][1])
+    return f"{pre}{cs}]" if e == 1 else f"{pre}{cs}]^{e}"
 
 
 def format_monomial(m, t=0) -> str:
@@ -108,7 +119,5 @@ def format_monomial(m, t=0) -> str:
     x + t (see ``monomials``); at t = 0 the inverse of parse_monomial on its output."""
     head = {"PsiMonomial": "Psi", "YMonomial": "Y", "AVector": "A",
             "MultiplicativeMonomial": "Phi"}[type(m).__name__]
-    if m.is_unit():
-        return "1"
-    sign = -1 if head == "A" else 1
-    return " ".join([_factor_text(head, s, sign * e, t) for s, e in m.ordered()])
+    sign, tn, td = -1 if head == "A" else 1, t.numerator, t.denominator
+    return " ".join([_factor_text(head, s, sign * e, tn, td) for s, e in m.ordered()]) or "1"

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import yqchar.characters as characters
 import yqchar.cli as cli
 import yqchar.monomials as monomials
+import yqchar.textio as textio
 from yqchar.cartan import LieType, build_cartan
 from yqchar.coords import Coord, coord
 from yqchar.monomials import (
@@ -992,6 +993,35 @@ def test_printing_a_translate_interns_no_lane(monkeypatch):
     assert len(monomials._LANES) == lanes and "terms" not in vars(ch)
     assert len(ch.terms) == 160 and len(monomials._LANES) > lanes
     assert (ch.to_json(), ch.to_text()) == printed
+
+
+@pytest.mark.parametrize("printer, residues", [("to_json", ("5/11", "6/11")),
+                                               ("to_text", ("5/13", "6/13"))])
+def test_printing_a_translate_formats_each_lane_once(monkeypatch, printer, residues):
+    # a factor's text comes from its lane's text at t and int arithmetic on its
+    # half steps: printing a translate builds no Coord, reads no site back to
+    # one, and formats each lane of the anchor's plan once, at k = 3 as at k = 5
+    _small_cache(monkeypatch)
+    counts, real_init, real_unsite = Counter(), Coord.__init__, monomials._unsite
+    monkeypatch.setattr(Coord, "__init__", lambda self, *a, **kw: counts.update(
+        ("Coord",)) or real_init(self, *a, **kw))
+    monkeypatch.setattr(monomials, "_unsite", lambda s: counts.update(("_unsite",))
+                        or real_unsite(s))
+    seen = []
+    for k, x in zip((3, 5), residues):
+        ch = fm_expand(B3, kr_top_y(B3, 3, k, x))
+        assert ch._anchor is not None
+        textio._lane_text.cache_clear()
+        textio._factor_text.cache_clear()
+        format_monomial(ch.top)         # the top, so that what is counted is the rows
+        counts.clear()
+        misses = textio._lane_text.cache_info().misses
+        getattr(ch, printer)()
+        sites = ch._anchor._plan[0]
+        seen.append((len(sites), textio._lane_text.cache_info().misses - misses))
+        assert counts == Counter()
+        assert seen[-1][1] == len({s & monomials._LANE for s in sites})
+    assert seen[0][0] < seen[1][0] and seen[0][1] == seen[1][1]
 
 
 def test_an_unknown_attribute_of_a_translate_moves_no_rows(monkeypatch):

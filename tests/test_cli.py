@@ -2,6 +2,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -215,6 +218,66 @@ def test_a_fault_inside_the_engine_exits_three(monkeypatch, fault, err):
         raise fault
     monkeypatch.setattr(cli, "fm_expand", fm_expand)
     assert run(["qchar", "kr", "--type", "A1", "--node", "1"]) == (3, "", err)
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+PASSING_TQ = ["verify", "tq", "--type", "A2", "--node", "1", "--k", "6", "--height", "3"]
+
+
+def test_a_failed_write_exits_three_and_a_missing_file_two(tmp_path):
+    # a closed output pipe is a fault, neither a verdict nor a usage error, and
+    # its line goes to err; an input file that cannot be read is a usage error
+    err = io.StringIO()
+    assert cli.dispatch(PASSING_TQ, _ClosedPipe(), err) == 3
+    assert err.getvalue() == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
+    for argv in (PASSING_TQ + ["--config", str(tmp_path / "missing.json")],
+                 ["verify", "suite", str(tmp_path / "missing.json")]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "") and "No such file or directory" in err
+
+
+def _console(argv, unbuffered, stdout_closed, stderr_closed):
+    """(exit code, stdout, stderr) of the console entry run on ``argv``, each of
+    its streams either read here or a pipe whose read end is closed."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from yqchar.cli import main; main()", *argv],
+            stdout=write if stdout_closed else subprocess.PIPE,
+            stderr=write if stderr_closed else subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ("1", ""))
+@pytest.mark.parametrize("argv, stdout_closed, stderr_closed", [
+    (PASSING_TQ, True, False), (PASSING_TQ, True, True),
+    (["qchar", "kr", "--type", "Z9", "--node", "1"], False, True)])
+def test_a_closed_pipe_exits_three_with_no_traceback(argv, stdout_closed, stderr_closed,
+                                                     unbuffered):
+    # a passing run with stdout closed, alone or with stderr, and a usage error
+    # with stderr closed: exit 3, never 1 (an uncaught traceback), 2 (a usage
+    # error) or 120 (a failed flush at exit), and the line on stderr if it is open
+    code, _, err = _console(argv, unbuffered, stdout_closed, stderr_closed)
+    assert code == 3
+    if not stderr_closed:
+        assert err == b"internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", ("1", ""))
+def test_help_reaches_an_open_pipe(unbuffered):
+    # argparse writes --help unflushed; the entry's flush delivers it
+    code, out, err = _console(PASSING_TQ[:2] + ["--help"], unbuffered, False, False)
+    assert (code, err) == (0, b"") and out.startswith(b"usage: yqchar verify tq [-h]")
+    assert b"--height HEIGHT" in out and out.endswith(b"\n")
 
 
 def test_unrealizable_k_is_a_usage_error():

@@ -434,6 +434,17 @@ GOLDEN = [
     (_dz("C3", 2, 2, 0, 3, "--format", "json"), 0, "5266c174acc7dce5"),
     (_dz("C3", 3, 1, 1, 3, "--format", "json"), 0, "e533a7a5a325d93c"),
     (_dz("C3", 1, 3, 2, 2, "--x=-1/2", "--format", "json"), 0, "eab48a6543ba658d"),
+    # Printed coordinates: a huge negative numerator over 6, a negative residue
+    # beside a symbol (text), a residue of 1/4 (text), a negative fractional
+    # symbolic coefficient after a rational part, and the Phi head's q^.
+    (_kr("G2", 1, 3, "--x=-1000000000000000000001/6", "--format", "json"), 0,
+     "c0302da39f357a04"),
+    (_kr("B3", 3, 2, "--x=x-7/3"), 0, "d989f4c5298822a5"),
+    (_kr("C3", 1, 2, "--x=5/4", "--height", "3"), 0, "9c2aa7f58e2fc974"),
+    (("qchar", "prefundamental", "--type", "B2", "--node", "2", "--sign", "-",
+      "--x=-2x/3+1/5", "--height", "2", "--format", "json"), 0, "5b3e87bde2732c1b"),
+    (("translate", "--to", "multiplicative", "--type", "B2", "--monomial",
+      "Psi[1,-7/6+x]^2"), 0, "af0514937e0709a2"),
 ]
 
 

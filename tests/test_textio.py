@@ -1,9 +1,15 @@
-"""The monomial parser against a per-factor reference of its assembly."""
+"""The monomial parser against a per-factor reference of its assembly, and
+the factor printer against a per-coordinate reference of its text."""
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from yqchar.cartan import LieType, build_cartan
-from yqchar.monomials import AVector, PsiMonomial, YMonomial, avector_to_psi, avector_to_y, y_to_psi
-from yqchar.textio import MonomialSyntaxError, _scan, format_monomial, parse_monomial
+from yqchar.coords import Coord
+from yqchar.monomials import (
+    AVector, PsiMonomial, YMonomial, _site, avector_to_psi, avector_to_y, y_to_psi,
+)
+from yqchar.textio import MonomialSyntaxError, _factor_text, _scan, format_monomial, parse_monomial
 
 
 def reference_parse(text, cartan=None, kind=None):
@@ -71,3 +77,38 @@ def _outcome(parse, text, cartan, kind):
 def test_the_parser_matches_its_per_factor_reference(text, cartan, kind):
     assert _outcome(parse_monomial, text, cartan, kind) \
         == _outcome(reference_parse, text, cartan, kind)
+
+
+def reference_text(c: Coord) -> str:
+    """A coordinate's text built from the Coord: the rational part unless it
+    is 0 beside a symbol, then each symbolic term, joined by "+", and each
+    "+-" read as "-"."""
+    parts = []
+    if c.rat != 0 or not c.sym:
+        parts.append(str(c.rat))
+    for n, k in c.sym:
+        num = "" if k.numerator == 1 else "-" if k.numerator == -1 else str(k.numerator)
+        parts.append(f"{num}{n}" + ("" if k.denominator == 1 else f"/{k.denominator}"))
+    return "+".join(parts).replace("+-", "-")
+
+
+numerators = st.integers(-40, 40) | st.integers(-10 ** 30, 10 ** 30)
+rationals = st.builds(Fraction, numerators, st.integers(1, 12))
+coefficients = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 6))
+coordinates = st.builds(
+    lambda rat, sym: Coord(rat, sym), st.just(Fraction(0)) | rationals,
+    st.dictionaries(st.sampled_from(("x", "k", "y2")), coefficients, max_size=2))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.integers(1, 4), coordinates, st.just(Fraction(0)) | rationals,
+       st.sampled_from((1, -1, 2, -3)))
+def test_each_factor_prints_as_its_coordinate_moved_by_t(i, x, t, e):
+    # the text of a factor from its lane's texts at t and int arithmetic on its
+    # half steps is that of the Coord x + t, in every head; Phi writes q^ first
+    want = reference_text(x + t)
+    assert (str(x), str(x + t)) == (reference_text(x), want)
+    for head in ("Psi", "Y", "A", "Phi"):
+        power = "" if e == 1 else f"^{e}"
+        assert _factor_text(head, _site(i, x), e, t.numerator, t.denominator) \
+            == f"{head}[{i},{'q^' if head == 'Phi' else ''}{want}]{power}"
