@@ -445,6 +445,21 @@ GOLDEN = [
       "--x=-2x/3+1/5", "--height", "2", "--format", "json"), 0, "5b3e87bde2732c1b"),
     (("translate", "--to", "multiplicative", "--type", "B2", "--monomial",
       "Psi[1,-7/6+x]^2"), 0, "af0514937e0709a2"),
+    # Rank-one extraction at its refusals and edges: the term budget of a huge
+    # truncated tower, alone and inside a three-term check, a negative mode
+    # bound, too small an M, a finite module at a non-integer k, one Cartan
+    # mode in JSON, and the smallest truncated tower at a rational x.
+    (("rep-check", "qchar", "--kind", "truncated", "--k", "1/3", "--M", "100000000000"), 3,
+     "28b0bdf84d7ab4fa"),
+    (("rep-check", "three-term", "--x", "2", "--M", "100000000000"), 3, "848e226aeeacd97f"),
+    (("rep-check", "qchar", "--modes=-1"), 2, "543315535a54a06c"),
+    (("rep-check", "qchar", "--kind", "truncated", "--k=7/3", "--M", "2"), 2,
+     "f323a5cf7ec6242f"),
+    (("rep-check", "qchar", "--kind", "finite", "--k=7/3"), 2, "567607af70d9fea0"),
+    (("rep-check", "qchar", "--kind", "finite", "--k", "2", "--modes", "0", "--format", "json"),
+     0, "4d219ca3a5616576"),
+    (("rep-check", "qchar", "--kind", "truncated", "--k=7/3", "--x=1/2", "--M", "3"), 0,
+     "f4236deaf850ac1f"),
 ]
 
 
