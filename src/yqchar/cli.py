@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -139,11 +140,10 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     rational = dict(plain, help="rational, e.g. -3/2")
     size = dict(type=int, default=8)
     # --k, then --x, then the module's own checks
-    module = lambda a, eng: build_module(
-        a.kind, narrow(a.k, "--k"), narrow(a.x, "--x"), n_max=a.modes,
-        M=a.M if a.kind == "truncated" else None, config=eng)
-    for name, run in (("relations", lambda a, eng, N: check_relations(module(a, eng), config=eng)),
-                      ("qchar", lambda a, eng, N: extract_qchar(module(a, eng)))):
+    module = lambda a, eng: (a.kind, narrow(a.k, "--k"), narrow(a.x, "--x"), a.modes,
+                             a.M if a.kind == "truncated" else None, eng)
+    for name, run in (("relations", lambda a, eng, N: check_relations(build_module(*module(a, eng)), eng)),
+                      ("qchar", lambda a, eng, N: extract_qchar(*module(a, eng)))):
         leaf(r, name, run, kind=dict(choices=("finite", "truncated"), default="finite"),
              k=dict(default="1", help="rational, e.g. -3/2; an integer >= 0 for --kind finite"),
              x=rational, M=dict(size, help="basis size of a truncated module"),
@@ -193,12 +193,16 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
+    # argparse drops a failed write of its own, so it writes to buffers, passed on here
+    said = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = _parse(argv)
-    except SystemExit as ex:
-        return 0 if ex.code == 0 else 2
-    try:
+        try:
+            with contextlib.redirect_stdout(said[0]), contextlib.redirect_stderr(said[1]):
+                args = _parse(argv)
+        except SystemExit as ex:
+            for text, stream in zip(said, (out, err)):
+                print(text.getvalue(), end="", file=stream, flush=True)
+            return 0 if ex.code == 0 else 2
         cfg = _load_config(args.config, args.format)
         eng = cfg.engine()
         N = cfg.default_height_bound if args.height is None else args.height

@@ -11,21 +11,19 @@ series.  Each mode is one super-, sub- or main diagonal, so a module stores
 it as the tuple of its dim coefficients: ``xp[n][i]``, ``xm[n][i]`` and
 ``xi[n][i]`` are the coefficients of xp_n v_i, xm_n v_i and xi_n v_i
 (``xp[n][0]`` and ``xm[n][dim-1]`` are 0, their targets lie outside the
-basis).  The public fields hold ``Fraction``s; every band is built in one pass over
-the basis from ints over one denominator D = lcm(den x, den k), X = Dx and K = Dk.
-The engine's A_1 row is lifted to D once per module, and each eigenvalue series, built
-or predicted, is one int recurrence of exactly dim steps, each before its vector.
-The relation checker lifts the bands once over the lcm D of all stored denominators,
-multiplies them in O(dim) with no dense matrix, and compares every side over D^2.
+basis).  The public fields hold ``Fraction``s, built in one pass over the basis
+from ints over D = lcm(den x, den k), X = Dx and K = Dk.  The relation checker lifts
+the bands once over the lcm of all stored denominators, multiplies them in O(dim)
+with no dense matrix, and compares every side over that lcm squared.
 
 Finite modules (k a nonnegative integer) close on dim = k+1 vectors;
 truncated modules keep the first M vectors of the infinite tower, on which
 the defining relations hold on a safe interior of the basis (the last two
 columns may leak past the truncation).
 
-Nothing here calls ``fm_expand``.  Extraction reads the engine's A_1 row once
-per module, and that row is what it cross-checks; ``three_term_sides``
-combines the four characters with ``char_mul`` and ``char_add``.
+Nothing here calls ``fm_expand``.  Extraction builds no module and reads no stored
+band: it runs only the xi recurrence, on ints, against the series the engine's A_1
+row predicts (each one int recurrence of exactly dim steps, each before its vector).
 """
 from __future__ import annotations
 
@@ -78,13 +76,20 @@ def _series_times(out: list, factors) -> list:
     return out
 
 
+def _xi_series(X: int, K: int, D: int, dim: int, order: int):
+    """Yield the xi(u) series S[0..order] of v_0, ..., v_{dim-1} over D, X = Dx, K = Dk, in
+    one list stepped in place: (u+x+k)/(u+x) on v_0, times (u+x+i-1)/(u+x+i+1) to v_{i+1}."""
+    S = [1] + [0] * order
+    for i in range(dim):
+        yield _series_times(S, ((X + (i - 2) * D if i else X + K, 1), (X + i * D, -1)))
+
+
 # ---------------------------------------------------------------------------
 # Modules.
 # ---------------------------------------------------------------------------
 
 # Row offset of each band: xp_n v_i lands on v_{i-1}, xm_n v_i on v_{i+1}.
 _XP, _XM, _XI = -1, 1, 0
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -101,20 +106,11 @@ class Sl2Module:
     @property
     def safe_columns(self) -> range:
         """Basis columns on which operator identities are exactly checkable."""
-        if self.kind == "finite":
-            return range(self.dim)
-        return range(self.dim - SAFE_MARGIN)
+        return range(self.dim - (0 if self.kind == "finite" else SAFE_MARGIN))
 
 
-def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
-                 config: EngineConfig = DEFAULT_CONFIG) -> Sl2Module:
-    """Exact operator bands for the rank-one highest-weight module.
-
-    The stored entries, dim * (2 (n_max+2) + xi modes), must fit in ``config.term_budget``;
-    a larger module raises EngineError before any allocation.  At fixed x, M and n_max
-    each entry is affine in k (xm_n v_i carries k - i, xi(u) the one factor u+x+k), so
-    each relation instance ``check_relations`` tests is a polynomial of degree <= 2 in k.
-    """
+def _shape(kind: str, k, x, n_max: int, M: int | None, config: EngineConfig) -> tuple:
+    """(k, x, dim, pm_modes, xi_modes) of the module, or its refusal before any allocation."""
     k, x = Fraction(k), Fraction(x)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -128,23 +124,32 @@ def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
         dim = M
     else:
         raise ValueError(f"unknown module kind {kind!r}")
-    pm_modes = n_max + 2
-    xi_modes = max(2 * n_max, n_max + 1) + 1
+    pm_modes, xi_modes = n_max + 2, max(2 * n_max, n_max + 1) + 1
     if dim * (2 * pm_modes + xi_modes) > config.term_budget:
         raise EngineError(f"term budget {config.term_budget} exceeded by a {kind} module "
                           f"of dimension {dim} with {pm_modes} raising/lowering and "
                           f"{xi_modes} Cartan modes")
+    return k, x, dim, pm_modes, xi_modes
+
+
+def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
+                 config: EngineConfig = DEFAULT_CONFIG) -> Sl2Module:
+    """Exact operator bands for the rank-one highest-weight module.
+
+    The stored entries, dim * (2 (n_max+2) + xi modes), must fit in ``config.term_budget``;
+    a larger module raises EngineError before any allocation.  At fixed x, M and n_max
+    each entry is affine in k (xm_n v_i carries k - i, xi(u) the one factor u+x+k), so
+    each relation instance ``check_relations`` tests is a polynomial of degree <= 2 in k.
+    The xi bands are ``_xi_series`` read back as the Fractions c_n = S[n] / D^n."""
+    k, x, dim, pm_modes, xi_modes = _shape(kind, k, x, n_max, M, config)
     # Over D, x + j is (X + jD)/D and k - i is (K - iD)/D: xp_n v_i = (-X - (i-1)D)^n / D^n and
-    # xm_n v_i = (-X - iD)^n (i+1)(K - iD) / D^(n+1).  The Psi-ratio on v_0 is (u+x+k)/(u+x);
-    # from v_i to v_{i+1} it gains (u+x+i-1)/(u+x+i+1), each step before its vector.
+    # xm_n v_i = (-X - iD)^n (i+1)(K - iD) / D^(n+1).
     D = lcm(x.denominator, k.denominator)
     X, K = _lift(x, D), _lift(k, D)
     Dn = [D ** n for n in range(xi_modes + 1)]
-    zeros = [_ZERO] * pm_modes
-    eig = [1] + [0] * xi_modes
+    zeros = [Fraction(0)] * pm_modes
     cols = []
-    for i in range(dim):
-        _series_times(eig, ((X + (i - 2) * D if i else X + K, 1), (X + i * D, -1)))
+    for i, eig in enumerate(_xi_series(X, K, D, dim, xi_modes)):
         p, q, s = -X - (i - 1) * D, -X - i * D, (i + 1) * (K - i * D)
         up = [Fraction(p ** n, Dn[n]) for n in range(pm_modes)] if i else zeros
         down = [Fraction(q ** n * s, Dn[n + 1]) for n in range(pm_modes)] if i + 1 < dim else zeros
@@ -265,51 +270,42 @@ def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Re
 # Character extraction.
 # ---------------------------------------------------------------------------
 
-def extract_qchar(mod: Sl2Module) -> TruncatedCharacter:
-    """Read the character off the diagonal Cartan action.
-
-    Each v_i carries the ledger chain A^-1_{1,x} ... A^-1_{1,x+i-1}; the
-    Psi-form of top times the chain must reproduce the stored eigenvalue
-    series exactly, otherwise the module is inconsistent.  The predicted
-    series grows along the chain as ints S[n] = D^n c_n over D = lcm(den x,
-    den k), and a stored entry v of xi_n passes when v D^(n+1) = S[n+1].
-    """
-    x, k = mod.x, mod.k
+def extract_qchar(kind: str, k, x, n_max: int = 3, M: int | None = None,
+                  config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
+    """The character of ``build_module(kind, k, x, n_max, M, config)``, read off its
+    Cartan action alone; the refusals and the budget (all dim * (2 (n_max+2) + xi modes)
+    entries) are the module's.  Each v_i carries the chain A^-1_{1,x} ... A^-1_{1,x+i-1};
+    top times the chain in Psi-form must give v_i's ``_xi_series`` exactly.  Both series
+    are ints over D = lcm(den x, den k), compared as lists; no band is built or read."""
+    k, x, dim, _, xi_modes = _shape(kind, k, x, n_max, M, config)
     top = PsiMonomial.gen(1, x + k) * PsiMonomial.gen(1, x, -1)     # the unit at k = 0
     D = lcm(x.denominator, k.denominator)
-    Dn = [D ** n for n in range(1, len(mod.xi) + 1)]
-    S = [1] + [0] * len(mod.xi)
+    X, K = _lift(x, D), _lift(k, D)
+    S = [1] + [0] * xi_modes
     # A_{1,x}^-1 as lifted pairs (D (x + o), -e); A_{1,x+i} is A_{1,x} moved by i
     step = [(_lift(z.rat, D), -e) for (_, z), e in expand_A_to_Psi(_SL2, 1, x).items()]
-    # the sites of x, x+1, ...: x + i is 2i half steps up x's lane, so always sorted
-    s0 = _site(1, x)
-    chain = range(s0, s0 + 2 * _HALF * mod.dim, 2 * _HALF)
-    terms = {}
-    for i in range(mod.dim):    # S steps to v_i's series: the top's, then A_{1,x+i-1}^-1
-        _series_times(S, [(p + (i - 1) * D, e) for p, e in step] if i else
-                      ((_lift(x + k, D), 1), (_lift(x, D), -1)))
-        if any(band[i].numerator * w != s * band[i].denominator
-               for band, s, w in zip(mod.xi, S[1:], Dn)):
+    for i, col in enumerate(_xi_series(X, K, D, dim, xi_modes)):
+        # S steps to v_i's series: the top's, then A_{1,x+i-1}^-1
+        _series_times(S, [(p + (i - 1) * D, e) for p, e in step] if i else ((X + K, 1), (X, -1)))
+        if S != col:
             raise ValueError(f"eigenvalue series of v_{i} does not match its ledger chain")
-        terms[AVector(tuple(chain[:i]), canonical=True)] = 1
-    bound = None if mod.kind == "finite" else mod.dim - 1
-    return TruncatedCharacter.make(top, terms, bound)
+    # the sites of x, x+1, ...: x + i is 2i half steps up x's lane, so always sorted
+    chain = range(s0 := _site(1, x), s0 + 2 * _HALF * dim, 2 * _HALF)
+    terms = {AVector(tuple(chain[:i]), canonical=True): 1 for i in range(dim)}
+    return TruncatedCharacter.make(top, terms, None if kind == "finite" else dim - 1)
 
 
 def three_term_sides(x, y, M: int, bound: int,
                      config: EngineConfig = DEFAULT_CONFIG) -> tuple:
     """[C^2_x][S^x_y] and [S^{x+1}_y] + [S^{x-1}_y] at height ``bound``, the four
-    characters extracted from explicit matrix modules (not the symbolic engine)."""
+    characters read off the explicit modules' Cartan action (not the symbolic engine)."""
     x, y = Fraction(x), Fraction(y)
     if not 0 <= bound <= M - 2:
         raise ValueError("need 0 <= bound <= M - 2")
-    two = extract_qchar(build_module("finite", 1, x, n_max=0, config=config))
-    mid = extract_qchar(build_module("truncated", x - y, y, n_max=0, M=M, config=config))
-    up = extract_qchar(build_module("truncated", x + 1 - y, y, n_max=0, M=M, config=config))
-    dn = extract_qchar(build_module("truncated", x - 1 - y, y, n_max=0, M=M, config=config))
-    lhs = char_mul(two.truncate(bound), mid.truncate(bound), config)
-    rhs = char_add(_SL2, up.truncate(bound), dn.truncate(bound), AVector.gen(1, x), config)
-    return lhs, rhs
+    two = extract_qchar("finite", 1, x, n_max=0, config=config).truncate(bound)
+    mid, up, dn = (extract_qchar("truncated", x + d - y, y, n_max=0, M=M, config=config)
+                   .truncate(bound) for d in (0, 1, -1))
+    return char_mul(two, mid, config), char_add(_SL2, up, dn, AVector.gen(1, x), config)
 
 
 def verify_sl2_three_term(x, y, M: int, bound: int,

@@ -162,11 +162,12 @@ def test_criterion_10_explicit_relations_and_characters():
             for k in range(5):
                 mod = build_module("finite", k, x, n_max=3)
                 assert check_relations(mod).verdict
-                assert compare_characters(extract_qchar(mod), sl2_kr_char(k, x)).verdict
+                assert compare_characters(extract_qchar("finite", k, x, n_max=3),
+                                          sl2_kr_char(k, x)).verdict
             for k in (Fraction(7, 3), Fraction(-5, 2)):
                 mod = build_module("truncated", k, x, n_max=3, M=8)
                 assert check_relations(mod).verdict
-                got = extract_qchar(mod)
+                got = extract_qchar("truncated", k, x, n_max=3, M=8)
                 want = asymptotic_char(A1, 1, x + k, x, 7)
                 assert compare_characters(got, want).verdict
 

@@ -260,12 +260,15 @@ def _console(argv, unbuffered, stdout_closed, stderr_closed):
 @pytest.mark.parametrize("unbuffered", ("1", ""))
 @pytest.mark.parametrize("argv, stdout_closed, stderr_closed", [
     (PASSING_TQ, True, False), (PASSING_TQ, True, True),
-    (["qchar", "kr", "--type", "Z9", "--node", "1"], False, True)])
+    (["qchar", "kr", "--type", "Z9", "--node", "1"], False, True),
+    (["verify", "tq", "--help"], True, False),
+    (["verify", "tq", "--type", "B2", "--k", "6"], False, True)])
 def test_a_closed_pipe_exits_three_with_no_traceback(argv, stdout_closed, stderr_closed,
                                                      unbuffered):
-    # a passing run with stdout closed, alone or with stderr, and a usage error
-    # with stderr closed: exit 3, never 1 (an uncaught traceback), 2 (a usage
-    # error) or 120 (a failed flush at exit), and the line on stderr if it is open
+    # a passing run with stdout closed, alone or with stderr, a usage error
+    # with stderr closed, and argparse's own help and usage text: exit 3,
+    # never 0, 1 (an uncaught traceback), 2 (a usage error) or 120 (a failed
+    # flush at exit), and the line on stderr if it is open
     code, _, err = _console(argv, unbuffered, stdout_closed, stderr_closed)
     assert code == 3
     if not stderr_closed:
@@ -274,7 +277,7 @@ def test_a_closed_pipe_exits_three_with_no_traceback(argv, stdout_closed, stderr
 
 @pytest.mark.parametrize("unbuffered", ("1", ""))
 def test_help_reaches_an_open_pipe(unbuffered):
-    # argparse writes --help unflushed; the entry's flush delivers it
+    # dispatch passes argparse's --help text on and flushes it
     code, out, err = _console(PASSING_TQ[:2] + ["--help"], unbuffered, False, False)
     assert (code, err) == (0, b"") and out.startswith(b"usage: yqchar verify tq [-h]")
     assert b"--height HEIGHT" in out and out.endswith(b"\n")

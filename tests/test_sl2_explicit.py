@@ -364,30 +364,43 @@ def test_each_commutator_is_formed_once(monkeypatch):
 @pytest.mark.parametrize("k", range(5))
 def test_extraction_matches_closed_form(k):
     for x in (Fraction(0), Fraction(-3, 2)):
-        got = extract_qchar(build_module("finite", k, x, n_max=1))
+        got = extract_qchar("finite", k, x, n_max=1)
         assert compare_characters(got, sl2_kr_char(k, x)).verdict
 
 
-def test_truncated_extraction_matches_stabilized_engine():
-    k, x = Fraction(7, 3), Fraction(1, 2)
-    got = extract_qchar(build_module("truncated", k, x, n_max=0, M=8))
-    assert got.height_bound == 7
-    want = asymptotic_char(A1, 1, x + k, x, 7)
+@pytest.mark.parametrize("k, x, M", [("7/3", "1/2", 8), ("-5/2", "1/3", 5), ("0", "-3/4", 4),
+                                     ("7/1000000007", "1/999999937", 6)])
+def test_truncated_extraction_matches_stabilized_engine(k, x, M):
+    k, x = Fraction(k), Fraction(x)
+    got = extract_qchar("truncated", k, x, n_max=0, M=M)
+    assert got.height_bound == M - 1
+    want = asymptotic_char(A1, 1, x + k, x, M - 1)
     assert compare_characters(got, want).verdict
 
 
-def test_extraction_detects_inconsistent_eigenvalues():
-    small = build_module("finite", 1, 0, n_max=0)
-    mod = build_module("finite", 4, Fraction(1, 3), n_max=2)
-    last, top = mod.dim - 1, len(mod.xi) - 1
-    # (module, Cartan mode, basis vector, bump): the last vector, the top
-    # mode, and a bump whose denominator the module does not have
-    for m, n, i, delta in ((small, 0, 1, 1), (mod, 0, last, 1), (mod, top, 0, 1),
-                           (mod, top, last, Fraction(1, 2)),
-                           (mod, 1, 2, Fraction(-3, 1000000007))):
+def test_extraction_detects_inconsistent_eigenvalues(monkeypatch):
+    real = sl2_explicit._xi_series
+
+    def corrupted(n, i, delta):
+        # the module's series with the mode-n entry S[n+1] of v_i moved by delta
+        def series(*a):
+            for j, S in enumerate(real(*a)):
+                yield [v + delta * (j == i and m == n + 1) for m, v in enumerate(S)]
+        return series
+
+    small = ("finite", 1, 0, 0)
+    mod = ("finite", 4, Fraction(1, 3), 2)
+    last, top = 4, 4        # dim 5; 2 n_max + 1 = 5 Cartan modes
+    # (module, Cartan mode, basis vector, bump): the first vector, the last
+    # vector and the top mode, by +1 and -1 in the int series
+    for args, n, i, delta in ((small, 0, 1, 1), (mod, 0, last, 1), (mod, top, 0, 1),
+                              (mod, top, last, -1), (mod, 1, 2, -1)):
+        monkeypatch.setattr(sl2_explicit, "_xi_series", corrupted(n, i, delta))
         with pytest.raises(ValueError,
                            match=f"eigenvalue series of v_{i} does not match its ledger chain"):
-            extract_qchar(_bump(m, "xi", n, i, delta))
+            extract_qchar(*args)
+    monkeypatch.setattr(sl2_explicit, "_xi_series", real)
+    assert len(extract_qchar(*mod).terms) == 5
 
 
 def test_extraction_checks_the_engine_row(monkeypatch):
@@ -396,7 +409,7 @@ def test_extraction_checks_the_engine_row(monkeypatch):
     real = sl2_explicit.expand_A_to_Psi
     monkeypatch.setattr(sl2_explicit, "expand_A_to_Psi", lambda *a: real(*a) ** -1)
     with pytest.raises(ValueError, match="eigenvalue series of v_1 does not match its ledger chain"):
-        extract_qchar(build_module("finite", 3, Fraction(1, 3)))
+        extract_qchar("finite", 3, Fraction(1, 3))
     out, err = io.StringIO(), io.StringIO()
     code = cli.dispatch(["rep-check", "qchar", "--kind", "finite", "--k", "3", "--x", "1/3"],
                         out, err)
@@ -409,7 +422,7 @@ def test_extraction_reads_the_engine_row_once(monkeypatch):
     calls = []
     real = sl2_explicit.expand_A_to_Psi
     monkeypatch.setattr(sl2_explicit, "expand_A_to_Psi", lambda *a: calls.append(a) or real(*a))
-    extract_qchar(build_module("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=8))
+    extract_qchar("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=8)
     assert len(calls) == 1
 
 
@@ -441,7 +454,8 @@ def test_extraction_matches_the_site_reference(x, k, finite, k_int, n_max, M):
         mod = build_module("finite", k_int, x, n_max=n_max)
     else:
         mod = build_module("truncated", k, x, n_max=n_max, M=M)
-    got, want = extract_qchar(mod), reference_extract(mod)
+    got = extract_qchar(mod.kind, mod.k, x, n_max, None if finite else M)
+    want = reference_extract(mod)
     assert (got.top, got.terms, got.height_bound) == (want.top, want.terms, want.height_bound)
 
 
@@ -459,7 +473,7 @@ def test_per_module_work_does_not_grow_with_dim(monkeypatch):
         mod = build_module("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=M)
         built = dict(counts)
         counts.clear()
-        extract_qchar(mod)
+        extract_qchar("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=M)
         seen.append((built, dict(counts)))
     assert seen[0] == seen[1]
     built, extracted = seen[0]
@@ -468,7 +482,9 @@ def test_per_module_work_does_not_grow_with_dim(monkeypatch):
 
 
 def test_each_series_runs_exactly_dim_steps(monkeypatch):
-    # one _series_times step before each basis vector, none past the last
+    # one _series_times step before each basis vector, none past the last:
+    # building steps the module's series, extraction that series and the
+    # predicted one, each exactly dim times
     calls = []
     real = sl2_explicit._series_times
     monkeypatch.setattr(sl2_explicit, "_series_times",
@@ -478,8 +494,8 @@ def test_each_series_runs_exactly_dim_steps(monkeypatch):
         mod = build_module("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=M)
         assert len(calls) == mod.dim == M
         calls.clear()
-        extract_qchar(mod)
-        assert len(calls) == M
+        extract_qchar("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=M)
+        assert len(calls) == 2 * M
 
 
 # -- three-term sum of modules ----------------------------------------------
@@ -497,6 +513,29 @@ def test_three_term_examples():
 def test_three_term_at_wide_coordinates(x, y):
     rep = verify_sl2_three_term(x, y, 8, 3)
     assert rep.verdict, rep.to_text()
+
+
+def test_extraction_builds_no_module(monkeypatch):
+    # the three-term check and the rep-check qchar leaf read characters off
+    # the Cartan action alone; the relations leaf still builds its module
+    calls = []
+    real = sl2_explicit.build_module
+    monkeypatch.setattr(sl2_explicit, "build_module", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    monkeypatch.setattr(cli, "build_module", sl2_explicit.build_module)
+    assert sl2_explicit.three_term_sides(2, 0, 8, 3)[0].terms
+    assert verify_sl2_three_term(Fraction(1, 3), Fraction(-2, 5), 6, 4).verdict
+    for kind in ("finite", "truncated"):
+        code, out, err = _dispatch(["rep-check", "qchar", "--kind", kind, "--k", "3", "--M", "6"])
+        assert (code, err) == (0, "") and out.startswith("top: ")
+    assert calls == []
+    assert _dispatch(["rep-check", "relations", "--k", "3"])[0] == 0
+    assert len(calls) == 1
+
+
+def _dispatch(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.dispatch(argv, out, err)
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_three_term_bound_guard():

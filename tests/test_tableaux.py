@@ -36,7 +36,7 @@ from yqchar.identities import tq_lhs_direct, tq_regime
 from yqchar.monomials import AVector, PsiMonomial, YMonomial, avector_to_y, psi_to_y
 
 XS = ("0", "-7/3", "1/3", "x")
-CARTAN = {n: build_cartan(LieType.parse(f"A{n}")) for n in range(1, 8)}
+CARTAN = {n: build_cartan(LieType.parse(f"A{n}")) for n in range(1, 9)}
 
 
 def tableaux(rows: int, cols: int, top: int, bound: int | None = None) -> list:
@@ -110,7 +110,7 @@ def right_anchored(n: int, i: int, x, N: int, cols: int | None = None) -> dict:
 
 
 # (n, largest k): every node of A_n, every k from 1 up, at every x in XS.
-KR_SWEEP = [(1, 6), (2, 4), (3, 3), (4, 2), (5, 2), (6, 1), (7, 1)]
+KR_SWEEP = [(1, 6), (2, 4), (3, 3), (4, 2), (5, 2), (6, 1), (7, 1), (8, 1)]
 KR_CASES = [(n, i, k, x) for n, kmax in KR_SWEEP for i in CARTAN[n].nodes
             for k in range(1, kmax + 1) for x in XS]
 # (n, largest N): every node of A_n, every height N from 1 up, at x = 0, -7/3 and x.
@@ -126,7 +126,7 @@ TQ_CASES = [(n, i, N, x) for n, Nmax in TQ_SWEEP for i in CARTAN[n].nodes
 
 def test_the_sweeps_have_their_sizes():
     sizes = len(KR_CASES), len(STABLE_CASES), len(WIDE_CASES), len(TQ_CASES)
-    assert sizes == (216, 261, 102, 153)
+    assert sizes == (248, 261, 102, 153)
 
 
 def test_tableaux_count_the_rectangle_dimensions():

@@ -9,7 +9,7 @@ from yqchar.cartan import LieType, build_cartan
 from yqchar.characters import demazure_char_via_ses, fm_expand, kr_top_y
 from yqchar.identities import _check_realizable, tq_lhs_direct
 from yqchar.monomials import _unsite, weight_projection
-from yqchar.sl2_explicit import build_module, extract_qchar
+from yqchar.sl2_explicit import extract_qchar
 
 # (type, largest k): every node, every k from 1 up, at x = 0 and at x = 1/3.
 # At 1/3 the character is a translate of the one at 0 (see fm_expand), so
@@ -115,13 +115,13 @@ def test_a_complete_ses_kernel_is_weyl_invariant(name, i, k, t):
 
 
 # Every finite rank-one module with 1 <= k <= 6, at x = 0, 1/3 and -7/3: its
-# character is read off the explicit matrices, with no fm_expand.
+# character is read off the explicit Cartan action, with no fm_expand.
 RANK_ONE_CASES = [(k, x) for k in range(1, 7) for x in ("0", "1/3", "-7/3")]
 
 
 @pytest.mark.parametrize("k, x", RANK_ONE_CASES)
 def test_a_rank_one_module_character_is_weyl_invariant(k, x):
     a1 = CARTAN["A1"]
-    ch = extract_qchar(build_module("finite", k, x))
+    ch = extract_qchar("finite", k, x)
     assert ch.height_bound is None and ch.dimension() == k + 1
     assert_weyl_invariant(a1, multiplicities(a1, top_weight(a1, ch.top), ch.terms))
