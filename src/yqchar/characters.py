@@ -302,7 +302,6 @@ _SL2_CACHE_SIZE = 1024
 _WEIGHT_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
 def kr_weight(cartan: CartanData, i: int, k: int, x) -> PsiMonomial:
     """Highest l-weight of the KR module W^(i)_{k,x}: Psi_{i,x+k d_i}/Psi_{i,x}."""
     cartan.check_node(i)
@@ -332,15 +331,18 @@ def _engine_y(cartan: CartanData, weight: PsiMonomial) -> YMonomial:
 
 
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
-def demazure_weight(cartan: CartanData, i: int, t: int, k: int, x) -> PsiMonomial:
+def demazure_weight(cartan: CartanData, i: int, t: int, k: int, x,
+                    config: EngineConfig = DEFAULT_CONFIG) -> PsiMonomial:
     """Highest l-weight of the Demazure-type module D^(i,t)_{k,x}.
 
     w^(i)_{k,x-(k+1)d_i} * w^(i)_{k+t,x-k d_i} * prod_{m=1..k} A_{i,x-m d_i}^-1.
     The closed Psi-product form of the same weight is computed alongside
-    and must agree (engine self-check).
+    and must agree (engine self-check).  More than ``term_budget`` roots are refused.
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
+    if k > config.term_budget:
+        raise EngineError(f"term budget {config.term_budget} exceeded by {k} Demazure roots")
     x = coord(x)
     di = cartan.di(i)
     out = kr_weight(cartan, i, k, x - (k + 1) * di) * kr_weight(cartan, i, k + t, x - k * di)
@@ -379,7 +381,6 @@ def m_weight(cartan: CartanData, i: int, k, x) -> PsiMonomial:
     return out
 
 
-@lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
 def n_weight(cartan: CartanData, i: int, k, x) -> PsiMonomial:
     """The complementary tensor factor of the Demazure weight (t = 1): the
     strings Psi_{j,b+k}/Psi_{j,b} at the bases b of ``_n_bases``."""
@@ -710,12 +711,13 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
 def _demazure_char_via_ses(cartan, i, t, k, x, bound, config):
     di = cartan.di(i)
     x0 = x - (k + 1) * di
+    # the four tops first: kr_top_y refuses a string beyond the budget before v0 is built
+    tops = [kr_top_y(cartan, i, kk, base, config) for kk, base in
+            ((k, x0), (k + t, x0 + di), (k - 1, x0 + di), (k + t + 1, x0))]
     # the kernel top is w * prod_{m=1..k} A_{i,x0+m d_i}^-1
     v0 = AVector(tuple(((i, x0 + m * di), 1) for m in range(1, k + 1)))
-    a, b, c, d = (_fm_expand(cartan, kr_top_y(cartan, i, kk, base, config), bound, config, 0,
-                             None if bound is None else v0)
-                  for kk, base in ((k, x0), (k + t, x0 + di), (k - 1, x0 + di),
-                                   (k + t + 1, x0)))
+    a, b, c, d = (_fm_expand(cartan, top, bound, config, 0, None if bound is None else v0)
+                  for top in tops)
     if a.top * b.top != c.top * d.top:
         raise EngineError("engine fault: SES tensor tops disagree")
     # One accumulator on site tuples: a*b added, c*d subtracted.  A key that

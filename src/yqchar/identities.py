@@ -133,7 +133,7 @@ def verify_tsystem(cartan: CartanData, i: int, k: int, t: int,
     """
     x0 = (k + 1) * cartan.di(i)
     via_ses = demazure_char_via_ses(cartan, i, t, k, x0, bound, config)
-    top = _engine_y(cartan, demazure_weight(cartan, i, t, k, x0))
+    top = _engine_y(cartan, demazure_weight(cartan, i, t, k, x0, config=config))
     direct = fm_expand(cartan, top, bound, config)
     return compare_characters(direct, via_ses,
                               note=f"kernel of {cartan.lie_type} i={i} k={k} t={t}: "
@@ -159,8 +159,12 @@ def tq_rhs(cartan: CartanData, i: int, k: int, x, bound: int,
 
 def tq_lhs_direct(cartan: CartanData, i: int, k: int, x, bound: int,
                   config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
-    """Route R1: expand the m-weight directly (k must make it dominant)."""
+    """Route R1: expand the m-weight directly (k must make it dominant).  Its
+    Y-form, 1 + sum_j k d_i / d_j factors, must fit in ``term_budget``."""
     _check_realizable(cartan, i, k)
+    n = 1 + sum(k * cartan.d[i - 1] // cartan.d[j - 1] for j, _, _ in cartan.neighbours(i))
+    if n > config.term_budget:
+        raise EngineError(f"term budget {config.term_budget} exceeded by {n} m-weight Y factors")
     return fm_expand(cartan, _engine_y(cartan, m_weight(cartan, i, k, x)), bound, config)
 
 
@@ -178,7 +182,7 @@ def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
         length = k * cartan.d[i - 1] // cartan.d[j - 1]
         den = char_mul(den, fm_expand(cartan, kr_top_y(cartan, j, length, base, config),
                                       bound, config), config)
-    if m * den.top != demazure_weight(cartan, i, 1, k, x):
+    if m * den.top != demazure_weight(cartan, i, 1, k, x, config=config):
         raise EngineError("KR factors and the m-weight do not assemble the Demazure weight")
     quot = divide_series(num.term_dict(), den.term_dict(), bound, config)
     return TruncatedCharacter.make(m, quot, bound)
@@ -273,7 +277,7 @@ def verify_factorization(cartan: CartanData, i: int, k: int, x,
     _check_k(k)
     x = coord(x)
     prod = m_weight(cartan, i, k, x) * n_weight(cartan, i, k, x)
-    dw = demazure_weight(cartan, i, 1, k, x)
+    dw = demazure_weight(cartan, i, 1, k, x, config=config)
     lhs = TruncatedCharacter.make(prod, {AVector.unit(): 1}, 0)
     rhs = TruncatedCharacter.make(dw, {AVector.unit(): 1}, 0)
     return compare_characters(lhs, rhs, note=f"m*n vs Demazure weight, k={k}")

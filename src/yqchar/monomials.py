@@ -77,7 +77,6 @@ def _site(i: int, x) -> int:
     return off2 << 32 | _lane(i, x.sym, x.rat - Fraction(off2, 2))
 
 
-@lru_cache(maxsize=_SITE_CACHE_SIZE)
 def _unsite(s: int) -> tuple:
     """(node, Coord) of a site."""
     i, sym, residue = _LANES[s & _LANE]

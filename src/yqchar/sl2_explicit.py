@@ -21,9 +21,9 @@ truncated modules keep the first M vectors of the infinite tower, on which
 the defining relations hold on a safe interior of the basis (the last two
 columns may leak past the truncation).
 
-Nothing here calls ``fm_expand``.  Extraction builds no module and reads no stored
-band: it runs only the xi recurrence, on ints, against the series the engine's A_1
-row predicts (each one int recurrence of exactly dim steps, each before its vector).
+Nothing here calls ``fm_expand``.  Extraction builds no module, reads no stored band and
+decodes no site: it runs only the xi recurrence, on ints, against the series predicted by
+the engine's A_1 row read off its sites (two int recurrences of exactly dim steps each).
 """
 from __future__ import annotations
 
@@ -276,21 +276,22 @@ def extract_qchar(kind: str, k, x, n_max: int = 3, M: int | None = None,
     Cartan action alone; the refusals and the budget (all dim * (2 (n_max+2) + xi modes)
     entries) are the module's.  Each v_i carries the chain A^-1_{1,x} ... A^-1_{1,x+i-1};
     top times the chain in Psi-form must give v_i's ``_xi_series`` exactly.  Both series
-    are ints over D = lcm(den x, den k), compared as lists; no band is built or read."""
+    are ints over D = lcm(den x, den k), compared as lists; no band is built or read.  The
+    engine's A_1 row is read once, its offsets off its sites: no site goes back to a Coord."""
     k, x, dim, _, xi_modes = _shape(kind, k, x, n_max, M, config)
     top = PsiMonomial.gen(1, x + k) * PsiMonomial.gen(1, x, -1)     # the unit at k = 0
     D = lcm(x.denominator, k.denominator)
     X, K = _lift(x, D), _lift(k, D)
-    S = [1] + [0] * xi_modes
-    # A_{1,x}^-1 as lifted pairs (D (x + o), -e); A_{1,x+i} is A_{1,x} moved by i
-    step = [(_lift(z.rat, D), -e) for (_, z), e in expand_A_to_Psi(_SL2, 1, x).items()]
+    S, s0 = [1] + [0] * xi_modes, _site(1, x)
+    # A_{1,x}^-1 as pairs (D (x + o), -e), 2o half steps up x's lane; A_{1,x+i} is it moved by i
+    step = [(X + ((s - s0) >> 32) * D // 2, -e) for s, e in expand_A_to_Psi(_SL2, 1, x).exps]
     for i, col in enumerate(_xi_series(X, K, D, dim, xi_modes)):
         # S steps to v_i's series: the top's, then A_{1,x+i-1}^-1
         _series_times(S, [(p + (i - 1) * D, e) for p, e in step] if i else ((X + K, 1), (X, -1)))
         if S != col:
             raise ValueError(f"eigenvalue series of v_{i} does not match its ledger chain")
     # the sites of x, x+1, ...: x + i is 2i half steps up x's lane, so always sorted
-    chain = range(s0 := _site(1, x), s0 + 2 * _HALF * dim, 2 * _HALF)
+    chain = range(s0, s0 + 2 * _HALF * dim, 2 * _HALF)
     terms = {AVector(tuple(chain[:i]), canonical=True): 1 for i in range(dim)}
     return TruncatedCharacter.make(top, terms, None if kind == "finite" else dim - 1)
 

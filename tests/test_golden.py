@@ -460,6 +460,17 @@ GOLDEN = [
      0, "4d219ca3a5616576"),
     (("rep-check", "qchar", "--kind", "truncated", "--k=7/3", "--x=1/2", "--M", "3"), 0,
      "f4236deaf850ac1f"),
+    # A k far beyond the default term budget, refused before its k-long kernel
+    # top, Demazure roots or m-weight Y-string is built.
+    (("qchar", "demazure", "--type", "A1", "--node", "1", "--k", "100000000", "--t", "0"), 3,
+     "7a68967c16b5f1fb"),
+    (_v("factorization", "A2", 1, "--k", "100000000"), 3, "e81ca227e88c8ac7"),
+    (_v("factorization", "A2", 1, "--k", "2000000"), 3, "5b8cb9a9d6b536b8"),
+    (_v("tsystem", "A2", 1, "--k", "100000000"), 3, "7a68967c16b5f1fb"),
+    (_v("demazure-support", "A2", 1, "--k", "100000000", "--height", "2"), 3,
+     "7a68967c16b5f1fb"),
+    (_v("tq", "A2", 1, "--k", "100000000", "--height", "2"), 3, "2c3da32bcfa0f2e6"),
+    (_v("m-support", "A2", 1, "--k", "100000000", "--height", "2"), 3, "2c3da32bcfa0f2e6"),
 ]
 
 

@@ -11,7 +11,10 @@ import yqchar.identities as identities
 from yqchar.cartan import LieType, build_cartan
 from yqchar.coords import coord
 from yqchar.monomials import AVector, PsiMonomial, YMonomial, y_to_psi
-from yqchar.characters import EngineError, TruncatedCharacter, compare_characters
+from yqchar.characters import (
+    EngineConfig, EngineError, TruncatedCharacter, compare_characters, demazure_char_via_ses,
+    demazure_weight,
+)
 from yqchar.identities import (
     KINDS, IdentitySpec, MultiplicativeMonomial, check_demazure_support,
     check_kr_skeleton, check_m_support, run_identity, to_multiplicative,
@@ -24,6 +27,34 @@ A1 = build_cartan(LieType.parse("A1"))
 A2 = build_cartan(LieType.parse("A2"))
 B2 = build_cartan(LieType.parse("B2"))
 G2 = build_cartan(LieType.parse("G2"))
+
+
+# -- resource bounds -----------------------------------------------------------
+
+# Paths that build a k-long object, each with the largest k its budget of 40
+# admits: the SES kernel's longest KR string, k + t + 1 (at t = 36, so that its
+# node-sl2 chains fit too), the Demazure weight's k roots, and the m-weight's
+# Y-form of 1 + sum_j k d_i / d_j factors.
+TIGHT = EngineConfig(term_budget=40)
+K_LIMITS = {
+    "demazure_char_via_ses": (lambda k: demazure_char_via_ses(A2, 1, 36, k, 0, 2, TIGHT), 3),
+    "demazure_weight": (lambda k: demazure_weight(A2, 1, 1, k, 0, TIGHT), 40),
+    "verify_factorization": (lambda k: verify_factorization(A2, 1, k, 0, TIGHT), 40),
+    "verify_tsystem": (lambda k: verify_tsystem(A2, 1, k, 36, 2, TIGHT), 3),
+    "tq_lhs_direct": (lambda k: tq_lhs_direct(A2, 1, k, 0, 2, TIGHT), 39),
+    "tq_lhs_direct_G2_long": (lambda k: tq_lhs_direct(G2, 2, k, 0, 2, TIGHT), 13),
+    "check_m_support": (lambda k: check_m_support(A2, 1, k, 0, 2, TIGHT), 39),
+}
+
+
+@pytest.mark.parametrize("name", K_LIMITS)
+def test_a_k_beyond_the_budget_is_refused_before_it_is_built(name):
+    run, limit = K_LIMITS[name]
+    assert run(limit) is not None
+    with pytest.raises(EngineError, match=r"^term budget 40 exceeded by "):
+        run(limit + 1)
+    with pytest.raises(EngineError, match=r"^term budget 40 exceeded by "):
+        run(10 ** 8)
 
 
 # -- spec objects ------------------------------------------------------------
@@ -77,8 +108,8 @@ def _off_lattice(monkeypatch, name):
     which no product of Y's at node i gives."""
     real = getattr(identities, name)
 
-    def shifted(cartan, i, *rest):
-        return real(cartan, i, *rest) * PsiMonomial.gen(i, coord(rest[-1]) + Fraction(1, 3))
+    def shifted(cartan, i, *rest, **kw):
+        return real(cartan, i, *rest, **kw) * PsiMonomial.gen(i, coord(rest[-1]) + Fraction(1, 3))
     monkeypatch.setattr(identities, name, shifted)
 
 

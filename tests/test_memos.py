@@ -20,11 +20,25 @@ SRC = pathlib.Path(yqchar.__file__).parent
 B2 = build_cartan(LieType.parse("B2"))
 G2 = build_cartan(LieType.parse("G2"))
 
-# Module-level memos without a size bound, each with its reason.
-UNBOUNDED = {
-    # it takes no argument, so it holds one parser
-    ("cli", "_parser"),
+# Every module-level memo in src/, each with the workload or check that reuses
+# it: hits/misses in one benchmark cycle (seed 7, cycle 1) where a workload does.
+# A new memo must state its reuse here.
+MEMOS = {
+    ("cli", "_parser"): "it takes no argument: one parser for every dispatch of a run",
+    ("coords", "parse_coord"): "identity_suite reads the same coordinate texts, 1,066/12",
+    ("cartan", "build_cartan"): "every job builds its type's data: identity_suite 591/3",
+    ("monomials", "_site"): "identity_suite meets the same (node, x) again, 1,893/65",
+    ("monomials", "_site_order"): "print order ranks the same sites: identity_suite 2,789/92",
+    ("monomials", "_offsets"): "one table per Cartan type for each conversion: kr_complete 1,149/9",
+    ("textio", "_lane_text"): "kr_complete prints many factors of one lane, 1,223/328",
+    ("textio", "_factor_text"): "identity_suite prints the same factors again, 2,718/54",
+    ("characters", "_sl2_node_expansion"): "kr_complete meets a string content again, 3,536/537",
+    ("characters", "m_weight"): "identity_suite's TQ routes and RHS share one m-weight, 434/6",
+    ("characters", "demazure_weight"): "identity_suite's T-system and TQ checks, 274/12",
+    ("characters", "kr_top_y"): "identity_suite's stabilized and KR factors repeat, 469/75",
 }
+# The memos among them without a size bound.
+UNBOUNDED = {("cli", "_parser")}
 
 
 def _memo_kind(call):
@@ -66,10 +80,7 @@ def test_every_memo_in_src_is_bounded():
     memos = {(path.stem, name): kind for path in sorted(SRC.glob("*.py"))
              for name, kind in _memos_in(path.read_text()).items()}
     assert {key for key, kind in memos.items() if kind == "unbounded"} == UNBOUNDED
-    assert {("characters", "kr_weight"), ("characters", "m_weight"),
-            ("characters", "n_weight"), ("characters", "demazure_weight"),
-            ("characters", "kr_top_y"), ("cartan", "build_cartan"),
-            ("coords", "parse_coord"), ("monomials", "_site")} <= set(memos)
+    assert set(memos) == set(MEMOS)
 
 
 def test_the_memo_scan_reads_every_form():
@@ -89,19 +100,19 @@ def test_the_memo_scan_reads_every_form():
                                "g": "unbounded", "h": "bounded"}
 
 
-# (weight builder, its arguments before k, an int k)
+# (weight builder, its arguments before k, an int k); the first three are memos
 WEIGHTS = [
-    (kr_weight, (B2, 1), 2),
-    (kr_weight, (B2, 1), 0),        # the unit, built as at every other k
     (m_weight, (B2, 1), 6),
-    (n_weight, (G2, 1), 3),
     (demazure_weight, (G2, 1, 1), 2),
     (kr_top_y, (G2, 2), 3),
+    (kr_weight, (B2, 1), 2),
+    (kr_weight, (B2, 1), 0),        # the unit, built as at every other k
+    (n_weight, (G2, 1), 3),
 ]
-IDS = ["kr_weight", "kr_weight_k0", "m_weight", "n_weight", "demazure_weight", "kr_top_y"]
+IDS = ["m_weight", "demazure_weight", "kr_top_y", "kr_weight", "kr_weight_k0", "n_weight"]
 
 
-@pytest.mark.parametrize("build, head, k", WEIGHTS, ids=IDS)
+@pytest.mark.parametrize("build, head, k", WEIGHTS[:3], ids=IDS[:3])
 def test_a_hit_returns_the_stored_weight(build, head, k):
     x = coord("1/3+x")
     first = build(*head, k, x)
@@ -113,7 +124,8 @@ def test_a_hit_returns_the_stored_weight(build, head, k):
 
 @pytest.mark.parametrize("build, head, k", WEIGHTS, ids=IDS)
 def test_a_float_is_refused_whatever_a_weight_memo_holds(build, head, k):
-    build.cache_clear()
+    if hasattr(build, "cache_clear"):
+        build.cache_clear()
     for _ in range(2):          # before and after the exact keys are stored
         with pytest.raises(TypeError, match="not an exact rational: 0.5"):
             build(*head, k, 0.5)

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import yqchar.cli as cli
+import yqchar.monomials as monomials
 import yqchar.sl2_explicit as sl2_explicit
 from yqchar.cartan import LieType, build_cartan
 from yqchar.characters import (
     EngineConfig, EngineError, TruncatedCharacter, asymptotic_char, compare_characters,
     sl2_kr_char,
 )
+from yqchar.coords import Coord
 from yqchar.monomials import AVector, PsiMonomial, _site, expand_A_to_Psi
 from yqchar.sl2_explicit import (
     build_module, check_relations, extract_qchar, relation_instances, relation_report,
-    verify_sl2_three_term,
+    three_term_sides, verify_sl2_three_term,
 )
 
 A1 = build_cartan(LieType.parse("A1"))
@@ -424,6 +426,23 @@ def test_extraction_reads_the_engine_row_once(monkeypatch):
     monkeypatch.setattr(sl2_explicit, "expand_A_to_Psi", lambda *a: calls.append(a) or real(*a))
     extract_qchar("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=8)
     assert len(calls) == 1
+
+
+def test_extraction_decodes_no_site(monkeypatch):
+    # A_{1,x}'s offsets are read off its sites: no site is read back to a Coord,
+    # finite, truncated or in the three-term sides.  Each runs once first, so
+    # that the site memo holds the coordinates of its tops.
+    runs = [lambda: extract_qchar("finite", 3, Fraction(1, 3)),
+            lambda: extract_qchar("truncated", Fraction(7, 3), Fraction(1, 2), n_max=1, M=8),
+            lambda: three_term_sides(Fraction(1, 2), Fraction(-1, 3), 6, 3)]
+    want = [run() for run in runs]
+    counts, real_init, real_unsite = Counter(), Coord.__init__, monomials._unsite
+    monkeypatch.setattr(Coord, "__init__", lambda self, *a, **kw: counts.update(
+        ("Coord",)) or real_init(self, *a, **kw))
+    monkeypatch.setattr(monomials, "_unsite", lambda s: counts.update(("_unsite",))
+                        or real_unsite(s))
+    assert [run() for run in runs] == want
+    assert counts == Counter()
 
 
 def reference_extract(mod):
