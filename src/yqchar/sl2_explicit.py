@@ -11,10 +11,10 @@ series.  Each mode is one super-, sub- or main diagonal, so a module stores
 it as the tuple of its dim coefficients: ``xp[n][i]``, ``xm[n][i]`` and
 ``xi[n][i]`` are the coefficients of xp_n v_i, xm_n v_i and xi_n v_i
 (``xp[n][0]`` and ``xm[n][dim-1]`` are 0, their targets lie outside the
-basis).  The public fields hold ``Fraction``s, built in one pass over the basis
-from ints over D = lcm(den x, den k), X = Dx and K = Dk.  The relation checker lifts
-the bands once over the lcm of all stored denominators, multiplies them in O(dim)
-with no dense matrix, and compares every side over that lcm squared.
+basis).  Every entry is an int over the module's one ``den``, built in one pass over the
+basis from ints over D = lcm(den x, den k), X = Dx and K = Dk.  The relation checker reads
+the bands as stored, multiplies them in O(dim) with no dense matrix, and compares every
+side over den squared.
 
 Finite modules (k a nonnegative integer) close on dim = k+1 vectors;
 truncated modules keep the first M vectors of the infinite tower, on which
@@ -99,6 +99,7 @@ class Sl2Module:
     x: Fraction
     dim: int
     mode_bound: int           # n_max
+    den: int                  # every band entry below is an int meaning entry / den
     xp: tuple                 # raising modes 0..n_max+1; xp[n][i]: xp_n v_i on v_{i-1}
     xm: tuple                 # lowering modes 0..n_max+1; xm[n][i]: xm_n v_i on v_{i+1}
     xi: tuple                 # Cartan modes 0..max(2 n_max, n_max+1); xi[n][i]: on v_i
@@ -110,7 +111,7 @@ class Sl2Module:
 
 
 def _shape(kind: str, k, x, n_max: int, M: int | None, config: EngineConfig) -> tuple:
-    """(k, x, dim, pm_modes, xi_modes) of the module, or its refusal before any allocation."""
+    """(k, x, dim, pm_modes, xi_modes, D, Dx, Dk), D = lcm(den x, den k), or the refusal."""
     k, x = Fraction(k), Fraction(x)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -129,7 +130,8 @@ def _shape(kind: str, k, x, n_max: int, M: int | None, config: EngineConfig) -> 
         raise EngineError(f"term budget {config.term_budget} exceeded by a {kind} module "
                           f"of dimension {dim} with {pm_modes} raising/lowering and "
                           f"{xi_modes} Cartan modes")
-    return k, x, dim, pm_modes, xi_modes
+    D = lcm(x.denominator, k.denominator)
+    return k, x, dim, pm_modes, xi_modes, D, _lift(x, D), _lift(k, D)
 
 
 def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
@@ -140,22 +142,20 @@ def build_module(kind: str, k, x, n_max: int = 3, M: int | None = None,
     a larger module raises EngineError before any allocation.  At fixed x, M and n_max
     each entry is affine in k (xm_n v_i carries k - i, xi(u) the one factor u+x+k), so
     each relation instance ``check_relations`` tests is a polynomial of degree <= 2 in k.
-    The xi bands are ``_xi_series`` read back as the Fractions c_n = S[n] / D^n."""
-    k, x, dim, pm_modes, xi_modes = _shape(kind, k, x, n_max, M, config)
+    Entries are ints over den = D^P, P the Cartan mode count: xm_n and xi_n need D^(n+1)."""
+    k, x, dim, pm_modes, xi_modes, D, X, K = _shape(kind, k, x, n_max, M, config)
     # Over D, x + j is (X + jD)/D and k - i is (K - iD)/D: xp_n v_i = (-X - (i-1)D)^n / D^n and
-    # xm_n v_i = (-X - iD)^n (i+1)(K - iD) / D^(n+1).
-    D = lcm(x.denominator, k.denominator)
-    X, K = _lift(x, D), _lift(k, D)
-    Dn = [D ** n for n in range(xi_modes + 1)]
-    zeros = [Fraction(0)] * pm_modes
+    # xm_n v_i = (-X - iD)^n (i+1)(K - iD) / D^(n+1).  scale[n] = den / D^n lifts either to den.
+    scale = [D ** (xi_modes - n) for n in range(xi_modes + 1)]
+    zeros = [0] * pm_modes
     cols = []
     for i, eig in enumerate(_xi_series(X, K, D, dim, xi_modes)):
         p, q, s = -X - (i - 1) * D, -X - i * D, (i + 1) * (K - i * D)
-        up = [Fraction(p ** n, Dn[n]) for n in range(pm_modes)] if i else zeros
-        down = [Fraction(q ** n * s, Dn[n + 1]) for n in range(pm_modes)] if i + 1 < dim else zeros
-        cols.append((up, down, list(map(Fraction, eig[1:], Dn[1:]))))
+        up = [p ** n * scale[n] for n in range(pm_modes)] if i else zeros
+        down = [q ** n * s * scale[n + 1] for n in range(pm_modes)] if i + 1 < dim else zeros
+        cols.append((up, down, list(map(mul, eig[1:], scale[1:]))))
     xp, xm, xi = (tuple(zip(*family)) for family in zip(*cols))
-    return Sl2Module(kind, k, x, dim, n_max, xp, xm, xi)
+    return Sl2Module(kind, k, x, dim, n_max, scale[0], xp, xm, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Re
 
     Every relation is homogeneous, so each side of each instance is one band,
     compared over the safe columns; the first disagreeing entry is reported.
-    Bands are ints over D, the lcm of all stored denominators; each side is over D^2.
+    Bands are read as stored, ints over D = ``mod.den``; each side is over D^2.
     The work, instances times dim, must fit in ``config.term_budget``; a
     larger check raises EngineError before it starts.
     """
@@ -225,10 +225,9 @@ def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Re
     cols = mod.safe_columns
     failures, checked = [], 0
     stored = ((_XP, mod.xp), (_XM, mod.xm), (_XI, mod.xi))
-    D = lcm(*{v.denominator for _, bands in stored for band in bands for v in band})
-    # Each stored mode is named by its key (offset, mode) and lifted once to a band over D.
-    band = {(o, n): (o, [_lift(v, D) for v in b])
-            for o, bands in stored for n, b in enumerate(bands)}
+    D = mod.den
+    # Each stored mode is named by its key (offset, mode).
+    band = {(o, n): (o, b) for o, bands in stored for n, b in enumerate(bands)}
     xp, xm, xi = ([(o, n) for n in range(len(bands))] for o, bands in stored)
     # Each product and each commutator of two stored modes is formed once;
     # the caches live for this call.
@@ -278,10 +277,8 @@ def extract_qchar(kind: str, k, x, n_max: int = 3, M: int | None = None,
     top times the chain in Psi-form must give v_i's ``_xi_series`` exactly.  Both series
     are ints over D = lcm(den x, den k), compared as lists; no band is built or read.  The
     engine's A_1 row is read once, its offsets off its sites: no site goes back to a Coord."""
-    k, x, dim, _, xi_modes = _shape(kind, k, x, n_max, M, config)
+    k, x, dim, _, xi_modes, D, X, K = _shape(kind, k, x, n_max, M, config)
     top = PsiMonomial.gen(1, x + k) * PsiMonomial.gen(1, x, -1)     # the unit at k = 0
-    D = lcm(x.denominator, k.denominator)
-    X, K = _lift(x, D), _lift(k, D)
     S, s0 = [1] + [0] * xi_modes, _site(1, x)
     # A_{1,x}^-1 as pairs (D (x + o), -e), 2o half steps up x's lane; A_{1,x+i} is it moved by i
     step = [(X + ((s - s0) >> 32) * D // 2, -e) for s, e in expand_A_to_Psi(_SL2, 1, x).exps]

@@ -39,18 +39,23 @@ BUMPS = (1, -1, Fraction(1, 2), Fraction(1, 7), Fraction(-3, 1000000007))
 # The relation check on dense matrices, as it was before the modules were
 # stored by band: every product is a full O(dim^3) matrix product.
 
+def _view(mod, family):
+    """The bands of one family as Fractions: each stored int is over ``mod.den``."""
+    return tuple(tuple(Fraction(v, mod.den) for v in band) for band in getattr(mod, family))
+
+
 def _densify(mod):
     """Dense xp, xm, xi matrices of a band-stored module."""
-    def dense(bands, offset):
+    def dense(family, offset):
         mats = []
-        for band in bands:
+        for band in _view(mod, family):
             rows = [[Fraction(0)] * mod.dim for _ in range(mod.dim)]
             for c, e in enumerate(band):
                 if 0 <= c + offset < mod.dim:
                     rows[c + offset][c] = e
             mats.append(rows)
         return mats
-    return dense(mod.xp, -1), dense(mod.xm, 1), dense(mod.xi, 0)
+    return dense("xp", -1), dense("xm", 1), dense("xi", 0)
 
 
 def _mat_mul(a, b):
@@ -111,10 +116,14 @@ def dense_check_relations(mod):
 
 
 def _bump(mod, family, n, i, delta):
-    """The module with one band entry changed, so that relations fail."""
-    bands = [list(b) for b in getattr(mod, family)]
-    bands[n][i] += delta
-    return dataclasses.replace(mod, **{family: tuple(tuple(b) for b in bands)})
+    """The module with one band entry moved by the rational ``delta``, so that
+    relations fail: for delta = p/q, den and every entry are scaled by q, and
+    the entry gains p * den (the old den)."""
+    p, q = Fraction(delta).as_integer_ratio()
+    scaled = {f: [[v * q for v in b] for b in getattr(mod, f)] for f in ("xp", "xm", "xi")}
+    scaled[family][n][i] += p * mod.den
+    return dataclasses.replace(mod, den=mod.den * q,
+                               **{f: tuple(map(tuple, b)) for f, b in scaled.items()})
 
 
 @st.composite
@@ -224,14 +233,21 @@ def test_build_module_validation():
 
 def test_specific_matrix_entries():
     mod = build_module("finite", 1, 0, n_max=1)
+    xp, xm, xi = (_view(mod, f) for f in ("xp", "xm", "xi"))
     # raising: xp_0 v_1 = v_0, annihilates v_0; higher modes kill v_1 (x = 0)
-    assert mod.xp[0][1] == 1
-    assert mod.xp[0][0] == 0
-    assert mod.xp[1][1] == 0
+    assert xp[0][1] == 1
+    assert xp[0][0] == 0
+    assert xp[1][1] == 0
     # lowering: xm_0 v_0 = (0+1)(1-0) v_1
-    assert mod.xm[0][0] == 1
+    assert xm[0][0] == 1
     # Cartan eigenvalue on v_0: (u-1)(u+1)/((u-1)u) = 1 + u^-1
-    assert mod.xi[0][0] == 1 and mod.xi[1][0] == 0
+    assert xi[0][0] == 1 and xi[1][0] == 0
+    # at x = -1/2 every band is over den = 2^P, P = 3 Cartan modes, even where
+    # the value is an integer: xm_1 v_0 = (1/2)(0+1)(1-0) = 1/2, and on v_0 the
+    # eigenvalue (u+x+k)/(u+x) has c_1 = k = 1 and c_2 = -xk = 1/2
+    half = build_module("finite", 1, Fraction(-1, 2), n_max=1)
+    assert half.den == 8
+    assert (half.xm[1][0], half.xi[0][0], half.xi[1][0]) == (4, 8, 4)
 
 
 @settings(max_examples=120, deadline=None)
@@ -254,8 +270,9 @@ def test_build_module_matches_the_fraction_reference(data, x, n_max):
     eigs = [reference_series(((x - 1, 1), (x + k, 1), (x + i - 1, -1), (x + i, -1)), xi_modes)
             for i in range(dim)]
     xi = tuple(tuple(eig[n + 1] for eig in eigs) for n in range(xi_modes))
-    assert (mod.xp, mod.xm, mod.xi) == (xp, xm, xi)
-    assert {type(v) for bands in (mod.xp, mod.xm, mod.xi) for b in bands for v in b} == {Fraction}
+    assert tuple(_view(mod, f) for f in ("xp", "xm", "xi")) == (xp, xm, xi)
+    assert {type(v) for bands in (mod.xp, mod.xm, mod.xi) for b in bands for v in b} == {int}
+    assert mod.den == lcm(x.denominator, k.denominator) ** xi_modes
 
 
 @settings(max_examples=200, deadline=None)
@@ -266,10 +283,10 @@ def test_stored_entries_are_affine_in_k(x, k0, h, n_max, M):
     # k0 + 2h every entry of xp, xm and xi has a zero second difference
     mods = [build_module("truncated", k0 + j * h, x, n_max=n_max, M=M) for j in range(3)]
     for family in ("xp", "xm", "xi"):
-        for a, b, c in zip(*(getattr(mod, family) for mod in mods)):
+        for a, b, c in zip(*(_view(mod, family) for mod in mods)):
             assert [u - 2 * v + w for u, v, w in zip(a, b, c)] == [0] * M
     # and not all constant: xm_0 v_0 = k
-    assert mods[1].xm[0][0] - mods[0].xm[0][0] == h
+    assert _view(mods[1], "xm")[0][0] - _view(mods[0], "xm")[0][0] == h
 
 
 def test_build_module_respects_term_budget():
@@ -335,6 +352,42 @@ def test_corrupted_module_report_literal():
         "verdict": "fail", "checked": 8, "note": "finite k=1 x=0 dim=2",
         "failures": [{"relation": "raising/lowering bracket", "m": 0, "n": 0,
                       "column": 0, "lhs": "2", "rhs": "1"}]}
+
+
+def test_report_over_a_larger_den_prints_reduced_values():
+    # den = 3^3 * 7 after the bump, so each side is over 189^2 = 35721, far
+    # above any reduced denominator below; every value still prints reduced
+    mod = _bump(build_module("finite", 2, Fraction(1, 3), n_max=1), "xp", 0, 1, Fraction(1, 7))
+    assert mod.den == 189
+    rep = check_relations(mod)
+    sides = [("raising/lowering bracket", 0, 0, 0, "16/7", "2"),
+             ("raising/lowering bracket", 0, 1, 0, "-16/21", "-2/3"),
+             ("Cartan-Drinfeld (+)", 0, 0, 1, "46/21", "16/7"),
+             ("same-sign Drinfeld (+)", 0, 0, 2, "50/21", "16/7"),
+             ("same-sign Drinfeld (+)", 0, 1, 2, "-121/63", "-13/7"),
+             ("Cartan-Drinfeld (+)", 1, 0, 1, "-28/9", "-64/21"),
+             ("same-sign Drinfeld (+)", 1, 0, 2, "-121/63", "-13/7")]
+    assert rep.to_text() == "\n".join(
+        ["verdict: fail (28 relation instances)"]
+        + [f"  {r} m={m} n={n} col={c}: {a} != {b}" for r, m, n, c, a, b in sides])
+    assert rep.to_json() == {
+        "verdict": "fail", "checked": 28, "note": "finite k=2 x=1/3 dim=3",
+        "failures": [{"relation": r, "m": m, "n": n, "column": c, "lhs": a, "rhs": b}
+                     for r, m, n, c, a, b in sides]}
+    assert rep.to_json() == dense_check_relations(mod).to_json()
+
+
+@pytest.mark.parametrize("args", [("finite", 4, Fraction(1, 3), 2, None),
+                                  ("truncated", Fraction(7, 3), Fraction(1, 2), 2, 8)])
+def test_check_relations_reads_bands_as_stored(monkeypatch, args):
+    # the bands are ints over mod.den already: the check lifts nothing
+    mod = build_module(*args)
+    calls = []
+    real = sl2_explicit._lift
+    monkeypatch.setattr(sl2_explicit, "_lift", lambda *a: calls.append(a) or real(*a))
+    rep = check_relations(mod)
+    assert rep.verdict and rep.checked == relation_instances(2)
+    assert calls == []
 
 
 def test_each_band_product_is_formed_once(monkeypatch):
@@ -455,7 +508,7 @@ def reference_extract(mod):
     terms = {}
     for i in range(mod.dim):
         want = reference_series(factors, order)
-        assert [band[i] for band in mod.xi] == want[1:], f"v_{i}"
+        assert [band[i] for band in _view(mod, "xi")] == want[1:], f"v_{i}"
         terms[AVector(tuple(_site(1, x + j) for j in range(i)), canonical=True)] = 1
         factors += [(z.rat, -e) for (_, z), e in expand_A_to_Psi(A1, 1, x + i).items()]
     top = PsiMonomial.gen(1, x + k) * PsiMonomial.gen(1, x, -1)
