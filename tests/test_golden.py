@@ -471,6 +471,10 @@ GOLDEN = [
      "7a68967c16b5f1fb"),
     (_v("tq", "A2", 1, "--k", "100000000", "--height", "2"), 3, "2c3da32bcfa0f2e6"),
     (_v("m-support", "A2", 1, "--k", "100000000", "--height", "2"), 3, "2c3da32bcfa0f2e6"),
+    # The relation checker at a high mode bound over a large prime denominator,
+    # where the band entries grow to hundreds of bits.
+    (("rep-check", "relations", "--kind", "finite", "--k", "4", "--x=1/1000000007",
+      "--modes", "12", "--format", "json"), 0, "d7203694fffe5104"),
 ]
 
 

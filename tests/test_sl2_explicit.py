@@ -354,6 +354,56 @@ def test_corrupted_module_report_literal():
                       "column": 0, "lhs": "2", "rhs": "1"}]}
 
 
+def test_corrupted_module_report_literal_spans_every_family():
+    # h_0, one raising and one lowering band corrupted at once: failures in
+    # every relation that can fail, in both signs and at several (m, n), so
+    # the order in which instances are checked is pinned
+    mod = build_module("finite", 2, 0, n_max=2)
+    for family, n, i in (("xi", 0, 0), ("xp", 3, 2), ("xm", 3, 1)):
+        mod = _bump(mod, family, n, i, 1)
+    rep = check_relations(mod)
+    sides = [("raising/lowering bracket", 0, 0, 0, "2", "3"),
+             ("weight grading (+)", 0, 0, 1, "3", "2"),
+             ("weight grading (-)", 0, 0, 0, "-6", "-4"),
+             ("Cartan-Drinfeld (+)", 0, 0, 1, "2", "3"),
+             ("Cartan-Drinfeld (+)", 0, 2, 2, "-4", "-2"),
+             ("same-sign Drinfeld (+)", 0, 2, 2, "0", "1"),
+             ("Cartan-Drinfeld (+)", 1, 2, 2, "4", "0"),
+             ("same-sign Drinfeld (+)", 2, 0, 2, "0", "1"),
+             ("Cartan-Drinfeld (+)", 2, 2, 2, "-4", "0"),
+             ("Cartan-Drinfeld (-)", 0, 0, 0, "-4", "-6"),
+             ("Cartan-Drinfeld (-)", 0, 2, 1, "6", "4"),
+             ("same-sign Drinfeld (-)", 0, 2, 0, "-2", "-4"),
+             ("Cartan-Drinfeld (-)", 1, 2, 1, "-4", "0"),
+             ("same-sign Drinfeld (-)", 2, 0, 0, "-2", "-4"),
+             ("Cartan-Drinfeld (-)", 2, 2, 1, "4", "0")]
+    assert rep.to_text() == "\n".join(
+        ["verdict: fail (60 relation instances)"]
+        + [f"  {r} m={m} n={n} col={c}: {a} != {b}" for r, m, n, c, a, b in sides])
+    assert rep.to_json() == {
+        "verdict": "fail", "checked": 60, "note": "finite k=2 x=0 dim=3",
+        "failures": [{"relation": r, "m": m, "n": n, "column": c, "lhs": a, "rhs": b}
+                     for r, m, n, c, a, b in sides]}
+
+
+@pytest.mark.parametrize("mod", [build_module("finite", 3, Fraction(1, 2), n_max=2),
+                                 build_module("truncated", Fraction(7, 3), Fraction(1, 3),
+                                              n_max=2, M=6)])
+def test_every_relation_but_c1_can_fail(mod):
+    # (C1) compares diagonal bands, which always commute, so no corruption
+    # can make it fail; every other relation fails under some one-entry bump
+    failed = set()
+    for family in ("xp", "xm", "xi"):
+        for n in range(len(getattr(mod, family))):
+            for i in range(mod.dim):
+                for delta in (1, -1):
+                    rep = check_relations(_bump(mod, family, n, i, delta))
+                    failed.update(f["relation"] for f in rep.to_json()["failures"])
+    assert failed == {"raising/lowering bracket", "weight grading (+)", "weight grading (-)",
+                      "Cartan-Drinfeld (+)", "Cartan-Drinfeld (-)",
+                      "same-sign Drinfeld (+)", "same-sign Drinfeld (-)"}
+
+
 def test_report_over_a_larger_den_prints_reduced_values():
     # den = 3^3 * 7 after the bump, so each side is over 189^2 = 35721, far
     # above any reduced denominator below; every value still prints reduced
