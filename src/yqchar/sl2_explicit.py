@@ -13,8 +13,8 @@ it as the tuple of its dim coefficients: ``xp[n][i]``, ``xm[n][i]`` and
 (``xp[n][0]`` and ``xm[n][dim-1]`` are 0, their targets lie outside the
 basis).  Every entry is an int over the module's one ``den``, built in one pass over the
 basis from ints over D = lcm(den x, den k), X = Dx and K = Dk.  The relation checker reads
-the bands as stored, multiplies them in O(dim) with no dense matrix, and compares every
-side over den squared.
+the bands as stored and forms each side of each relation column by column, one list over
+the bands with no dense matrix, compared over den squared; it holds O(modes * dim) ints.
 
 Finite modules (k a nonnegative integer) close on dim = k+1 vectors;
 truncated modules keep the first M vectors of the infinite tower, on which
@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import lcm
-from operator import add, mul
+from operator import mul
 
 from .cartan import LieType, build_cartan
 from .monomials import _HALF, AVector, PsiMonomial, _site, expand_A_to_Psi
@@ -87,10 +86,6 @@ def _xi_series(X: int, K: int, D: int, dim: int, order: int):
 # ---------------------------------------------------------------------------
 # Modules.
 # ---------------------------------------------------------------------------
-
-# Row offset of each band: xp_n v_i lands on v_{i-1}, xm_n v_i on v_{i+1}.
-_XP, _XM, _XI = -1, 1, 0
-
 
 @dataclass(frozen=True)
 class Sl2Module:
@@ -172,29 +167,6 @@ def relation_report(checked: int, failures, note: str) -> Report:
         f" ({checked} relation instances)")
 
 
-def _times(a: tuple, b: tuple, dim: int) -> tuple:
-    """Product (s, col) over D^2 of two bands (o, col) over D, col[c] the integer D [c+o][c]:
-    (ab)[c+s][c] = a[c+s][c+ob] b[c+ob][c] with s = oa+ob, O(1) per column.
-    Entries whose row lies outside the basis are neither read nor formed."""
-    (oa, ca), (ob, cb) = a, b
-    s = oa + ob
-    lo = max(0, -ob, -s)
-    hi = max(lo, min(dim, dim - ob, dim - s))
-    col = list(map(mul, ca[lo + ob:hi + ob], cb[lo:hi]))
-    return s, [0] * lo + col + [0] * (dim - hi)
-
-
-def _combine(*terms) -> tuple:
-    """The linear combination sum coef * op over (coef, op) pairs of bands
-    (o, col) of one offset, all over D^2."""
-    out = None
-    for coef, (o, col) in terms:
-        if coef != 1:
-            col = [-v for v in col] if coef == -1 else [coef * v for v in col]
-        out = col if out is None else list(map(add, out, col))
-    return o, out
-
-
 def relation_instances(n_max: int) -> int:
     """The number of relation instances ``check_relations`` runs up to n_max."""
     return 6 * (n_max + 1) ** 2 + 2 * (n_max + 1)
@@ -210,58 +182,85 @@ def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Re
       (C3) [xp_m, xm_n] = xi_{m+n}
       (CD) [xi_{m+1}, xpm_n] - [xi_m, xpm_{n+1}] = +-(xi_m xpm_n + xpm_n xi_m)
       (DR) [xpm_{m+1}, xpm_n] - [xpm_m, xpm_{n+1}] = +-(xpm_m xpm_n + xpm_n xpm_m)
-    The Serre relation is vacuous in rank one.
+    The Serre relation is vacuous in rank one.  (C1) holds by construction on
+    diagonal xi bands: its instances are counted, to match the dense reference,
+    but cannot fail.
 
     Every relation is homogeneous, so each side of each instance is one band,
-    compared over the safe columns; the first disagreeing entry is reported.
-    Bands are read as stored, ints over D = ``mod.den``; each side is over D^2.
-    The work, instances times dim, must fit in ``config.term_budget``; a
-    larger check raises EngineError before it starts.
+    formed column by column over the safe columns whose target row lies in the
+    basis; the first disagreeing entry is reported.  Bands are read as stored,
+    ints over D = ``mod.den``; each side is over D^2.  A commutator with xi_m is
+    xi_m's eigenvalue differences times the band, an anticommutator its sums;
+    same-family products are held for two mode rows at a time, so the check
+    holds O(modes * dim) ints.  The work, instances times dim, must fit in
+    ``config.term_budget``; a larger check raises EngineError before it starts.
     """
-    n_max, dim = mod.mode_bound, mod.dim
+    n_max, dim, D = mod.mode_bound, mod.dim, mod.den
     if relation_instances(n_max) * dim > config.term_budget:
         raise EngineError(f"term budget {config.term_budget} exceeded by "
                           f"{relation_instances(n_max)} relation instances on dimension {dim}")
-    cols = mod.safe_columns
+    stop = len(mod.safe_columns)
     failures, checked = [], 0
-    stored = ((_XP, mod.xp), (_XM, mod.xm), (_XI, mod.xi))
-    D = mod.den
-    # Each stored mode is named by its key (offset, mode).
-    band = {(o, n): (o, b) for o, bands in stored for n, b in enumerate(bands)}
-    xp, xm, xi = ([(o, n) for n in range(len(bands))] for o, bands in stored)
-    # Each product and each commutator of two stored modes is formed once;
-    # the caches live for this call.
-    times = cache(lambda a, b: _times(band[a], band[b], dim))
-    comm = cache(lambda a, b: _combine((1, times(a, b)), (-1, times(b, a))))
+    # Column c sits at index c + 1 between two zeros: c - 1 and c + 1 read 0 past the basis.
+    xp, xm, xi = ([(0, *b, 0) for b in bands] for bands in (mod.xp, mod.xm, mod.xi))
 
-    def expect(rel, m, n, lhs, rhs):
-        # both sides over D^2; a column is sought only on a mismatch
+    def span(o):
+        # the indices of the safe columns whose row c + o lies in the basis
+        return range(max(1, 1 - o), min(stop, dim - o) + 1)
+
+    def expect(rel, m, n, cols, lhs, rhs):
         nonlocal checked
         checked += 1
-        (o, a), (_, b) = lhs, rhs
-        lo, hi = max(cols.start, -o), min(cols.stop, dim - o)
-        if a[lo:hi] != b[lo:hi]:
-            c = next(c for c in range(lo, hi) if a[c] != b[c])
-            failures.append((rel, m, n, c, Fraction(a[c], D * D), Fraction(b[c], D * D)))
+        if lhs != rhs:
+            i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            failures.append((rel, m, n, cols[i] - 1,
+                             Fraction(lhs[i], D * D), Fraction(rhs[i], D * D)))
 
+    mid = span(0)
     for m in range(n_max + 1):
         for n in range(n_max + 1):
-            expect("commuting Cartan modes", m, n, comm(xi[m], xi[n]), (_XI, [0] * dim))
-            expect("raising/lowering bracket", m, n, comm(xp[m], xm[n]),
-                   (_XI, [D * v for v in band[xi[m + n]][1]]))
+            checked += 1        # (C1)
+            a, b = xp[m], xm[n]
+            expect("raising/lowering bracket", m, n, mid,
+                   [a[j + 1] * b[j] - b[j - 1] * a[j] for j in mid],
+                   [D * xi[m + n][j] for j in mid])
+    # per sign: the family, its offset o, and on span(o) its bands, xi_m's differences and sums
+    signs = []
+    for sign, xs, o in ((1, xp, -1), (-1, xm, 1)):
+        cols = span(o)
+        signs.append((sign, "+" if sign > 0 else "-", xs, o, cols,
+                      [b[cols.start:cols.stop] for b in xs],
+                      [[h[j + o] - h[j] for j in cols] for h in xi[:n_max + 2]],
+                      [[sign * (h[j + o] + h[j]) for j in cols] for h in xi[:n_max + 1]]))
     for n in range(n_max + 1):
-        expect("weight grading (+)", 0, n, comm(xi[0], xp[n]), _combine((2 * D, band[xp[n]])))
-        expect("weight grading (-)", 0, n, comm(xi[0], xm[n]), _combine((-2 * D, band[xm[n]])))
-    for sign, xs in ((1, xp), (-1, xm)):
-        tag = "+" if sign > 0 else "-"
+        for sign, tag, _, _, cols, band, diff, _ in signs:
+            expect(f"weight grading ({tag})", 0, n, cols,
+                   [d * v for d, v in zip(diff[0], band[n])], [2 * sign * D * v for v in band[n]])
+    for sign, tag, xs, o, cols, band, diff, total in signs:
+        # same-family products on the columns of a side of offset 2 o: xs_a xs_b
+        # reads xs_a at row c + o and xs_b at column c
+        pair = span(2 * o)
+        at = [b[pair.start + o:pair.stop + o] for b in xs]
+        on = [b[pair.start:pair.stop] for b in xs]
+
+        def row(r):
+            # for every b, [xi_r, xs_b] on span(o), and xs_r xs_b and xs_b xs_r on
+            # span(2 o); only rows m and m + 1 are held
+            return ([[d * v for d, v in zip(diff[r], b)] for b in band],
+                    [[p * q for p, q in zip(at[r], v)] for v in on],
+                    [[p * q for p, q in zip(u, on[r])] for u in at])
+        bracket, left, right = row(0)
         for m in range(n_max + 1):
+            bracket1, left1, right1 = row(m + 1)
             for n in range(n_max + 1):
-                lhs = _combine((1, comm(xi[m + 1], xs[n])), (-1, comm(xi[m], xs[n + 1])))
-                anti = _combine((sign, times(xi[m], xs[n])), (sign, times(xs[n], xi[m])))
-                expect(f"Cartan-Drinfeld ({tag})", m, n, lhs, anti)
-                lhs = _combine((1, comm(xs[m + 1], xs[n])), (-1, comm(xs[m], xs[n + 1])))
-                anti = _combine((sign, times(xs[m], xs[n])), (sign, times(xs[n], xs[m])))
-                expect(f"same-sign Drinfeld ({tag})", m, n, lhs, anti)
+                expect(f"Cartan-Drinfeld ({tag})", m, n, cols,
+                       [p - q for p, q in zip(bracket1[n], bracket[n + 1])],
+                       [t * u for t, u in zip(total[m], band[n])])
+                expect(f"same-sign Drinfeld ({tag})", m, n, pair,
+                       [p - q - r + s for p, q, r, s in
+                        zip(left1[n], right1[n], left[n + 1], right[n + 1])],
+                       [sign * (p + q) for p, q in zip(left[n], right[n])])
+            bracket, left, right = bracket1, left1, right1
     return relation_report(checked, failures, f"{mod.kind} k={mod.k} x={mod.x} dim={mod.dim}")
 
 

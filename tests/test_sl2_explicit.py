@@ -1,6 +1,8 @@
 """Explicit rank-one matrix modules: relations, extraction, three-term sum."""
 import dataclasses
 import io
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -440,28 +442,23 @@ def test_check_relations_reads_bands_as_stored(monkeypatch, args):
     assert calls == []
 
 
-def test_each_band_product_is_formed_once(monkeypatch):
-    # At mode bound 3 the relations read 192 distinct products of two
-    # stored modes; forming each per use would take 464.
-    calls = []
-    times = sl2_explicit._times
-    monkeypatch.setattr(sl2_explicit, "_times", lambda *a: calls.append(a) or times(*a))
-    rep = check_relations(build_module("finite", 4, Fraction(1, 2), n_max=3))
-    assert rep.verdict and rep.checked == relation_instances(3)
-    assert len(calls) == 192
-
-
-def test_each_commutator_is_formed_once(monkeypatch):
-    # At mode bound 3 the relations read 126 distinct commutators, and the
-    # other 136 combinations are the 8 doubled bands of the weight grading
-    # and the 128 sides of the Drinfeld relations: 262.  Forming each
-    # commutator per use would take 42 more.
-    calls = []
-    combine = sl2_explicit._combine
-    monkeypatch.setattr(sl2_explicit, "_combine", lambda *a: calls.append(a) or combine(*a))
-    rep = check_relations(build_module("finite", 4, Fraction(1, 3), n_max=3))
-    assert rep.verdict and rep.checked == relation_instances(3)
-    assert len(calls) == 262
+def test_check_footprint_stays_near_the_module_size():
+    # the check holds products for two mode rows at a time, not every product
+    # of two modes: at mode bound 40 its peak allocation stays within a small
+    # multiple of the stored bands (a memo of every product and commutator
+    # peaked at about 250 times)
+    mod = build_module("finite", 2, Fraction(1, 1000000007), n_max=40)
+    held = sum(sys.getsizeof(b) + sum(map(sys.getsizeof, b))
+               for family in (mod.xp, mod.xm, mod.xi) for b in family)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = check_relations(mod)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict and rep.checked == relation_instances(40)
+    assert peak <= 8 * held, (peak, held)
 
 
 # -- character extraction ----------------------------------------------------
