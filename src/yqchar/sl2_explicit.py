@@ -191,8 +191,8 @@ def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Re
     basis; the first disagreeing entry is reported.  Bands are read as stored,
     ints over D = ``mod.den``; each side is over D^2.  A commutator with xi_m is
     xi_m's eigenvalue differences times the band, an anticommutator its sums;
-    same-family products are held for two mode rows at a time, so the check
-    holds O(modes * dim) ints.  The work, instances times dim, must fit in
+    these commutators and the same-family products are held for two mode rows
+    at a time, so the check holds O(modes * dim) ints.  The work, instances times dim, must fit in
     ``config.term_budget``; a larger check raises EngineError before it starts.
     """
     n_max, dim, D = mod.mode_bound, mod.dim, mod.den
