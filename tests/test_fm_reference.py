@@ -5,6 +5,9 @@ is regrouped by node, each new term's Y-form is one merge of the whole
 monomial, and ``seen`` and a dict per node hold the terms met and their
 explained counts.  Both loops must
 give the same character, or raise the same EngineError text, on every case.
+The cases are the dominant tops the engine expands: KR tops, the Demazure
+tops of ``verify tsystem``'s direct route and the m-weight tops of
+``verify tq``'s route R1.
 """
 import heapq
 
@@ -13,8 +16,10 @@ import pytest
 import yqchar.characters as characters
 from yqchar.cartan import LieType, build_cartan
 from yqchar.characters import (
-    EngineConfig, EngineError, TruncatedCharacter, _sl2_node_expansion, kr_top_y,
+    EngineConfig, EngineError, TruncatedCharacter, _engine_y, _sl2_node_expansion,
+    demazure_weight, kr_top_y, m_weight,
 )
+from yqchar.identities import tq_regime
 from yqchar.monomials import (
     AVector, YMonomial, _by_node, _canon, _translate, avector_to_y, y_to_psi,
 )
@@ -119,6 +124,59 @@ def test_loop_matches_the_reference(name):
 def test_loops_stop_alike_just_below_the_budget(name, i, k, x, bound):
     cartan = build_cartan(LieType.parse(name))
     top = kr_top_y(cartan, i, k, x)
+    ch = reference_fm_expand(cartan, top, bound, EngineConfig())
+    terms, factors = len(ch.terms), sum(v.height for v, _ in ch.terms)
+    assert terms < factors
+    for budget in (terms, terms - 1, factors, factors - 1):
+        config = EngineConfig(term_budget=budget)
+        want = _outcome(reference_fm_expand, cartan, top, bound, config)
+        assert _outcome(characters._fm_expand, cartan, top, bound, config) == want
+        assert isinstance(want, str) == (budget < factors)
+
+
+def _demazure_top(cartan, i, k, t):
+    """The top of ``verify tsystem``'s direct route: the Demazure weight at (k + 1) d_i."""
+    return _engine_y(cartan, demazure_weight(cartan, i, t, k, (k + 1) * cartan.d[i - 1]))
+
+
+def _m_top(cartan, i, k, x):
+    """The top of ``verify tq``'s route R1: the m-weight at a k that makes it dominant."""
+    return _engine_y(cartan, m_weight(cartan, i, k, x))
+
+
+def _tops(name):
+    """(label, top) of the Demazure tops at t = 0-2 and the m-weight tops at the
+    two least k of the TQ regime at heights 1 and 2."""
+    cartan = build_cartan(LieType.parse(name))
+    for i in cartan.nodes:
+        for k in (1, 2):
+            for t in (0, 1, 2):
+                yield ("demazure", i, k, t), _demazure_top(cartan, i, k, t)
+        for k in sorted({tq_regime(cartan, i, 1), tq_regime(cartan, i, 2)}):
+            for x in ("0", "x+1/3"):
+                yield ("m", i, k, x), _m_top(cartan, i, k, x)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_loop_matches_the_reference_on_demazure_and_m_tops(name):
+    cartan = build_cartan(LieType.parse(name))
+    for label, top in _tops(name):
+        for bound in (None, 0, 1, 2, 3):
+            want = _outcome(reference_fm_expand, cartan, top, bound, SWEEP_BUDGET)
+            got = _outcome(characters._fm_expand, cartan, top, bound, SWEEP_BUDGET)
+            assert got == want, (name, label, bound)
+
+
+@pytest.mark.parametrize("name, top, bound", [
+    ("A2", ("demazure", 1, 2, 1), None), ("B2", ("demazure", 2, 2, 2), None),
+    ("G2", ("demazure", 1, 1, 1), 3), ("C3", ("demazure", 3, 1, 2), 4),
+    ("B2", ("m", 1, 2, "0"), None), ("G2", ("m", 2, 3, "x+1/3"), 3),
+    ("C3", ("m", 2, 2, "1/3"), None), ("F4", ("m", 3, 2, "0"), 3),
+])
+def test_demazure_and_m_loops_stop_alike_just_below_the_budget(name, top, bound):
+    cartan = build_cartan(LieType.parse(name))
+    kind, i, k, arg = top
+    top = _demazure_top(cartan, i, k, arg) if kind == "demazure" else _m_top(cartan, i, k, arg)
     ch = reference_fm_expand(cartan, top, bound, EngineConfig())
     terms, factors = len(ch.terms), sum(v.height for v, _ in ch.terms)
     assert terms < factors

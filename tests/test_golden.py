@@ -475,6 +475,12 @@ GOLDEN = [
     # where the band entries grow to hundreds of bits.
     (("rep-check", "relations", "--kind", "finite", "--k", "4", "--x=1/1000000007",
       "--modes", "12", "--format", "json"), 0, "d7203694fffe5104"),
+    # The largest complete KR characters of the benchmark, each expanded cold at
+    # a fractional x, then B3 n3 k5 again at a second x: a translate of the first.
+    (_kr("B4", 4, 3, "--x=7/3", "--format", "json"), 0, "c2d6719795c42cef"),
+    (_kr("B3", 3, 5, "--x=-5/4", "--format", "json"), 0, "14b4df07f59e1a91"),
+    (_kr("C3", 3, 3, "--x=2/5", "--format", "json"), 0, "afffc4c55ef5b0df"),
+    (_kr("B3", 3, 5, "--x=31/6", "--format", "json"), 0, "bc3bce0a18279867"),
 ]
 
 
