@@ -24,8 +24,8 @@ from functools import cached_property, lru_cache
 from .cartan import CartanData
 from .coords import Coord, coord
 from .monomials import (
-    _HALF, AVector, PsiMonomial, YMonomial, _by_node, _canon, _print_plan, _print_rows,
-    _remove, _term_key, _translate, _unsite, avector_to_psi, avector_to_y, is_dominant,
+    _HALF, _LANE, _LANES, AVector, PsiMonomial, YMonomial, _by_node, _print_plan,
+    _print_rows, _remove, _term_key, _translate, _unsite, _walk, avector_to_psi, is_dominant,
     output_order, psi_to_y, y_to_psi,
 )
 from .textio import format_monomial
@@ -316,10 +316,14 @@ def kr_top_y(cartan: CartanData, i: int, k: int, x,
              config: EngineConfig = DEFAULT_CONFIG) -> YMonomial:
     """The same weight as the Y-string Y_{i,x+d_i/2} ... Y_{i,x+(k-1/2)d_i};
     a string of more than ``term_budget`` factors is refused before it is built."""
-    if k > config.term_budget:
-        raise EngineError(f"term budget {config.term_budget} exceeded by a KR string "
-                          f"of {k} factors")
+    _check_budget(k, config, f"a KR string of {k} factors")
     return _engine_y(cartan, kr_weight(cartan, i, k, x))
+
+
+def _check_budget(n: int, config: EngineConfig, what: str):
+    """Refuse ``what``, of size ``n``, when it exceeds ``term_budget``."""
+    if n > config.term_budget:
+        raise EngineError(f"term budget {config.term_budget} exceeded by {what}")
 
 
 def _engine_y(cartan: CartanData, weight: PsiMonomial) -> YMonomial:
@@ -341,8 +345,7 @@ def demazure_weight(cartan: CartanData, i: int, t: int, k: int, x,
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
-    if k > config.term_budget:
-        raise EngineError(f"term budget {config.term_budget} exceeded by {k} Demazure roots")
+    _check_budget(k, config, f"{k} Demazure roots")
     x = coord(x)
     di = cartan.di(i)
     out = kr_weight(cartan, i, k, x - (k + 1) * di) * kr_weight(cartan, i, k + t, x - k * di)
@@ -563,50 +566,55 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
 
 
 def _fm_expand(cartan, top, bound, config, t=0, base=None):
-    # Terms are keyed by their sorted site tuples, so a new term is one C sort
-    # and the work dicts hash and compare ints only; AVectors are built for the
-    # result alone.  The budget bounds the terms and, separately, their factors.
-    # Invariant: pending[v] == (ys, counts) for every queued v: ys[j - 1] is the
-    # node-j part of (top * avector_to_y(cartan, v)).exps, and counts[j - 1] is
-    # v's multiplicity explained at node j.  avector_to_y is a homomorphism, so
-    # a new term v * chain copies v's ys and merges the chain's Y-form in at
-    # the nodes it touches, node i and its neighbours (chain_y: one conversion
-    # per chain).  A non-unit chain raises the height, so a term is new iff it
-    # is not pending, and the unit chain, which adds only to v's own count, is
-    # skipped.  Terms are popped by height, each height in the order found.
-    # An error formats its monomial at x + t, the caller's point.  With a
-    # base (see demazure_char_via_ses), no term beyond the bound is queued; a
-    # node-i chain takes v beyond it by its length less the base sites at i v lacks.
+    # Terms are keyed by their sorted site tuples, so the work dicts hash and
+    # compare ints only.  The budget bounds the terms and, separately, their
+    # factors.  Invariant: pending[v] == (ys, counts) for every queued v:
+    # ys[j - 1] is node j's part of top * avector_to_y(cartan, v), a dict
+    # {site: e} with no zero e, and counts[j - 1] is v's multiplicity explained
+    # at node j.  A new term v * chain shares v's dicts but for the nodes the
+    # chain's Y-form touches (chain_y: walked over the lane tables once per
+    # chain): node i's, all negative, and its neighbours', all positive, each
+    # merged into a copy.  A non-unit chain raises the height, so a term is new
+    # iff it is not pending; the unit chain is skipped.  Terms are popped by
+    # height in the order found; each height's rows are sorted once done, the
+    # unit row is 1 and a multiplicity <= 0 raises, as TruncatedCharacter.make
+    # requires.  An error formats its monomial at x + t, the caller's point.
+    # With a base (see demazure_char_via_ses), no term beyond the bound is
+    # queued; a node-i chain takes v beyond it by its length less the base
+    # sites at i v lacks.
     budget, rank = config.term_budget, cartan.rank
     inside = frozenset(() if base is None else base.sites)
     at_node = _by_node((s, 1) for s in inside)
     base_at = [frozenset(s for s, _ in at_node.get(j, ())) for j in cartan.nodes]
     at = _by_node(top.exps)
-    pending = {(): ([tuple(at.get(i, ())) for i in cartan.nodes], [0] * rank)}
+    pending = {(): ([dict(at.get(i, ())) for i in cartan.nodes], [0] * rank)}
     levels = {0: [()]}          # height -> pending terms, in the order found
-    result, chain_y = {}, {}
-    h = factors = 0
+    rows, chain_y = [], {}
+    h, factors, n = 0, 0, 1     # n: terms found
     while levels:
+        done = []
         for v in levels.pop(h, ()):
             ys, counts = pending.pop(v)
             mult = max(counts) if v else 1
             if mult <= 0:
                 raise EngineError("engine fault: discovered monomial with no multiplicity")
-            result[AVector(v, canonical=True)] = mult
-            for i, positions in enumerate(ys, 1):
+            done.append((v, mult))
+            for i, y in enumerate(ys, 1):
                 deficit = mult - counts[i - 1]
                 if deficit < 0:
                     raise EngineError("engine fault: node coverage exceeds multiplicity")
-                if not (deficit and positions):
+                if not (deficit and y):
                     continue
-                if any(e < 0 for _, e in positions):
-                    blocked = YMonomial(tuple(sorted(sum(ys, ()))), canonical=True)
+                if min(y.values()) < 0:
+                    blocked = YMonomial(tuple(sorted(p for y in ys for p in y.items())),
+                                        canonical=True)
                     raise EngineError(f"expansion blocked: monomial {format_monomial(blocked, t)} "
                                       f"has unexplained multiplicity at node {i} but is not "
                                       f"{i}-dominant")
                 cap = None if bound is None else (bound - len(v) + len(inside.intersection(v))
                                                   + len(base_at[i - 1].difference(v)))
-                for chain, c in _sl2_node_expansion(positions, cartan.d[i - 1], cap, budget)[1:]:
+                for chain, c in _sl2_node_expansion(tuple(sorted(y.items())), cartan.d[i - 1],
+                                                    cap, budget)[1:]:
                     v2 = tuple(sorted(v + chain))
                     entry = pending.get(v2)
                     if entry is None:
@@ -614,20 +622,31 @@ def _fm_expand(cartan, top, bound, config, t=0, base=None):
                             continue
                         dy = chain_y.get(chain)
                         if dy is None:
-                            dy = chain_y[chain] = _by_node(avector_to_y(
-                                cartan, AVector(chain, canonical=True)).exps).items()
+                            dy = chain_y[chain] = {}
+                            for s, e in _walk(cartan, [(s, 1) for s in chain], 1, -1):
+                                part = dy.setdefault(_LANES[s & _LANE][0] - 1, {})
+                                part[s] = part.get(s, 0) + e
                         ys2 = ys.copy()
-                        for j, pairs in dy:
-                            ys2[j - 1] = _canon(pairs, ys[j - 1])
+                        for j, part in dy.items():
+                            y2 = ys2[j] = ys[j].copy()
+                            for s, e in part.items():
+                                if e := e + y2.get(s, 0):
+                                    y2[s] = e
+                                else:
+                                    del y2[s]
                         entry = pending[v2] = (ys2, [0] * rank)
+                        n += 1
                         factors += len(v2)
-                        if (n := len(result) + len(pending)) > budget or factors > budget:
+                        if n > budget or factors > budget:
                             raise EngineError(f"term budget {budget} exceeded during expansion "
                                               f"({n} terms, {factors} factors)")
                         levels.setdefault(h + len(chain), []).append(v2)
                     entry[1][i - 1] += c * deficit
+        done.sort()
+        rows += done
         h += 1
-    return TruncatedCharacter.make(y_to_psi(cartan, top), result, bound)
+    return TruncatedCharacter(y_to_psi(cartan, top),
+                              tuple([(AVector(v, canonical=True), c) for v, c in rows]), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from .monomials import (
 )
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, EngineError, Report,
-    TruncatedCharacter, _engine_y, _n_bases, asymptotic_char, char_mul, compare_characters,
-    demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
+    TruncatedCharacter, _check_budget, _engine_y, _n_bases, asymptotic_char, char_mul,
+    compare_characters, demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
     kr_top_y, m_weight, n_weight, stabilize,
 )
 from .textio import format_monomial
@@ -159,13 +159,16 @@ def tq_rhs(cartan: CartanData, i: int, k: int, x, bound: int,
 
 def tq_lhs_direct(cartan: CartanData, i: int, k: int, x, bound: int,
                   config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
-    """Route R1: expand the m-weight directly (k must make it dominant).  Its
-    Y-form, 1 + sum_j k d_i / d_j factors, must fit in ``term_budget``."""
+    """Route R1: expand the m-weight directly (k must make it dominant)."""
     _check_realizable(cartan, i, k)
-    n = 1 + sum(k * cartan.d[i - 1] // cartan.d[j - 1] for j, _, _ in cartan.neighbours(i))
-    if n > config.term_budget:
-        raise EngineError(f"term budget {config.term_budget} exceeded by {n} m-weight Y factors")
+    _check_m_weight(cartan, i, k, config)
     return fm_expand(cartan, _engine_y(cartan, m_weight(cartan, i, k, x)), bound, config)
+
+
+def _check_m_weight(cartan: CartanData, i: int, k: int, config: EngineConfig):
+    """The m-weight's Y-form, 1 + sum_j k d_i / d_j factors, must fit in ``term_budget``."""
+    n = 1 + sum(k * cartan.d[i - 1] // cartan.d[j - 1] for j, _, _ in cartan.neighbours(i))
+    _check_budget(n, config, f"{n} m-weight Y factors")
 
 
 def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
@@ -236,6 +239,14 @@ def verify_tq(cartan: CartanData, i: int, k: int, x, bound: int,
     """
     x = coord(x)
     _check_realizable(cartan, i, k, bound)
+    # Before any expansion, what the routes refuse from the parameters alone, in
+    # their order: the RHS's stabilized KR strings of length N, R1's m-weight,
+    # R2's kernel strings (its n-weight strings, k d_i / d_j < k long, then fit).
+    if cartan.neighbours(i):
+        _check_budget(bound, config, f"a KR string of {bound} factors")
+    _check_m_weight(cartan, i, k, config)
+    for n in (k, k + 1, k - 1, k + 2):
+        _check_budget(n, config, f"a KR string of {n} factors")
     rhs = tq_rhs(cartan, i, k, x, bound, config)
     r1 = tq_lhs_direct(cartan, i, k, x, bound, config)
     r2 = tq_lhs_division(cartan, i, k, x, bound, config)

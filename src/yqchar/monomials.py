@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from operator import itemgetter
 
 from .cartan import CartanData, Weight
 from .coords import Coord, coord
@@ -187,18 +189,16 @@ def _print_plan(rows) -> tuple:
     factor is the key rank + exponent - 1), the distinct keys, and (height, key
     list, row) per row in print order: by height, then by ordered factor lists."""
     rows = list(rows)
-    sites = sorted({s for r in rows for s in r[0].sites}, key=_site_order)
-    scale = 1 + max((len(r[0].sites) for r in rows), default=0)
-    rank = dict(zip(sites, range(0, scale * len(sites), scale)))
-    keyed = []
-    for row in rows:
-        v = row[0].sites
-        ks = sorted(map(rank.__getitem__, v))
-        if len(set(v)) < len(v):
-            ks = [k + len(list(g)) - 1 for k, g in groupby(ks)]
-        keyed.append((len(v), ks, row))
-    keyed.sort(key=lambda t: t[:2])
-    return sites, scale, {k for _, ks, _ in keyed for k in ks}, keyed
+    vs = [r[0].sites for r in rows]
+    sites = sorted(set().union(*vs), key=_site_order)
+    scale = 1 + max(map(len, vs), default=0)
+    rank = dict(zip(sites, range(0, scale * len(sites), scale))).__getitem__
+    keyed = [(len(v), sorted(map(rank, v)), row) for v, row in zip(vs, rows)]
+    for h, ks, _ in keyed:
+        if len(set(ks)) < h:            # a repeated site: its rank once, + exponent - 1
+            ks[:] = [k + e - 1 for k, e in Counter(ks).items()]
+    keyed.sort(key=itemgetter(0, 1))
+    return sites, scale, set().union(*[ks for _, ks, _ in keyed]), keyed
 
 
 def _print_rows(plan, t=0) -> list:
@@ -331,9 +331,10 @@ def _offsets(cartan: CartanData) -> tuple:
     return tuple(out), ({}, {}, {})
 
 
-def _expand(cartan: CartanData, exps, basis: int, sign: int) -> tuple:
-    """Canonical exps of the product over the (site, e) factors in ``exps``
-    of (expansion number ``basis`` of the site)^(sign e), see ``_offsets``."""
+def _walk(cartan: CartanData, exps, basis: int, sign: int) -> list:
+    """(site, e) pairs whose product over the (site, e) factors in ``exps`` is
+    that of (expansion number ``basis`` of the site)^(sign e), see ``_offsets``;
+    a site may repeat, with exponents that sum to zero."""
     by_node, by_lane = _offsets(cartan)
     tables = by_lane[basis]
     out = []
@@ -346,27 +347,27 @@ def _expand(cartan: CartanData, exps, basis: int, sign: int) -> tuple:
                                          for j, o, f in by_node[i - 1][basis])
         e *= sign
         out += [(s + d, f * e) for d, f in table]
-    return _canon(out)
+    return out
 
 
 def expand_A_to_Psi(cartan: CartanData, i: int, x) -> PsiMonomial:
     """A_{i,x} as a Psi-monomial (see ``_offsets``)."""
     cartan.check_node(i)
-    return PsiMonomial(_expand(cartan, ((_site(i, x), 1),), 0, 1), canonical=True)
+    return PsiMonomial(_canon(_walk(cartan, ((_site(i, x), 1),), 0, 1)), canonical=True)
 
 
 def y_to_psi(cartan: CartanData, m: YMonomial) -> PsiMonomial:
-    return PsiMonomial(_expand(cartan, m.exps, 2, 1), canonical=True)
+    return PsiMonomial(_canon(_walk(cartan, m.exps, 2, 1)), canonical=True)
 
 
 def avector_to_psi(cartan: CartanData, v: AVector) -> PsiMonomial:
     """The Psi-form of the Q_- element prod A_{i,x}^{-e}."""
-    return PsiMonomial(_expand(cartan, v.exps, 0, -1), canonical=True)
+    return PsiMonomial(_canon(_walk(cartan, v.exps, 0, -1)), canonical=True)
 
 
 def avector_to_y(cartan: CartanData, v: AVector) -> YMonomial:
     """The Y-form of the Q_- element prod A_{i,x}^{-e} (a homomorphism)."""
-    return YMonomial(_expand(cartan, v.exps, 1, -1), canonical=True)
+    return YMonomial(_canon(_walk(cartan, v.exps, 1, -1)), canonical=True)
 
 
 def psi_to_y(cartan: CartanData, m: PsiMonomial) -> YMonomial:

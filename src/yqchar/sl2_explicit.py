@@ -35,7 +35,7 @@ from operator import mul
 from .cartan import LieType, build_cartan
 from .monomials import _HALF, AVector, PsiMonomial, _site, expand_A_to_Psi
 from .characters import (
-    DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter,
+    DEFAULT_CONFIG, EngineConfig, Report, TruncatedCharacter, _check_budget,
     char_add, char_mul, compare_characters,
 )
 
@@ -121,10 +121,8 @@ def _shape(kind: str, k, x, n_max: int, M: int | None, config: EngineConfig) -> 
     else:
         raise ValueError(f"unknown module kind {kind!r}")
     pm_modes, xi_modes = n_max + 2, max(2 * n_max, n_max + 1) + 1
-    if dim * (2 * pm_modes + xi_modes) > config.term_budget:
-        raise EngineError(f"term budget {config.term_budget} exceeded by a {kind} module "
-                          f"of dimension {dim} with {pm_modes} raising/lowering and "
-                          f"{xi_modes} Cartan modes")
+    _check_budget(dim * (2 * pm_modes + xi_modes), config, f"a {kind} module of dimension "
+                  f"{dim} with {pm_modes} raising/lowering and {xi_modes} Cartan modes")
     D = lcm(x.denominator, k.denominator)
     return k, x, dim, pm_modes, xi_modes, D, _lift(x, D), _lift(k, D)
 
@@ -196,9 +194,8 @@ def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Re
     ``config.term_budget``; a larger check raises EngineError before it starts.
     """
     n_max, dim, D = mod.mode_bound, mod.dim, mod.den
-    if relation_instances(n_max) * dim > config.term_budget:
-        raise EngineError(f"term budget {config.term_budget} exceeded by "
-                          f"{relation_instances(n_max)} relation instances on dimension {dim}")
+    _check_budget(relation_instances(n_max) * dim, config,
+                  f"{relation_instances(n_max)} relation instances on dimension {dim}")
     stop = len(mod.safe_columns)
     failures, checked = [], 0
     # Column c sits at index c + 1 between two zeros: c - 1 and c + 1 read 0 past the basis.

@@ -11,7 +11,7 @@ A leading "/" inverts the factor.  Mixed products are normalized: any Psi
 factor forces the Psi basis; otherwise A factors are expanded into Y's
 when Y factors are present; a pure product of inverted A's parses as an
 A-ledger (AVector).  Factors of another head than the result basis go
-through the engine's expansion tables (``monomials._expand``), and the
+through the engine's expansion tables (``monomials._walk``), and the
 product is formed once.
 """
 from __future__ import annotations
@@ -88,7 +88,7 @@ def parse_monomial(text: str, cartan: CartanData | None = None, kind: str | None
     if other and cartan is None:
         raise MonomialSyntaxError("mixed product requires Cartan data for conversion", 0)
     for row, exps in other.items():
-        pairs += M._expand(cartan, exps, row, 1)
+        pairs += M._walk(cartan, exps, row, 1)
     return (M.PsiMonomial if basis == "Psi" else M.YMonomial)(M._canon(pairs), canonical=True)
 
 

@@ -594,13 +594,20 @@ def test_expansion_blocked_at_node_2_of_a_translate(monkeypatch, cartan, top, an
 
 
 def test_each_chain_is_converted_to_y_once(monkeypatch):
-    # the 1,399 new terms of B3 n3 k5 are reached by 228 distinct node chains
+    # the 1,399 new terms of B3 n3 k5 are reached by 228 distinct node chains;
+    # each chain is walked over the lane tables once, and no AVector is
+    # converted to its Y-form whole
     _small_cache(monkeypatch)
-    counts = _count_calls(monkeypatch, "avector_to_y")
+    counts = _count_calls(monkeypatch, "_walk")
+
+    def whole(*args):
+        raise AssertionError("the expansion loop called avector_to_y")
+    monkeypatch.setattr(monomials, "avector_to_y", whole)
+    monkeypatch.setattr(characters, "avector_to_y", whole, raising=False)
     b3 = build_cartan(LieType.parse("B3"))
     ch = fm_expand(b3, kr_top_y(b3, 3, 5, 0))
     assert (len(ch.terms), ch.dimension()) == (1400, 1400)
-    assert counts["avector_to_y"] == 228
+    assert counts["_walk"] == 228
 
 
 # -- the fused SES difference (property) ---------------------------------------

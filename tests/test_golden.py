@@ -481,6 +481,9 @@ GOLDEN = [
     (_kr("B3", 3, 5, "--x=-5/4", "--format", "json"), 0, "14b4df07f59e1a91"),
     (_kr("C3", 3, 3, "--x=2/5", "--format", "json"), 0, "afffc4c55ef5b0df"),
     (_kr("B3", 3, 5, "--x=31/6", "--format", "json"), 0, "bc3bce0a18279867"),
+    # Route R2's kernel string of k + 2 factors is one over the default budget:
+    # refused before route R1 expands the 10^6-factor m-weight.
+    (_v("tq", "A2", 1, "--k", "999999", "--height", "2"), 3, "218b918fffc8eb73"),
 ]
 
 

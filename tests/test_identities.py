@@ -57,6 +57,27 @@ def test_a_k_beyond_the_budget_is_refused_before_it_is_built(name):
         run(10 ** 8)
 
 
+# verify_tq refuses from its parameters before any route runs, with the message
+# of the first route that would refuse: the RHS's stabilized strings of length
+# N, R1's m-weight Y factors, then R2's kernel strings k, k + 1, k - 1, k + 2.
+@pytest.mark.parametrize("ct, k, N, budget, message", [
+    (A2, 7, 7, 6, "a KR string of 7 factors"),
+    (A2, 5, 2, 5, "6 m-weight Y factors"),
+    (A2, 4, 2, 5, "a KR string of 6 factors"),
+    (A2, 999999, 2, 10 ** 6, "a KR string of 1000001 factors"),
+    (G2, 3, 1, 4, "a KR string of 5 factors"),
+    (A1, 6, 3, 7, "a KR string of 8 factors"),
+])
+def test_tq_refuses_its_parameters_before_any_route(monkeypatch, ct, k, N, budget, message):
+    def route(*args):
+        raise AssertionError("a route ran")
+    for name in ("tq_rhs", "tq_lhs_direct", "tq_lhs_division"):
+        monkeypatch.setattr(identities, name, route)
+    config = EngineConfig(term_budget=budget)
+    with pytest.raises(EngineError, match=f"^term budget {budget} exceeded by {message}$"):
+        verify_tq(ct, 1, k, "1/3", N, config)
+
+
 # -- spec objects ------------------------------------------------------------
 
 def test_identity_spec_json_round_trip():
