@@ -117,13 +117,22 @@ class CartanData:
         return self.c[self.check_node(i)][self.check_node(j)]
 
     def di(self, i: int) -> Fraction:
-        return Fraction(self.d[self.check_node(i)])
+        return self._di[self.check_node(i)]
 
     def neighbours(self, i: int) -> tuple:
         """(j, c_ij, d_ij) for each node j with c_ij < 0, in node order."""
-        row = self.c[self.check_node(i)]
-        return tuple((j, c, Fraction(c * self.d[i - 1], 2)) for j, c in enumerate(row, 1)
-                     if c < 0)
+        return self._neighbours[self.check_node(i)]
+
+    def __post_init__(self):
+        """Tables that the engine reads, and a hash that it keys memos by, on every job."""
+        object.__setattr__(self, "_hash", hash((self.lie_type, self.c, self.d)))
+        object.__setattr__(self, "_di", tuple(map(Fraction, self.d)))
+        object.__setattr__(self, "_neighbours", tuple(
+            tuple((j, c, Fraction(c * di, 2)) for j, c in enumerate(row, 1) if c < 0)
+            for row, di in zip(self.c, self.d)))
+
+    def __hash__(self):
+        return self._hash
 
     def validate(self):
         r = self.rank

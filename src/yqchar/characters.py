@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from .cartan import CartanData
 from .coords import Coord, coord
 from .monomials import (
-    _HALF, _LANE, _LANES, AVector, PsiMonomial, YMonomial, _by_node, _print_plan,
+    _HALF, _LANE, _LANES, AVector, PsiMonomial, YMonomial, _by_node, _i_chain, _print_plan,
     _print_rows, _remove, _term_key, _translate, _unsite, _walk, avector_to_psi, is_dominant,
     output_order, psi_to_y, y_to_psi,
 )
@@ -349,7 +349,7 @@ def demazure_weight(cartan: CartanData, i: int, t: int, k: int, x,
     x = coord(x)
     di = cartan.di(i)
     out = kr_weight(cartan, i, k, x - (k + 1) * di) * kr_weight(cartan, i, k + t, x - k * di)
-    roots = AVector(tuple(((i, x - m * di), 1) for m in range(1, k + 1)))
+    roots = _i_chain(cartan, i, x - k * di, k)
     out = out * avector_to_psi(cartan, roots)
     display = _demazure_weight_display(cartan, i, t, k, x)
     if display != out:
@@ -432,6 +432,8 @@ def _strings(positions, d: int):
     taken in int order.
     """
     rem = dict(positions)
+    if min(rem.values(), default=1) <= 0:       # such a top would never leave rem
+        raise EngineError("engine fault: a node-sl2 string content has an exponent <= 0")
     step = 2 * d * _HALF
     out = []
     while rem:
@@ -730,11 +732,16 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
 def _demazure_char_via_ses(cartan, i, t, k, x, bound, config):
     di = cartan.di(i)
     x0 = x - (k + 1) * di
-    # the four tops first: kr_top_y refuses a string beyond the budget before v0 is built
-    tops = [kr_top_y(cartan, i, kk, base, config) for kk, base in
-            ((k, x0), (k + t, x0 + di), (k - 1, x0 + di), (k + t + 1, x0))]
+    # Refused before any top is built: the four KR strings, as kr_top_y does, then the
+    # chains of the first pop, W_{k,x0}'s node-i string of length k under a cap >= k.
+    lengths = (k, k + t, k - 1, k + t + 1)
+    for kk in lengths:
+        _check_budget(kk, config, f"a KR string of {kk} factors")
+    _check_budget(k * (k + 1) // 2, config, f"the chains of a node-sl2 string of length {k}")
+    tops = [kr_top_y(cartan, i, kk, base, config)
+            for kk, base in zip(lengths, (x0, x0 + di, x0 + di, x0))]
     # the kernel top is w * prod_{m=1..k} A_{i,x0+m d_i}^-1
-    v0 = AVector(tuple(((i, x0 + m * di), 1) for m in range(1, k + 1)))
+    v0 = _i_chain(cartan, i, x0 + di, k)
     a, b, c, d = (_fm_expand(cartan, top, bound, config, 0, None if bound is None else v0)
                   for top in tops)
     if a.top * b.top != c.top * d.top:

@@ -124,7 +124,10 @@ class _Monomial:
 
     @classmethod
     def unit(cls):
-        return cls()
+        """The unit: one instance per class, made at first use."""
+        if "_unit" not in cls.__dict__:
+            cls._unit = cls()
+        return cls._unit
 
     @classmethod
     def gen(cls, i, x, e=1):
@@ -348,6 +351,12 @@ def _walk(cartan: CartanData, exps, basis: int, sign: int) -> list:
         e *= sign
         out += [(s + d, f * e) for d, f in table]
     return out
+
+
+def _i_chain(cartan: CartanData, i: int, x, k: int) -> AVector:
+    """prod_{m=0..k-1} A^-1_{i,x+m d_i}: k sites on x's lane, 2 d_i half steps apart."""
+    s, step = _site(i, x), 2 * cartan.d[i - 1] * _HALF
+    return AVector(tuple(range(s, s + k * step, step)), canonical=True)
 
 
 def expand_A_to_Psi(cartan: CartanData, i: int, x) -> PsiMonomial:

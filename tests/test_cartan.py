@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from yqchar.cartan import LieType, build_cartan
+from yqchar.cartan import CartanData, LieType, build_cartan
 
 ALL_RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
                  "C2", "C3", "C4", "D4", "F4", "G2"]
@@ -99,3 +99,30 @@ def test_every_legal_type_solves_the_bourbaki_symmetrizers():
         ct = build_cartan(LieType(s, r))
         assert (ct.c, ct.d) == _bourbaki(s, r), f"{s}{r}"
         assert all(type(di) is int for di in ct.d), f"{s}{r}"
+
+
+# Every node of A1-A8, B2-B8, C2-C8, D4-D8, E6-E8, F4 and G2.
+TABLED = ([f"A{r}" for r in range(1, 9)] + [f"{s}{r}" for s in "BC" for r in range(2, 9)]
+          + [f"D{r}" for r in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", TABLED)
+def test_per_type_tables_equal_their_definitions(name):
+    ct = build_cartan(LieType.parse(name))
+    for i in ct.nodes:
+        row = ct.c[i - 1]
+        nb = tuple((j, c, Fraction(c * ct.d[i - 1], 2)) for j, c in enumerate(row, 1) if c < 0)
+        assert ct.neighbours(i) == nb and ct.neighbours(i) is ct.neighbours(i)
+        assert all(type(dij) is Fraction for _, _, dij in ct.neighbours(i))
+        assert ct.di(i) == Fraction(ct.d[i - 1]) and type(ct.di(i)) is Fraction
+    assert hash(ct) == hash((ct.lie_type, ct.c, ct.d))
+    # equal data built apart is equal and hashes equal
+    twin = CartanData(ct.lie_type, ct.c, ct.d)
+    assert twin == ct and hash(twin) == hash(ct) and twin.neighbours(1) == ct.neighbours(1)
+
+
+def test_b2_and_c2_data_stay_apart():
+    b2, c2 = build_cartan(LieType.parse("B2")), build_cartan(LieType.parse("C2"))
+    assert b2 != c2 and len({b2, c2}) == 2
+    assert [b2.neighbours(i) for i in b2.nodes] != [c2.neighbours(i) for i in c2.nodes]
+    assert [b2.di(i) for i in b2.nodes] == [2, 1] and [c2.di(i) for i in c2.nodes] == [1, 2]

@@ -528,6 +528,39 @@ def test_node_sl2_chains_count_their_factors():
     assert fm_expand(A1, top, 2, EngineConfig(term_budget=14)).dimension() == 3
 
 
+def test_strings_refuse_an_exponent_at_most_zero():
+    # each input once looped forever: a string top below one is never deleted
+    s, step = monomials._site(1, 0), 2 * monomials._HALF
+    for positions in (((s, 1), (s + step, 0)), ((s, -1),)):
+        with pytest.raises(EngineError, match="^engine fault: "):
+            characters._strings(positions, 1)
+    assert characters._strings(((s, 2), (s + step, 1)), 1) == [(s, 2), (s, 1)]
+
+
+@pytest.mark.parametrize("k, t, budget, message", [
+    (5, 0, 14, "the chains of a node-sl2 string of length 5"),
+    (5, 0, 5, "a KR string of 6 factors"),        # a KR string is refused first
+    (3, 10, 12, "a KR string of 13 factors"),
+    (999999, 0, 10 ** 6, "the chains of a node-sl2 string of length 999999"),
+])
+def test_ses_refuses_its_first_strings_chains_before_any_top(monkeypatch, k, t, budget,
+                                                              message):
+    def built(*args):
+        raise AssertionError("a KR top or an expansion was built")
+    for name in ("kr_top_y", "_fm_expand", "_i_chain"):
+        monkeypatch.setattr(characters, name, built)
+    with pytest.raises(EngineError, match=f"^term budget {budget} exceeded by {message}$"):
+        demazure_char_via_ses(A1, 1, t, k, "1/3", 2, EngineConfig(term_budget=budget))
+
+
+def test_ses_chain_refusal_is_the_first_expansions():
+    # at budget 15 the chains of W_5's string fit, and W_6's are refused in
+    # its own expansion, as they were before the parameter check
+    with pytest.raises(EngineError, match="^term budget 15 exceeded by the chains of a "
+                                          "node-sl2 string of length 6$"):
+        demazure_char_via_ses(A1, 1, 0, 5, "1/3", None, EngineConfig(term_budget=15))
+
+
 def test_kr_top_y_refuses_a_string_above_the_budget():
     assert kr_top_y(A1, 1, 10, 0, EngineConfig(term_budget=10)) == \
         YMonomial(tuple(((1, Fraction(2 * m + 1, 2)), 1) for m in range(10)))

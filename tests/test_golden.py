@@ -484,6 +484,11 @@ GOLDEN = [
     # Route R2's kernel string of k + 2 factors is one over the default budget:
     # refused before route R1 expands the 10^6-factor m-weight.
     (_v("tq", "A2", 1, "--k", "999999", "--height", "2"), 3, "218b918fffc8eb73"),
+    # k-site i-chains at the edge of the budget: a kernel whose first node-sl2
+    # string has about k^2/2 chains, refused before its KR tops are built, and a
+    # Demazure weight of 10^5 roots.
+    (_dz("A1", 1, 999999, 0, 1), 3, "2bf411b727da778a"),
+    (_v("factorization", "A2", 1, "--k", "100000"), 0, "da42d8597905a3bc"),
 ]
 
 

@@ -8,11 +8,12 @@ from hypothesis import given, strategies as st
 from yqchar.cartan import LieType, Weight, build_cartan
 from yqchar.coords import Coord, coord
 from yqchar.monomials import (
-    _HALF, _LANE, AVector, PsiMonomial, YMonomial, _print_plan, _print_rows, _remove, _site,
+    _HALF, _LANE, AVector, PsiMonomial, YMonomial, _i_chain, _print_plan, _print_rows, _remove, _site,
     _site_order, _translate, _unsite, avector_to_psi, avector_to_y, expand_A_to_Psi,
     is_dominant, output_order, psi_to_y,
     weight_projection, y_to_psi,
 )
+from yqchar.identities import MultiplicativeMonomial
 from yqchar.textio import MonomialSyntaxError, format_monomial, parse_monomial
 
 ALL_RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
@@ -39,6 +40,23 @@ def test_types_do_not_mix():
     with pytest.raises(TypeError):
         PsiMonomial.gen(1, 0) * YMonomial.gen(1, 0)
     assert PsiMonomial.unit() != YMonomial.unit()
+
+
+@pytest.mark.parametrize("cls", [PsiMonomial, YMonomial, AVector, MultiplicativeMonomial])
+def test_unit_is_one_instance_per_class(cls):
+    assert cls.unit() is cls.unit()
+    assert cls.unit() == cls() and type(cls.unit()) is cls and cls.unit().is_unit()
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C3", "G2"])
+@pytest.mark.parametrize("x", [0, Fraction(-7, 3), Fraction(1, 2), "x", "k-5/4"])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_i_chain_equals_the_coord_built_chain(name, x, k):
+    ct = build_cartan(LieType.parse(name))
+    x = coord(x)
+    for i in ct.nodes:
+        ref = AVector(tuple(((i, x + m * ct.di(i)), 1) for m in range(k)))
+        assert _i_chain(ct, i, x, k) == ref
 
 
 def test_immutability():
