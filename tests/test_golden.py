@@ -489,6 +489,12 @@ GOLDEN = [
     # Demazure weight of 10^5 roots.
     (_dz("A1", 1, 999999, 0, 1), 3, "2bf411b727da778a"),
     (_v("factorization", "A2", 1, "--k", "100000"), 0, "da42d8597905a3bc"),
+    # Refusals that the parameters alone decide: route R2's first node-sl2
+    # string of k(k+1)/2 chains, the kernel's in a support scan, and a KR
+    # string one factor over the budget.
+    (_v("tq", "A2", 1, "--k", "500000", "--height", "2"), 3, "3f5404b825184b13"),
+    (_v("demazure-support", "A2", 1, "--k", "2000", "--height", "2"), 3, "c4c0fa63248fed29"),
+    (_v("kr-skeleton", "A2", 1, "--k", "1000001"), 3, "218b918fffc8eb73"),
 ]
 
 
