@@ -316,14 +316,15 @@ def kr_top_y(cartan: CartanData, i: int, k: int, x,
              config: EngineConfig = DEFAULT_CONFIG) -> YMonomial:
     """The same weight as the Y-string Y_{i,x+d_i/2} ... Y_{i,x+(k-1/2)d_i};
     a string of more than ``term_budget`` factors is refused before it is built."""
-    _check_budget(k, config, f"a KR string of {k} factors")
+    _check_budget(config, (k, f"a KR string of {k} factors"))
     return _engine_y(cartan, kr_weight(cartan, i, k, x))
 
 
-def _check_budget(n: int, config: EngineConfig, what: str):
-    """Refuse ``what``, of size ``n``, when it exceeds ``term_budget``."""
-    if n > config.term_budget:
-        raise EngineError(f"term budget {config.term_budget} exceeded by {what}")
+def _check_budget(config: EngineConfig, *sizes):
+    """Refuse the first (n, what) of a route's ``sizes`` with n over ``term_budget``."""
+    for n, what in sizes:
+        if n > config.term_budget:
+            raise EngineError(f"term budget {config.term_budget} exceeded by {what}")
 
 
 def _engine_y(cartan: CartanData, weight: PsiMonomial) -> YMonomial:
@@ -345,7 +346,7 @@ def demazure_weight(cartan: CartanData, i: int, t: int, k: int, x,
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
-    _check_budget(k, config, f"{k} Demazure roots")
+    _check_budget(config, (k, f"{k} Demazure roots"))
     x = coord(x)
     di = cartan.di(i)
     out = kr_weight(cartan, i, k, x - (k + 1) * di) * kr_weight(cartan, i, k + t, x - k * di)
@@ -729,17 +730,19 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
                           lambda: _demazure_char_via_ses(cartan, i, t, k, x, bound, config))
 
 
+def _ses_sizes(k: int, t: int) -> list:
+    """The SES route's sizes: its four KR strings, as kr_top_y counts them, then the
+    chains of the first pop, W_{k,x0}'s node-i string of length k under a cap >= k."""
+    return [*((n, f"a KR string of {n} factors") for n in (k, k + t, k - 1, k + t + 1)),
+            (k * (k + 1) // 2, f"the chains of a node-sl2 string of length {k}")]
+
+
 def _demazure_char_via_ses(cartan, i, t, k, x, bound, config):
     di = cartan.di(i)
     x0 = x - (k + 1) * di
-    # Refused before any top is built: the four KR strings, as kr_top_y does, then the
-    # chains of the first pop, W_{k,x0}'s node-i string of length k under a cap >= k.
-    lengths = (k, k + t, k - 1, k + t + 1)
-    for kk in lengths:
-        _check_budget(kk, config, f"a KR string of {kk} factors")
-    _check_budget(k * (k + 1) // 2, config, f"the chains of a node-sl2 string of length {k}")
-    tops = [kr_top_y(cartan, i, kk, base, config)
-            for kk, base in zip(lengths, (x0, x0 + di, x0 + di, x0))]
+    _check_budget(config, *(sizes := _ses_sizes(k, t)))
+    tops = [kr_top_y(cartan, i, n, base, config)
+            for (n, _), base in zip(sizes, (x0, x0 + di, x0 + di, x0))]
     # the kernel top is w * prod_{m=1..k} A_{i,x0+m d_i}^-1
     v0 = _i_chain(cartan, i, x0 + di, k)
     a, b, c, d = (_fm_expand(cartan, top, bound, config, 0, None if bound is None else v0)

@@ -16,10 +16,10 @@ from .monomials import (
     AVector, PsiMonomial, _ExpMap, _site, expand_A_to_Psi, output_order,
 )
 from .characters import (
-    DEFAULT_CONFIG, EngineConfig, EngineError, Report,
-    TruncatedCharacter, _check_budget, _engine_y, _n_bases, asymptotic_char, char_mul,
-    compare_characters, demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
-    kr_top_y, m_weight, n_weight, stabilize,
+    DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter, _check_budget,
+    _engine_y, _n_bases, _ses_sizes, asymptotic_char, char_mul, compare_characters,
+    demazure_char_via_ses, demazure_weight, divide_series, fm_expand, kr_top_y, m_weight,
+    n_weight, stabilize,
 )
 from .textio import format_monomial
 
@@ -161,14 +161,14 @@ def tq_lhs_direct(cartan: CartanData, i: int, k: int, x, bound: int,
                   config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
     """Route R1: expand the m-weight directly (k must make it dominant)."""
     _check_realizable(cartan, i, k)
-    _check_m_weight(cartan, i, k, config)
+    _check_budget(config, _m_weight_size(cartan, i, k))
     return fm_expand(cartan, _engine_y(cartan, m_weight(cartan, i, k, x)), bound, config)
 
 
-def _check_m_weight(cartan: CartanData, i: int, k: int, config: EngineConfig):
-    """The m-weight's Y-form, 1 + sum_j k d_i / d_j factors, must fit in ``term_budget``."""
+def _m_weight_size(cartan: CartanData, i: int, k: int) -> tuple:
+    """Route R1's size: the m-weight's Y-form, 1 + sum_j k d_i / d_j factors."""
     n = 1 + sum(k * cartan.d[i - 1] // cartan.d[j - 1] for j, _, _ in cartan.neighbours(i))
-    _check_budget(n, config, f"{n} m-weight Y factors")
+    return n, f"{n} m-weight Y factors"
 
 
 def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
@@ -239,14 +239,10 @@ def verify_tq(cartan: CartanData, i: int, k: int, x, bound: int,
     """
     x = coord(x)
     _check_realizable(cartan, i, k, bound)
-    # Before any expansion, what the routes refuse from the parameters alone, in
-    # their order: the RHS's stabilized KR strings of length N, R1's m-weight,
-    # R2's kernel strings (its n-weight strings, k d_i / d_j < k long, then fit).
-    if cartan.neighbours(i):
-        _check_budget(bound, config, f"a KR string of {bound} factors")
-    _check_m_weight(cartan, i, k, config)
-    for n in (k, k + 1, k - 1, k + 2):
-        _check_budget(n, config, f"a KR string of {n} factors")
+    # Each route's sizes, in the routes' order, before any runs: the RHS's stabilized KR
+    # strings of length N, R1's m-weight, R2's SES kernel (its n-weight strings are <= k).
+    rhs_size = [(bound, f"a KR string of {bound} factors")] if cartan.neighbours(i) else []
+    _check_budget(config, *rhs_size, _m_weight_size(cartan, i, k), *_ses_sizes(k, 1))
     rhs = tq_rhs(cartan, i, k, x, bound, config)
     r1 = tq_lhs_direct(cartan, i, k, x, bound, config)
     r2 = tq_lhs_division(cartan, i, k, x, bound, config)

@@ -121,8 +121,8 @@ def _shape(kind: str, k, x, n_max: int, M: int | None, config: EngineConfig) -> 
     else:
         raise ValueError(f"unknown module kind {kind!r}")
     pm_modes, xi_modes = n_max + 2, max(2 * n_max, n_max + 1) + 1
-    _check_budget(dim * (2 * pm_modes + xi_modes), config, f"a {kind} module of dimension "
-                  f"{dim} with {pm_modes} raising/lowering and {xi_modes} Cartan modes")
+    _check_budget(config, (dim * (2 * pm_modes + xi_modes), f"a {kind} module of dimension "
+                           f"{dim} with {pm_modes} raising/lowering and {xi_modes} Cartan modes"))
     D = lcm(x.denominator, k.denominator)
     return k, x, dim, pm_modes, xi_modes, D, _lift(x, D), _lift(k, D)
 
@@ -194,8 +194,8 @@ def check_relations(mod: Sl2Module, config: EngineConfig = DEFAULT_CONFIG) -> Re
     ``config.term_budget``; a larger check raises EngineError before it starts.
     """
     n_max, dim, D = mod.mode_bound, mod.dim, mod.den
-    _check_budget(relation_instances(n_max) * dim, config,
-                  f"{relation_instances(n_max)} relation instances on dimension {dim}")
+    _check_budget(config, (relation_instances(n_max) * dim,
+                           f"{relation_instances(n_max)} relation instances on dimension {dim}"))
     stop = len(mod.safe_columns)
     failures, checked = [], 0
     # Column c sits at index c + 1 between two zeros: c - 1 and c + 1 read 0 past the basis.

@@ -59,7 +59,8 @@ def test_a_k_beyond_the_budget_is_refused_before_it_is_built(name):
 
 # verify_tq refuses from its parameters before any route runs, with the message
 # of the first route that would refuse: the RHS's stabilized strings of length
-# N, R1's m-weight Y factors, then R2's kernel strings k, k + 1, k - 1, k + 2.
+# N, R1's m-weight Y factors, then R2's kernel strings k, k + 1, k - 1, k + 2
+# and the k(k+1)/2 chains of its first node-sl2 string.
 @pytest.mark.parametrize("ct, k, N, budget, message", [
     (A2, 7, 7, 6, "a KR string of 7 factors"),
     (A2, 5, 2, 5, "6 m-weight Y factors"),
@@ -67,6 +68,7 @@ def test_a_k_beyond_the_budget_is_refused_before_it_is_built(name):
     (A2, 999999, 2, 10 ** 6, "a KR string of 1000001 factors"),
     (G2, 3, 1, 4, "a KR string of 5 factors"),
     (A1, 6, 3, 7, "a KR string of 8 factors"),
+    (A2, 9, 2, 44, "the chains of a node-sl2 string of length 9"),
 ])
 def test_tq_refuses_its_parameters_before_any_route(monkeypatch, ct, k, N, budget, message):
     def route(*args):
