@@ -495,6 +495,14 @@ GOLDEN = [
     (_v("tq", "A2", 1, "--k", "500000", "--height", "2"), 3, "3f5404b825184b13"),
     (_v("demazure-support", "A2", 1, "--k", "2000", "--height", "2"), 3, "c4c0fa63248fed29"),
     (_v("kr-skeleton", "A2", 1, "--k", "1000001"), 3, "218b918fffc8eb73"),
+    # The SES route's fourth KR top, W_{k+t+1}, meets a node-sl2 string of
+    # length 1414, whose 1,000,405 chains exceed the default budget, while the
+    # first three tops' strings fit: in a Demazure character, a T-system
+    # check, a support scan and route R2 of a TQ check.
+    (_dz("A1", 1, 1413, 0, 1), 3, "4679b77cbf951ed7"),
+    (_v("tsystem", "A1", 1, "--k", "1413", "--t", "0"), 3, "4679b77cbf951ed7"),
+    (_v("demazure-support", "A1", 1, "--k", "1413", "--height", "1"), 3, "4679b77cbf951ed7"),
+    (_v("tq", "A1", 1, "--k", "1413", "--height", "1"), 3, "4679b77cbf951ed7"),
 ]
 
 
