@@ -450,6 +450,11 @@ def _strings(positions, d: int):
     return out
 
 
+def _chains(m: int) -> tuple:
+    """The (n, what) row of a node-sl2 string of length m: its m(m+1)/2 chains."""
+    return m * (m + 1) // 2, f"the chains of a node-sl2 string of length {m}"
+
+
 @lru_cache(maxsize=_SL2_CACHE_SIZE)
 def _sl2_node_expansion(positions: tuple, d: int, cap: int | None, budget: int) -> tuple:
     """sl2 character of an i-dominant string content as ledger chains.
@@ -464,9 +469,8 @@ def _sl2_node_expansion(positions: tuple, d: int, cap: int | None, budget: int) 
     step = 2 * d * _HALF
     for bottom, length in _strings(positions, d):
         lmax = length if cap is None else min(length, cap)
-        if lmax * (lmax + 1) // 2 > budget:
-            raise EngineError(f"term budget {budget} exceeded by the chains of a "
-                              f"node-sl2 string of length {lmax}")
+        if (row := _chains(lmax))[0] > budget:
+            raise EngineError(f"term budget {budget} exceeded by {row[1]}")
         # chain l of the string at bottom b is A_{b-d/2} ... A_{b+(l-3/2)d}
         base = bottom - d * _HALF
         string_chains = [(tuple(range(base, base + l * step, step)), 1)
@@ -730,17 +734,18 @@ def demazure_char_via_ses(cartan: CartanData, i: int, t: int, k: int, x,
                           lambda: _demazure_char_via_ses(cartan, i, t, k, x, bound, config))
 
 
-def _ses_sizes(k: int, t: int) -> list:
-    """The SES route's sizes: its four KR strings, as kr_top_y counts them, then the
-    chains of the first pop, W_{k,x0}'s node-i string of length k under a cap >= k."""
-    return [*((n, f"a KR string of {n} factors") for n in (k, k + t, k - 1, k + t + 1)),
-            (k * (k + 1) // 2, f"the chains of a node-sl2 string of length {k}")]
+def _ses_sizes(k: int, t: int, bound: int | None) -> list:
+    """The SES route's four KR strings, as kr_top_y counts them, then the chains each
+    meets at its first pop: its node-i string, under a bounded expansion's cap bound + k."""
+    lengths = (k, k + t, k - 1, k + t + 1)
+    return [*((n, f"a KR string of {n} factors") for n in lengths),
+            *(_chains(n if bound is None else min(n, bound + k)) for n in lengths)]
 
 
 def _demazure_char_via_ses(cartan, i, t, k, x, bound, config):
     di = cartan.di(i)
     x0 = x - (k + 1) * di
-    _check_budget(config, *(sizes := _ses_sizes(k, t)))
+    _check_budget(config, *(sizes := _ses_sizes(k, t, bound)))
     tops = [kr_top_y(cartan, i, n, base, config)
             for (n, _), base in zip(sizes, (x0, x0 + di, x0 + di, x0))]
     # the kernel top is w * prod_{m=1..k} A_{i,x0+m d_i}^-1

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .cartan import CartanData, LieType, build_cartan
 from .coords import coord, narrow
 from .monomials import (
-    AVector, PsiMonomial, _ExpMap, _site, expand_A_to_Psi, output_order,
+    AVector, PsiMonomial, _ExpMap, _i_chain, _site, expand_A_to_Psi, output_order,
 )
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter, _check_budget,
@@ -242,7 +242,7 @@ def verify_tq(cartan: CartanData, i: int, k: int, x, bound: int,
     # Each route's sizes, in the routes' order, before any runs: the RHS's stabilized KR
     # strings of length N, R1's m-weight, R2's SES kernel (its n-weight strings are <= k).
     rhs_size = [(bound, f"a KR string of {bound} factors")] if cartan.neighbours(i) else []
-    _check_budget(config, *rhs_size, _m_weight_size(cartan, i, k), *_ses_sizes(k, 1))
+    _check_budget(config, *rhs_size, _m_weight_size(cartan, i, k), *_ses_sizes(k, 1, bound))
     rhs = tq_rhs(cartan, i, k, x, bound, config)
     r1 = tq_lhs_direct(cartan, i, k, x, bound, config)
     r2 = tq_lhs_division(cartan, i, k, x, bound, config)
@@ -324,9 +324,8 @@ def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
     """Structure of KR l-weights: the multiplicity-one i-chain, and every
     other term divisible by A^-1_{i,x} times an allowed off-node factor."""
     x = coord(x)
-    di = cartan.di(i)
     char = fm_expand(cartan, kr_top_y(cartan, i, k, x, config), bound, config)
-    chain = [_site(i, x + m * di) for m in range(k)]
+    chain = _i_chain(cartan, i, x, k).sites
     chains = {tuple(chain[:l + 1]) for l in range(k)}
     lead = _site(i, x)
     off = [(v, c) for v, c in char.terms if v.sites not in chains]

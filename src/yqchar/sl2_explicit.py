@@ -33,7 +33,7 @@ from math import lcm
 from operator import mul
 
 from .cartan import LieType, build_cartan
-from .monomials import _HALF, AVector, PsiMonomial, _site, expand_A_to_Psi
+from .monomials import AVector, PsiMonomial, _i_chain, _site, expand_A_to_Psi
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, Report, TruncatedCharacter, _check_budget,
     char_add, char_mul, compare_characters,
@@ -284,7 +284,7 @@ def extract_qchar(kind: str, k, x, n_max: int = 3, M: int | None = None,
         if S != col:
             raise ValueError(f"eigenvalue series of v_{i} does not match its ledger chain")
     # the sites of x, x+1, ...: x + i is 2i half steps up x's lane, so always sorted
-    chain = range(s0, s0 + 2 * _HALF * dim, 2 * _HALF)
+    chain = _i_chain(_SL2, 1, x, dim).sites
     terms = {AVector(tuple(chain[:i]), canonical=True): 1 for i in range(dim)}
     return TruncatedCharacter.make(top, terms, None if kind == "finite" else dim - 1)
 

@@ -4,6 +4,7 @@ alone decide is stated once, beside the route, and refused through
 import ast
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 
@@ -17,6 +18,7 @@ import yqchar.identities as identities
 import yqchar.sl2_explicit as sl2_explicit
 from yqchar.cartan import LieType, build_cartan
 from yqchar.characters import EngineConfig, EngineError, _check_budget
+from yqchar.coords import coord
 from yqchar.identities import KINDS
 
 SRC = pathlib.Path(yqchar.__file__).parent
@@ -75,7 +77,64 @@ def test_tq_refuses_r2s_chains_before_any_expansion():
     assert seen == {"expansions": 0, "refused": True}
 
 
-# -- a sweep over every identity kind at a small term budget -----------------
+# The SES route's fourth KR top, W_{k+t+1}, meets a string of length 1414
+# (1,000,405 chains) while the first three tops' strings fit: at A1 k = 1413
+# through every caller of the route, and at A2 k = 1412 N = 2 (the cap
+# N + k = 1414), where route R1's expansion would outgrow the budget first.
+SES_CHAINS = ("engine error: term budget 1000000 exceeded by the chains of a node-sl2 "
+              "string of length 1414\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "qchar demazure --type A1 --node 1 --k 1413 --t 0 --height 1",
+    "verify tsystem --type A1 --node 1 --k 1413 --t 0",
+    "verify demazure-support --type A1 --node 1 --k 1413 --height 1",
+    "verify tq --type A1 --node 1 --k 1413 --height 1",
+    "verify tq --type A2 --node 1 --k 1412 --height 2",
+])
+def test_every_ses_tops_chains_are_refused_before_any_expansion(argv):
+    with _watched() as seen:
+        assert _run(argv.split()) == (3, "", SES_CHAINS)
+    assert seen == {"expansions": 0, "refused": True}
+
+
+class _Stop(Exception):
+    """Ends a spied expansion, or the SES route, once what it met is recorded."""
+
+
+@pytest.mark.parametrize("lie_type", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"])
+def test_the_ses_admission_states_the_chains_each_first_pop_meets(lie_type):
+    """``_ses_sizes``' chain rows are ``_chains`` of the (length, cap) that the four
+    expansions' first pops hand ``_sl2_node_expansion``; a length-0 top meets none."""
+    cartan = build_cartan(LieType.parse(lie_type))
+    expand, met = characters._fm_expand, []
+
+    def first_pop(positions, d, cap, budget):
+        (_, length), = characters._strings(positions, d)    # a KR top is one string
+        met[-1] = length if cap is None else min(length, cap)
+        raise _Stop
+
+    def stopped(*args):
+        met.append(0)
+        with contextlib.suppress(_Stop):
+            expand(*args)
+        if len(met) == 4:
+            raise _Stop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "_sl2_node_expansion", first_pop)
+        mp.setattr(characters, "_fm_expand", stopped)
+        for i in cartan.nodes:
+            for k, t, bound in itertools.product(range(1, 7), range(3), (None, 1, 2, 3, 4)):
+                met.clear()
+                with pytest.raises(_Stop):
+                    characters._demazure_char_via_ses(cartan, i, t, k, coord(0), bound,
+                                                      characters.DEFAULT_CONFIG)
+                assert (characters._ses_sizes(k, t, bound)[4:]
+                        == list(map(characters._chains, met))), (i, k, t, bound, met)
+
+
+# -- a sweep over every identity kind and qchar demazure at a small budget ---
 
 TYPES = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4")
 _COORD = st.sampled_from(("0", "1/2", "-3/2", "x", "x+1"))
@@ -83,14 +142,21 @@ _VALUES = {"k": st.integers(1, 40), "t": st.integers(0, 3), "N": st.integers(1, 
            **dict.fromkeys("xyab", _COORD)}
 
 
+# A leaf and its fields: every ``KINDS`` row, and ``qchar demazure``.
+_LEAVES = {("verify", kind.replace("_", "-")): fields for kind, fields in KINDS.items()}
+_LEAVES["qchar", "demazure"] = ("k", "t", "x", "N")
+
+
 @st.composite
 def _jobs(draw):
-    """A ``verify <kind>`` argv of every ``KINDS`` row, and a term budget."""
-    kind = draw(st.sampled_from(sorted(KINDS)))
+    """An argv of every leaf in ``_LEAVES``, and a term budget; a Demazure
+    character may leave out its height (the complete character)."""
+    leaf = draw(st.sampled_from(sorted(_LEAVES)))
     lie_type = draw(st.sampled_from(TYPES))
     node = draw(st.integers(1, build_cartan(LieType.parse(lie_type)).rank))
-    argv = ["verify", kind.replace("_", "-"), "--type", lie_type, "--node", str(node)]
-    argv += [f"--{'height' if f == 'N' else f}={draw(_VALUES[f])}" for f in KINDS[kind]]
+    fields = _LEAVES[leaf][:3 if leaf[0] == "qchar" and draw(st.booleans()) else None]
+    argv = [*leaf, "--type", lie_type, "--node", str(node)]
+    argv += [f"--{'height' if f == 'N' else f}={draw(_VALUES[f])}" for f in fields]
     return argv, draw(st.integers(20, 2000))
 
 
@@ -121,9 +187,10 @@ def test_a_parameter_refusal_precedes_every_expansion(budget_dir, job):
 ADMITTED = {
     ("characters", "kr_top_y"): "(k, f'a KR string of {k} factors')",
     ("characters", "demazure_weight"): "(k, f'{k} Demazure roots')",
-    ("characters", "_demazure_char_via_ses"): "*(sizes := _ses_sizes(k, t))",
+    ("characters", "_demazure_char_via_ses"): "*(sizes := _ses_sizes(k, t, bound))",
     ("identities", "tq_lhs_direct"): "_m_weight_size(cartan, i, k)",
-    ("identities", "verify_tq"): "*rhs_size, _m_weight_size(cartan, i, k), *_ses_sizes(k, 1)",
+    ("identities", "verify_tq"):
+        "*rhs_size, _m_weight_size(cartan, i, k), *_ses_sizes(k, 1, bound)",
     ("sl2_explicit", "_shape"):
         "(dim * (2 * pm_modes + xi_modes), f'a {kind} module of dimension {dim} with "
         "{pm_modes} raising/lowering and {xi_modes} Cartan modes')",
