@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .cartan import CartanData
+from .cartan import CartanData, _frozen
 from .coords import Coord, coord
 from .monomials import (
     _HALF, _LANE, _LANES, AVector, PsiMonomial, YMonomial, _by_node, _i_chain, _print_plan,
@@ -40,9 +39,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_frozen
 class EngineConfig:
     term_budget: int = 1_000_000
+
+    def __init__(self, term_budget: int = term_budget):
+        if type(term_budget) is not int or term_budget < 1:
+            raise ValueError(f"term_budget must be an integer of at least 1, got {term_budget!r}")
+        object.__setattr__(self, "term_budget", term_budget)
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -64,7 +68,7 @@ def _min_bound(a, b):
     return min(a, b)
 
 
-@dataclass(frozen=True)
+@_frozen
 class TruncatedCharacter:
     """Normalized character: top l-weight and A-ledger, valid up to a height bound.
 
@@ -75,6 +79,11 @@ class TruncatedCharacter:
     terms: tuple                  # (AVector, positive int), in (height, sites) order
     height_bound: int | None
     _anchor = None                # a translate's anchored character, moved by _t
+
+    def __init__(self, top: PsiMonomial, terms: tuple, height_bound: int | None):
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "height_bound", height_bound)
 
     def __getattr__(self, name):                # a translate's first read of terms
         anchor = self._anchor
@@ -136,14 +145,20 @@ class TruncatedCharacter:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Report:
     """Outcome of a check: its verdict, JSON members and text lines; the
     first text line is ``verdict: pass|fail`` followed by ``tally``."""
     verdict: bool
     fields: dict
-    lines: tuple = ()
-    tally: str = ""
+    lines: tuple
+    tally: str
+
+    def __init__(self, verdict: bool, fields: dict, lines: tuple = (), tally: str = ""):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "tally", tally)
 
     @property
     def checked(self) -> int:

@@ -12,9 +12,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 
-from .cartan import LieType, build_cartan
+from .cartan import LieType, _frozen, build_cartan
 from .coords import coord, narrow
 from .characters import (
     EngineConfig, EngineError, Report, asymptotic_char, demazure_char_via_ses,
@@ -27,9 +26,10 @@ from .sl2_explicit import build_module, check_relations, extract_qchar, verify_s
 from .textio import format_monomial, parse_monomial
 
 __all__ = ["main", "dispatch", "CliConfig"]
+_FORMATS = ("text", "json")     # --format's choices, and a config file's output_format's
 
 
-@dataclass(frozen=True)
+@_frozen
 class CliConfig:
     default_height_bound: int = IdentitySpec.N
     term_budget: int = EngineConfig.term_budget
@@ -39,7 +39,7 @@ class CliConfig:
         for name in ("default_height_bound", "term_budget"):
             if (value := getattr(self, name)) < 1:
                 raise ValueError(f"config field {name} must be at least 1, got {value}")
-        if self.output_format not in ("text", "json"):
+        if self.output_format not in _FORMATS:
             raise ValueError("output_format must be 'text' or 'json'")
 
     def engine(self) -> EngineConfig:
@@ -64,8 +64,9 @@ def _read_json(path: str, what: str):
 def _load_config(path: str | None, fmt: str | None) -> CliConfig:
     fields = json_object(_read_json(path, "config file"), "a config file", "config",
                          _CONFIG_TYPES) if path else {}
-    cfg = CliConfig(**fields)
-    return replace(cfg, output_format=fmt) if fmt else cfg
+    if fmt and fields.get("output_format", fmt) in _FORMATS:  # else the file's is refused
+        fields = fields | {"output_format": fmt}
+    return CliConfig(**fields)
 
 
 @functools.cache
@@ -96,7 +97,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
         p, names = group.add_parser(name, help=help), names.split()
         for f, kw in ({f: table[f] for f in names} | own).items():
             p.add_argument("--height" if f == "N" else f"--{f}", **kw)
-        p.add_argument("--format", choices=("text", "json"), default=None)
+        p.add_argument("--format", choices=_FORMATS, default=None)
         p.add_argument("--config", default=None, help="JSON CliConfig file")
         leaves[path := tuple(p.prog.split()[1:])] = p
         p.set_defaults(run=run, height=None, **dict(zip(("command", "what"), path)))

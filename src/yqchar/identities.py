@@ -7,10 +7,9 @@ Also houses the additive-to-multiplicative convention translation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import CartanData, LieType, build_cartan
+from .cartan import CartanData, LieType, _frozen, build_cartan
 from .coords import coord, narrow
 from .monomials import (
     AVector, PsiMonomial, _ExpMap, _i_chain, _site, expand_A_to_Psi, output_order,
@@ -42,7 +41,7 @@ KINDS = {"tsystem": ("k", "t"), "tq": ("k", "x", "N"), "two_term": ("a", "b", "x
          "demazure_support": ("k", "x", "N"), "m_support": ("k", "x", "N")}
 
 
-@dataclass(frozen=True)
+@_frozen
 class IdentitySpec:
     """One verifiable identity instance; drives suite runs."""
     kind: str

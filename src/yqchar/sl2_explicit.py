@@ -27,12 +27,11 @@ the engine's A_1 row read off its sites (two int recurrences of exactly dim step
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .cartan import LieType, build_cartan
+from .cartan import LieType, _frozen, build_cartan
 from .monomials import AVector, PsiMonomial, _i_chain, _site, expand_A_to_Psi
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, Report, TruncatedCharacter, _check_budget,
@@ -87,7 +86,7 @@ def _xi_series(X: int, K: int, D: int, dim: int, order: int):
 # Modules.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class Sl2Module:
     kind: str                 # "finite" | "truncated"
     k: Fraction

@@ -86,6 +86,15 @@ def test_construction_refusals(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("budget", [0, -3, "7", True, 2.0, None])
+def test_engine_config_refuses_a_budget_that_is_not_a_positive_int(budget):
+    with pytest.raises(ValueError) as info:
+        EngineConfig(budget)
+    assert str(info.value) == \
+        f"term_budget must be an integer of at least 1, got {budget!r}"
+    assert EngineConfig(1).term_budget == 1
+
+
 def test_identity_spec_k_defaults_to_the_tq_regime():
     assert IdentitySpec(kind="tq", lie_type="B2", i=2).k == 6
     assert IdentitySpec(kind="tq", lie_type="B2", i=2, N=4).k == 8

@@ -1,5 +1,4 @@
 """Explicit rank-one matrix modules: relations, extraction, three-term sum."""
-import dataclasses
 import io
 import sys
 import tracemalloc
@@ -21,7 +20,7 @@ from yqchar.characters import (
 from yqchar.coords import Coord
 from yqchar.monomials import AVector, PsiMonomial, _site, expand_A_to_Psi
 from yqchar.sl2_explicit import (
-    build_module, check_relations, extract_qchar, relation_instances, relation_report,
+    Sl2Module, build_module, check_relations, extract_qchar, relation_instances, relation_report,
     three_term_sides, verify_sl2_three_term,
 )
 
@@ -124,8 +123,8 @@ def _bump(mod, family, n, i, delta):
     p, q = Fraction(delta).as_integer_ratio()
     scaled = {f: [[v * q for v in b] for b in getattr(mod, f)] for f in ("xp", "xm", "xi")}
     scaled[family][n][i] += p * mod.den
-    return dataclasses.replace(mod, den=mod.den * q,
-                               **{f: tuple(map(tuple, b)) for f, b in scaled.items()})
+    return Sl2Module(**(vars(mod) | {"den": mod.den * q,
+                                     **{f: tuple(map(tuple, b)) for f, b in scaled.items()}}))
 
 
 @st.composite

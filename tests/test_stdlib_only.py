@@ -1,9 +1,13 @@
-"""The runtime imports the standard library and yqchar itself, nothing else."""
+"""The runtime imports the standard library and yqchar itself, nothing else,
+and starting the CLI loads neither ``dataclasses`` nor ``inspect``."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "yqchar").glob("*.py"))
+SRC = Path(__file__).parents[1] / "src"
+SOURCES = sorted((SRC / "yqchar").glob("*.py"))
 
 
 def imported_modules(path: Path):
@@ -19,3 +23,19 @@ def test_every_import_is_stdlib_or_yqchar():
     foreign = {(path.name, name) for path in SOURCES for name in imported_modules(path)
                if name.split(".")[0] not in sys.stdlib_module_names | {"yqchar"}}
     assert not foreign, sorted(foreign)
+
+
+def _loaded_after(code: str) -> set:
+    """The modules a fresh interpreter holds after running ``code``."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                         env=os.environ | {"PYTHONPATH": path}, capture_output=True, text=True,
+                         check=True, timeout=60)
+    return set(run.stdout.split())
+
+
+def test_starting_the_cli_loads_no_dataclasses_or_inspect():
+    # against a bare interpreter: site loads modules that depend on the environment
+    added = _loaded_after("import yqchar.cli") - _loaded_after("pass")
+    assert "yqchar.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
