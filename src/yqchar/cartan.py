@@ -35,13 +35,12 @@ _CARTAN_CACHE_SIZE = 64
 
 
 def _frozen(cls):
-    """``cls`` as ``dataclass(frozen=True)`` makes it, with no generated code: that and
-    importing ``dataclasses`` cost each start about 13 ms on a 2-core box.  The fields are the
-    class's annotations, their defaults its attributes.  Adds value equality, a repr, a
-    refusal of every set and delete, and, unless ``cls`` has its own, a hash of the
-    fields and an ``__init__`` that takes them and then calls ``__post_init__``.  An
-    ``__init__`` sets each field with ``object.__setattr__``: a write to ``__dict__``
-    would make every later read of the instance's attributes slower."""
+    """``cls`` as ``dataclass(frozen=True)`` makes it, with no generated code: importing
+    ``dataclasses`` and running its code cost each start about 13 ms on a 2-core box.  The
+    fields are the class's annotations, their defaults its attributes.  An ``__init__`` or
+    ``__hash__`` of ``cls`` is kept: a record built several times a job has a plain, faster
+    ``__init__``.  Fields are set with ``object.__setattr__``; a ``__dict__`` write would
+    slow every later read of them."""
     names = tuple(cls.__annotations__)
     known, defaults = frozenset(names), {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     key, post_init = attrgetter(*names), getattr(cls, "__post_init__", lambda self: None)
@@ -76,17 +75,16 @@ class LieType:
     series: str
     rank: int
 
-    def __init__(self, series: str, rank: int):
-        if series not in _RANK_RANGE:
-            raise ValueError(f"unknown series {series!r} (expected one of A-G)")
-        lo, hi = _RANK_RANGE[series]
-        if not lo <= rank <= hi:
-            if series == "D" and rank == 3:
+    def __post_init__(self):
+        s = self.series
+        if s not in _RANK_RANGE:
+            raise ValueError(f"unknown series {s!r} (expected one of A-G)")
+        lo, hi = _RANK_RANGE[s]
+        if not lo <= self.rank <= hi:
+            if s == "D" and self.rank == 3:
                 raise ValueError("D3 is rejected; use the isomorphic A3")
-            raise ValueError(f"illegal rank {rank} for series {series} "
+            raise ValueError(f"illegal rank {self.rank} for series {s} "
                              f"(need rank in [{lo},{hi}])")
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "rank", rank)
 
     @staticmethod
     def parse(text: str) -> "LieType":

@@ -43,10 +43,9 @@ __all__ = [
 class EngineConfig:
     term_budget: int = 1_000_000
 
-    def __init__(self, term_budget: int = term_budget):
-        if type(term_budget) is not int or term_budget < 1:
-            raise ValueError(f"term_budget must be an integer of at least 1, got {term_budget!r}")
-        object.__setattr__(self, "term_budget", term_budget)
+    def __post_init__(self):
+        if type(budget := self.term_budget) is not int or budget < 1:
+            raise ValueError(f"term_budget must be an integer of at least 1, got {budget!r}")
 
 
 DEFAULT_CONFIG = EngineConfig()

@@ -44,12 +44,23 @@ def test_cartan_data_keeps_its_stored_hash():
     assert hash(B2) == hash((B2.lie_type, B2.c, B2.d))
 
 
-@pytest.mark.parametrize("record, field", [
+# One of each record, with one of its fields.
+_ONE_OF_EACH = [
     (LieType("A", 2), "rank"), (B2, "c"), (EngineConfig(), "term_budget"),
     (Weight((1,)), "coords"), (IdentitySpec("tq", "A1"), "k"), (CliConfig(), "output_format"),
     (Report(True, {}), "verdict"), (build_module("finite", 1, 0, n_max=0), "den"),
     (TruncatedCharacter.make(PsiMonomial.unit(), [(AVector.unit(), 1)], 0), "top"),
-])
+]
+
+
+@pytest.mark.parametrize("record", [r for r, _ in _ONE_OF_EACH], ids=lambda r: type(r).__name__)
+def test_a_record_holds_every_field_it_declares(record):
+    # equality, hashing and repr read the declared fields; a constructor must set them all
+    assert set(type(record).__annotations__) <= set(vars(record))
+    assert record == record and repr(record)
+
+
+@pytest.mark.parametrize("record, field", _ONE_OF_EACH)
 def test_a_record_field_cannot_be_set_or_deleted(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
