@@ -833,8 +833,36 @@ def _same_parse(argv):
     assert _parsed(cli._parse, argv) == _parsed(tree.parse_args, argv), argv
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_argv())
+# Words that _argv never draws: an empty value, a value to --check-tq, a
+# value of "--", abbreviated flags, -h, "--" and a stray word.
+_ODD = ("--x=", "--k=", "--check-tq=1", "--x=--", "--ty=A2", "--no", "--hei=2", "-h", "--",
+        "extra", "-1")
+
+
+@st.composite
+def _wide_argv(draw):
+    """An argv of _argv in more word forms: a flag given again with another
+    value, a value as the word after its flag (so a value word may start with
+    "-", as in --node -1), an odd word anywhere, a flag without a value at the
+    end."""
+    verb, words, suite = draw(_argv())
+    if words and draw(st.integers(0, 2)) == 0:
+        flag = draw(st.sampled_from(words)).partition("=")[0]
+        values = sum(_VALUES.get(flag, ((),)), ())
+        words.append(f"{flag}={draw(st.sampled_from(values))}" if values else flag)
+    argv = []
+    for word in words:
+        flag, eq, value = word.partition("=")
+        argv += [flag, value] if eq and draw(st.booleans()) else [word]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ODD)))
+    if draw(st.integers(0, 5)) == 0:
+        argv.append(draw(st.sampled_from(sorted(_VALUES))))
+    return verb, argv, suite
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_wide_argv())
 def test_the_leaf_parses_a_fuzzed_argv_as_the_tree_does(drawn):
     verb, flags, suite = drawn
     argv = [*verb, "--config", "budget.json", *flags]
@@ -864,6 +892,19 @@ def test_the_leaf_parses_a_fuzzed_argv_as_the_tree_does(drawn):
     ["qchar", "--help"],
     ["qchar", "kr", "--help=x"],
     ["qchar", "kr", "--type", "A2", "--node", "1", "--node", "2", "--format=yaml"],
+    ["qchar", "kr", "--type", "A2", "--node", " 3"],
+    ["qchar", "kr", "--type", "A2", "--node", "3_0"],
+    ["qchar", "kr", "--type", "A2", "--node", "-1"],
+    ["qchar", "kr", "--type", "A2", "--node=1", "--x", ""],
+    ["qchar", "kr", "--type", "A2", "--node=1", "--x=--"],
+    ["qchar", "kr", "--type", "A2", "--node=1", "--x", "--"],
+    ["qchar", "kr", "--type", "A2", "--node=1", "--x"],
+    ["qchar", "kr", "--type", "A2", "--node=x"],
+    ["qchar", "prefundamental", "--type", "A2", "--node=1", "--sign", "0"],
+    ["translate", "--to", "multiplicative", "--check-tq=1"],
+    ["translate", "--to", "multiplicative", "--check-tq", "yes"],
+    ["translate", "--to=multiplicative", "--check-tq", "--check-tq"],
+    ["verify", "suite", "a.json", "--format", "json"],
 ])
 def test_the_leaf_parses_an_edge_argv_as_the_tree_does(argv):
     _same_parse(argv)
