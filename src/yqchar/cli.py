@@ -37,8 +37,9 @@ class CliConfig:
 
     def __post_init__(self):
         for name in ("default_height_bound", "term_budget"):
-            if (value := getattr(self, name)) < 1:
-                raise ValueError(f"config field {name} must be at least 1, got {value}")
+            if type(value := getattr(self, name)) is not int or value < 1:
+                raise ValueError(f"config field {name} must be an integer of at least 1, "
+                                 f"got {value!r}")
         if self.output_format not in _FORMATS:
             raise ValueError("output_format must be 'text' or 'json'")
 

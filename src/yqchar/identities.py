@@ -58,8 +58,8 @@ class IdentitySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown identity kind {self.kind!r}")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
+        if type(self.N) is not int or self.N < 1:
+            raise ValueError(f"N must be an integer of at least 1, got {self.N!r}")
         if self.k is None:
             object.__setattr__(self, "k", 1 if self.kind != "tq" else tq_regime(
                 build_cartan(LieType.parse(self.lie_type)), self.i, self.N))

@@ -384,9 +384,10 @@ def test_config_with_unknown_field_is_a_usage_error(tmp_path, config, err):
 
 
 @pytest.mark.parametrize("config, err", [
-    ({"term_budget": 0}, "error: config field term_budget must be at least 1, got 0\n"),
+    ({"term_budget": 0},
+     "error: config field term_budget must be an integer of at least 1, got 0\n"),
     ({"default_height_bound": 0},
-     "error: config field default_height_bound must be at least 1, got 0\n"),
+     "error: config field default_height_bound must be an integer of at least 1, got 0\n"),
 ])
 def test_a_config_bound_below_one_is_refused_by_its_field(tmp_path, config, err):
     cfg = tmp_path / "cfg.json"

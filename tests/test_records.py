@@ -86,10 +86,11 @@ def test_defaults_and_keywords():
     (lambda: LieType("Z", 2), "unknown series 'Z' (expected one of A-G)"),
     (lambda: LieType("D", 3), "D3 is rejected; use the isomorphic A3"),
     (lambda: LieType("E", 5), "illegal rank 5 for series E (need rank in [6,8])"),
-    (lambda: CliConfig(term_budget=0), "config field term_budget must be at least 1, got 0"),
+    (lambda: CliConfig(term_budget=0),
+     "config field term_budget must be an integer of at least 1, got 0"),
     (lambda: CliConfig(output_format="xml"), "output_format must be 'text' or 'json'"),
     (lambda: IdentitySpec(kind="nope", lie_type="A1"), "unknown identity kind 'nope'"),
-    (lambda: IdentitySpec(kind="tq", lie_type="A1", N=0), "N must be >= 1"),
+    (lambda: IdentitySpec(kind="tq", lie_type="A1", N=0), "N must be an integer of at least 1, got 0"),
 ])
 def test_construction_refusals(build, message):
     with pytest.raises(ValueError) as info:
@@ -104,6 +105,25 @@ def test_engine_config_refuses_a_budget_that_is_not_a_positive_int(budget):
     assert str(info.value) == \
         f"term_budget must be an integer of at least 1, got {budget!r}"
     assert EngineConfig(1).term_budget == 1
+
+
+@pytest.mark.parametrize("field", ["default_height_bound", "term_budget"])
+@pytest.mark.parametrize("value", [0, -3, "3", True, 2.5, None])
+def test_cli_config_refuses_a_count_that_is_not_a_positive_int(field, value):
+    with pytest.raises(ValueError) as info:
+        CliConfig(**{field: value})
+    assert str(info.value) == \
+        f"config field {field} must be an integer of at least 1, got {value!r}"
+    assert getattr(CliConfig(**{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize("N", [0, -3, "3", True, 2.5, None])
+def test_identity_spec_refuses_a_height_that_is_not_a_positive_int(N):
+    for kind in ("tq", "tsystem"):    # before tq reads N for its regime k
+        with pytest.raises(ValueError) as info:
+            IdentitySpec(kind=kind, lie_type="A1", N=N)
+        assert str(info.value) == f"N must be an integer of at least 1, got {N!r}"
+    assert IdentitySpec(kind="tq", lie_type="A1", N=1).N == 1
 
 
 def test_identity_spec_k_defaults_to_the_tq_regime():
