@@ -5,13 +5,13 @@ failure; 2 usage error; 3 term budget exceeded or an internal fault.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import io
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .cartan import LieType, _frozen, build_cartan
 from .coords import coord, narrow
@@ -70,105 +70,119 @@ def _load_config(path: str | None, fmt: str | None) -> CliConfig:
     return CliConfig(**fields)
 
 
+# The flags that several verbs share, as add_argument keywords; N is --height, as in IdentitySpec.
+_PLAIN, _HEIGHT = dict(default="0"), dict(type=int, default=None)
+_SHARED = {"type": dict(required=True, help="Lie type, e.g. A2, G2"),
+           "node": dict(type=int, required=True),
+           "k": dict(default="1", help="integer or symbolic coordinate"),
+           "t": dict(type=int, default=0),
+           "x": dict(default="0", help="spectral coordinate, e.g. -3/2, k, 1/2+k"),
+           "y": _PLAIN, "a": _PLAIN, "b": _PLAIN,
+           "N": dict(_HEIGHT, help="truncation height (default from config)")}
+# The one table of the CLI: each leaf subcommand's path, e.g. ("verify", "tq"),
+# to its flags (argparse name to add_argument keywords), its namespace before
+# any flag is read and the names of its required flags.  _parse reads an argv
+# against it, and _parser builds the argparse tree from it and _HELP.
+_LEAVES, _HELP = {}, {("qchar",): "compute a character", ("verify",): "verify an identity",
+                      ("rep-check",): "explicit rank-one matrix checks"}
+
+
+def _leaf(path, run=None, names="", table=_SHARED, help=None, then=None, **own):
+    """Add the leaf ``path`` to _LEAVES.  Its flags are those of ``table``
+    named in ``names`` (N is --height), each replaced by ``own`` where it names
+    one, then the rest of ``own``, then --format, --config and ``then``.  Its
+    namespace holds ``run``, the handler that dispatch calls as run(args,
+    engine config, N) for the object to print, a height and, as argparse's
+    does, the command and what of its path."""
+    flags = {("--height" if f == "N" else f"--{f}"): kw
+             for f, kw in ({f: table[f] for f in names.split()} | own).items()}
+    flags |= {"--format": dict(choices=_FORMATS, default=None),
+              "--config": dict(default=None, help="JSON CliConfig file")} | (then or {})
+    args = {f.lstrip("-").replace("-", "_"): kw.get("default") for f, kw in flags.items()}
+    required = [a for a, (f, kw) in zip(args, flags.items()) if kw.get("required", f[0] != "-")]
+    args |= dict(run=run, height=None) | dict(zip(("command", "what"), path))
+    _LEAVES[path], _HELP[path] = (flags, args, required), help
+
+
+# A handler looks up engine names in this module when it runs, so a rebound
+# name is the one called; it reads --type before any coordinate, k or y before x.
+_cartan = lambda a: build_cartan(LieType.parse(a.type))
+_int_k = lambda a: narrow(a.k, "k", integer=True)
+_COMPLETE = dict(_HEIGHT, help="truncation height (default: the complete character)")
+_leaf(("qchar", "kr"), lambda a, eng, N: fm_expand(
+    c := _cartan(a), kr_top_y(c, a.node, _int_k(a), coord(a.x), eng), a.height, eng),
+    "type node k x N", N=_COMPLETE)
+_leaf(("qchar", "demazure"), lambda a, eng, N: demazure_char_via_ses(
+    _cartan(a), a.node, a.t, _int_k(a), coord(a.x), a.height, eng),
+    "type node k t x N", N=_COMPLETE)
+_leaf(("qchar", "asymptotic"), lambda a, eng, N: asymptotic_char(
+    _cartan(a), a.node, coord(a.y), coord(a.x), N, eng), "type node x y N")
+_leaf(("qchar", "prefundamental"), lambda a, eng, N: prefundamental_char(
+    _cartan(a), a.node, coord(a.x), a.sign, N, eng),
+    "type node x N", sign=dict(choices=("+", "-"), default="-"))
+_leaf(("qchar", "m"), lambda a, eng, N: m_weight(_cartan(a), a.node, coord(a.k), coord(a.x)),
+      "type node k x")
+_leaf(("qchar", "n"), lambda a, eng, N: n_weight(_cartan(a), a.node, coord(a.k), coord(a.x)),
+      "type node k x")
+# a missing --k is left to IdentitySpec: 1, or the least k of the TQ regime
+_LAZY_K = _SHARED | {"k": dict(_SHARED["k"], default=None)}
+for _kind, _fields in KINDS.items():
+    _leaf(("verify", _kind.replace("_", "-")), lambda a, eng, N, kind=_kind: run_identity(
+        IdentitySpec(kind, a.type, a.node, N=N,
+                     **{f: getattr(a, f) for f in KINDS[kind] if f != "N"}), eng),
+        " ".join(("type", "node", *_fields)), _LAZY_K)
+_leaf(("verify", "suite"), help="run a JSON list of identity specs", then={"suite_file": {}})
+_RATIONAL, _SIZE = dict(_PLAIN, help="rational, e.g. -3/2"), dict(type=int, default=8)
+# --k, then --x, then the module's own checks
+_module = lambda a, eng: (a.kind, narrow(a.k, "--k"), narrow(a.x, "--x"), a.modes,
+                          a.M if a.kind == "truncated" else None, eng)
+for _name, _run in (
+        ("relations", lambda a, eng, N: check_relations(build_module(*_module(a, eng)), eng)),
+        ("qchar", lambda a, eng, N: extract_qchar(*_module(a, eng)))):
+    _leaf(("rep-check", _name), _run, kind=dict(choices=("finite", "truncated"), default="finite"),
+          k=dict(default="1", help="rational, e.g. -3/2; an integer >= 0 for --kind finite"),
+          x=_RATIONAL, M=dict(_SIZE, help="basis size of a truncated module"),
+          modes=dict(type=int, default=3, help="mode bound n_max"))
+_leaf(("rep-check", "three-term"), lambda a, eng, N: verify_sl2_three_term(
+    narrow(a.x, "--x"), narrow(a.y, "--y"), a.M, N, eng),
+    x=_RATIONAL, y=_RATIONAL, M=dict(_SIZE, help="basis size of its three truncated towers"),
+    N=_SHARED["N"])
+
+
+def _relabel(a, eng, N):
+    if a.check_tq:
+        return verify_multiplicative_tq(_cartan(a), a.node, *map(coord, "xyk"))
+    if not a.monomial:
+        raise ValueError("translate needs --monomial or --check-tq")
+    return to_multiplicative(parse_monomial(a.monomial, _cartan(a), kind="Psi"))
+
+
+_leaf(("translate",), _relabel, help="additive to multiplicative relabeling",
+      to=dict(choices=("multiplicative",), required=True),
+      monomial=dict(default=None, help="Psi monomial string"),
+      type=dict(default="A2"), node=dict(type=int, default=1),
+      then={"--check-tq": dict(action="store_true", default=False,
+                               help="compare the translated three-term instance with the "
+                                    "independently built multiplicative display")})
+
+
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    # The tree, and a table from each leaf's path, e.g. ("verify", "tq"), to
-    # the leaf's parser.  Built on first use and reused: a parser keeps no
-    # state between calls, and building the tree costs more than most commands.
-    top, leaves = argparse.ArgumentParser(prog="yqchar", description=__doc__), {}
-    sub = top.add_subparsers(dest="command", required=True)
-    plain, height = dict(default="0"), dict(type=int, default=None)
-    # The flags that several verbs share; N is --height, as in IdentitySpec.
-    shared = {"type": dict(required=True, help="Lie type, e.g. A2, G2"),
-              "node": dict(type=int, required=True),
-              "k": dict(default="1", help="integer or symbolic coordinate"),
-              "t": dict(type=int, default=0),
-              "x": dict(default="0", help="spectral coordinate, e.g. -3/2, k, 1/2+k"),
-              "y": plain, "a": plain, "b": plain,
-              "N": dict(height, help="truncation height (default from config)")}
-
-    def leaf(group, name, run=None, names="", table=shared, help=None, **own):
-        """Add subcommand ``name`` to ``group`` and return it.  Its flags are
-        those of ``table`` named in ``names`` (N is --height), each replaced
-        by ``own`` where it names one, then the rest of ``own``, then
-        --format and --config.  Its namespace holds ``run``, the handler that
-        dispatch calls as run(args, engine config, N) for the object to print,
-        a height and, as the tree's does, the command and what of its path
-        (its prog after yqchar)."""
-        p, names = group.add_parser(name, help=help), names.split()
-        for f, kw in ({f: table[f] for f in names} | own).items():
-            p.add_argument("--height" if f == "N" else f"--{f}", **kw)
-        p.add_argument("--format", choices=_FORMATS, default=None)
-        p.add_argument("--config", default=None, help="JSON CliConfig file")
-        leaves[path := tuple(p.prog.split()[1:])] = p
-        p.set_defaults(run=run, height=None, **dict(zip(("command", "what"), path)))
-        return p
-
-    # A handler looks up engine names in this module when it runs, so a rebound
-    # name is the one called; it reads --type before any coordinate, k or y before x.
-    cartan = lambda a: build_cartan(LieType.parse(a.type))
-    int_k = lambda a: narrow(a.k, "k", integer=True)
-    q = sub.add_parser("qchar", help="compute a character").add_subparsers(
-        dest="what", required=True)
-    complete = dict(height, help="truncation height (default: the complete character)")
-    leaf(q, "kr", lambda a, eng, N: fm_expand(
-        c := cartan(a), kr_top_y(c, a.node, int_k(a), coord(a.x), eng), a.height, eng),
-        "type node k x N", N=complete)
-    leaf(q, "demazure", lambda a, eng, N: demazure_char_via_ses(
-        cartan(a), a.node, a.t, int_k(a), coord(a.x), a.height, eng),
-        "type node k t x N", N=complete)
-    leaf(q, "asymptotic", lambda a, eng, N: asymptotic_char(
-        cartan(a), a.node, coord(a.y), coord(a.x), N, eng), "type node x y N")
-    leaf(q, "prefundamental", lambda a, eng, N: prefundamental_char(
-        cartan(a), a.node, coord(a.x), a.sign, N, eng),
-        "type node x N", sign=dict(choices=("+", "-"), default="-"))
-    leaf(q, "m", lambda a, eng, N: m_weight(cartan(a), a.node, coord(a.k), coord(a.x)),
-         "type node k x")
-    leaf(q, "n", lambda a, eng, N: n_weight(cartan(a), a.node, coord(a.k), coord(a.x)),
-         "type node k x")
-
-    v = sub.add_parser("verify", help="verify an identity").add_subparsers(
-        dest="what", required=True)
-    # a missing --k is left to IdentitySpec: 1, or the least k of the TQ regime
-    lazy_k = shared | {"k": dict(shared["k"], default=None)}
-    for kind, fields in KINDS.items():
-        leaf(v, kind.replace("_", "-"), lambda a, eng, N, kind=kind: run_identity(IdentitySpec(
-            kind, a.type, a.node, N=N, **{f: getattr(a, f) for f in KINDS[kind] if f != "N"}),
-            eng), " ".join(("type", "node", *fields)), lazy_k)
-    leaf(v, "suite", help="run a JSON list of identity specs").add_argument("suite_file")
-
-    r = sub.add_parser("rep-check", help="explicit rank-one matrix checks").add_subparsers(
-        dest="what", required=True)
-    rational = dict(plain, help="rational, e.g. -3/2")
-    size = dict(type=int, default=8)
-    # --k, then --x, then the module's own checks
-    module = lambda a, eng: (a.kind, narrow(a.k, "--k"), narrow(a.x, "--x"), a.modes,
-                             a.M if a.kind == "truncated" else None, eng)
-    for name, run in (("relations", lambda a, eng, N: check_relations(build_module(*module(a, eng)), eng)),
-                      ("qchar", lambda a, eng, N: extract_qchar(*module(a, eng)))):
-        leaf(r, name, run, kind=dict(choices=("finite", "truncated"), default="finite"),
-             k=dict(default="1", help="rational, e.g. -3/2; an integer >= 0 for --kind finite"),
-             x=rational, M=dict(size, help="basis size of a truncated module"),
-             modes=dict(type=int, default=3, help="mode bound n_max"))
-    leaf(r, "three-term", lambda a, eng, N: verify_sl2_three_term(
-        narrow(a.x, "--x"), narrow(a.y, "--y"), a.M, N, eng),
-        x=rational, y=rational, M=dict(size, help="basis size of its three truncated towers"),
-        N=shared["N"])
-
-    def relabel(a, eng, N):
-        if a.check_tq:
-            return verify_multiplicative_tq(cartan(a), a.node, *map(coord, "xyk"))
-        if not a.monomial:
-            raise ValueError("translate needs --monomial or --check-tq")
-        return to_multiplicative(parse_monomial(a.monomial, cartan(a), kind="Psi"))
-    leaf(sub, "translate", relabel, help="additive to multiplicative relabeling",
-         to=dict(choices=("multiplicative",), required=True),
-         monomial=dict(default=None, help="Psi monomial string"),
-         type=dict(default="A2"), node=dict(type=int, default=1)).add_argument(
-        "--check-tq", action="store_true",
-        help="compare the translated three-term instance with the "
-             "independently built multiplicative display")
-    return top, leaves
+def _parser():
+    # The argparse tree of _LEAVES, which _parse falls back to: for help, and
+    # for the usage error of an argv that no leaf reads whole.  Built on first
+    # use, not at import, and reused: a parser keeps no state between calls.
+    import argparse
+    top = argparse.ArgumentParser(prog="yqchar", description=__doc__)
+    groups = {(): top.add_subparsers(dest="command", required=True)}
+    for path, (flags, args, _) in _LEAVES.items():
+        if path[:-1] not in groups:
+            groups[path[:-1]] = groups[()].add_parser(
+                path[0], help=_HELP[path[:-1]]).add_subparsers(dest="what", required=True)
+        p = groups[path[:-1]].add_parser(path[-1], help=_HELP[path])
+        for f, kw in flags.items():
+            p.add_argument(f, **kw)
+        p.set_defaults(**args)
+    return top
 
 
 def _emit(obj, cfg: CliConfig, out) -> int:
@@ -183,15 +197,38 @@ def _emit(obj, cfg: CliConfig, out) -> int:
     return 1 if isinstance(obj, Report) and not obj.verdict else 0
 
 
-def _parse(argv) -> argparse.Namespace:
-    """Parse with the leaf's own parser; with the tree if no leaf parses argv whole."""
-    tree, leaves = _parser()
-    path = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
-    if path in leaves:
-        args, extras = leaves[path].parse_known_args(argv[len(path):])
-        if not extras:
-            return args
-    return tree.parse_args(argv)
+def _read(argv):
+    """The namespace of ``argv`` when each word after its leaf's path is a flag
+    of the leaf as spelled, with its value as --f=v or as --f v where v does
+    not start with "-", and no required flag is missing; else None."""
+    path = tuple(argv[:2]) if tuple(argv[:2]) in _LEAVES else tuple(argv[:1])
+    if path not in _LEAVES:
+        return None
+    flags, args, required = _LEAVES[path]
+    args, words = args.copy(), iter(argv[len(path):])
+    for word in words:
+        f, eq, value = word.partition("=")
+        if f[:2] != "--" or (kw := flags.get(f)) is None or eq and "action" in kw:
+            return None
+        if "action" in kw:  # --check-tq, which takes no value
+            value = True
+        elif value == "--" or not eq and (value := next(words, "--")) != "-" and value[:1] == "-":
+            return None     # argparse reads --f=-- as no value and -v apart as a flag
+        else:
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kw.get("choices", (value,)):
+                return None
+        args[f[2:].replace("-", "_")] = value
+    return None if None in map(args.get, required) else SimpleNamespace(**args)
+
+
+def _parse(argv):
+    """The namespace of ``argv``: _read's, or where _read declines, the
+    argparse tree's, with its help, usage errors and exit codes."""
+    return _read(argv) or _parser().parse_args(argv)
 
 
 def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:

@@ -830,8 +830,7 @@ def _parsed(parse, argv):
 
 
 def _same_parse(argv):
-    tree = cli._parser()[0]
-    assert _parsed(cli._parse, argv) == _parsed(tree.parse_args, argv), argv
+    assert _parsed(cli._parse, argv) == _parsed(cli._parser().parse_args, argv), argv
 
 
 # Words that _argv never draws: an empty value, a value to --check-tq, a
@@ -902,41 +901,80 @@ def test_the_leaf_parses_a_fuzzed_argv_as_the_tree_does(drawn):
     ["qchar", "kr", "--type", "A2", "--node=1", "--x"],
     ["qchar", "kr", "--type", "A2", "--node=x"],
     ["qchar", "prefundamental", "--type", "A2", "--node=1", "--sign", "0"],
+    ["qchar", "prefundamental", "--type", "A2", "--node=1", "--sign", "-"],
+    ["qchar", "kr", "--type", "A2", "--node=1", "--x", "-"],
     ["translate", "--to", "multiplicative", "--check-tq=1"],
     ["translate", "--to", "multiplicative", "--check-tq", "yes"],
     ["translate", "--to=multiplicative", "--check-tq", "--check-tq"],
     ["verify", "suite", "a.json", "--format", "json"],
+    ["verify", "suite", "suite_file=a.json"],
+    ["verify", "suite", "suite_file", "a.json"],
 ])
 def test_the_leaf_parses_an_edge_argv_as_the_tree_does(argv):
     _same_parse(argv)
 
 
 def test_every_leaf_has_its_own_parser():
+    # the tree holds one leaf parser per row of the table, in its order, with
+    # the row's flags in order, its required flags and its very defaults
     from test_cli_flags import _leaves
-    tree, leaves = cli._parser()
-    assert {" ".join(path): p for path, p in leaves.items()} == dict(_leaves(tree))
-    assert len(leaves) == 18
+    leaves = dict(_leaves(cli._parser()))
+    assert list(leaves) == [" ".join(path) for path in cli._LEAVES] and len(leaves) == 18
+    for path, (flags, args, required) in cli._LEAVES.items():
+        p = leaves[" ".join(path)]
+        actions = p._actions[1:]    # after -h
+        assert [(a.option_strings or [a.dest])[0] for a in actions] == list(flags), path
+        assert [a.dest for a in actions if a.required] == required, path
+        assert all(p.get_default(name) is value for name, value in args.items()), path
 
 
 # The values of the required flags, for a leaf's minimal argv.
 REQUIRED = {"--type": "A2", "--node": "1", "--to": "multiplicative"}
 
 
+def _minimal(path):
+    """The shortest argv of the leaf ``path``: its required flags."""
+    flags = cli._LEAVES[path][0]
+    return [*path, *(w for f, kw in flags.items() if kw.get("required") for w in (f, REQUIRED[f]))]
+
+
 def test_dispatch_prints_what_the_leaf_handler_returns():
     mono = PsiMonomial.gen(1, coord("1/2")) * PsiMonomial.gen(2, coord("x"), -1)
-    _, leaves = cli._parser()
-    assert leaves["verify", "suite"].get_default("run") is None
-    for path, p in leaves.items():
+    assert cli._LEAVES["verify", "suite"][1]["run"] is None
+    for path, (_, args, _) in cli._LEAVES.items():
         if path == ("verify", "suite"):
             continue
-        assert callable(handler := p.get_default("run")), path
-        flags = [w for a in p._actions if a.required and a.option_strings
-                 for w in (a.option_strings[0], REQUIRED[a.option_strings[0]])]
-        p.set_defaults(run=lambda args, eng, N: mono)
+        assert callable(handler := args["run"]), path
+        args["run"] = lambda args, eng, N: mono
         try:
-            assert run([*path, *flags]) == (0, "Psi[1,1/2] Psi[2,x]^-1\n", ""), path
+            assert run(_minimal(path)) == (0, "Psi[1,1/2] Psi[2,x]^-1\n", ""), path
         finally:
-            p.set_defaults(run=handler)
+            args["run"] = handler
+
+
+_GUARD = """
+import io, json, sys
+import yqchar.cli as cli
+codes = [cli.dispatch(argv, io.StringIO(), io.StringIO()) for argv in json.loads(sys.argv[1])]
+built = cli._parser.cache_info().misses, "argparse" in sys.modules
+code = cli.dispatch(["qchar", "kr", "--type", "A2"], io.StringIO(), io.StringIO())
+print(json.dumps([codes, built, code, cli._parser.cache_info().misses]))
+"""
+
+
+def test_a_well_formed_command_builds_no_argparse_tree():
+    # in a fresh interpreter: one command of each leaf with a handler, then a usage error
+    argvs = [_minimal(path) + (["--check-tq"] if path == ("translate",) else [])
+             for path, (_, args, _) in cli._LEAVES.items() if args["run"]]
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", _GUARD, json.dumps(argvs)], check=True,
+                          env=os.environ | {"PYTHONPATH": path}, capture_output=True, text=True,
+                          timeout=120)
+    codes, built, code, misses = json.loads(done.stdout)
+    assert len(argvs) == 17 and codes == [0] * 17, (argvs, codes)
+    assert built == [0, False]      # no tree, and argparse not even imported
+    assert (code, misses) == (2, 1)     # a usage error builds the tree, once
 
 
 # -- config ------------------------------------------------------------------

@@ -82,13 +82,13 @@ def _flags(parser) -> dict:
 
 
 def test_every_leaf_subcommand_keeps_its_flags():
-    got = {path: _flags(p) for path, p in _leaves(cli._parser()[0])}
+    got = {path: _flags(p) for path, p in _leaves(cli._parser())}
     assert sorted(got) == sorted(PINNED)
     for path, flags in PINNED.items():
         assert got[path] == flags, path
 
 
 def test_store_true_flags_take_no_value():
-    (translate,) = [p for path, p in _leaves(cli._parser()[0]) if path == "translate"]
+    (translate,) = [p for path, p in _leaves(cli._parser()) if path == "translate"]
     (check,) = [a for a in translate._actions if a.option_strings == ["--check-tq"]]
     assert isinstance(check, argparse._StoreTrueAction)

@@ -24,7 +24,8 @@ G2 = build_cartan(LieType.parse("G2"))
 # it: hits/misses in one benchmark cycle (seed 7, cycle 1) where a workload does.
 # A new memo must state its reuse here.
 MEMOS = {
-    ("cli", "_parser"): "it takes no argument: one parser for every dispatch of a run",
+    ("cli", "_parser"): "it takes no argument: one argparse tree, built at the first help or "
+                        "usage error of a run, for every later one",
     ("coords", "parse_coord"): "identity_suite reads the same coordinate texts, 1,066/12",
     ("cartan", "build_cartan"): "every job builds its type's data: identity_suite 591/3",
     ("monomials", "_site"): "identity_suite meets the same (node, x) again, 1,893/65",

@@ -1,6 +1,8 @@
 """The runtime imports the standard library and yqchar itself, nothing else,
-and starting the CLI loads neither ``dataclasses`` nor ``inspect``."""
+and starting the CLI loads neither ``dataclasses`` nor ``inspect``, nor
+``argparse`` and its ``gettext`` before a command needs the argparse tree."""
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -34,8 +36,21 @@ def _loaded_after(code: str) -> set:
     return set(run.stdout.split())
 
 
-def test_starting_the_cli_loads_no_dataclasses_or_inspect():
+@functools.cache
+def _added_by_the_cli() -> set:
     # against a bare interpreter: site loads modules that depend on the environment
     added = _loaded_after("import yqchar.cli") - _loaded_after("pass")
     assert "yqchar.cli" in added
+    return added
+
+
+def test_starting_the_cli_loads_no_dataclasses_or_inspect():
+    added = _added_by_the_cli()
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+def test_starting_the_cli_loads_no_argparse_or_gettext():
+    # the argparse tree, which is built only for help and usage errors, imports them
+    added = _added_by_the_cli()
+    assert not added & {"argparse", "gettext"}, sorted(added)
+    assert {"argparse", "gettext"} <= _loaded_after("import yqchar.cli\nyqchar.cli._parser()")
