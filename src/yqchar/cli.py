@@ -79,9 +79,11 @@ _SHARED = {"type": dict(required=True, help="Lie type, e.g. A2, G2"),
            "x": dict(default="0", help="spectral coordinate, e.g. -3/2, k, 1/2+k"),
            "y": _PLAIN, "a": _PLAIN, "b": _PLAIN,
            "N": dict(_HEIGHT, help="truncation height (default from config)")}
+_FORMAT_CONFIG = {"--format": dict(choices=_FORMATS, default=None),
+                  "--config": dict(default=None, help="JSON CliConfig file")}
 # The one table of the CLI: each leaf subcommand's path, e.g. ("verify", "tq"),
 # to its flags (argparse name to add_argument keywords), its namespace before
-# any flag is read and the names of its required flags.  _parse reads an argv
+# any flag is read and the fields of its required flags.  _parse reads an argv
 # against it, and _parser builds the argparse tree from it and _HELP.
 _LEAVES, _HELP = {}, {("qchar",): "compute a character", ("verify",): "verify an identity",
                       ("rep-check",): "explicit rank-one matrix checks"}
@@ -96,8 +98,7 @@ def _leaf(path, run=None, names="", table=_SHARED, help=None, then=None, **own):
     does, the command and what of its path."""
     flags = {("--height" if f == "N" else f"--{f}"): kw
              for f, kw in ({f: table[f] for f in names.split()} | own).items()}
-    flags |= {"--format": dict(choices=_FORMATS, default=None),
-              "--config": dict(default=None, help="JSON CliConfig file")} | (then or {})
+    flags |= _FORMAT_CONFIG | (then or {})
     args = {f.lstrip("-").replace("-", "_"): kw.get("default") for f, kw in flags.items()}
     required = [a for a, (f, kw) in zip(args, flags.items()) if kw.get("required", f[0] != "-")]
     args |= dict(run=run, height=None) | dict(zip(("command", "what"), path))
@@ -221,7 +222,7 @@ def _read(argv):
                 return None
             if value not in kw.get("choices", (value,)):
                 return None
-        args[f[2:].replace("-", "_")] = value
+        args[f.lstrip("-").replace("-", "_")] = value
     return None if None in map(args.get, required) else SimpleNamespace(**args)
 
 

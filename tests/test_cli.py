@@ -815,9 +815,10 @@ def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, drawn):
     assert "internal error" not in err, (argv, suite, err)
 
 
-# -- the leaf parsers ---------------------------------------------------------
-# dispatch parses with the leaf's own parser and falls back to the whole
-# tree; either way it must read, print and exit as the tree alone does.
+# -- the leaf table ----------------------------------------------------------
+# dispatch reads an argv against its leaf's row of cli._LEAVES and falls back
+# to the argparse tree; either way it must read, print and exit as the tree
+# alone does.
 
 def _parsed(parse, argv):
     out, err = io.StringIO(), io.StringIO()
