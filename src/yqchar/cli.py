@@ -47,8 +47,7 @@ class CliConfig:
         return EngineConfig(self.term_budget)
 
 
-# The JSON type of each CliConfig field in a config file.
-_CONFIG_TYPES = {"default_height_bound": (int, "an integer"),
+_CONFIG_TYPES = {"default_height_bound": (int, "an integer"),   # each field's JSON type in a file
                  "term_budget": (int, "an integer"), "output_format": (str, "a string")}
 
 
@@ -64,7 +63,7 @@ def _read_json(path: str, what: str):
 
 def _load_config(path: str | None, fmt: str | None) -> CliConfig:
     fields = json_object(_read_json(path, "config file"), "a config file", "config",
-                         _CONFIG_TYPES) if path else {}
+                         _CONFIG_TYPES) if path is not None else {}
     if fmt and fields.get("output_format", fmt) in _FORMATS:  # else the file's is refused
         fields = fields | {"output_format": fmt}
     return CliConfig(**fields)
@@ -83,8 +82,9 @@ _FORMAT_CONFIG = {"--format": dict(choices=_FORMATS, default=None),
                   "--config": dict(default=None, help="JSON CliConfig file")}
 # The one table of the CLI: each leaf subcommand's path, e.g. ("verify", "tq"),
 # to its flags (argparse name to add_argument keywords), its namespace before
-# any flag is read and the fields of its required flags.  _parse reads an argv
-# against it, and _parser builds the argparse tree from it and _HELP.
+# any flag is read and the fields of its required flags.  _read reads an argv
+# against it, _parser builds the argparse tree from it and _HELP, and dispatch
+# checks the tree's namespace against it.
 _LEAVES, _HELP = {}, {("qchar",): "compute a character", ("verify",): "verify an identity",
                       ("rep-check",): "explicit rank-one matrix checks"}
 
@@ -169,9 +169,8 @@ _leaf(("translate",), _relabel, help="additive to multiplicative relabeling",
 
 @functools.cache
 def _parser():
-    # The argparse tree of _LEAVES, which _parse falls back to: for help, and
-    # for the usage error of an argv that no leaf reads whole.  Built on first
-    # use, not at import, and reused: a parser keeps no state between calls.
+    # The argparse tree of _LEAVES, for help and the usage error of an argv that _read
+    # declines.  Built on first use, not at import, and reused: it keeps no state between calls.
     import argparse
     top = argparse.ArgumentParser(prog="yqchar", description=__doc__)
     groups = {(): top.add_subparsers(dest="command", required=True)}
@@ -217,32 +216,39 @@ def _read(argv):
             return None     # argparse reads --f=-- as no value and -v apart as a flag
         else:
             try:
-                value = kw.get("type", str)(value)
+                if (value := kw.get("type", str)(value)) not in kw.get("choices", (value,)):
+                    return None
             except ValueError:
-                return None
-            if value not in kw.get("choices", (value,)):
                 return None
         args[f.lstrip("-").replace("-", "_")] = value
     return None if None in map(args.get, required) else SimpleNamespace(**args)
 
 
 def _parse(argv):
-    """The namespace of ``argv``: _read's, or where _read declines, the
-    argparse tree's, with its help, usage errors and exit codes."""
+    """The namespace of ``argv`` before dispatch checks it: _read's, or where _read
+    declines, the argparse tree's, with its help, usage errors and exit codes."""
     return _read(argv) or _parser().parse_args(argv)
 
 
 def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
-    # argparse drops a failed write of its own, so it writes to buffers, passed on here
-    said = io.StringIO(), io.StringIO()
     try:
-        try:
-            with contextlib.redirect_stdout(said[0]), contextlib.redirect_stderr(said[1]):
-                args = _parse(argv)
-        except SystemExit as ex:
-            for text, stream in zip(said, (out, err)):
-                print(text.getvalue(), end="", file=stream, flush=True)
-            return 0 if ex.code == 0 else 2
+        if (args := _read(argv)) is None:
+            # Only argparse writes to buffers, passed on here: it drops a failed write of its own.
+            said = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(said[0]), contextlib.redirect_stderr(said[1]):
+                    args = _parser().parse_args(argv)
+            except SystemExit as ex:
+                for text, stream in zip(said, (out, err)):
+                    print(text.getvalue(), end="", file=stream, flush=True)
+                return 0 if ex.code == 0 else 2
+            # It stores [] for --f=--, skipping the flag's type and choices: a field that
+            # they cannot give is refused before any handler reads it.
+            flags, fields, _ = _LEAVES[tuple(filter(None, (args.command, vars(args).get("what"))))]
+            for name, (f, kw) in zip(fields, flags.items()):
+                if not ((v := getattr(args, name)) is None or "action" in kw
+                        or type(v) is kw.get("type", str) and v in kw.get("choices", (v,))):
+                    raise ValueError(f"argument {f}: expected one argument")
         cfg = _load_config(args.config, args.format)
         eng = cfg.engine()
         N = cfg.default_height_bound if args.height is None else args.height
@@ -254,9 +260,8 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
         reports = [run_identity(s, eng) for s in specs]
         ok = all(r.verdict for r in reports)
         if cfg.output_format == "json":
-            print(json.dumps({"schema": "yqchar/1", "results": [r.to_json() for r in reports],
-                              "verdict": "pass" if ok else "fail"}, sort_keys=True),
-                  file=out, flush=True)
+            doc = {"results": [r.to_json() for r in reports], "verdict": "pass" if ok else "fail"}
+            print(json.dumps({"schema": "yqchar/1"} | doc, sort_keys=True), file=out, flush=True)
         else:
             for s, r in zip(specs, reports):
                 k = f" k={s.k}" if "k" in KINDS[s.kind] else ""
@@ -264,18 +269,13 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
                 _emit(r, cfg, out)
         return 0 if ok else 1
     # The exit code of each failure: a bad input 2, an engine limit or fault 3.
-    except BrokenPipeError as ex:   # a closed output pipe: a fault, not a usage error
-        print(f"internal error: {type(ex).__name__}: {ex}", file=err)
-        return 3
     except EngineError as ex:
         print(f"engine error: {ex}", file=err)
         return 3
-    except (ValueError, OSError) as ex:
-        print(f"error: {ex}", file=err)
-        return 2
-    except Exception as ex:
-        print(f"internal error: {type(ex).__name__}: {ex}", file=err)
-        return 3
+    except Exception as ex:     # a closed output pipe is a fault, not a bad input
+        bad = isinstance(ex, (ValueError, OSError)) and not isinstance(ex, BrokenPipeError)
+        print(f"error: {ex}" if bad else f"internal error: {type(ex).__name__}: {ex}", file=err)
+        return 2 if bad else 3
 
 
 def main() -> None:

@@ -690,16 +690,17 @@ def test_translate_check_tq():
 
 
 # -- argv fuzz ---------------------------------------------------------------
-# Every verb with every flag it takes, at small values and malformed ones,
+# Every leaf with every flag it takes, at small values and malformed ones,
 # sometimes with a flag it does not take: whatever the argv, dispatch returns
-# a documented exit code and raises nothing (an exception it does not map,
-# such as AttributeError, escapes and fails the test).
+# a documented exit code, and no input reaches a fault inside the engine.
 
 _COORDS = ("0", "1/2", "-3/2", "x", "k", "x-1")
 _BAD_COORDS = ("1/0", "nan", "")
 _TYPES = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4")
-# (well-formed values, malformed or out-of-range values) of each flag
-_VALUES = {
+# (well-formed values, malformed or out-of-range values) of each value flag;
+# each malformed pool holds "--", which argparse reads in --f=-- as no value.
+# config.json is a config document drawn from _CONFIG.
+_VALUES = {flag: (good, bad + ("--",)) for flag, (good, bad) in {
     "--type": (_TYPES, ("D3", "Z9", "")),
     "--node": (("1", "2"), ("-1", "0", "3", "4")),
     "--k": (("0", "1", "2", "3", "4"), ("-1", "x", "1/2") + _BAD_COORDS),
@@ -715,34 +716,14 @@ _VALUES = {
     "--to": (("multiplicative",), ("additive",)),
     "--monomial": (("Psi[1,x]", "Psi[1,1/2] /Psi[2,k]^2"),
                    ("Y[1,0]", "A[1,0]^-1", "Psi[1,", "Psi[3,1/0]", "")),
-    "--config": ((), ("missing.json", "unknown.json")),
-}
+    "--config": (("config.json",), ("missing.json", "")),
+}.items()}
 _REQUIRED = ("--type", "--node", "--to")
 _MOSTLY = st.sampled_from((True,) * 9 + (False,))
-_NODE = ("--type", "--node", "--format")
-_REP = ("--kind", "--k", "--x", "--M", "--modes", "--format")
-_VERBS = {
-    ("qchar", "kr"): _NODE + ("--k", "--x", "--height"),
-    ("qchar", "demazure"): _NODE + ("--k", "--t", "--x", "--height"),
-    ("qchar", "asymptotic"): _NODE + ("--x", "--y", "--height"),
-    ("qchar", "prefundamental"): _NODE + ("--x", "--height", "--sign"),
-    ("qchar", "m"): _NODE + ("--k", "--x"),
-    ("qchar", "n"): _NODE + ("--k", "--x"),
-    ("verify", "tsystem"): _NODE + ("--k", "--t"),
-    ("verify", "tq"): _NODE + ("--k", "--x", "--height"),
-    ("verify", "two-term"): _NODE + ("--x", "--y", "--height", "--a", "--b"),
-    ("verify", "factorization"): _NODE + ("--k", "--x"),
-    ("verify", "kr-skeleton"): _NODE + ("--k", "--x"),
-    ("verify", "demazure-support"): _NODE + ("--k", "--x", "--height"),
-    ("verify", "m-support"): _NODE + ("--k", "--x", "--height"),
-    ("verify", "suite"): ("--format",),
-    ("rep-check", "relations"): _REP,
-    ("rep-check", "qchar"): _REP,
-    ("rep-check", "three-term"): ("--x", "--y", "--M", "--height", "--format"),
-    ("translate",): ("--to", "--monomial", "--check-tq", "--type", "--node", "--format"),
-    ("qchar",): (),
-    ("no-such-command",): (),
-}
+# Each leaf with its flags, read from the CLI's own table, and two words that
+# name no leaf.
+_VERBS = {path: tuple(f for f in flags if f[:2] == "--")
+          for path, (flags, _, _) in cli._LEAVES.items()} | {("qchar",): (), ("no-such-command",): ()}
 # JSON values of the wrong type for any field
 _JUNK = st.sampled_from((True, False, None, 1.5, [], {}))
 _SPEC_VALUES = {
@@ -763,6 +744,19 @@ _SUITE = st.one_of(
     st.lists(_SPEC, max_size=2), st.lists(_SPEC, max_size=2),
     st.lists(_SPEC | st.integers(0, 5) | st.text(max_size=2) | _JUNK, max_size=2),
     _SPEC, st.integers(0, 5), _JUNK)
+# a config file: mostly an object with a small term budget, which keeps the
+# complete (unbounded) characters a few flags can ask for to a few ms, with
+# fields sometimes of the wrong JSON type (a bool for an int among them) or
+# unknown; sometimes another JSON value
+_CONFIG_VALUES = {
+    "default_height_bound": st.integers(-1, 4) | st.sampled_from(("2",)) | _JUNK,
+    "output_format": st.sampled_from(("text", "json", "xml")) | _JUNK,
+    "stabilization_k_ceiling": st.integers(0, 16),
+}
+_CONFIG = st.one_of(
+    *[st.fixed_dictionaries({"term_budget": budget}, optional=_CONFIG_VALUES) for budget in (
+        st.just(20_000), st.just(20_000), st.sampled_from((0, 5, "20000", 2.0e4)) | _JUNK)],
+    st.lists(st.integers(0, 5), max_size=2), st.integers(0, 5), _JUNK)
 
 
 @st.composite
@@ -790,29 +784,29 @@ def fuzz_dir(tmp_path_factory):
     # flags can ask for, such as a G2 kernel at k = t = 4, to a few ms
     path = tmp_path_factory.mktemp("fuzz")
     (path / "budget.json").write_text(json.dumps({"term_budget": 20_000}))
-    (path / "unknown.json").write_text(json.dumps({"stabilization_k_ceiling": 16}))
     return path
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(_argv())
-def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, drawn):
+@given(_argv(), _CONFIG)
+def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, drawn, config):
     verb, flags, suite = drawn
-    flags = [f.replace("=unknown.json", f"={fuzz_dir / 'unknown.json'}") for f in flags]
+    (fuzz_dir / "config.json").write_text(json.dumps(config))
+    flags = [f.replace("=config.json", f"={fuzz_dir / 'config.json'}") for f in flags]
     argv = [*verb, "--config", str(fuzz_dir / "budget.json"), *flags]
     if suite is not None:
         (fuzz_dir / "suite.json").write_text(json.dumps(suite))
         argv.insert(2, str(fuzz_dir / "suite.json"))
     code, out, err = run(argv)
-    assert code in (0, 1, 2, 3), (argv, suite)
-    assert (err == "") == (code in (0, 1)), (argv, suite, err)
+    assert code in (0, 1, 2, 3), (argv, suite, config)
+    assert (err == "") == (code in (0, 1)), (argv, suite, config, err)
     # a usage error is told in the tool's own words, not Python's
     for python in ("__init__()", "invalid literal", "Invalid literal",
                    "not supported between instances", "is not iterable"):
-        assert python not in err, (argv, suite, err)
-    assert err.count("at position") <= 1, (argv, suite, err)
+        assert python not in err, (argv, suite, config, err)
+    assert err.count("at position") <= 1, (argv, suite, config, err)
     # no input reaches a fault inside the engine
-    assert "internal error" not in err, (argv, suite, err)
+    assert "internal error" not in err, (argv, suite, config, err)
 
 
 # -- the leaf table ----------------------------------------------------------
@@ -953,29 +947,73 @@ def test_dispatch_prints_what_the_leaf_handler_returns():
             args["run"] = handler
 
 
+def _well_formed(path, suite):
+    """A shortest argv of the leaf ``path`` that runs: its required flags, with
+    --check-tq to translate and the file ``suite`` to verify suite."""
+    return _minimal(path) + {("translate",): ["--check-tq"], ("verify", "suite"): [suite]}.get(
+        path, [])
+
+
+# Each buffer and redirect is logged; a redirect fails while armed.
 _GUARD = """
-import io, json, sys
+import contextlib, io, json, sys
 import yqchar.cli as cli
-codes = [cli.dispatch(argv, io.StringIO(), io.StringIO()) for argv in json.loads(sys.argv[1])]
-built = cli._parser.cache_info().misses, "argparse" in sys.modules
-code = cli.dispatch(["qchar", "kr", "--type", "A2"], io.StringIO(), io.StringIO())
-print(json.dumps([codes, built, code, cli._parser.cache_info().misses]))
+StringIO, made, armed = io.StringIO, [], [True]
+class Buffer(StringIO):
+    def __init__(self):
+        made.append("StringIO")
+        super().__init__()
+def guard(redirect):
+    def guarded(stream):
+        made.append(redirect.__name__)
+        if armed[0]:
+            raise AssertionError(f"{redirect.__name__} around a command that the table reads")
+        return redirect(stream)
+    return guarded
+io.StringIO = Buffer
+contextlib.redirect_stdout = guard(contextlib.redirect_stdout)
+contextlib.redirect_stderr = guard(contextlib.redirect_stderr)
+codes = [cli.dispatch(argv, StringIO(), StringIO()) for argv in json.loads(sys.argv[1])]
+built = cli._parser.cache_info().misses, "argparse" in sys.modules, made[:]
+armed[0] = False
+err = StringIO()
+code = cli.dispatch(["qchar", "kr", "--type", "A2"], StringIO(), err)
+print(json.dumps([codes, built, code, cli._parser.cache_info().misses, made, err.getvalue()]))
 """
 
 
 def test_a_well_formed_command_builds_no_argparse_tree():
     # in a fresh interpreter: one command of each leaf with a handler, then a usage error
-    argvs = [_minimal(path) + (["--check-tq"] if path == ("translate",) else [])
-             for path, (_, args, _) in cli._LEAVES.items() if args["run"]]
+    argvs = [_well_formed(path, None) for path, (_, args, _) in cli._LEAVES.items() if args["run"]]
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", _GUARD, json.dumps(argvs)], check=True,
                           env=os.environ | {"PYTHONPATH": path}, capture_output=True, text=True,
                           timeout=120)
-    codes, built, code, misses = json.loads(done.stdout)
+    codes, built, code, misses, made, err = json.loads(done.stdout)
     assert len(argvs) == 17 and codes == [0] * 17, (argvs, codes)
-    assert built == [0, False]      # no tree, and argparse not even imported
-    assert (code, misses) == (2, 1)     # a usage error builds the tree, once
+    assert built == [0, False, []]      # no tree, buffer or redirect; argparse not even imported
+    # a usage error builds the tree, once, and passes on argparse's text from two buffers
+    assert (code, misses) == (2, 1)
+    assert sorted(made) == ["StringIO", "StringIO", "redirect_stderr", "redirect_stdout"]
+    assert err.startswith("usage: yqchar qchar kr [-h] --type TYPE --node NODE")
+    assert err.endswith("error: the following arguments are required: --node\n")
+
+
+# Each value flag of each leaf, which --f=-- leaves without a value.
+_VALUE_FLAGS = [(path, f) for path, (flags, _, _) in cli._LEAVES.items()
+                for f, kw in flags.items() if f[:2] == "--" and "action" not in kw]
+
+
+@pytest.mark.parametrize("path, flag", _VALUE_FLAGS,
+                         ids=[" ".join((*path, flag)) for path, flag in _VALUE_FLAGS])
+def test_a_value_flag_given_as_dash_dash_is_a_usage_error_that_names_it(tmp_path, path, flag):
+    # argparse stores [] for --f=--, skipping the flag's type and choices: it
+    # is refused before the config is loaded or any handler reads it
+    (suite := tmp_path / "suite.json").write_text(json.dumps([]))
+    code, out, err = run(_well_formed(path, str(suite)) + [f"{flag}=--"])
+    assert (code, out, err) == (2, "", f"error: argument {flag}: expected one argument\n")
+    assert len(_VALUE_FLAGS) == 117
 
 
 # -- config ------------------------------------------------------------------
@@ -985,6 +1023,12 @@ def test_version_has_one_source():
     meta = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
     assert "version" not in meta["project"] and "version" in meta["project"]["dynamic"]
     assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "yqchar.__version__"}
+
+
+@pytest.mark.parametrize("config", (["--config="], ["--config", ""]))
+def test_an_empty_config_path_is_a_file_that_cannot_be_read(config):
+    code, out, err = run(["qchar", "kr", "--type", "A2", "--node", "1", *config])
+    assert (code, out, err) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
 
 
 def test_cli_config_validation():

@@ -504,10 +504,10 @@ GOLDEN = [
     (_v("demazure-support", "A1", 1, "--k", "1413", "--height", "1"), 3, "4679b77cbf951ed7"),
     (_v("tq", "A1", 1, "--k", "1413", "--height", "1"), 3, "4679b77cbf951ed7"),
     # A value flag given as --f=--, which argparse reads as no value at all.
-    (("qchar", "kr", "--type", "A2", "--node", "1", "--x=--"), 3, "1801f3405014d000"),
-    (("rep-check", "relations", "--modes=--"), 3, "d0e95261d1cbbadd"),
-    (("qchar", "kr", "--type", "A2", "--node", "1", "--format=--"), 0, "c5b392139c1de85f"),
-    (_v("tq", "A2", 1, "--height=--"), 2, "6e761d690143cb0c"),
+    (("qchar", "kr", "--type", "A2", "--node", "1", "--x=--"), 2, "d668047e1aaaf866"),
+    (("rep-check", "relations", "--modes=--"), 2, "9ac264413626fca8"),
+    (("qchar", "kr", "--type", "A2", "--node", "1", "--format=--"), 2, "02982ceda5d37698"),
+    (_v("tq", "A2", 1, "--height=--"), 2, "e461bb6bfe7d62a4"),
 ]
 
 
