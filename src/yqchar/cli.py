@@ -242,8 +242,8 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
                 for text, stream in zip(said, (out, err)):
                     print(text.getvalue(), end="", file=stream, flush=True)
                 return 0 if ex.code == 0 else 2
-            # It stores [] for --f=--, skipping the flag's type and choices: a field that
-            # they cannot give is refused before any handler reads it.
+            # argparse stores [] for --f=--, skipping the flag's type and choices: a field
+            # that they cannot give is refused before any handler reads it.
             flags, fields, _ = _LEAVES[tuple(filter(None, (args.command, vars(args).get("what"))))]
             for name, (f, kw) in zip(fields, flags.items()):
                 if not ((v := getattr(args, name)) is None or "action" in kw

@@ -722,8 +722,8 @@ _REQUIRED = ("--type", "--node", "--to")
 _MOSTLY = st.sampled_from((True,) * 9 + (False,))
 # Each leaf with its flags, read from the CLI's own table, and two words that
 # name no leaf.
-_VERBS = {path: tuple(f for f in flags if f[:2] == "--")
-          for path, (flags, _, _) in cli._LEAVES.items()} | {("qchar",): (), ("no-such-command",): ()}
+_VERBS = {path: tuple(f for f in row[0] if f[:2] == "--") for path, row in cli._LEAVES.items()}
+_VERBS |= {("qchar",): (), ("no-such-command",): ()}
 # JSON values of the wrong type for any field
 _JUNK = st.sampled_from((True, False, None, 1.5, [], {}))
 _SPEC_VALUES = {
@@ -744,10 +744,11 @@ _SUITE = st.one_of(
     st.lists(_SPEC, max_size=2), st.lists(_SPEC, max_size=2),
     st.lists(_SPEC | st.integers(0, 5) | st.text(max_size=2) | _JUNK, max_size=2),
     _SPEC, st.integers(0, 5), _JUNK)
-# a config file: mostly an object with a small term budget, which keeps the
-# complete (unbounded) characters a few flags can ask for to a few ms, with
-# fields sometimes of the wrong JSON type (a bool for an int among them) or
-# unknown; sometimes another JSON value
+# a config file: mostly (two branches of three) an object with a term budget
+# of 20,000, which keeps the complete (unbounded) characters a few flags can
+# ask for to a few ms, else one with a bad budget; its other fields sometimes
+# of the wrong JSON type (a bool for an int among them) or unknown; sometimes
+# another JSON value
 _CONFIG_VALUES = {
     "default_height_bound": st.integers(-1, 4) | st.sampled_from(("2",)) | _JUNK,
     "output_format": st.sampled_from(("text", "json", "xml")) | _JUNK,
