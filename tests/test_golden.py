@@ -508,6 +508,21 @@ GOLDEN = [
     (("rep-check", "relations", "--modes=--"), 2, "9ac264413626fca8"),
     (("qchar", "kr", "--type", "A2", "--node", "1", "--format=--"), 2, "02982ceda5d37698"),
     (_v("tq", "A2", 1, "--height=--"), 2, "e461bb6bfe7d62a4"),
+    # Plain rationals as typed: leading zeros, -0 and an unreduced fraction
+    # (warm translates of one anchor), a half-integer in text, a zero
+    # denominator, more digits than int() reads from text, a zero-padded k,
+    # and -0 in a TQ check.
+    (_kr("A4", 1, 3, "--format", "json", "--x=007"), 0, "55a891a4abe9d35c"),
+    (_kr("A4", 1, 3, "--format", "json", "--x=-0"), 0, "a2a000cc19a38a72"),
+    (_kr("A4", 1, 3, "--format", "json", "--x=6/4"), 0, "eabf3af4bbfce082"),
+    (_kr("A4", 1, 3, "--x=-7/2"), 0, "393963ed2ef92f40"),
+    (_kr("B2", 2, 2, "--x=1/0"), 2, "89ce837b09e51f4e"),
+    (("qchar", "kr", "--type", "A2", "--node", "1", "--x=" + "7" * 4301), 2,
+     "0ac7fe1b518df555"),
+    (("rep-check", "relations", "--kind", "finite", "--k=04", "--x=-9/6"), 0,
+     "09637a5902470d13"),
+    (_v("tq", "B2", 2, "--k", "6", "--height", "3", "--x=-0", "--format", "json"), 0,
+     "1fd5c3d80030f11b"),
 ]
 
 
