@@ -228,6 +228,32 @@ def test_kr_weight_and_top():
         kr_weight(A1, 1, -1, 0)
 
 
+KR_TYPES = [build_cartan(LieType.parse(t)) for t in (
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "G2", "F4",
+    "E6", "E7", "E8")]
+KR_POINTS = ("0", "1/3", "-7/2", "5/4", "x", "x+1/3", "2k-1/2", "-x/3+7/6")
+
+
+@pytest.mark.parametrize("cartan", KR_TYPES, ids=str)
+def test_the_kr_string_is_the_y_form_of_the_kr_weight(cartan):
+    # 3,584 cases over the 17 types: every node, k = 0..6 and eight points
+    for i in cartan.nodes:
+        for k in range(7):
+            for x in map(coord, KR_POINTS):
+                assert kr_top_y(cartan, i, k, x) == psi_to_y(cartan, kr_weight(cartan, i, k, x))
+
+
+def test_a_kr_string_is_refused_in_order_budget_node_k_coordinate():
+    with pytest.raises(EngineError, match="KR string of 5 factors"):
+        kr_top_y(B2, 3, 5, 0.5, EngineConfig(term_budget=2))
+    with pytest.raises(ValueError, match="node 3 out of range"):
+        kr_top_y(B2, 3, -1, 0.5)
+    with pytest.raises(ValueError, match="KR index k must be >= 0"):
+        kr_top_y(B2, 1, -1, 0.5)
+    with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+        kr_top_y(B2, 1, 1, 0.5)
+
+
 def test_demazure_weight_examples():
     assert demazure_weight(A1, 1, 0, 1, 2) == PsiMonomial.unit()
     assert demazure_weight(A1, 1, 1, 1, 3) == parse_monomial("Psi[1,4] /Psi[1,3]")

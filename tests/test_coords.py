@@ -1,4 +1,6 @@
 """Exact spectral coordinate arithmetic, parsing and predicates."""
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -158,3 +160,80 @@ def test_rational_shift_matches_the_general_path(a, b):
     assert _same(b - a, _general_add(Coord(-a.rat, {n: -c for n, c in a.sym}), b))
     assert isinstance(b - a, Coord) and isinstance(b + a, Coord)
     assert (a + b) - b == a
+
+
+# The term grammar as it reads every text, kept here verbatim so that a
+# shorter path for some texts can be held to it.
+_REF_EXPONENT = re.compile(r"(?:^|(?<=[+-]))\s*(\d[\d/]*[eE][+-]?\d+)")
+
+
+def _reference_term(term: str, pos: int) -> Coord:
+    pos += len(term) - len(term.lstrip())
+    term = term.strip()
+    if not term:
+        raise CoordSyntaxError(f"empty coordinate term at position {pos}")
+    sign = 1
+    if term.startswith("-"):
+        sign = -1
+        term = term[1:]
+        pos += 1
+    i = 0
+    while i < len(term) and (term[i].isdigit() or term[i] == "/"):
+        i += 1
+    num, name = term[:i], term[i:]
+    if name:
+        tail = ""
+        if "/" in name:
+            name, tail = name.split("/", 1)
+            tail = "/" + tail
+        if not name.isidentifier():
+            raise CoordSyntaxError(f"bad indeterminate {name!r} at position {pos + i}")
+        try:
+            coeff = Fraction((num or "1") + tail)
+        except (ValueError, ZeroDivisionError):
+            raise CoordSyntaxError(f"bad coefficient in {term!r} at position {pos}") from None
+        return Coord.var(name, sign * coeff)
+    try:
+        return Coord(sign * Fraction(num))
+    except (ValueError, ZeroDivisionError):
+        raise CoordSyntaxError(f"bad rational {num!r} at position {pos}") from None
+
+
+def reference_parse_coord(text: str) -> Coord:
+    if m := _REF_EXPONENT.search(text):
+        raise CoordSyntaxError(f"exponent notation {m[1]!r} at position {m.start(1)} "
+                               "is not a coordinate")
+    lead = len(text) - len(text.lstrip())
+    total, start = Coord(0), 0
+    for n, ch in enumerate(text):
+        if ch == "+" or (ch == "-" and n > lead):
+            total = total + _reference_term(text[start:n], start)
+            start = n + (ch == "+")
+    return total + _reference_term(text[start:], start)
+
+
+def _outcome(parse, text):
+    try:
+        c = parse(text)
+    except Exception as ex:     # the refusal, as its type and text
+        return type(ex), str(ex)
+    return c.rat, c.sym, hash(c), str(c)
+
+
+LIMIT = sys.get_int_max_str_digits()
+_digits = st.text("0123456789", min_size=1, max_size=8)
+plain = st.builds(lambda sign, n, d: sign + n + ("" if d is None else "/" + d),
+                  st.sampled_from(("", "-")), _digits, st.none() | _digits)
+# one character put in a plain text or put in place of one of its characters
+_MISS = (" ", "\t", "\n", "+", "-", "/", "//", "e", "E5", ".", "_", "x", "٣", "３", "¹", "")
+near_miss = st.builds(lambda text, at, put, over: text[:at] + put + text[at + over:],
+                      plain, st.integers(0, 20), st.sampled_from(_MISS), st.integers(0, 1))
+edges = st.sampled_from((
+    "007", "-0", "-00/07", "0/5", "6/4", "1/0", "-3/00", "+3", "3/", "/3", "3//4", " 3",
+    "3 ", "- 3", "--3", "٣", "１/２", "1e5", "-", "", "7" * (LIMIT + 1), "-" + "7" * (LIMIT + 1),
+    "1/" + "7" * (LIMIT + 1), "7" * LIMIT + "/" + "3" * LIMIT, "x" + "7" * (LIMIT + 1)))
+
+
+@given(st.one_of(plain, near_miss, edges))
+def test_a_plain_rational_reads_as_the_term_grammar_reads_it(text):
+    assert _outcome(parse_coord, text) == _outcome(reference_parse_coord, text)
