@@ -23,9 +23,9 @@ from functools import cached_property, lru_cache
 from .cartan import CartanData, _frozen
 from .coords import Coord, coord
 from .monomials import (
-    _HALF, _LANE, _LANES, AVector, PsiMonomial, YMonomial, _by_node, _i_chain, _print_plan,
-    _print_rows, _remove, _term_key, _translate, _unsite, _walk, avector_to_psi, is_dominant,
-    output_order, psi_to_y, y_to_psi,
+    _HALF, _LANE, _LANES, AVector, PsiMonomial, YMonomial, _by_node, _i_chain, _i_chain_psi,
+    _print_plan, _print_rows, _remove, _site, _term_key, _translate, _walk, avector_to_psi,
+    is_dominant, output_order, psi_to_y, y_to_psi,
 )
 from .textio import format_monomial
 
@@ -328,10 +328,14 @@ def kr_weight(cartan: CartanData, i: int, k: int, x) -> PsiMonomial:
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
 def kr_top_y(cartan: CartanData, i: int, k: int, x,
              config: EngineConfig = DEFAULT_CONFIG) -> YMonomial:
-    """The same weight as the Y-string Y_{i,x+d_i/2} ... Y_{i,x+(k-1/2)d_i};
-    a string of more than ``term_budget`` factors is refused before it is built."""
+    """The same weight as the Y-string Y_{i,x+d_i/2} ... Y_{i,x+(k-1/2)d_i}, on its k
+    sites; a string of more than ``term_budget`` factors is refused before it is built."""
     _check_budget(config, (k, f"a KR string of {k} factors"))
-    return _engine_y(cartan, kr_weight(cartan, i, k, x))
+    cartan.check_node(i)
+    if k < 0:
+        raise ValueError("KR index k must be >= 0")
+    s, step = _site(i, x) + cartan.d[i - 1] * _HALF, 2 * cartan.d[i - 1] * _HALF
+    return YMonomial(tuple([(p, 1) for p in range(s, s + k * step, step)]), canonical=True)
 
 
 def _check_budget(config: EngineConfig, *sizes):
@@ -364,8 +368,7 @@ def demazure_weight(cartan: CartanData, i: int, t: int, k: int, x,
     x = coord(x)
     di = cartan.di(i)
     out = kr_weight(cartan, i, k, x - (k + 1) * di) * kr_weight(cartan, i, k + t, x - k * di)
-    roots = _i_chain(cartan, i, x - k * di, k)
-    out = out * avector_to_psi(cartan, roots)
+    out = out * _i_chain_psi(cartan, i, x - k * di, k)
     display = _demazure_weight_display(cartan, i, t, k, x)
     if display != out:
         raise EngineError("Demazure weight display disagrees with the telescoped product")
@@ -572,9 +575,9 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
         if not is_dominant(top):
             raise ValueError(f"fm_expand requires a dominant top, got {format_monomial(top)}")
         t = 0
-        if top.exps:
-            i, x = _unsite(top.ordered()[0][0])
-            t = x.rat - Fraction(cartan.d[i - 1], 2)
+        if top.exps:            # x.rat - d_i/2 of the first factor, off its lane
+            i, _, residue = _LANES[(s := top.ordered()[0][0]) & _LANE]
+            t = residue + Fraction((s >> 32) - cartan.d[i - 1], 2)
         if not t:
             return _fm_expand(cartan, top, bound, config)
         anchored = _translate(-t, top)[0]

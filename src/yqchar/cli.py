@@ -27,6 +27,8 @@ from .textio import format_monomial, parse_monomial
 
 __all__ = ["main", "dispatch", "CliConfig"]
 _FORMATS = ("text", "json")     # --format's choices, and a config file's output_format's
+# The one encoder of every JSON document: to_json builds a fresh tree, so no cycle is looked for.
+_JSON = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 @_frozen
@@ -190,7 +192,7 @@ def _emit(obj, cfg: CliConfig, out) -> int:
     format; exit 1 for a failing report, else 0."""
     if cfg.output_format == "json":
         payload = obj.to_json() if hasattr(obj, "to_json") else {"monomial": format_monomial(obj)}
-        text = json.dumps({"schema": "yqchar/1", "result": payload}, sort_keys=True)
+        text = _JSON.encode({"schema": "yqchar/1", "result": payload})
     else:
         text = obj.to_text() if hasattr(obj, "to_text") else format_monomial(obj)
     print(text, file=out, flush=True)
@@ -224,12 +226,6 @@ def _read(argv):
     return None if None in map(args.get, required) else SimpleNamespace(**args)
 
 
-def _parse(argv):
-    """The namespace of ``argv`` before dispatch checks it: _read's, or where _read
-    declines, the argparse tree's, with its help, usage errors and exit codes."""
-    return _read(argv) or _parser().parse_args(argv)
-
-
 def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
     try:
         if (args := _read(argv)) is None:
@@ -261,7 +257,7 @@ def dispatch(argv, out=sys.stdout, err=sys.stderr) -> int:
         ok = all(r.verdict for r in reports)
         if cfg.output_format == "json":
             doc = {"results": [r.to_json() for r in reports], "verdict": "pass" if ok else "fail"}
-            print(json.dumps({"schema": "yqchar/1"} | doc, sort_keys=True), file=out, flush=True)
+            print(_JSON.encode({"schema": "yqchar/1"} | doc), file=out, flush=True)
         else:
             for s, r in zip(specs, reports):
                 k = f" k={s.k}" if "k" in KINDS[s.kind] else ""

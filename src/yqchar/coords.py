@@ -18,6 +18,8 @@ _COORD_CACHE_SIZE = 1024    # bound on the memo of parsed coordinate texts
 # A numeric coefficient that starts a term, then e or E, an optional sign and
 # a digit: exponent notation, such as "1e5" or "2E-3", which no term reads.
 _EXPONENT = re.compile(r"(?:^|(?<=[+-]))\s*(\d[\d/]*[eE][+-]?\d+)")
+# A plain rational, ASCII digits only, which one match reads without the term loop.
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _as_fraction(v) -> Fraction:
@@ -194,8 +196,15 @@ def parse_coord(text: str) -> Coord:
 
     Examples: "-3/2", "k", "2k", "k/3", "1/2+k", "-1+k/2".  A term ends at
     each '+', which is dropped, and at each '-' but a leading one, which
-    starts the next term.  Exponent notation ("1e5") is refused.
+    starts the next term.  Exponent notation ("1e5") is refused.  A plain
+    rational ("-7/2") is read in one step, unless the terms must refuse it.
     """
+    if m := _PLAIN.fullmatch(text):
+        try:
+            if den := int(m[2] or 1):
+                return Coord(Fraction(int(m[1]), den), (), canonical=True)
+        except ValueError:      # more digits than int() reads from text
+            pass
     if m := _EXPONENT.search(text):
         raise CoordSyntaxError(f"exponent notation {m[1]!r} at position {m.start(1)} "
                                "is not a coordinate")

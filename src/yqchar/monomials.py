@@ -359,6 +359,23 @@ def _i_chain(cartan: CartanData, i: int, x, k: int) -> AVector:
     return AVector(tuple(range(s, s + k * step, step)), canonical=True)
 
 
+def _i_chain_psi(cartan: CartanData, i: int, x, k: int) -> PsiMonomial:
+    """``avector_to_psi(cartan, _i_chain(cartan, i, x, k))``, not walked over k sites:
+    each Psi factor (p, e) of A^-1_{i,x} runs along p, p + step, ... (k sites), and
+    node j's two lie c_ij steps apart on one lane, so their runs cancel but for
+    min(|c_ij|, k) sites at each end, which a sweep over the run ends finds."""
+    step, ends = 2 * cartan.d[i - 1] * _HALF, Counter()
+    for p, e in _walk(cartan, ((_site(i, x), 1),), 0, -1):
+        ends[p] += e
+        ends[p + k * step] -= e
+    out, run = [], 0
+    for q in sorted(ends, key=lambda q: (q & _LANE, q)):
+        if run:
+            out += [(p, run) for p in range(last, q, step)]
+        run, last = run + ends[q], q
+    return PsiMonomial(_canon(out), canonical=True)
+
+
 def expand_A_to_Psi(cartan: CartanData, i: int, x) -> PsiMonomial:
     """A_{i,x} as a Psi-monomial (see ``_offsets``)."""
     cartan.check_node(i)

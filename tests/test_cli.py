@@ -5,13 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import yqchar.characters as characters
 import yqchar.cli as cli
-from yqchar.characters import _FM_CACHE, Report
+import yqchar.coords as coords
+import yqchar.monomials as monomials
+from yqchar.characters import _FM_CACHE, Report, TruncatedCharacter
 from yqchar.coords import coord
 from yqchar.monomials import PsiMonomial
 
@@ -218,6 +222,59 @@ def test_a_fault_inside_the_engine_exits_three(monkeypatch, fault, err):
         raise fault
     monkeypatch.setattr(cli, "fm_expand", fm_expand)
     assert run(["qchar", "kr", "--type", "A1", "--node", "1"]) == (3, "", err)
+
+
+def _cycle(self):
+    payload = {"avector": "1"}
+    payload["self"] = payload
+    return payload
+
+
+def test_a_payload_that_holds_itself_is_an_internal_fault(monkeypatch, tmp_path):
+    # every JSON document is encoded without the circular check: a payload
+    # with a cycle, which no to_json builds, is a fault (exit 3), not the
+    # usage error (exit 2) that the check's ValueError would read as
+    suite = tmp_path / "suite.json"
+    suite.write_text('[{"kind": "tsystem", "lie_type": "A1", "i": 1, "k": 1, "t": 0}]')
+    monkeypatch.setattr(TruncatedCharacter, "to_json", _cycle)
+    monkeypatch.setattr(Report, "to_json", _cycle)
+    for argv in (["qchar", "kr", "--type", "A1", "--node", "1", "--format", "json"],
+                 ["verify", "suite", str(suite), "--format", "json"]):
+        code, out, err = run(argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("internal error: RecursionError: "), argv
+
+
+def test_a_warm_kr_job_at_a_new_point_builds_no_weight_grammar_or_encoder(monkeypatch):
+    # the job reads its plain x in one step, builds the KR string on its sites,
+    # reads the shift to the memoized anchor off the lane table, and encodes
+    # with the module's one encoder
+    argv = ["qchar", "kr", "--type", "A4", "--node", "1", "--k", "3", "--format", "json"]
+    assert run(argv + ["--x=1/7"])[0] == 0
+    calls = Counter()
+
+    def spy(module, name):
+        fn = getattr(module, name, None)
+
+        def counted(*args, **kwargs):
+            calls[f"{module.__name__}.{name}"] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted, raising=False)
+
+    class Encoder(json.JSONEncoder):
+        def __init__(self, *args, **kwargs):
+            calls["JSONEncoder"] += 1
+            super().__init__(*args, **kwargs)
+    for module, name in ((characters, "kr_weight"), (characters, "psi_to_y"),
+                         (monomials, "psi_to_y"), (coords, "_parse_term"),
+                         (characters, "_unsite")):
+        spy(module, name)
+    monkeypatch.setattr(json, "JSONEncoder", Encoder)
+    hits = _FM_CACHE.hits
+    code, out, err = run(argv + ["--x=-403/7"])
+    assert (code, err) == (0, "") and len(json.loads(out)["result"]["terms"]) == 35
+    assert _FM_CACHE.hits == hits + 1           # the anchor, met warm
+    assert dict(calls) == {}
 
 
 class _ClosedPipe(io.StringIO):
@@ -825,8 +882,14 @@ def _parsed(parse, argv):
     return got, out.getvalue(), err.getvalue()
 
 
+def _parse(argv):
+    """The namespace of ``argv`` before dispatch checks it: ``cli._read``'s, or where
+    it declines, the argparse tree's, with its help, usage errors and exit codes."""
+    return cli._read(argv) or cli._parser().parse_args(argv)
+
+
 def _same_parse(argv):
-    assert _parsed(cli._parse, argv) == _parsed(cli._parser().parse_args, argv), argv
+    assert _parsed(_parse, argv) == _parsed(cli._parser().parse_args, argv), argv
 
 
 # Words that _argv never draws: an empty value, a value to --check-tq, a

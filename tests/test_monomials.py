@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from yqchar.cartan import LieType, Weight, build_cartan
 from yqchar.coords import Coord, coord
 from yqchar.monomials import (
-    _HALF, _LANE, AVector, PsiMonomial, YMonomial, _i_chain, _print_plan, _print_rows, _remove, _site,
+    _HALF, _LANE, AVector, PsiMonomial, YMonomial, _i_chain, _i_chain_psi, _print_plan, _print_rows, _remove, _site,
     _site_order, _translate, _unsite, avector_to_psi, avector_to_y, expand_A_to_Psi,
     is_dominant, output_order, psi_to_y,
     weight_projection, y_to_psi,
@@ -57,6 +57,15 @@ def test_i_chain_equals_the_coord_built_chain(name, x, k):
     for i in ct.nodes:
         ref = AVector(tuple(((i, x + m * ct.di(i)), 1) for m in range(k)))
         assert _i_chain(ct, i, x, k) == ref
+
+
+@pytest.mark.parametrize("name", ALL_RANK_LE_4 + ["D5", "E6", "E7", "E8"])
+def test_the_telescoped_i_chain_is_the_walked_one(name):
+    ct = build_cartan(LieType.parse(name))
+    for x in map(coord, ("0", "-7/3", "1/2", "5/4", "x", "k-5/4", "-2x/3+1/6")):
+        for i in ct.nodes:
+            for k in range(1, 9):
+                assert _i_chain_psi(ct, i, x, k) == avector_to_psi(ct, _i_chain(ct, i, x, k))
 
 
 def test_immutability():
