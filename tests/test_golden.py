@@ -523,6 +523,22 @@ GOLDEN = [
      "09637a5902470d13"),
     (_v("tq", "B2", 2, "--k", "6", "--height", "3", "--x=-0", "--format", "json"), 0,
      "1fd5c3d80030f11b"),
+    # A KR string of 999,999 sites whose first node-sl2 string has about 5 * 10^11
+    # chains: in a KR character, a skeleton check, and the stabilized characters
+    # and two-term check at that height; then a bad node, read before k.
+    (_kr("A1", 1, 999999), 3, "2bf411b727da778a"),
+    (_v("kr-skeleton", "A1", 1, "--k", "999999"), 3, "2bf411b727da778a"),
+    (("qchar", "asymptotic", "--type", "A2", "--node", "1", "--height", "999999"), 3,
+     "2bf411b727da778a"),
+    (("qchar", "prefundamental", "--type", "A1", "--node", "1", "--height", "999999"), 3,
+     "2bf411b727da778a"),
+    (_v("two-term", "A1", 1, "--height", "999999"), 3, "2bf411b727da778a"),
+    (_kr("A1", 0, 999999), 2, "9615676236dae548"),
+    # A monomial node or exponent of more digits than int() reads from text.
+    (("translate", "--to", "multiplicative", "--monomial", "Psi[1,0]^" + "9" * 5000), 2,
+     "9f87c703e5e1a5bf"),
+    (("translate", "--to", "multiplicative", "--monomial", f"Psi[{'9' * 5000},0]"), 2,
+     "9f87c703e5e1a5bf"),
 ]
 
 
