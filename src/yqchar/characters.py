@@ -23,11 +23,10 @@ from functools import cached_property, lru_cache
 from .cartan import CartanData, _frozen
 from .coords import Coord, coord
 from .monomials import (
-    _HALF, _LANE, _LANES, AVector, PsiMonomial, YMonomial, _by_node, _i_chain, _i_chain_psi,
-    _print_plan, _print_rows, _remove, _site, _term_key, _translate, _walk, avector_to_psi,
-    is_dominant, output_order, psi_to_y, y_to_psi,
+    _HALF, AVector, PsiMonomial, YMonomial, _by_node, _i_chain, _i_chain_psi, _print_plan,
+    _print_rows, _remove, _site, _site_order, _term_key, _translate, _walk, avector_to_psi,
+    format_monomial, is_dominant, output_order, psi_to_y, y_to_psi,
 )
-from .textio import format_monomial
 
 __all__ = [
     "EngineConfig", "EngineError", "TruncatedCharacter", "Report",
@@ -575,9 +574,9 @@ def fm_expand(cartan: CartanData, top: YMonomial, bound: int | None = None,
         if not is_dominant(top):
             raise ValueError(f"fm_expand requires a dominant top, got {format_monomial(top)}")
         t = 0
-        if top.exps:            # x.rat - d_i/2 of the first factor, off its lane
-            i, _, residue = _LANES[(s := top.ordered()[0][0]) & _LANE]
-            t = residue + Fraction((s >> 32) - cartan.d[i - 1], 2)
+        if top.exps:            # x.rat - d_i/2 of the first factor, off its order key
+            i, _, off2, residue = _site_order(top.ordered()[0][0])
+            t = residue + Fraction(off2 - cartan.d[i - 1], 2)
         if not t:
             return _fm_expand(cartan, top, bound, config)
         anchored = _translate(-t, top)[0]
@@ -609,7 +608,7 @@ def _fm_expand(cartan, top, bound, config, t=0, base=None):
     budget, rank = config.term_budget, cartan.rank
     inside = frozenset(() if base is None else base.sites)
     at_node = _by_node((s, 1) for s in inside)
-    base_at = [frozenset(s for s, _ in at_node.get(j, ())) for j in cartan.nodes]
+    base_at = [frozenset(at_node.get(j, ())) for j in cartan.nodes]
     at = _by_node(top.exps)
     pending = {(): ([dict(at.get(i, ())) for i in cartan.nodes], [0] * rank)}
     levels = {0: [()]}          # height -> pending terms, in the order found
@@ -646,13 +645,11 @@ def _fm_expand(cartan, top, bound, config, t=0, base=None):
                             continue
                         dy = chain_y.get(chain)
                         if dy is None:
-                            dy = chain_y[chain] = {}
-                            for s, e in _walk(cartan, [(s, 1) for s in chain], 1, -1):
-                                part = dy.setdefault(_LANES[s & _LANE][0] - 1, {})
-                                part[s] = part.get(s, 0) + e
+                            dy = chain_y[chain] = _by_node(
+                                _walk(cartan, [(s, 1) for s in chain], 1, -1))
                         ys2 = ys.copy()
                         for j, part in dy.items():
-                            y2 = ys2[j] = ys[j].copy()
+                            y2 = ys2[j - 1] = ys[j - 1].copy()
                             for s, e in part.items():
                                 if e := e + y2.get(s, 0):
                                     y2[s] = e

@@ -12,7 +12,8 @@ from fractions import Fraction
 from .cartan import CartanData, LieType, _frozen, build_cartan
 from .coords import coord, narrow
 from .monomials import (
-    AVector, PsiMonomial, _ExpMap, _i_chain, _site, expand_A_to_Psi, output_order,
+    AVector, PsiMonomial, _ExpMap, _i_chain, _site, expand_A_to_Psi, format_monomial,
+    output_order,
 )
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter, _check_budget,
@@ -20,7 +21,6 @@ from .characters import (
     demazure_char_via_ses, demazure_weight, divide_series, fm_expand, kr_top_y, m_weight,
     n_weight, stabilize,
 )
-from .textio import format_monomial
 
 __all__ = [
     "KINDS", "IdentitySpec", "json_object", "run_identity",

@@ -14,9 +14,10 @@ hashable.  Spectral coordinates are exact (see coords.Coord).
 
 Storage: each (node, x) is one int *site* ``off2 << 32 | lane``: off2 =
 floor(2 x.rat) counts half steps, and the lane interns (node, symbolic part,
-rational residue x.rat - off2/2 in [0, 1/2)) in order of first use.  This
-module owns the key: ``_site`` makes it, ``_unsite`` reads it back, and off2
-and the node are exact at any size; a half step is +-(1 << 32).  Psi and Y
+rational residue x.rat - off2/2 in [0, 1/2)) in order of first use.  Only
+this module reads a lane or a site's bits: ``_site`` makes a site, ``_unsite``
+reads it back and ``format_monomial`` prints it (``textio`` parses the text);
+off2 and the node are exact at any size, a half step is ``_HALF``.  Psi and Y
 monomials store ``exps``, (site, exponent) pairs sorted by site.  An AVector
 stores ``sites``, its sorted site multiset, so its height is ``len(sites)``
 and a ledger product is ``tuple(sorted(a + b))``, one C merge.  Int order is
@@ -40,13 +41,13 @@ from itertools import groupby
 from operator import itemgetter
 
 from .cartan import CartanData, Weight
-from .coords import Coord, coord
+from .coords import Coord, coord, format_coord
 
 __all__ = [
     "PsiMonomial", "YMonomial", "AVector",
     "expand_A_to_Psi",
     "weight_projection", "is_dominant",
-    "psi_to_y", "y_to_psi", "avector_to_psi", "output_order",
+    "psi_to_y", "y_to_psi", "avector_to_psi", "output_order", "format_monomial",
 ]
 
 _HALF = 1 << 32             # a half step of the coordinate, added to a site
@@ -94,10 +95,11 @@ def _site_order(s: int) -> tuple:
 
 
 def _by_node(exps) -> dict:
-    """The (site, e) pairs of ``exps`` grouped by node: {node: [pairs]}."""
+    """The exponents of (site, e) pairs summed per site, grouped by node: {node: {site: e}}."""
     out = {}
-    for p in exps:
-        out.setdefault(_LANES[p[0] & _LANE][0], []).append(p)
+    for s, e in exps:
+        part = out.setdefault(_LANES[s & _LANE][0], {})
+        part[s] = part.get(s, 0) + e
     return out
 
 
@@ -148,7 +150,6 @@ class _Monomial:
         return self._hash
 
     def __repr__(self):
-        from .textio import format_monomial
         return format_monomial(self)
 
 
@@ -204,10 +205,42 @@ def _print_plan(rows) -> tuple:
     return sites, scale, set().union(*[ks for _, ks, _ in keyed]), keyed
 
 
+# Bound on the memos of factor texts and of lane texts (hits and misses: ROADMAP item 19).
+# Both pay: job_p50_s rose 5.3% on identity_suite without the first, 5.7% on kr_complete
+# without the second (10 pairs each, 1 of 10 better).
+_TEXT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_TEXT_CACHE_SIZE)
+def _lane_text(head: str, lane: int, tn: int, td: int) -> tuple:
+    """(``head[i,`` or ``Phi[i,q^``, 2 num, den, symbolic tail): residue + tn/td = num/den."""
+    i, sym, r = _LANES[lane]
+    return (f"{head}[{i}," + "q^" * (head == "Phi"), 2 * (r.numerator * td + tn * r.denominator),
+            r.denominator * td, format_coord(1, 1, sym)[1:])
+
+
+@lru_cache(maxsize=_TEXT_CACHE_SIZE)
+def _factor_text(head: str, site: int, e: int, tn: int = 0, td: int = 1) -> str:
+    """The factor at the site's x printed at x + tn/td = (2 num + off2 den) / (2 den)."""
+    pre, n2, den, tail = _lane_text(head, site & _LANE, tn, td)
+    g = math.gcd(n := n2 + (site >> 32) * den, d := 2 * den)
+    cs = f"{n // g}{tail}" if g == d else f"{n // g}/{d // g}{tail}"
+    cs = cs if n or not tail else format_coord(0, 1, _LANES[site & _LANE][1])
+    return f"{pre}{cs}]" if e == 1 else f"{pre}{cs}]^{e}"
+
+
+def format_monomial(m, t=0) -> str:
+    """Canonical string form of m moved by the rational ``t``, each factor at
+    x + t; at t = 0 the inverse of ``textio.parse_monomial`` on its output."""
+    head = {"PsiMonomial": "Psi", "YMonomial": "Y", "AVector": "A",
+            "MultiplicativeMonomial": "Phi"}[type(m).__name__]
+    sign, tn, td = -1 if head == "A" else 1, t.numerator, t.denominator
+    return " ".join([_factor_text(head, s, sign * e, tn, td) for s, e in m.ordered()]) or "1"
+
+
 def _print_rows(plan, t=0) -> list:
     """(row, text) pairs of a ``_print_plan``, each distinct factor printed once
-    at x + t (``textio._factor_text``): the rows moved by the rational t, no site moved."""
-    from .textio import _factor_text
+    at x + t (``_factor_text``): the rows moved by the rational t, no site moved."""
     sites, scale, keys, keyed = plan
     tn, td = t.numerator, t.denominator
     text = {k: _factor_text("A", sites[k // scale], -(k % scale + 1), tn, td) for k in keys}

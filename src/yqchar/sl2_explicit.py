@@ -32,7 +32,7 @@ from math import lcm
 from operator import mul
 
 from .cartan import LieType, _frozen, build_cartan
-from .monomials import AVector, PsiMonomial, _i_chain, _site, expand_A_to_Psi
+from .monomials import _HALF, AVector, PsiMonomial, _i_chain, _site, expand_A_to_Psi
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, Report, TruncatedCharacter, _check_budget,
     char_add, char_mul, compare_characters,
@@ -276,7 +276,7 @@ def extract_qchar(kind: str, k, x, n_max: int = 3, M: int | None = None,
     top = PsiMonomial.gen(1, x + k) * PsiMonomial.gen(1, x, -1)     # the unit at k = 0
     S, s0 = [1] + [0] * xi_modes, _site(1, x)
     # A_{1,x}^-1 as pairs (D (x + o), -e), 2o half steps up x's lane; A_{1,x+i} is it moved by i
-    step = [(X + ((s - s0) >> 32) * D // 2, -e) for s, e in expand_A_to_Psi(_SL2, 1, x).exps]
+    step = [(X + (s - s0) // _HALF * D // 2, -e) for s, e in expand_A_to_Psi(_SL2, 1, x).exps]
     for i, col in enumerate(_xi_series(X, K, D, dim, xi_modes)):
         # S steps to v_i's series: the top's, then A_{1,x+i-1}^-1
         _series_times(S, [(p + (i - 1) * D, e) for p, e in step] if i else ((X + K, 1), (X, -1)))

@@ -1,4 +1,5 @@
-"""Text and JSON serialization for monomials.
+"""The monomial grammar: text to monomials.  ``monomials.format_monomial``
+prints the text read here (``format_monomial`` below is the same function).
 
 Grammar (whitespace-separated product of factors):
 
@@ -17,12 +18,11 @@ product is formed once.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
-from math import gcd
 
 from .cartan import CartanData
 from . import monomials as M
-from .coords import format_coord, parse_coord
+from .coords import parse_coord
+from .monomials import format_monomial  # noqa: F401 -- the printer's public name
 
 _FACTOR = re.compile(
     r"(?P<inv>/)?(?P<head>Psi|Y|A)\[(?P<node>\d+),(?P<coord>[^\]]+)\](\^(?P<exp>-?\d+))?")
@@ -90,36 +90,3 @@ def parse_monomial(text: str, cartan: CartanData | None = None, kind: str | None
     for row, exps in other.items():
         pairs += M._walk(cartan, exps, row, 1)
     return (M.PsiMonomial if basis == "Psi" else M.YMonomial)(M._canon(pairs), canonical=True)
-
-
-# Bound on the memos of factor texts and of lane texts (hits and misses: ROADMAP item 19).
-# Both pay: job_p50_s rose 5.3% on identity_suite without the first, 5.7% on kr_complete
-# without the second (10 pairs each, 1 of 10 better).
-_TEXT_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_TEXT_CACHE_SIZE)
-def _lane_text(head: str, lane: int, tn: int, td: int) -> tuple:
-    """(``head[i,`` or ``Phi[i,q^``, 2 num, den, symbolic tail): residue + tn/td = num/den."""
-    i, sym, r = M._LANES[lane]
-    return (f"{head}[{i}," + "q^" * (head == "Phi"), 2 * (r.numerator * td + tn * r.denominator),
-            r.denominator * td, format_coord(1, 1, sym)[1:])
-
-
-@lru_cache(maxsize=_TEXT_CACHE_SIZE)
-def _factor_text(head: str, site: int, e: int, tn: int = 0, td: int = 1) -> str:
-    """The factor at the site's x printed at x + tn/td = (2 num + off2 den) / (2 den)."""
-    pre, n2, den, tail = _lane_text(head, site & M._LANE, tn, td)
-    g = gcd(n := n2 + (site >> 32) * den, d := 2 * den)
-    cs = f"{n // g}{tail}" if g == d else f"{n // g}/{d // g}{tail}"
-    cs = cs if n or not tail else format_coord(0, 1, M._LANES[site & M._LANE][1])
-    return f"{pre}{cs}]" if e == 1 else f"{pre}{cs}]^{e}"
-
-
-def format_monomial(m, t=0) -> str:
-    """Canonical string form of m moved by the rational ``t``, each factor at
-    x + t (see ``monomials``); at t = 0 the inverse of parse_monomial on its output."""
-    head = {"PsiMonomial": "Psi", "YMonomial": "Y", "AVector": "A",
-            "MultiplicativeMonomial": "Phi"}[type(m).__name__]
-    sign, tn, td = -1 if head == "A" else 1, t.numerator, t.denominator
-    return " ".join([_factor_text(head, s, sign * e, tn, td) for s, e in m.ordered()]) or "1"

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import yqchar.characters as characters
 import yqchar.cli as cli
 import yqchar.monomials as monomials
-import yqchar.textio as textio
 from yqchar.cartan import LieType, build_cartan
 from yqchar.coords import Coord, coord
 from yqchar.monomials import (
@@ -1077,14 +1076,14 @@ def test_printing_a_translate_formats_each_lane_once(monkeypatch, printer, resid
     for k, x in zip((3, 5), residues):
         ch = fm_expand(B3, kr_top_y(B3, 3, k, x))
         assert ch._anchor is not None
-        textio._lane_text.cache_clear()
-        textio._factor_text.cache_clear()
+        monomials._lane_text.cache_clear()
+        monomials._factor_text.cache_clear()
         format_monomial(ch.top)         # the top, so that what is counted is the rows
         counts.clear()
-        misses = textio._lane_text.cache_info().misses
+        misses = monomials._lane_text.cache_info().misses
         getattr(ch, printer)()
         sites = ch._anchor._plan[0]
-        seen.append((len(sites), textio._lane_text.cache_info().misses - misses))
+        seen.append((len(sites), monomials._lane_text.cache_info().misses - misses))
         assert counts == Counter()
         assert seen[-1][1] == len({s & monomials._LANE for s in sites})
     assert seen[0][0] < seen[1][0] and seen[0][1] == seen[1][1]

@@ -61,7 +61,7 @@ def reference_fm_expand(cartan, top, bound, config, t=0):
                 continue
             if deficit < 0:
                 raise EngineError("engine fault: node coverage exceeds multiplicity")
-            positions = tuple(at.get(i, ()))
+            positions = tuple(at.get(i, {}).items())
             if any(e < 0 for _, e in positions):
                 blocked = _translate(t, YMonomial(m, canonical=True))[0]
                 raise EngineError(f"expansion blocked: monomial {format_monomial(blocked)} "

@@ -21,18 +21,19 @@ B2 = build_cartan(LieType.parse("B2"))
 G2 = build_cartan(LieType.parse("G2"))
 
 # Every module-level memo in src/, each with the workload or check that reuses
-# it: hits/misses in one benchmark cycle (seed 7, cycle 1) where a workload does.
+# it: hits/misses in one benchmark cycle (seed 7, cycle 1) where a workload does,
+# run alone in a new process, so that every memo, _FM_CACHE too, starts empty.
 # A new memo must state its reuse here.
 MEMOS = {
     ("cli", "_parser"): "it takes no argument: one argparse tree, built at the first help or "
                         "usage error of a run, for every later one",
     ("coords", "parse_coord"): "identity_suite reads the same coordinate texts, 1,066/12",
-    ("cartan", "build_cartan"): "every job builds its type's data: identity_suite 591/3",
-    ("monomials", "_site"): "identity_suite meets the same (node, x) again, 1,893/65",
-    ("monomials", "_site_order"): "print order ranks the same sites: identity_suite 2,789/92",
+    ("cartan", "build_cartan"): "every job builds its type's data: identity_suite 590/4",
+    ("monomials", "_site"): "identity_suite meets the same (node, x) again, 1,647/51",
+    ("monomials", "_site_order"): "print order ranks the same sites: identity_suite 2,817/92",
     ("monomials", "_offsets"): "one table per Cartan type for each conversion: kr_complete 1,149/9",
-    ("textio", "_lane_text"): "kr_complete prints many factors of one lane, 1,223/328",
-    ("textio", "_factor_text"): "identity_suite prints the same factors again, 2,718/54",
+    ("monomials", "_lane_text"): "kr_complete prints many factors of one lane, 1,249/356",
+    ("monomials", "_factor_text"): "identity_suite prints the same factors again, 2,718/54",
     ("characters", "_sl2_node_expansion"): "kr_complete meets a string content again, 3,536/537",
     ("characters", "m_weight"): "identity_suite's TQ routes and RHS share one m-weight, 434/6",
     ("characters", "demazure_weight"): "identity_suite's T-system and TQ checks, 274/12",

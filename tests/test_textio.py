@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from yqchar.cartan import LieType, build_cartan
 from yqchar.coords import Coord
 from yqchar.monomials import (
-    AVector, PsiMonomial, YMonomial, _site, avector_to_psi, avector_to_y, y_to_psi,
+    AVector, PsiMonomial, YMonomial, _factor_text, _site, avector_to_psi, avector_to_y, y_to_psi,
 )
-from yqchar.textio import MonomialSyntaxError, _factor_text, _scan, format_monomial, parse_monomial
+from yqchar.textio import MonomialSyntaxError, _scan, format_monomial, parse_monomial
 
 
 def reference_parse(text, cartan=None, kind=None):
@@ -112,3 +112,4 @@ def test_each_factor_prints_as_its_coordinate_moved_by_t(i, x, t, e):
         power = "" if e == 1 else f"^{e}"
         assert _factor_text(head, _site(i, x), e, t.numerator, t.denominator) \
             == f"{head}[{i},{'q^' if head == 'Phi' else ''}{want}]{power}"
+
