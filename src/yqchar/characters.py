@@ -471,6 +471,13 @@ def _chains(m: int) -> tuple:
     return m * (m + 1) // 2, f"the chains of a node-sl2 string of length {m}"
 
 
+def _admit_kr(top: YMonomial, bound: int | None, config: EngineConfig) -> YMonomial:
+    """``top``, a KR string of ``kr_top_y``, once the chains that the first pop of its
+    expansion meets fit the budget: those of its one node-sl2 string, capped at ``bound``."""
+    _check_budget(config, _chains(len(top.exps) if bound is None else min(len(top.exps), bound)))
+    return top
+
+
 @lru_cache(maxsize=_SL2_CACHE_SIZE)
 def _sl2_node_expansion(positions: tuple, d: int, cap: int | None, budget: int) -> tuple:
     """sl2 character of an i-dominant string content as ledger chains.
@@ -689,7 +696,8 @@ def stabilize(cartan: CartanData, i: int, x, bound: int,
     """
     if bound < 0:
         raise ValueError("height bound must be >= 0")
-    kr = fm_expand(cartan, kr_top_y(cartan, i, bound, x, config), bound, config)
+    kr = fm_expand(cartan, _admit_kr(kr_top_y(cartan, i, bound, x, config), bound, config),
+                   bound, config)
     return TruncatedCharacter(PsiMonomial.unit(), kr.terms, bound)
 
 

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from .cartan import LieType, _frozen, build_cartan
 from .coords import coord, narrow
 from .characters import (
-    EngineConfig, EngineError, Report, asymptotic_char, demazure_char_via_ses,
+    EngineConfig, EngineError, Report, _admit_kr, asymptotic_char, demazure_char_via_ses,
     fm_expand, kr_top_y, m_weight, n_weight, prefundamental_char,
 )
 from .identities import (
@@ -112,8 +112,8 @@ def _leaf(path, run=None, names="", table=_SHARED, help=None, then=None, **own):
 _cartan = lambda a: build_cartan(LieType.parse(a.type))
 _int_k = lambda a: narrow(a.k, "k", integer=True)
 _COMPLETE = dict(_HEIGHT, help="truncation height (default: the complete character)")
-_leaf(("qchar", "kr"), lambda a, eng, N: fm_expand(
-    c := _cartan(a), kr_top_y(c, a.node, _int_k(a), coord(a.x), eng), a.height, eng),
+_leaf(("qchar", "kr"), lambda a, eng, N: fm_expand(c := _cartan(a), _admit_kr(
+    kr_top_y(c, a.node, _int_k(a), coord(a.x), eng), a.height, eng), a.height, eng),
     "type node k x N", N=_COMPLETE)
 _leaf(("qchar", "demazure"), lambda a, eng, N: demazure_char_via_ses(
     _cartan(a), a.node, a.t, _int_k(a), coord(a.x), a.height, eng),

@@ -16,10 +16,10 @@ from .monomials import (
     output_order,
 )
 from .characters import (
-    DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter, _check_budget,
-    _engine_y, _n_bases, _ses_sizes, asymptotic_char, char_mul, compare_characters,
-    demazure_char_via_ses, demazure_weight, divide_series, fm_expand, kr_top_y, m_weight,
-    n_weight, stabilize,
+    DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter, _admit_kr,
+    _check_budget, _engine_y, _n_bases, _ses_sizes, asymptotic_char, char_mul,
+    compare_characters, demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
+    kr_top_y, m_weight, n_weight, stabilize,
 )
 
 __all__ = [
@@ -323,7 +323,8 @@ def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
     """Structure of KR l-weights: the multiplicity-one i-chain, and every
     other term divisible by A^-1_{i,x} times an allowed off-node factor."""
     x = coord(x)
-    char = fm_expand(cartan, kr_top_y(cartan, i, k, x, config), bound, config)
+    char = fm_expand(cartan, _admit_kr(kr_top_y(cartan, i, k, x, config), bound, config),
+                     bound, config)
     chain = _i_chain(cartan, i, x, k).sites
     chains = {tuple(chain[:l + 1]) for l in range(k)}
     lead = _site(i, x)

@@ -98,6 +98,34 @@ def test_every_ses_tops_chains_are_refused_before_any_expansion(argv):
     assert seen == {"expansions": 0, "refused": True}
 
 
+# A KR string of 999,999 sites, whose first node-sl2 string has about 5 * 10^11
+# chains: in a KR character, a skeleton check, and the stabilized characters and
+# two-term check at that height.  kr_top_y refuses first (string, node, k, then
+# coordinate), so a bad node is still a usage error.
+KR_CHAINS = ("engine error: term budget 1000000 exceeded by the chains of a node-sl2 "
+             "string of length 999999\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "qchar kr --type A1 --node 1 --k 999999",
+    "verify kr-skeleton --type A1 --node 1 --k 999999",
+    "qchar asymptotic --type A2 --node 1 --height 999999",
+    "qchar prefundamental --type A1 --node 1 --height 999999",
+    "verify two-term --type A1 --node 1 --height 999999",
+])
+def test_a_kr_strings_chains_are_refused_before_fm_expand_takes_it(monkeypatch, argv):
+    calls = []
+    for module in (cli, characters, identities):
+        expand = module.fm_expand
+        monkeypatch.setattr(module, "fm_expand",
+                            lambda *args, expand=expand: calls.append(args) or expand(*args))
+    with _watched() as seen:
+        assert _run(argv.split()) == (3, "", KR_CHAINS)
+    assert calls == [] and seen == {"expansions": 0, "refused": True}
+    code, out, err = _run(argv.replace("--node 1", "--node 0").split())
+    assert (code, out, err.startswith("error: node 0 out of range 1..")) == (2, "", True)
+
+
 class _Stop(Exception):
     """Ends a spied expansion, or the SES route, once what it met is recorded."""
 
@@ -186,6 +214,8 @@ def test_a_parameter_refusal_precedes_every_expansion(budget_dir, job):
 # A new route states its sizes here.
 ADMITTED = {
     ("characters", "kr_top_y"): "(k, f'a KR string of {k} factors')",
+    ("characters", "_admit_kr"):
+        "_chains(len(top.exps) if bound is None else min(len(top.exps), bound))",
     ("characters", "demazure_weight"): "(k, f'{k} Demazure roots')",
     ("characters", "_demazure_char_via_ses"): "*(sizes := _ses_sizes(k, t, bound))",
     ("identities", "tq_lhs_direct"): "_m_weight_size(cartan, i, k)",
