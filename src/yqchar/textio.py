@@ -48,10 +48,11 @@ def _scan(text: str):
             x = parse_coord(m.group("coord"))
         except ValueError:
             raise MonomialSyntaxError(f"bad coordinate {m.group('coord')!r}", pos) from None
-        e = int(m.group("exp") or 1)
-        if m.group("inv"):
-            e = -e
-        factors.append((m.group("head"), int(m.group("node")), x, e))
+        try:
+            i, e = int(m.group("node")), int(m.group("exp") or 1) * (-1 if m.group("inv") else 1)
+        except ValueError:      # more digits than int() reads from text
+            raise MonomialSyntaxError(f"too many digits in factor {text[pos:pos+12]!r}", pos) from None
+        factors.append((m.group("head"), i, x, e))
         pos = m.end()
     return factors
 

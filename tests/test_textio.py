@@ -1,7 +1,9 @@
 """The monomial parser against a per-factor reference of its assembly, and
 the factor printer against a per-coordinate reference of its text."""
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from yqchar.cartan import LieType, build_cartan
@@ -113,3 +115,19 @@ def test_each_factor_prints_as_its_coordinate_moved_by_t(i, x, t, e):
         assert _factor_text(head, _site(i, x), e, t.numerator, t.denominator) \
             == f"{head}[{i},{'q^' if head == 'Phi' else ''}{want}]{power}"
 
+
+def test_a_node_or_exponent_of_more_digits_than_int_reads_is_a_syntax_error():
+    # int() refuses a text of more than sys.get_int_max_str_digits() digits; the
+    # scanner names the factor and its position instead, and reads the limit exactly
+    if not (limit := sys.get_int_max_str_digits()):
+        pytest.skip("this interpreter reads integer texts of any length")
+    over, a2 = "9" * (limit + 1), build_cartan(LieType.parse("A2"))
+    for text, pos in ((f"Psi[1,0]^{over}", 0), (f"Psi[{over},0]", 0),
+                      (f"Y[1,0] /A[2,1]^-{over}", 7), (f"Psi[1,x] A[{over},1/2]^-1", 9)):
+        with pytest.raises(MonomialSyntaxError) as err:
+            parse_monomial(text, a2)
+        assert (str(err.value), err.value.position) == \
+            (f"too many digits in factor {text[pos:pos + 12]!r} (at position {pos})", pos)
+    at = "9" * limit
+    assert _scan(f"/Psi[1,0]^{at} Y[{at},1]") == \
+        [("Psi", 1, Coord(0), -int(at)), ("Y", int(at), Coord(1), 1)]
