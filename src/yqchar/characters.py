@@ -617,7 +617,7 @@ def _fm_expand(cartan, top, bound, config, t=0, base=None):
     at_node = _by_node((s, 1) for s in inside)
     base_at = [frozenset(at_node.get(j, ())) for j in cartan.nodes]
     at = _by_node(top.exps)
-    pending = {(): ([dict(at.get(i, ())) for i in cartan.nodes], [0] * rank)}
+    pending = {(): ([at.pop(i, {}) for i in cartan.nodes], [0] * rank)}
     levels = {0: [()]}          # height -> pending terms, in the order found
     rows, chain_y = [], {}
     h, factors, n = 0, 0, 1     # n: terms found
