@@ -3,8 +3,8 @@
 Subpackages:
   coords        exact spectral coordinates (rationals + indeterminates)
   cartan        Cartan data and the weight lattice
-  monomials     Psi/Y/A monomial calculus and conversions
-  textio        monomial grammar and JSON serialization
+  monomials     Psi/Y/A monomial calculus, conversions and printing
+  textio        the monomial grammar (``cli`` writes JSON)
   characters    truncated characters and the expansion engine
   identities    identity verifiers and the multiplicative translation
   sl2_explicit  exact matrix modules in rank one

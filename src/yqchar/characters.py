@@ -181,14 +181,18 @@ def compare_characters(lhs: TruncatedCharacter, rhs: TruncatedCharacter,
         mism = [(t, a, b) for (_, a, b), t in output_order(
             (v, la.get(v, 0), rb.get(v, 0)) for v in la.keys() | rb.keys()
             if la.get(v, 0) != rb.get(v, 0))]
-    same = lhs.top == rhs.top
     lt = format_monomial(lhs.top)
-    rt = lt if same else format_monomial(rhs.top)
+    return _comparison(note, lt, lt if lhs.top == rhs.top else format_monomial(rhs.top), mism)
+
+
+def _comparison(note: str, lt: str, rt: str, mism) -> Report:
+    """The Report of a comparison: its note, the two tops' texts and the
+    (term text, lhs, rhs) rows of its mismatches; it passes on none."""
     lines = [f"note: {note}"] if note else []
-    if not same:
+    if lt != rt:
         lines.append(f"top mismatch: {lt} != {rt}")
     lines += [f"  {v}: lhs={a} rhs={b}" for v, a, b in mism]
-    return Report(same and not mism,
+    return Report(lt == rt and not mism,
                   {"note": note, "lhs_top": lt, "rhs_top": rt,
                    "mismatches": [{"avector": v, "lhs": a, "rhs": b} for v, a, b in mism]},
                   tuple(lines))
@@ -358,8 +362,8 @@ def demazure_weight(cartan: CartanData, i: int, t: int, k: int, x,
     """Highest l-weight of the Demazure-type module D^(i,t)_{k,x}.
 
     w^(i)_{k,x-(k+1)d_i} * w^(i)_{k+t,x-k d_i} * prod_{m=1..k} A_{i,x-m d_i}^-1.
-    The closed Psi-product form of the same weight is computed alongside
-    and must agree (engine self-check).  More than ``term_budget`` roots are refused.
+    Its closed form (``_demazure_weight_display``) is computed alongside and must
+    agree (engine self-check).  More than ``term_budget`` roots are refused.
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
@@ -375,17 +379,10 @@ def demazure_weight(cartan: CartanData, i: int, t: int, k: int, x,
 
 
 def _demazure_weight_display(cartan: CartanData, i: int, t: int, k: int, x: Coord) -> PsiMonomial:
+    """The closed form of the Demazure weight: Psi_{i,x+t d_i}/Psi_{i,x+d_i} * m * n."""
     di = cartan.di(i)
-    half = Fraction(1, 2)
-    out = PsiMonomial.gen(i, x + t * di) * PsiMonomial.gen(i, x, -1)
-    for j, cij, dij in cartan.neighbours(i):
-        out = out * PsiMonomial.gen(j, x + dij) * PsiMonomial.gen(j, x + dij - k * di, -1)
-        if cij == -2:
-            out = out * PsiMonomial.gen(j, x) * PsiMonomial.gen(j, x - k, -1)
-        elif cij == -3:
-            out = (out * PsiMonomial.gen(j, x + half) * PsiMonomial.gen(j, x - half)
-                   * PsiMonomial.gen(j, x + half - k, -1) * PsiMonomial.gen(j, x - half - k, -1))
-    return out
+    return (PsiMonomial.gen(i, x + t * di) * PsiMonomial.gen(i, x + di, -1)
+            * m_weight(cartan, i, k, x) * n_weight(cartan, i, k, x))
 
 
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)

@@ -17,7 +17,7 @@ from .monomials import (
 )
 from .characters import (
     DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter, _admit_kr,
-    _check_budget, _engine_y, _n_bases, _ses_sizes, asymptotic_char, char_mul,
+    _check_budget, _comparison, _engine_y, _n_bases, _ses_sizes, asymptotic_char, char_mul,
     compare_characters, demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
     kr_top_y, m_weight, n_weight, stabilize,
 )
@@ -279,7 +279,7 @@ def verify_two_term(cartan: CartanData, i: int, a, b, x, y, bound: int,
 
 def verify_factorization(cartan: CartanData, i: int, k: int, x,
                          config: EngineConfig = DEFAULT_CONFIG) -> Report:
-    """m-weight times n-weight equals the t=1 Demazure weight (concrete k)."""
+    """m * n against the t=1 Demazure weight, whose own self-check raises on a mismatch."""
     _check_k(k)
     x = coord(x)
     prod = m_weight(cartan, i, k, x) * n_weight(cartan, i, k, x)
@@ -413,11 +413,7 @@ def verify_multiplicative_tq(cartan: CartanData, i: int, x, y, k) -> Report:
             return out
         return [m, cl, s(1), s(-1)]
 
-    # rows read as a character comparison's, with the unit "1" as term and tops
-    rows = [(format_monomial(add), format_monomial(qm))
+    # rows of a character comparison, with the unit "1" as term and tops
+    rows = [("1", format_monomial(add), format_monomial(qm))
             for add, qm in zip(additive, quantum()) if to_multiplicative(add).exps != qm.exps]
-    note = f"multiplicative translation {cartan.lie_type} i={i}"
-    return Report(not rows, {"note": note, "lhs_top": "1", "rhs_top": "1",
-                             "mismatches": [{"avector": "1", "lhs": a, "rhs": q}
-                                            for a, q in rows]},
-                  (f"note: {note}", *(f"  1: lhs={a} rhs={q}" for a, q in rows)))
+    return _comparison(f"multiplicative translation {cartan.lie_type} i={i}", "1", "1", rows)

@@ -392,21 +392,36 @@ def _i_chain(cartan: CartanData, i: int, x, k: int) -> AVector:
     return AVector(tuple(range(s, s + k * step, step)), canonical=True)
 
 
+def _lane_sums(deltas, step) -> tuple:
+    """Running sums of (site, delta) pairs along each class of sites: a lane, and
+    off2 mod its step, ``step(lane)`` in site units (s is in class s % step(lane)).
+    Returns the (site, sum) pairs at every site of a class from its first point
+    to its last, 0 sums left out, and the (lowest, highest) point of each class
+    whose sum does not come back to 0."""
+    classes = {}
+    for s, e in sorted(deltas):
+        classes.setdefault(s % step(s & _LANE), []).append((s, e))
+    out, left = [], []
+    for c, ends in classes.items():
+        by, run = step(c & _LANE), 0
+        for q, e in ends:
+            if run:
+                out += [(p, run) for p in range(last, q, by)]
+            run, last = run + e, q
+        if run:
+            left.append((ends[0][0], last))
+    return out, left
+
+
 def _i_chain_psi(cartan: CartanData, i: int, x, k: int) -> PsiMonomial:
     """``avector_to_psi(cartan, _i_chain(cartan, i, x, k))``, not walked over k sites:
     each Psi factor (p, e) of A^-1_{i,x} runs along p, p + step, ... (k sites), and
     node j's two lie c_ij steps apart on one lane, so their runs cancel but for
-    min(|c_ij|, k) sites at each end, which a sweep over the run ends finds."""
-    step, ends = 2 * cartan.d[i - 1] * _HALF, Counter()
+    min(|c_ij|, k) sites at each end, which ``_lane_sums`` over the run ends finds."""
+    step, ends = 2 * cartan.d[i - 1] * _HALF, []
     for p, e in _walk(cartan, ((_site(i, x), 1),), 0, -1):
-        ends[p] += e
-        ends[p + k * step] -= e
-    out, run = [], 0
-    for q in sorted(ends, key=lambda q: (q & _LANE, q)):
-        if run:
-            out += [(p, run) for p in range(last, q, step)]
-        run, last = run + ends[q], q
-    return PsiMonomial(_canon(out), canonical=True)
+        ends += [(p, e), (p + k * step, -e)]
+    return PsiMonomial(_canon(_lane_sums(ends, lambda lane: step)[0]), canonical=True)
 
 
 def expand_A_to_Psi(cartan: CartanData, i: int, x) -> PsiMonomial:
@@ -432,39 +447,20 @@ def avector_to_y(cartan: CartanData, v: AVector) -> YMonomial:
 def psi_to_y(cartan: CartanData, m: PsiMonomial) -> YMonomial:
     """Factor a Psi-monomial in the lattice P into Y's.
 
-    Per node and per class of coordinates mod d_i (one lane, off2 mod
-    2 d_i), solve the telescoping system e_{i,x} = c_{i,x-d_i/2} -
-    c_{i,x+d_i/2} from the top down.  Raises ValueError if m is not a
-    product of Y's.
+    Y_{i,y} = Psi_{i,y+d_i/2} / Psi_{i,y-d_i/2}, so the exponent of Y_{i,y} is
+    the sum of -e over the factors Psi_{i,x}^e with x + d_i/2 <= y in y's class
+    mod d_i (one lane, off2 mod 2 d_i): ``_lane_sums`` of -e at x + d_i/2.
+    Raises ValueError if m is not a product of Y's: a class sums to nonzero.
     """
-    classes = {}
-    for s, e in m.exps:
-        lane = s & _LANE
-        classes.setdefault((lane, (s >> 32) % (2 * cartan.d[_LANES[lane][0] - 1])),
-                           []).append((s, e))
-    factors = []
-    residual = []
-    for (lane, _), xs in classes.items():
-        i = _LANES[lane][0]
-        h = cartan.d[i - 1] * _HALF     # d_i / 2
-        carry = 0          # c_{i, x + d_i/2} for the position above
-        prev = None
-        for s, e in reversed(xs):       # descending
-            if prev is not None and carry:
-                # positions strictly between prev and s have e = 0
-                factors += [(p - h, carry) for p in range(prev - 2 * h, s, -2 * h)]
-            prev = s
-            carry += e
-            if carry:
-                factors.append((s - h, carry))
-        if carry:
-            residual.append((i, _unsite(xs[-1][0])[1], _unsite(xs[0][0])[1]))
-    if residual:
-        # Name the class met first in (node, descending Coord) order.
-        i = min(r[0] for r in residual)
-        _, _, x = max((r for r in residual if r[0] == i), key=lambda r: r[1].sort_key())
-        raise ValueError(f"monomial is not in the Y-lattice at node {i} (residual Psi_{{{i},{x}}})")
-    return YMonomial(_canon(factors), canonical=True)
+    h = {s & _LANE: cartan.d[_LANES[s & _LANE][0] - 1] * _HALF for s, _ in m.exps}  # d_i / 2
+    ys, left = _lane_sums([(s + h[s & _LANE], -e) for s, e in m.exps], lambda lane: 2 * h[lane])
+    if left:
+        # Name the class met first in (node, descending Coord) order, at its lowest Psi.
+        (i, _), lo = max(((_unsite(hi - h[hi & _LANE]), lo - h[lo & _LANE]) for lo, hi in left),
+                         key=lambda r: (-r[0][0], r[0][1].sort_key()))
+        raise ValueError(f"monomial is not in the Y-lattice at node {i} "
+                         f"(residual Psi_{{{i},{_unsite(lo)[1]}}})")
+    return YMonomial(_canon(ys), canonical=True)
 
 
 # ---------------------------------------------------------------------------

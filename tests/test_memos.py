@@ -35,7 +35,8 @@ MEMOS = {
     ("monomials", "_lane_text"): "kr_complete prints many factors of one lane, 1,249/356",
     ("monomials", "_factor_text"): "identity_suite prints the same factors again, 2,718/54",
     ("characters", "_sl2_node_expansion"): "kr_complete meets a string content again, 3,536/537",
-    ("characters", "m_weight"): "identity_suite's TQ routes and RHS share one m-weight, 434/6",
+    ("characters", "m_weight"): "identity_suite's TQ routes, RHS and the Demazure self-check "
+                                "share one m-weight, 439/13",
     ("characters", "demazure_weight"): "identity_suite's T-system and TQ checks, 274/12",
     ("characters", "kr_top_y"): "identity_suite's stabilized and KR factors repeat, 469/75",
 }
