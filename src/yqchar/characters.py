@@ -31,7 +31,7 @@ from .monomials import (
 __all__ = [
     "EngineConfig", "EngineError", "TruncatedCharacter", "Report",
     "char_mul", "char_add", "compare_characters",
-    "kr_weight", "kr_top_y", "sl2_kr_char", "fm_expand",
+    "kr_weight", "kr_top_y", "kr_char", "sl2_kr_char", "fm_expand",
     "stabilize", "asymptotic_char", "prefundamental_char",
     "demazure_weight", "m_weight", "n_weight", "demazure_char_via_ses",
     "divide_series",
@@ -468,13 +468,6 @@ def _chains(m: int) -> tuple:
     return m * (m + 1) // 2, f"the chains of a node-sl2 string of length {m}"
 
 
-def _admit_kr(top: YMonomial, bound: int | None, config: EngineConfig) -> YMonomial:
-    """``top``, a KR string of ``kr_top_y``, once the chains that the first pop of its
-    expansion meets fit the budget: those of its one node-sl2 string, capped at ``bound``."""
-    _check_budget(config, _chains(len(top.exps) if bound is None else min(len(top.exps), bound)))
-    return top
-
-
 @lru_cache(maxsize=_SL2_CACHE_SIZE)
 def _sl2_node_expansion(positions: tuple, d: int, cap: int | None, budget: int) -> tuple:
     """sl2 character of an i-dominant string content as ledger chains.
@@ -674,6 +667,15 @@ def _fm_expand(cartan, top, bound, config, t=0, base=None):
                               tuple([(AVector(v, canonical=True), c) for v, c in rows]), bound)
 
 
+def kr_char(cartan: CartanData, i: int, k: int, x, bound: int | None = None,
+            config: EngineConfig = DEFAULT_CONFIG) -> TruncatedCharacter:
+    """The KR character W^(i)_{k,x} up to ``bound``: ``kr_top_y``'s string, admitted when the
+    chains of its one node-sl2 string, capped at ``bound``, fit the budget, then ``fm_expand``."""
+    top = kr_top_y(cartan, i, k, x, config)
+    _check_budget(config, _chains(k if bound is None else min(k, bound)))
+    return fm_expand(cartan, top, bound, config)
+
+
 # ---------------------------------------------------------------------------
 # Stabilized (asymptotic) characters.
 # ---------------------------------------------------------------------------
@@ -693,8 +695,7 @@ def stabilize(cartan: CartanData, i: int, x, bound: int,
     """
     if bound < 0:
         raise ValueError("height bound must be >= 0")
-    kr = fm_expand(cartan, _admit_kr(kr_top_y(cartan, i, bound, x, config), bound, config),
-                   bound, config)
+    kr = kr_char(cartan, i, bound, x, bound, config)
     return TruncatedCharacter(PsiMonomial.unit(), kr.terms, bound)
 
 

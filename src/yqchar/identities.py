@@ -1,7 +1,8 @@
 """Verifiers for the character identities and support constraints.
 
-Each verifier computes both sides of an identity through independent
-routes and compares exactly; reports carry the full mismatch table.
+The identity verifiers compute both sides through independent routes and
+compare exactly; reports carry the full mismatch table.  The support kinds
+scan one character, and factorization reports the Demazure self-check.
 Also houses the additive-to-multiplicative convention translation.
 """
 from __future__ import annotations
@@ -16,10 +17,9 @@ from .monomials import (
     output_order,
 )
 from .characters import (
-    DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter, _admit_kr,
-    _check_budget, _comparison, _engine_y, _n_bases, _ses_sizes, asymptotic_char, char_mul,
-    compare_characters, demazure_char_via_ses, demazure_weight, divide_series, fm_expand,
-    kr_top_y, m_weight, n_weight, stabilize,
+    DEFAULT_CONFIG, EngineConfig, EngineError, Report, TruncatedCharacter, _check_budget,
+    _comparison, _engine_y, _n_bases, _ses_sizes, asymptotic_char, char_mul, compare_characters,
+    demazure_char_via_ses, demazure_weight, divide_series, fm_expand, kr_char, m_weight, stabilize,
 )
 
 __all__ = [
@@ -181,9 +181,8 @@ def tq_lhs_division(cartan: CartanData, i: int, k: int, x, bound: int,
     m = m_weight(cartan, i, k, x)
     den = TruncatedCharacter.make(PsiMonomial.unit(), {AVector.unit(): 1}, bound)
     for j, base in _n_bases(cartan, i, k, x):
-        length = k * cartan.d[i - 1] // cartan.d[j - 1]
-        den = char_mul(den, fm_expand(cartan, kr_top_y(cartan, j, length, base, config),
-                                      bound, config), config)
+        den = char_mul(den, kr_char(cartan, j, k * cartan.d[i - 1] // cartan.d[j - 1], base,
+                                    bound, config), config)
     if m * den.top != demazure_weight(cartan, i, 1, k, x, config=config):
         raise EngineError("KR factors and the m-weight do not assemble the Demazure weight")
     quot = divide_series(num.term_dict(), den.term_dict(), bound, config)
@@ -279,14 +278,10 @@ def verify_two_term(cartan: CartanData, i: int, a, b, x, y, bound: int,
 
 def verify_factorization(cartan: CartanData, i: int, k: int, x,
                          config: EngineConfig = DEFAULT_CONFIG) -> Report:
-    """m * n against the t=1 Demazure weight, whose own self-check raises on a mismatch."""
+    """m * n against the t=1 Demazure weight, read off the weight's self-check (m * n at t=1)."""
     _check_k(k)
-    x = coord(x)
-    prod = m_weight(cartan, i, k, x) * n_weight(cartan, i, k, x)
-    dw = demazure_weight(cartan, i, 1, k, x, config=config)
-    lhs = TruncatedCharacter.make(prod, {AVector.unit(): 1}, 0)
-    rhs = TruncatedCharacter.make(dw, {AVector.unit(): 1}, 0)
-    return compare_characters(lhs, rhs, note=f"m*n vs Demazure weight, k={k}")
+    d = format_monomial(demazure_weight(cartan, i, 1, k, x, config=config))
+    return _comparison(f"m*n vs Demazure weight, k={k}", d, d, ())
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +318,7 @@ def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
     """Structure of KR l-weights: the multiplicity-one i-chain, and every
     other term divisible by A^-1_{i,x} times an allowed off-node factor."""
     x = coord(x)
-    char = fm_expand(cartan, _admit_kr(kr_top_y(cartan, i, k, x, config), bound, config),
-                     bound, config)
+    char = kr_char(cartan, i, k, x, bound, config)
     chain = _i_chain(cartan, i, x, k).sites
     chains = {tuple(chain[:l + 1]) for l in range(k)}
     lead = _site(i, x)
@@ -336,6 +330,12 @@ def check_kr_skeleton(cartan: CartanData, i: int, k: int, x,
                           _skeleton_sites(cartan, i, k, x), "no allowed off-node A-factor")
     return _support_report(len(char.terms), found,
                            f"KR skeleton {cartan.lie_type} i={i} k={k} x={x}")
+
+
+def _far_scan(what: str, cartan: CartanData, i: int, k: int, x, char, allowed) -> Report:
+    """Every ledger of ``char`` but 1 and A^-1_{i,x} has an A^-1_{j,z}, (j, z) in ``allowed``."""
+    found = _unsupported(char.terms, allowed, "no allowed far-cluster A-factor", AVector.gen(i, x))
+    return _support_report(len(char.terms), found, f"{what} {cartan.lie_type} i={i} k={k} x={x}")
 
 
 def check_demazure_support(cartan: CartanData, i: int, k: int, x, bound: int,
@@ -350,10 +350,7 @@ def check_demazure_support(cartan: CartanData, i: int, k: int, x, bound: int,
     base = x - k * di
     allowed = [(i, base - di)] + [(j, base + Fraction(n, 2))
                                   for j, _, _ in cartan.neighbours(i) for n in range(-3, 2)]
-    found = _unsupported(char.terms, allowed, "no allowed far-cluster A-factor",
-                         AVector.gen(i, x))
-    return _support_report(len(char.terms), found,
-                           f"kernel support {cartan.lie_type} i={i} k={k} x={x}")
+    return _far_scan("kernel support", cartan, i, k, x, char, allowed)
 
 
 def check_m_support(cartan: CartanData, i: int, k: int, x, bound: int,
@@ -363,10 +360,7 @@ def check_m_support(cartan: CartanData, i: int, k: int, x, bound: int,
     x = coord(x)
     char = tq_lhs_direct(cartan, i, k, x, bound, config)
     allowed = [(j, x + dij - k * cartan.di(i)) for j, _, dij in cartan.neighbours(i)]
-    found = _unsupported(char.terms, allowed, "no allowed far-cluster A-factor",
-                         AVector.gen(i, x))
-    return _support_report(len(char.terms), found,
-                           f"m-weight support {cartan.lie_type} i={i} k={k} x={x}")
+    return _far_scan("m-weight support", cartan, i, k, x, char, allowed)
 
 
 # ---------------------------------------------------------------------------

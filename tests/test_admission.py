@@ -114,8 +114,8 @@ KR_CHAINS = ("engine error: term budget 1000000 exceeded by the chains of a node
     "verify two-term --type A1 --node 1 --height 999999",
 ])
 def test_a_kr_strings_chains_are_refused_before_fm_expand_takes_it(monkeypatch, argv):
-    calls = []
-    for module in (cli, characters, identities):
+    calls = []      # every KR route expands through characters.kr_char
+    for module in (characters, identities):
         expand = module.fm_expand
         monkeypatch.setattr(module, "fm_expand",
                             lambda *args, expand=expand: calls.append(args) or expand(*args))
@@ -214,8 +214,7 @@ def test_a_parameter_refusal_precedes_every_expansion(budget_dir, job):
 # A new route states its sizes here.
 ADMITTED = {
     ("characters", "kr_top_y"): "(k, f'a KR string of {k} factors')",
-    ("characters", "_admit_kr"):
-        "_chains(len(top.exps) if bound is None else min(len(top.exps), bound))",
+    ("characters", "kr_char"): "_chains(k if bound is None else min(k, bound))",
     ("characters", "demazure_weight"): "(k, f'{k} Demazure roots')",
     ("characters", "_demazure_char_via_ses"): "*(sizes := _ses_sizes(k, t, bound))",
     ("identities", "tq_lhs_direct"): "_m_weight_size(cartan, i, k)",

@@ -220,7 +220,7 @@ def test_a_fault_inside_the_engine_exits_three(monkeypatch, fault, err):
     # (exit 2) or a failed verification (exit 1)
     def fm_expand(*args):
         raise fault
-    monkeypatch.setattr(cli, "fm_expand", fm_expand)
+    monkeypatch.setattr(characters, "fm_expand", fm_expand)
     assert run(["qchar", "kr", "--type", "A1", "--node", "1"]) == (3, "", err)
 
 

@@ -86,3 +86,10 @@ def _dead_exports() -> list:
 
 def test_every_export_has_a_caller_in_src():
     assert _dead_exports() == []
+
+
+def test_the_admitted_kr_expansion_is_exported_and_called():
+    # the one KR expansion: the CLI's qchar kr, stabilize, the KR skeleton scan
+    # and route R2's n-weight factors all call it
+    assert "kr_char" in importlib.import_module("yqchar.characters").__all__
+    assert ("characters", "kr_char") not in _dead_exports()

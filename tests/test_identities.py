@@ -12,7 +12,7 @@ from yqchar.coords import coord
 from yqchar.monomials import AVector, PsiMonomial, YMonomial, y_to_psi
 from yqchar.characters import (
     EngineConfig, EngineError, TruncatedCharacter, compare_characters, demazure_char_via_ses,
-    demazure_weight,
+    demazure_weight, n_weight,
 )
 from yqchar.identities import (
     KINDS, IdentitySpec, MultiplicativeMonomial, check_demazure_support,
@@ -336,7 +336,7 @@ def _av(*pairs):
 # allowed factor, an i-chain term of multiplicity 2, terms without the lead
 # factor, and (passing) terms that carry an allowed factor.
 _FAULTS = [
-    ("fm_expand", check_kr_skeleton, (B2, 1, 2, "x"),
+    ("kr_char", check_kr_skeleton, (B2, 1, 2, "x"),
      {_av((1, "x")): 2, _av((2, "x+5")): 1, _av((1, "x"), (2, "x+7")): 1,
       _av((2, "x-9"), (1, "x+1/3")): 3, _av((1, "x"), (2, "x-1"), (2, "x+20")): 1},
      "KR skeleton B2 i=1 k=2 x=x", 18,
@@ -425,7 +425,7 @@ def test_closed_forms_equal_the_case_tables(name):
                 n = PsiMonomial.unit()
                 for j, b in bases:
                     n = n * PsiMonomial.gen(j, b + k) * PsiMonomial.gen(j, b, -1)
-                assert identities.n_weight(ct, i, k, x) == n
+                assert n_weight(ct, i, k, x) == n
                 if all(k * ct.d[i - 1] % ct.d[j - 1] == 0 for j, _, _ in ct.neighbours(i)):
                     # the self-check of route R2
                     assert identities.m_weight(ct, i, k, x) * n == \
@@ -438,8 +438,8 @@ def test_a_wrong_kr_weight_fails_the_demazure_self_check(monkeypatch):
     def wrong_top(*a):
         ch = real(*a)
         return TruncatedCharacter(ch.top * PsiMonomial.gen(1, 0), ch.terms, ch.height_bound)
-    real = identities.fm_expand
-    monkeypatch.setattr(identities, "fm_expand", wrong_top)
+    real = identities.kr_char
+    monkeypatch.setattr(identities, "kr_char", wrong_top)
     out, err = io.StringIO(), io.StringIO()
     code = cli.dispatch(["verify", "tq", "--type", "B2", "--node", "2"], out, err)
     assert (code, out.getvalue(), err.getvalue()) == (

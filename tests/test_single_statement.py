@@ -6,13 +6,19 @@ so it never fires on working code.  The neighbour data has closed forms in
 c_ij: no module but ``cartan`` (whose ``validate`` checks the table itself)
 compares a Cartan entry with an int literal.  ``psi_to_y`` and ``_i_chain_psi``
 sum along lane classes through the one routine ``monomials._lane_sums``.
+The KR string of ``kr_top_y`` is expanded through the one admitted KR
+expansion ``characters.kr_char``, and ``verify factorization`` is read off
+the self-check, so a broken n-weight is an engine fault, never a "fail".
 """
 import ast
+import io
 import pathlib
 
 import pytest
 
 import yqchar
+import yqchar.characters as characters
+import yqchar.cli as cli
 from yqchar.cartan import LieType, build_cartan
 from yqchar.characters import demazure_weight
 from yqchar.coords import coord
@@ -87,3 +93,44 @@ def test_psi_to_y_and_the_i_chain_share_one_lane_sum():
     fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     assert "_lane_sums" in fns
     assert "_lane_sums" in _calls(fns["psi_to_y"]) & _calls(fns["_i_chain_psi"])
+
+
+def _callers(name: str) -> set:
+    """(module, top-level definition) of each call of ``name`` in src/, the
+    definition None for a call at module level (a CLI handler's lambda)."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Call) and name in (getattr(n.func, "id", None),
+                                                        getattr(n.func, "attr", None)):
+                    out.add((path.stem, getattr(node, "name", None)))
+    return out
+
+
+def test_a_kr_string_is_expanded_through_one_admitted_route():
+    # kr_char admits and expands one string; the SES route admits its four
+    # strings together and expands them against the kernel's base
+    assert _callers("kr_top_y") == {("characters", "kr_char"),
+                                    ("characters", "_demazure_char_via_ses")}
+
+
+def test_a_broken_n_weight_is_an_engine_fault_in_factorization(monkeypatch):
+    # n's bases moved by one: the Demazure self-check, which verify
+    # factorization reports, raises, so the verdict is never a "fail"
+    bases = characters._n_bases
+    monkeypatch.setattr(characters, "_n_bases", lambda *a: [(j, b + 1) for j, b in bases(*a)])
+    demazure_weight.cache_clear()       # so that every self-check runs
+    for name in ("B2", "C3", "G2", "F4"):
+        cartan = build_cartan(LieType.parse(name))
+        for i in cartan.nodes:
+            for k in range(1, 4):
+                out, err = io.StringIO(), io.StringIO()
+                argv = ["verify", "factorization", "--type", name, "--node", str(i),
+                        "--k", str(k)]
+                code = cli.dispatch(argv, out, err)
+                assert code == (3 if bases(cartan, i, k, coord(0)) else 0), (argv, err)
+                if code == 3:
+                    assert (out.getvalue(), err.getvalue()) == ("", (
+                        "engine error: Demazure weight display disagrees with the "
+                        "telescoped product\n")), argv
