@@ -539,6 +539,14 @@ GOLDEN = [
      "db24beea79cb184f"),
     (("translate", "--to", "multiplicative", "--monomial", f"Psi[{'9' * 5000},0]"), 2,
      "3f5849000519c0a1"),
+    # JSON rows whose factors escape a non-ASCII symbol, then a translate of the
+    # same anchor; a unit-only ledger, truncated and complete; a symbolic asymptotic.
+    (_kr("A1", 1, 2, "--x=ξ+1/3", "--format", "json"), 0, "27e07fb6aba3533e"),
+    (_kr("A1", 1, 2, "--x=ξ+4/3", "--format", "json"), 0, "9eb43b2a40641870"),
+    (_kr("A2", 1, 2, "--height", "0", "--format", "json"), 0, "c29052c5f76bb2aa"),
+    (_kr("A2", 1, 0, "--format", "json"), 0, "fe1e3b0e148e7a9d"),
+    (("qchar", "asymptotic", "--type", "A1", "--node", "1", "--y=η", "--x=ξ",
+      "--height", "1", "--format", "json"), 0, "bd990cf146cf22e2"),
 ]
 
 
