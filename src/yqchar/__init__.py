@@ -4,7 +4,7 @@ Subpackages:
   coords        exact spectral coordinates (rationals + indeterminates)
   cartan        Cartan data and the weight lattice
   monomials     Psi/Y/A monomial calculus, conversions and printing
-  textio        the monomial grammar (``cli`` writes JSON)
+  textio        the monomial grammar (JSON: ``characters._JSON``)
   characters    truncated characters and the expansion engine
   identities    identity verifiers and the multiplicative translation
   sl2_explicit  exact matrix modules in rank one

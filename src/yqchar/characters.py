@@ -15,17 +15,19 @@ suite, not assumed.
 """
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .cartan import CartanData, _frozen
 from .coords import Coord, coord
 from .monomials import (
-    _HALF, AVector, PsiMonomial, YMonomial, _by_node, _i_chain, _i_chain_psi, _print_plan,
-    _print_rows, _remove, _site, _site_order, _term_key, _translate, _walk, avector_to_psi,
-    format_monomial, is_dominant, output_order, psi_to_y, y_to_psi,
+    _HALF, AVector, PsiMonomial, YMonomial, _by_node, _factor_texts, _i_chain, _i_chain_psi,
+    _print_plan, _print_rows, _remove, _site, _site_order, _term_key, _translate, _walk,
+    avector_to_psi, format_monomial, is_dominant, output_order, psi_to_y, y_to_psi,
 )
 
 __all__ = [
@@ -48,6 +50,9 @@ class EngineConfig:
 
 
 DEFAULT_CONFIG = EngineConfig()
+# The one encoder of every JSON document and of a character's encoded rows: what it
+# encodes is a fresh tree of dicts, lists, strings and ints, so no cycle is looked for.
+_JSON = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 class EngineError(RuntimeError):
@@ -72,6 +77,9 @@ class TruncatedCharacter:
 
     ``height_bound`` None means the character is complete (finite module,
     no truncation applied).  A translate (see ``fm_expand``) has no ``terms`` until read.
+    A character prints from its print plan, a translate from its anchor's at x + t.
+    Its JSON rows are that plan's rows encoded once, each factor a %s slot,
+    filled by one % with the factor texts at x + t (``_json_terms``).
     """
     top: PsiMonomial
     terms: tuple                  # (AVector, positive int), in (height, sites) order
@@ -122,16 +130,41 @@ class TruncatedCharacter:
     def _plan(self) -> tuple:
         return _print_plan(self.terms)
 
+    @cached_property
+    def _json_rows(self) -> tuple:
+        """(template, fill): ``to_json()["terms"]`` encoded by ``_JSON`` with a %s
+        slot per factor, and the getter of the slots' texts, in order, from the
+        list of ``_factor_texts``."""
+        _, _, keys, keyed = self._plan
+        template = _JSON.encode([{"avector": " ".join(["%s"] * len(ks)) or "1", "coeff": c}
+                                 for _, ks, (_, c) in keyed])
+        at = {k: n for n, k in enumerate(keys)}
+        order = [at[k] for _, ks, _ in keyed for k in ks]
+        # an itemgetter of one index gives that text, which % takes as its one argument
+        return template, itemgetter(*order) if order else lambda texts: ()
+
+    def _printing(self) -> tuple:       # a translate prints its anchor's plan moved by _t
+        anchor = self._anchor
+        return (anchor, self._t) if anchor else (self, 0)
+
     def _printed(self) -> list:         # (row, text) pairs in print order
-        anchor = self._anchor           # a translate prints its anchor's plan moved by _t
-        return _print_rows(anchor._plan, self._t) if anchor else _print_rows(self._plan)
+        ch, t = self._printing()
+        return _print_rows(ch._plan, t)
+
+    def _json_head(self) -> dict:
+        return {"top": format_monomial(self.top), "height_bound": self.height_bound, "terms": []}
+
+    def _json_terms(self) -> str:
+        """``_JSON.encode(self.to_json()["terms"])``: the rows that print self
+        filled with their distinct factors at x + t, each escaped as ``_JSON``
+        escapes a string."""
+        ch, t = self._printing()
+        template, fill = ch._json_rows
+        return template % fill([_JSON.encode(v)[1:-1] for v in _factor_texts(ch._plan, t)])
 
     def to_json(self) -> dict:
-        return {
-            "top": format_monomial(self.top),
-            "height_bound": self.height_bound,
-            "terms": [{"avector": t, "coeff": c} for (_, c), t in self._printed()],
-        }
+        return self._json_head() | {
+            "terms": [{"avector": t, "coeff": c} for (_, c), t in self._printed()]}
 
     def to_text(self) -> str:
         rows = [("height", "coeff", "avector")]

@@ -16,8 +16,8 @@ from types import SimpleNamespace
 from .cartan import LieType, _frozen, build_cartan
 from .coords import coord, narrow
 from .characters import (
-    EngineConfig, EngineError, Report, asymptotic_char, demazure_char_via_ses, kr_char, m_weight,
-    n_weight, prefundamental_char,
+    _JSON, EngineConfig, EngineError, Report, TruncatedCharacter, asymptotic_char,
+    demazure_char_via_ses, kr_char, m_weight, n_weight, prefundamental_char,
 )
 from .identities import (
     KINDS, IdentitySpec, json_object, run_identity, to_multiplicative, verify_multiplicative_tq,
@@ -27,8 +27,6 @@ from .textio import format_monomial, parse_monomial
 
 __all__ = ["main", "dispatch", "CliConfig"]
 _FORMATS = ("text", "json")     # --format's choices, and a config file's output_format's
-# The one encoder of every JSON document: to_json builds a fresh tree, so no cycle is looked for.
-_JSON = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 @_frozen
@@ -189,7 +187,11 @@ def _parser():
 def _emit(obj, cfg: CliConfig, out) -> int:
     """Print ``obj``, a character, a report or a monomial, in the configured
     format; exit 1 for a failing report, else 0."""
-    if cfg.output_format == "json":
+    if cfg.output_format == "json" and isinstance(obj, TruncatedCharacter):
+        # "terms": [], which no encoded string holds, replaced by the encoded rows
+        text = _JSON.encode({"schema": "yqchar/1", "result": obj._json_head()}).replace(
+            '"terms": []', '"terms": ' + obj._json_terms(), 1)
+    elif cfg.output_format == "json":
         payload = obj.to_json() if hasattr(obj, "to_json") else {"monomial": format_monomial(obj)}
         text = _JSON.encode({"schema": "yqchar/1", "result": payload})
     else:

@@ -29,6 +29,9 @@ symbolic part, then the rational part, and a shift adds t to the last alone,
 one to one; so rows keep their heights, exponents, ordered factors and order.
 ``_print_rows`` prints a ``_print_plan`` at x + t, as ``format_monomial(m, t)``
 prints a monomial: each factor from its lane's text at t, no site moved.
+``_factor_texts`` lists the plan's distinct factors at x + t; they fill the
+plan's rows encoded once as JSON (``TruncatedCharacter._json_rows``), with
+no join per row.
 """
 from __future__ import annotations
 
@@ -76,8 +79,9 @@ def _lane(i: int, sym: tuple, residue) -> int:
 def _site(i: int, x) -> int:
     """The site of (node i, coordinate x); a typed memo, so a float x is refused."""
     x = coord(x)
-    off2 = math.floor(2 * x.rat)
-    return off2 << 32 | _lane(i, x.sym, x.rat - Fraction(off2, 2))
+    n, d = x.rat.numerator, x.rat.denominator
+    off2 = 2 * n // d       # floor(2 x.rat); the residue x.rat - off2/2 is (2n - off2 d) / 2d
+    return off2 << 32 | _lane(i, x.sym, Fraction(2 * n - off2 * d, 2 * d))
 
 
 def _unsite(s: int) -> tuple:
@@ -190,8 +194,9 @@ def _term_key(row):
 def _print_plan(rows) -> tuple:
     """(sites, scale, keys, keyed) of rows whose first entry is an AVector: the
     distinct sites in (node, Coord) order, ranked as multiples of ``scale`` (a
-    factor is the key rank + exponent - 1), the distinct keys, and (height, key
-    list, row) per row in print order: by height, then by ordered factor lists."""
+    factor is the key rank + exponent - 1), the distinct keys in order, and
+    (height, key list, row) per row in print order: by height, then by ordered
+    factor lists."""
     rows = list(rows)
     vs = [r[0].sites for r in rows]
     sites = sorted(set().union(*vs), key=_site_order)
@@ -202,7 +207,7 @@ def _print_plan(rows) -> tuple:
         if len(set(ks)) < h:            # a repeated site: its rank once, + exponent - 1
             ks[:] = [k + e - 1 for k, e in Counter(ks).items()]
     keyed.sort(key=itemgetter(0, 1))
-    return sites, scale, set().union(*[ks for _, ks, _ in keyed]), keyed
+    return sites, scale, sorted(set().union(*[ks for _, ks, _ in keyed])), keyed
 
 
 # Bound on the memos of factor texts and of lane texts (hits and misses: ROADMAP item 19).
@@ -238,13 +243,19 @@ def format_monomial(m, t=0) -> str:
     return " ".join([_factor_text(head, s, sign * e, tn, td) for s, e in m.ordered()]) or "1"
 
 
-def _print_rows(plan, t=0) -> list:
-    """(row, text) pairs of a ``_print_plan``, each distinct factor printed once
-    at x + t (``_factor_text``): the rows moved by the rational t, no site moved."""
-    sites, scale, keys, keyed = plan
+def _factor_texts(plan, t=0) -> list:
+    """The texts of a ``_print_plan``'s distinct keys, in key order, each factor
+    printed once at x + t (``_factor_text``): the rows moved by the rational t,
+    no site moved."""
+    sites, scale, keys, _ = plan
     tn, td = t.numerator, t.denominator
-    text = {k: _factor_text("A", sites[k // scale], -(k % scale + 1), tn, td) for k in keys}
-    return [(row, " ".join(map(text.__getitem__, ks)) or "1") for _, ks, row in keyed]
+    return [_factor_text("A", sites[k // scale], -(k % scale + 1), tn, td) for k in keys]
+
+
+def _print_rows(plan, t=0) -> list:
+    """(row, text) pairs of a ``_print_plan`` at x + t (``_factor_texts``)."""
+    text = dict(zip(plan[2], _factor_texts(plan, t)))
+    return [(row, " ".join(map(text.__getitem__, ks)) or "1") for _, ks, row in plan[3]]
 
 
 def output_order(rows) -> list:
@@ -268,11 +279,12 @@ def _translate(t: Fraction, top, rows=()) -> tuple:
     (node, sym, res + t mod 1/2) less its own.  Returns (top, rows), the rows in
     (height, sites) order."""
     sites = {s for v, _ in rows for s in v.sites}.union(s for s, _ in top.exps)
-    deltas = {}
+    deltas, tn, td = {}, t.numerator, t.denominator
     for lane in {s & _LANE for s in sites}:
         i, sym, residue = _LANES[lane]
-        off2 = math.floor(2 * (residue + t))
-        deltas[lane] = (off2 << 32) + _lane(i, sym, residue + t - Fraction(off2, 2)) - lane
+        n, d = residue.numerator * td + tn * residue.denominator, residue.denominator * td
+        off2 = 2 * n // d   # as in _site, of res + t = n/d
+        deltas[lane] = (off2 << 32) + _lane(i, sym, Fraction(2 * n - off2 * d, 2 * d)) - lane
     move = {s: s + deltas[s & _LANE] for s in sites}.__getitem__
     top = type(top)(tuple(sorted([(move(s), e) for s, e in top.exps])), canonical=True)
     rows = sorted([(AVector(tuple(sorted(map(move, v.sites))), canonical=True), c)

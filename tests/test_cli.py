@@ -233,10 +233,11 @@ def _cycle(self):
 def test_a_payload_that_holds_itself_is_an_internal_fault(monkeypatch, tmp_path):
     # every JSON document is encoded without the circular check: a payload
     # with a cycle, which no to_json builds, is a fault (exit 3), not the
-    # usage error (exit 2) that the check's ValueError would read as
+    # usage error (exit 2) that the check's ValueError would read as.  A
+    # character's route encodes its head, then splices in its encoded rows
     suite = tmp_path / "suite.json"
     suite.write_text('[{"kind": "tsystem", "lie_type": "A1", "i": 1, "k": 1, "t": 0}]')
-    monkeypatch.setattr(TruncatedCharacter, "to_json", _cycle)
+    monkeypatch.setattr(TruncatedCharacter, "_json_head", _cycle)
     monkeypatch.setattr(Report, "to_json", _cycle)
     for argv in (["qchar", "kr", "--type", "A1", "--node", "1", "--format", "json"],
                  ["verify", "suite", str(suite), "--format", "json"]):
@@ -275,6 +276,47 @@ def test_a_warm_kr_job_at_a_new_point_builds_no_weight_grammar_or_encoder(monkey
     assert (code, err) == (0, "") and len(json.loads(out)["result"]["terms"]) == 35
     assert _FM_CACHE.hits == hits + 1           # the anchor, met warm
     assert dict(calls) == {}
+
+
+def _emitted(ch) -> str:
+    out = io.StringIO()
+    assert cli._emit(ch, cli.CliConfig(output_format="json"), out) == 0
+    return out.getvalue()
+
+
+def test_a_characters_document_is_its_to_json_encoded(monkeypatch):
+    # _emit splices a character's rows, filled into its anchor's encoded
+    # template, into the encoded head: the document is the one that encoding
+    # to_json() gives, for anchors, translates before and after their rows
+    # land, characters built outside fm_expand, truncated and unit-only ones,
+    # and rows with repeated sites and a symbol that the encoder escapes
+    from yqchar.cartan import LieType, build_cartan
+    from yqchar.sl2_explicit import extract_qchar
+    monkeypatch.setattr(characters, "_FM_CACHE", characters._TermBoundedCache(10_000))
+    cartan = {t: build_cartan(LieType.parse(t)) for t in ("A1", "A2", "G2")}
+    g2 = characters.kr_char(cartan["G2"], 2, 1, "ξ+1/3")     # 15 rows, some ^-2
+    later = characters.kr_char(cartan["G2"], 2, 1, "ξ-5/7", 2)
+    assert g2._anchor is not None and "terms" not in vars(g2)
+    chars = [
+        g2, characters.kr_char(cartan["G2"], 2, 1, "ξ-5/7"), g2._anchor, later,
+        characters.kr_char(cartan["A2"], 1, 2, "2/9"), characters.kr_char(cartan["A2"], 1, 0, 0),
+        characters.kr_char(cartan["A2"], 1, 2, "1/3", 0), later._anchor,
+        characters.kr_char(cartan["G2"], 1, 1, "ξ").truncate(2),
+        characters.asymptotic_char(cartan["A2"], 1, "η", "ξ", 3),
+        characters.prefundamental_char(cartan["A1"], 1, "ξ", "-", 2),
+        characters.prefundamental_char(cartan["A1"], 1, "ξ", "+", 2),
+        extract_qchar("finite", 2, 0), extract_qchar("truncated", "1/2", "-1/3", M=4)]
+    docs = [json.loads(_emitted(ch)) for ch in chars]
+    assert "ξ" in docs[0]["result"]["top"] and "^-2" in str(docs[0]["result"]["terms"])
+    assert [len(d["result"]["terms"]) for d in docs[5:7]] == [1, 1]
+    for landed in (False, True):
+        for ch in chars:
+            if landed:
+                ch.terms                            # a translate's rows land here
+            want = cli._JSON.encode({"schema": "yqchar/1", "result": ch.to_json()})
+            assert _emitted(ch) == want + "\n", ch.to_text()
+            assert "\\u03be" in want or "ξ" not in ch.to_text()
+        assert ("terms" in vars(g2), "terms" in vars(later)) == (landed, landed)
 
 
 class _ClosedPipe(io.StringIO):

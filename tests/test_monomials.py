@@ -1,16 +1,17 @@
 """Monomial calculus: expansions, conversions, projections, predicates."""
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from yqchar.cartan import LieType, Weight, build_cartan
 from yqchar.coords import Coord, coord
 from yqchar.monomials import (
-    _HALF, _LANE, AVector, PsiMonomial, YMonomial, _i_chain, _i_chain_psi, _print_plan, _print_rows, _remove, _site,
-    _site_order, _translate, _unsite, avector_to_psi, avector_to_y, expand_A_to_Psi,
-    is_dominant, output_order, psi_to_y,
+    _HALF, _LANE, AVector, PsiMonomial, YMonomial, _i_chain, _i_chain_psi, _lane, _print_plan,
+    _print_rows, _remove, _site, _site_order, _term_key, _translate, _unsite, avector_to_psi,
+    avector_to_y, expand_A_to_Psi, is_dominant, output_order, psi_to_y,
     weight_projection, y_to_psi,
 )
 from yqchar.identities import MultiplicativeMonomial
@@ -290,6 +291,57 @@ def test_sites_separate_coordinates_and_cosets(i, x, j, y):
 def test_site_order_is_node_coord_order(pairs):
     got = [_unsite(s) for s in sorted({_site(i, x) for i, x in pairs}, key=_site_order)]
     assert got == sorted(set(pairs), key=lambda p: (p[0], p[1].sort_key()))
+
+
+def reference_site(i, x):
+    """The site of (i, x) by three Fraction operations, as ``_site`` read
+    before it split x.rat into int numerator and denominator."""
+    x = coord(x)
+    off2 = math.floor(2 * x.rat)
+    return off2 << 32 | _lane(i, x.sym, x.rat - Fraction(off2, 2))
+
+
+# Negative, half-integer and 10**21-sized rational parts, plain or symbolic.
+wide_rats = st.one_of(
+    st.fractions(min_value=-10 ** 22, max_value=10 ** 22, max_denominator=10 ** 22),
+    st.integers(-10 ** 21, 10 ** 21).map(lambda n: Fraction(n, 2)),
+    st.sampled_from((Fraction(-1, 2), Fraction(-7, 3), Fraction(10 ** 21 + 1, 2),
+                     Fraction(-10 ** 21, 7))))
+wide_coords = st.builds(lambda r, c: Coord(r) + Coord.var("x", c), wide_rats,
+                        st.sampled_from((0, 0, 1, Fraction(-1, 2))))
+
+
+@settings(max_examples=300)
+@given(key_nodes, wide_coords, wide_rats)
+def test_site_is_the_fraction_formula(i, x, r):
+    assert _site(i, x) == reference_site(i, x)
+    assert _site(i, r) == reference_site(i, r) == _site(i, Coord(r))
+
+
+def test_a_float_is_refused_after_its_int_is_memoized():
+    assert _site(1, 3) == reference_site(1, 3)
+    for x in (3.0, 0.5, -1.5):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            _site(1, x)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(key_nodes, wide_coords), min_size=1, max_size=4),
+       st.lists(st.lists(st.tuples(key_nodes, wide_coords), min_size=1, max_size=3),
+                max_size=3), wide_rats)
+def test_translate_moves_each_site_as_the_fraction_formula(pairs, rows, t):
+    # each lane's delta, read in int arithmetic, takes (i, x) to the site that
+    # the Fraction formula gives (i, x + t)
+    def moved(s):
+        i, x = _unsite(s)
+        return reference_site(i, x + t)
+    top = PsiMonomial(tuple(((i, x), e) for e, (i, x) in enumerate(pairs, 1)))
+    rows = tuple({AVector(tuple((p, 1) for p in r)): c for c, r in enumerate(rows, 1)}.items())
+    got_top, got_rows = _translate(t, top, rows)
+    assert got_top.exps == tuple(sorted((moved(s), e) for s, e in top.exps))
+    assert got_rows == tuple(sorted(
+        [(AVector(tuple(sorted(map(moved, v.sites))), canonical=True), c) for v, c in rows],
+        key=_term_key))
 
 
 # -- integer keys against a Coord-keyed reference (property) ------------------
