@@ -135,11 +135,10 @@ class TruncatedCharacter:
         """(template, fill): ``to_json()["terms"]`` encoded by ``_JSON`` with a %s
         slot per factor, and the getter of the slots' texts, in order, from the
         list of ``_factor_texts``."""
-        _, _, keys, keyed = self._plan
-        template = _JSON.encode([{"avector": " ".join(["%s"] * len(ks)) or "1", "coeff": c}
-                                 for _, ks, (_, c) in keyed])
-        at = {k: n for n, k in enumerate(keys)}
-        order = [at[k] for _, ks, _ in keyed for k in ks]
+        keyed = self._plan[3]
+        template = _JSON.encode([{"avector": " ".join(["%s"] * len(ps)) or "1", "coeff": c}
+                                 for ps, (_, c) in keyed])
+        order = [p for ps, _ in keyed for p in ps]
         # an itemgetter of one index gives that text, which % takes as its one argument
         return template, itemgetter(*order) if order else lambda texts: ()
 

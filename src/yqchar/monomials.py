@@ -194,9 +194,9 @@ def _term_key(row):
 def _print_plan(rows) -> tuple:
     """(sites, scale, keys, keyed) of rows whose first entry is an AVector: the
     distinct sites in (node, Coord) order, ranked as multiples of ``scale`` (a
-    factor is the key rank + exponent - 1), the distinct keys in order, and
-    (height, key list, row) per row in print order: by height, then by ordered
-    factor lists."""
+    factor's key is the rank + exponent - 1), the distinct keys in order, and
+    (positions in keys, row) per row in print order: by height, then by
+    ordered factor lists."""
     rows = list(rows)
     vs = [r[0].sites for r in rows]
     sites = sorted(set().union(*vs), key=_site_order)
@@ -207,7 +207,9 @@ def _print_plan(rows) -> tuple:
         if len(set(ks)) < h:            # a repeated site: its rank once, + exponent - 1
             ks[:] = [k + e - 1 for k, e in Counter(ks).items()]
     keyed.sort(key=itemgetter(0, 1))
-    return sites, scale, sorted(set().union(*[ks for _, ks, _ in keyed])), keyed
+    keys = sorted(set().union(*[ks for _, ks, _ in keyed]))
+    at = dict(zip(keys, range(len(keys)))).__getitem__
+    return sites, scale, keys, [(list(map(at, ks)), row) for _, ks, row in keyed]
 
 
 # Bound on the memos of factor texts and of lane texts (hits and misses: ROADMAP item 19).
@@ -254,8 +256,8 @@ def _factor_texts(plan, t=0) -> list:
 
 def _print_rows(plan, t=0) -> list:
     """(row, text) pairs of a ``_print_plan`` at x + t (``_factor_texts``)."""
-    text = dict(zip(plan[2], _factor_texts(plan, t)))
-    return [(row, " ".join(map(text.__getitem__, ks)) or "1") for _, ks, row in plan[3]]
+    text = _factor_texts(plan, t)
+    return [(row, " ".join(map(text.__getitem__, ps)) or "1") for ps, row in plan[3]]
 
 
 def output_order(rows) -> list:
